@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import InvalidArgumentError
+from .rewards import HIGH_LEVEL_WEIGHTS
 
 ENV_CONFIG_VAR = "GRASPSIM_CONFIG"
 
@@ -67,7 +68,7 @@ def load_config(path=None) -> SimConfig:
         path = os.environ.get(ENV_CONFIG_VAR)
     if not path:
         return cfg
-    names = {f.name for f in fields(SimConfig)}
+    names = {f.name for f in fields(SimConfig)} - {"reward_weights"}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -77,13 +78,14 @@ def load_config(path=None) -> SimConfig:
                 raise InvalidArgumentError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key.startswith("rewards."):
-                cfg.reward_weights[key[len("rewards."):]] = float(value)
-                continue
-            if key not in names:
+            term = key[len("rewards."):] if key.startswith("rewards.") else None
+            if key not in names and term not in HIGH_LEVEL_WEIGHTS:
                 raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                setattr(cfg, key, _coerce(getattr(cfg, key), value))
+                if term is None:
+                    setattr(cfg, key, _coerce(getattr(cfg, key), value))
+                else:
+                    cfg.reward_weights[term] = float(value)
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from exc
     return cfg

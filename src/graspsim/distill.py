@@ -42,6 +42,8 @@ class DistillRecord:
             raise InvalidArgumentError(f"proprio must be ({PROPRIO_DIM},)")
         if self.action.shape != (ACTION_DIM,):
             raise InvalidArgumentError(f"action must be ({ACTION_DIM},)")
+        if self.gripper not in (0, 1):
+            raise InvalidArgumentError(f"gripper must be 0 or 1, got {self.gripper!r}")
 
 
 class DatasetWriter:
@@ -101,6 +103,8 @@ def read_dataset(path) -> list:
         head = fh.read(HEADER_SIZE)
         if head[:len(MAGIC)] != MAGIC:
             raise InvalidArgumentError(f"{path}: bad magic {head[:8]!r}")
+        if len(head) < HEADER_SIZE:
+            raise InvalidArgumentError(f"{path}: truncated header")
         version, c, h, w, pdim, adim = struct.unpack("<IIIIII", head[len(MAGIC):])
         if (version, (c, h, w), pdim, adim) != (1, OBS_SHAPE, PROPRIO_DIM, ACTION_DIM):
             raise InvalidArgumentError(f"{path}: unsupported header {head!r}")

@@ -383,14 +383,22 @@ def save_bank(bank: GraspMemoryBank, path) -> None:
 
 
 def load_bank(path) -> GraspMemoryBank:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        raise InvalidArgumentError(f"{path}: bank file is not ASCII")
+    lines = [ln for ln in data.decode("ascii").splitlines() if ln.strip()]
+    if not lines:
+        raise InvalidArgumentError(f"{path}: empty bank file")
     head = lines[0].split()
-    if len(head) != 3 or head[0] != "bank":
+    if len(head) != 3 or head[0] != "bank" or not head[2].isdigit():
         raise InvalidArgumentError(f"{path}: bad bank header {lines[0]!r}")
     cands = []
     for ln in lines[1:]:
-        nums = [float(x) for x in ln.split()]
+        try:
+            nums = [float(x) for x in ln.split()]
+        except ValueError:
+            nums = []
         if len(nums) != 7:
             raise InvalidArgumentError(f"{path}: bad bank row {ln!r}")
         cands.append(GraspCandidate(vec6_decode(np.array(nums[:6])), nums[6]))

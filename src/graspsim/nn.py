@@ -3,10 +3,15 @@
 Everything runs on float32 numpy arrays; there is no autograd, no training,
 and no GPU path.  Weights come from files or seeded initialization (matrices
 uniform in +-1/sqrt(fan_in), biases zero, norm gains one).
+
+Validation happens at the boundaries: `WeightStore` rejects non-finite weights
+once, when they enter the program (init, `load`, construction).  The ops check
+activations, not weights; `linear`'s output check still sees any bad weight.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +50,8 @@ def _checked(y: np.ndarray, op: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def linear(x, w, b) -> np.ndarray:
-    """y = x @ w + b over the last axis."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    """y = x @ w + b over the last axis; w and b are not scanned on entry."""
+    x, w, b = as_tensor(x), np.asarray(w, np.float32), np.asarray(b, np.float32)
     if x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(
             f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}"
@@ -57,10 +62,7 @@ def linear(x, w, b) -> np.ndarray:
 def elu(x) -> np.ndarray:
     """x if x > 0 else exp(x) - 1, evaluating expm1 only where needed."""
     x = as_tensor(x)
-    out = x.astype(np.float32).copy()
-    neg = x < 0
-    out[neg] = np.expm1(x[neg])
-    return out
+    return np.expm1(x, out=x.copy(), where=x < 0)
 
 
 def softmax(x, axis: int = -1) -> np.ndarray:
@@ -71,14 +73,16 @@ def softmax(x, axis: int = -1) -> np.ndarray:
 
 
 def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Cross-correlation of x [c,h,w] with kernels [oc,c,kh,kw], zero padded.
+    """Cross-correlation of x [c,h,w] or [n,c,h,w] with kernels [oc,c,kh,kw].
 
-    Output spatial size follows floor((n + 2p - k) / s) + 1.
+    Zero padded; output spatial size follows floor((n + 2p - k) / s) + 1.  A
+    batch runs as one im2col GEMM of shape [n*oh*ow, c*kh*kw] x [c*kh*kw, oc].
     """
-    x, k = as_tensor(x), as_tensor(kernels)
-    if x.ndim != 3 or k.ndim != 4 or x.shape[0] != k.shape[1]:
+    x, k = as_tensor(x), np.asarray(kernels, np.float32)
+    if x.ndim not in (3, 4) or k.ndim != 4 or x.shape[-3] != k.shape[1]:
         raise ShapeError(f"conv2d shapes disagree: x {x.shape}, kernels {k.shape}")
-    c, h, w = x.shape
+    batch = x if x.ndim == 4 else x[None]
+    n, c, h, w = batch.shape
     oc, _, kh, kw = k.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
@@ -88,22 +92,23 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
             f"(stride {stride}, padding {padding})"
         )
     if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride][:, :oh, :ow]          # c,oh,ow,kh,kw
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kh * kw)
-    out = cols @ k.reshape(oc, -1).T
-    return _checked(out.reshape(oh, ow, oc).transpose(2, 0, 1).astype(np.float32),
-                    "conv2d")
+        batch = np.pad(batch, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(batch, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]                             # n,c,oh,ow,kh,kw
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+    out = (cols @ k.reshape(oc, -1).T).reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
+    return _checked(out if x.ndim == 4 else out[0], "conv2d")
 
 
 def max_pool2(x) -> np.ndarray:
-    """2x2 max pooling with stride 2; trailing odd rows/cols are dropped."""
+    """2x2 stride-2 max pooling of the last two axes; an odd last row/col is dropped."""
     x = as_tensor(x)
-    c, h, w = x.shape
+    if x.ndim < 2:
+        raise ShapeError(f"max_pool2 needs at least 2 axes, got {x.shape}")
+    *lead, h, w = x.shape
     h2, w2 = h // 2, w // 2
-    x = x[:, : h2 * 2, : w2 * 2].reshape(c, h2, 2, w2, 2)
-    return x.max(axis=(2, 4))
+    x = x[..., : h2 * 2, : w2 * 2].reshape(*lead, h2, 2, w2, 2)
+    return x.max(axis=(-3, -1))
 
 
 def attention(q, k, v) -> np.ndarray:
@@ -195,6 +200,8 @@ class WeightStore:
 
     def __post_init__(self):
         declared = dict(self.manifest)
+        if len(declared) != len(self.manifest):
+            raise ArchitectureError(f"manifest of arch {self.arch} repeats a name")
         if set(declared) != set(self.params):
             missing = sorted(set(declared) - set(self.params))
             extra = sorted(set(self.params) - set(declared))
@@ -208,7 +215,9 @@ class WeightStore:
                     f"parameter {name!r} has shape {tuple(p.shape)}, "
                     f"manifest says {tuple(shape)}"
                 )
-            self.params[name] = np.ascontiguousarray(p, dtype=np.float32)
+            p = self.params[name] = np.ascontiguousarray(p, dtype=np.float32)
+            if not np.all(np.isfinite(p)):
+                raise ArchitectureError(f"parameter {name!r} has non-finite values")
 
     def get(self, name: str) -> np.ndarray:
         if name not in self.params:
@@ -247,18 +256,25 @@ class WeightStore:
         cut = data.find(sep)
         if cut < 0:
             raise ArchitectureError(f"{path}: missing manifest separator")
-        head = data[:cut].decode("ascii").splitlines()
+        if not data[:cut].isascii():
+            raise ArchitectureError(f"{path}: manifest is not ASCII")
+        head = data[:cut].decode("ascii").splitlines() or [""]
         blob = data[cut + len(sep):]
         magic = head[0].split()
         if len(magic) != 2 or magic[0] != "weights-v1":
             raise ArchitectureError(f"{path}: bad header line {head[0]!r}")
+        if len(blob) % 4:
+            raise ArchitectureError(f"{path}: blob is not a whole number of floats")
         arch = magic[1]
         manifest, params, offset = [], {}, 0
         raw = np.frombuffer(blob, dtype="<f4")
         for line in head[1:]:
-            name, shape_s = line.split()
-            shape = tuple(int(d) for d in shape_s.split(","))
-            size = int(np.prod(shape))
+            parts = line.split()
+            if len(parts) != 2 or not all(d.isdigit() and int(d) > 0
+                                          for d in parts[1].split(",")):
+                raise ArchitectureError(f"{path}: bad manifest line {line!r}")
+            name, shape = parts[0], tuple(int(d) for d in parts[1].split(","))
+            size = math.prod(shape)
             if offset + size > raw.size:
                 raise ArchitectureError(f"{path}: blob too short at {name!r}")
             params[name] = raw[offset:offset + size].reshape(shape).copy()
@@ -327,21 +343,8 @@ def init_student_weights(seed: int = 0) -> WeightStore:
     return init_weights(STUDENT_ARCH, student_manifest(), seed)
 
 
-def _conv_batch(x, kernels) -> np.ndarray:
-    """Valid cross-correlation over a batch [n,c,h,w] via one im2col GEMM."""
-    n, c, h, wd = x.shape
-    oc, _, kh, kw = kernels.shape
-    oh, ow = h - kh + 1, wd - kw + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    out = cols @ kernels.reshape(oc, -1).T
-    return out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
-
-
-def _pool_batch(x) -> np.ndarray:
-    n, c, h, wd = x.shape
-    h2, w2 = h // 2, wd // 2
-    return x[:, :, : h2 * 2, : w2 * 2].reshape(n, c, h2, 2, w2, 2).max(axis=(3, 5))
+# Stack channels of the six mask+depth images: wrist t=0..2, then base t=0..2.
+_FRAME_PAIRS = np.array([(view + t, view + 3 + t) for view in (0, 6) for t in range(3)])
 
 
 def _encode_frames(imgs, w: WeightStore) -> np.ndarray:
@@ -350,10 +353,10 @@ def _encode_frames(imgs, w: WeightStore) -> np.ndarray:
     ELU is monotone, so conv -> ELU -> maxpool equals conv -> maxpool -> ELU
     exactly; pooling first quarters the activation work.
     """
-    x = _conv_batch(imgs, w.get("cnn.conv1.w"))
-    x = elu(_pool_batch(x) + w.get("cnn.conv1.b")[None, :, None, None])
-    x = _conv_batch(x, w.get("cnn.conv2.w"))
-    x = elu(_pool_batch(x) + w.get("cnn.conv2.b")[None, :, None, None])
+    x = conv2d(imgs, w.get("cnn.conv1.w"))
+    x = elu(max_pool2(x) + w.get("cnn.conv1.b")[:, None, None])
+    x = conv2d(x, w.get("cnn.conv2.w"))
+    x = elu(max_pool2(x) + w.get("cnn.conv2.b")[:, None, None])
     return linear(x.reshape(x.shape[0], -1), w.get("cnn.fc.w"), w.get("cnn.fc.b"))
 
 
@@ -383,11 +386,7 @@ def student_forward(frames, proprio, w: WeightStore) -> np.ndarray:
         raise ShapeError(f"proprio must be ({PROPRIO_DIM},), got {proprio.shape}")
 
     state_token = linear(proprio[None, :], w.get("proprio.w"), w.get("proprio.b"))[0]
-    imgs = np.stack([
-        np.stack([frames[view + t], frames[view + 3 + t]])
-        for view in (0, 6) for t in range(3)
-    ])
-    tokens = _encode_frames(imgs, w)
+    tokens = _encode_frames(frames[_FRAME_PAIRS], w)
     streams = [
         _encode_stream(tokens[0:3], state_token, w, "wrist"),
         _encode_stream(tokens[3:6], state_token, w, "base"),
@@ -430,38 +429,38 @@ def _naive_conv2d(x, kern):
     return out
 
 
+def _naive_max_pool2(x):
+    out = np.zeros((*x.shape[:-2], x.shape[-2] // 2, x.shape[-1] // 2))
+    for *lead, i, j in np.ndindex(*out.shape):
+        out[(*lead, i, j)] = max(float(x[(*lead, 2 * i + a, 2 * j + bb)])
+                                 for a in (0, 1) for bb in (0, 1))
+    return out
+
+
+def _naive_attention(q, k, v):
+    logits = np.array([float(np.dot(q[0], k[i])) for i in range(k.shape[0])])
+    e = np.exp(logits - logits.max())
+    alpha = e / e.sum()
+    return np.array([[float(np.dot(alpha, v[:, j])) for j in range(v.shape[1])]])
+
+
 def selftest(cases: int = 20, seed: int = 0) -> list:
     """Compare the fast ops against naive loops; returns (name, max_err) pairs."""
     rng = np.random.Generator(np.random.PCG64(seed))
+    checks = [                          # name, input shapes, fast op, reference
+        ("linear", [(3, 5), (5, 4), (4,)], linear, _naive_linear),
+        ("conv2d", [(2, 7, 8), (3, 2, 3, 3)], conv2d, _naive_conv2d),
+        ("attention", [(1, 6), (5, 6), (5, 3)], attention, _naive_attention),
+        ("softmax", [(4, 9)], lambda x: softmax(x).sum(axis=-1), lambda x: 1.0),
+        ("conv2d_batch", [(3, 2, 7, 8), (3, 2, 3, 3)], conv2d,
+         lambda x, k: np.stack([_naive_conv2d(xi, k) for xi in x])),
+        ("max_pool2", [(2, 3, 7, 9)], max_pool2, _naive_max_pool2),
+    ]
     results = []
-    err = 0.0
-    for _ in range(cases):
-        x = rng.standard_normal((3, 5)).astype(np.float32)
-        w_ = rng.standard_normal((5, 4)).astype(np.float32)
-        b = rng.standard_normal(4).astype(np.float32)
-        err = max(err, float(np.max(np.abs(linear(x, w_, b) - _naive_linear(x, w_, b)))))
-    results.append(("linear", err))
-    err = 0.0
-    for _ in range(cases):
-        x = rng.standard_normal((2, 7, 8)).astype(np.float32)
-        k = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        err = max(err, float(np.max(np.abs(conv2d(x, k) - _naive_conv2d(x, k)))))
-    results.append(("conv2d", err))
-    err = 0.0
-    for _ in range(cases):
-        q = rng.standard_normal((1, 6)).astype(np.float32)
-        k = rng.standard_normal((5, 6)).astype(np.float32)
-        v = rng.standard_normal((5, 3)).astype(np.float32)
-        logits = np.array([float(np.dot(q[0], k[i])) for i in range(5)])
-        e = np.exp(logits - logits.max())
-        alpha = e / e.sum()
-        ref = np.array([float(np.dot(alpha, v[:, j])) for j in range(3)])
-        err = max(err, float(np.max(np.abs(attention(q, k, v)[0] - ref))))
-    results.append(("attention", err))
-    err = 0.0
-    for _ in range(cases):
-        x = rng.standard_normal((4, 9)).astype(np.float32)
-        s = softmax(x, axis=-1)
-        err = max(err, float(np.max(np.abs(s.sum(axis=-1) - 1.0))))
-    results.append(("softmax", err))
+    for name, shapes, fast, slow in checks:
+        err = 0.0
+        for _ in range(cases):
+            args = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
+            err = max(err, float(np.max(np.abs(fast(*args) - slow(*args)))))
+        results.append((name, err))
     return results

@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from graspsim.cli import main
+from graspsim.errors import InvalidArgumentError
 
 
 def run_cli(args, capsys):
@@ -15,6 +18,9 @@ def test_nn_selftest(capsys):
     code, out, _ = run_cli(["nn-selftest"], capsys)
     assert code == 0
     assert "linear" in out and "ok" in out
+    for case in ("conv2d_batch", "max_pool2"):
+        assert f"{case}: max|err|" in out
+    assert "FAIL" not in out
 
 
 def test_episode_command(tmp_path, capsys):
@@ -144,6 +150,14 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     ], capsys)
     assert code == 1
     assert err.startswith("error: InvalidArgumentError:")
+    from graspsim.config import load_config
+    for text in ("rewards.base_h = abc\n", "# c\nrewards.warp = 1\n",
+                 "reward_weights = 1\n"):
+        cfg.write_text(text)
+        with pytest.raises(InvalidArgumentError) as exc:
+            load_config(cfg)
+        lineno = text.count("\n")
+        assert f"{cfg}:{lineno}:" in str(exc.value)
 
 
 def test_console_script_entry_point():

@@ -107,11 +107,18 @@ def test_build_memory_stable_ties():
     assert bank.candidates[2] is cands[2]
 
 
-def test_bank_rejects_unsorted():
+def test_bank_rejects_unsorted(tmp_path):
     from graspsim.gfm import GraspCandidate
     p = Pose6(np.zeros(3), np.zeros(3))
     with pytest.raises(InvalidArgumentError):
         GraspMemoryBank("x", (GraspCandidate(p, 0.1), GraspCandidate(p, 0.9)), 5)
+    path = tmp_path / "bank.txt"
+    for text in ("", "\n\n", "bank x 2\n0 0 0 0 0 0 abc\n", "bank x 2.5\n",
+                 "bank x two\n", "bank x -1\n", "bank \u00e9 2\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidArgumentError) as err:
+            load_bank(path)
+        assert str(path) in str(err.value)
 
 
 def test_bank_file_roundtrip(tmp_path):

@@ -186,6 +186,14 @@ def test_conv2d_matches_naive(rng):
         slow = naive_conv2d(x, k, stride=stride, padding=padding)
         assert fast.shape == slow.shape
         assert np.max(np.abs(fast - slow)) < 1e-5
+        batch = rng.standard_normal((3, 3, 8, 9)).astype(np.float32)
+        out = conv2d(batch, k, stride=stride, padding=padding)
+        assert out.shape == (3, *slow.shape)
+        for i in range(3):
+            single = conv2d(batch[i], k, stride=stride, padding=padding)
+            assert np.allclose(out[i], single, rtol=1e-6, atol=0)
+            slow = naive_conv2d(batch[i], k, stride=stride, padding=padding)
+            assert np.max(np.abs(out[i] - slow)) < 1e-5
 
 
 def test_conv2d_shape_error():
@@ -193,6 +201,10 @@ def test_conv2d_shape_error():
         conv2d(np.zeros((2, 4, 4), np.float32), np.zeros((1, 3, 3, 3), np.float32))
     with pytest.raises(ShapeError):
         conv2d(np.zeros((1, 2, 2), np.float32), np.zeros((1, 1, 5, 5), np.float32))
+    with pytest.raises(ShapeError):
+        conv2d(np.zeros((2, 2, 4, 4), np.float32), np.zeros((1, 3, 3, 3), np.float32))
+    with pytest.raises(ShapeError):
+        conv2d(np.zeros((1, 1, 1, 4, 4), np.float32), np.zeros((1, 1, 3, 3), np.float32))
 
 
 def test_attention_single_key_passthrough(rng):
@@ -321,6 +333,15 @@ def test_max_pool2():
     assert np.allclose(out[0], [[5, 7], [13, 15]])
     odd = max_pool2(np.arange(15, dtype=np.float32).reshape(1, 3, 5))
     assert odd.shape == (1, 1, 2)
+    lead = np.arange(2 * 3 * 5 * 4, dtype=np.float32).reshape(2, 3, 5, 4)[..., ::-1]
+    out = max_pool2(lead)
+    assert out.shape == (2, 3, 2, 2)
+    for i in range(2):
+        assert np.array_equal(out[i], max_pool2(lead[i]))
+    assert np.array_equal(max_pool2(lead[1, 2]), out[1, 2])
+    assert np.allclose(max_pool2(x[0]), [[5, 7], [13, 15]])
+    with pytest.raises(ShapeError):
+        max_pool2(np.zeros(4, np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +359,18 @@ def test_weight_store_manifest_validation():
     assert "a.b" in str(err.value)
     with pytest.raises(ArchitectureError):
         WeightStore("toy", manifest, {"a.w": params["a.w"]})
+    with pytest.raises(ArchitectureError):
+        WeightStore("toy", manifest + [("a.b", (3,))], dict(params))
+    for bad in (np.nan, np.inf):
+        w = params["a.w"].copy()
+        w[1, 2] = bad
+        with pytest.raises(ArchitectureError) as err:
+            WeightStore("toy", manifest, {"a.w": w, "a.b": params["a.b"]})
+        assert "a.w" in str(err.value)
+    with np.errstate(over="ignore"), pytest.raises(ArchitectureError) as err:
+        WeightStore("toy", manifest, {"a.w": params["a.w"],     # overflows float32
+                                      "a.b": np.full(3, 1e300)})
+    assert "a.b" in str(err.value)
     with pytest.raises(ArchitectureError):
         store.get("missing.w")
 
@@ -365,6 +398,25 @@ def test_weight_file_rejects_garbage(tmp_path):
     (tmp_path / "short.weights").write_bytes(data[:-100])
     with pytest.raises(ArchitectureError):
         WeightStore.load(tmp_path / "short.weights")
+    (tmp_path / "ragged.weights").write_bytes(data[:-3])
+    with pytest.raises(ArchitectureError):
+        WeightStore.load(tmp_path / "ragged.weights")
+    blob = b"\n---\n"
+    for head in (b"", b"weights-v1 toy\na.w", b"weights-v1 toy\na.w 2,3 x",
+                 b"weights-v1 toy\na.w 2,x", b"weights-v1 toy\na.w 2.0,3",
+                 b"weights-v1 toy\na.w 0,3", b"weights-v1 toy\na.w -2,3",
+                 "weights-v1 t\u00f6y\na.w 2,3".encode("utf-8")):
+        path.write_bytes(head + blob)
+        with pytest.raises(ArchitectureError) as err:
+            WeightStore.load(path)
+        assert str(path) in str(err.value)
+    toy = WeightStore("toy", [("a.w", (2, 3))], {"a.w": np.ones((2, 3), np.float32)})
+    toy.save(path)
+    WeightStore.load(path)
+    path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+    with pytest.raises(ArchitectureError) as err:
+        WeightStore.load(path)
+    assert "a.w" in str(err.value)
 
 
 def test_student_parameter_count_near_reported_budget():
@@ -412,5 +464,9 @@ def test_student_manifest_is_stable():
 def test_tensor_guards():
     with pytest.raises(InvalidArgumentError):
         elu(np.array([np.nan], np.float32))
+    w = np.eye(3, dtype=np.float32)
+    w[1, 2] = np.nan
+    with pytest.raises(InvalidArgumentError):
+        linear(np.ones((1, 3), np.float32), w, np.zeros(3, np.float32))
     with pytest.raises(InvalidArgumentError):
         softmax(np.array([np.inf], np.float32))

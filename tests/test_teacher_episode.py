@@ -5,7 +5,9 @@ import pytest
 
 from graspsim.distill import (
     HEADER_SIZE,
+    OBS_SHAPE,
     RECORD_SIZE,
+    DistillRecord,
     read_dataset,
     record_distillation,
 )
@@ -202,6 +204,17 @@ def test_distill_rejects_corrupt_file(tmp_path):
     (tmp_path / "magic.bin").write_bytes(b"XXXX" + data[4:])
     with pytest.raises(InvalidArgumentError):
         read_dataset(tmp_path / "magic.bin")
+    (tmp_path / "head.bin").write_bytes(data[:HEADER_SIZE - 3])
+    with pytest.raises(InvalidArgumentError):
+        read_dataset(tmp_path / "head.bin")
+    grip = bytearray(data)
+    grip[HEADER_SIZE + RECORD_SIZE - 1] = 2
+    (tmp_path / "grip.bin").write_bytes(grip)
+    with pytest.raises(InvalidArgumentError):
+        read_dataset(tmp_path / "grip.bin")
+    with pytest.raises(InvalidArgumentError):
+        DistillRecord(0, 0, np.zeros(OBS_SHAPE, np.float32),
+                      np.zeros(PROPRIO_DIM, np.float32), np.zeros(8, np.float32), 2)
 
 
 def test_derive_seed_stable():
