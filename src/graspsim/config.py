@@ -7,6 +7,7 @@ variable GRASPSIM_CONFIG points at a default file for the CLI.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -47,6 +48,29 @@ class SimConfig:
             self.reward_weights = {}
 
 
+# Allowed ranges of the numeric keys, checked as each file line is read.
+_RANGES = {
+    "physics_dt": (lambda v: v > 0, "> 0"),
+    "decision_dt": (lambda v: v > 0, "> 0"),
+    "timeout_steps": (lambda v: v >= 1, ">= 1"),
+    "bank_size": (lambda v: v >= 1, ">= 1"),
+    "candidate_count": (lambda v: v >= 1, ">= 1"),
+    "gripper_aperture": (lambda v: v > 0, "> 0"),
+    "hfov_deg": (lambda v: 0 < v < 180, "in (0, 180)"),
+    "mask_flip_prob": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "sigma_track": (lambda v: v > 0, "> 0"),
+    "sigma_cf": (lambda v: v > 0, "> 0"),
+    "sigma_cv": (lambda v: v > 0, "> 0"),
+}
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _coerce(current, text: str):
     if isinstance(current, bool):
         if text.lower() in ("true", "1", "yes"):
@@ -57,7 +81,7 @@ def _coerce(current, text: str):
     if isinstance(current, int):
         return int(text)
     if isinstance(current, float):
-        return float(text)
+        return _finite_float(text)
     return text
 
 
@@ -83,9 +107,13 @@ def load_config(path=None) -> SimConfig:
                 raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 if term is None:
-                    setattr(cfg, key, _coerce(getattr(cfg, key), value))
+                    coerced = _coerce(getattr(cfg, key), value)
+                    ok, allowed = _RANGES.get(key, (None, None))
+                    if ok is not None and not ok(coerced):
+                        raise ValueError(f"{key} must be {allowed}, got {value}")
+                    setattr(cfg, key, coerced)
                 else:
-                    cfg.reward_weights[term] = float(value)
+                    cfg.reward_weights[term] = _finite_float(value)
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from exc
     return cfg

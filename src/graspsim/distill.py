@@ -112,17 +112,20 @@ def read_dataset(path) -> list:
     if len(body) % RECORD_SIZE != 0:
         raise InvalidArgumentError(f"{path}: truncated record data")
     records = []
-    for off in range(0, len(body), RECORD_SIZE):
+    for index, off in enumerate(range(0, len(body), RECORD_SIZE)):
         episode_id, step = struct.unpack_from("<QI", body, off)
         f = np.frombuffer(body, dtype="<f4", count=_N_OBS + PROPRIO_DIM + ACTION_DIM,
                           offset=off + 12)
         gripper = body[off + RECORD_SIZE - 1]
-        records.append(DistillRecord(
-            episode_id=episode_id,
-            step=step,
-            observation=f[:_N_OBS].reshape(OBS_SHAPE).copy(),
-            proprio=f[_N_OBS:_N_OBS + PROPRIO_DIM].copy(),
-            action=f[_N_OBS + PROPRIO_DIM:].copy(),
-            gripper=int(gripper),
-        ))
+        try:
+            records.append(DistillRecord(
+                episode_id=episode_id,
+                step=step,
+                observation=f[:_N_OBS].reshape(OBS_SHAPE).copy(),
+                proprio=f[_N_OBS:_N_OBS + PROPRIO_DIM].copy(),
+                action=f[_N_OBS + PROPRIO_DIM:].copy(),
+                gripper=int(gripper),
+            ))
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"{path}: record {index}: {exc}") from exc
     return records

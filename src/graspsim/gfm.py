@@ -12,13 +12,20 @@ angles directly is geometrically valid only for tightly clustered rotations.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyBankError, InvalidArgumentError, ShapeError
 from .scene import ObjectSpec
-from .se3 import Pose6, grasp_to_world, matrix_to_euler, vec6_decode, vec6_encode
+from .se3 import (
+    Pose6,
+    euler_to_matrix,
+    grasp_to_world,
+    matrix_to_euler,
+    vec6_decode,
+    vec6_encode,
+)
 
 GRIPPER_APERTURE = 0.085
 DEFAULT_BANK_SIZE = 30
@@ -51,6 +58,10 @@ class GraspMemoryBank:
     object_id: str
     candidates: tuple
     k: int
+    # Object-local candidate positions (K,3,1) and rotation matrices (K,3,3),
+    # built once so that re-projecting the bank is one batched compose.
+    _local_pos: np.ndarray = field(init=False, repr=False, compare=False)
+    _local_rot: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scores = [c.score for c in self.candidates]
@@ -58,6 +69,14 @@ class GraspMemoryBank:
             raise InvalidArgumentError("bank candidates must be sorted by score")
         if len(self.candidates) > self.k:
             raise InvalidArgumentError("bank holds more candidates than K")
+        pos = np.array([c.pose.position for c in self.candidates],
+                       dtype=float).reshape(-1, 3, 1)
+        rot = np.array([euler_to_matrix(c.pose.orientation) for c in self.candidates],
+                       dtype=float).reshape(-1, 3, 3)
+        pos.setflags(write=False)
+        rot.setflags(write=False)
+        object.__setattr__(self, "_local_pos", pos)
+        object.__setattr__(self, "_local_rot", rot)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -323,9 +342,17 @@ def object_feature(spec: ObjectSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _world_vec6(bank: GraspMemoryBank, obj_pose: Pose6) -> np.ndarray:
-    return np.stack([
-        vec6_encode(grasp_to_world(c.pose, obj_pose)) for c in bank.candidates
-    ])
+    """(K, 6) world vectors of every candidate: grasp_to_world for all K at once.
+
+    Each row equals vec6_encode(grasp_to_world(c.pose, obj_pose)) bit for bit.
+    Positions use the stacked mat-vec ``ra @ p[..., None]``, which rounds like
+    the per-candidate ``ra @ p``; the transposed product ``p @ ra.T`` sums in
+    another order and changes the last bits, and so the episodes.
+    """
+    ra = euler_to_matrix(obj_pose.orientation)
+    pos = (ra @ bank._local_pos)[..., 0] + obj_pose.position
+    orn = matrix_to_euler(ra @ bank._local_rot)
+    return np.concatenate([pos, orn], axis=1)
 
 
 def gfm_forward(feat, obj_pose: Pose6, bank: GraspMemoryBank,
@@ -394,12 +421,15 @@ def load_bank(path) -> GraspMemoryBank:
     if len(head) != 3 or head[0] != "bank" or not head[2].isdigit():
         raise InvalidArgumentError(f"{path}: bad bank header {lines[0]!r}")
     cands = []
-    for ln in lines[1:]:
-        try:
-            nums = [float(x) for x in ln.split()]
-        except ValueError:
-            nums = []
-        if len(nums) != 7:
-            raise InvalidArgumentError(f"{path}: bad bank row {ln!r}")
-        cands.append(GraspCandidate(vec6_decode(np.array(nums[:6])), nums[6]))
-    return GraspMemoryBank(head[1], tuple(cands), int(head[2]))
+    try:
+        for ln in lines[1:]:
+            try:
+                nums = [float(x) for x in ln.split()]
+            except ValueError:
+                nums = []
+            if len(nums) != 7:
+                raise InvalidArgumentError(f"bad bank row {ln!r}")
+            cands.append(GraspCandidate(vec6_decode(np.array(nums[:6])), nums[6]))
+        return GraspMemoryBank(head[1], tuple(cands), int(head[2]))
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc

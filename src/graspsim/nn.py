@@ -282,7 +282,10 @@ class WeightStore:
             offset += size
         if offset != raw.size:
             raise ArchitectureError(f"{path}: {raw.size - offset} trailing floats")
-        return WeightStore(arch, manifest, params)
+        try:
+            return WeightStore(arch, manifest, params)
+        except ArchitectureError as exc:
+            raise ArchitectureError(f"{path}: {exc}") from exc
 
 
 def init_weights(arch: str, manifest: list, seed: int) -> WeightStore:

@@ -10,12 +10,21 @@ reward formulas have inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularJacobianError
-from .se3 import Pose6, Twist, compose, euler_to_matrix, matrix_to_euler, wrap_angle
+from .se3 import (
+    Pose6,
+    Twist,
+    _trusted_pose,
+    compose,
+    euler_to_matrix,
+    matrix_to_euler,
+    wrap_angle,
+)
 
 WORKSPACE_RADIUS = 0.8
 WORKSPACE_CENTER = np.array([0.0, 0.0, 0.3])   # in the base frame
@@ -84,7 +93,8 @@ class CommandVector:
     def __post_init__(self):
         p = np.asarray(self.p_hat, dtype=float)
         r = np.asarray(self.r_hat, dtype=float)
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r))):
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r))
+                and math.isfinite(self.v_lin) and math.isfinite(self.omega_yaw)):
             raise InvalidArgumentError("CommandVector fields must be finite")
         p = p.copy()
         p.setflags(write=False)
@@ -176,9 +186,13 @@ def gait_joint_proxy(travel: float) -> np.ndarray:
 
 def execute_command(robot: RobotState, u: CommandVector, terrain,
                     dt: float) -> RobotState:
-    """Advance the robot by dt under a constant command."""
-    if dt <= 0:
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
+    """Advance the robot by dt under a constant command.
+
+    The command and dt are checked here, so the base and arm poses built
+    from them are finite and wrapped by construction and skip re-validation.
+    """
+    if not 0.0 < dt < math.inf:
+        raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
     x0, y0 = robot.base_pose.position[0], robot.base_pose.position[1]
     yaw0 = robot.base_pose.orientation[2]
     x1, y1, yaw1 = _unicycle_step(x0, y0, yaw0, u.v_lin, u.omega_yaw, dt)
@@ -187,7 +201,8 @@ def execute_command(robot: RobotState, u: CommandVector, terrain,
     z0 = robot.base_pose.position[2]
     z1 = z_target + (z0 - z_target) * np.exp(-dt / BASE_Z_TAU)
 
-    base_pose = Pose6(np.array([x1, y1, z1]), np.array([0.0, 0.0, wrap_angle(yaw1)]))
+    base_pose = _trusted_pose(np.array([x1, y1, z1]),
+                              np.array([0.0, 0.0, wrap_angle(yaw1)]))
     base_twist = Twist(
         np.array([(x1 - x0) / dt, (y1 - y0) / dt, (z1 - z0) / dt]),
         np.array([0.0, 0.0, u.omega_yaw]),
@@ -207,7 +222,7 @@ def execute_command(robot: RobotState, u: CommandVector, terrain,
     max_step = EE_RATE_LIMIT * dt
     if step_len > max_step:
         step_vec *= max_step / step_len
-    rel_new = Pose6(rel_pos + step_vec, _lag_angle(rel_orn, u.r_hat, pull))
+    rel_new = _trusted_pose(rel_pos + step_vec, _lag_angle(rel_orn, u.r_hat, pull))
     ee_pose = compose(base_pose, rel_new)
 
     travel = robot.travel + abs(u.v_lin) * dt

@@ -18,6 +18,7 @@ from .se3 import (
     TWO_PI,
     Pose6,
     Twist,
+    _trusted_pose,
     compose,
     inverse,
     rotation_angle_between,
@@ -445,10 +446,11 @@ def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
     The displacement over this step uses the stored (pre-step) twist, so a
     finite difference of positions across the step reproduces the twist
     exactly.  When the object rides the gripper, ``ee_pose`` must be the
-    end-effector pose after the robot has stepped.
+    end-effector pose after the robot has stepped.  With dt checked here, the
+    advanced platform pose is finite by construction and skips re-validation.
     """
-    if dt <= 0:
-        raise InvalidArgumentError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
     p = state.platform_pose.position + state.platform_twist.linear * dt
     lo, hi = PLATFORM_Z_RANGE
     v_next, rng_state = _platform_velocity(state, traj, dt)
@@ -459,7 +461,7 @@ def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
         elif p[2] >= hi:
             p = np.array([p[0], p[1], hi])
             v_next[2] = min(v_next[2], 0.0)
-    platform_pose = Pose6(p, state.platform_pose.orientation)
+    platform_pose = _trusted_pose(p, state.platform_pose.orientation)
     platform_twist = Twist(v_next, np.zeros(3))
 
     attached = state.object_attached_to

@@ -3,6 +3,15 @@
 One Euler convention is used everywhere in this package: intrinsic XYZ,
 i.e. R = Rx(a) @ Ry(b) @ Rz(c).  Angles are kept normalized to (-pi, pi],
 with the tie at -pi mapping to +pi, so pose equality is meaningful.
+
+Where poses are validated: ``Pose6(...)`` and ``vec6_decode`` check shape
+and finiteness and wrap the angles, so every pose that comes from user
+input, a file or a policy output is checked once on the way in (``Twist``
+and ``Transform`` check their own fields the same way).  Results computed
+from already valid poses are finite and wrapped by construction and are
+built with ``_trusted_pose``, which skips those checks: ``compose``,
+``inverse`` (and so ``grasp_to_world``), and the poses that the robot and
+scene integrators advance each physics step from checked commands and dt.
 """
 
 from __future__ import annotations
@@ -72,6 +81,20 @@ class Pose6:
         dr = np.max(np.abs(euler_to_matrix(self.orientation)
                            - euler_to_matrix(other.orientation)))
         return bool(dp <= tol and dr <= tol)
+
+
+def _trusted_pose(position: np.ndarray, orientation: np.ndarray) -> Pose6:
+    """Pose6 from float (3,) arrays that are finite and wrapped by construction.
+
+    For internal results only: it skips ``Pose6.__post_init__``, takes
+    ownership of both arrays and marks them read-only.
+    """
+    pose = object.__new__(Pose6)
+    position.setflags(write=False)
+    orientation.setflags(write=False)
+    object.__setattr__(pose, "position", position)
+    object.__setattr__(pose, "orientation", orientation)
+    return pose
 
 
 @dataclass(frozen=True)
@@ -144,17 +167,18 @@ def euler_to_matrix(orientation) -> np.ndarray:
 
 
 def matrix_to_euler(rotation) -> np.ndarray:
-    """Invert euler_to_matrix.  Gimbal lock (|cos b| ~ 0) resolves with c = 0."""
+    """Invert euler_to_matrix on (..., 3, 3); returns (..., 3) angles.
+
+    Gimbal lock (|cos b| ~ 0) resolves with c = 0.
+    """
     r = np.asarray(rotation, dtype=float)
-    sb = float(np.clip(r[0, 2], -1.0, 1.0))
+    sb = np.clip(r[..., 0, 2], -1.0, 1.0)
     b = np.arcsin(sb)
-    if abs(sb) < 1.0 - 1e-12:
-        a = np.arctan2(-r[1, 2], r[2, 2])
-        c = np.arctan2(-r[0, 1], r[0, 0])
-    else:
-        a = np.arctan2(np.sign(sb) * r[1, 0], r[1, 1])
-        c = 0.0
-    return wrap_angle(np.array([a, b, c]))
+    regular = np.abs(sb) < 1.0 - 1e-12
+    a = np.where(regular, np.arctan2(-r[..., 1, 2], r[..., 2, 2]),
+                 np.arctan2(np.sign(sb) * r[..., 1, 0], r[..., 1, 1]))
+    c = np.where(regular, np.arctan2(-r[..., 0, 1], r[..., 0, 0]), 0.0)
+    return wrap_angle(np.stack([a, b, c], axis=-1))
 
 
 def euler_to_transform(p: Pose6) -> Transform:
@@ -171,12 +195,12 @@ def compose(a: Pose6, b: Pose6) -> Pose6:
     """Pose of frame b expressed through frame a (matrix composition internally)."""
     ra = euler_to_matrix(a.orientation)
     rb = euler_to_matrix(b.orientation)
-    return Pose6(ra @ b.position + a.position, matrix_to_euler(ra @ rb))
+    return _trusted_pose(ra @ b.position + a.position, matrix_to_euler(ra @ rb))
 
 
 def inverse(p: Pose6) -> Pose6:
     r = euler_to_matrix(p.orientation)
-    return Pose6(-(r.T @ p.position), matrix_to_euler(r.T))
+    return _trusted_pose(-(r.T @ p.position), matrix_to_euler(r.T))
 
 
 def grasp_to_world(rel: Pose6, obj: Pose6) -> Pose6:

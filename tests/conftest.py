@@ -21,3 +21,12 @@ def rng():
 
 def make_config(level=1, object_id="tomato_soup_can", seed=0, **kw):
     return EpisodeConfig(level=level, object_id=object_id, seed=seed, **kw)
+
+
+def assert_valid_pose(pose):
+    """What Pose6 validation guarantees, for poses built without it."""
+    for arr in (pose.position, pose.orientation):
+        assert arr.shape == (3,) and arr.dtype == np.float64
+        assert not arr.flags.writeable
+        assert np.all(np.isfinite(arr))
+    assert np.all(pose.orientation > -np.pi) and np.all(pose.orientation <= np.pi)

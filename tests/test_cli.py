@@ -152,12 +152,22 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert err.startswith("error: InvalidArgumentError:")
     from graspsim.config import load_config
     for text in ("rewards.base_h = abc\n", "# c\nrewards.warp = 1\n",
-                 "reward_weights = 1\n"):
+                 "reward_weights = 1\n", "physics_dt = nan\n",
+                 "rewards.base_h = inf\n", "# c\nteacher_standoff = -inf\n",
+                 "physics_dt = 0\n", "decision_dt = -0.1\n",
+                 "timeout_steps = -5\n", "bank_size = 0\n",
+                 "candidate_count = 0\n", "gripper_aperture = 0\n",
+                 "sigma_track = -1\n", "sigma_cf = 0\n", "sigma_cv = 0\n",
+                 "hfov_deg = 0\n", "hfov_deg = 180\n",
+                 "mask_flip_prob = -0.1\n", "mask_flip_prob = 1.5\n"):
         cfg.write_text(text)
         with pytest.raises(InvalidArgumentError) as exc:
             load_config(cfg)
         lineno = text.count("\n")
         assert f"{cfg}:{lineno}:" in str(exc.value)
+    cfg.write_text("mask_flip_prob = 1\nhfov_deg = 179.5\nbank_size = 1\n")
+    loaded = load_config(cfg)
+    assert (loaded.mask_flip_prob, loaded.hfov_deg, loaded.bank_size) == (1.0, 179.5, 1)
 
 
 def test_console_script_entry_point():

@@ -3,6 +3,7 @@ import pytest
 
 from graspsim.errors import EmptyBankError, InvalidArgumentError
 from graspsim.gfm import (
+    _world_vec6,
     GRIPPER_APERTURE,
     GfmWeights,
     GraspMemoryBank,
@@ -114,7 +115,9 @@ def test_bank_rejects_unsorted(tmp_path):
         GraspMemoryBank("x", (GraspCandidate(p, 0.1), GraspCandidate(p, 0.9)), 5)
     path = tmp_path / "bank.txt"
     for text in ("", "\n\n", "bank x 2\n0 0 0 0 0 0 abc\n", "bank x 2.5\n",
-                 "bank x two\n", "bank x -1\n", "bank \u00e9 2\n"):
+                 "bank x two\n", "bank x -1\n", "bank \u00e9 2\n",
+                 "bank x 2\n0 0 nan 0 0 0 0.5\n", "bank x 2\n0 0 0 0 inf 0 0.5\n",
+                 "bank x 2\n0 0 0 0 0 0 nan\n", "bank x 1\n0 0 0 0 0 0 0.5\n0 0 0 0 0 0 0.4\n"):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(InvalidArgumentError) as err:
             load_bank(path)
@@ -270,6 +273,23 @@ def test_reprojection_frame_consistency(rng):
         assert np.allclose(a.position, b.position, atol=1e-9)
         assert np.allclose(euler_to_matrix(a.orientation),
                            euler_to_matrix(b.orientation), atol=1e-9)
+    # the batched re-projection of a whole bank equals re-projecting each
+    # candidate on its own, bit for bit; the thin box's bank holds gimbal-lock
+    # grasps (approach +-y closing z, or +-z closing y: r[0, 2] = +-1)
+    thin = ObjectSpec("thin", "box", (0.10, 0.04, 0.06), 0.2, "seen", "long_box")
+    locked = 0
+    for spec in (SPHERE, BOX, CYL, thin):
+        cands = generate_candidates(spec, 40, seed=3)
+        bank = build_memory(cands, len(cands))
+        locked += sum(abs(euler_to_matrix(c.pose.orientation)[0, 2]) == 1.0
+                      for c in cands)
+        for _ in range(5):
+            obj = Pose6(rng.uniform(-1, 1, 3), rng.uniform(-np.pi, np.pi, 3))
+            g6 = _world_vec6(bank, obj)
+            assert g6.shape == (len(cands), 6)
+            for row, c in zip(g6, bank.candidates):
+                assert np.array_equal(row, vec6_encode(grasp_to_world(c.pose, obj)))
+    assert locked > 0
 
 
 def test_select_argmax_modes(rng):

@@ -416,7 +416,7 @@ def test_weight_file_rejects_garbage(tmp_path):
     path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
     with pytest.raises(ArchitectureError) as err:
         WeightStore.load(path)
-    assert "a.w" in str(err.value)
+    assert "a.w" in str(err.value) and str(path) in str(err.value)
 
 
 def test_student_parameter_count_near_reported_budget():

@@ -16,6 +16,8 @@ from graspsim.robot import (
 )
 from graspsim.scene import sample_terrain
 
+from conftest import assert_valid_pose
+
 
 def flat_terrain():
     return None  # execute_command treats missing terrain as z = 0 ground
@@ -33,6 +35,16 @@ def test_action_clamps_on_construction():
 def test_action_rejects_non_finite():
     with pytest.raises(InvalidArgumentError):
         HighLevelAction(np.array([np.nan, 0, 0]), np.zeros(3), 0.0, 0.0)
+    # the command and dt are the boundary of execute_command, whose poses are
+    # built without re-validation
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            CommandVector(np.zeros(3), np.zeros(3), bad, 0.0)
+        with pytest.raises(InvalidArgumentError):
+            CommandVector(np.zeros(3), np.zeros(3), 0.0, bad)
+        with pytest.raises(InvalidArgumentError):
+            execute_command(initial_robot(), accumulate_command(
+                initial_robot(), HighLevelAction.zero()), None, bad)
 
 
 def test_accumulate_zero_action_keeps_target():
@@ -62,11 +74,14 @@ def test_accumulate_projects_to_workspace_ball():
 
 def test_accumulate_wraps_orientation():
     robot = initial_robot()
-    # +0.2 rad per step, 3*pi total, lands wrapped into (-pi, pi]
+    # +0.2 rad per step, 3*pi total, lands wrapped into (-pi, pi]; the base
+    # turns past pi too
     for _ in range(24):
-        a = HighLevelAction(np.zeros(3), np.array([0, 0, 0.2]), 0.0, 0.0)
+        a = HighLevelAction(np.zeros(3), np.array([0, 0, 0.2]), 0.3, 1.0)
         u = accumulate_command(robot, a)
-        robot = execute_command(robot, u, None, 0.02)
+        robot = execute_command(robot, u, None, 0.2)
+        for pose in (robot.base_pose, robot.ee_pose, robot.ee_target):
+            assert_valid_pose(pose)
     assert -np.pi < robot.ee_target.orientation[2] <= np.pi
 
 

@@ -23,7 +23,7 @@ from graspsim.scene import (
 )
 from graspsim.se3 import Pose6, compose, inverse
 
-from conftest import make_config
+from conftest import assert_valid_pose, make_config
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,8 @@ def test_attachment_relative_pose_constant(catalog_map):
     rel0 = compose(inverse(state.platform_pose), state.object_pose)
     for _ in range(300):
         state = step_scene(state, traj, cfg.physics_dt)
+        assert_valid_pose(state.platform_pose)
+        assert_valid_pose(state.object_pose)
     rel = compose(inverse(state.platform_pose), state.object_pose)
     assert np.allclose(rel.position, rel0.position, atol=1e-12)
     assert np.allclose(rel.orientation, rel0.orientation, atol=1e-12)
@@ -201,8 +203,13 @@ def test_step_scene_rejects_bad_dt(catalog_map):
     cfg = make_config(seed=1)
     traj = make_trajectory(1, 1)
     state = reset_episode(cfg, catalog_map, traj)
-    with pytest.raises(InvalidArgumentError):
-        step_scene(state, traj, 0.0)
+    # a straight line at constant speed gives a finite next twist for any dt,
+    # so only the dt check stops a non-finite platform pose
+    line = type(traj)(1, "linear", traj.speed_range, "fixed", speed=0.1)
+    for dt in (0.0, -0.02, np.nan, np.inf):
+        for tr in (traj, line):
+            with pytest.raises(InvalidArgumentError):
+                step_scene(state, tr, dt)
 
 
 def test_scene_sequence_bit_deterministic(catalog_map):

@@ -11,11 +11,14 @@ from graspsim.se3 import (
     euler_to_transform,
     grasp_to_world,
     inverse,
+    matrix_to_euler,
     transform_to_euler,
     vec6_decode,
     vec6_encode,
     wrap_angle,
 )
+
+from conftest import assert_valid_pose
 
 angles = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
 coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -81,6 +84,24 @@ def test_roundtrip_near_gimbal_lock():
     assert np.allclose(
         euler_to_matrix(q.orientation), euler_to_matrix(p.orientation), atol=1e-7
     )
+    # the stacked conversion equals the per-matrix one bit for bit, at the
+    # lock (b = +-pi/2 gives r[0, 2] = +-1 exactly) and on both sides of the
+    # 1e-12 threshold (1 - |r[0, 2]| is 5e-13, then 2e-12)
+    rng = np.random.Generator(np.random.PCG64(7))
+    orns = rng.uniform(-np.pi, np.pi, (64, 3))
+    orns[::4, 1] = np.pi / 2
+    orns[1::4, 1] = -np.pi / 2
+    orns[2::4, 1] = np.pi / 2 - 1e-6
+    orns[3::4, 1] = -np.pi / 2 + 2e-6
+    mats = np.array([euler_to_matrix(o) for o in orns])
+    assert np.sum(np.abs(mats[:, 0, 2]) == 1.0) == 32
+    assert np.sum(np.abs(mats[:, 0, 2]) < 1.0 - 1e-12) == 16
+    stacked = matrix_to_euler(mats.reshape(4, 16, 3, 3))
+    assert stacked.shape == (4, 16, 3)
+    single = np.array([matrix_to_euler(m) for m in mats])
+    assert np.array_equal(stacked.reshape(64, 3), single)
+    assert np.all(single[0::4, 2] == 0.0) and np.all(single[2::4, 2] == 0.0)
+    assert np.allclose([euler_to_matrix(o) for o in single], mats, atol=1e-5)
 
 
 def test_compose_identity_and_inverse(rng):
@@ -88,6 +109,8 @@ def test_compose_identity_and_inverse(rng):
         p = random_pose(rng)
         assert compose(Pose6.identity(), p).approx_equal(p, 1e-12)
         q = compose(p, inverse(p))
+        for built in (q, inverse(p), compose(p, p), compose(inverse(p), p)):
+            assert_valid_pose(built)
         assert np.allclose(q.position, 0.0, atol=1e-9)
         assert np.allclose(euler_to_matrix(q.orientation), np.eye(3), atol=1e-9)
 
@@ -122,10 +145,15 @@ def test_vec6_encode_decode():
 
 
 def test_non_finite_rejected():
-    with pytest.raises(InvalidArgumentError):
-        Pose6(np.array([np.nan, 0, 0]), np.zeros(3))
-    with pytest.raises(InvalidArgumentError):
-        vec6_decode(np.array([0, 0, 0, np.inf, 0, 0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidArgumentError):
+            Pose6(np.array([bad, 0, 0]), np.zeros(3))
+        with pytest.raises(InvalidArgumentError):
+            Pose6(np.zeros(3), np.array([0, bad, 0]))
+        with pytest.raises(InvalidArgumentError):
+            vec6_decode(np.array([0, 0, 0, bad, 0, 0]))
+        with pytest.raises(InvalidArgumentError):
+            vec6_decode(np.array([0, bad, 0, 0, 0, 0]))
 
 
 @settings(max_examples=80, deadline=None)

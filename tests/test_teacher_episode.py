@@ -208,10 +208,11 @@ def test_distill_rejects_corrupt_file(tmp_path):
     with pytest.raises(InvalidArgumentError):
         read_dataset(tmp_path / "head.bin")
     grip = bytearray(data)
-    grip[HEADER_SIZE + RECORD_SIZE - 1] = 2
+    grip[HEADER_SIZE + 2 * RECORD_SIZE - 1] = 2
     (tmp_path / "grip.bin").write_bytes(grip)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError) as err:
         read_dataset(tmp_path / "grip.bin")
+    assert f"{tmp_path / 'grip.bin'}: record 1:" in str(err.value)
     with pytest.raises(InvalidArgumentError):
         DistillRecord(0, 0, np.zeros(OBS_SHAPE, np.float32),
                       np.zeros(PROPRIO_DIM, np.float32), np.zeros(8, np.float32), 2)
