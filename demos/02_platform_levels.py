@@ -7,11 +7,12 @@ the same plus free vertical motion inside the 0.2-0.7 m band.
 
 import numpy as np
 
-from graspsim import EpisodeConfig, load_catalog, make_trajectory
+from graspsim import EpisodeConfig, SimConfig, load_catalog, make_trajectory
 from graspsim.scene import catalog_by_id, reset_episode, step_scene
 
 catalog = catalog_by_id(load_catalog())
 config = EpisodeConfig(level=1, object_id="tomato_soup_can", seed=42)
+dt = SimConfig().physics_dt       # the clocks live in the one SimConfig
 
 for level in (1, 2, 3, 4):
     traj = make_trajectory(level, seed=42)
@@ -19,7 +20,7 @@ for level in (1, 2, 3, 4):
     state = reset_episode(cfg, catalog, traj)
     speeds, zs = [], []
     for _ in range(2500):            # 50 seconds of platform motion
-        state = step_scene(state, traj, cfg.physics_dt)
+        state = step_scene(state, traj, dt)
         speeds.append(float(np.hypot(*state.platform_twist.linear[:2])))
         zs.append(state.platform_pose.position[2])
     speeds, zs = np.array(speeds), np.array(zs)

@@ -7,7 +7,7 @@ view into a [12, 54, 96] tensor.
 
 import os
 
-from graspsim import EpisodeConfig, load_catalog
+from graspsim import EpisodeConfig, SimConfig, load_catalog
 from graspsim.camera import (
     LatencyBuffer,
     ObsHistory,
@@ -46,7 +46,7 @@ for step in range(8):
 # History stacking: wrist + base, masks then depths, depths normalized /5 m.
 hist_w, hist_b = ObsHistory(), ObsHistory()
 for k in range(3):
-    scene = step_scene(scene, traj, cfg.physics_dt)
+    scene = step_scene(scene, traj, SimConfig().physics_dt)
     hist_w.push(render_frame(scene, robot, wrist_camera()))
     hist_b.push(render_frame(scene, robot, base_camera()))
 obs = stack_observation(hist_w, hist_b)

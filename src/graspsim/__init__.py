@@ -84,7 +84,8 @@ from .camera import (
     render_frame,
     stack_observation,
 )
-from .teacher import TeacherConfig, teacher_step
+from .config import SimConfig, load_config
+from .teacher import teacher_step
 from .episode import EpisodeLog, run_episode
 from .metrics import MetricsReport, compute_metrics, run_benchmark
 from .distill import DistillRecord, read_dataset, record_distillation

@@ -3,7 +3,8 @@
 Subcommands: bench, episode, render, gfm-inspect, distill-record, nn-selftest.
 Exit code 0 on success; failures print one machine-parsable line to stderr:
 ``error: <kind>: <message>``.  The --config option (or GRASPSIM_CONFIG)
-points at a key=value file overriding the documented defaults.
+points at a key=value file overriding the documented defaults; every
+subcommand runs under that one loaded ``SimConfig``.
 """
 
 from __future__ import annotations
@@ -33,18 +34,7 @@ from .scene import (
     step_scene,
 )
 from .se3 import vec6_encode
-from .teacher import TeacherConfig, cached_object_feature
-
-
-def _teacher_config(cfg, use_gfm: bool = True) -> TeacherConfig:
-    return TeacherConfig(
-        standoff=cfg.teacher_standoff,
-        align_pos_tol=cfg.teacher_align_pos_tol,
-        align_ori_tol=cfg.teacher_align_ori_tol,
-        max_rel_speed_at_close=cfg.teacher_max_rel_speed,
-        intercept_horizon=cfg.teacher_intercept_horizon,
-        use_gfm=use_gfm,
-    )
+from .teacher import cached_object_feature
 
 
 def _cmd_bench(args) -> int:
@@ -58,7 +48,7 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         workers=args.workers,
         use_gfm=not args.no_gfm,
-        timeout_steps=cfg.timeout_steps,
+        sim_cfg=cfg,
     )
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "metrics.csv")
@@ -79,9 +69,8 @@ def _cmd_bench(args) -> int:
 def _cmd_episode(args) -> int:
     cfg = load_config(args.config)
     config = EpisodeConfig(level=args.level, object_id=args.object, seed=args.seed,
-                           physics_dt=cfg.physics_dt, decision_dt=cfg.decision_dt,
                            timeout_steps=cfg.timeout_steps)
-    log = run_episode(config, teacher_cfg=_teacher_config(cfg), sim_cfg=cfg)
+    log = run_episode(config, sim_cfg=cfg)
     print(f"outcome={log.outcome} steps={log.n_steps} "
           f"attempts={log.attempt_count} success_step={log.success_step}")
     if args.dump_log:
@@ -95,19 +84,18 @@ def _cmd_render(args) -> int:
     cfg = load_config(args.config)
     catalog = load_catalog()
     object_id = args.object or catalog[0].id
-    config = EpisodeConfig(level=args.level, object_id=object_id, seed=args.seed,
-                           physics_dt=cfg.physics_dt, decision_dt=cfg.decision_dt,
-                           timeout_steps=max(cfg.timeout_steps, args.step + 1))
+    config = EpisodeConfig(level=args.level, object_id=object_id, seed=args.seed)
     traj = make_trajectory(config.level, derive_seed(config.seed, 11))
     scene = reset_episode(config, catalog_by_id(catalog), traj)
     robot = initial_robot(scene.terrain)
-    for _ in range(args.step * config.substeps):
-        scene = step_scene(scene, traj, config.physics_dt)
+    for _ in range(args.step * cfg.substeps):
+        scene = step_scene(scene, traj, cfg.physics_dt)
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
-    for cam, name in ((wrist_camera(np.deg2rad(cfg.hfov_deg)), "wrist"),
-                      (base_camera(np.deg2rad(cfg.hfov_deg)), "base")):
-        frame = render_frame(scene, robot, cam)
+    noise_seed = derive_seed(config.seed, 31, args.step)   # as run_episode seeds it
+    for k, (cam, name) in enumerate(((wrist_camera(np.deg2rad(cfg.hfov_deg)), "wrist"),
+                                     (base_camera(np.deg2rad(cfg.hfov_deg)), "base"))):
+        frame = render_frame(scene, robot, cam, cfg.mask_flip_prob, noise_seed + k)
         written += dump_frame(frame, os.path.join(args.out_dir,
                                                   f"step{args.step:04d}_{name}"))
     print("wrote " + " ".join(written))
@@ -154,11 +142,8 @@ def _cmd_distill_record(args) -> int:
         obj = objects[i % len(objects)]
         config = EpisodeConfig(level=args.level, object_id=obj.id,
                                seed=derive_seed(args.seed, args.level, i),
-                               physics_dt=cfg.physics_dt,
-                               decision_dt=cfg.decision_dt,
                                timeout_steps=cfg.timeout_steps)
-        log, obs = run_episode(config, teacher_cfg=_teacher_config(cfg),
-                               sim_cfg=cfg, collect_observations=True)
+        log, obs = run_episode(config, sim_cfg=cfg, collect_observations=True)
         path = args.out if args.episodes == 1 else f"{args.out}.ep{i:03d}"
         n = record_distillation(log, obs, path)
         total += n

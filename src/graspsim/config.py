@@ -1,31 +1,38 @@
 """Runtime configuration: documented defaults plus key=value file overrides.
 
+``SimConfig`` is the one source of every tunable (clocks, grasp generation,
+perception, teacher, rewards); the CLI, ``run_benchmark`` and ``run_episode``
+take it whole.  ``scene.EpisodeConfig`` holds only what varies per episode.
+
 The config file is plain text, one `key = value` per line, `#` comments.
-Keys use dotted namespaces matching the field names below.  The environment
-variable GRASPSIM_CONFIG points at a default file for the CLI.
+Keys are the field names below, plus `rewards.<term>` for high-level reward
+weights.  The environment variable GRASPSIM_CONFIG points at a default file
+for the CLI.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 from .errors import InvalidArgumentError
-from .rewards import HIGH_LEVEL_WEIGHTS
+from .gfm import DEFAULT_BANK_SIZE, GRIPPER_APERTURE
+from .rewards import HIGH_LEVEL_WEIGHTS, SIGMA_CF, SIGMA_CV, SIGMA_TRACK
+from .scene import TIMEOUT_STEPS, GraspCriteria
 
 ENV_CONFIG_VAR = "GRASPSIM_CONFIG"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     # clocks
     physics_dt: float = 0.02
     decision_dt: float = 0.1
-    timeout_steps: int = 300
+    timeout_steps: int = TIMEOUT_STEPS
     # grasp generation / fusion
-    gripper_aperture: float = 0.085
-    bank_size: int = 30
+    gripper_aperture: float = GRIPPER_APERTURE
+    bank_size: int = DEFAULT_BANK_SIZE
     candidate_count: int = 200
     # perception
     hfov_deg: float = 87.0
@@ -37,30 +44,45 @@ class SimConfig:
     teacher_max_rel_speed: float = 0.2
     teacher_intercept_horizon: float = 0.5
     # reward kernels
-    sigma_track: float = 0.25
-    sigma_cf: float = 100.0
-    sigma_cv: float = 0.05
+    sigma_track: float = SIGMA_TRACK
+    sigma_cf: float = SIGMA_CF
+    sigma_cv: float = SIGMA_CV
     # high-level reward weight overrides (empty = table defaults)
-    reward_weights: dict = None
+    reward_weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.reward_weights is None:
-            self.reward_weights = {}
+        ratio = self.decision_dt / self.physics_dt if self.physics_dt > 0 else math.nan
+        if not (math.isfinite(ratio) and round(ratio) >= 1
+                and abs(ratio - round(ratio)) <= 1e-9):
+            raise InvalidArgumentError(
+                f"decision_dt must be an integer multiple of physics_dt "
+                f"({self.decision_dt} / {self.physics_dt})"
+            )
+
+    @property
+    def substeps(self) -> int:
+        return int(round(self.decision_dt / self.physics_dt))
+
+    def grasp_criteria(self) -> GraspCriteria:
+        """The close tolerances the teacher aims for and the scene enforces."""
+        return GraspCriteria(self.teacher_align_pos_tol, self.teacher_align_ori_tol,
+                             self.teacher_max_rel_speed)
 
 
-# Allowed ranges of the numeric keys, checked as each file line is read.
+_DEFAULTS = SimConfig()
+
+# Allowed range of every plain key, checked as each file line is read.
+_POSITIVE = (lambda v: v > 0, "> 0")
+_COUNT = (lambda v: v >= 1, ">= 1")
 _RANGES = {
-    "physics_dt": (lambda v: v > 0, "> 0"),
-    "decision_dt": (lambda v: v > 0, "> 0"),
-    "timeout_steps": (lambda v: v >= 1, ">= 1"),
-    "bank_size": (lambda v: v >= 1, ">= 1"),
-    "candidate_count": (lambda v: v >= 1, ">= 1"),
-    "gripper_aperture": (lambda v: v > 0, "> 0"),
+    **dict.fromkeys(("physics_dt", "decision_dt", "gripper_aperture",
+                     "teacher_standoff", "teacher_align_pos_tol",
+                     "teacher_align_ori_tol", "teacher_max_rel_speed",
+                     "sigma_track", "sigma_cf", "sigma_cv"), _POSITIVE),
+    **dict.fromkeys(("timeout_steps", "bank_size", "candidate_count"), _COUNT),
+    "teacher_intercept_horizon": (lambda v: v >= 0, ">= 0"),
     "hfov_deg": (lambda v: 0 < v < 180, "in (0, 180)"),
     "mask_flip_prob": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "sigma_track": (lambda v: v > 0, "> 0"),
-    "sigma_cf": (lambda v: v > 0, "> 0"),
-    "sigma_cv": (lambda v: v > 0, "> 0"),
 }
 
 
@@ -71,28 +93,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _coerce(current, text: str):
-    if isinstance(current, bool):
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected boolean, got {text!r}")
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float):
-        return _finite_float(text)
-    return text
-
-
 def load_config(path=None) -> SimConfig:
     """Build a SimConfig from defaults plus an optional override file."""
-    cfg = SimConfig()
     if path is None:
         path = os.environ.get(ENV_CONFIG_VAR)
     if not path:
-        return cfg
-    names = {f.name for f in fields(SimConfig)} - {"reward_weights"}
+        return SimConfig()
+    overrides, weights = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -103,17 +110,21 @@ def load_config(path=None) -> SimConfig:
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             term = key[len("rewards."):] if key.startswith("rewards.") else None
-            if key not in names and term not in HIGH_LEVEL_WEIGHTS:
+            if key not in _RANGES and term not in HIGH_LEVEL_WEIGHTS:
                 raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 if term is None:
-                    coerced = _coerce(getattr(cfg, key), value)
-                    ok, allowed = _RANGES.get(key, (None, None))
-                    if ok is not None and not ok(coerced):
+                    coerced = (int(value) if isinstance(getattr(_DEFAULTS, key), int)
+                               else _finite_float(value))
+                    ok, allowed = _RANGES[key]
+                    if not ok(coerced):
                         raise ValueError(f"{key} must be {allowed}, got {value}")
-                    setattr(cfg, key, coerced)
+                    overrides[key] = coerced
                 else:
-                    cfg.reward_weights[term] = _finite_float(value)
+                    weights[term] = _finite_float(value)
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from exc
-    return cfg
+    try:
+        return SimConfig(**overrides, reward_weights=weights)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc

@@ -7,6 +7,7 @@ bit-exact round trips of writes.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -47,11 +48,16 @@ class DistillRecord:
 
 
 class DatasetWriter:
-    """Append-only writer; one header, then records in the order given."""
+    """Append-only writer; one header, then records in the order given.
+
+    Writes go to a temporary file that a clean exit moves to ``path`` and an
+    exception deletes, so a failed recording never leaves a valid-looking file.
+    """
 
     def __init__(self, path):
-        self.path = path
-        self._fh = open(path, "wb")
+        self.path = os.fspath(path)
+        self._tmp = f"{self.path}.tmp{os.getpid()}"
+        self._fh = open(self._tmp, "wb")
         self._fh.write(HEADER)
         self.count = 0
 
@@ -65,12 +71,17 @@ class DatasetWriter:
 
     def close(self) -> None:
         self._fh.close()
+        os.replace(self._tmp, self.path)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, *exc):
+        if exc_type is None:
+            self.close()
+        else:
+            self._fh.close()
+            os.remove(self._tmp)
 
 
 def record_distillation(log, observations, path) -> int:

@@ -49,7 +49,7 @@ from .scene import (
     step_scene,
 )
 from .se3 import euler_to_matrix, wrap_angle
-from .teacher import TeacherConfig, teacher_step
+from .teacher import teacher_step
 from .robot import ee_pose_in_base
 
 CLOSE_COOLDOWN_STEPS = 5
@@ -183,10 +183,14 @@ def _high_level_input(scene, robot, status, action_vec, prev_action,
     )
 
 
-def run_episode(config: EpisodeConfig, *, teacher_cfg: TeacherConfig | None = None,
-                sim_cfg: SimConfig | None = None, gfm_weights=None, catalog=None,
+def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
+                use_gfm: bool = True, gfm_weights=None, catalog=None,
                 observe: bool = False, collect_observations: bool = False):
     """Run one seeded episode; returns the log (plus observations if asked).
+
+    Every timestep, grasp, perception, teacher and reward setting comes from
+    ``sim_cfg`` (default ``SimConfig()``); ``config`` names the episode.
+    ``use_gfm=False`` runs the centroid-aiming ablation teacher.
 
     ``observe`` switches the render/latency/stack pipeline on; it changes
     nothing about the control flow (the teacher is privileged), so pure
@@ -194,8 +198,7 @@ def run_episode(config: EpisodeConfig, *, teacher_cfg: TeacherConfig | None = No
     implies ``observe`` and returns (log, records) where each record is
     (stacked tensor, proprio, action vector, gripper bit, step index).
     """
-    teacher_cfg = teacher_cfg or TeacherConfig()
-    sim_cfg = sim_cfg or SimConfig()
+    sim_cfg = sim_cfg if sim_cfg is not None else SimConfig()
     observe = observe or collect_observations
     catalog = catalog if catalog is not None else load_catalog()
     lookup = catalog_by_id(catalog) if not isinstance(catalog, dict) else catalog
@@ -211,7 +214,7 @@ def run_episode(config: EpisodeConfig, *, teacher_cfg: TeacherConfig | None = No
                                      aperture=sim_cfg.gripper_aperture)
     bank = build_memory(candidates, sim_cfg.bank_size, object_id=spec.id)
     weights = gfm_weights if gfm_weights is not None else alignment_gfm_weights()
-    criteria = teacher_cfg.criteria()
+    criteria = sim_cfg.grasp_criteria()
     status = initial_status()
 
     cam_w = wrist_camera(np.deg2rad(sim_cfg.hfov_deg))
@@ -235,7 +238,7 @@ def run_episode(config: EpisodeConfig, *, teacher_cfg: TeacherConfig | None = No
             hist_w.push(lat_w.push_and_fetch(f_w), proprio)
             hist_b.push(lat_b.push_and_fetch(f_b), proprio)
             stacked = stack_observation(hist_w, hist_b)
-        action = teacher_step(scene, robot, bank, weights, teacher_cfg)
+        action = teacher_step(scene, robot, bank, weights, sim_cfg, use_gfm)
         action_vec = action.as_vector()
         if collect_observations:
             observations.append((stacked, hist_w.proprio, action_vec.copy(),
@@ -254,10 +257,10 @@ def run_episode(config: EpisodeConfig, *, teacher_cfg: TeacherConfig | None = No
 
         u = accumulate_command(robot, action)
         robot_before = robot
-        for i in range(config.substeps):
-            robot = execute_command(robot, u, scene.terrain, config.physics_dt)
+        for i in range(sim_cfg.substeps):
+            robot = execute_command(robot, u, scene.terrain, sim_cfg.physics_dt)
             scene = step_scene(
-                scene, traj, config.physics_dt,
+                scene, traj, sim_cfg.physics_dt,
                 ee_pose=robot.ee_pose if scene.object_attached_to == "gripper" else None,
             )
             status = check_status(scene, robot, status, config, step,
@@ -266,19 +269,19 @@ def run_episode(config: EpisodeConfig, *, teacher_cfg: TeacherConfig | None = No
                 break
 
         q_now = robot.joint_proxy
-        q_dot = (q_now - q_prev) / config.decision_dt
+        q_dot = (q_now - q_prev) / sim_cfg.decision_dt
         just_completed = status.phase == "success" and status.success_step == step
         hl = high_level_reward(
             _high_level_input(scene, robot, status, action_vec, prev_action,
                               q_dot, q_dot_prev, action.v_lin, just_completed),
             weights=sim_cfg.reward_weights or None,
         )
-        obs_sig = gait_observables(robot, robot_before, config.decision_dt, u,
+        obs_sig = gait_observables(robot, robot_before, sim_cfg.decision_dt, u,
                                    scene.terrain)
         ll = low_level_reward(
             LowLevelState(
                 q=obs_sig["q"], q_dot=obs_sig["q_dot"],
-                q_ddot=(obs_sig["q_dot"] - q_dot_prev) / config.decision_dt,
+                q_ddot=(obs_sig["q_dot"] - q_dot_prev) / sim_cfg.decision_dt,
                 q_star=obs_sig["q_star"], tau=obs_sig["tau"],
                 v_b=robot.base_twist.linear, omega_b=robot.base_twist.angular,
                 v_x_star=u.v_lin, v_yaw_star=u.omega_yaw, n_collision=0,
@@ -317,8 +320,8 @@ def run_episode(config: EpisodeConfig, *, teacher_cfg: TeacherConfig | None = No
         object_id=config.object_id,
         category=spec.category,
         seed=config.seed,
-        physics_dt=config.physics_dt,
-        decision_dt=config.decision_dt,
+        physics_dt=sim_cfg.physics_dt,
+        decision_dt=sim_cfg.decision_dt,
         timeout_steps=config.timeout_steps,
         steps=steps,
         close_events=close_events,

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SimConfig
 from .episode import EpisodeSummary, derive_seed, run_episode, summarize
 from .errors import InvalidArgumentError
 from .scene import EpisodeConfig, load_catalog
-from .teacher import TeacherConfig
 
 DEFAULT_STEP_BUDGET = 5000
 CSV_HEADER = "level,split,category,n_episodes,gsr,ossr,ossr_alt,tsc,seed"
@@ -96,21 +96,19 @@ def report_to_csv(report: MetricsReport, seed: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _episode_task(args) -> EpisodeSummary:
-    level, object_id, seed, use_gfm, timeout = args
-    cfg = EpisodeConfig(level=level, object_id=object_id, seed=seed,
-                        timeout_steps=timeout)
-    log = run_episode(cfg, teacher_cfg=TeacherConfig(use_gfm=use_gfm))
-    return summarize(log)
+    cfg, sim_cfg, use_gfm = args
+    return summarize(run_episode(cfg, sim_cfg=sim_cfg, use_gfm=use_gfm))
 
 
-def _episode_stream(levels, split, seed, use_gfm, timeout, catalog):
+def _episode_stream(levels, split, seed, timeout, sim_cfg, use_gfm, catalog):
     objs = [s for s in catalog if split == "both" or s.split == split]
     for level in levels:
         def gen(level=level):
             i = 0
             while True:
-                obj = objs[i % len(objs)]
-                yield (level, obj.id, derive_seed(seed, level, i), use_gfm, timeout)
+                cfg = EpisodeConfig(level, objs[i % len(objs)].id,
+                                    derive_seed(seed, level, i), timeout)
+                yield cfg, sim_cfg, use_gfm
                 i += 1
         yield level, gen()
 
@@ -118,8 +116,12 @@ def _episode_stream(levels, split, seed, use_gfm, timeout, catalog):
 def run_benchmark(levels, episodes_per_level: int | None = None,
                   step_budget: int | None = None, split: str = "seen",
                   seed: int = 0, workers: int = 0, use_gfm: bool = True,
-                  timeout_steps: int = 300, catalog=None):
+                  timeout_steps: int | None = None, catalog=None,
+                  sim_cfg: SimConfig | None = None):
     """Seeded multi-episode sweep; returns (MetricsReport, csv_text, summaries).
+
+    Every episode runs under ``sim_cfg`` (default ``SimConfig()``), in the
+    pool as in a serial run; ``timeout_steps`` defaults to its timeout.
 
     Episodes run per level either a fixed count or until the decision-step
     budget (default 5,000 per level) is consumed; the final episode may
@@ -135,12 +137,15 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     if episodes_per_level is None and step_budget is None:
         step_budget = DEFAULT_STEP_BUDGET
     catalog = catalog if catalog is not None else load_catalog()
+    sim_cfg = sim_cfg if sim_cfg is not None else SimConfig()
+    if timeout_steps is None:
+        timeout_steps = sim_cfg.timeout_steps
 
     all_summaries: list[EpisodeSummary] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers and workers > 1 else None
     try:
-        for level, stream in _episode_stream(levels, split, seed, use_gfm,
-                                             timeout_steps, catalog):
+        for level, stream in _episode_stream(levels, split, seed, timeout_steps,
+                                             sim_cfg, use_gfm, catalog):
             got: list[EpisodeSummary] = []
             steps_used = 0
 

@@ -45,6 +45,7 @@ GRAVITY = 9.81
 
 LIFT_SUCCESS_HEIGHT = 0.15      # meters above the platform top
 LIFT_HOLD_STEPS = 10            # consecutive physics steps
+TIMEOUT_STEPS = 300             # decision steps per episode
 YAW_FAIL_LIMIT = np.deg2rad(70.0)
 BUMP_REACH = 0.05               # ee this close to the surface disturbs the object
 BUMP_DISTANCE = 0.03            # horizontal shove applied by a failed close
@@ -296,26 +297,16 @@ def make_trajectory(level: int, seed: int) -> PlatformTrajectory:
 
 @dataclass(frozen=True)
 class EpisodeConfig:
+    """What varies per episode; the shared tunables live in config.SimConfig."""
+
     level: int
     object_id: str
     seed: int
-    physics_dt: float = 0.02
-    decision_dt: float = 0.1
-    timeout_steps: int = 300
+    timeout_steps: int = TIMEOUT_STEPS
 
     def __post_init__(self):
         if self.timeout_steps <= 0:
             raise InvalidArgumentError("timeout_steps must be positive")
-        ratio = self.decision_dt / self.physics_dt
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise InvalidArgumentError(
-                f"decision_dt must be an integer multiple of physics_dt "
-                f"({self.decision_dt} / {self.physics_dt})"
-            )
-
-    @property
-    def substeps(self) -> int:
-        return int(round(self.decision_dt / self.physics_dt))
 
 
 @dataclass(frozen=True)
@@ -510,11 +501,11 @@ def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
 
 @dataclass(frozen=True)
 class GraspCriteria:
-    """Tolerances for a gripper close to capture the object."""
+    """Tolerances for a gripper close to capture the object (SimConfig.grasp_criteria)."""
 
-    pos_tol: float = 0.025
-    ori_tol: float = 0.26
-    max_rel_speed: float = 0.2
+    pos_tol: float
+    ori_tol: float
+    max_rel_speed: float
 
 
 def relative_close_speed(state: SceneState, robot) -> float:

@@ -8,11 +8,11 @@ A learned policy can replace ``teacher_step`` without touching the runner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .config import SimConfig
 from .gfm import GfmWeights, GraspMemoryBank, gfm_forward, object_feature
 from .robot import (
     EE_TAU,
@@ -22,7 +22,7 @@ from .robot import (
     WORKSPACE_CENTER,
     WORKSPACE_RADIUS,
 )
-from .scene import GraspCriteria, SceneState, relative_close_speed
+from .scene import SceneState, relative_close_speed
 from .se3 import Pose6, compose, inverse, rotation_angle_between, wrap_angle
 
 YAW_CAP = np.deg2rad(65.0)     # stay clear of the 70-degree termination
@@ -32,20 +32,6 @@ REACH_MARGIN = 0.05
 FAR_DISTANCE_MARGIN = 0.5      # beyond standoff+this the arm stays tucked
 CARRY_TARGET = Pose6(np.array([0.35, 0.0, 0.2]), np.zeros(3))
 LIFT_TARGET = Pose6(np.array([0.35, 0.0, 0.55]), np.zeros(3))
-
-
-@dataclass(frozen=True)
-class TeacherConfig:
-    standoff: float = 0.6
-    align_pos_tol: float = 0.025
-    align_ori_tol: float = 0.26
-    max_rel_speed_at_close: float = 0.2
-    intercept_horizon: float = 0.5
-    use_gfm: bool = True       # False: aim at the centroid (ablation mode)
-
-    def criteria(self) -> GraspCriteria:
-        return GraspCriteria(self.align_pos_tol, self.align_ori_tol,
-                             self.max_rel_speed_at_close)
 
 
 @lru_cache(maxsize=None)
@@ -72,14 +58,16 @@ def _reach_limited_standoff(standoff: float, grasp_z: float, base_z: float) -> f
 
 
 def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
-                 gfm_weights: GfmWeights, cfg: TeacherConfig) -> HighLevelAction:
+                 gfm_weights: GfmWeights, cfg: SimConfig,
+                 use_gfm: bool = True) -> HighLevelAction:
     """One privileged control decision.
 
     Predicts a short intercept of the object's motion, steers the base to a
     standoff point, pulls the end-effector toward the fused grasp (with a
     velocity lead that cancels the arm's first-order tracking lag), and
     closes the gripper once the end-effector sits on the target within the
-    alignment tolerances at a safe relative speed.
+    alignment tolerances at a safe relative speed.  ``use_gfm=False`` aims
+    at the object centroid instead of the fused grasp (the ablation).
     """
     obj_p = scene.object_pose.position
     obj_v = scene.object_twist.linear
@@ -91,7 +79,7 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
         dp = LIFT_TARGET.position - robot.ee_target.position
         return HighLevelAction(dp, np.zeros(3), 0.0, 0.0, gripper_close=False)
 
-    if cfg.use_gfm:
+    if use_gfm:
         feat = cached_object_feature(scene.object_spec)
         grasp_world, _ = gfm_forward(feat, scene.object_pose, bank, gfm_weights)
     else:
@@ -99,10 +87,10 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
 
     rel_xy = obj_p[:2] - base.position[:2]
     dist = float(np.linalg.norm(rel_xy))
-    lead_t = min(cfg.intercept_horizon, dist / MAX_V_LIN)
+    lead_t = min(cfg.teacher_intercept_horizon, dist / MAX_V_LIN)
     intercept_xy = obj_p[:2] + obj_v[:2] * lead_t
 
-    standoff = _reach_limited_standoff(cfg.standoff, grasp_world.position[2],
+    standoff = _reach_limited_standoff(cfg.teacher_standoff, grasp_world.position[2],
                                        base.position[2])
     to_icpt = intercept_xy - base.position[:2]
     icpt_dist = float(np.linalg.norm(to_icpt))
@@ -114,7 +102,7 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
     v_lin = float(np.clip(K_V * (icpt_dist - standoff) * gate + v_feedforward,
                           -MAX_V_LIN, MAX_V_LIN))
 
-    if dist > cfg.standoff + FAR_DISTANCE_MARGIN:
+    if dist > cfg.teacher_standoff + FAR_DISTANCE_MARGIN:
         ee_goal_base = CARRY_TARGET
         close = False
     else:
@@ -123,9 +111,9 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
         pos_err = float(np.linalg.norm(robot.ee_pose.position - grasp_world.position))
         ori_err = rotation_angle_between(robot.ee_pose.orientation,
                                          grasp_world.orientation)
-        close = (pos_err <= cfg.align_pos_tol
-                 and ori_err <= cfg.align_ori_tol
-                 and relative_close_speed(scene, robot) <= cfg.max_rel_speed_at_close)
+        close = (pos_err <= cfg.teacher_align_pos_tol
+                 and ori_err <= cfg.teacher_align_ori_tol
+                 and relative_close_speed(scene, robot) <= cfg.teacher_max_rel_speed)
 
     dp = ee_goal_base.position - robot.ee_target.position
     dr = wrap_angle(ee_goal_base.orientation - robot.ee_target.orientation)

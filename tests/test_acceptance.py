@@ -18,6 +18,7 @@ from graspsim.camera import (
     camera_world_pose,
     render_frame,
 )
+from graspsim.config import SimConfig
 from graspsim.episode import derive_seed, run_episode
 from graspsim.errors import SingularJacobianError
 from graspsim.gfm import (
@@ -91,13 +92,14 @@ def report(name, detail=""):
 def test_criterion_1_protocol_constants(catalog_map):
     t0 = time.perf_counter()
     steps_per_level = 10_000
+    dt = SimConfig().physics_dt
     for level in (1, 2, 3, 4):
         lo, hi = LEVEL_SPEED_RANGES[level]
         cfg = EpisodeConfig(level=level, object_id="tennis_ball", seed=level)
         traj = make_trajectory(level, derive_seed(level, 11))
         state = reset_episode(cfg, catalog_map, traj)
         for _ in range(steps_per_level):
-            state = step_scene(state, traj, cfg.physics_dt)
+            state = step_scene(state, traj, dt)
             speed = float(np.hypot(*state.platform_twist.linear[:2]))
             assert lo - 1e-12 <= speed <= hi + 1e-12, (level, speed)
             if level == 4:

@@ -115,6 +115,15 @@ def test_config_file_override(tmp_path, capsys):
     ], capsys)
     assert code == 0
     assert "outcome=failed_timeout" in out
+    # bench applies the grasp and teacher keys too, not just the timeout
+    cfg.write_text("bank_size = 1\ncandidate_count = 5\nteacher_standoff = 0.3\n")
+    bench = ["bench", "--levels", "1", "--episodes", "3", "--seed", "0"]
+    assert run_cli(bench + ["--out", str(tmp_path / "default")], capsys)[0] == 0
+    assert run_cli(["--config", str(cfg)] + bench
+                   + ["--out", str(tmp_path / "override")], capsys)[0] == 0
+    logs = [(tmp_path / d / "episodes.jsonl").read_text()
+            for d in ("default", "override")]
+    assert logs[0] != logs[1]
 
 
 def test_config_env_var(tmp_path, capsys, monkeypatch):
@@ -159,15 +168,25 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
                  "candidate_count = 0\n", "gripper_aperture = 0\n",
                  "sigma_track = -1\n", "sigma_cf = 0\n", "sigma_cv = 0\n",
                  "hfov_deg = 0\n", "hfov_deg = 180\n",
-                 "mask_flip_prob = -0.1\n", "mask_flip_prob = 1.5\n"):
+                 "mask_flip_prob = -0.1\n", "mask_flip_prob = 1.5\n",
+                 "teacher_standoff = -1\n", "teacher_align_pos_tol = -5\n",
+                 "teacher_align_ori_tol = 0\n", "teacher_max_rel_speed = 0\n",
+                 "teacher_intercept_horizon = -3\n"):
         cfg.write_text(text)
         with pytest.raises(InvalidArgumentError) as exc:
             load_config(cfg)
         lineno = text.count("\n")
         assert f"{cfg}:{lineno}:" in str(exc.value)
-    cfg.write_text("mask_flip_prob = 1\nhfov_deg = 179.5\nbank_size = 1\n")
+    cfg.write_text("mask_flip_prob = 1\nhfov_deg = 179.5\nbank_size = 1\n"
+                   "teacher_intercept_horizon = 0\n")
     loaded = load_config(cfg)
-    assert (loaded.mask_flip_prob, loaded.hfov_deg, loaded.bank_size) == (1.0, 179.5, 1)
+    assert (loaded.mask_flip_prob, loaded.hfov_deg, loaded.bank_size,
+            loaded.teacher_intercept_horizon) == (1.0, 179.5, 1, 0.0)
+    # a decision step that is not a whole number of physics steps names the file
+    cfg.write_text("physics_dt = 0.03\n")
+    with pytest.raises(InvalidArgumentError) as exc:
+        load_config(cfg)
+    assert str(exc.value).startswith(f"{cfg}: decision_dt must be")
 
 
 def test_console_script_entry_point():

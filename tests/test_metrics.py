@@ -1,5 +1,6 @@
 import pytest
 
+from graspsim.config import SimConfig
 from graspsim.episode import EpisodeSummary
 from graspsim.errors import InvalidArgumentError
 from graspsim.metrics import (
@@ -135,6 +136,17 @@ def test_benchmark_reports_categories():
     level_row = report.row(1)
     per_cat = [r for r in report.rows if r.category != "all"]
     assert sum(r.n_episodes for r in per_cat) == level_row.n_episodes
+
+
+def test_benchmark_applies_sim_config_serial_and_parallel():
+    override = SimConfig(bank_size=1, candidate_count=5, teacher_standoff=0.3)
+    runs = [run_benchmark([1], episodes_per_level=3, seed=0, timeout_steps=80,
+                          workers=workers, sim_cfg=sim_cfg)
+            for workers, sim_cfg in ((0, None), (0, override), (2, override))]
+    default, serial, parallel = [(csv, summaries_to_jsonl(sums))
+                                 for _, csv, sums in runs]
+    assert serial[1] != default[1]
+    assert serial == parallel
 
 
 def test_benchmark_rejects_bad_args():

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from graspsim.config import SimConfig
 from graspsim.errors import CatalogError, InvalidArgumentError, NotFoundError
 from graspsim.gfm import build_memory, generate_candidates
 from graspsim.robot import initial_robot
 from graspsim.scene import (
     EpisodeConfig,
-    GraspCriteria,
     LEVEL_SPEED_RANGES,
     ObjectSpec,
     apply_gripper_close,
@@ -24,6 +24,9 @@ from graspsim.scene import (
 from graspsim.se3 import Pose6, compose, inverse
 
 from conftest import assert_valid_pose, make_config
+
+DT = SimConfig().physics_dt
+CRITERIA = SimConfig().grasp_criteria()
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +116,7 @@ def test_platform_speed_ranges_sampled(level, catalog_map):
     traj = make_trajectory(level, 100 + level)
     state = reset_episode(cfg, catalog_map, traj)
     for _ in range(2000):
-        state = step_scene(state, traj, cfg.physics_dt)
+        state = step_scene(state, traj, DT)
         speed = float(np.linalg.norm(state.platform_twist.linear[:2]))
         assert lo - 1e-12 <= speed <= hi + 1e-12
         if level == 4:
@@ -131,7 +134,7 @@ def test_levels_1_to_3_keep_z_constant(catalog_map):
         state = reset_episode(cfg, catalog_map, traj)
         z0 = state.platform_pose.position[2]
         for _ in range(500):
-            state = step_scene(state, traj, cfg.physics_dt)
+            state = step_scene(state, traj, DT)
         assert state.platform_pose.position[2] == pytest.approx(z0, abs=1e-12)
 
 
@@ -167,8 +170,8 @@ def test_step_finite_difference_matches_twist(catalog_map):
     state = reset_episode(cfg, catalog_map, traj)
     for _ in range(200):
         before = state
-        state = step_scene(state, traj, cfg.physics_dt)
-        fd = (state.object_pose.position - before.object_pose.position) / cfg.physics_dt
+        state = step_scene(state, traj, DT)
+        fd = (state.object_pose.position - before.object_pose.position) / DT
         speed = np.linalg.norm(before.object_twist.linear)
         assert np.allclose(fd, before.object_twist.linear, atol=1e-6 * (1 + speed))
 
@@ -179,8 +182,8 @@ def test_step_stationary_trajectory(catalog_map):
     traj = type(traj)(1, "linear", traj.speed_range, "fixed", speed=0.0)
     cfg = make_config(seed=2)
     state = reset_episode(cfg, catalog_map, traj)
-    nxt = step_scene(state, traj, cfg.physics_dt)
-    assert nxt.time == pytest.approx(cfg.physics_dt)
+    nxt = step_scene(state, traj, DT)
+    assert nxt.time == pytest.approx(DT)
     assert np.array_equal(nxt.platform_pose.position, state.platform_pose.position)
     assert np.array_equal(nxt.object_pose.position, state.object_pose.position)
 
@@ -191,7 +194,7 @@ def test_attachment_relative_pose_constant(catalog_map):
     state = reset_episode(cfg, catalog_map, traj)
     rel0 = compose(inverse(state.platform_pose), state.object_pose)
     for _ in range(300):
-        state = step_scene(state, traj, cfg.physics_dt)
+        state = step_scene(state, traj, DT)
         assert_valid_pose(state.platform_pose)
         assert_valid_pose(state.object_pose)
     rel = compose(inverse(state.platform_pose), state.object_pose)
@@ -220,7 +223,7 @@ def test_scene_sequence_bit_deterministic(catalog_map):
         st = reset_episode(cfg, catalog_map, traj)
         acc = []
         for _ in range(100):
-            st = step_scene(st, traj, cfg.physics_dt)
+            st = step_scene(st, traj, DT)
             acc.append(st.platform_pose.position)
         return np.array(acc)
 
@@ -245,7 +248,7 @@ def _scene_and_aligned_robot(catalog_map, object_id="rubiks_cube", seed=4):
 
 def test_aligned_close_attaches(catalog_map):
     cfg, state, robot, bank = _scene_and_aligned_robot(catalog_map)
-    new_state, ok = apply_gripper_close(state, robot, bank, GraspCriteria())
+    new_state, ok = apply_gripper_close(state, robot, bank, CRITERIA)
     assert ok and new_state.object_attached_to == "gripper"
 
 
@@ -259,7 +262,7 @@ def test_misaligned_close_bumps_object_off(catalog_map):
                     np.array([0.4, 0.9, 0.2]))
         robot_off = replace(robot, ee_pose=off)
         new_state, ok = apply_gripper_close(state, robot_off, bank,
-                                            GraspCriteria())
+                                            CRITERIA)
         assert not ok
         assert not np.allclose(new_state.object_pose.position,
                                state.object_pose.position)
@@ -277,7 +280,7 @@ def test_far_close_is_a_no_op(catalog_map):
     cfg, state, robot, bank = _scene_and_aligned_robot(catalog_map)
     far = Pose6(state.object_pose.position + np.array([1.0, 0, 0]), np.zeros(3))
     robot = replace(robot, ee_pose=far)
-    new_state, ok = apply_gripper_close(state, robot, bank, GraspCriteria())
+    new_state, ok = apply_gripper_close(state, robot, bank, CRITERIA)
     assert not ok and new_state.object_attached_to == "platform"
     assert np.allclose(new_state.object_pose.position, state.object_pose.position)
 
@@ -297,7 +300,7 @@ def test_yaw_drift_over_70_degrees_fails(catalog_map):
 
 def test_grasp_lift_hold_to_success(catalog_map):
     cfg, state, robot, bank = _scene_and_aligned_robot(catalog_map)
-    state, ok = apply_gripper_close(state, robot, bank, GraspCriteria())
+    state, ok = apply_gripper_close(state, robot, bank, CRITERIA)
     assert ok
     # hold the object 0.2 m above the platform top for 10 physics checks
     lifted = Pose6(
@@ -324,6 +327,9 @@ def test_episode_config_validation():
     with pytest.raises(InvalidArgumentError):
         EpisodeConfig(level=1, object_id="x", seed=0, timeout_steps=0)
     with pytest.raises(InvalidArgumentError):
-        EpisodeConfig(level=1, object_id="x", seed=0, physics_dt=0.03,
-                      decision_dt=0.1)
-    assert EpisodeConfig(level=1, object_id="x", seed=0).substeps == 5
+        SimConfig(physics_dt=0.03, decision_dt=0.1)
+    for dts in ((0.1, 0.02), (0.0, 0.1), (float("nan"), 0.1), (0.02, float("inf"))):
+        with pytest.raises(InvalidArgumentError):
+            SimConfig(physics_dt=dts[0], decision_dt=dts[1])
+    assert SimConfig().substeps == 5
+    assert SimConfig(physics_dt=0.05).substeps == 2

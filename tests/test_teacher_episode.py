@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from graspsim.config import SimConfig
 from graspsim.distill import (
     HEADER_SIZE,
     OBS_SHAPE,
@@ -18,7 +19,7 @@ from graspsim.nn import PROPRIO_DIM, kd_loss
 from graspsim.robot import initial_robot
 from graspsim.scene import ObjectSpec, reset_episode
 from graspsim.se3 import Pose6, compose
-from graspsim.teacher import TeacherConfig, cached_object_feature, teacher_step
+from graspsim.teacher import cached_object_feature, teacher_step
 
 from conftest import make_config
 
@@ -49,7 +50,7 @@ def test_teacher_fixed_point_closes(catalog_map):
                  np.zeros(3))
     g_base = compose(inverse(base), fused)
     robot = replace(robot, base_pose=base, ee_pose=fused, ee_target=g_base)
-    action = teacher_step(scene, robot, bank, w, TeacherConfig())
+    action = teacher_step(scene, robot, bank, w, SimConfig())
     assert action.gripper_close
     assert np.linalg.norm(action.dp) < 1e-6
     assert np.max(np.abs(action.dr)) < 1e-6
@@ -59,7 +60,7 @@ def test_teacher_drives_toward_distant_object(catalog_map):
     scene, robot, bank = _setup(catalog_map, seed=6)
     # static object ~2 m ahead: forward speed, steering toward the bearing
     action = teacher_step(scene, robot, bank, alignment_gfm_weights(),
-                          TeacherConfig())
+                          SimConfig())
     assert action.v_lin > 0.0
     bearing = np.arctan2(scene.object_pose.position[1],
                          scene.object_pose.position[0])
@@ -74,8 +75,8 @@ def test_teacher_leads_moving_object(catalog_map):
     moving = replace(scene, object_twist=Twist(np.array([0.0, 0.2, 0.0]),
                                                np.zeros(3)))
     w = alignment_gfm_weights()
-    a_static = teacher_step(scene, robot, bank, w, TeacherConfig())
-    a_moving = teacher_step(moving, robot, bank, w, TeacherConfig())
+    a_static = teacher_step(scene, robot, bank, w, SimConfig())
+    a_moving = teacher_step(moving, robot, bank, w, SimConfig())
     # the intercept point shifts +y, so the steering command gains +y bias
     assert a_moving.omega_yaw > a_static.omega_yaw
 
@@ -84,7 +85,7 @@ def test_teacher_lifts_after_grasp(catalog_map):
     scene, robot, bank = _setup(catalog_map)
     robot = replace(robot, gripper="closed")
     action = teacher_step(scene, robot, bank, alignment_gfm_weights(),
-                          TeacherConfig())
+                          SimConfig())
     assert action.v_lin == 0.0 and action.omega_yaw == 0.0
     assert action.dp[2] > 0.0
     assert not action.gripper_close
@@ -95,7 +96,7 @@ def test_teacher_empty_bank_propagates(catalog_map):
     empty = build_memory([], 30, object_id="none")
     with pytest.raises(EmptyBankError):
         teacher_step(scene, robot, empty, alignment_gfm_weights(),
-                     TeacherConfig())
+                     SimConfig())
 
 
 def test_build_proprio_shape(catalog_map):
@@ -145,6 +146,24 @@ def test_episode_infeasible_object_raises_empty_bank():
         run_episode(make_config(object_id="brick"), catalog={"brick": big})
 
 
+def test_episode_takes_clocks_from_sim_config(monkeypatch):
+    import graspsim.episode as episode_mod
+
+    calls = []
+    real_step = episode_mod.step_scene
+
+    def counting_step(scene, traj, dt, **kw):
+        calls.append(dt)
+        return real_step(scene, traj, dt, **kw)
+
+    monkeypatch.setattr(episode_mod, "step_scene", counting_step)
+    log = run_episode(make_config(timeout_steps=3, **GOLDEN),
+                      sim_cfg=SimConfig(physics_dt=0.05))
+    assert (log.physics_dt, log.decision_dt, log.n_steps) == (0.05, 0.1, 3)
+    assert calls == [0.05] * 6          # 2 substeps per decision step
+    assert '"physics_dt":0.05' in log.to_json()
+
+
 def test_observe_does_not_change_dynamics():
     plain = run_episode(make_config(**GOLDEN))
     observed = run_episode(make_config(**GOLDEN), observe=True)
@@ -153,8 +172,7 @@ def test_observe_does_not_change_dynamics():
 
 def test_ablation_teacher_differs(catalog_map):
     full = run_episode(make_config(**GOLDEN))
-    ablated = run_episode(make_config(**GOLDEN),
-                          teacher_cfg=TeacherConfig(use_gfm=False))
+    ablated = run_episode(make_config(**GOLDEN), use_gfm=False)
     assert full.outcome == "success"
     assert (ablated.outcome != full.outcome
             or ablated.to_json() != full.to_json())
@@ -216,6 +234,17 @@ def test_distill_rejects_corrupt_file(tmp_path):
     with pytest.raises(InvalidArgumentError):
         DistillRecord(0, 0, np.zeros(OBS_SHAPE, np.float32),
                       np.zeros(PROPRIO_DIM, np.float32), np.zeros(8, np.float32), 2)
+    # a recording that fails at its third record leaves no file behind and
+    # keeps an earlier file at the same path as it was
+    bad = list(obs)
+    bad[2] = bad[2][:3] + (2,) + bad[2][4:]
+    with pytest.raises(InvalidArgumentError):
+        record_distillation(log, bad, tmp_path / "new.bin")
+    assert not (tmp_path / "new.bin").exists()
+    with pytest.raises(InvalidArgumentError):
+        record_distillation(log, bad, path)
+    assert path.read_bytes() == data
+    assert not [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
 
 
 def test_derive_seed_stable():
