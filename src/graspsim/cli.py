@@ -19,7 +19,7 @@ from .camera import base_camera, dump_frame, render_frame, wrist_camera
 from .config import load_config
 from .distill import record_distillation
 from .episode import derive_seed, run_episode
-from .errors import GraspSimError
+from .errors import GraspSimError, InvalidArgumentError
 from .gfm import (alignment_gfm_weights, build_memory, generate_candidates,
                   gfm_forward, save_bank)
 from .metrics import run_benchmark, summaries_to_jsonl
@@ -81,6 +81,8 @@ def _cmd_episode(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.step < 0:
+        raise InvalidArgumentError(f"--step must be 0 or more, got {args.step}")
     cfg = load_config(args.config)
     catalog = load_catalog()
     object_id = args.object or catalog[0].id
@@ -133,6 +135,8 @@ def _cmd_gfm_inspect(args) -> int:
 
 
 def _cmd_distill_record(args) -> int:
+    if args.episodes < 1:
+        raise InvalidArgumentError(f"--episodes must be at least 1, got {args.episodes}")
     cfg = load_config(args.config)
     catalog = load_catalog()
     objects = [s for s in catalog if s.split == "seen"]

@@ -17,7 +17,7 @@ import numpy as np
 from .config import SimConfig
 from .episode import EpisodeSummary, derive_seed, run_episode, summarize
 from .errors import InvalidArgumentError
-from .scene import EpisodeConfig, load_catalog
+from .scene import EpisodeConfig, catalog_by_id, load_catalog
 
 DEFAULT_STEP_BUDGET = 5000
 CSV_HEADER = "level,split,category,n_episodes,gsr,ossr,ossr_alt,tsc,seed"
@@ -96,19 +96,21 @@ def report_to_csv(report: MetricsReport, seed: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _episode_task(args) -> EpisodeSummary:
-    cfg, sim_cfg, use_gfm = args
-    return summarize(run_episode(cfg, sim_cfg=sim_cfg, use_gfm=use_gfm))
+    cfg, sim_cfg, use_gfm, lookup = args
+    return summarize(run_episode(cfg, sim_cfg=sim_cfg, use_gfm=use_gfm,
+                                 catalog=lookup))
 
 
 def _episode_stream(levels, split, seed, timeout, sim_cfg, use_gfm, catalog):
     objs = [s for s in catalog if split == "both" or s.split == split]
+    lookup = catalog_by_id(catalog)
     for level in levels:
         def gen(level=level):
             i = 0
             while True:
                 cfg = EpisodeConfig(level, objs[i % len(objs)].id,
                                     derive_seed(seed, level, i), timeout)
-                yield cfg, sim_cfg, use_gfm
+                yield cfg, sim_cfg, use_gfm, lookup
                 i += 1
         yield level, gen()
 
@@ -120,8 +122,9 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
                   sim_cfg: SimConfig | None = None):
     """Seeded multi-episode sweep; returns (MetricsReport, csv_text, summaries).
 
-    Every episode runs under ``sim_cfg`` (default ``SimConfig()``), in the
-    pool as in a serial run; ``timeout_steps`` defaults to its timeout.
+    Every episode runs under ``sim_cfg`` (default ``SimConfig()``) and looks
+    its object up in ``catalog`` (default the bundled set), in the pool as in
+    a serial run; ``timeout_steps`` defaults to the config's timeout.
 
     Episodes run per level either a fixed count or until the decision-step
     budget (default 5,000 per level) is consumed; the final episode may
@@ -134,6 +137,12 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
         raise InvalidArgumentError("need at least one level")
     if split not in ("seen", "unseen", "both"):
         raise InvalidArgumentError(f"split must be seen/unseen/both, got {split!r}")
+    for name, count in (("episodes_per_level", episodes_per_level),
+                        ("step_budget", step_budget)):
+        if count is not None and count < 1:
+            raise InvalidArgumentError(f"{name} must be at least 1, got {count}")
+    if workers < 0:
+        raise InvalidArgumentError(f"workers must be 0 or more, got {workers}")
     if episodes_per_level is None and step_budget is None:
         step_budget = DEFAULT_STEP_BUDGET
     catalog = catalog if catalog is not None else load_catalog()
@@ -142,7 +151,7 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
         timeout_steps = sim_cfg.timeout_steps
 
     all_summaries: list[EpisodeSummary] = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers and workers > 1 else None
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for level, stream in _episode_stream(levels, split, seed, timeout_steps,
                                              sim_cfg, use_gfm, catalog):

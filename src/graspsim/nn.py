@@ -7,6 +7,8 @@ uniform in +-1/sqrt(fan_in), biases zero, norm gains one).
 Validation happens at the boundaries: `WeightStore` rejects non-finite weights
 once, when they enter the program (init, `load`, construction).  The ops check
 activations, not weights; `linear`'s output check still sees any bad weight.
+Image batches are channel-major, [c,n,h,w], so `conv2d` is one GEMM on whole
+image rows, and `max_pool2` trusts the activation `conv2d` has just checked.
 """
 
 from __future__ import annotations
@@ -73,16 +75,16 @@ def softmax(x, axis: int = -1) -> np.ndarray:
 
 
 def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Cross-correlation of x [c,h,w] or [n,c,h,w] with kernels [oc,c,kh,kw].
+    """Cross-correlation of x [c,h,w] -> [oc,oh,ow] with kernels [oc,c,kh,kw].
 
     Zero padded; output spatial size follows floor((n + 2p - k) / s) + 1.  A
-    batch runs as one im2col GEMM of shape [n*oh*ow, c*kh*kw] x [c*kh*kw, oc].
+    batch [c,n,h,w] -> [oc,n,oh,ow] is one GEMM [oc,c*kh*kw] x [c*kh*kw,n*oh*ow].
     """
     x, k = as_tensor(x), np.asarray(kernels, np.float32)
-    if x.ndim not in (3, 4) or k.ndim != 4 or x.shape[-3] != k.shape[1]:
+    if x.ndim not in (3, 4) or k.ndim != 4 or x.shape[0] != k.shape[1]:
         raise ShapeError(f"conv2d shapes disagree: x {x.shape}, kernels {k.shape}")
-    batch = x if x.ndim == 4 else x[None]
-    n, c, h, w = batch.shape
+    batch = x if x.ndim == 4 else x[:, None]
+    c, n, h, w = batch.shape
     oc, _, kh, kw = k.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
@@ -93,22 +95,21 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
         )
     if padding:
         batch = np.pad(batch, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(batch, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]                             # n,c,oh,ow,kh,kw
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    out = (cols @ k.reshape(oc, -1).T).reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
-    return _checked(out if x.ndim == 4 else out[0], "conv2d")
+    cols = np.empty((c, kh, kw, n, oh, ow), np.float32)
+    for a, b in np.ndindex(kh, kw):         # one contiguous ow-run per row and tap
+        cols[:, a, b] = batch[:, :, a:a + stride * oh:stride, b:b + stride * ow:stride]
+    out = (k.reshape(oc, -1) @ cols.reshape(c * kh * kw, -1)).reshape(oc, n, oh, ow)
+    return _checked(out if x.ndim == 4 else out[:, 0], "conv2d")
 
 
 def max_pool2(x) -> np.ndarray:
     """2x2 stride-2 max pooling of the last two axes; an odd last row/col is dropped."""
-    x = as_tensor(x)
+    x = np.asarray(x, np.float32)
     if x.ndim < 2:
         raise ShapeError(f"max_pool2 needs at least 2 axes, got {x.shape}")
-    *lead, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    x = x[..., : h2 * 2, : w2 * 2].reshape(*lead, h2, 2, w2, 2)
-    return x.max(axis=(-3, -1))
+    h2, w2 = x.shape[-2] // 2 * 2, x.shape[-1] // 2 * 2
+    rows = np.maximum(x[..., 0:h2:2, :w2], x[..., 1:h2:2, :w2])
+    return np.maximum(rows[..., 0::2], rows[..., 1::2])
 
 
 def attention(q, k, v) -> np.ndarray:
@@ -346,20 +347,20 @@ def init_student_weights(seed: int = 0) -> WeightStore:
     return init_weights(STUDENT_ARCH, student_manifest(), seed)
 
 
-# Stack channels of the six mask+depth images: wrist t=0..2, then base t=0..2.
-_FRAME_PAIRS = np.array([(view + t, view + 3 + t) for view in (0, 6) for t in range(3)])
+# Stack channels of the six images as [mask, depth] rows: wrist t=0..2, then base t=0..2.
+_FRAME_PAIRS = np.array([(0, 1, 2, 6, 7, 8), (3, 4, 5, 9, 10, 11)])
 
 
 def _encode_frames(imgs, w: WeightStore) -> np.ndarray:
-    """Shared CNN over a batch of [2,54,96] mask+depth pairs -> [n,64] tokens.
+    """Shared CNN over mask+depth pairs [2,n,54,96] -> [n,64] tokens.
 
     ELU is monotone, so conv -> ELU -> maxpool equals conv -> maxpool -> ELU
     exactly; pooling first quarters the activation work.
     """
     x = conv2d(imgs, w.get("cnn.conv1.w"))
-    x = elu(max_pool2(x) + w.get("cnn.conv1.b")[:, None, None])
+    x = elu(max_pool2(x) + w.get("cnn.conv1.b")[:, None, None, None])
     x = conv2d(x, w.get("cnn.conv2.w"))
-    x = elu(max_pool2(x) + w.get("cnn.conv2.b")[:, None, None])
+    x = elu(max_pool2(x) + w.get("cnn.conv2.b")[:, None, None, None]).transpose(1, 0, 2, 3)
     return linear(x.reshape(x.shape[0], -1), w.get("cnn.fc.w"), w.get("cnn.fc.b"))
 
 
@@ -455,9 +456,11 @@ def selftest(cases: int = 20, seed: int = 0) -> list:
         ("conv2d", [(2, 7, 8), (3, 2, 3, 3)], conv2d, _naive_conv2d),
         ("attention", [(1, 6), (5, 6), (5, 3)], attention, _naive_attention),
         ("softmax", [(4, 9)], lambda x: softmax(x).sum(axis=-1), lambda x: 1.0),
-        ("conv2d_batch", [(3, 2, 7, 8), (3, 2, 3, 3)], conv2d,
-         lambda x, k: np.stack([_naive_conv2d(xi, k) for xi in x])),
+        ("conv2d_batch", [(2, 4, 7, 8), (3, 2, 3, 3)], conv2d,
+         lambda x, k: np.stack([_naive_conv2d(xi, k) for xi in x.swapaxes(0, 1)], 1)),
         ("max_pool2", [(2, 3, 7, 9)], max_pool2, _naive_max_pool2),
+        ("max_pool2_view", [(3, 2, 8, 21)], lambda x: max_pool2(x[:, ::-1, 1:, ::2]),
+         lambda x: _naive_max_pool2(x[:, ::-1, 1:, ::2])),
     ]
     results = []
     for name, shapes, fast, slow in checks:

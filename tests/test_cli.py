@@ -18,7 +18,7 @@ def test_nn_selftest(capsys):
     code, out, _ = run_cli(["nn-selftest"], capsys)
     assert code == 0
     assert "linear" in out and "ok" in out
-    for case in ("conv2d_batch", "max_pool2"):
+    for case in ("conv2d_batch", "max_pool2", "max_pool2_view"):
         assert f"{case}: max|err|" in out
     assert "FAIL" not in out
 
@@ -104,6 +104,23 @@ def test_distill_record_command(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "total records:" in text
+
+
+@pytest.mark.parametrize("args", [
+    ["bench", "--levels", "1", "--episodes", "0"],
+    ["bench", "--levels", "1", "--steps", "0"],
+    ["bench", "--levels", "1", "--episodes", "1", "--workers", "-2"],
+    ["render", "--step", "-3"],
+    ["distill-record", "--episodes", "0"],
+    ["distill-record", "--episodes", "-1"],
+])
+def test_count_arguments_rejected(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(args + ["--out-dir" if args[0] == "render" else "--out",
+                                   str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err.strip().splitlines()[-1].startswith("error: InvalidArgumentError:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_override(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from graspsim.config import SimConfig
@@ -154,3 +156,19 @@ def test_benchmark_rejects_bad_args():
         run_benchmark([], episodes_per_level=1)
     with pytest.raises(InvalidArgumentError):
         run_benchmark([1], episodes_per_level=1, split="held_out")
+    for kwargs in ({"episodes_per_level": 0}, {"episodes_per_level": -1},
+                   {"step_budget": 0}, {"episodes_per_level": 1, "workers": -2}):
+        with pytest.raises(InvalidArgumentError):
+            run_benchmark([1], **kwargs)
+
+
+def test_benchmark_uses_given_catalog_serial_and_parallel(catalog):
+    spec = next(s for s in catalog if s.split == "seen")
+    custom = [dataclasses.replace(spec, id="brick2")]
+    runs = [run_benchmark([1], episodes_per_level=3, seed=4, timeout_steps=40,
+                          workers=workers, catalog=custom)
+            for workers in (0, 2)]
+    (_, csv_s, sums_s), (_, csv_p, sums_p) = runs
+    assert [s.object_id for s in sums_s] == ["brick2"] * 3
+    assert csv_s == csv_p
+    assert summaries_to_jsonl(sums_s) == summaries_to_jsonl(sums_p)

@@ -21,6 +21,7 @@ from graspsim.nn import (
     student_manifest,
     transformer_encoder_layer,
 )
+from graspsim.nn import _FRAME_PAIRS, _encode_frames, _naive_max_pool2
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +187,14 @@ def test_conv2d_matches_naive(rng):
         slow = naive_conv2d(x, k, stride=stride, padding=padding)
         assert fast.shape == slow.shape
         assert np.max(np.abs(fast - slow)) < 1e-5
-        batch = rng.standard_normal((3, 3, 8, 9)).astype(np.float32)
+        batch = rng.standard_normal((3, 5, 8, 9)).astype(np.float32)  # [c,n,h,w]
         out = conv2d(batch, k, stride=stride, padding=padding)
-        assert out.shape == (3, *slow.shape)
-        for i in range(3):
-            single = conv2d(batch[i], k, stride=stride, padding=padding)
-            assert np.allclose(out[i], single, rtol=1e-6, atol=0)
-            slow = naive_conv2d(batch[i], k, stride=stride, padding=padding)
-            assert np.max(np.abs(out[i] - slow)) < 1e-5
+        assert out.shape == (4, 5, *slow.shape[1:])
+        for i in range(5):
+            single = conv2d(batch[:, i], k, stride=stride, padding=padding)
+            assert np.array_equal(out[:, i], single)
+            slow = naive_conv2d(batch[:, i], k, stride=stride, padding=padding)
+            assert np.max(np.abs(out[:, i] - slow)) < 1e-5
 
 
 def test_conv2d_shape_error():
@@ -327,7 +328,7 @@ def test_layer_norm_matches_naive(rng):
     assert np.max(np.abs(layer_norm(x, g, b) - naive_layer_norm(x, g, b))) < 1e-5
 
 
-def test_max_pool2():
+def test_max_pool2(rng):
     x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
     out = max_pool2(x)
     assert np.allclose(out[0], [[5, 7], [13, 15]])
@@ -340,6 +341,9 @@ def test_max_pool2():
         assert np.array_equal(out[i], max_pool2(lead[i]))
     assert np.array_equal(max_pool2(lead[1, 2]), out[1, 2])
     assert np.allclose(max_pool2(x[0]), [[5, 7], [13, 15]])
+    view = rng.standard_normal((4, 3, 12, 23)).astype(np.float32)[::-1, :, 1:, ::2]
+    assert view.shape == (4, 3, 11, 12) and not view.flags.c_contiguous
+    assert np.array_equal(max_pool2(view), _naive_max_pool2(view))
     with pytest.raises(ShapeError):
         max_pool2(np.zeros(4, np.float32))
 
@@ -438,6 +442,30 @@ def test_student_forward_contract(rng):
     bad = WeightStore("other-arch", [("x", (1,))], {"x": np.zeros(1, np.float32)})
     with pytest.raises(ArchitectureError):
         student_forward(frames, proprio, bad)
+
+
+def test_encode_frames_batch_equals_single_pairs(rng):
+    # Each pair is also encoded as a batch of two copies: a one-row fc would
+    # run as a BLAS matrix-vector product, which sums in another order.
+    w = init_student_weights(1)
+    frames = rng.random((12, 54, 96)).astype(np.float32)
+    imgs = frames[_FRAME_PAIRS]
+    assert imgs.shape == (2, 6, 54, 96)
+    tokens = _encode_frames(imgs, w)
+    assert tokens.shape == (6, 64)
+    for i in range(6):
+        single = _encode_frames(imgs[:, [i, i]], w)
+        assert np.array_equal(single[0], tokens[i])
+        assert np.array_equal(single[1], tokens[i])
+
+
+def test_student_forward_rejects_cnn_overflow():
+    w = init_student_weights(2)         # its conv1 overflows on these frames
+    for value in (3e38, -3e38):
+        frames = np.full((12, 54, 96), value, np.float32)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidArgumentError, match="conv2d"):
+            student_forward(frames, np.zeros(PROPRIO_DIM, np.float32), w)
 
 
 def test_student_forward_latency_budget(rng):
