@@ -151,7 +151,10 @@ def _ray_box(o, d, center, half) -> np.ndarray:
     """Slab test against an axis-aligned box.
 
     Zero direction components fall out naturally: the infinities from 1/d
-    give unconstrained (or empty) per-axis intervals.
+    give unconstrained (or empty) per-axis intervals.  It stays apart from
+    _box_into on purpose: it multiplies by the reciprocal (``a * (1/d)``)
+    where _box_into divides (``a / d``), and those object-mask bits feed the
+    student datasets behind the recorded ``kd_loss`` reference.
     """
     lo = np.full(d.shape[1], -np.inf, np.float32)
     hi = np.full(d.shape[1], np.inf, np.float32)
@@ -228,7 +231,7 @@ def _sphere_into(o, d, d_sq, center, radius, out, ws: _Workspace) -> None:
 
 
 def _box_into(o, d, center, half, out, ws: _Workspace) -> None:
-    """Slab test, in-place version of _ray_box."""
+    """Slab test, in place; divides, where _ray_box multiplies by 1/d."""
     lo, hi, t1, t2 = ws.r[4], ws.r[5], ws.r[6], ws.r[7]
     lo.fill(-np.inf)
     hi.fill(np.inf)
@@ -388,31 +391,27 @@ def render_frame(scene: SceneState, robot, cam: CameraModel,
 # ---------------------------------------------------------------------------
 
 class LatencyBuffer:
-    """Fixed FIFO delaying frames by four decision steps.
+    """Fixed FIFO delaying frames by LATENCY_STEPS (four) decision steps.
 
-    During warm-up (fewer than delay+1 pushes) the first frame ever pushed
-    keeps coming back, so the very first call returns its own input.
+    During warm-up (fewer than LATENCY_STEPS + 1 pushes) the first frame ever
+    pushed keeps coming back, so the very first call returns its own input.
     """
 
-    def __init__(self, delay: int = LATENCY_STEPS):
-        if delay < 0:
-            raise InvalidArgumentError("delay must be >= 0")
-        self.delay = delay
+    def __init__(self):
         self._queue: deque = deque()
 
     def push_and_fetch(self, frame):
         self._queue.append(frame)
-        if len(self._queue) > self.delay:
+        if len(self._queue) > LATENCY_STEPS:
             return self._queue.popleft()
         return self._queue[0]
 
 
 class ObsHistory:
-    """Ring of the last three frames for one view, plus a proprio snapshot."""
+    """Ring of the last HISTORY_LEN frames for one view, plus a proprio snapshot."""
 
-    def __init__(self, length: int = HISTORY_LEN):
-        self.length = length
-        self._frames: deque = deque(maxlen=length)
+    def __init__(self):
+        self._frames: deque = deque(maxlen=HISTORY_LEN)
         self.proprio = None
 
     def push(self, frame, proprio=None) -> None:
@@ -429,7 +428,7 @@ class ObsHistory:
         if not self._frames:
             raise NotReadyError("observation history is empty")
         frames = list(self._frames)
-        return [frames[0]] * (self.length - len(frames)) + frames
+        return [frames[0]] * (HISTORY_LEN - len(frames)) + frames
 
 
 def stack_observation(hist_wrist: ObsHistory, hist_base: ObsHistory) -> np.ndarray:

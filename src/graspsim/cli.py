@@ -27,7 +27,6 @@ from .nn import selftest
 from .robot import initial_robot
 from .scene import (
     EpisodeConfig,
-    catalog_by_id,
     load_catalog,
     make_trajectory,
     reset_episode,
@@ -88,7 +87,7 @@ def _cmd_render(args) -> int:
     object_id = args.object or catalog[0].id
     config = EpisodeConfig(level=args.level, object_id=object_id, seed=args.seed)
     traj = make_trajectory(config.level, derive_seed(config.seed, 11))
-    scene = reset_episode(config, catalog_by_id(catalog), traj)
+    scene = reset_episode(config, catalog, traj)
     robot = initial_robot(scene.terrain)
     for _ in range(args.step * cfg.substeps):
         scene = step_scene(scene, traj, cfg.physics_dt)
@@ -106,17 +105,13 @@ def _cmd_render(args) -> int:
 
 def _cmd_gfm_inspect(args) -> int:
     cfg = load_config(args.config)
-    catalog = catalog_by_id(load_catalog())
-    if args.object not in catalog:
-        from .errors import NotFoundError
-        raise NotFoundError(f"object id {args.object!r} not in catalog")
-    spec = catalog[args.object]
+    config = EpisodeConfig(level=1, object_id=args.object, seed=args.seed)
+    scene = reset_episode(config, load_catalog())
+    spec = scene.object_spec
     candidates = generate_candidates(spec, cfg.candidate_count,
                                      derive_seed(args.seed, 23),
                                      aperture=cfg.gripper_aperture)
     bank = build_memory(candidates, cfg.bank_size, object_id=spec.id)
-    config = EpisodeConfig(level=1, object_id=args.object, seed=args.seed)
-    scene = reset_episode(config, catalog)
     feat = cached_object_feature(spec)
     fused, alphas = gfm_forward(feat, scene.object_pose, bank,
                                 alignment_gfm_weights())

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import InvalidArgumentError
 from .gfm import DEFAULT_BANK_SIZE, GRIPPER_APERTURE
 from .rewards import HIGH_LEVEL_WEIGHTS, SIGMA_CF, SIGMA_CV, SIGMA_TRACK
-from .scene import TIMEOUT_STEPS, GraspCriteria
+from .scene import TIMEOUT_STEPS
 
 ENV_CONFIG_VAR = "GRASPSIM_CONFIG"
 
@@ -63,11 +63,6 @@ class SimConfig:
     def substeps(self) -> int:
         return int(round(self.decision_dt / self.physics_dt))
 
-    def grasp_criteria(self) -> GraspCriteria:
-        """The close tolerances the teacher aims for and the scene enforces."""
-        return GraspCriteria(self.teacher_align_pos_tol, self.teacher_align_ori_tol,
-                             self.teacher_max_rel_speed)
-
 
 _DEFAULTS = SimConfig()
 
@@ -101,7 +96,11 @@ def load_config(path=None) -> SimConfig:
         return SimConfig()
     overrides, weights = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: not UTF-8 text: {exc}") from exc
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

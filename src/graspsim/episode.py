@@ -8,7 +8,7 @@ substeps -> status/reward bookkeeping.  Fully deterministic per seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -21,12 +21,12 @@ from .camera import (
     wrist_camera,
 )
 from .config import SimConfig
-from .errors import NotFoundError
 from .gfm import alignment_gfm_weights, build_memory, generate_candidates
 from .robot import (
     DEFAULT_JOINTS,
     NOMINAL_HEIGHT,
     accumulate_command,
+    ee_pose_in_base,
     execute_command,
     gait_observables,
     initial_robot,
@@ -40,7 +40,6 @@ from .rewards import (
 from .scene import (
     EpisodeConfig,
     apply_gripper_close,
-    catalog_by_id,
     check_status,
     initial_status,
     load_catalog,
@@ -50,7 +49,6 @@ from .scene import (
 )
 from .se3 import euler_to_matrix, wrap_angle
 from .teacher import teacher_step
-from .robot import ee_pose_in_base
 
 CLOSE_COOLDOWN_STEPS = 5
 
@@ -64,8 +62,7 @@ def derive_seed(*parts) -> int:
 def build_proprio(robot, terrain) -> np.ndarray:
     """24-number proprioception vector fed to the student network."""
     base = robot.base_pose
-    h = base.position[2] - (terrain.height_at(base.position[0], base.position[1])
-                            if terrain is not None else 0.0)
+    h = base.position[2] - terrain.height_at(base.position[0], base.position[1])
     ee_local = ee_pose_in_base(robot)
     return np.concatenate([
         [h],
@@ -99,21 +96,7 @@ class EpisodeLog:
     success_step: int | None
 
     def to_json(self) -> str:
-        payload = {
-            "level": self.level,
-            "object_id": self.object_id,
-            "category": self.category,
-            "seed": self.seed,
-            "physics_dt": self.physics_dt,
-            "decision_dt": self.decision_dt,
-            "timeout_steps": self.timeout_steps,
-            "outcome": self.outcome,
-            "attempt_count": self.attempt_count,
-            "success_step": self.success_step,
-            "close_events": self.close_events,
-            "steps": self.steps,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @property
     def n_steps(self) -> int:
@@ -184,37 +167,32 @@ def _high_level_input(scene, robot, status, action_vec, prev_action,
 
 
 def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
-                use_gfm: bool = True, gfm_weights=None, catalog=None,
-                observe: bool = False, collect_observations: bool = False):
+                use_gfm: bool = True, catalog=None,
+                collect_observations: bool = False):
     """Run one seeded episode; returns the log (plus observations if asked).
 
     Every timestep, grasp, perception, teacher and reward setting comes from
-    ``sim_cfg`` (default ``SimConfig()``); ``config`` names the episode.
-    ``use_gfm=False`` runs the centroid-aiming ablation teacher.
+    ``sim_cfg`` (default ``SimConfig()``); ``config`` names the episode, whose
+    object comes from ``catalog`` (default the bundled set).  The teacher fuses
+    the grasp bank with ``alignment_gfm_weights``, or with ``use_gfm=False``
+    aims at the object centroid (the ablation).
 
-    ``observe`` switches the render/latency/stack pipeline on; it changes
-    nothing about the control flow (the teacher is privileged), so pure
-    benchmark sweeps leave it off for speed.  ``collect_observations``
-    implies ``observe`` and returns (log, records) where each record is
-    (stacked tensor, proprio, action vector, gripper bit, step index).
+    ``collect_observations`` switches the render/latency/stack pipeline on and
+    returns (log, records), each record (stacked tensor, proprio, action
+    vector, gripper bit, step index); it changes nothing about the control
+    flow (the teacher is privileged), so sweeps leave it off for speed.
     """
     sim_cfg = sim_cfg if sim_cfg is not None else SimConfig()
-    observe = observe or collect_observations
     catalog = catalog if catalog is not None else load_catalog()
-    lookup = catalog_by_id(catalog) if not isinstance(catalog, dict) else catalog
-    if config.object_id not in lookup:
-        raise NotFoundError(f"object id {config.object_id!r} not in catalog")
-    spec = lookup[config.object_id]
-
     traj = make_trajectory(config.level, derive_seed(config.seed, 11))
-    scene = reset_episode(config, lookup, traj)
+    scene = reset_episode(config, catalog, traj)
+    spec = scene.object_spec
     robot = initial_robot(scene.terrain)
     candidates = generate_candidates(spec, sim_cfg.candidate_count,
                                      derive_seed(config.seed, 23),
                                      aperture=sim_cfg.gripper_aperture)
     bank = build_memory(candidates, sim_cfg.bank_size, object_id=spec.id)
-    weights = gfm_weights if gfm_weights is not None else alignment_gfm_weights()
-    criteria = sim_cfg.grasp_criteria()
+    weights = alignment_gfm_weights()
     status = initial_status()
 
     cam_w = wrist_camera(np.deg2rad(sim_cfg.hfov_deg))
@@ -229,7 +207,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     last_attempt = -10**9
 
     for step in range(config.timeout_steps):
-        if observe:
+        if collect_observations:
             noise_seed = derive_seed(config.seed, 31, step)
             f_w = render_frame(scene, robot, cam_w, sim_cfg.mask_flip_prob, noise_seed)
             f_b = render_frame(scene, robot, cam_b, sim_cfg.mask_flip_prob,
@@ -248,7 +226,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
         close_ok = False
         if (action.gripper_close and robot.gripper == "open"
                 and step - last_attempt >= CLOSE_COOLDOWN_STEPS):
-            scene, close_ok = apply_gripper_close(scene, robot, bank, criteria)
+            scene, close_ok = apply_gripper_close(scene, robot, bank, sim_cfg)
             close_event = True
             last_attempt = step
             close_events.append([step, bool(close_ok)])

@@ -32,7 +32,6 @@ DEFAULT_BANK_SIZE = 30
 FEATURE_DIM = 128
 HIST_BINS = 60
 SURFACE_SAMPLES = 512
-GFM_ARCH = "gfm-v1"
 GFM_SHAPES = [
     ("q.w", (FEATURE_DIM + 6, 64)), ("q.b", (64,)),
     ("k.w", (6, 64)), ("k.b", (64,)),

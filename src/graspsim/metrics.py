@@ -8,8 +8,9 @@ left blank when there are none.
 
 from __future__ import annotations
 
+import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ class MetricsReport:
         raise KeyError(f"no metrics row for level {level}, category {category!r}")
 
 
-def _tally(summaries) -> MetricsRow:
+def _tally(summaries, split: str, category: str) -> MetricsRow:
     n = len(summaries)
     successes = [s for s in summaries if s.outcome == "success"]
     one_shot = [s for s in successes if s.first_close_success]
@@ -55,8 +56,8 @@ def _tally(summaries) -> MetricsRow:
            if successes else None)
     return MetricsRow(
         level=summaries[0].level,
-        split="",
-        category="all",
+        split=split,
+        category=category,
         n_episodes=n,
         n_successes=len(successes),
         gsr=100.0 * len(successes) / n,
@@ -73,7 +74,7 @@ def compute_metrics(logs) -> MetricsReport:
     summaries = [s if isinstance(s, EpisodeSummary) else summarize(s) for s in logs]
     rows = []
     for level in sorted({s.level for s in summaries}):
-        rows.append(_tally([s for s in summaries if s.level == level]))
+        rows.append(_tally([s for s in summaries if s.level == level], "", "all"))
     return MetricsReport(tuple(rows))
 
 
@@ -101,18 +102,11 @@ def _episode_task(args) -> EpisodeSummary:
                                  catalog=lookup))
 
 
-def _episode_stream(levels, split, seed, timeout, sim_cfg, use_gfm, catalog):
-    objs = [s for s in catalog if split == "both" or s.split == split]
-    lookup = catalog_by_id(catalog)
-    for level in levels:
-        def gen(level=level):
-            i = 0
-            while True:
-                cfg = EpisodeConfig(level, objs[i % len(objs)].id,
-                                    derive_seed(seed, level, i), timeout)
-                yield cfg, sim_cfg, use_gfm, lookup
-                i += 1
-        yield level, gen()
+def _run_now(fn, *args) -> Future:
+    """Serial stand-in for ``ProcessPoolExecutor.submit``: a finished future."""
+    fut = Future()
+    fut.set_result(fn(*args))
+    return fut
 
 
 def run_benchmark(levels, episodes_per_level: int | None = None,
@@ -128,7 +122,8 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
 
     Episodes run per level either a fixed count or until the decision-step
     budget (default 5,000 per level) is consumed; the final episode may
-    overshoot the budget by at most its own length.  A worker pool only
+    overshoot the budget by at most its own length.  Serial and pooled runs
+    share one loop (serially each episode runs at submission); a pool only
     parallelizes independent episodes and results are consumed in submission
     order, so output bytes never depend on scheduling.
     """
@@ -149,12 +144,17 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     sim_cfg = sim_cfg if sim_cfg is not None else SimConfig()
     if timeout_steps is None:
         timeout_steps = sim_cfg.timeout_steps
+    objs = [s for s in catalog if split == "both" or s.split == split]
+    lookup = catalog_by_id(catalog)
 
     all_summaries: list[EpisodeSummary] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    submit, in_flight = (pool.submit, workers) if pool is not None else (_run_now, 1)
     try:
-        for level, stream in _episode_stream(levels, split, seed, timeout_steps,
-                                             sim_cfg, use_gfm, catalog):
+        for level in levels:
+            tasks = ((EpisodeConfig(level, objs[i % len(objs)].id,
+                                    derive_seed(seed, level, i), timeout_steps),
+                      sim_cfg, use_gfm, lookup) for i in itertools.count())
             got: list[EpisodeSummary] = []
             steps_used = 0
 
@@ -163,21 +163,14 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
                     return len(got) >= episodes_per_level
                 return steps_used >= step_budget
 
-            if pool is None:
-                while not done():
-                    got.append(_episode_task(next(stream)))
-                    steps_used += got[-1].n_steps
-            else:
-                pending = [pool.submit(_episode_task, next(stream))
-                           for _ in range(workers)]
-                while not done():
-                    fut = pending.pop(0)
-                    got.append(fut.result())
-                    steps_used += got[-1].n_steps
-                    if not done():
-                        pending.append(pool.submit(_episode_task, next(stream)))
-                for fut in pending:
-                    fut.cancel()
+            pending = [submit(_episode_task, next(tasks)) for _ in range(in_flight)]
+            while not done():
+                got.append(pending.pop(0).result())
+                steps_used += got[-1].n_steps
+                if not done():
+                    pending.append(submit(_episode_task, next(tasks)))
+            for fut in pending:
+                fut.cancel()
             all_summaries.extend(got)
     finally:
         if pool is not None:
@@ -187,15 +180,10 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     rows = []
     for level in levels:
         level_sums = [s for s in all_summaries if s.level == level]
-        base = _tally(level_sums)
-        rows.append(MetricsRow(level, split, "all", base.n_episodes,
-                               base.n_successes, base.gsr, base.ossr,
-                               base.ossr_alt, base.tsc))
+        rows.append(_tally(level_sums, split, "all"))
         for category in sorted({s.category for s in level_sums}):
-            sub = _tally([s for s in level_sums if s.category == category])
-            rows.append(MetricsRow(level, split, category, sub.n_episodes,
-                                   sub.n_successes, sub.gsr, sub.ossr,
-                                   sub.ossr_alt, sub.tsc))
+            rows.append(_tally([s for s in level_sums if s.category == category],
+                               split, category))
     report = MetricsReport(tuple(rows))
     return report, report_to_csv(report, seed), all_summaries
 

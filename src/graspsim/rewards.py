@@ -208,8 +208,8 @@ def tracking_kernel(x, sigma: float) -> float:
 
 
 def low_level_reward(s: LowLevelState, sigma_track: float = SIGMA_TRACK,
-                     sigma_cf: float = SIGMA_CF, sigma_cv: float = SIGMA_CV,
-                     weights: dict | None = None) -> RewardBreakdown:
+                     sigma_cf: float = SIGMA_CF,
+                     sigma_cv: float = SIGMA_CV) -> RewardBreakdown:
     """All twelve locomotion reward rows with their listed weights."""
     if sigma_track <= 0:
         raise InvalidArgumentError("sigma_track must be positive")
@@ -217,9 +217,6 @@ def low_level_reward(s: LowLevelState, sigma_track: float = SIGMA_TRACK,
                              [s.v_x_star, s.v_yaw_star, s.h_b, s.h_b_target]])
     if not np.all(np.isfinite(values)):
         raise InvalidArgumentError("low-level reward input contains non-finite values")
-    w = dict(LOW_LEVEL_WEIGHTS)
-    if weights:
-        w.update(weights)
 
     v_cmd_xy = np.array([s.v_x_star, 0.0])
     swing = np.sum((1.0 - s.contact_cmd)
@@ -240,4 +237,4 @@ def low_level_reward(s: LowLevelState, sigma_track: float = SIGMA_TRACK,
         "swing_phase_force": float(swing),
         "stance_phase_velocity": float(stance),
     }
-    return _breakdown(raw, w)
+    return _breakdown(raw, LOW_LEVEL_WEIGHTS)

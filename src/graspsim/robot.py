@@ -130,10 +130,10 @@ class RobotState:
 CARRY_EE_TARGET = Pose6(np.array([0.35, 0.0, 0.2]), np.zeros(3))
 
 
-def initial_robot(terrain=None, yaw: float = 0.0) -> RobotState:
-    """Robot at the origin, standing at nominal height, arm tucked."""
+def initial_robot(terrain=None) -> RobotState:
+    """Robot at the origin facing +x, standing at nominal height, arm tucked."""
     z = NOMINAL_HEIGHT + (terrain.height_at(0.0, 0.0) if terrain is not None else 0.0)
-    base = Pose6(np.array([0.0, 0.0, z]), np.array([0.0, 0.0, yaw]))
+    base = Pose6(np.array([0.0, 0.0, z]), np.zeros(3))
     ee_world = compose(base, CARRY_EE_TARGET)
     return RobotState(
         base_pose=base,
@@ -141,7 +141,6 @@ def initial_robot(terrain=None, yaw: float = 0.0) -> RobotState:
         ee_target=CARRY_EE_TARGET,
         ee_pose=ee_world,
         gripper="open",
-        yaw_ref=yaw,
     )
 
 
@@ -212,17 +211,15 @@ def execute_command(robot: RobotState, u: CommandVector, terrain,
     # coordinates: with constant commands the target is fixed there and the
     # exact exponential pull makes stepping rate-consistent.
     ee_target = Pose6(u.p_hat, u.r_hat)
-    r_old = euler_to_matrix(robot.base_pose.orientation)
-    rel_pos = r_old.T @ (robot.ee_pose.position - robot.base_pose.position)
-    rel_rot = r_old.T @ euler_to_matrix(robot.ee_pose.orientation)
-    rel_orn = matrix_to_euler(rel_rot)
+    rel = ee_pose_in_base(robot)
     pull = 1.0 - np.exp(-dt / EE_TAU)
-    step_vec = (u.p_hat - rel_pos) * pull
+    step_vec = (u.p_hat - rel.position) * pull
     step_len = float(np.linalg.norm(step_vec))
     max_step = EE_RATE_LIMIT * dt
     if step_len > max_step:
         step_vec *= max_step / step_len
-    rel_new = _trusted_pose(rel_pos + step_vec, _lag_angle(rel_orn, u.r_hat, pull))
+    rel_new = _trusted_pose(rel.position + step_vec,
+                            _lag_angle(rel.orientation, u.r_hat, pull))
     ee_pose = compose(base_pose, rel_new)
 
     travel = robot.travel + abs(u.v_lin) * dt
@@ -242,7 +239,7 @@ def ee_pose_in_base(robot: RobotState) -> Pose6:
     r = euler_to_matrix(robot.base_pose.orientation)
     dp = robot.ee_pose.position - robot.base_pose.position
     rel_rot = r.T @ euler_to_matrix(robot.ee_pose.orientation)
-    return Pose6(r.T @ dp, matrix_to_euler(rel_rot))
+    return _trusted_pose(r.T @ dp, matrix_to_euler(rel_rot))
 
 
 def ik_pseudoinverse_step(jacobian, error) -> np.ndarray:
@@ -274,7 +271,7 @@ def interpolate_target(p, p_end, t: float, total: float) -> np.ndarray:
 
 
 def gait_observables(robot: RobotState, prev: RobotState, dt: float,
-                     u: CommandVector, terrain=None) -> dict:
+                     u: CommandVector, terrain) -> dict:
     """Synthetic low-level signals derived from the gait clock.
 
     These feed the locomotion reward formulas; they carry no dynamics.
@@ -289,8 +286,7 @@ def gait_observables(robot: RobotState, prev: RobotState, dt: float,
     f_foot = weight * contact / np.maximum(np.sum(contact), 1e-6)
     v_z_foot = -GAIT_AMPLITUDE * np.sin(leg_phase) * abs(u.v_lin)
     t_air = 0.5 * (1.0 - contact)
-    h_terrain = terrain.height_at(robot.base_pose.position[0],
-                                  robot.base_pose.position[1]) if terrain else 0.0
+    h_terrain = terrain.height_at(robot.base_pose.position[0], robot.base_pose.position[1])
     return {
         "q": q,
         "q_dot": q_dot,

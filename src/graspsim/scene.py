@@ -82,26 +82,15 @@ class TerrainField:
 
     def height_at(self, x: float, y: float) -> float:
         """Bilinear height; coordinates outside the lattice clamp to the edge."""
-        return float(self.heights_at(np.array([x]), np.array([y]))[0])
-
-    def heights_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorized bilinear height query (clamped at the lattice edge)."""
-        nx, ny = self.heights.shape
-        gx = np.clip((xs - self.origin[0]) / self.cell_size, 0.0, nx - 1.0)
-        gy = np.clip((ys - self.origin[1]) / self.cell_size, 0.0, ny - 1.0)
-        i0 = np.minimum(gx.astype(np.intp), nx - 2)
-        j0 = np.minimum(gy.astype(np.intp), ny - 2)
-        fx = gx - i0
-        fy = gy - j0
-        flat = self.heights.ravel()
-        idx = i0 * ny + j0
-        h00 = flat.take(idx)
-        h01 = flat.take(idx + 1)
-        h10 = flat.take(idx + ny)
-        h11 = flat.take(idx + ny + 1)
-        top = h00 + fx * (h10 - h00)
-        bot = h01 + fx * (h11 - h01)
-        return top + fy * (bot - top)
+        h = self.heights
+        nx, ny = h.shape
+        gx = min(max((x - self.origin[0]) / self.cell_size, 0.0), nx - 1.0)
+        gy = min(max((y - self.origin[1]) / self.cell_size, 0.0), ny - 1.0)
+        i, j = min(int(gx), nx - 2), min(int(gy), ny - 2)
+        fx, fy = gx - i, gy - j
+        top = h[i, j] + fx * (h[i + 1, j] - h[i, j])
+        bot = h[i, j + 1] + fx * (h[i + 1, j + 1] - h[i, j + 1])
+        return float(top + fy * (bot - top))
 
 
 def sample_terrain(seed: int, extent: float = 8.0, cell_size: float = 0.1) -> TerrainField:
@@ -499,40 +488,30 @@ def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
 # Grasp attempts and episode status
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraspCriteria:
-    """Tolerances for a gripper close to capture the object (SimConfig.grasp_criteria)."""
-
-    pos_tol: float
-    ori_tol: float
-    max_rel_speed: float
-
-
 def relative_close_speed(state: SceneState, robot) -> float:
     """Object speed relative to the robot base (the arm is settled at close)."""
     return float(np.linalg.norm(state.object_twist.linear - robot.base_twist.linear))
 
 
-def find_aligned_candidate(bank, state: SceneState, ee_pose: Pose6,
-                           criteria: GraspCriteria):
-    """Index of a stored grasp whose world pose matches the ee, or None."""
+def find_aligned_candidate(bank, state: SceneState, ee_pose: Pose6, cfg):
+    """Index of a stored grasp within cfg's align tolerances of the ee, or None."""
     best = None
     best_d = np.inf
     for i, cand in enumerate(bank.candidates):
         world = compose(state.object_pose, cand.pose)
         d = float(np.linalg.norm(world.position - ee_pose.position))
-        if d > criteria.pos_tol:
+        if d > cfg.teacher_align_pos_tol:
             continue
-        if rotation_angle_between(world.orientation, ee_pose.orientation) > criteria.ori_tol:
+        if (rotation_angle_between(world.orientation, ee_pose.orientation)
+                > cfg.teacher_align_ori_tol):
             continue
         if d < best_d:
             best, best_d = i, d
     return best
 
 
-def apply_gripper_close(state: SceneState, robot, bank,
-                        criteria: GraspCriteria) -> tuple[SceneState, bool]:
-    """Resolve a gripper-close event.
+def apply_gripper_close(state: SceneState, robot, bank, cfg) -> tuple[SceneState, bool]:
+    """Resolve a gripper-close event under ``cfg``'s (a SimConfig) tolerances.
 
     An aligned, slow-enough close captures the object onto the gripper.  A
     miss close enough to touch shoves the object across the platform; the
@@ -541,8 +520,9 @@ def apply_gripper_close(state: SceneState, robot, bank,
     if state.object_attached_to != "platform":
         return state, False
     ee = robot.ee_pose
-    aligned = find_aligned_candidate(bank, state, ee, criteria)
-    if aligned is not None and relative_close_speed(state, robot) <= criteria.max_rel_speed:
+    aligned = find_aligned_candidate(bank, state, ee, cfg)
+    if (aligned is not None
+            and relative_close_speed(state, robot) <= cfg.teacher_max_rel_speed):
         grip = compose(inverse(ee), state.object_pose)
         return replace(state, object_attached_to="gripper", grip_offset=grip), True
 

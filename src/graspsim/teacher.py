@@ -15,6 +15,7 @@ import numpy as np
 from .config import SimConfig
 from .gfm import GfmWeights, GraspMemoryBank, gfm_forward, object_feature
 from .robot import (
+    CARRY_EE_TARGET,
     EE_TAU,
     MAX_V_LIN,
     RobotState,
@@ -30,7 +31,6 @@ K_YAW = 3.0
 K_V = 1.5
 REACH_MARGIN = 0.05
 FAR_DISTANCE_MARGIN = 0.5      # beyond standoff+this the arm stays tucked
-CARRY_TARGET = Pose6(np.array([0.35, 0.0, 0.2]), np.zeros(3))
 LIFT_TARGET = Pose6(np.array([0.35, 0.0, 0.55]), np.zeros(3))
 
 
@@ -103,7 +103,7 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
                           -MAX_V_LIN, MAX_V_LIN))
 
     if dist > cfg.teacher_standoff + FAR_DISTANCE_MARGIN:
-        ee_goal_base = CARRY_TARGET
+        ee_goal_base = CARRY_EE_TARGET
         close = False
     else:
         lead = Pose6(grasp_world.position + obj_v * EE_TAU, grasp_world.orientation)

@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from graspsim.scene import EpisodeConfig, catalog_by_id, load_catalog
+# Pin the BLAS / OpenMP pools to one thread before numpy loads, as
+# perfbench/run.py does, so spinning pool threads on a busy host do not
+# distort the wall-clock budgets (student forward latency).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from graspsim.scene import EpisodeConfig, catalog_by_id, load_catalog  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -204,6 +204,17 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     with pytest.raises(InvalidArgumentError) as exc:
         load_config(cfg)
     assert str(exc.value).startswith(f"{cfg}: decision_dt must be")
+    # a byte that is not UTF-8 names the file, in the API and on the CLI
+    cfg.write_bytes(b"physics_dt = 0.02\xb3\n")
+    with pytest.raises(InvalidArgumentError) as exc:
+        load_config(cfg)
+    assert str(exc.value).startswith(f"{cfg}: not UTF-8 text")
+    code, out, err = run_cli(["--config", str(cfg), "bench", "--levels", "1",
+                              "--episodes", "1", "--out", str(tmp_path / "b")],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: InvalidArgumentError: {cfg}: not UTF-8 text")
+    assert not (tmp_path / "b").exists()
 
 
 def test_console_script_entry_point():

@@ -128,6 +128,10 @@ def test_benchmark_step_budget_consumed():
     assert total >= 80
     # the final episode may overshoot by at most its own length
     assert total - summaries[-1].n_steps < 80
+    # a pool runs the same episodes on the same budget, in the same order
+    _, _, pooled = run_benchmark([1], step_budget=80, seed=3, timeout_steps=30,
+                                 workers=2)
+    assert summaries_to_jsonl(pooled) == summaries_to_jsonl(summaries)
 
 
 def test_benchmark_reports_categories():

@@ -26,7 +26,7 @@ from graspsim.se3 import Pose6, compose, inverse
 from conftest import assert_valid_pose, make_config
 
 DT = SimConfig().physics_dt
-CRITERIA = SimConfig().grasp_criteria()
+SIM_CFG = SimConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def _scene_and_aligned_robot(catalog_map, object_id="rubiks_cube", seed=4):
 
 def test_aligned_close_attaches(catalog_map):
     cfg, state, robot, bank = _scene_and_aligned_robot(catalog_map)
-    new_state, ok = apply_gripper_close(state, robot, bank, CRITERIA)
+    new_state, ok = apply_gripper_close(state, robot, bank, SIM_CFG)
     assert ok and new_state.object_attached_to == "gripper"
 
 
@@ -262,7 +262,7 @@ def test_misaligned_close_bumps_object_off(catalog_map):
                     np.array([0.4, 0.9, 0.2]))
         robot_off = replace(robot, ee_pose=off)
         new_state, ok = apply_gripper_close(state, robot_off, bank,
-                                            CRITERIA)
+                                            SIM_CFG)
         assert not ok
         assert not np.allclose(new_state.object_pose.position,
                                state.object_pose.position)
@@ -280,7 +280,7 @@ def test_far_close_is_a_no_op(catalog_map):
     cfg, state, robot, bank = _scene_and_aligned_robot(catalog_map)
     far = Pose6(state.object_pose.position + np.array([1.0, 0, 0]), np.zeros(3))
     robot = replace(robot, ee_pose=far)
-    new_state, ok = apply_gripper_close(state, robot, bank, CRITERIA)
+    new_state, ok = apply_gripper_close(state, robot, bank, SIM_CFG)
     assert not ok and new_state.object_attached_to == "platform"
     assert np.allclose(new_state.object_pose.position, state.object_pose.position)
 
@@ -300,7 +300,7 @@ def test_yaw_drift_over_70_degrees_fails(catalog_map):
 
 def test_grasp_lift_hold_to_success(catalog_map):
     cfg, state, robot, bank = _scene_and_aligned_robot(catalog_map)
-    state, ok = apply_gripper_close(state, robot, bank, CRITERIA)
+    state, ok = apply_gripper_close(state, robot, bank, SIM_CFG)
     assert ok
     # hold the object 0.2 m above the platform top for 10 physics checks
     lifted = Pose6(

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -127,6 +128,16 @@ def test_episode_deterministic_serialization():
     b = run_episode(make_config(**GOLDEN))
     assert a.to_json() == b.to_json()
     assert a.to_json().encode() == b.to_json().encode()
+    # the documented log layout: exactly these fields, nothing added or dropped
+    payload = json.loads(a.to_json())
+    assert set(payload) == {
+        "level", "object_id", "category", "seed", "physics_dt", "decision_dt",
+        "timeout_steps", "steps", "close_events", "outcome", "attempt_count",
+        "success_step"}
+    assert payload["steps"] and all(set(step) == {
+        "step", "phase", "action", "gripper_close", "object_pos", "object_vel",
+        "base_pos", "base_yaw", "ee_pos", "reward_total", "low_reward_total"}
+        for step in payload["steps"])
 
 
 def test_episode_timeout_one_step():
@@ -164,9 +175,9 @@ def test_episode_takes_clocks_from_sim_config(monkeypatch):
     assert '"physics_dt":0.05' in log.to_json()
 
 
-def test_observe_does_not_change_dynamics():
+def test_observations_do_not_change_dynamics():
     plain = run_episode(make_config(**GOLDEN))
-    observed = run_episode(make_config(**GOLDEN), observe=True)
+    observed, _ = run_episode(make_config(**GOLDEN), collect_observations=True)
     assert plain.to_json() == observed.to_json()
 
 
