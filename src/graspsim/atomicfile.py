@@ -1,0 +1,23 @@
+"""The one way graspsim writes a file: to a temporary file, then a rename.
+
+A reader of the target sees the earlier file or the complete new one, never
+a part.  No fsync: this guards against a failed write, not a power loss.
+"""
+
+import os
+from contextlib import contextmanager
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Yield a file open on a temporary twin of ``path``; a clean exit renames
+    it onto ``path``, an exception deletes it and keeps any earlier file."""
+    tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)

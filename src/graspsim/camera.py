@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomicfile import atomic_write
 from .errors import InvalidArgumentError, NotReadyError
 from .scene import PLATFORM_THICKNESS, SceneState
 from .se3 import Pose6, compose, euler_to_matrix
@@ -462,7 +463,7 @@ def write_pgm(path, image: np.ndarray, maxval: int) -> None:
         payload = image.astype(">u2").tobytes()
     else:
         payload = image.astype(np.uint8).tobytes()
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header + payload)
 
 

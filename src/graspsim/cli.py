@@ -4,7 +4,9 @@ Subcommands: bench, episode, render, gfm-inspect, distill-record, nn-selftest.
 Exit code 0 on success; failures print one machine-parsable line to stderr:
 ``error: <kind>: <message>``.  The --config option (or GRASPSIM_CONFIG)
 points at a key=value file overriding the documented defaults; every
-subcommand runs under that one loaded ``SimConfig``.
+subcommand runs under that one loaded ``SimConfig``.  Every output file is
+written atomically: to a temporary file beside it, renamed into place once
+complete, so a failed run leaves the earlier file (or none), never a part.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 
 import numpy as np
 
+from .atomicfile import atomic_write
 from .camera import base_camera, dump_frame, render_frame, wrist_camera
 from .config import load_config
 from .distill import record_distillation
@@ -52,10 +55,9 @@ def _cmd_bench(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "metrics.csv")
     log_path = os.path.join(args.out, "episodes.jsonl")
-    with open(csv_path, "w", encoding="ascii", newline="") as fh:
-        fh.write(csv_text)
-    with open(log_path, "w", encoding="ascii", newline="") as fh:
-        fh.write(summaries_to_jsonl(summaries))
+    for path, text in ((csv_path, csv_text), (log_path, summaries_to_jsonl(summaries))):
+        with atomic_write(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
     for row in report.rows:
         if row.category == "all":
             tsc = "-" if row.tsc is None else f"{row.tsc:.2f}"
@@ -73,7 +75,7 @@ def _cmd_episode(args) -> int:
     print(f"outcome={log.outcome} steps={log.n_steps} "
           f"attempts={log.attempt_count} success_step={log.success_step}")
     if args.dump_log:
-        with open(args.dump_log, "w", encoding="ascii", newline="") as fh:
+        with atomic_write(args.dump_log, "w", encoding="ascii", newline="") as fh:
             fh.write(log.to_json() + "\n")
         print(f"wrote {args.dump_log}")
     return 0
@@ -219,10 +221,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraspSimError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GraspSimError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomicfile import atomic_write
 from .errors import EmptyBankError, InvalidArgumentError, ShapeError
 from .scene import ObjectSpec
 from .se3 import (
@@ -404,7 +405,7 @@ def save_bank(bank: GraspMemoryBank, path) -> None:
     for c in bank.candidates:
         v = vec6_encode(c.pose)
         lines.append(" ".join(f"{x:.17g}" for x in v) + f" {c.score:.17g}")
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_write(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

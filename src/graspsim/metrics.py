@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -145,6 +145,8 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     if timeout_steps is None:
         timeout_steps = sim_cfg.timeout_steps
     objs = [s for s in catalog if split == "both" or s.split == split]
+    if not objs:
+        raise InvalidArgumentError(f"catalog has no object in split {split!r}")
     lookup = catalog_by_id(catalog)
 
     all_summaries: list[EpisodeSummary] = []
@@ -189,12 +191,6 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
 
 
 def summaries_to_jsonl(summaries) -> str:
-    lines = []
-    for s in summaries:
-        lines.append(json.dumps({
-            "level": s.level, "object_id": s.object_id, "category": s.category,
-            "seed": s.seed, "outcome": s.outcome, "success_step": s.success_step,
-            "attempt_count": s.attempt_count,
-            "first_close_success": s.first_close_success, "n_steps": s.n_steps,
-        }, sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    """One sorted-key JSON object of every EpisodeSummary field per line."""
+    return "\n".join(json.dumps(asdict(s), sort_keys=True, separators=(",", ":"))
+                     for s in summaries) + "\n"

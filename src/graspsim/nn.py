@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomicfile import atomic_write
 from .errors import ArchitectureError, InvalidArgumentError, ShapeError
 
 FRAME_SHAPE = (54, 96)
@@ -245,7 +246,7 @@ class WeightStore:
         blob = b"".join(
             self.params[name].astype("<f4").tobytes() for name, _ in self.manifest
         )
-        with open(path, "wb") as fh:
+        with atomic_write(path) as fh:
             fh.write(header)
             fh.write(blob)
 

@@ -213,15 +213,16 @@ def validate_catalog(specs: list[ObjectSpec]) -> list[ObjectSpec]:
 def load_catalog(path=None) -> list[ObjectSpec]:
     """Load and validate an object catalog; default is the bundled 43-object set."""
     if path is None:
-        text = (
-            importlib.resources.files("graspsim.data")
-            .joinpath("objects.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return validate_catalog(parse_catalog(text))
+        bundled = importlib.resources.files("graspsim.data") / "objects.txt"
+        return validate_catalog(parse_catalog(bundled.read_text(encoding="utf-8")))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return validate_catalog(parse_catalog(data.decode("utf-8")))
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path}: not UTF-8 text: {exc}") from exc
+    except CatalogError as exc:
+        raise CatalogError(f"{path}: {exc}") from exc
 
 
 def catalog_by_id(specs: list[ObjectSpec]) -> dict:

@@ -176,3 +176,17 @@ def test_benchmark_uses_given_catalog_serial_and_parallel(catalog):
     assert [s.object_id for s in sums_s] == ["brick2"] * 3
     assert csv_s == csv_p
     assert summaries_to_jsonl(sums_s) == summaries_to_jsonl(sums_p)
+
+
+def test_benchmark_rejects_empty_split_before_pool(catalog, monkeypatch):
+    import graspsim.metrics as metrics
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a pool started for an empty split")
+
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", no_pool)
+    seen_only = [next(s for s in catalog if s.split == "seen")]
+    for workers in (0, 2):
+        with pytest.raises(InvalidArgumentError, match="split 'unseen'"):
+            run_benchmark([1], episodes_per_level=1, split="unseen",
+                          workers=workers, catalog=seen_only)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from graspsim.scene import (
     apply_gripper_close,
     check_status,
     initial_status,
+    load_catalog,
     make_trajectory,
     parse_catalog,
     reset_episode,
@@ -90,6 +92,28 @@ def test_catalog_parse_errors():
         parse_catalog("thing sphere 0.1 0.2 seen nosuchcategory\n")
     with pytest.raises(CatalogError):
         parse_catalog("only five fields here now\n")
+
+
+def test_catalog_file_errors_name_the_path(tmp_path):
+    bundled = (resources.files("graspsim.data") / "objects.txt").read_bytes()
+    ok = tmp_path / "ok.txt"
+    ok.write_bytes(bundled)
+    assert len(load_catalog(ok)) == 43
+    bad_byte = tmp_path / "bad_byte.txt"
+    bad_byte.write_bytes(bundled.replace(b" ball", b" b\xb3ll", 1))
+    with pytest.raises(CatalogError, match="not UTF-8") as err:
+        load_catalog(bad_byte)
+    assert str(err.value).startswith(f"{bad_byte}: ")
+    short = tmp_path / "short.txt"
+    short.write_bytes(bundled.rsplit(b"\n", 2)[0] + b"\n")
+    with pytest.raises(CatalogError, match="exactly 43") as err:
+        load_catalog(short)
+    assert str(err.value).startswith(f"{short}: ")
+    fields = tmp_path / "fields.txt"
+    fields.write_bytes(bundled + b"odd sphere 0.1\n")
+    with pytest.raises(CatalogError, match="expected 6 fields") as err:
+        load_catalog(fields)
+    assert str(err.value).startswith(f"{fields}: line ")
 
 
 def test_catalog_duplicate_ids_rejected(catalog):
