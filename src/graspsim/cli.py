@@ -55,9 +55,11 @@ def _cmd_bench(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "metrics.csv")
     log_path = os.path.join(args.out, "episodes.jsonl")
-    for path, text in ((csv_path, csv_text), (log_path, summaries_to_jsonl(summaries))):
-        with atomic_write(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+    # Nested: a failed write of either file renames neither (no mixed pair).
+    with atomic_write(csv_path, "w", encoding="ascii", newline="") as csv_fh, \
+            atomic_write(log_path, "w", encoding="ascii", newline="") as log_fh:
+        csv_fh.write(csv_text)
+        log_fh.write(summaries_to_jsonl(summaries))
     for row in report.rows:
         if row.category == "all":
             tsc = "-" if row.tsc is None else f"{row.tsc:.2f}"

@@ -11,7 +11,7 @@ reward formulas have inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,12 +19,13 @@ from .errors import InvalidArgumentError, SingularJacobianError
 from .se3 import (
     Pose6,
     Twist,
-    _trusted_pose,
+    _trusted,
     compose,
     euler_to_matrix,
     matrix_to_euler,
     wrap_angle,
 )
+from .scene import TerrainField
 
 WORKSPACE_RADIUS = 0.8
 WORKSPACE_CENTER = np.array([0.0, 0.0, 0.3])   # in the base frame
@@ -83,28 +84,24 @@ class HighLevelAction:
 
 @dataclass(frozen=True)
 class CommandVector:
-    """Low-level command: target ee pose (base frame) + base velocities (R^8)."""
+    """Low-level command: target ee pose (base frame) + base velocities (R^8).
+
+    Checked once, here: ``target`` is the checked ``Pose6(p_hat, r_hat)``,
+    and ``p_hat``/``r_hat`` are its read-only, wrapped arrays."""
 
     p_hat: np.ndarray
     r_hat: np.ndarray
     v_lin: float
     omega_yaw: float
+    target: Pose6 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.p_hat, dtype=float)
-        r = np.asarray(self.r_hat, dtype=float)
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r))
-                and math.isfinite(self.v_lin) and math.isfinite(self.omega_yaw)):
+        if not (math.isfinite(self.v_lin) and math.isfinite(self.omega_yaw)):
             raise InvalidArgumentError("CommandVector fields must be finite")
-        p = p.copy()
-        p.setflags(write=False)
-        r = r.copy()
-        r.setflags(write=False)
-        object.__setattr__(self, "p_hat", p)
-        object.__setattr__(self, "r_hat", r)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.p_hat, self.r_hat, [self.v_lin, self.omega_yaw]])
+        target = Pose6(self.p_hat, self.r_hat)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "p_hat", target.position)
+        object.__setattr__(self, "r_hat", target.orientation)
 
 
 @dataclass(frozen=True)
@@ -130,9 +127,9 @@ class RobotState:
 CARRY_EE_TARGET = Pose6(np.array([0.35, 0.0, 0.2]), np.zeros(3))
 
 
-def initial_robot(terrain=None) -> RobotState:
+def initial_robot(terrain: TerrainField) -> RobotState:
     """Robot at the origin facing +x, standing at nominal height, arm tucked."""
-    z = NOMINAL_HEIGHT + (terrain.height_at(0.0, 0.0) if terrain is not None else 0.0)
+    z = NOMINAL_HEIGHT + terrain.height_at(0.0, 0.0)
     base = Pose6(np.array([0.0, 0.0, z]), np.zeros(3))
     ee_world = compose(base, CARRY_EE_TARGET)
     return RobotState(
@@ -183,12 +180,12 @@ def gait_joint_proxy(travel: float) -> np.ndarray:
     return DEFAULT_JOINTS + GAIT_AMPLITUDE * np.sin(phase + _LEG_PHASES)
 
 
-def execute_command(robot: RobotState, u: CommandVector, terrain,
+def execute_command(robot: RobotState, u: CommandVector, terrain: TerrainField,
                     dt: float) -> RobotState:
     """Advance the robot by dt under a constant command.
 
-    The command and dt are checked here, so the base and arm poses built
-    from them are finite and wrapped by construction and skip re-validation.
+    The command was checked when built and dt is checked here, so every pose
+    and twist is built unchecked with ``_trusted``; the ee target is ``u.target``.
     """
     if not 0.0 < dt < math.inf:
         raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
@@ -196,21 +193,18 @@ def execute_command(robot: RobotState, u: CommandVector, terrain,
     yaw0 = robot.base_pose.orientation[2]
     x1, y1, yaw1 = _unicycle_step(x0, y0, yaw0, u.v_lin, u.omega_yaw, dt)
 
-    z_target = NOMINAL_HEIGHT + (terrain.height_at(x1, y1) if terrain is not None else 0.0)
+    z_target = NOMINAL_HEIGHT + terrain.height_at(x1, y1)
     z0 = robot.base_pose.position[2]
     z1 = z_target + (z0 - z_target) * np.exp(-dt / BASE_Z_TAU)
 
-    base_pose = _trusted_pose(np.array([x1, y1, z1]),
-                              np.array([0.0, 0.0, wrap_angle(yaw1)]))
-    base_twist = Twist(
-        np.array([(x1 - x0) / dt, (y1 - y0) / dt, (z1 - z0) / dt]),
-        np.array([0.0, 0.0, u.omega_yaw]),
-    )
+    base_pose = _trusted(Pose6, np.array([x1, y1, z1]),
+                         np.array([0.0, 0.0, wrap_angle(yaw1)]))
+    base_twist = _trusted(Twist, (base_pose.position - robot.base_pose.position) / dt,
+                          np.array([0.0, 0.0, u.omega_yaw]))
 
     # The arm rides the base, so the first-order tracking happens in base
     # coordinates: with constant commands the target is fixed there and the
     # exact exponential pull makes stepping rate-consistent.
-    ee_target = Pose6(u.p_hat, u.r_hat)
     rel = ee_pose_in_base(robot)
     pull = 1.0 - np.exp(-dt / EE_TAU)
     step_vec = (u.p_hat - rel.position) * pull
@@ -218,8 +212,8 @@ def execute_command(robot: RobotState, u: CommandVector, terrain,
     max_step = EE_RATE_LIMIT * dt
     if step_len > max_step:
         step_vec *= max_step / step_len
-    rel_new = _trusted_pose(rel.position + step_vec,
-                            _lag_angle(rel.orientation, u.r_hat, pull))
+    rel_new = _trusted(Pose6, rel.position + step_vec,
+                       _lag_angle(rel.orientation, u.r_hat, pull))
     ee_pose = compose(base_pose, rel_new)
 
     travel = robot.travel + abs(u.v_lin) * dt
@@ -227,7 +221,7 @@ def execute_command(robot: RobotState, u: CommandVector, terrain,
         robot,
         base_pose=base_pose,
         base_twist=base_twist,
-        ee_target=ee_target,
+        ee_target=u.target,
         ee_pose=ee_pose,
         joint_proxy=gait_joint_proxy(travel),
         travel=travel,
@@ -239,7 +233,7 @@ def ee_pose_in_base(robot: RobotState) -> Pose6:
     r = euler_to_matrix(robot.base_pose.orientation)
     dp = robot.ee_pose.position - robot.base_pose.position
     rel_rot = r.T @ euler_to_matrix(robot.ee_pose.orientation)
-    return _trusted_pose(r.T @ dp, matrix_to_euler(rel_rot))
+    return _trusted(Pose6, r.T @ dp, matrix_to_euler(rel_rot))
 
 
 def ik_pseudoinverse_step(jacobian, error) -> np.ndarray:

@@ -18,7 +18,7 @@ from .se3 import (
     TWO_PI,
     Pose6,
     Twist,
-    _trusted_pose,
+    _trusted,
     compose,
     inverse,
     rotation_angle_between,
@@ -343,6 +343,14 @@ def trajectory_velocity(traj: PlatformTrajectory, t: float) -> np.ndarray | None
     return None
 
 
+def _riding_pose(platform_pose: Pose6, mount: Pose6) -> Pose6:
+    """Object pose while it rides the platform.  The platform never rotates
+    (``reset_episode`` builds it unrotated, ``step_scene`` only translates it,
+    ``render_frame`` draws it axis-aligned), so this is the mount translated
+    by the platform position, with the mount's orientation."""
+    return _trusted(Pose6, platform_pose.position + mount.position, mount.orientation)
+
+
 def reset_episode(config: EpisodeConfig, catalog,
                   traj: PlatformTrajectory | None = None) -> SceneState:
     """Seeded initial scene: platform ahead of the robot spawn, object riding it.
@@ -367,11 +375,11 @@ def reset_episode(config: EpisodeConfig, catalog,
         v0 = trajectory_velocity(traj, 0.0)
         if v0 is not None:
             twist = Twist(v0, np.zeros(3))
-    state = SceneState(
+    return SceneState(
         time=0.0,
         platform_pose=platform_pose,
         platform_twist=twist,
-        object_pose=compose(platform_pose, mount),
+        object_pose=_riding_pose(platform_pose, mount),
         object_twist=twist,
         object_attached_to="platform",
         terrain=terrain,
@@ -380,7 +388,6 @@ def reset_episode(config: EpisodeConfig, catalog,
         mount_offset=mount,
         platform_half=(fx + PLATFORM_MARGIN, fy + PLATFORM_MARGIN),
     )
-    return state
 
 
 def initial_status() -> EpisodeStatus:
@@ -427,8 +434,8 @@ def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
     The displacement over this step uses the stored (pre-step) twist, so a
     finite difference of positions across the step reproduces the twist
     exactly.  When the object rides the gripper, ``ee_pose`` must be the
-    end-effector pose after the robot has stepped.  With dt checked here, the
-    advanced platform pose is finite by construction and skips re-validation.
+    end-effector pose after the robot has stepped.  With dt checked here, every
+    advanced pose and twist is finite by construction and built with ``_trusted``.
     """
     if not 0.0 < dt < np.inf:
         raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
@@ -442,24 +449,22 @@ def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
         elif p[2] >= hi:
             p = np.array([p[0], p[1], hi])
             v_next[2] = min(v_next[2], 0.0)
-    platform_pose = _trusted_pose(p, state.platform_pose.orientation)
-    platform_twist = Twist(v_next, np.zeros(3))
+    platform_pose = _trusted(Pose6, p, state.platform_pose.orientation)
+    platform_twist = _trusted(Twist, v_next, np.zeros(3))
 
     attached = state.object_attached_to
     obj_pose = state.object_pose
     obj_twist = state.object_twist
-    grip = state.grip_offset
     if attached == "platform":
-        obj_pose = compose(platform_pose, state.mount_offset)
+        obj_pose = _riding_pose(platform_pose, state.mount_offset)
         obj_twist = platform_twist
     elif attached == "gripper":
         if ee_pose is None:
             raise InvalidArgumentError("step_scene needs ee_pose while object is held")
-        new_pose = compose(ee_pose, grip)
-        lin = (new_pose.position - obj_pose.position) / dt
-        ang = wrap_angle(new_pose.orientation - obj_pose.orientation) / dt
+        new_pose = compose(ee_pose, state.grip_offset)
+        obj_twist = _trusted(Twist, (new_pose.position - obj_pose.position) / dt,
+                             wrap_angle(new_pose.orientation - obj_pose.orientation) / dt)
         obj_pose = new_pose
-        obj_twist = Twist(lin, ang)
     else:  # free: ballistic drop until resting on the terrain
         vz = obj_twist.linear[2] - GRAVITY * dt
         pos = obj_pose.position + np.array([obj_twist.linear[0] * dt,
@@ -468,11 +473,11 @@ def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
         floor = state.terrain.height_at(pos[0], pos[1]) + state.object_spec.half_height
         if pos[2] <= floor:
             pos = np.array([pos[0], pos[1], floor])
-            obj_twist = Twist.zero()
+            obj_twist = _trusted(Twist, np.zeros(3), np.zeros(3))
         else:
-            obj_twist = Twist(np.array([obj_twist.linear[0], obj_twist.linear[1], vz]),
-                              obj_twist.angular)
-        obj_pose = Pose6(pos, obj_pose.orientation)
+            lin = np.array([obj_twist.linear[0], obj_twist.linear[1], vz])
+            obj_twist = _trusted(Twist, lin, obj_twist.angular)
+        obj_pose = _trusted(Pose6, pos, obj_pose.orientation)
 
     return replace(
         state,
@@ -548,7 +553,7 @@ def apply_gripper_close(state: SceneState, robot, bank, cfg) -> tuple[SceneState
         return replace(
             state,
             mount_offset=mount,
-            object_pose=compose(state.platform_pose, mount),
+            object_pose=_riding_pose(state.platform_pose, mount),
         ), False
     return state, False
 

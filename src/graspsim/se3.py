@@ -4,14 +4,14 @@ One Euler convention is used everywhere in this package: intrinsic XYZ,
 i.e. R = Rx(a) @ Ry(b) @ Rz(c).  Angles are kept normalized to (-pi, pi],
 with the tie at -pi mapping to +pi, so pose equality is meaningful.
 
-Where poses are validated: ``Pose6(...)`` and ``vec6_decode`` check shape
-and finiteness and wrap the angles, so every pose that comes from user
-input, a file or a policy output is checked once on the way in (``Twist``
-and ``Transform`` check their own fields the same way).  Results computed
-from already valid poses are finite and wrapped by construction and are
-built with ``_trusted_pose``, which skips those checks: ``compose``,
-``inverse`` (and so ``grasp_to_world``), and the poses that the robot and
-scene integrators advance each physics step from checked commands and dt.
+Where values are checked: a value is checked once, where it enters.
+``Pose6(...)``, ``Twist(...)``, ``Transform(...)`` and ``vec6_decode`` check
+shape and finiteness (a pose also wraps its angles) for anything that comes
+from user input, a file or a policy output.  A value computed from checked
+values and a checked dt is finite (and, for a pose, wrapped) by
+construction, so it is built with ``_trusted``, which skips the check:
+``compose``, ``inverse`` (and so ``grasp_to_world``), and every pose and
+twist that the robot and scene integrators advance each physics step.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ TWO_PI = 2.0 * np.pi
 def wrap_angle(x):
     """Normalize angle(s) to (-pi, pi]; exactly -pi maps to +pi."""
     w = np.asarray(x, dtype=float)
-    w = w - TWO_PI * np.round(w / TWO_PI)
+    w = w - TWO_PI * np.rint(w / TWO_PI)
     w = np.where(w <= -np.pi, w + TWO_PI, w)
     w = np.where(w > np.pi, w - TWO_PI, w)
     if np.ndim(x) == 0:
@@ -83,20 +83,6 @@ class Pose6:
         return bool(dp <= tol and dr <= tol)
 
 
-def _trusted_pose(position: np.ndarray, orientation: np.ndarray) -> Pose6:
-    """Pose6 from float (3,) arrays that are finite and wrapped by construction.
-
-    For internal results only: it skips ``Pose6.__post_init__``, takes
-    ownership of both arrays and marks them read-only.
-    """
-    pose = object.__new__(Pose6)
-    position.setflags(write=False)
-    orientation.setflags(write=False)
-    object.__setattr__(pose, "position", position)
-    object.__setattr__(pose, "orientation", orientation)
-    return pose
-
-
 @dataclass(frozen=True)
 class Twist:
     """Spatial velocity: linear m/s, angular rad/s."""
@@ -119,6 +105,17 @@ class Twist:
     @staticmethod
     def zero() -> "Twist":
         return Twist(np.zeros(3), np.zeros(3))
+
+
+def _trusted(cls, first: np.ndarray, second: np.ndarray):
+    """A Pose6 or Twist from float (3,) arrays that are finite (and, for a
+    pose, wrapped) by construction.  It skips ``__post_init__``, takes
+    ownership of both arrays and marks them read-only."""
+    first.setflags(write=False)
+    second.setflags(write=False)
+    value = object.__new__(cls)
+    vars(value).update(zip(cls.__dataclass_fields__, (first, second)))
+    return value
 
 
 @dataclass(frozen=True)
@@ -195,12 +192,12 @@ def compose(a: Pose6, b: Pose6) -> Pose6:
     """Pose of frame b expressed through frame a (matrix composition internally)."""
     ra = euler_to_matrix(a.orientation)
     rb = euler_to_matrix(b.orientation)
-    return _trusted_pose(ra @ b.position + a.position, matrix_to_euler(ra @ rb))
+    return _trusted(Pose6, ra @ b.position + a.position, matrix_to_euler(ra @ rb))
 
 
 def inverse(p: Pose6) -> Pose6:
     r = euler_to_matrix(p.orientation)
-    return _trusted_pose(-(r.T @ p.position), matrix_to_euler(r.T))
+    return _trusted(Pose6, -(r.T @ p.position), matrix_to_euler(r.T))
 
 
 def grasp_to_world(rel: Pose6, obj: Pose6) -> Pose6:
@@ -218,7 +215,6 @@ def vec6_decode(v) -> Pose6:
     v = np.asarray(v, dtype=float)
     if v.shape != (6,):
         raise InvalidArgumentError(f"vec6_decode expects shape (6,), got {v.shape}")
-    _check_finite("vec6_decode input", v)
     return Pose6(v[:3], v[3:])
 
 

@@ -9,7 +9,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from graspsim.scene import EpisodeConfig, catalog_by_id, load_catalog  # noqa: E402
+from graspsim.scene import (  # noqa: E402
+    EpisodeConfig,
+    TerrainField,
+    catalog_by_id,
+    load_catalog,
+)
+from graspsim.se3 import Pose6  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -31,10 +37,19 @@ def make_config(level=1, object_id="tomato_soup_can", seed=0, **kw):
     return EpisodeConfig(level=level, object_id=object_id, seed=seed, **kw)
 
 
-def assert_valid_pose(pose):
-    """What Pose6 validation guarantees, for poses built without it."""
-    for arr in (pose.position, pose.orientation):
+def flat_terrain(height=0.0):
+    """Level ground: height_at returns exactly ``height`` everywhere."""
+    return TerrainField(np.full((3, 3), height), 10.0, np.array([-15.0, -15.0]))
+
+
+def assert_valid_pose(value):
+    """What Pose6 (or Twist) validation guarantees, for values built without it."""
+    is_pose = isinstance(value, Pose6)
+    arrays = (value.position, value.orientation) if is_pose else (value.linear, value.angular)
+    for arr in arrays:
+        assert isinstance(arr, np.ndarray)
         assert arr.shape == (3,) and arr.dtype == np.float64
         assert not arr.flags.writeable
         assert np.all(np.isfinite(arr))
-    assert np.all(pose.orientation > -np.pi) and np.all(pose.orientation <= np.pi)
+    if is_pose:
+        assert np.all(value.orientation > -np.pi) and np.all(value.orientation <= np.pi)

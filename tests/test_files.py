@@ -260,6 +260,26 @@ def test_failed_write_keeps_earlier_file(writer, tmp_path, catalog, monkeypatch,
     assert not [p.name for p in tmp_path.iterdir() if ".tmp" in p.name]
 
 
+@pytest.mark.parametrize("failing", ["metrics.csv", "episodes.jsonl"])
+def test_failed_bench_write_keeps_earlier_pair(failing, tmp_path, monkeypatch, capsys):
+    # a failure while writing either bench output renames neither, so the
+    # directory never pairs a new metrics.csv with an earlier episodes.jsonl
+    earlier = {"metrics.csv": b"earlier metrics\n", "episodes.jsonl": b"earlier log\n"}
+    for name, data in earlier.items():
+        (tmp_path / name).write_bytes(data)
+
+    def failing_open(path, *args, **kwargs):
+        fh = builtins.open(path, *args, **kwargs)
+        return _FullDisk(fh) if os.path.basename(path).startswith(failing) else fh
+
+    monkeypatch.setattr(atomicfile, "open", failing_open, raising=False)
+    assert _bench(tmp_path) == 1
+    assert "error: OSError:" in capsys.readouterr().err
+    for name, data in earlier.items():
+        assert (tmp_path / name).read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(earlier)
+
+
 def test_atomic_write_replaces_on_success(tmp_path):
     target = tmp_path / "t.txt"
     target.write_bytes(b"old")

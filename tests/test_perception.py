@@ -21,16 +21,11 @@ from graspsim.robot import initial_robot
 from graspsim.scene import (
     ObjectSpec,
     SceneState,
-    TerrainField,
     reset_episode,
 )
 from graspsim.se3 import Pose6, Twist
 
-from conftest import make_config
-
-
-def flat_terrain(height=0.0):
-    return TerrainField(np.full((3, 3), height), 10.0, np.array([-15.0, -15.0]))
+from conftest import flat_terrain, make_config
 
 
 def make_scene(spec, obj_pose, platform_pose=None, terrain=None):
@@ -54,7 +49,7 @@ def make_scene(spec, obj_pose, platform_pose=None, terrain=None):
 
 def eye_robot(position, orientation=(0.0, 0.0, 0.0)):
     """Robot whose wrist camera parent (the ee) sits exactly at a pose."""
-    robot = initial_robot()
+    robot = initial_robot(flat_terrain())
     ee = Pose6(np.asarray(position, dtype=float), np.asarray(orientation, float))
     return replace(robot, ee_pose=ee)
 

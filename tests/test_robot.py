@@ -16,11 +16,9 @@ from graspsim.robot import (
 )
 from graspsim.scene import sample_terrain
 
-from conftest import assert_valid_pose
+from conftest import assert_valid_pose, flat_terrain
 
-
-def flat_terrain():
-    return None  # execute_command treats missing terrain as z = 0 ground
+GROUND = flat_terrain()
 
 
 def test_action_clamps_on_construction():
@@ -35,33 +33,41 @@ def test_action_clamps_on_construction():
 def test_action_rejects_non_finite():
     with pytest.raises(InvalidArgumentError):
         HighLevelAction(np.array([np.nan, 0, 0]), np.zeros(3), 0.0, 0.0)
-    # the command and dt are the boundary of execute_command, whose poses are
-    # built without re-validation
+    # the command and dt are the boundary of execute_command, whose poses and
+    # twists are built without re-validation
+    robot = initial_robot(GROUND)
+    u = accumulate_command(robot, HighLevelAction.zero())
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
             CommandVector(np.zeros(3), np.zeros(3), bad, 0.0)
         with pytest.raises(InvalidArgumentError):
             CommandVector(np.zeros(3), np.zeros(3), 0.0, bad)
         with pytest.raises(InvalidArgumentError):
-            execute_command(initial_robot(), accumulate_command(
-                initial_robot(), HighLevelAction.zero()), None, bad)
+            CommandVector(np.array([0.0, bad, 0.0]), np.zeros(3), 0.0, 0.0)
+        with pytest.raises(InvalidArgumentError):
+            CommandVector(np.zeros(3), np.array([0.0, 0.0, bad]), 0.0, 0.0)
+        with pytest.raises(InvalidArgumentError):
+            execute_command(robot, u, GROUND, bad)
+    with pytest.raises(InvalidArgumentError):
+        CommandVector(np.zeros(2), np.zeros(3), 0.0, 0.0)
 
 
 def test_accumulate_zero_action_keeps_target():
-    robot = initial_robot()
+    robot = initial_robot(GROUND)
     u = accumulate_command(robot, HighLevelAction.zero())
+    assert u.p_hat is u.target.position and u.r_hat is u.target.orientation
     assert np.allclose(u.p_hat, robot.ee_target.position)
     assert np.allclose(u.r_hat, robot.ee_target.orientation)
     assert u.v_lin == 0.0 and u.omega_yaw == 0.0
 
 
 def test_accumulate_projects_to_workspace_ball():
-    robot = initial_robot()
+    robot = initial_robot(GROUND)
     # drive the target far out along +x with many max increments
     for _ in range(40):
         a = HighLevelAction(np.array([0.05, 0, 0]), np.zeros(3), 0.0, 0.0)
         u = accumulate_command(robot, a)
-        robot = execute_command(robot, u, None, 0.02)
+        robot = execute_command(robot, u, GROUND, 0.02)
         off = robot.ee_target.position - WORKSPACE_CENTER
         assert np.linalg.norm(off) <= WORKSPACE_RADIUS + 1e-12
     # analytic projection oracle for a point pushed outside
@@ -73,46 +79,46 @@ def test_accumulate_projects_to_workspace_ball():
 
 
 def test_accumulate_wraps_orientation():
-    robot = initial_robot()
+    robot = initial_robot(GROUND)
     # +0.2 rad per step, 3*pi total, lands wrapped into (-pi, pi]; the base
     # turns past pi too
     for _ in range(24):
         a = HighLevelAction(np.zeros(3), np.array([0, 0, 0.2]), 0.3, 1.0)
         u = accumulate_command(robot, a)
-        robot = execute_command(robot, u, None, 0.2)
+        robot = execute_command(robot, u, GROUND, 0.2)
         for pose in (robot.base_pose, robot.ee_pose, robot.ee_target):
             assert_valid_pose(pose)
     assert -np.pi < robot.ee_target.orientation[2] <= np.pi
 
 
 def test_unicycle_straight_line():
-    robot = initial_robot()
+    robot = initial_robot(GROUND)
     u = CommandVector(robot.ee_target.position, robot.ee_target.orientation,
                       v_lin=0.5, omega_yaw=0.0)
     for _ in range(50):
-        robot = execute_command(robot, u, None, 0.02)
+        robot = execute_command(robot, u, GROUND, 0.02)
     assert robot.base_pose.position[0] == pytest.approx(0.5, abs=1e-9)
     assert robot.base_pose.position[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unicycle_pure_rotation():
-    robot = initial_robot()
+    robot = initial_robot(GROUND)
     u = CommandVector(robot.ee_target.position, robot.ee_target.orientation,
                       v_lin=0.0, omega_yaw=np.pi / 2)
     for _ in range(50):
-        robot = execute_command(robot, u, None, 0.02)
+        robot = execute_command(robot, u, GROUND, 0.02)
     assert robot.base_pose.orientation[2] == pytest.approx(np.pi / 2, abs=1e-9)
     assert np.allclose(robot.base_pose.position[:2], 0.0, atol=1e-12)
 
 
 def test_unicycle_arc_matches_closed_form():
-    robot = initial_robot()
+    robot = initial_robot(GROUND)
     v, w, T = 0.6, 0.8, 1.5
     u = CommandVector(robot.ee_target.position, robot.ee_target.orientation,
                       v_lin=v, omega_yaw=w)
     steps = 75
     for _ in range(steps):
-        robot = execute_command(robot, u, None, T / steps)
+        robot = execute_command(robot, u, GROUND, T / steps)
     # analytic circle solution from yaw 0 at the origin
     x = (v / w) * np.sin(w * T)
     y = (v / w) * (1 - np.cos(w * T))
@@ -121,12 +127,12 @@ def test_unicycle_arc_matches_closed_form():
 
 
 def test_ee_converges_to_reachable_target():
-    robot = initial_robot()
+    robot = initial_robot(GROUND)
     target = np.array([0.5, 0.1, 0.4])       # base frame
     orn = np.array([0.0, 0.3, -0.2])
     u = CommandVector(target, orn, 0.0, 0.0)
     for _ in range(100):  # 2 seconds
-        robot = execute_command(robot, u, None, 0.02)
+        robot = execute_command(robot, u, GROUND, 0.02)
     world_target = robot.base_pose.position + target  # base sits at yaw 0
     assert np.linalg.norm(robot.ee_pose.position - world_target) < 1e-3
     assert np.allclose(robot.ee_pose.orientation, orn, atol=1e-2)
@@ -135,10 +141,10 @@ def test_ee_converges_to_reachable_target():
 def test_step_rate_consistency():
     # same constant command: two 0.01 s steps equal one 0.02 s step
     u = CommandVector(np.array([0.4, 0.0, 0.3]), np.zeros(3), 0.5, 0.7)
-    a = initial_robot()
-    a = execute_command(a, u, None, 0.02)
-    b = initial_robot()
-    b = execute_command(execute_command(b, u, None, 0.01), u, None, 0.01)
+    a = initial_robot(GROUND)
+    a = execute_command(a, u, GROUND, 0.02)
+    b = initial_robot(GROUND)
+    b = execute_command(execute_command(b, u, GROUND, 0.01), u, GROUND, 0.01)
     assert np.allclose(a.base_pose.position, b.base_pose.position, atol=1e-6)
     assert np.allclose(a.base_pose.orientation, b.base_pose.orientation,
                        atol=1e-6)

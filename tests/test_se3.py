@@ -44,6 +44,29 @@ def test_wrap_angle_ties_and_range():
     assert np.all(w > -np.pi) and np.all(w <= np.pi)
 
 
+def test_wrap_angle_bits_match_round_formula(rng):
+    # wrap_angle rounds with np.rint; np.round with 0 decimals is the same
+    # operation, so the wrapped bits equal the np.round formula's, signed
+    # zeros, ties at +-pi, multiples of 2 pi and huge magnitudes included
+    def reference(x):
+        w = x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
+        w = np.where(w <= -np.pi, w + 2.0 * np.pi, w)
+        return np.where(w > np.pi, w - 2.0 * np.pi, w)
+
+    k = np.arange(-6.0, 7.0)
+    xs = np.concatenate([
+        [0.0, -0.0, np.pi, -np.pi, np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0)],
+        2.0 * np.pi * k, np.pi * (2.0 * k + 1.0),
+        [1e6, -1e6, 1e15, -1e15, 1e300, -1e300, 2.0**53, -(2.0**53)],
+        rng.uniform(-50.0, 50.0, 200),
+    ])
+    got = wrap_angle(xs)
+    assert np.array_equal(got.view(np.uint64), reference(xs).view(np.uint64))
+    for x in xs:
+        assert (np.float64(wrap_angle(float(x))).view(np.uint64)
+                == reference(np.array(x)).view(np.uint64))
+
+
 def test_zero_pose_is_identity_transform():
     t = euler_to_transform(Pose6.identity())
     assert np.allclose(t.rotation, np.eye(3))

@@ -1,0 +1,152 @@
+"""The physics substep: pinned episode bytes, and the rule that the robot and
+scene integrators build no checked value once the command and dt are in."""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from graspsim.config import SimConfig
+from graspsim.episode import derive_seed, run_episode
+from graspsim.robot import (
+    HighLevelAction,
+    accumulate_command,
+    execute_command,
+    initial_robot,
+)
+from graspsim.scene import make_trajectory, reset_episode, step_scene
+from graspsim.se3 import Pose6, Twist, compose, inverse
+
+from conftest import assert_valid_pose, make_config
+
+DT = SimConfig().physics_dt
+
+# sha256 of EpisodeLog.to_json() per (level, object, seed, timeout_steps).
+# Like perfbench/reference.json, the digests hold for the numpy of the host
+# that recorded them (numpy 2.4.6, x86-64); another numpy or libm may round
+# a transcendental differently and change the bytes without a code change.
+# Together the episodes run every step_scene branch: riding (all), held
+# (the successes) and free (the drops, after an on-platform shove), on the
+# arc, linear and random trajectories of levels 1-4.
+EPISODE_DIGESTS = {
+    (1, "water_bottle", 1, 40):
+        "1cdda1364759d47b2434880a8bfa42d48479ad428e844390e7c0ba5ee514d57e",
+    (1, "sugar_box", 0, 40):
+        "60f4f4c6e7c0fff1ab41a39887d7ecc863f1f01a3bbcf5d803d0b875a79e7be0",
+    (2, "tennis_ball", 0, 12):
+        "8b586c4234a8a9bef66faf40e518a2c101d1294716a2990edf567c9624673b08",
+    (2, "lemon", 2, 12):
+        "fe2ec7d730363588504b15e4a3f4e1502035a0b454796d13cb58b532f7cfa926",
+    (3, "marker_large", 0, 40):
+        "3ec902e17c78ec76b12e5b02498ef2effb0440e545547d14c4234c045fb0e386",
+    (3, "sugar_box", 0, 40):
+        "8457050cadd5b6a4aefbeeb116485c49ae3e80ef573d5d9aa008f184b973c86d",
+    (4, "lemon", 0, 40):
+        "1ca39775e36ec3626248b36e039184a169df667033fe1966ca71eb76a10c321e",
+    (4, "sugar_box", 0, 40):
+        "241c7424add2905ea92b7e4008344152a7336b5ce5dc712145bce271318b9c37",
+}
+EPISODE_OUTCOMES = {
+    "water_bottle": "success", "marker_large": "success", "lemon": "success",
+    "sugar_box": "failed_dropped", "tennis_ball": "failed_timeout",
+}
+# sha256 over the (stack, proprio, action, gripper, step) records of a
+# 4-step level-1 tennis_ball episode with collect_observations=True.
+OBSERVATION_DIGEST = "0c7dbc79a895c53079775e0f5e911b3a7bd779f41d3dc523ddf0f997a19aeee2"
+
+
+@pytest.mark.parametrize("key", sorted(EPISODE_DIGESTS))
+def test_episode_log_bytes_pinned(key, catalog):
+    level, object_id, seed, timeout = key
+    log = run_episode(make_config(level=level, object_id=object_id, seed=seed,
+                                  timeout_steps=timeout), catalog=catalog)
+    expected = "failed_timeout" if level == 2 else EPISODE_OUTCOMES[object_id]
+    assert log.outcome == expected
+    assert hashlib.sha256(log.to_json().encode()).hexdigest() == EPISODE_DIGESTS[key]
+
+
+def test_observation_bytes_pinned(catalog):
+    _, records = run_episode(make_config(object_id="tennis_ball", seed=0, timeout_steps=4),
+                             catalog=catalog, collect_observations=True)
+    assert len(records) == 4
+    digest = hashlib.sha256()
+    for stacked, proprio, action, gripper, step in records:
+        for arr in (stacked, proprio, action):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update(bytes([gripper, step]))
+    assert digest.hexdigest() == OBSERVATION_DIGEST
+
+
+def _count_checked(monkeypatch):
+    """Count Pose6 and Twist constructions that run their checks."""
+    counts = {"Pose6": 0, "Twist": 0}
+    for cls in (Pose6, Twist):
+        hook = cls.__dict__["__post_init__"]
+
+        def counted(self, _hook=hook, _name=cls.__name__):
+            counts[_name] += 1
+            _hook(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+def _scene(catalog_map, carrier, level):
+    cfg = make_config(level=level, object_id="sugar_box", seed=5)
+    traj = make_trajectory(level, derive_seed(cfg.seed, 11))
+    scene = reset_episode(cfg, catalog_map, traj)
+    robot = initial_robot(scene.terrain)
+    if carrier == "gripper":
+        grip = compose(inverse(robot.ee_pose), scene.object_pose)
+        scene = replace(scene, object_attached_to="gripper", grip_offset=grip)
+    elif carrier == "free":
+        scene = replace(scene, object_attached_to="free",
+                        object_twist=Twist(np.array([0.1, -0.05, 0.4]),
+                                           np.array([0.0, 0.0, 0.3])))
+    return traj, scene, robot
+
+
+def _substeps(catalog_map, carrier, level, n=40):
+    """Yield (robot, scene, command) after each of n substeps on one scene."""
+    traj, scene, robot = _scene(catalog_map, carrier, level)
+    action = HighLevelAction(np.array([0.03, -0.02, 0.04]), np.array([0.1, -0.2, 0.15]),
+                             0.4, 0.6)
+    u = accumulate_command(robot, action)   # the checked boundary
+    for _ in range(n):
+        robot = execute_command(robot, u, scene.terrain, DT)
+        held = robot.ee_pose if carrier == "gripper" else None
+        scene = step_scene(scene, traj, DT, ee_pose=held)
+        yield robot, scene, u
+
+
+CARRIERS = [("platform", 1), ("platform", 4), ("gripper", 3), ("free", 4)]
+
+
+@pytest.mark.parametrize("carrier,level", CARRIERS)
+def test_substep_builds_no_checked_value(carrier, level, catalog_map, monkeypatch):
+    steps = _substeps(catalog_map, carrier, level)
+    next(steps)   # the first substep also builds the command and the scene
+    counts = _count_checked(monkeypatch)
+    for _ in steps:
+        assert counts == {"Pose6": 0, "Twist": 0}
+
+
+@pytest.mark.parametrize("carrier,level", CARRIERS)
+def test_substep_values_keep_the_checked_guarantees(carrier, level, catalog_map):
+    start_z = None
+    for robot, scene, u in _substeps(catalog_map, carrier, level):
+        start_z = scene.object_pose.position[2] if start_z is None else start_z
+        for value in (robot.base_pose, robot.base_twist, robot.ee_pose,
+                      scene.platform_pose, scene.platform_twist,
+                      scene.object_pose, scene.object_twist):
+            assert_valid_pose(value)
+        # the command's one checked target, not a pose rebuilt per substep
+        assert robot.ee_target is u.target
+    assert scene.object_attached_to == carrier
+    if carrier == "free":
+        # fell onto the terrain and came to rest
+        assert scene.object_pose.position[2] < start_z
+        assert not np.any(scene.object_twist.linear)
+    else:
+        assert np.any(scene.object_twist.linear)
