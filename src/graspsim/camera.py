@@ -416,7 +416,11 @@ class ObsHistory:
         self.proprio = None
 
     def push(self, frame, proprio=None) -> None:
-        self._frames.append(frame)
+        """Keep the frame as its float32 channels, normalized once: the mask as
+        {0,1}, the depth clipped to [0, 5] m over 5 (invalid pixels 0)."""
+        d = np.clip(frame.depth, 0.0, DEPTH_CLIP) / DEPTH_CLIP
+        self._frames.append((frame.mask.astype(np.float32),
+                             np.where(frame.valid, d, 0.0).astype(np.float32)))
         if proprio is not None:
             self.proprio = proprio
 
@@ -425,7 +429,7 @@ class ObsHistory:
         return len(self._frames) > 0
 
     def frames(self) -> list:
-        """Oldest-to-newest, padded by repeating the oldest available frame."""
+        """(mask, depth) pairs oldest to newest, padded by repeating the oldest."""
         if not self._frames:
             raise NotReadyError("observation history is empty")
         frames = list(self._frames)
@@ -433,21 +437,13 @@ class ObsHistory:
 
 
 def stack_observation(hist_wrist: ObsHistory, hist_base: ObsHistory) -> np.ndarray:
-    """[12,54,96] float32 stack: wrist masks x3, wrist depths x3, then base.
-
-    Masks become {0,1} floats; depths are clipped to [0, 5] m and divided
-    by 5 (invalid pixels stay 0).
-    """
+    """[12,54,96] float32 stack: wrist masks x3, wrist depths x3, then base."""
     if not (hist_wrist.warmed and hist_base.warmed):
         raise NotReadyError("observation histories are not warmed up")
     channels = []
     for hist in (hist_wrist, hist_base):
         frames = hist.frames()
-        for f in frames:
-            channels.append(f.mask.astype(np.float32))
-        for f in frames:
-            d = np.clip(f.depth, 0.0, DEPTH_CLIP) / DEPTH_CLIP
-            channels.append(np.where(f.valid, d, 0.0).astype(np.float32))
+        channels += [mask for mask, _ in frames] + [depth for _, depth in frames]
     return np.stack(channels)
 
 

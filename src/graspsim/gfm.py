@@ -21,6 +21,7 @@ from .errors import EmptyBankError, InvalidArgumentError, ShapeError
 from .scene import ObjectSpec
 from .se3 import (
     Pose6,
+    _trusted,
     euler_to_matrix,
     grasp_to_world,
     matrix_to_euler,
@@ -162,14 +163,14 @@ def _pose_from_axes(position, approach, closing) -> Pose6:
     c = c - a * np.dot(a, c)
     c = c / np.linalg.norm(c)
     r = np.column_stack([a, c, np.cross(a, c)])
-    return Pose6(np.asarray(position, dtype=float), matrix_to_euler(r))
+    return _trusted(Pose6, np.array(position, dtype=float), matrix_to_euler(r))
 
 
 def _score(width: float, approach, aperture: float) -> float:
     """Wider pairs score lower; approaching from below is penalized."""
     base = 1.0 - width / aperture
     up = max(0.0, float(approach[2]))
-    return float(np.clip(base * (1.0 - 0.5 * up), 0.0, 1.0))
+    return float(min(max(base * (1.0 - 0.5 * up), 0.0), 1.0))
 
 
 def _sphere_candidates(radius, n, rng, aperture):

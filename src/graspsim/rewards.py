@@ -142,7 +142,7 @@ def high_level_reward(inp: HighLevelRewardInput,
     if inp.completed:
         completion = 1.0
     elif inp.phase in ("grasped", "lifted"):
-        lift = 0.5 + 0.5 * float(np.clip(inp.lift_height / 0.15, 0.0, 1.0))
+        lift = 0.5 + 0.5 * float(min(max(inp.lift_height / 0.15, 0.0), 1.0))
     else:
         approach = float(np.exp(-inp.dist_ee_obj))
 

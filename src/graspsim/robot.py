@@ -54,7 +54,7 @@ class HighLevelAction:
     gripper_close: bool = False
 
     def __post_init__(self):
-        dp = np.asarray(self.dp, dtype=float)
+        dp = np.array(self.dp, dtype=float)
         dr = np.asarray(self.dr, dtype=float)
         if dp.shape != (3,) or dr.shape != (3,):
             raise InvalidArgumentError("dp and dr must be 3-vectors")
@@ -63,16 +63,15 @@ class HighLevelAction:
             raise InvalidArgumentError("HighLevelAction fields must be finite")
         n = float(np.linalg.norm(dp))
         if n > MAX_DP:
-            dp = dp * (MAX_DP / n)
-        dp = dp.copy()
+            dp *= MAX_DP / n
         dp.setflags(write=False)
         dr = np.clip(dr, -MAX_DR, MAX_DR)
         dr.setflags(write=False)
         object.__setattr__(self, "dp", dp)
         object.__setattr__(self, "dr", dr)
-        object.__setattr__(self, "v_lin", float(np.clip(self.v_lin, -MAX_V_LIN, MAX_V_LIN)))
+        object.__setattr__(self, "v_lin", float(min(max(self.v_lin, -MAX_V_LIN), MAX_V_LIN)))
         object.__setattr__(self, "omega_yaw",
-                           float(np.clip(self.omega_yaw, -MAX_OMEGA, MAX_OMEGA)))
+                           float(min(max(self.omega_yaw, -MAX_OMEGA), MAX_OMEGA)))
 
     @staticmethod
     def zero() -> "HighLevelAction":

@@ -422,8 +422,8 @@ def _platform_velocity(state: SceneState, traj: PlatformTrajectory, dt: float):
         vz_target = traj.z_amp * np.sin(
             TWO_PI * traj.z_freq * (state.time + dt) + traj.z_phase
         )
-        dvz = float(np.clip(vz_target - v[2], -dv_cap, dv_cap))
-        vz = float(np.clip(v[2] + dvz, -L4_MAX_VZ, L4_MAX_VZ))
+        dvz = float(min(max(vz_target - v[2], -dv_cap), dv_cap))
+        vz = float(min(max(v[2] + dvz, -L4_MAX_VZ), L4_MAX_VZ))
     return np.array([vxy[0], vxy[1], vz]), rng.bit_generator.state
 
 
@@ -467,9 +467,7 @@ def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
         obj_pose = new_pose
     else:  # free: ballistic drop until resting on the terrain
         vz = obj_twist.linear[2] - GRAVITY * dt
-        pos = obj_pose.position + np.array([obj_twist.linear[0] * dt,
-                                            obj_twist.linear[1] * dt,
-                                            obj_twist.linear[2] * dt])
+        pos = obj_pose.position + obj_twist.linear * dt
         floor = state.terrain.height_at(pos[0], pos[1]) + state.object_spec.half_height
         if pos[2] <= floor:
             pos = np.array([pos[0], pos[1], floor])
@@ -545,11 +543,11 @@ def apply_gripper_close(state: SceneState, robot, bank, cfg) -> tuple[SceneState
             return replace(
                 state,
                 object_attached_to="free",
-                object_pose=Pose6(pos, state.object_pose.orientation),
+                object_pose=_trusted(Pose6, pos, state.object_pose.orientation),
                 object_twist=Twist.zero(),
             ), False
-        mount = Pose6(np.array([rel[0], rel[1], state.mount_offset.position[2]]),
-                      state.mount_offset.orientation)
+        mount = _trusted(Pose6, np.array([rel[0], rel[1], state.mount_offset.position[2]]),
+                         state.mount_offset.orientation)
         return replace(
             state,
             mount_offset=mount,

@@ -24,7 +24,7 @@ from .robot import (
     WORKSPACE_RADIUS,
 )
 from .scene import SceneState, relative_close_speed
-from .se3 import Pose6, compose, inverse, rotation_angle_between, wrap_angle
+from .se3 import Pose6, _trusted, compose, inverse, rotation_angle_between, wrap_angle
 
 YAW_CAP = np.deg2rad(65.0)     # stay clear of the 70-degree termination
 K_YAW = 3.0
@@ -44,7 +44,7 @@ def cached_object_feature(spec):
 def _steer(dp_world_xy, yaw, yaw_ref):
     """Heading command toward a world-frame planar offset, yaw-drift capped."""
     bearing = float(np.arctan2(dp_world_xy[1], dp_world_xy[0]))
-    capped = yaw_ref + float(np.clip(wrap_angle(bearing - yaw_ref), -YAW_CAP, YAW_CAP))
+    capped = yaw_ref + float(min(max(wrap_angle(bearing - yaw_ref), -YAW_CAP), YAW_CAP))
     return wrap_angle(capped - yaw)
 
 
@@ -95,18 +95,18 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
     to_icpt = intercept_xy - base.position[:2]
     icpt_dist = float(np.linalg.norm(to_icpt))
     yaw_err = _steer(to_icpt, yaw, robot.yaw_ref)
-    omega = float(np.clip(K_YAW * yaw_err, -1.0, 1.0))
+    omega = float(min(max(K_YAW * yaw_err, -1.0), 1.0))
     heading = np.array([np.cos(yaw), np.sin(yaw)])
     v_feedforward = float(obj_v[:2] @ heading)
     gate = max(0.0, np.cos(yaw_err))
-    v_lin = float(np.clip(K_V * (icpt_dist - standoff) * gate + v_feedforward,
-                          -MAX_V_LIN, MAX_V_LIN))
+    v_lin = float(min(max(K_V * (icpt_dist - standoff) * gate + v_feedforward,
+                          -MAX_V_LIN), MAX_V_LIN))
 
     if dist > cfg.teacher_standoff + FAR_DISTANCE_MARGIN:
         ee_goal_base = CARRY_EE_TARGET
         close = False
     else:
-        lead = Pose6(grasp_world.position + obj_v * EE_TAU, grasp_world.orientation)
+        lead = _trusted(Pose6, grasp_world.position + obj_v * EE_TAU, grasp_world.orientation)
         ee_goal_base = compose(inverse(base), lead)
         pos_err = float(np.linalg.norm(robot.ee_pose.position - grasp_world.position))
         ori_err = rotation_angle_between(robot.ee_pose.orientation,

@@ -216,16 +216,20 @@ def test_latency_sentinel_random_positions(rng):
 
 
 def test_history_prewarm_repeats_oldest():
+    # frames a, b, c, d are told apart by their depth channel: 1, 2, 3, 4 m
+    def pushed(hist):
+        return [round(float(depth[0, 0]) * DEPTH_CLIP, 6) for _, depth in hist.frames()]
+
     hist = ObsHistory()
     with pytest.raises(NotReadyError):
         hist.frames()
-    hist.push("a")
-    assert hist.frames() == ["a", "a", "a"]
-    hist.push("b")
-    assert hist.frames() == ["a", "a", "b"]
-    hist.push("c")
-    hist.push("d")
-    assert hist.frames() == ["b", "c", "d"]
+    hist.push(_const_frame(True, 1.0))
+    assert pushed(hist) == [1.0, 1.0, 1.0]
+    hist.push(_const_frame(True, 2.0))
+    assert pushed(hist) == [1.0, 1.0, 2.0]
+    hist.push(_const_frame(True, 3.0))
+    hist.push(_const_frame(True, 4.0))
+    assert pushed(hist) == [2.0, 3.0, 4.0]
 
 
 def _const_frame(mask_val, depth_val):

@@ -12,6 +12,7 @@ from graspsim.se3 import (
     grasp_to_world,
     inverse,
     matrix_to_euler,
+    rot_z,
     transform_to_euler,
     vec6_decode,
     vec6_encode,
@@ -45,9 +46,9 @@ def test_wrap_angle_ties_and_range():
 
 
 def test_wrap_angle_bits_match_round_formula(rng):
-    # wrap_angle rounds with np.rint; np.round with 0 decimals is the same
-    # operation, so the wrapped bits equal the np.round formula's, signed
-    # zeros, ties at +-pi, multiples of 2 pi and huge magnitudes included
+    # wrap_angle rounds each float with round() and restores the sign of a
+    # zero quotient; the wrapped bits equal the all-numpy np.round formula's,
+    # signed zeros, ties at +-pi, multiples of 2 pi and huge magnitudes included
     def reference(x):
         w = x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
         w = np.where(w <= -np.pi, w + 2.0 * np.pi, w)
@@ -65,6 +66,70 @@ def test_wrap_angle_bits_match_round_formula(rng):
     for x in xs:
         assert (np.float64(wrap_angle(float(x))).view(np.uint64)
                 == reference(np.array(x)).view(np.uint64))
+
+
+def _matrix_to_euler_oracle(rotation):
+    """The all-numpy form of matrix_to_euler: np.clip, both np.where branches
+    (four arctan2 calls), np.stack and the np.rint wrap."""
+    r = np.asarray(rotation, dtype=float)
+    sb = np.clip(r[..., 0, 2], -1.0, 1.0)
+    b = np.arcsin(sb)
+    regular = np.abs(sb) < 1.0 - 1e-12
+    a = np.where(regular, np.arctan2(-r[..., 1, 2], r[..., 2, 2]),
+                 np.arctan2(np.sign(sb) * r[..., 1, 0], r[..., 1, 1]))
+    c = np.where(regular, np.arctan2(-r[..., 0, 1], r[..., 0, 0]), 0.0)
+    w = np.stack([a, b, c], axis=-1)
+    w = w - 2.0 * np.pi * np.rint(w / (2.0 * np.pi))
+    w = np.where(w <= -np.pi, w + 2.0 * np.pi, w)
+    return np.where(w > np.pi, w - 2.0 * np.pi, w)
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_matrix_to_euler_bits_match_numpy_oracle(rng):
+    def angles(n=3):
+        return rng.uniform(-np.pi, np.pi, n)
+
+    mats = []
+    for _ in range(150):
+        # random rotations and products of them
+        mats.append(euler_to_matrix(angles()))
+        mats.append(euler_to_matrix(angles()) @ euler_to_matrix(angles()))
+        # base-style yaw rotations, composed and re-expressed as the robot
+        # does (r.T @ r2): their exact zeros become -0.0 in arctan2(-r12, r22)
+        yaw, yaw2 = angles(2)
+        mats.append(rot_z(yaw))
+        mats.append(rot_z(yaw) @ euler_to_matrix(angles()))
+        mats.append(rot_z(yaw).T @ rot_z(yaw2))
+        mats.append(rot_z(yaw).T @ euler_to_matrix(np.array([0.0, 0.0, yaw2])))
+        # gimbal lock, b = +-pi/2 (r[0, 2] = +-1 exactly)
+        a, c = angles(2)
+        mats.append(euler_to_matrix(np.array([a, np.pi / 2, c])))
+        mats.append(euler_to_matrix(np.array([a, -np.pi / 2, c])))
+    # every zero of a yaw rotation and of the identity, as +0.0 and as -0.0
+    for base in (rot_z(0.7), rot_z(-2.1), np.eye(3), rot_z(np.pi)):
+        for sign in (1.0, -1.0):
+            m = base.copy()
+            m[m == 0.0] = sign * 0.0
+            mats.append(m)
+    # gimbal rows built exactly, r[0, 2] = +-1 with signed-zero neighbours
+    for s02 in (1.0, -1.0):
+        for z in (0.0, -0.0):
+            mats.append(np.array([[z, z, s02], [0.6, 0.8, z], [-0.8 * s02, 0.6 * s02, z]]))
+    assert sum(abs(m[0, 2]) == 1.0 for m in mats) >= 300
+    negative_zero = [np.any((m == 0.0) & np.signbit(m)) for m in mats]
+    assert sum(negative_zero) >= 6
+    for m in mats:
+        assert _same_bits(matrix_to_euler(m), _matrix_to_euler_oracle(m))
+    # a (K, 3, 3) stack: the oracle's bits, and row for row the single result
+    stack = np.array(mats)
+    batch = matrix_to_euler(stack)
+    assert _same_bits(batch, _matrix_to_euler_oracle(stack))
+    for m, row in zip(mats, batch):
+        assert _same_bits(row, matrix_to_euler(m))
 
 
 def test_zero_pose_is_identity_transform():

@@ -1,5 +1,6 @@
-"""The physics substep: pinned episode bytes, and the rule that the robot and
-scene integrators build no checked value once the command and dt are in."""
+"""The physics substep: pinned episode bytes, the rule that the robot and
+scene integrators build no checked value once the command and dt are in, and
+the decision step's checked poses (the command and the policy output only)."""
 
 import hashlib
 from dataclasses import replace
@@ -7,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from graspsim import episode
 from graspsim.config import SimConfig
 from graspsim.episode import derive_seed, run_episode
 from graspsim.robot import (
@@ -150,3 +152,36 @@ def test_substep_values_keep_the_checked_guarantees(carrier, level, catalog_map)
         assert not np.any(scene.object_twist.linear)
     else:
         assert np.any(scene.object_twist.linear)
+
+
+@pytest.mark.parametrize("object_id,seed", [("water_bottle", 1), ("sugar_box", 0)])
+def test_decision_step_checks_only_command_and_policy_output(object_id, seed, catalog,
+                                                            monkeypatch):
+    # A GFM episode checks a Pose6 only where a value enters: the command
+    # (CommandVector) and the fused policy output (vec6_decode), so at most
+    # two per decision step.  Candidate poses, the teacher's lead pose and
+    # the shoved object are computed and built unchecked.  water_bottle is
+    # grasped and lifted; sugar_box is shoved along the platform, then off it.
+    counts = _count_checked(monkeypatch)
+    in_candidates, at_decision = [], []
+    real_generate, real_teacher = episode.generate_candidates, episode.teacher_step
+
+    def generate(*args, **kwargs):
+        before = counts["Pose6"]
+        out = real_generate(*args, **kwargs)
+        in_candidates.append(counts["Pose6"] - before)
+        return out
+
+    def teacher(*args, **kwargs):
+        at_decision.append(counts["Pose6"])
+        return real_teacher(*args, **kwargs)
+
+    monkeypatch.setattr(episode, "generate_candidates", generate)
+    monkeypatch.setattr(episode, "teacher_step", teacher)
+    log = run_episode(make_config(level=1, object_id=object_id, seed=seed, timeout_steps=40),
+                      catalog=catalog)
+    assert log.outcome == EPISODE_OUTCOMES[object_id]
+    assert in_candidates == [0]
+    per_step = np.diff(at_decision + [counts["Pose6"]])
+    assert len(per_step) == log.n_steps
+    assert per_step.max() <= 2
