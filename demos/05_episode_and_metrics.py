@@ -8,7 +8,8 @@ point, pulls the gripper onto the fused grasp, and closes once aligned.
 from graspsim import EpisodeConfig, run_episode
 from graspsim.metrics import run_benchmark
 
-log = run_episode(EpisodeConfig(level=1, object_id="tomato_soup_can", seed=3))
+log = run_episode(EpisodeConfig(level=1, object_id="tomato_soup_can", seed=3),
+                  log_steps=True)
 print(f"episode outcome: {log.outcome} after {log.n_steps} decision steps")
 print(f"close events: {log.close_events}  (attempts={log.attempt_count})")
 for entry in log.steps[::8]:

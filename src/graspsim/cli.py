@@ -73,7 +73,7 @@ def _cmd_episode(args) -> int:
     cfg = load_config(args.config)
     config = EpisodeConfig(level=args.level, object_id=args.object, seed=args.seed,
                            timeout_steps=cfg.timeout_steps)
-    log = run_episode(config, sim_cfg=cfg)
+    log = run_episode(config, sim_cfg=cfg, log_steps=args.dump_log is not None)
     print(f"outcome={log.outcome} steps={log.n_steps} "
           f"attempts={log.attempt_count} success_step={log.success_step}")
     if args.dump_log:
@@ -190,7 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--level", type=int, required=True)
     e.add_argument("--object", required=True)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--dump-log", default=None)
+    e.add_argument("--dump-log", default=None, metavar="PATH",
+                   help="write the per-step log as one JSON line; the per-step "
+                        "rewards (and so the reward_weights and sigma_* keys) "
+                        "are computed only with this flag")
     e.set_defaults(func=_cmd_episode)
 
     r = sub.add_parser("render", help="dump mask/depth frames as PGM")

@@ -21,6 +21,7 @@ from .camera import (
     wrist_camera,
 )
 from .config import SimConfig
+from .errors import NotReadyError
 from .gfm import alignment_gfm_weights, build_memory, generate_candidates
 from .robot import (
     DEFAULT_JOINTS,
@@ -80,7 +81,8 @@ def build_proprio(robot, terrain) -> np.ndarray:
 
 @dataclass
 class EpisodeLog:
-    """Per-episode record: config echo, per-step traces, close events, outcome."""
+    """Per-episode record: config echo, close events, outcome, and the per-step
+    trace when ``run_episode`` was asked for it (``steps`` is None otherwise)."""
 
     level: int
     object_id: str
@@ -89,18 +91,23 @@ class EpisodeLog:
     physics_dt: float
     decision_dt: float
     timeout_steps: int
-    steps: list
+    steps: list | None
     close_events: list
     outcome: str
     attempt_count: int
     success_step: int | None
+    n_steps: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
+        """The log as one JSON line: every field but ``n_steps`` (``steps``
+        holds one entry per decision step)."""
+        if self.steps is None:
+            raise NotReadyError(
+                "episode was run without its per-step log; pass log_steps=True "
+                "to run_episode (graspsim episode --dump-log does)")
+        fields = asdict(self)
+        del fields["n_steps"]
+        return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
     @property
     def first_close_success(self) -> bool:
@@ -168,7 +175,7 @@ def _high_level_input(scene, robot, status, action_vec, prev_action,
 
 def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
                 use_gfm: bool = True, catalog=None,
-                collect_observations: bool = False):
+                collect_observations: bool = False, log_steps: bool = False):
     """Run one seeded episode; returns the log (plus observations if asked).
 
     Every timestep, grasp, perception, teacher and reward setting comes from
@@ -176,6 +183,12 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     object comes from ``catalog`` (default the bundled set).  The teacher fuses
     the grasp bank with ``alignment_gfm_weights``, or with ``use_gfm=False``
     aims at the object centroid (the ablation).
+
+    ``log_steps`` records the per-step trace in ``log.steps`` (and so makes
+    ``log.to_json()`` available).  The per-step rewards exist only there, so
+    ``sim_cfg.reward_weights`` and the ``sigma_*`` keys are read only when it
+    is on.  Without it the episode computes only what decides its outcome;
+    the control flow, close events, outcome and ``n_steps`` are the same.
 
     ``collect_observations`` switches the render/latency/stack pipeline on and
     returns (log, records), each record (stacked tensor, proprio, action
@@ -200,13 +213,16 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     lat_w, lat_b = LatencyBuffer(), LatencyBuffer()
     hist_w, hist_b = ObsHistory(), ObsHistory()
 
-    steps, close_events, observations = [], [], []
+    steps = [] if log_steps else None
+    close_events, observations = [], []
     prev_action = np.zeros(8)
     q_prev = robot.joint_proxy
     q_dot_prev = np.zeros(12)
     last_attempt = -10**9
+    n_steps = 0
 
     for step in range(config.timeout_steps):
+        n_steps = step + 1
         if collect_observations:
             noise_seed = derive_seed(config.seed, 31, step)
             f_w = render_frame(scene, robot, cam_w, sim_cfg.mask_flip_prob, noise_seed)
@@ -217,7 +233,8 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
             hist_b.push(lat_b.push_and_fetch(f_b), proprio)
             stacked = stack_observation(hist_w, hist_b)
         action = teacher_step(scene, robot, bank, weights, sim_cfg, use_gfm)
-        action_vec = action.as_vector()
+        if collect_observations or log_steps:
+            action_vec = action.as_vector()
         if collect_observations:
             observations.append((stacked, hist_w.proprio, action_vec.copy(),
                                  1 if action.gripper_close else 0, step))
@@ -246,47 +263,48 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
             if status.terminal:
                 break
 
-        q_now = robot.joint_proxy
-        q_dot = (q_now - q_prev) / sim_cfg.decision_dt
-        just_completed = status.phase == "success" and status.success_step == step
-        hl = high_level_reward(
-            _high_level_input(scene, robot, status, action_vec, prev_action,
-                              q_dot, q_dot_prev, action.v_lin, just_completed),
-            weights=sim_cfg.reward_weights or None,
-        )
-        obs_sig = gait_observables(robot, robot_before, sim_cfg.decision_dt, u,
-                                   scene.terrain)
-        ll = low_level_reward(
-            LowLevelState(
-                q=obs_sig["q"], q_dot=obs_sig["q_dot"],
-                q_ddot=(obs_sig["q_dot"] - q_dot_prev) / sim_cfg.decision_dt,
-                q_star=obs_sig["q_star"], tau=obs_sig["tau"],
-                v_b=robot.base_twist.linear, omega_b=robot.base_twist.angular,
-                v_x_star=u.v_lin, v_yaw_star=u.omega_yaw, n_collision=0,
-                f_foot=obs_sig["f_foot"], v_z_foot=obs_sig["v_z_foot"],
-                t_air=obs_sig["t_air"], h_b=obs_sig["h_b"],
-                h_b_target=obs_sig["h_b_target"], q_default=DEFAULT_JOINTS,
-                contact_cmd=obs_sig["contact_cmd"],
-            ),
-            sigma_track=sim_cfg.sigma_track, sigma_cf=sim_cfg.sigma_cf,
-            sigma_cv=sim_cfg.sigma_cv,
-        )
-        steps.append({
-            "step": step,
-            "phase": status.phase,
-            "action": [float(x) for x in action_vec],
-            "gripper_close": bool(action.gripper_close),
-            "object_pos": [float(x) for x in scene.object_pose.position],
-            "object_vel": [float(x) for x in scene.object_twist.linear],
-            "base_pos": [float(x) for x in robot.base_pose.position],
-            "base_yaw": float(robot.base_pose.orientation[2]),
-            "ee_pos": [float(x) for x in robot.ee_pose.position],
-            "reward_total": hl.total,
-            "low_reward_total": ll.total,
-        })
-        prev_action = action_vec
-        q_prev = q_now
-        q_dot_prev = q_dot
+        if log_steps:
+            q_now = robot.joint_proxy
+            q_dot = (q_now - q_prev) / sim_cfg.decision_dt
+            just_completed = status.phase == "success" and status.success_step == step
+            hl = high_level_reward(
+                _high_level_input(scene, robot, status, action_vec, prev_action,
+                                  q_dot, q_dot_prev, action.v_lin, just_completed),
+                weights=sim_cfg.reward_weights or None,
+            )
+            obs_sig = gait_observables(robot, robot_before, sim_cfg.decision_dt, u,
+                                       scene.terrain)
+            ll = low_level_reward(
+                LowLevelState(
+                    q=obs_sig["q"], q_dot=obs_sig["q_dot"],
+                    q_ddot=(obs_sig["q_dot"] - q_dot_prev) / sim_cfg.decision_dt,
+                    q_star=obs_sig["q_star"], tau=obs_sig["tau"],
+                    v_b=robot.base_twist.linear, omega_b=robot.base_twist.angular,
+                    v_x_star=u.v_lin, v_yaw_star=u.omega_yaw, n_collision=0,
+                    f_foot=obs_sig["f_foot"], v_z_foot=obs_sig["v_z_foot"],
+                    t_air=obs_sig["t_air"], h_b=obs_sig["h_b"],
+                    h_b_target=obs_sig["h_b_target"], q_default=DEFAULT_JOINTS,
+                    contact_cmd=obs_sig["contact_cmd"],
+                ),
+                sigma_track=sim_cfg.sigma_track, sigma_cf=sim_cfg.sigma_cf,
+                sigma_cv=sim_cfg.sigma_cv,
+            )
+            steps.append({
+                "step": step,
+                "phase": status.phase,
+                "action": [float(x) for x in action_vec],
+                "gripper_close": bool(action.gripper_close),
+                "object_pos": [float(x) for x in scene.object_pose.position],
+                "object_vel": [float(x) for x in scene.object_twist.linear],
+                "base_pos": [float(x) for x in robot.base_pose.position],
+                "base_yaw": float(robot.base_pose.orientation[2]),
+                "ee_pos": [float(x) for x in robot.ee_pose.position],
+                "reward_total": hl.total,
+                "low_reward_total": ll.total,
+            })
+            prev_action = action_vec
+            q_prev = q_now
+            q_dot_prev = q_dot
         if status.terminal:
             break
 
@@ -306,6 +324,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
         outcome=status.phase,
         attempt_count=status.attempt_count,
         success_step=status.success_step,
+        n_steps=n_steps,
     )
     if collect_observations:
         return log, observations

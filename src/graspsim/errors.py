@@ -34,4 +34,5 @@ class EmptyBankError(GraspSimError, ValueError):
 
 
 class NotReadyError(GraspSimError, RuntimeError):
-    """An observation history was queried before warm-up completed."""
+    """A result was asked for before it exists: an observation history before
+    warm-up, or the per-step log of an episode run without it."""

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .atomicfile import atomic_write
 from .errors import EmptyBankError, InvalidArgumentError, ShapeError
-from .scene import ObjectSpec
 from .se3 import (
     Pose6,
     _trusted,
@@ -28,6 +28,9 @@ from .se3 import (
     vec6_decode,
     vec6_encode,
 )
+
+if TYPE_CHECKING:
+    from .scene import ObjectSpec
 
 GRIPPER_APERTURE = 0.085
 DEFAULT_BANK_SIZE = 30
@@ -155,6 +158,14 @@ def alignment_gfm_weights() -> GfmWeights:
 # Candidate generation (analytic antipodal sampler)
 # ---------------------------------------------------------------------------
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors on Python floats: the same products and
+    differences (``a1*b2 - a2*b1``, ...) at a small part of its call cost."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _pose_from_axes(position, approach, closing) -> Pose6:
     """Grasp pose whose local +x is the approach axis and +y the closing axis."""
     a = np.asarray(approach, dtype=float)
@@ -162,7 +173,7 @@ def _pose_from_axes(position, approach, closing) -> Pose6:
     c = np.asarray(closing, dtype=float)
     c = c - a * np.dot(a, c)
     c = c / np.linalg.norm(c)
-    r = np.column_stack([a, c, np.cross(a, c)])
+    r = np.column_stack([a, c, _cross(a, c)])
     return _trusted(Pose6, np.array(position, dtype=float), matrix_to_euler(r))
 
 
@@ -185,10 +196,10 @@ def _sphere_candidates(radius, n, rng, aperture):
         helper = np.array([0.0, 0.0, 1.0])
         if abs(approach[2]) > 0.9:
             helper = np.array([1.0, 0.0, 0.0])
-        closing_seed = np.cross(approach, helper)
+        closing_seed = _cross(approach, helper)
         roll = rng.uniform(-np.pi, np.pi)
         c = (np.cos(roll) * closing_seed
-             + np.sin(roll) * np.cross(approach, closing_seed))
+             + np.sin(roll) * _cross(approach, closing_seed))
         out.append(GraspCandidate(
             _pose_from_axes(np.zeros(3), approach, c),
             _score(2.0 * radius, approach, aperture),

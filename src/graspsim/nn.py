@@ -63,9 +63,16 @@ def linear(x, w, b) -> np.ndarray:
 
 
 def elu(x) -> np.ndarray:
-    """x if x > 0 else exp(x) - 1, evaluating expm1 only where needed."""
+    """x if x >= 0 else exp(x) - 1, computed as max(expm1(min(x, 0)), x).
+
+    expm1(x) >= x for x < 0, so three whole-array passes give the masked
+    ``expm1(x, where=x < 0)`` bit for bit (every finite float32 checked) at a
+    fraction of the masked ufunc's cost, with no overflow for large x.
+    """
     x = as_tensor(x)
-    return np.expm1(x, out=x.copy(), where=x < 0)
+    e = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.expm1(e, out=e)
+    return np.maximum(e, x, out=e)
 
 
 def softmax(x, axis: int = -1) -> np.ndarray:

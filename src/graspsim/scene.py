@@ -9,11 +9,13 @@ state travels inside ``SceneState`` so episodes replay bit-for-bit.
 from __future__ import annotations
 
 import importlib.resources
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CatalogError, InvalidArgumentError, NotFoundError
+from .gfm import _world_vec6
 from .se3 import (
     TWO_PI,
     Pose6,
@@ -327,8 +329,16 @@ class SceneState:
     grip_offset: Pose6 | None = None  # object pose in the ee frame while held
 
 
+_RNG_LOCAL = threading.local()
+
+
 def _rng_from_state(state: dict) -> np.random.Generator:
-    g = np.random.Generator(np.random.PCG64())
+    """This thread's scratch generator, continuing from ``state``.  A fresh
+    ``PCG64()`` would seed itself from OS entropy only to be overwritten; one
+    per thread keeps episodes in concurrent threads from sharing draws."""
+    g = getattr(_RNG_LOCAL, "generator", None)
+    if g is None:
+        g = _RNG_LOCAL.generator = np.random.Generator(np.random.PCG64(0))
     g.bit_generator.state = state
     return g
 
@@ -501,12 +511,11 @@ def find_aligned_candidate(bank, state: SceneState, ee_pose: Pose6, cfg):
     """Index of a stored grasp within cfg's align tolerances of the ee, or None."""
     best = None
     best_d = np.inf
-    for i, cand in enumerate(bank.candidates):
-        world = compose(state.object_pose, cand.pose)
-        d = float(np.linalg.norm(world.position - ee_pose.position))
+    for i, world in enumerate(_world_vec6(bank, state.object_pose)):
+        d = float(np.linalg.norm(world[:3] - ee_pose.position))
         if d > cfg.teacher_align_pos_tol:
             continue
-        if (rotation_angle_between(world.orientation, ee_pose.orientation)
+        if (rotation_angle_between(world[3:], ee_pose.orientation)
                 > cfg.teacher_align_ori_tol):
             continue
         if d < best_d:

@@ -3,6 +3,7 @@ import pytest
 
 from graspsim.errors import EmptyBankError, InvalidArgumentError
 from graspsim.gfm import (
+    _cross,
     _world_vec6,
     GRIPPER_APERTURE,
     GfmWeights,
@@ -70,6 +71,21 @@ def test_approach_axis_points_toward_centroid():
             approach = euler_to_matrix(c.pose.orientation)[:, 0]
             to_center = -c.pose.position
             assert float(approach @ to_center) >= -1e-12
+
+
+def test_cross_bits_match_numpy_oracle(rng):
+    # the float helper computes np.cross's products and differences in the
+    # same order; exact zeros of both signs and +-1 entries hit the signed-zero
+    # cases (0.0 * -1.0, x - x)
+    a = rng.normal(size=(20000, 3)) * 10.0 ** rng.integers(-3, 4, size=(20000, 1))
+    b = rng.normal(size=(20000, 3)) * 10.0 ** rng.integers(-3, 4, size=(20000, 1))
+    for v in (a, b):
+        special = rng.random(v.shape) < 0.2
+        v[special] = rng.choice([0.0, -0.0, 1.0, -1.0], size=int(special.sum()))
+    b[:500] = a[:500]
+    got = np.array([_cross(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(got.view(np.uint64), np.cross(a, b).view(np.uint64))
+    assert np.signbit(got).any() and (got == 0.0).any()
 
 
 def test_generate_rejects_bad_count():

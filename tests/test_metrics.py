@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 
 import pytest
 
+from graspsim import metrics
 from graspsim.config import SimConfig
-from graspsim.episode import EpisodeSummary
+from graspsim.episode import EpisodeSummary, run_episode
 from graspsim.errors import InvalidArgumentError
 from graspsim.metrics import (
     CSV_HEADER,
@@ -119,6 +121,21 @@ def test_benchmark_csv_deterministic():
     assert csv_a == csv_b
     assert summaries_to_jsonl(sums_a) == summaries_to_jsonl(sums_b)
     assert csv_a.splitlines()[0] == CSV_HEADER
+
+
+def test_benchmark_outcomes_do_not_depend_on_the_step_log(monkeypatch):
+    # sweeps run without the per-step log; logging every step (rewards, gait
+    # signals, the step dicts) must not change a single summary byte
+    runs = []
+    for log_steps in (False, True):
+        monkeypatch.setattr(metrics, "run_episode",
+                            functools.partial(run_episode, log_steps=log_steps))
+        runs.append(run_benchmark([1, 2, 3, 4], episodes_per_level=4, split="both",
+                                  seed=1, timeout_steps=80))
+    (_, csv_off, off), (_, csv_on, on) = runs
+    assert {s.outcome for s in off} == {"success", "failed_timeout", "failed_dropped"}
+    assert csv_on == csv_off
+    assert summaries_to_jsonl(on) == summaries_to_jsonl(off)
 
 
 def test_benchmark_step_budget_consumed():

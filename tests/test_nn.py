@@ -160,6 +160,22 @@ def test_elu_values():
     assert np.allclose(elu(x), expected, atol=1e-7)
 
 
+def test_elu_bits_match_masked_expm1_oracle(rng):
+    # random finite bit patterns cover every exponent, subnormals and both
+    # zeros; the normal samples cover typical activations, where expm1(x)
+    # rounds to x for tiny |x|; odd offsets move the SIMD loop tails
+    bits = rng.integers(0, 2**32, size=1_000_000, dtype=np.uint64).astype(np.uint32)
+    x = bits.view(np.float32)
+    x = np.concatenate([x[np.isfinite(x)], rng.standard_normal(200_001).astype(np.float32),
+                        np.float32([0.0, -0.0, -1e-45, -1e-30, -104.0, 89.0, 3e38])])
+    for xs in (x, x[1:], x[::3], x[-7:], x[-1], x[-6]):
+        xs = np.asarray(xs)
+        expected = np.expm1(xs, out=xs.copy(), where=xs < 0)
+        got = elu(xs)
+        assert got.shape == xs.shape and got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+
+
 def test_softmax_uniform_and_normalized(rng):
     s = softmax(np.full(7, 3.3, np.float32))
     assert np.allclose(s, 1.0 / 7.0, atol=1e-7)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from importlib import resources
 
@@ -14,6 +15,7 @@ from graspsim.scene import (
     ObjectSpec,
     apply_gripper_close,
     check_status,
+    find_aligned_candidate,
     initial_status,
     load_catalog,
     make_trajectory,
@@ -23,7 +25,7 @@ from graspsim.scene import (
     step_scene,
     validate_catalog,
 )
-from graspsim.se3 import Pose6, compose, inverse
+from graspsim.se3 import Pose6, compose, inverse, rotation_angle_between
 
 from conftest import assert_valid_pose, make_config
 
@@ -254,6 +256,26 @@ def test_scene_sequence_bit_deterministic(catalog_map):
     assert np.array_equal(rollout(), rollout())
 
 
+def test_step_scene_is_a_function_of_its_state(catalog_map):
+    # the level-4 step draws from the RNG state the scene carries; stepping
+    # one state twice gives one result and leaves the input's state as it was
+    traj = make_trajectory(4, 5)
+    state = reset_episode(make_config(level=4, seed=5), catalog_map, traj)
+    for _ in range(3):
+        state = step_scene(state, traj, DT)
+    before = json.dumps(state.rng_state, sort_keys=True)
+    a = step_scene(state, traj, DT)
+    b = step_scene(state, traj, DT)
+    assert json.dumps(state.rng_state, sort_keys=True) == before
+    assert a.rng_state == b.rng_state != state.rng_state
+    assert a.time == b.time
+    for x, y in ((a.platform_pose.position, b.platform_pose.position),
+                 (a.platform_twist.linear, b.platform_twist.linear),
+                 (a.object_pose.position, b.object_pose.position),
+                 (a.object_twist.linear, b.object_twist.linear)):
+        assert np.array_equal(x, y)
+
+
 # ---------------------------------------------------------------------------
 # Gripper close and status transitions
 # ---------------------------------------------------------------------------
@@ -268,6 +290,40 @@ def _scene_and_aligned_robot(catalog_map, object_id="rubiks_cube", seed=4):
     world = compose(state.object_pose, bank.candidates[0].pose)
     robot = replace(robot, ee_pose=world)
     return cfg, state, robot, bank
+
+
+def _aligned_by_compose(bank, state, ee_pose, cfg):
+    """find_aligned_candidate re-projecting one candidate at a time."""
+    best, best_d = None, np.inf
+    for i, cand in enumerate(bank.candidates):
+        world = compose(state.object_pose, cand.pose)
+        d = float(np.linalg.norm(world.position - ee_pose.position))
+        if d > cfg.teacher_align_pos_tol:
+            continue
+        if (rotation_angle_between(world.orientation, ee_pose.orientation)
+                > cfg.teacher_align_ori_tol):
+            continue
+        if d < best_d:
+            best, best_d = i, d
+    return best
+
+
+def test_find_aligned_candidate_matches_per_candidate_compose(catalog_map, rng):
+    # the batched bank re-projection picks the same candidate as composing
+    # each one; an ee exactly on a candidate ties with every candidate at the
+    # same position (the centred box grasps), and the first aligned one wins
+    found = set()
+    for object_id in ("rubiks_cube", "sugar_box", "tennis_ball", "tomato_soup_can"):
+        _, state, _, bank = _scene_and_aligned_robot(catalog_map, object_id)
+        for _ in range(25):
+            k = int(rng.integers(len(bank)))
+            world = compose(state.object_pose, bank.candidates[k].pose)
+            for ee in (world, Pose6(world.position + rng.normal(0.0, 0.012, 3),
+                                    world.orientation + rng.normal(0.0, 0.12, 3))):
+                got = find_aligned_candidate(bank, state, ee, SIM_CFG)
+                assert got == _aligned_by_compose(bank, state, ee, SIM_CFG)
+                found.add(got)
+    assert None in found and len(found) > 3
 
 
 def test_aligned_close_attaches(catalog_map):

@@ -62,7 +62,7 @@ OBSERVATION_DIGEST = "0c7dbc79a895c53079775e0f5e911b3a7bd779f41d3dc523ddf0f997a1
 def test_episode_log_bytes_pinned(key, catalog):
     level, object_id, seed, timeout = key
     log = run_episode(make_config(level=level, object_id=object_id, seed=seed,
-                                  timeout_steps=timeout), catalog=catalog)
+                                  timeout_steps=timeout), catalog=catalog, log_steps=True)
     expected = "failed_timeout" if level == 2 else EPISODE_OUTCOMES[object_id]
     assert log.outcome == expected
     assert hashlib.sha256(log.to_json().encode()).hexdigest() == EPISODE_DIGESTS[key]

@@ -1,4 +1,6 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +15,13 @@ from graspsim.distill import (
     read_dataset,
     record_distillation,
 )
-from graspsim.episode import build_proprio, derive_seed, run_episode
-from graspsim.errors import EmptyBankError, InvalidArgumentError, NotFoundError
+from graspsim.episode import build_proprio, derive_seed, run_episode, summarize
+from graspsim.errors import (
+    EmptyBankError,
+    InvalidArgumentError,
+    NotFoundError,
+    NotReadyError,
+)
 from graspsim.gfm import alignment_gfm_weights, build_memory, generate_candidates
 from graspsim.nn import PROPRIO_DIM, kd_loss
 from graspsim.robot import initial_robot
@@ -124,8 +131,8 @@ def test_golden_level1_episode_regression():
 
 
 def test_episode_deterministic_serialization():
-    a = run_episode(make_config(**GOLDEN))
-    b = run_episode(make_config(**GOLDEN))
+    a = run_episode(make_config(**GOLDEN), log_steps=True)
+    b = run_episode(make_config(**GOLDEN), log_steps=True)
     assert a.to_json() == b.to_json()
     assert a.to_json().encode() == b.to_json().encode()
     # the documented log layout: exactly these fields, nothing added or dropped
@@ -138,6 +145,39 @@ def test_episode_deterministic_serialization():
         "step", "phase", "action", "gripper_close", "object_pos", "object_vel",
         "base_pos", "base_yaw", "ee_pos", "reward_total", "low_reward_total"}
         for step in payload["steps"])
+
+
+def test_unlogged_episode_refuses_json():
+    # without log_steps there is no per-step trace; to_json must not write a
+    # valid-looking log with no steps
+    log = run_episode(make_config(**GOLDEN))
+    assert log.steps is None and log.n_steps == 36
+    with pytest.raises(NotReadyError, match="log_steps=True"):
+        log.to_json()
+    logged = run_episode(make_config(**GOLDEN), log_steps=True)
+    assert len(logged.steps) == logged.n_steps
+    assert summarize(logged) == summarize(log)
+
+
+def test_concurrent_level4_episodes_match_serial(catalog_map):
+    # a level-4 platform draws from the scene RNG on every physics step;
+    # episodes in threads (more than cores, switching often) must not share
+    # draws, so every per-step log equals the serial one
+    configs = [make_config(level=4, object_id=oid, seed=seed, timeout_steps=30)
+               for oid, seed in (("lemon", 0), ("sugar_box", 0),
+                                 ("tennis_ball", 3), ("mustard_bottle", 5))]
+    serial = [run_episode(c, catalog=catalog_map, log_steps=True).to_json()
+              for c in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            futures = [pool.submit(run_episode, c, catalog=catalog_map, log_steps=True)
+                       for c in configs]
+            threaded = [f.result(timeout=300).to_json() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_episode_timeout_one_step():
@@ -169,21 +209,22 @@ def test_episode_takes_clocks_from_sim_config(monkeypatch):
 
     monkeypatch.setattr(episode_mod, "step_scene", counting_step)
     log = run_episode(make_config(timeout_steps=3, **GOLDEN),
-                      sim_cfg=SimConfig(physics_dt=0.05))
+                      sim_cfg=SimConfig(physics_dt=0.05), log_steps=True)
     assert (log.physics_dt, log.decision_dt, log.n_steps) == (0.05, 0.1, 3)
     assert calls == [0.05] * 6          # 2 substeps per decision step
     assert '"physics_dt":0.05' in log.to_json()
 
 
 def test_observations_do_not_change_dynamics():
-    plain = run_episode(make_config(**GOLDEN))
-    observed, _ = run_episode(make_config(**GOLDEN), collect_observations=True)
+    plain = run_episode(make_config(**GOLDEN), log_steps=True)
+    observed, _ = run_episode(make_config(**GOLDEN), collect_observations=True,
+                              log_steps=True)
     assert plain.to_json() == observed.to_json()
 
 
 def test_ablation_teacher_differs(catalog_map):
-    full = run_episode(make_config(**GOLDEN))
-    ablated = run_episode(make_config(**GOLDEN), use_gfm=False)
+    full = run_episode(make_config(**GOLDEN), log_steps=True)
+    ablated = run_episode(make_config(**GOLDEN), use_gfm=False, log_steps=True)
     assert full.outcome == "success"
     assert (ablated.outcome != full.outcome
             or ablated.to_json() != full.to_json())
@@ -194,7 +235,8 @@ def test_ablation_teacher_differs(catalog_map):
 # ---------------------------------------------------------------------------
 
 def test_distill_roundtrip(tmp_path):
-    log, obs = run_episode(make_config(**GOLDEN), collect_observations=True)
+    log, obs = run_episode(make_config(**GOLDEN), collect_observations=True,
+                           log_steps=True)
     path = tmp_path / "set.bin"
     n = record_distillation(log, obs, path)
     assert n == log.n_steps
