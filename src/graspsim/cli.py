@@ -55,7 +55,8 @@ def _cmd_bench(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "metrics.csv")
     log_path = os.path.join(args.out, "episodes.jsonl")
-    # Nested: a failed write of either file renames neither (no mixed pair).
+    # Nested: a failed write of either file renames neither.  The renames run
+    # in turn, episodes.jsonl first and metrics.csv last (the commit marker).
     with atomic_write(csv_path, "w", encoding="ascii", newline="") as csv_fh, \
             atomic_write(log_path, "w", encoding="ascii", newline="") as log_fh:
         csv_fh.write(csv_text)
@@ -76,7 +77,7 @@ def _cmd_episode(args) -> int:
     log = run_episode(config, sim_cfg=cfg, log_steps=args.dump_log is not None)
     print(f"outcome={log.outcome} steps={log.n_steps} "
           f"attempts={log.attempt_count} success_step={log.success_step}")
-    if args.dump_log:
+    if args.dump_log is not None:
         with atomic_write(args.dump_log, "w", encoding="ascii", newline="") as fh:
             fh.write(log.to_json() + "\n")
         print(f"wrote {args.dump_log}")
@@ -127,7 +128,7 @@ def _cmd_gfm_inspect(args) -> int:
         print(f"  [{i:02d}] score={cand.score:.3f} alpha={a:.4f}  {vec}")
     fused_v = " ".join(f"{x:+.4f}" for x in vec6_encode(fused))
     print(f"fused world grasp: {fused_v}")
-    if args.save:
+    if args.save is not None:
         save_bank(bank, args.save)
         print(f"wrote {args.save}")
     return 0

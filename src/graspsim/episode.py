@@ -216,7 +216,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     steps = [] if log_steps else None
     close_events, observations = [], []
     prev_action = np.zeros(8)
-    q_prev = robot.joint_proxy
+    q_prev = DEFAULT_JOINTS   # the pose at rest; gait_joint_proxy(0.0) is 4e-17 off it
     q_dot_prev = np.zeros(12)
     last_attempt = -10**9
     n_steps = 0
@@ -251,7 +251,6 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
                 robot = replace(robot, gripper="closed")
 
         u = accumulate_command(robot, action)
-        robot_before = robot
         for i in range(sim_cfg.substeps):
             robot = execute_command(robot, u, scene.terrain, sim_cfg.physics_dt)
             scene = step_scene(
@@ -264,20 +263,19 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
                 break
 
         if log_steps:
-            q_now = robot.joint_proxy
-            q_dot = (q_now - q_prev) / sim_cfg.decision_dt
+            obs_sig = gait_observables(robot, q_prev, sim_cfg.decision_dt, u,
+                                       scene.terrain)
+            q_dot = obs_sig["q_dot"]
             just_completed = status.phase == "success" and status.success_step == step
             hl = high_level_reward(
                 _high_level_input(scene, robot, status, action_vec, prev_action,
                                   q_dot, q_dot_prev, action.v_lin, just_completed),
                 weights=sim_cfg.reward_weights or None,
             )
-            obs_sig = gait_observables(robot, robot_before, sim_cfg.decision_dt, u,
-                                       scene.terrain)
             ll = low_level_reward(
                 LowLevelState(
-                    q=obs_sig["q"], q_dot=obs_sig["q_dot"],
-                    q_ddot=(obs_sig["q_dot"] - q_dot_prev) / sim_cfg.decision_dt,
+                    q=obs_sig["q"], q_dot=q_dot,
+                    q_ddot=(q_dot - q_dot_prev) / sim_cfg.decision_dt,
                     q_star=obs_sig["q_star"], tau=obs_sig["tau"],
                     v_b=robot.base_twist.linear, omega_b=robot.base_twist.angular,
                     v_x_star=u.v_lin, v_yaw_star=u.omega_yaw, n_collision=0,
@@ -303,7 +301,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
                 "low_reward_total": ll.total,
             })
             prev_action = action_vec
-            q_prev = q_now
+            q_prev = obs_sig["q"]
             q_dot_prev = q_dot
         if status.terminal:
             break

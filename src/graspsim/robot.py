@@ -11,7 +11,7 @@ reward formulas have inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .se3 import (
     Pose6,
     Twist,
     _trusted,
+    _wrap1,
     compose,
     euler_to_matrix,
     matrix_to_euler,
@@ -105,22 +106,15 @@ class CommandVector:
 
 @dataclass(frozen=True)
 class RobotState:
+    """The gait's leg joints are not state: ``gait_joint_proxy(travel)``."""
+
     base_pose: Pose6
     base_twist: Twist
     ee_target: Pose6          # base frame
     ee_pose: Pose6            # world frame
     gripper: str = "open"     # open | closed
     yaw_ref: float = 0.0
-    joint_proxy: np.ndarray = None
     travel: float = 0.0       # cumulative base path length, drives the gait
-
-    def __post_init__(self):
-        jp = self.joint_proxy
-        jp = DEFAULT_JOINTS.copy() if jp is None else np.asarray(jp, dtype=float).copy()
-        if jp.shape != (12,):
-            raise InvalidArgumentError("joint_proxy must be a 12-vector")
-        jp.setflags(write=False)
-        object.__setattr__(self, "joint_proxy", jp)
 
 
 CARRY_EE_TARGET = Pose6(np.array([0.35, 0.0, 0.2]), np.zeros(3))
@@ -167,10 +161,10 @@ def _unicycle_step(x, y, yaw, v, omega, dt):
     return x1, y1, yaw1
 
 
-def _lag_angle(current, target, alpha):
+def _lag_angle(current: np.ndarray, target: np.ndarray, alpha: float) -> np.ndarray:
     """Exponential pull of each angle toward the target along the short way."""
-    err = wrap_angle(np.asarray(target) - np.asarray(current))
-    return wrap_angle(np.asarray(current) + alpha * err)
+    return np.array([_wrap1(c + alpha * _wrap1(t - c))
+                     for c, t in zip(current.tolist(), target.tolist())])
 
 
 def gait_joint_proxy(travel: float) -> np.ndarray:
@@ -205,9 +199,9 @@ def execute_command(robot: RobotState, u: CommandVector, terrain: TerrainField,
     # coordinates: with constant commands the target is fixed there and the
     # exact exponential pull makes stepping rate-consistent.
     rel = ee_pose_in_base(robot)
-    pull = 1.0 - np.exp(-dt / EE_TAU)
+    pull = float(1.0 - np.exp(-dt / EE_TAU))
     step_vec = (u.p_hat - rel.position) * pull
-    step_len = float(np.linalg.norm(step_vec))
+    step_len = math.sqrt(step_vec @ step_vec)   # np.linalg.norm's 1-D formula
     max_step = EE_RATE_LIMIT * dt
     if step_len > max_step:
         step_vec *= max_step / step_len
@@ -215,16 +209,8 @@ def execute_command(robot: RobotState, u: CommandVector, terrain: TerrainField,
                        _lag_angle(rel.orientation, u.r_hat, pull))
     ee_pose = compose(base_pose, rel_new)
 
-    travel = robot.travel + abs(u.v_lin) * dt
-    return replace(
-        robot,
-        base_pose=base_pose,
-        base_twist=base_twist,
-        ee_target=u.target,
-        ee_pose=ee_pose,
-        joint_proxy=gait_joint_proxy(travel),
-        travel=travel,
-    )
+    return RobotState(base_pose, base_twist, u.target, ee_pose, robot.gripper,
+                      robot.yaw_ref, robot.travel + abs(u.v_lin) * dt)
 
 
 def ee_pose_in_base(robot: RobotState) -> Pose6:
@@ -263,14 +249,15 @@ def interpolate_target(p, p_end, t: float, total: float) -> np.ndarray:
     return w * p_end + (1.0 - w) * p
 
 
-def gait_observables(robot: RobotState, prev: RobotState, dt: float,
+def gait_observables(robot: RobotState, q_prev: np.ndarray, dt: float,
                      u: CommandVector, terrain) -> dict:
     """Synthetic low-level signals derived from the gait clock.
 
-    These feed the locomotion reward formulas; they carry no dynamics.
+    The joints ``q`` are ``gait_joint_proxy(robot.travel)``, derived here
+    and stored nowhere; ``q_prev`` is the caller's ``q`` of dt ago.  These
+    feed the locomotion reward formulas; they carry no dynamics.
     """
-    q = robot.joint_proxy
-    q_prev = prev.joint_proxy
+    q = gait_joint_proxy(robot.travel)
     q_dot = (q - q_prev) / dt
     phase = 2.0 * np.pi * robot.travel / GAIT_WAVELENGTH
     leg_phase = phase + _LEG_PHASES[::3]

@@ -18,6 +18,11 @@ Python floats, where a 0-d numpy call costs more than the math.  Every
 transcendental call and every ``@`` stays numpy: ``math.asin``/``atan2``/``exp``
 differ from numpy in 33,758/400k, 15,472/200k and 18,626/400k random inputs,
 and a 3x3 ``@`` (BLAS FMA) differs from left-to-right sums in 19,567/20,000.
+
+``euler_to_matrix`` of zero roll and pitch (every base and unrotated pose) is
+``rot_z(c)`` alone, with the bits of the product: each product entry is one
+``rot_z`` entry plus signed zeros.  Only yaw == +-0.0 differs (rot_z's -0.0
+sums to +0.0 in the product), so it takes the full form.
 """
 
 from __future__ import annotations
@@ -127,7 +132,8 @@ def _trusted(cls, first: np.ndarray, second: np.ndarray):
     first.setflags(write=False)
     second.setflags(write=False)
     value = object.__new__(cls)
-    vars(value).update(zip(cls.__dataclass_fields__, (first, second)))
+    first_name, second_name = cls.__dataclass_fields__
+    value.__dict__[first_name], value.__dict__[second_name] = first, second
     return value
 
 
@@ -173,6 +179,8 @@ def rot_z(a: float) -> np.ndarray:
 def euler_to_matrix(orientation) -> np.ndarray:
     """Rotation matrix for intrinsic-XYZ Euler angles (Rx @ Ry @ Rz)."""
     a, b, c = np.asarray(orientation, dtype=float).tolist()
+    if a == 0.0 and b == 0.0 and c != 0.0:
+        return rot_z(c)
     return rot_x(a) @ rot_y(b) @ rot_z(c)
 
 

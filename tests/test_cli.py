@@ -123,6 +123,22 @@ def test_count_arguments_rejected(args, tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["episode", "--level", "1", "--object", "rubiks_cube", "--dump-log"],
+    ["gfm-inspect", "--object", "rubiks_cube", "--save"],
+    ["distill-record", "--level", "1", "--out"],
+    ["bench", "--levels", "1", "--episodes", "1", "--out"],
+    ["render", "--out-dir"],
+])
+def test_empty_file_flag_rejected(args, tmp_path, capsys, monkeypatch):
+    # an empty path is an error, not "flag not given", and leaves no file
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(args + [""], capsys)
+    assert code == 1
+    assert err.strip().splitlines()[-1].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_override(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("timeout_steps = 2\nteacher_standoff = 0.55\n")

@@ -290,6 +290,18 @@ def test_atomic_write_replaces_on_success(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 
 
+def test_atomic_write_failed_rename_leaves_no_twin(tmp_path):
+    # the rename onto a directory fails: the error propagates, the directory
+    # stays, and no temporary twin is left behind
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        with atomicfile.atomic_write(target, "w", encoding="ascii") as fh:
+            fh.write("new")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert target.is_dir()
+
+
 def _write_calls(tree):
     """(line, call text) of every call in ``tree`` that can write a file."""
     found = []

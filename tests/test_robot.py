@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from graspsim.errors import InvalidArgumentError, SingularJacobianError
 from graspsim.robot import (
     CommandVector,
+    EE_TAU,
     HighLevelAction,
     WORKSPACE_CENTER,
     WORKSPACE_RADIUS,
+    _lag_angle,
     accumulate_command,
     clamp_to_workspace,
     execute_command,
@@ -15,6 +19,7 @@ from graspsim.robot import (
     interpolate_target,
 )
 from graspsim.scene import sample_terrain
+from graspsim.se3 import wrap_angle
 
 from conftest import assert_valid_pose, flat_terrain
 
@@ -136,6 +141,27 @@ def test_ee_converges_to_reachable_target():
     world_target = robot.base_pose.position + target  # base sits at yaw 0
     assert np.linalg.norm(robot.ee_pose.position - world_target) < 1e-3
     assert np.allclose(robot.ee_pose.orientation, orn, atol=1e-2)
+
+
+def test_lag_angle_bits_match_array_form(rng):
+    # _lag_angle runs on Python floats; its bits equal the array form's:
+    # wrap the difference, then wrap current + alpha * err.
+    def reference(current, target, alpha):
+        err = wrap_angle(np.asarray(target) - np.asarray(current))
+        return wrap_angle(np.asarray(current) + alpha * err)
+
+    pi, nxt = np.pi, np.nextafter(np.pi, 0.0)
+    ties = [0.0, -0.0, pi, -pi, nxt, -nxt, pi / 2, -pi / 2]
+    pairs = [(np.array([c, t, c]), np.array([t, c, -t]))
+             for c, t in itertools.product(ties, ties)]
+    pairs += [(rng.uniform(-pi, pi, 3), rng.uniform(-pi, pi, 3)) for _ in range(5000)]
+    alphas = [1.0 - np.exp(-dt / EE_TAU) for dt in (0.02, 0.01, 0.1)]
+    alphas += list(rng.uniform(0.0, 1.0, 2)) + [0.0, 1.0]
+    for k, (current, target) in enumerate(pairs):
+        alpha = alphas[k % len(alphas)]
+        got = _lag_angle(current, target, float(alpha))
+        want = reference(current, target, alpha)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_step_rate_consistency():

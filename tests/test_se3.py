@@ -12,6 +12,8 @@ from graspsim.se3 import (
     grasp_to_world,
     inverse,
     matrix_to_euler,
+    rot_x,
+    rot_y,
     rot_z,
     transform_to_euler,
     vec6_decode,
@@ -130,6 +132,21 @@ def test_matrix_to_euler_bits_match_numpy_oracle(rng):
     assert _same_bits(batch, _matrix_to_euler_oracle(stack))
     for m, row in zip(mats, batch):
         assert _same_bits(row, matrix_to_euler(m))
+
+
+def test_euler_to_matrix_yaw_only_bits_match_three_matmuls(rng):
+    # The yaw-only fast path returns rot_z(c); it must give the bits of the
+    # full Rx @ Ry @ Rz product for roll and pitch of +0.0 and -0.0.
+    yaws = np.concatenate([rng.uniform(-np.pi, np.pi, 20_000),
+                           [0.0, -0.0, np.pi, -np.pi, np.pi / 2]]).tolist()
+    for a in (0.0, -0.0):
+        for b in (0.0, -0.0):
+            for c in yaws:
+                assert _same_bits(euler_to_matrix(np.array([a, b, c])),
+                                  rot_x(a) @ rot_y(b) @ rot_z(c))
+    # why yaw == 0 takes the full form: there rot_z alone has the wrong zeros
+    assert not all(_same_bits(rot_z(c), rot_x(a) @ rot_y(b) @ rot_z(c))
+                   for a in (0.0, -0.0) for b in (0.0, -0.0) for c in (0.0, -0.0))
 
 
 def test_zero_pose_is_identity_transform():

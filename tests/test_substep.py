@@ -1,6 +1,7 @@
 """The physics substep: pinned episode bytes, the rule that the robot and
-scene integrators build no checked value once the command and dt are in, and
-the decision step's checked poses (the command and the policy output only)."""
+scene integrators build no checked value once the command and dt are in, the
+gait joints computed only for a logged episode, and the decision step's
+checked poses (the command and the policy output only)."""
 
 import hashlib
 from dataclasses import replace
@@ -8,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graspsim import episode
+from graspsim import episode, robot as robot_module
 from graspsim.config import SimConfig
 from graspsim.episode import derive_seed, run_episode
 from graspsim.robot import (
@@ -65,6 +66,27 @@ def test_episode_log_bytes_pinned(key, catalog):
                                   timeout_steps=timeout), catalog=catalog, log_steps=True)
     expected = "failed_timeout" if level == 2 else EPISODE_OUTCOMES[object_id]
     assert log.outcome == expected
+    assert hashlib.sha256(log.to_json().encode()).hexdigest() == EPISODE_DIGESTS[key]
+
+
+def test_gait_joints_computed_only_for_the_log(catalog, monkeypatch):
+    # The synthetic leg joints feed only the per-step log's rewards, so an
+    # episode that nobody logs computes none; a logged one keeps its bytes.
+    real, travels = robot_module.gait_joint_proxy, []
+
+    def counted(travel):
+        travels.append(travel)
+        return real(travel)
+
+    monkeypatch.setattr(robot_module, "gait_joint_proxy", counted)
+    key = (1, "water_bottle", 1, 40)
+    level, object_id, seed, timeout = key
+    config = make_config(level=level, object_id=object_id, seed=seed,
+                         timeout_steps=timeout)
+    run_episode(config, catalog=catalog)
+    assert travels == []
+    log = run_episode(config, catalog=catalog, log_steps=True)
+    assert len(travels) == 2 * log.n_steps    # q and q_star per logged step
     assert hashlib.sha256(log.to_json().encode()).hexdigest() == EPISODE_DIGESTS[key]
 
 
