@@ -10,13 +10,21 @@ from contextlib import contextmanager
 from .errors import InvalidArgumentError
 
 
+def check_output_path(path) -> None:
+    """Reject an empty output path, or one in a directory that does not exist."""
+    if not os.fspath(path):
+        raise InvalidArgumentError("output path is empty")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise InvalidArgumentError(f"output directory does not exist: {parent}")
+
+
 @contextmanager
 def atomic_write(path, mode: str = "wb", **open_kwargs):
     """Yield a file open on a temporary twin of ``path``; a clean exit renames
     it onto ``path``, an exception (in the write or the rename) deletes it and
-    keeps any earlier file.  An empty path is rejected before any file opens."""
-    if not os.fspath(path):
-        raise InvalidArgumentError("output path is empty")
+    keeps any earlier file.  ``check_output_path`` runs before any file opens."""
+    check_output_path(path)
     tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
     try:
         with open(tmp, mode, **open_kwargs) as fh:

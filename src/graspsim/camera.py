@@ -26,7 +26,6 @@ DEFAULT_HFOV = np.deg2rad(87.0)
 DEPTH_CLIP = 5.0
 LATENCY_STEPS = 4
 HISTORY_LEN = 3
-_TERRAIN_ITERS = 1
 _NO_HIT = np.inf
 
 BASE_CAM_OFFSET = Pose6(np.array([0.25, 0.0, 0.15]),
@@ -36,12 +35,11 @@ WRIST_CAM_OFFSET = Pose6(np.array([-0.08, 0.0, 0.04]), np.zeros(3))
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera: optical axis +x, image right -y, image up +z."""
+    """Pinhole camera of FRAME_H x FRAME_W square pixels: optical axis +x,
+    image right -y, image up +z."""
 
     mount: str                        # base | wrist
     mount_offset: Pose6
-    width: int = FRAME_W
-    height: int = FRAME_H
     hfov: float = DEFAULT_HFOV
 
     def __post_init__(self):
@@ -85,14 +83,14 @@ def _camera_rays(cam: CameraModel):
     preserves the norms, so the squared lengths serve every world-frame
     quadratic test.
     """
-    key = (cam.width, cam.height, round(cam.hfov, 12))
+    key = round(cam.hfov, 12)
     if key not in _RAY_CACHE:
         tan_h = np.tan(cam.hfov / 2.0)
-        tan_v = tan_h * cam.height / cam.width          # square pixels
-        u = (np.arange(cam.width) + 0.5 - cam.width / 2.0) / (cam.width / 2.0)
-        v = (np.arange(cam.height) + 0.5 - cam.height / 2.0) / (cam.height / 2.0)
-        yy = -tan_h * u[None, :] * np.ones((cam.height, 1))
-        zz = -tan_v * v[:, None] * np.ones((1, cam.width))
+        tan_v = tan_h * FRAME_H / FRAME_W               # square pixels
+        u = (np.arange(FRAME_W) + 0.5 - FRAME_W / 2.0) / (FRAME_W / 2.0)
+        v = (np.arange(FRAME_H) + 0.5 - FRAME_H / 2.0) / (FRAME_H / 2.0)
+        yy = -tan_h * u[None, :] * np.ones((FRAME_H, 1))
+        zz = -tan_v * v[:, None] * np.ones((1, FRAME_W))
         dirs = np.ascontiguousarray(
             np.stack([np.ones_like(yy), yy, zz], axis=-1).reshape(-1, 3).T,
             dtype=np.float32,
@@ -126,13 +124,10 @@ class _Workspace:
 _WS_LOCAL = threading.local()
 
 
-def _workspace(n: int) -> _Workspace:
-    ws_map = getattr(_WS_LOCAL, "map", None)
-    if ws_map is None:
-        ws_map = _WS_LOCAL.map = {}
-    ws = ws_map.get(n)
+def _workspace() -> _Workspace:
+    ws = getattr(_WS_LOCAL, "ws", None)
     if ws is None:
-        ws = ws_map[n] = _Workspace(n)
+        ws = _WS_LOCAL.ws = _Workspace(FRAME_H * FRAME_W)
     return ws
 
 
@@ -296,11 +291,12 @@ def _heights_into(terrain, xs, ys, out, ws: _Workspace) -> None:
 def _terrain_into(o, d, terrain, out, ws: _Workspace) -> None:
     """Descending rays vs the 0..0.1 m heightfield band.
 
-    Fixed-point refinement of t = (h(x(t), y(t)) - oz) / dz, clamped to the
-    band entry.  Terrain sits strictly below the floating platform and the
-    object, so its depth never occludes them; two iterations give
-    centimeter-level ground depth, plenty under the 5 m clip.  Non-descending
-    rays ride along on a pinned slope and are masked out at the end.
+    One fixed-point step of t = (h(x(t), y(t)) - oz) / dz from the band's
+    mid-height (0.05 m), clamped to the band entry: a median 1.6 mm and a
+    99th percentile 3.7 cm off the converged depth (spawn views, 20 scenes).
+    Terrain sits strictly below the floating platform and the object, so its
+    depth never occludes them.  Non-descending rays ride along on a pinned
+    slope and are masked out at the end.
     """
     dz = d[2]
     inv, t_band, t = ws.r[0], ws.r[1], ws.r[2]
@@ -310,16 +306,14 @@ def _terrain_into(o, d, terrain, out, ws: _Workspace) -> None:
     np.multiply(inv, np.float32(0.1 - o[2]), out=t_band)
     np.maximum(t_band, 0.0, out=t_band)
     np.multiply(inv, np.float32(0.05 - o[2]), out=t)
-    for _ in range(_TERRAIN_ITERS):
-        np.multiply(t, d[0], out=xs)
-        xs += np.float32(o[0])
-        np.multiply(t, d[1], out=ys)
-        ys += np.float32(o[1])
-        _heights_into(terrain, xs, ys, h, ws)
-        h -= np.float32(o[2])
-        np.multiply(h, inv, out=t)
-        np.maximum(t, t_band, out=t)
-    np.copyto(out, t)
+    np.multiply(t, d[0], out=xs)
+    xs += np.float32(o[0])
+    np.multiply(t, d[1], out=ys)
+    ys += np.float32(o[1])
+    _heights_into(terrain, xs, ys, h, ws)
+    h -= np.float32(o[2])
+    np.multiply(h, inv, out=t)
+    np.maximum(t, t_band, out=out)
     np.less(dz, np.float32(-1e-12), out=ws.m1)
     np.logical_not(ws.m1, out=ws.m1)
     np.copyto(out, _NO_HIT, where=ws.m1)
@@ -359,7 +353,7 @@ def render_frame(scene: SceneState, robot, cam: CameraModel,
     rot = r_parent @ euler_to_matrix(cam.mount_offset.orientation)
     o = parent.position + r_parent @ cam.mount_offset.position
     rays, d_sq = _camera_rays(cam)
-    ws = _workspace(rays.shape[1])
+    ws = _workspace()
     d = np.matmul(rot.astype(np.float32), rays, out=ws.d)
 
     _object_into(o, d, d_sq, scene.object_pose, scene.object_spec, ws.t_obj, ws)
@@ -409,20 +403,17 @@ class LatencyBuffer:
 
 
 class ObsHistory:
-    """Ring of the last HISTORY_LEN frames for one view, plus a proprio snapshot."""
+    """Ring of the last HISTORY_LEN frames of one view."""
 
     def __init__(self):
         self._frames: deque = deque(maxlen=HISTORY_LEN)
-        self.proprio = None
 
-    def push(self, frame, proprio=None) -> None:
+    def push(self, frame) -> None:
         """Keep the frame as its float32 channels, normalized once: the mask as
         {0,1}, the depth clipped to [0, 5] m over 5 (invalid pixels 0)."""
         d = np.clip(frame.depth, 0.0, DEPTH_CLIP) / DEPTH_CLIP
         self._frames.append((frame.mask.astype(np.float32),
                              np.where(frame.valid, d, 0.0).astype(np.float32)))
-        if proprio is not None:
-            self.proprio = proprio
 
     @property
     def warmed(self) -> bool:

@@ -15,31 +15,23 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .atomicfile import atomic_write
-from .camera import base_camera, dump_frame, render_frame, wrist_camera
+from .atomicfile import atomic_write, check_output_path
+from .camera import dump_frame
 from .config import load_config
 from .distill import record_distillation
-from .episode import derive_seed, run_episode
+from .episode import (derive_seed, episode_bank, episode_start, render_views,
+                      run_episode)
 from .errors import GraspSimError, InvalidArgumentError
-from .gfm import (alignment_gfm_weights, build_memory, generate_candidates,
-                  gfm_forward, save_bank)
+from .gfm import alignment_gfm_weights, gfm_forward, save_bank
 from .metrics import run_benchmark, summaries_to_jsonl
 from .nn import selftest
-from .robot import initial_robot
-from .scene import (
-    EpisodeConfig,
-    load_catalog,
-    make_trajectory,
-    reset_episode,
-    step_scene,
-)
+from .scene import EpisodeConfig, load_catalog, step_scene
 from .se3 import vec6_encode
 from .teacher import cached_object_feature
 
 
 def _cmd_bench(args) -> int:
+    check_output_path(args.out)
     cfg = load_config(args.config)
     levels = [int(x) for x in args.levels.split(",") if x]
     report, csv_text, summaries = run_benchmark(
@@ -74,6 +66,8 @@ def _cmd_episode(args) -> int:
     cfg = load_config(args.config)
     config = EpisodeConfig(level=args.level, object_id=args.object, seed=args.seed,
                            timeout_steps=cfg.timeout_steps)
+    if args.dump_log is not None:
+        check_output_path(args.dump_log)
     log = run_episode(config, sim_cfg=cfg, log_steps=args.dump_log is not None)
     print(f"outcome={log.outcome} steps={log.n_steps} "
           f"attempts={log.attempt_count} success_step={log.success_step}")
@@ -91,17 +85,13 @@ def _cmd_render(args) -> int:
     catalog = load_catalog()
     object_id = args.object or catalog[0].id
     config = EpisodeConfig(level=args.level, object_id=object_id, seed=args.seed)
-    traj = make_trajectory(config.level, derive_seed(config.seed, 11))
-    scene = reset_episode(config, catalog, traj)
-    robot = initial_robot(scene.terrain)
+    traj, scene, robot = episode_start(config, catalog)
     for _ in range(args.step * cfg.substeps):
         scene = step_scene(scene, traj, cfg.physics_dt)
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
-    noise_seed = derive_seed(config.seed, 31, args.step)   # as run_episode seeds it
-    for k, (cam, name) in enumerate(((wrist_camera(np.deg2rad(cfg.hfov_deg)), "wrist"),
-                                     (base_camera(np.deg2rad(cfg.hfov_deg)), "base"))):
-        frame = render_frame(scene, robot, cam, cfg.mask_flip_prob, noise_seed + k)
+    frames = render_views(scene, robot, cfg, config.seed, args.step)
+    for frame, name in zip(frames, ("wrist", "base")):
         written += dump_frame(frame, os.path.join(args.out_dir,
                                                   f"step{args.step:04d}_{name}"))
     print("wrote " + " ".join(written))
@@ -111,12 +101,9 @@ def _cmd_render(args) -> int:
 def _cmd_gfm_inspect(args) -> int:
     cfg = load_config(args.config)
     config = EpisodeConfig(level=1, object_id=args.object, seed=args.seed)
-    scene = reset_episode(config, load_catalog())
+    _, scene, _ = episode_start(config, load_catalog())
     spec = scene.object_spec
-    candidates = generate_candidates(spec, cfg.candidate_count,
-                                     derive_seed(args.seed, 23),
-                                     aperture=cfg.gripper_aperture)
-    bank = build_memory(candidates, cfg.bank_size, object_id=spec.id)
+    bank = episode_bank(spec, cfg, args.seed)
     feat = cached_object_feature(spec)
     fused, alphas = gfm_forward(feat, scene.object_pose, bank,
                                 alignment_gfm_weights())
@@ -137,11 +124,11 @@ def _cmd_gfm_inspect(args) -> int:
 def _cmd_distill_record(args) -> int:
     if args.episodes < 1:
         raise InvalidArgumentError(f"--episodes must be at least 1, got {args.episodes}")
+    check_output_path(args.out)
     cfg = load_config(args.config)
     catalog = load_catalog()
     objects = [s for s in catalog if s.split == "seen"]
     total = 0
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)) or ".", exist_ok=True)
     for i in range(args.episodes):
         obj = objects[i % len(objects)]
         config = EpisodeConfig(level=args.level, object_id=obj.id,

@@ -75,14 +75,14 @@ def build_proprio(robot, terrain) -> np.ndarray:
         ee_local.position,
         ee_local.orientation,
         [1.0 if robot.gripper == "closed" else 0.0],
-        [wrap_angle(base.orientation[2] - robot.yaw_ref)],
+        [wrap_angle(base.orientation[2])],
     ]).astype(np.float32)
 
 
 @dataclass
 class EpisodeLog:
-    """Per-episode record: config echo, close events, outcome, and the per-step
-    trace when ``run_episode`` was asked for it (``steps`` is None otherwise)."""
+    """The one per-episode result: config echo, close events, outcome, and the
+    per-step trace when ``run_episode`` was asked for it (else ``steps`` is None)."""
 
     level: int
     object_id: str
@@ -114,26 +114,27 @@ class EpisodeLog:
         return bool(self.close_events) and bool(self.close_events[0][1])
 
 
-@dataclass(frozen=True)
-class EpisodeSummary:
-    """Compact episode result used by the metrics aggregation."""
-
-    level: int
-    object_id: str
-    category: str
-    seed: int
-    outcome: str
-    success_step: int | None
-    attempt_count: int
-    first_close_success: bool
-    n_steps: int
+def episode_start(config: EpisodeConfig, catalog):
+    """The seeded platform trajectory, initial scene and robot of an episode."""
+    traj = make_trajectory(config.level, derive_seed(config.seed, 11))
+    scene = reset_episode(config, catalog, traj)
+    return traj, scene, initial_robot(scene.terrain)
 
 
-def summarize(log: EpisodeLog) -> EpisodeSummary:
-    return EpisodeSummary(
-        log.level, log.object_id, log.category, log.seed, log.outcome,
-        log.success_step, log.attempt_count, log.first_close_success, log.n_steps,
-    )
+def episode_bank(spec, sim_cfg: SimConfig, seed: int):
+    """The grasp memory bank of every episode of ``seed`` on object ``spec``."""
+    candidates = generate_candidates(spec, sim_cfg.candidate_count,
+                                     derive_seed(seed, 23),
+                                     aperture=sim_cfg.gripper_aperture)
+    return build_memory(candidates, sim_cfg.bank_size, object_id=spec.id)
+
+
+def render_views(scene, robot, sim_cfg: SimConfig, seed: int, step: int) -> tuple:
+    """The (wrist, base) frames of decision ``step`` of an episode of ``seed``."""
+    hfov = np.deg2rad(sim_cfg.hfov_deg)
+    noise_seed = derive_seed(seed, 31, step)
+    return tuple(render_frame(scene, robot, cam, sim_cfg.mask_flip_prob, noise_seed + k)
+                 for k, cam in enumerate((wrist_camera(hfov), base_camera(hfov))))
 
 
 def _high_level_input(scene, robot, status, action_vec, prev_action,
@@ -169,7 +170,7 @@ def _high_level_input(scene, robot, status, action_vec, prev_action,
         h_current=float(base.position[2] - terrain_h),
         h_target=NOMINAL_HEIGHT,
         psi_c=float(yaw),
-        psi_0=float(robot.yaw_ref),
+        psi_0=0.0,
     )
 
 
@@ -197,19 +198,11 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     """
     sim_cfg = sim_cfg if sim_cfg is not None else SimConfig()
     catalog = catalog if catalog is not None else load_catalog()
-    traj = make_trajectory(config.level, derive_seed(config.seed, 11))
-    scene = reset_episode(config, catalog, traj)
-    spec = scene.object_spec
-    robot = initial_robot(scene.terrain)
-    candidates = generate_candidates(spec, sim_cfg.candidate_count,
-                                     derive_seed(config.seed, 23),
-                                     aperture=sim_cfg.gripper_aperture)
-    bank = build_memory(candidates, sim_cfg.bank_size, object_id=spec.id)
+    traj, scene, robot = episode_start(config, catalog)
+    bank = episode_bank(scene.object_spec, sim_cfg, config.seed)
     weights = alignment_gfm_weights()
     status = initial_status()
 
-    cam_w = wrist_camera(np.deg2rad(sim_cfg.hfov_deg))
-    cam_b = base_camera(np.deg2rad(sim_cfg.hfov_deg))
     lat_w, lat_b = LatencyBuffer(), LatencyBuffer()
     hist_w, hist_b = ObsHistory(), ObsHistory()
 
@@ -224,19 +217,16 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     for step in range(config.timeout_steps):
         n_steps = step + 1
         if collect_observations:
-            noise_seed = derive_seed(config.seed, 31, step)
-            f_w = render_frame(scene, robot, cam_w, sim_cfg.mask_flip_prob, noise_seed)
-            f_b = render_frame(scene, robot, cam_b, sim_cfg.mask_flip_prob,
-                               noise_seed + 1)
+            f_w, f_b = render_views(scene, robot, sim_cfg, config.seed, step)
             proprio = build_proprio(robot, scene.terrain)
-            hist_w.push(lat_w.push_and_fetch(f_w), proprio)
-            hist_b.push(lat_b.push_and_fetch(f_b), proprio)
+            hist_w.push(lat_w.push_and_fetch(f_w))
+            hist_b.push(lat_b.push_and_fetch(f_b))
             stacked = stack_observation(hist_w, hist_b)
         action = teacher_step(scene, robot, bank, weights, sim_cfg, use_gfm)
         if collect_observations or log_steps:
             action_vec = action.as_vector()
         if collect_observations:
-            observations.append((stacked, hist_w.proprio, action_vec.copy(),
+            observations.append((stacked, proprio, action_vec.copy(),
                                  1 if action.gripper_close else 0, step))
 
         close_event = False
@@ -312,7 +302,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     log = EpisodeLog(
         level=config.level,
         object_id=config.object_id,
-        category=spec.category,
+        category=scene.object_spec.category,
         seed=config.seed,
         physics_dt=sim_cfg.physics_dt,
         decision_dt=sim_cfg.decision_dt,

@@ -11,17 +11,19 @@ from __future__ import annotations
 import itertools
 import json
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SimConfig
-from .episode import EpisodeSummary, derive_seed, run_episode, summarize
+from .episode import EpisodeLog, derive_seed, run_episode
 from .errors import InvalidArgumentError
 from .scene import EpisodeConfig, catalog_by_id, load_catalog
 
 DEFAULT_STEP_BUDGET = 5000
 CSV_HEADER = "level,split,category,n_episodes,gsr,ossr,ossr_alt,tsc,seed"
+JSONL_FIELDS = ("level", "object_id", "category", "seed", "outcome", "success_step",
+                "attempt_count", "first_close_success", "n_steps")
 
 
 @dataclass(frozen=True)
@@ -48,14 +50,14 @@ class MetricsReport:
         raise KeyError(f"no metrics row for level {level}, category {category!r}")
 
 
-def _tally(summaries, split: str, category: str) -> MetricsRow:
-    n = len(summaries)
-    successes = [s for s in summaries if s.outcome == "success"]
+def _tally(logs, split: str, category: str) -> MetricsRow:
+    n = len(logs)
+    successes = [s for s in logs if s.outcome == "success"]
     one_shot = [s for s in successes if s.first_close_success]
     tsc = (float(np.mean([s.success_step for s in successes]))
            if successes else None)
     return MetricsRow(
-        level=summaries[0].level,
+        level=logs[0].level,
         split=split,
         category=category,
         n_episodes=n,
@@ -68,13 +70,12 @@ def _tally(summaries, split: str, category: str) -> MetricsRow:
 
 
 def compute_metrics(logs) -> MetricsReport:
-    """Aggregate per level; accepts EpisodeLog or EpisodeSummary objects."""
+    """One "all" row per level of the given EpisodeLogs."""
     if not logs:
         raise InvalidArgumentError("compute_metrics needs at least one episode")
-    summaries = [s if isinstance(s, EpisodeSummary) else summarize(s) for s in logs]
     rows = []
-    for level in sorted({s.level for s in summaries}):
-        rows.append(_tally([s for s in summaries if s.level == level], "", "all"))
+    for level in sorted({s.level for s in logs}):
+        rows.append(_tally([s for s in logs if s.level == level], "", "all"))
     return MetricsReport(tuple(rows))
 
 
@@ -96,10 +97,9 @@ def report_to_csv(report: MetricsReport, seed: int) -> str:
 # Benchmark sweep
 # ---------------------------------------------------------------------------
 
-def _episode_task(args) -> EpisodeSummary:
+def _episode_task(args) -> EpisodeLog:
     cfg, sim_cfg, use_gfm, lookup = args
-    return summarize(run_episode(cfg, sim_cfg=sim_cfg, use_gfm=use_gfm,
-                                 catalog=lookup))
+    return run_episode(cfg, sim_cfg=sim_cfg, use_gfm=use_gfm, catalog=lookup)
 
 
 def _run_now(fn, *args) -> Future:
@@ -114,7 +114,7 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
                   seed: int = 0, workers: int = 0, use_gfm: bool = True,
                   timeout_steps: int | None = None, catalog=None,
                   sim_cfg: SimConfig | None = None):
-    """Seeded multi-episode sweep; returns (MetricsReport, csv_text, summaries).
+    """Seeded multi-episode sweep; returns (MetricsReport, csv_text, EpisodeLogs).
 
     Every episode runs under ``sim_cfg`` (default ``SimConfig()``) and looks
     its object up in ``catalog`` (default the bundled set), in the pool as in
@@ -149,7 +149,7 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
         raise InvalidArgumentError(f"catalog has no object in split {split!r}")
     lookup = catalog_by_id(catalog)
 
-    all_summaries: list[EpisodeSummary] = []
+    all_logs: list[EpisodeLog] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     submit, in_flight = (pool.submit, workers) if pool is not None else (_run_now, 1)
     try:
@@ -157,7 +157,7 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
             tasks = ((EpisodeConfig(level, objs[i % len(objs)].id,
                                     derive_seed(seed, level, i), timeout_steps),
                       sim_cfg, use_gfm, lookup) for i in itertools.count())
-            got: list[EpisodeSummary] = []
+            got: list[EpisodeLog] = []
             steps_used = 0
 
             def done() -> bool:
@@ -173,24 +173,25 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
                     pending.append(submit(_episode_task, next(tasks)))
             for fut in pending:
                 fut.cancel()
-            all_summaries.extend(got)
+            all_logs.extend(got)
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    all_summaries.sort(key=lambda s: (s.level, s.seed))
+    all_logs.sort(key=lambda s: (s.level, s.seed))
     rows = []
     for level in levels:
-        level_sums = [s for s in all_summaries if s.level == level]
-        rows.append(_tally(level_sums, split, "all"))
-        for category in sorted({s.category for s in level_sums}):
-            rows.append(_tally([s for s in level_sums if s.category == category],
+        level_logs = [s for s in all_logs if s.level == level]
+        rows.append(_tally(level_logs, split, "all"))
+        for category in sorted({s.category for s in level_logs}):
+            rows.append(_tally([s for s in level_logs if s.category == category],
                                split, category))
     report = MetricsReport(tuple(rows))
-    return report, report_to_csv(report, seed), all_summaries
+    return report, report_to_csv(report, seed), all_logs
 
 
-def summaries_to_jsonl(summaries) -> str:
-    """One sorted-key JSON object of every EpisodeSummary field per line."""
-    return "\n".join(json.dumps(asdict(s), sort_keys=True, separators=(",", ":"))
-                     for s in summaries) + "\n"
+def summaries_to_jsonl(logs) -> str:
+    """One sorted-key JSON object of each EpisodeLog's JSONL_FIELDS per line."""
+    return "\n".join(json.dumps({k: getattr(s, k) for k in JSONL_FIELDS},
+                                sort_keys=True, separators=(",", ":"))
+                     for s in logs) + "\n"

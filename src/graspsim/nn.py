@@ -82,11 +82,10 @@ def softmax(x, axis: int = -1) -> np.ndarray:
     return (e / np.sum(e, axis=axis, keepdims=True)).astype(np.float32)
 
 
-def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Cross-correlation of x [c,h,w] -> [oc,oh,ow] with kernels [oc,c,kh,kw].
-
-    Zero padded; output spatial size follows floor((n + 2p - k) / s) + 1.  A
-    batch [c,n,h,w] -> [oc,n,oh,ow] is one GEMM [oc,c*kh*kw] x [c*kh*kw,n*oh*ow].
+def conv2d(x, kernels) -> np.ndarray:
+    """Valid cross-correlation (stride 1, no padding) of x [c,h,w] -> [oc,oh,ow]
+    with kernels [oc,c,kh,kw]; oh = h - kh + 1 and ow = w - kw + 1.  A batch
+    [c,n,h,w] -> [oc,n,oh,ow] is one GEMM [oc,c*kh*kw] x [c*kh*kw,n*oh*ow].
     """
     x, k = as_tensor(x), np.asarray(kernels, np.float32)
     if x.ndim not in (3, 4) or k.ndim != 4 or x.shape[0] != k.shape[1]:
@@ -94,18 +93,12 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> np.ndarray:
     batch = x if x.ndim == 4 else x[:, None]
     c, n, h, w = batch.shape
     oc, _, kh, kw = k.shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh, ow = h - kh + 1, w - kw + 1
     if oh <= 0 or ow <= 0:
-        raise ShapeError(
-            f"conv2d kernel {k.shape} does not fit input {x.shape} "
-            f"(stride {stride}, padding {padding})"
-        )
-    if padding:
-        batch = np.pad(batch, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        raise ShapeError(f"conv2d kernel {k.shape} does not fit input {x.shape}")
     cols = np.empty((c, kh, kw, n, oh, ow), np.float32)
     for a, b in np.ndindex(kh, kw):         # one contiguous ow-run per row and tap
-        cols[:, a, b] = batch[:, :, a:a + stride * oh:stride, b:b + stride * ow:stride]
+        cols[:, a, b] = batch[:, :, a:a + oh, b:b + ow]
     out = (k.reshape(oc, -1) @ cols.reshape(c * kh * kw, -1)).reshape(oc, n, oh, ow)
     return _checked(out if x.ndim == 4 else out[:, 0], "conv2d")
 
@@ -140,24 +133,22 @@ def layer_norm(x, gain, bias) -> np.ndarray:
     return ((x - mean) / np.sqrt(var + _LN_EPS) * gain + bias).astype(np.float32)
 
 
-def multi_head_self_attention(tokens, wq, bq, wk, bk, wv, bv, wo, bo,
-                              num_heads: int = NUM_HEADS) -> np.ndarray:
-    """Standard scaled dot-product self-attention over a token sequence."""
+def multi_head_self_attention(tokens, wq, bq, wk, bk, wv, bv, wo, bo) -> np.ndarray:
+    """Scaled dot-product self-attention with NUM_HEADS heads over a token sequence."""
     t, d = tokens.shape
-    dh = d // num_heads
+    dh = d // NUM_HEADS
     q = linear(tokens, wq, bq)
     k = linear(tokens, wk, bk)
     v = linear(tokens, wv, bv)
     out = np.empty((t, d), dtype=np.float32)
-    for h in range(num_heads):
+    for h in range(NUM_HEADS):
         sl = slice(h * dh, (h + 1) * dh)
         logits = (q[:, sl] @ k[:, sl].T) / np.float32(np.sqrt(dh))
         out[:, sl] = softmax(logits, axis=-1) @ v[:, sl]
     return linear(out, wo, bo)
 
 
-def transformer_encoder_layer(tokens, weights: dict,
-                              num_heads: int = NUM_HEADS) -> np.ndarray:
+def transformer_encoder_layer(tokens, weights: dict) -> np.ndarray:
     """Post-norm encoder layer: self-attention + residual + norm, FF + residual + norm."""
     tokens = as_tensor(tokens)
     if tokens.ndim != 2:
@@ -168,7 +159,6 @@ def transformer_encoder_layer(tokens, weights: dict,
         weights["attn.wk"], weights["attn.bk"],
         weights["attn.wv"], weights["attn.bv"],
         weights["attn.wo"], weights["attn.bo"],
-        num_heads=num_heads,
     )
     x = layer_norm(tokens + attn, weights["ln1.g"], weights["ln1.b"])
     ff = linear(elu(linear(x, weights["ff.w1"], weights["ff.b1"])),

@@ -113,7 +113,6 @@ class RobotState:
     ee_target: Pose6          # base frame
     ee_pose: Pose6            # world frame
     gripper: str = "open"     # open | closed
-    yaw_ref: float = 0.0
     travel: float = 0.0       # cumulative base path length, drives the gait
 
 
@@ -210,7 +209,7 @@ def execute_command(robot: RobotState, u: CommandVector, terrain: TerrainField,
     ee_pose = compose(base_pose, rel_new)
 
     return RobotState(base_pose, base_twist, u.target, ee_pose, robot.gripper,
-                      robot.yaw_ref, robot.travel + abs(u.v_lin) * dt)
+                      robot.travel + abs(u.v_lin) * dt)
 
 
 def ee_pose_in_base(robot: RobotState) -> Pose6:

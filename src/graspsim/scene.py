@@ -28,6 +28,8 @@ from .se3 import (
 )
 
 TERRAIN_MAX_HEIGHT = 0.1
+TERRAIN_EXTENT = 8.0            # meters, side of the square height lattice
+TERRAIN_CELL = 0.1              # meters between lattice nodes
 PLATFORM_THICKNESS = 0.04
 PLATFORM_MARGIN = 0.02          # footprint = object footprint + this margin
 PLATFORM_Z_RANGE = (0.2, 0.7)   # platform-top height band at reset (and L4 z band)
@@ -95,14 +97,11 @@ class TerrainField:
         return float(top + fy * (bot - top))
 
 
-def sample_terrain(seed: int, extent: float = 8.0, cell_size: float = 0.1) -> TerrainField:
-    """Seeded uneven ground: iid uniform [0, 0.1] heights, one 3x3 box smooth."""
-    if extent <= 0 or cell_size <= 0:
-        raise InvalidArgumentError(
-            f"extent and cell_size must be positive, got {extent}, {cell_size}"
-        )
+def sample_terrain(seed: int) -> TerrainField:
+    """Seeded uneven ground: a TERRAIN_EXTENT-wide square lattice centered on
+    the origin, iid uniform [0, 0.1] heights, one 3x3 box smooth."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    n = int(round(extent / cell_size)) + 1
+    n = int(round(TERRAIN_EXTENT / TERRAIN_CELL)) + 1
     raw = rng.uniform(0.0, TERRAIN_MAX_HEIGHT, size=(n, n))
     padded = np.pad(raw, 1, mode="edge")
     smooth = np.zeros_like(raw)
@@ -110,7 +109,7 @@ def sample_terrain(seed: int, extent: float = 8.0, cell_size: float = 0.1) -> Te
         for dj in range(3):
             smooth += padded[di:di + n, dj:dj + n]
     smooth /= 9.0
-    return TerrainField(smooth, cell_size, np.array([-extent / 2.0, -extent / 2.0]))
+    return TerrainField(smooth, TERRAIN_CELL, np.full(2, -TERRAIN_EXTENT / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +245,6 @@ class PlatformTrajectory:
     speed: float = 0.0           # constant speed for linear/arc
     heading: float = 0.0         # initial travel direction, radians
     turn_rate: float = 0.0       # rad/s, nonzero only for arcs
-    ou_theta: float = OU_THETA
-    ou_sigma: float = OU_SIGMA
     drift: tuple = (0.0, 0.0)    # seeded OU mean velocity for random modes
     z_amp: float = 0.0           # seeded vertical-velocity oscillation (level 4)
     z_freq: float = 0.0
@@ -414,8 +411,8 @@ def _platform_velocity(state: SceneState, traj: PlatformTrajectory, dt: float):
     v = state.platform_twist.linear
     rng = _rng_from_state(state.rng_state)
     noise = rng.normal(size=2)
-    dv = (traj.ou_theta * (np.asarray(traj.drift) - v[:2]) * dt
-          + traj.ou_sigma * np.sqrt(dt) * noise)
+    dv = (OU_THETA * (np.asarray(traj.drift) - v[:2]) * dt
+          + OU_SIGMA * np.sqrt(dt) * noise)
     dv_cap = PLATFORM_MAX_ACCEL * dt
     dv_norm = float(np.linalg.norm(dv))
     if dv_norm > dv_cap:
@@ -572,8 +569,8 @@ def check_status(state: SceneState, robot, status: EpisodeStatus,
     if status.terminal:
         return status
     attempts = status.attempt_count + (1 if close_event else 0)
-    yaw_drift = abs(wrap_angle(robot.base_pose.orientation[2] - robot.yaw_ref))
-    if yaw_drift > YAW_FAIL_LIMIT:
+    # Drift from yaw 0: a pose's yaw is wrapped, so abs() alone measures it.
+    if abs(robot.base_pose.orientation[2]) > YAW_FAIL_LIMIT:
         return EpisodeStatus("failed_yaw", attempts, None, 0)
     if decision_step >= config.timeout_steps:
         return EpisodeStatus("failed_timeout", attempts, None, 0)

@@ -41,10 +41,11 @@ def cached_object_feature(spec):
     return feat
 
 
-def _steer(dp_world_xy, yaw, yaw_ref):
-    """Heading command toward a world-frame planar offset, yaw-drift capped."""
+def _steer(dp_world_xy, yaw):
+    """Heading command toward a world-frame planar offset, the bearing capped
+    to YAW_CAP of yaw 0 (the wrap turns an ``arctan2`` of -pi into +pi)."""
     bearing = float(np.arctan2(dp_world_xy[1], dp_world_xy[0]))
-    capped = yaw_ref + float(min(max(wrap_angle(bearing - yaw_ref), -YAW_CAP), YAW_CAP))
+    capped = float(min(max(wrap_angle(bearing), -YAW_CAP), YAW_CAP))
     return wrap_angle(capped - yaw)
 
 
@@ -94,7 +95,7 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
                                        base.position[2])
     to_icpt = intercept_xy - base.position[:2]
     icpt_dist = float(np.linalg.norm(to_icpt))
-    yaw_err = _steer(to_icpt, yaw, robot.yaw_ref)
+    yaw_err = _steer(to_icpt, yaw)
     omega = float(min(max(K_YAW * yaw_err, -1.0), 1.0))
     heading = np.array([np.cos(yaw), np.sin(yaw)])
     v_feedforward = float(obj_v[:2] @ heading)

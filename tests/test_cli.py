@@ -4,14 +4,31 @@ import sys
 
 import pytest
 
+import graspsim.cli
+import graspsim.metrics
 from graspsim.cli import main
+from graspsim.episode import run_episode
 from graspsim.errors import InvalidArgumentError
+from graspsim.scene import EpisodeConfig
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def count_episodes(monkeypatch) -> list:
+    """Record every run_episode call the CLI makes, directly or in a sweep."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(graspsim.cli, "run_episode", counted)
+    monkeypatch.setattr(graspsim.metrics, "run_episode", counted)
+    return calls
 
 
 def test_nn_selftest(capsys):
@@ -79,6 +96,28 @@ def test_gfm_inspect_save_roundtrip(tmp_path, capsys):
     assert len(bank) == 30
 
 
+def test_gfm_inspect_saves_the_episode_bank(tmp_path, capsys, monkeypatch):
+    # gfm-inspect shows the bank that an episode of that object and seed
+    # grasps from, whatever the episode's level
+    import graspsim.episode as episode
+    from graspsim.gfm import build_memory, save_bank
+
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(build_memory(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(episode, "build_memory", recording)
+    run_episode(EpisodeConfig(level=2, object_id="mustard_bottle", seed=9,
+                              timeout_steps=1))
+    save_bank(built[0], tmp_path / "episode_bank.txt")
+    assert run_cli(["gfm-inspect", "--object", "mustard_bottle", "--seed", "9",
+                    "--save", str(tmp_path / "bank.txt")], capsys)[0] == 0
+    assert ((tmp_path / "bank.txt").read_bytes()
+            == (tmp_path / "episode_bank.txt").read_bytes())
+
+
 def test_bench_command_writes_outputs(tmp_path, capsys):
     out_dir = tmp_path / "bench"
     args = ["bench", "--levels", "1", "--episodes", "2", "--seed", "5",
@@ -131,12 +170,32 @@ def test_count_arguments_rejected(args, tmp_path, capsys, monkeypatch):
     ["render", "--out-dir"],
 ])
 def test_empty_file_flag_rejected(args, tmp_path, capsys, monkeypatch):
-    # an empty path is an error, not "flag not given", and leaves no file
+    # an empty path is an error, not "flag not given", found before any
+    # episode runs, and leaves no file
     monkeypatch.chdir(tmp_path)
+    episodes = count_episodes(monkeypatch)
     code, _, err = run_cli(args + [""], capsys)
     assert code == 1
     assert err.strip().splitlines()[-1].startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+    assert episodes == []
+
+
+@pytest.mark.parametrize("args", [
+    ["episode", "--level", "1", "--object", "rubiks_cube", "--dump-log"],
+    ["distill-record", "--level", "1", "--out"],
+    ["bench", "--levels", "1", "--episodes", "1", "--out"],
+])
+def test_missing_output_directory_rejected(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    episodes = count_episodes(monkeypatch)
+    code, _, err = run_cli(args + [str(tmp_path / "missing" / "out")], capsys)
+    assert code == 1
+    assert err.strip().splitlines()[-1] == (
+        f"error: InvalidArgumentError: output directory does not exist: "
+        f"{tmp_path / 'missing'}")
+    assert list(tmp_path.iterdir()) == []
+    assert episodes == []
 
 
 def test_config_file_override(tmp_path, capsys):

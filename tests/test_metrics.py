@@ -1,11 +1,12 @@
 import dataclasses
 import functools
+import hashlib
 
 import pytest
 
 from graspsim import metrics
 from graspsim.config import SimConfig
-from graspsim.episode import EpisodeSummary, run_episode
+from graspsim.episode import EpisodeLog, run_episode
 from graspsim.errors import InvalidArgumentError
 from graspsim.metrics import (
     CSV_HEADER,
@@ -20,8 +21,9 @@ def summary(level=1, outcome="success", success_step=30, first=True,
             attempts=1, n_steps=31, oid="tennis_ball", cat="ball", seed=0):
     if outcome != "success":
         success_step = None
-    return EpisodeSummary(level, oid, cat, seed, outcome, success_step,
-                          attempts, first, n_steps)
+    close_events = [[5 * i, first and i == 0] for i in range(attempts)]
+    return EpisodeLog(level, oid, cat, seed, 0.02, 0.1, 300, None, close_events,
+                      outcome, attempts, success_step, n_steps)
 
 
 def counting_oracle(summaries):
@@ -73,6 +75,16 @@ def test_tsc_undefined_without_successes():
     assert row.tsc is None
     csv = report_to_csv(compute_metrics(logs), seed=0)
     assert ",,0" in csv.splitlines()[1] or csv.splitlines()[1].endswith(",,0")
+
+
+def test_bench_output_bytes_pinned():
+    # the bytes `graspsim bench` writes (metrics.csv, then episodes.jsonl) for
+    # a four-level sweep over both splits
+    _, csv_text, logs = run_benchmark([1, 2, 3, 4], episodes_per_level=3,
+                                      split="both", seed=5)
+    digest = hashlib.sha256((csv_text + summaries_to_jsonl(logs)).encode())
+    assert digest.hexdigest() == (
+        "c2bc7a5644b5ac00f14cf8034b2f4c2df41444c925e9a51b6653d9847b3ebefa")
 
 
 def test_compute_metrics_empty_rejected():

@@ -39,16 +39,10 @@ def naive_linear(x, w, b):
     return out
 
 
-def naive_conv2d(x, kern, stride=1, padding=0):
+def naive_conv2d(x, kern):
     c, h, w = x.shape
     oc, _, kh, kw = kern.shape
-    if padding:
-        xp = np.zeros((c, h + 2 * padding, w + 2 * padding))
-        xp[:, padding:padding + h, padding:padding + w] = x
-        x = xp
-        h, w = x.shape[1:]
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
+    oh, ow = h - kh + 1, w - kw + 1
     out = np.zeros((oc, oh, ow))
     for o in range(oc):
         for i in range(oh):
@@ -57,8 +51,7 @@ def naive_conv2d(x, kern, stride=1, padding=0):
                 for ch in range(c):
                     for a in range(kh):
                         for bb in range(kw):
-                            s += float(x[ch, i * stride + a, j * stride + bb]) \
-                                * float(kern[o, ch, a, bb])
+                            s += float(x[ch, i + a, j + bb]) * float(kern[o, ch, a, bb])
                 out[o, i, j] = s
     return out
 
@@ -196,20 +189,20 @@ def test_conv2d_identity_and_sum():
 
 
 def test_conv2d_matches_naive(rng):
-    for stride, padding in ((1, 0), (1, 1), (2, 0), (2, 1)):
-        x = rng.standard_normal((3, 8, 9)).astype(np.float32)
+    for h, w in ((8, 9), (7, 8), (10, 12)):
+        x = rng.standard_normal((3, h, w)).astype(np.float32)
         k = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        fast = conv2d(x, k, stride=stride, padding=padding)
-        slow = naive_conv2d(x, k, stride=stride, padding=padding)
-        assert fast.shape == slow.shape
+        fast = conv2d(x, k)
+        slow = naive_conv2d(x, k)
+        assert fast.shape == slow.shape == (4, h - 2, w - 2)
         assert np.max(np.abs(fast - slow)) < 1e-5
-        batch = rng.standard_normal((3, 5, 8, 9)).astype(np.float32)  # [c,n,h,w]
-        out = conv2d(batch, k, stride=stride, padding=padding)
+        batch = rng.standard_normal((3, 5, h, w)).astype(np.float32)  # [c,n,h,w]
+        out = conv2d(batch, k)
         assert out.shape == (4, 5, *slow.shape[1:])
         for i in range(5):
-            single = conv2d(batch[:, i], k, stride=stride, padding=padding)
+            single = conv2d(batch[:, i], k)
             assert np.array_equal(out[:, i], single)
-            slow = naive_conv2d(batch[:, i], k, stride=stride, padding=padding)
+            slow = naive_conv2d(batch[:, i], k)
             assert np.max(np.abs(out[:, i] - slow)) < 1e-5
 
 

@@ -66,11 +66,11 @@ def project_point(cam, cam_pose, p_world):
     r = euler_to_matrix(cam_pose.orientation)
     pc = r.T @ (np.asarray(p_world) - cam_pose.position)
     tan_h = np.tan(cam.hfov / 2.0)
-    tan_v = tan_h * cam.height / cam.width
+    tan_v = tan_h * FRAME_H / FRAME_W
     xn = (-pc[1] / pc[0]) / tan_h
     yn = (-pc[2] / pc[0]) / tan_v
-    col = xn * cam.width / 2.0 + cam.width / 2.0 - 0.5
-    row = yn * cam.height / 2.0 + cam.height / 2.0 - 0.5
+    col = xn * FRAME_W / 2.0 + FRAME_W / 2.0 - 0.5
+    row = yn * FRAME_H / 2.0 + FRAME_H / 2.0 - 0.5
     return row, col
 
 
@@ -82,9 +82,9 @@ def test_centered_object_projection_and_depth():
     # principal point falls between pixels on an even-sized image)
     cam = centered_wrist_cam()
     tan_h = np.tan(cam.hfov / 2.0)
-    tan_v = tan_h * cam.height / cam.width
-    yc = -tan_h * (0.5 / (cam.width / 2.0))
-    zc = -tan_v * (0.5 / (cam.height / 2.0))
+    tan_v = tan_h * FRAME_H / FRAME_W
+    yc = -tan_h * (0.5 / (FRAME_W / 2.0))
+    zc = -tan_v * (0.5 / (FRAME_H / 2.0))
     eye = np.array([0.0, 0.0, 0.6])
     center = eye + np.array([1.0, yc, zc])          # z-depth exactly 1 m
     scene = make_scene(SPHERE, Pose6(center, np.zeros(3)))

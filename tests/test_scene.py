@@ -22,10 +22,11 @@ from graspsim.scene import (
     parse_catalog,
     reset_episode,
     sample_terrain,
+    YAW_FAIL_LIMIT,
     step_scene,
     validate_catalog,
 )
-from graspsim.se3 import Pose6, compose, inverse, rotation_angle_between
+from graspsim.se3 import Pose6, compose, inverse, rotation_angle_between, wrap_angle
 
 from conftest import assert_valid_pose, make_config
 
@@ -46,7 +47,7 @@ def test_terrain_bounds_and_determinism():
 
 
 def test_terrain_node_query_exact():
-    t = sample_terrain(7, extent=2.0, cell_size=0.5)
+    t = sample_terrain(7)
     for i in range(t.heights.shape[0]):
         for j in range(t.heights.shape[1]):
             x = t.origin[0] + i * t.cell_size
@@ -62,13 +63,6 @@ def test_terrain_continuity_lipschitz(rng):
         eps = rng.uniform(-0.05, 0.05, 2)
         dh = abs(t.height_at(x + eps[0], y + eps[1]) - t.height_at(x, y))
         assert dh <= bound * np.linalg.norm(eps) + 1e-12
-
-
-def test_terrain_invalid_geometry():
-    with pytest.raises(InvalidArgumentError):
-        sample_terrain(0, extent=-1.0)
-    with pytest.raises(InvalidArgumentError):
-        sample_terrain(0, cell_size=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +362,27 @@ def test_far_close_is_a_no_op(catalog_map):
 def test_yaw_drift_over_70_degrees_fails(catalog_map):
     cfg, state, robot, _ = _scene_and_aligned_robot(catalog_map)
     yawed = Pose6(robot.base_pose.position, np.array([0, 0, np.deg2rad(71.0)]))
-    robot = replace(robot, base_pose=yawed, yaw_ref=0.0)
+    robot = replace(robot, base_pose=yawed)
     status = check_status(state, robot, initial_status(), cfg, 0)
     assert status.phase == "failed_yaw"
     # 69 degrees survives
     yawed = Pose6(robot.base_pose.position, np.array([0, 0, np.deg2rad(69.0)]))
-    robot = replace(robot, base_pose=yawed, yaw_ref=0.0)
+    robot = replace(robot, base_pose=yawed)
     status = check_status(state, robot, initial_status(), cfg, 0)
     assert status.phase == "approaching"
+
+
+def test_yaw_drift_needs_no_wrap(rng):
+    # check_status reads the drift as abs(yaw): every pose's yaw is a wrap
+    # output, and on those the wrap it no longer applies changes no bit of abs
+    pi = np.pi
+    yaws = [0.0, -0.0, pi, -pi, np.nextafter(pi, 0.0), np.nextafter(-pi, 0.0),
+            float(YAW_FAIL_LIMIT), -float(YAW_FAIL_LIMIT), 1e-300, -1e-300]
+    yaws += list(rng.uniform(-4 * pi, 4 * pi, 20000))
+    for y in yaws:
+        w = float(Pose6(np.zeros(3), np.array([0.0, 0.0, y])).orientation[2])
+        assert (np.float64(abs(w)).view(np.uint64)
+                == np.float64(abs(wrap_angle(w))).view(np.uint64))
 
 
 def test_grasp_lift_hold_to_success(catalog_map):

@@ -15,7 +15,7 @@ from graspsim.distill import (
     read_dataset,
     record_distillation,
 )
-from graspsim.episode import build_proprio, derive_seed, run_episode, summarize
+from graspsim.episode import build_proprio, derive_seed, run_episode
 from graspsim.errors import (
     EmptyBankError,
     InvalidArgumentError,
@@ -23,11 +23,12 @@ from graspsim.errors import (
     NotReadyError,
 )
 from graspsim.gfm import alignment_gfm_weights, build_memory, generate_candidates
+from graspsim.metrics import summaries_to_jsonl
 from graspsim.nn import PROPRIO_DIM, kd_loss
 from graspsim.robot import initial_robot
 from graspsim.scene import ObjectSpec, reset_episode
-from graspsim.se3 import Pose6, compose
-from graspsim.teacher import cached_object_feature, teacher_step
+from graspsim.se3 import Pose6, compose, wrap_angle
+from graspsim.teacher import YAW_CAP, _steer, cached_object_feature, teacher_step
 
 from conftest import make_config
 
@@ -107,6 +108,29 @@ def test_teacher_empty_bank_propagates(catalog_map):
                      SimConfig())
 
 
+def test_steer_bits_match_the_yaw_ref_form(rng):
+    # _steer caps the bearing around the start heading 0.0; its bits equal the
+    # form that capped around a reference yaw of 0.0 (yaw_ref + cap(wrap(
+    # bearing - yaw_ref))), including arctan2's exact -pi and signed zeros
+    def reference(dp, yaw, yaw_ref=0.0):
+        bearing = float(np.arctan2(dp[1], dp[0]))
+        capped = yaw_ref + float(min(max(wrap_angle(bearing - yaw_ref), -YAW_CAP),
+                                     YAW_CAP))
+        return wrap_angle(capped - yaw)
+
+    pi, cap = np.pi, float(YAW_CAP)
+    edges = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]
+    offsets = [np.array([x, y]) for x in edges for y in edges]
+    offsets += [np.array([np.cos(a), np.sin(a)])
+                for a in (cap, -cap, np.nextafter(cap, 0.0), np.nextafter(-cap, 0.0))]
+    offsets += list(rng.normal(size=(5000, 2)))
+    yaws = [0.0, pi, np.nextafter(-pi, 0.0), pi / 2, -pi / 2, cap, -cap]
+    for k, dp in enumerate(offsets):
+        yaw = yaws[k % len(yaws)] if k % 2 else float(rng.uniform(-pi, pi))
+        got, want = _steer(dp, yaw), reference(dp, yaw)
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
 def test_build_proprio_shape(catalog_map):
     cfg = make_config(seed=2)
     scene = reset_episode(cfg, catalog_map)
@@ -156,7 +180,7 @@ def test_unlogged_episode_refuses_json():
         log.to_json()
     logged = run_episode(make_config(**GOLDEN), log_steps=True)
     assert len(logged.steps) == logged.n_steps
-    assert summarize(logged) == summarize(log)
+    assert summaries_to_jsonl([logged]) == summaries_to_jsonl([log])
 
 
 def test_concurrent_level4_episodes_match_serial(catalog_map):
