@@ -32,6 +32,8 @@ from .teacher import cached_object_feature
 
 def _cmd_bench(args) -> int:
     check_output_path(args.out)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise InvalidArgumentError(f"--out is not a directory: {args.out}")
     cfg = load_config(args.config)
     levels = [int(x) for x in args.levels.split(",") if x]
     report, csv_text, summaries = run_benchmark(

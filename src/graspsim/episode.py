@@ -132,8 +132,9 @@ def episode_bank(spec, sim_cfg: SimConfig, seed: int):
 def render_views(scene, robot, sim_cfg: SimConfig, seed: int, step: int) -> tuple:
     """The (wrist, base) frames of decision ``step`` of an episode of ``seed``."""
     hfov = np.deg2rad(sim_cfg.hfov_deg)
-    noise_seed = derive_seed(seed, 31, step)
-    return tuple(render_frame(scene, robot, cam, sim_cfg.mask_flip_prob, noise_seed + k)
+    flip = sim_cfg.mask_flip_prob
+    noise_seed = derive_seed(seed, 31, step) if flip > 0.0 else 0   # read only to flip
+    return tuple(render_frame(scene, robot, cam, flip, noise_seed + k)
                  for k, cam in enumerate((wrist_camera(hfov), base_camera(hfov))))
 
 

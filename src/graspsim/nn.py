@@ -7,8 +7,10 @@ uniform in +-1/sqrt(fan_in), biases zero, norm gains one).
 Validation happens at the boundaries: `WeightStore` rejects non-finite weights
 once, when they enter the program (init, `load`, construction).  The ops check
 activations, not weights; `linear`'s output check still sees any bad weight.
-Image batches are channel-major, [c,n,h,w], so `conv2d` is one GEMM on whole
-image rows, and `max_pool2` trusts the activation `conv2d` has just checked.
+The CNN runs one image at a time: `conv_pool_elu` builds an image's columns,
+runs one GEMM into a cache-sized tile, checks that tile as `conv2d` does, then
+pools, biases and ELUs it into an image-major [n,oc,h,w] batch, which is
+already the fc's row layout.  `max_pool2` trusts the tile it is handed.
 """
 
 from __future__ import annotations
@@ -70,9 +72,14 @@ def elu(x) -> np.ndarray:
     fraction of the masked ufunc's cost, with no overflow for large x.
     """
     x = as_tensor(x)
-    e = np.minimum(x, 0.0, out=np.empty_like(x))
-    np.expm1(e, out=e)
-    return np.maximum(e, x, out=e)
+    return _elu(x, np.empty_like(x))
+
+
+def _elu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`elu` of a float32 array already known finite, written into `out`."""
+    np.minimum(x, 0.0, out=out)
+    np.expm1(out, out=out)
+    return np.maximum(out, x, out=out)
 
 
 def softmax(x, axis: int = -1) -> np.ndarray:
@@ -84,23 +91,56 @@ def softmax(x, axis: int = -1) -> np.ndarray:
 
 def conv2d(x, kernels) -> np.ndarray:
     """Valid cross-correlation (stride 1, no padding) of x [c,h,w] -> [oc,oh,ow]
-    with kernels [oc,c,kh,kw]; oh = h - kh + 1 and ow = w - kw + 1.  A batch
-    [c,n,h,w] -> [oc,n,oh,ow] is one GEMM [oc,c*kh*kw] x [c*kh*kw,n*oh*ow].
+    with kernels [oc,c,kh,kw]; oh = h - kh + 1 and ow = w - kw + 1.  One GEMM
+    [oc,c*kh*kw] x [c*kh*kw,oh*ow].
     """
     x, k = as_tensor(x), np.asarray(kernels, np.float32)
-    if x.ndim not in (3, 4) or k.ndim != 4 or x.shape[0] != k.shape[1]:
-        raise ShapeError(f"conv2d shapes disagree: x {x.shape}, kernels {k.shape}")
-    batch = x if x.ndim == 4 else x[:, None]
-    c, n, h, w = batch.shape
-    oc, _, kh, kw = k.shape
-    oh, ow = h - kh + 1, w - kw + 1
+    if x.ndim != 3:
+        raise ShapeError(f"conv2d takes one image [c,h,w], got {x.shape}")
+    return _conv_tile(x, k, *_conv_fit(x.shape, k, "conv2d"))
+
+
+def conv_pool_elu(x, kernels, bias) -> np.ndarray:
+    """elu(max_pool2(conv2d(x[i], kernels)) + bias) for every image of a batch
+    x [n,c,h,w] -> [n,oc,oh//2,ow//2], bit for bit.
+
+    One image at a time: its conv tile [oc,oh,ow] stays in cache, and only
+    the pooled result is kept.  ELU is monotone, so pooling before it gives
+    the bits of conv -> ELU -> pool on a quarter of the work.
+    """
+    x, k = as_tensor(x), np.asarray(kernels, np.float32)
+    b = np.asarray(bias, np.float32)
+    if x.ndim != 4 or b.shape != k.shape[:1]:
+        raise ShapeError(f"conv_pool_elu takes images [n,c,h,w] and a bias per "
+                         f"kernel, got {x.shape}, kernels {k.shape}, bias {b.shape}")
+    oh, ow = _conv_fit(x.shape[1:], k, "conv_pool_elu")
+    out = np.empty((x.shape[0], k.shape[0], oh // 2, ow // 2), np.float32)
+    for image, o in zip(x, out):
+        pooled = max_pool2(_conv_tile(image, k, oh, ow))
+        pooled += b[:, None, None]
+        _elu(pooled, o)
+    return out
+
+
+def _conv_fit(image_shape, k: np.ndarray, op: str) -> tuple:
+    """(oh, ow) of kernels k [oc,c,kh,kw] over one image [c,h,w]."""
+    if k.ndim != 4 or image_shape[0] != k.shape[1]:
+        raise ShapeError(f"{op} shapes disagree: image {tuple(image_shape)}, "
+                         f"kernels {k.shape}")
+    oh, ow = image_shape[1] - k.shape[2] + 1, image_shape[2] - k.shape[3] + 1
     if oh <= 0 or ow <= 0:
-        raise ShapeError(f"conv2d kernel {k.shape} does not fit input {x.shape}")
-    cols = np.empty((c, kh, kw, n, oh, ow), np.float32)
+        raise ShapeError(f"{op} kernel {k.shape} does not fit image {tuple(image_shape)}")
+    return oh, ow
+
+
+def _conv_tile(x: np.ndarray, k: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """The one im2col and GEMM: image x [c,h,w] -> checked tile [oc,oh,ow]."""
+    oc, c, kh, kw = k.shape
+    cols = np.empty((c, kh, kw, oh, ow), np.float32)
     for a, b in np.ndindex(kh, kw):         # one contiguous ow-run per row and tap
-        cols[:, a, b] = batch[:, :, a:a + oh, b:b + ow]
-    out = (k.reshape(oc, -1) @ cols.reshape(c * kh * kw, -1)).reshape(oc, n, oh, ow)
-    return _checked(out if x.ndim == 4 else out[:, 0], "conv2d")
+        cols[:, a, b] = x[:, a:a + oh, b:b + ow]
+    tile = k.reshape(oc, -1) @ cols.reshape(c * kh * kw, oh * ow)
+    return _checked(tile.reshape(oc, oh, ow), "conv2d")
 
 
 def max_pool2(x) -> np.ndarray:
@@ -345,20 +385,19 @@ def init_student_weights(seed: int = 0) -> WeightStore:
     return init_weights(STUDENT_ARCH, student_manifest(), seed)
 
 
-# Stack channels of the six images as [mask, depth] rows: wrist t=0..2, then base t=0..2.
-_FRAME_PAIRS = np.array([(0, 1, 2, 6, 7, 8), (3, 4, 5, 9, 10, 11)])
+# Stack channels of the six images as (mask, depth) pairs, image-major:
+# wrist t=0..2, then base t=0..2.
+_FRAME_PAIRS = np.array([(0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11)])
 
 
 def _encode_frames(imgs, w: WeightStore) -> np.ndarray:
-    """Shared CNN over mask+depth pairs [2,n,54,96] -> [n,64] tokens.
+    """Shared CNN over mask+depth pairs [n,2,54,96] -> [n,64] tokens.
 
-    ELU is monotone, so conv -> ELU -> maxpool equals conv -> maxpool -> ELU
-    exactly; pooling first quarters the activation work.
+    Each image runs through both convs in cache-sized tiles; the conv2 output
+    [n,304,11,22] is already the fc's [n,73568] rows, so nothing is transposed.
     """
-    x = conv2d(imgs, w.get("cnn.conv1.w"))
-    x = elu(max_pool2(x) + w.get("cnn.conv1.b")[:, None, None, None])
-    x = conv2d(x, w.get("cnn.conv2.w"))
-    x = elu(max_pool2(x) + w.get("cnn.conv2.b")[:, None, None, None]).transpose(1, 0, 2, 3)
+    x = conv_pool_elu(imgs, w.get("cnn.conv1.w"), w.get("cnn.conv1.b"))
+    x = conv_pool_elu(x, w.get("cnn.conv2.w"), w.get("cnn.conv2.b"))
     return linear(x.reshape(x.shape[0], -1), w.get("cnn.fc.w"), w.get("cnn.fc.b"))
 
 
@@ -439,6 +478,14 @@ def _naive_max_pool2(x):
     return out
 
 
+def _naive_conv_pool_elu(x, kern, bias):
+    out = []
+    for image in x:
+        v = _naive_max_pool2(_naive_conv2d(image, kern)) + bias[:, None, None]
+        out.append(np.where(v > 0, v, np.expm1(np.minimum(v, 0.0))))
+    return np.stack(out)
+
+
 def _naive_attention(q, k, v):
     logits = np.array([float(np.dot(q[0], k[i])) for i in range(k.shape[0])])
     e = np.exp(logits - logits.max())
@@ -454,8 +501,8 @@ def selftest(cases: int = 20, seed: int = 0) -> list:
         ("conv2d", [(2, 7, 8), (3, 2, 3, 3)], conv2d, _naive_conv2d),
         ("attention", [(1, 6), (5, 6), (5, 3)], attention, _naive_attention),
         ("softmax", [(4, 9)], lambda x: softmax(x).sum(axis=-1), lambda x: 1.0),
-        ("conv2d_batch", [(2, 4, 7, 8), (3, 2, 3, 3)], conv2d,
-         lambda x, k: np.stack([_naive_conv2d(xi, k) for xi in x.swapaxes(0, 1)], 1)),
+        ("conv_pool_elu", [(4, 2, 7, 8), (3, 2, 3, 3), (3,)], conv_pool_elu,
+         _naive_conv_pool_elu),
         ("max_pool2", [(2, 3, 7, 9)], max_pool2, _naive_max_pool2),
         ("max_pool2_view", [(3, 2, 8, 21)], lambda x: max_pool2(x[:, ::-1, 1:, ::2]),
          lambda x: _naive_max_pool2(x[:, ::-1, 1:, ::2])),

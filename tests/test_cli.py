@@ -35,7 +35,7 @@ def test_nn_selftest(capsys):
     code, out, _ = run_cli(["nn-selftest"], capsys)
     assert code == 0
     assert "linear" in out and "ok" in out
-    for case in ("conv2d_batch", "max_pool2", "max_pool2_view"):
+    for case in ("conv_pool_elu", "max_pool2", "max_pool2_view"):
         assert f"{case}: max|err|" in out
     assert "FAIL" not in out
 
@@ -196,6 +196,19 @@ def test_missing_output_directory_rejected(args, tmp_path, capsys, monkeypatch):
         f"{tmp_path / 'missing'}")
     assert list(tmp_path.iterdir()) == []
     assert episodes == []
+
+
+def test_bench_out_naming_a_file_rejected(tmp_path, capsys, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept")
+    episodes = count_episodes(monkeypatch)
+    code, out, err = run_cli(["bench", "--levels", "1", "--episodes", "2",
+                              "--out", str(afile)], capsys)
+    assert code == 1 and out == ""
+    assert err.strip().splitlines()[-1] == (
+        f"error: InvalidArgumentError: --out is not a directory: {afile}")
+    assert episodes == []
+    assert list(tmp_path.iterdir()) == [afile] and afile.read_bytes() == b"kept"
 
 
 def test_config_file_override(tmp_path, capsys):

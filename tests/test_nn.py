@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from graspsim.nn import (
     WeightStore,
     attention,
     conv2d,
+    conv_pool_elu,
     elu,
     init_student_weights,
     kd_loss,
@@ -196,14 +198,6 @@ def test_conv2d_matches_naive(rng):
         slow = naive_conv2d(x, k)
         assert fast.shape == slow.shape == (4, h - 2, w - 2)
         assert np.max(np.abs(fast - slow)) < 1e-5
-        batch = rng.standard_normal((3, 5, h, w)).astype(np.float32)  # [c,n,h,w]
-        out = conv2d(batch, k)
-        assert out.shape == (4, 5, *slow.shape[1:])
-        for i in range(5):
-            single = conv2d(batch[:, i], k)
-            assert np.array_equal(out[:, i], single)
-            slow = naive_conv2d(batch[:, i], k)
-            assert np.max(np.abs(out[:, i] - slow)) < 1e-5
 
 
 def test_conv2d_shape_error():
@@ -215,6 +209,36 @@ def test_conv2d_shape_error():
         conv2d(np.zeros((2, 2, 4, 4), np.float32), np.zeros((1, 3, 3, 3), np.float32))
     with pytest.raises(ShapeError):
         conv2d(np.zeros((1, 1, 1, 4, 4), np.float32), np.zeros((1, 1, 3, 3), np.float32))
+    with pytest.raises(ShapeError):     # one image only; batches go to conv_pool_elu
+        conv2d(np.zeros((1, 1, 4, 4), np.float32), np.zeros((1, 1, 3, 3), np.float32))
+
+
+def test_conv_pool_elu_bits_match_single_image_ops(rng):
+    # conv output sizes 6x7, 7x8 and 5x5 leave an odd row or column to pool away
+    for n, c, h, w in ((3, 3, 8, 9), (2, 2, 9, 10), (1, 3, 7, 7)):
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        k = rng.standard_normal((4, c, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        out = conv_pool_elu(x, k, b)
+        assert out.shape == (n, 4, (h - 2) // 2, (w - 2) // 2)
+        for i in range(n):
+            single = elu(max_pool2(conv2d(x[i], k)) + b[:, None, None])
+            assert np.array_equal(out[i], single)
+            assert np.array_equal(conv_pool_elu(x[i:i + 1], k, b)[0], single)
+
+
+def test_conv_pool_elu_errors():
+    k = np.zeros((2, 3, 3, 3), np.float32)
+    for x, b in ((np.zeros((3, 4, 4), np.float32), np.zeros(2, np.float32)),
+                 (np.zeros((1, 2, 4, 4), np.float32), np.zeros(2, np.float32)),
+                 (np.zeros((1, 3, 2, 4), np.float32), np.zeros(2, np.float32)),
+                 (np.zeros((1, 3, 4, 4), np.float32), np.zeros(3, np.float32))):
+        with pytest.raises(ShapeError):
+            conv_pool_elu(x, k, b)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InvalidArgumentError, match="conv2d"):
+        conv_pool_elu(np.full((1, 3, 4, 4), 3e38, np.float32), np.ones_like(k),
+                      np.zeros(2, np.float32))
 
 
 def test_attention_single_key_passthrough(rng):
@@ -459,11 +483,11 @@ def test_encode_frames_batch_equals_single_pairs(rng):
     w = init_student_weights(1)
     frames = rng.random((12, 54, 96)).astype(np.float32)
     imgs = frames[_FRAME_PAIRS]
-    assert imgs.shape == (2, 6, 54, 96)
+    assert imgs.shape == (6, 2, 54, 96)
     tokens = _encode_frames(imgs, w)
     assert tokens.shape == (6, 64)
     for i in range(6):
-        single = _encode_frames(imgs[:, [i, i]], w)
+        single = _encode_frames(imgs[[i, i]], w)
         assert np.array_equal(single[0], tokens[i])
         assert np.array_equal(single[1], tokens[i])
 
@@ -475,6 +499,22 @@ def test_student_forward_rejects_cnn_overflow():
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(InvalidArgumentError, match="conv2d"):
             student_forward(frames, np.zeros(PROPRIO_DIM, np.float32), w)
+
+
+def test_student_forward_peak_allocation(rng):
+    # The CNN runs one image at a time, so a forward's temporaries stay a
+    # few conv tiles, not full-batch activations (about 12 MB when batched).
+    w = init_student_weights(0)
+    frames = rng.random((12, 54, 96)).astype(np.float32)
+    proprio = rng.random(PROPRIO_DIM).astype(np.float32)
+    student_forward(frames, proprio, w)
+    tracemalloc.start()
+    try:
+        student_forward(frames, proprio, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6
 
 
 def test_student_forward_latency_budget(rng):

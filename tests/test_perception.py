@@ -16,6 +16,8 @@ from graspsim.camera import (
     stack_observation,
     wrist_camera,
 )
+from graspsim.config import SimConfig
+from graspsim.episode import derive_seed, render_views
 from graspsim.errors import NotReadyError
 from graspsim.robot import initial_robot
 from graspsim.scene import (
@@ -182,6 +184,24 @@ def test_mask_noise_flips_pixels(catalog_map):
     again = render_frame(scene, robot, base_camera(), mask_flip_prob=0.05,
                          noise_seed=4)
     assert np.array_equal(noisy.mask, again.mask)
+
+
+def test_render_views_seeds_flips_per_step_and_view(catalog_map):
+    # each view of decision step k flips with noise seed derive_seed(seed, 31, k)
+    # plus its view index; without flips, the frames are the clean renders
+    cfg = make_config(seed=12)
+    scene = reset_episode(cfg, catalog_map)
+    robot = initial_robot(scene.terrain)
+    hfov = np.deg2rad(SimConfig().hfov_deg)
+    cams = (wrist_camera(hfov), base_camera(hfov))
+    for prob in (0.0, 0.05):
+        views = render_views(scene, robot, SimConfig(mask_flip_prob=prob), 12, 7)
+        for k, (cam, got) in enumerate(zip(cams, views)):
+            want = render_frame(scene, robot, cam, prob, derive_seed(12, 31, 7) + k)
+            assert np.array_equal(got.mask, want.mask)
+            assert np.array_equal(got.depth, want.depth)
+            clean = render_frame(scene, robot, cam)
+            assert np.array_equal(got.mask, clean.mask) == (prob == 0.0)
 
 
 # ---------------------------------------------------------------------------
