@@ -11,9 +11,11 @@ from .errors import InvalidArgumentError
 
 
 def check_output_path(path) -> None:
-    """Reject an empty output path, or one in a directory that does not exist."""
+    """Reject an empty path, a directory, or a path in a missing directory."""
     if not os.fspath(path):
         raise InvalidArgumentError("output path is empty")
+    if os.path.isdir(path):
+        raise InvalidArgumentError(f"output path is a directory: {path}")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise InvalidArgumentError(f"output directory does not exist: {parent}")

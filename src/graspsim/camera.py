@@ -138,33 +138,10 @@ def camera_world_pose(cam: CameraModel, robot) -> Pose6:
 
 # ---------------------------------------------------------------------------
 # Ray-primitive intersections.  Directions are [3,n] with contiguous rows;
-# origins are single 3-points, so slab offsets stay scalar.  The full-frame
-# paths write into workspace buffers; the small per-object subset tests can
-# afford ordinary allocation.
+# origins are single 3-points, so slab offsets stay scalar.  The in-place tests
+# write into workspace buffers; the slab test runs on slices of them, so the
+# full frame and the object's few candidate rays share it.
 # ---------------------------------------------------------------------------
-
-def _ray_box(o, d, center, half) -> np.ndarray:
-    """Slab test against an axis-aligned box.
-
-    Zero direction components fall out naturally: the infinities from 1/d
-    give unconstrained (or empty) per-axis intervals.  It stays apart from
-    _box_into on purpose: it multiplies by the reciprocal (``a * (1/d)``)
-    where _box_into divides (``a / d``), and those object-mask bits feed the
-    student datasets behind the recorded ``kd_loss`` reference.
-    """
-    lo = np.full(d.shape[1], -np.inf, np.float32)
-    hi = np.full(d.shape[1], np.inf, np.float32)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for axis in range(3):
-            inv = 1.0 / d[axis]
-            t1 = np.float32(center[axis] - half[axis] - o[axis]) * inv
-            t2 = np.float32(center[axis] + half[axis] - o[axis]) * inv
-            lo = np.fmax(lo, np.fmin(t1, t2))
-            hi = np.fmin(hi, np.fmax(t1, t2))
-    hit = (hi >= lo) & (hi > 0)
-    t = np.where(lo > 0, lo, hi)
-    return np.where(hit, t, _NO_HIT)
-
 
 def _ray_cylinder_local(o, d, radius, height) -> np.ndarray:
     """Cylinder centered at the local origin with axis z."""
@@ -226,27 +203,30 @@ def _sphere_into(o, d, d_sq, center, radius, out, ws: _Workspace) -> None:
     np.copyto(out, _NO_HIT, where=ws.m2)
 
 
-def _box_into(o, d, center, half, out, ws: _Workspace) -> None:
-    """Slab test, in place; divides, where _ray_box multiplies by 1/d."""
-    lo, hi, t1, t2 = ws.r[4], ws.r[5], ws.r[6], ws.r[7]
+def _box_into(o, d, center, half, op, out, ws: _Workspace) -> None:
+    """Slab test over len(out) rays, slab distances ``op(center -+ half - o, d)``.
+    The platform passes directions and np.divide, the object reciprocals and
+    np.multiply: the two round differently, and each caller's bits are pinned
+    (every frame; the recorded student datasets).  A zero direction component
+    gives an unconstrained (or empty) interval on its axis."""
+    lo, hi, t1, t2 = (r[:len(out)] for r in ws.r[4:8])
+    m1, m2 = ws.m1[:len(out)], ws.m2[:len(out)]
     lo.fill(-np.inf)
     hi.fill(np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for axis in range(3):
-            np.divide(np.float32(center[axis] - half[axis] - o[axis]), d[axis],
-                      out=t1)
-            np.divide(np.float32(center[axis] + half[axis] - o[axis]), d[axis],
-                      out=t2)
+            op(np.float32(center[axis] - half[axis] - o[axis]), d[axis], out=t1)
+            op(np.float32(center[axis] + half[axis] - o[axis]), d[axis], out=t2)
             np.fmax(lo, np.fmin(t1, t2, out=out), out=lo)
             np.fmin(hi, np.fmax(t1, t2, out=t2), out=hi)
-    np.greater_equal(hi, lo, out=ws.m1)
-    np.greater(hi, 0.0, out=ws.m2)
-    ws.m1 &= ws.m2
-    np.less_equal(lo, 0.0, out=ws.m2)
+    np.greater_equal(hi, lo, out=m1)
+    np.greater(hi, 0.0, out=m2)
+    m1 &= m2
+    np.less_equal(lo, 0.0, out=m2)
     np.copyto(out, lo)
-    np.copyto(out, hi, where=ws.m2)                    # t = lo if lo > 0 else hi
-    np.logical_not(ws.m1, out=ws.m2)
-    np.copyto(out, _NO_HIT, where=ws.m2)
+    np.copyto(out, hi, where=m2)                       # t = lo if lo > 0 else hi
+    np.logical_not(m1, out=m2)
+    np.copyto(out, _NO_HIT, where=m2)
 
 
 def _heights_into(terrain, xs, ys, out, ws: _Workspace) -> None:
@@ -323,7 +303,8 @@ def _object_into(o, d, d_sq, pose: Pose6, spec, out, ws: _Workspace) -> None:
     """Target primitive in its (possibly rotated) frame.
 
     A bounding-sphere prefilter keeps the exact (and pricier) primitive test
-    on the handful of rays that can possibly hit the object.
+    on the handful of rays that can possibly hit the object.  A box multiplies
+    by reciprocal directions, the arithmetic that made the recorded masks.
     """
     if spec.shape == "sphere":
         _sphere_into(o, d, d_sq, pose.position, spec.dims[0], out, ws)
@@ -339,8 +320,11 @@ def _object_into(o, d, d_sq, pose: Pose6, spec, out, ws: _Workspace) -> None:
     o_l = r.T @ (o - pose.position)
     d_l = (r.T @ d.take(near, axis=1).astype(np.float64)).astype(np.float32)
     if spec.shape == "box":
-        half = np.asarray(spec.dims) / 2.0
-        out[near] = _ray_box(o_l, d_l, np.zeros(3), half)
+        hits = ws.r[3][:near.size]
+        with np.errstate(divide="ignore"):
+            _box_into(o_l, 1.0 / d_l, np.zeros(3), np.asarray(spec.dims) / 2.0,
+                      np.multiply, hits, ws)
+        out[near] = hits
     else:
         out[near] = _ray_cylinder_local(o_l, d_l, spec.dims[0], spec.dims[1])
 
@@ -361,7 +345,7 @@ def render_frame(scene: SceneState, robot, cam: CameraModel,
     center = (pc[0], pc[1], pc[2] - PLATFORM_THICKNESS / 2.0)
     half = (scene.platform_half[0], scene.platform_half[1],
             PLATFORM_THICKNESS / 2.0)
-    _box_into(o, d, center, half, ws.t_plat, ws)
+    _box_into(o, d, center, half, np.divide, ws.t_plat, ws)
     _terrain_into(o, d, scene.terrain, ws.t_ground, ws)
 
     nearest = ws.r[0]

@@ -31,9 +31,10 @@ from .teacher import cached_object_feature
 
 
 def _cmd_bench(args) -> int:
-    check_output_path(args.out)
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise InvalidArgumentError(f"--out is not a directory: {args.out}")
+    if not os.path.isdir(args.out):                   # else the run reuses it
+        check_output_path(args.out)
+        if os.path.exists(args.out):
+            raise InvalidArgumentError(f"--out is not a directory: {args.out}")
     cfg = load_config(args.config)
     levels = [int(x) for x in args.levels.split(",") if x]
     report, csv_text, summaries = run_benchmark(
@@ -101,6 +102,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_gfm_inspect(args) -> int:
+    if args.save is not None:
+        check_output_path(args.save)
     cfg = load_config(args.config)
     config = EpisodeConfig(level=1, object_id=args.object, seed=args.seed)
     _, scene, _ = episode_start(config, load_catalog())
@@ -126,18 +129,20 @@ def _cmd_gfm_inspect(args) -> int:
 def _cmd_distill_record(args) -> int:
     if args.episodes < 1:
         raise InvalidArgumentError(f"--episodes must be at least 1, got {args.episodes}")
-    check_output_path(args.out)
+    paths = ([f"{args.out}.ep{i:03d}" for i in range(args.episodes)]
+             if args.episodes > 1 and args.out else [args.out])  # "" stays an error
+    for path in paths:
+        check_output_path(path)
     cfg = load_config(args.config)
     catalog = load_catalog()
     objects = [s for s in catalog if s.split == "seen"]
     total = 0
-    for i in range(args.episodes):
+    for i, path in enumerate(paths):
         obj = objects[i % len(objects)]
         config = EpisodeConfig(level=args.level, object_id=obj.id,
                                seed=derive_seed(args.seed, args.level, i),
                                timeout_steps=cfg.timeout_steps)
         log, obs = run_episode(config, sim_cfg=cfg, collect_observations=True)
-        path = args.out if args.episodes == 1 else f"{args.out}.ep{i:03d}"
         n = record_distillation(log, obs, path)
         total += n
         print(f"episode {i}: {obj.id} outcome={log.outcome} records={n} -> {path}")

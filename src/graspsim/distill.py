@@ -19,10 +19,10 @@ import numpy as np
 
 from .atomicfile import atomic_write
 from .errors import InvalidArgumentError
-from .nn import PROPRIO_DIM, STACK_CHANNELS
+from .nn import FRAME_SHAPE, PROPRIO_DIM, STACK_CHANNELS
 
 MAGIC = b"GSDSET1\n"
-OBS_SHAPE = (STACK_CHANNELS, 54, 96)
+OBS_SHAPE = (STACK_CHANNELS, *FRAME_SHAPE)
 ACTION_DIM = 8
 RECORD_DTYPE = np.dtype([
     ("episode_id", "<u8"),

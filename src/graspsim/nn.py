@@ -7,10 +7,10 @@ uniform in +-1/sqrt(fan_in), biases zero, norm gains one).
 Validation happens at the boundaries: `WeightStore` rejects non-finite weights
 once, when they enter the program (init, `load`, construction).  The ops check
 activations, not weights; `linear`'s output check still sees any bad weight.
-The CNN runs one image at a time: `conv_pool_elu` builds an image's columns,
-runs one GEMM into a cache-sized tile, checks that tile as `conv2d` does, then
-pools, biases and ELUs it into an image-major [n,oc,h,w] batch, which is
-already the fc's row layout.  `max_pool2` trusts the tile it is handed.
+The CNN runs one image at a time: `conv_pool_elu` copies an image's sliding
+windows into columns, runs one GEMM into a cache-sized tile, checks it as
+`conv2d` does, then pools, biases and ELUs it into an image-major [n,oc,h,w]
+batch, already the fc's row layout.  `max_pool2` trusts the tile it is handed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomicfile import atomic_write
 from .errors import ArchitectureError, InvalidArgumentError, ShapeError
@@ -134,13 +135,12 @@ def _conv_fit(image_shape, k: np.ndarray, op: str) -> tuple:
 
 
 def _conv_tile(x: np.ndarray, k: np.ndarray, oh: int, ow: int) -> np.ndarray:
-    """The one im2col and GEMM: image x [c,h,w] -> checked tile [oc,oh,ow]."""
-    oc, c, kh, kw = k.shape
-    cols = np.empty((c, kh, kw, oh, ow), np.float32)
-    for a, b in np.ndindex(kh, kw):         # one contiguous ow-run per row and tap
-        cols[:, a, b] = x[:, a:a + oh, b:b + ow]
-    tile = k.reshape(oc, -1) @ cols.reshape(c * kh * kw, oh * ow)
-    return _checked(tile.reshape(oc, oh, ow), "conv2d")
+    """The one im2col and GEMM: image x [c,h,w] -> checked tile [oc,oh,ow].
+    x's (oh, ow) windows, one per kernel tap, are the columns in [c,kh,kw,oh,ow]
+    order already; one reshape copies them into the GEMM operand."""
+    cols = sliding_window_view(x, (oh, ow), axis=(1, 2)).reshape(-1, oh * ow)
+    tile = k.reshape(k.shape[0], -1) @ cols
+    return _checked(tile.reshape(-1, oh, ow), "conv2d")
 
 
 def max_pool2(x) -> np.ndarray:
@@ -499,6 +499,7 @@ def selftest(cases: int = 20, seed: int = 0) -> list:
     checks = [                          # name, input shapes, fast op, reference
         ("linear", [(3, 5), (5, 4), (4,)], linear, _naive_linear),
         ("conv2d", [(2, 7, 8), (3, 2, 3, 3)], conv2d, _naive_conv2d),
+        ("conv2d_rect", [(2, 9, 12), (3, 2, 3, 5)], conv2d, _naive_conv2d),
         ("attention", [(1, 6), (5, 6), (5, 3)], attention, _naive_attention),
         ("softmax", [(4, 9)], lambda x: softmax(x).sum(axis=-1), lambda x: 1.0),
         ("conv_pool_elu", [(4, 2, 7, 8), (3, 2, 3, 3), (3,)], conv_pool_elu,

@@ -153,13 +153,9 @@ class ObjectSpec:
     @property
     def footprint_half(self) -> tuple:
         """Half extents of the upright object's XY bounding box."""
-        if self.shape == "sphere":
-            r = self.dims[0]
-            return (r, r)
         if self.shape == "box":
             return (self.dims[0] / 2.0, self.dims[1] / 2.0)
-        r = self.dims[0]
-        return (r, r)
+        return (self.dims[0], self.dims[0])           # sphere or cylinder radius
 
     @property
     def bounding_radius(self) -> float:
@@ -341,13 +337,12 @@ def _rng_from_state(state: dict) -> np.random.Generator:
 
 
 def trajectory_velocity(traj: PlatformTrajectory, t: float) -> np.ndarray | None:
-    """Closed-form platform velocity for the prescribed modes; None for random."""
-    if traj.mode == "linear":
-        return traj.speed * np.array([np.cos(traj.heading), np.sin(traj.heading), 0.0])
-    if traj.mode == "arc":
-        a = traj.heading + traj.turn_rate * t
-        return traj.speed * np.array([np.cos(a), np.sin(a), 0.0])
-    return None
+    """Closed-form platform velocity for the prescribed modes; None for random.
+    A linear path is an arc with turn_rate 0 (heading + 0.0 * t == heading)."""
+    if traj.mode == "random":
+        return None
+    a = traj.heading + traj.turn_rate * t
+    return traj.speed * np.array([np.cos(a), np.sin(a), 0.0])
 
 
 def _riding_pose(platform_pose: Pose6, mount: Pose6) -> Pose6:

@@ -9,6 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from graspsim.episode import run_episode  # noqa: E402
 from graspsim.scene import (  # noqa: E402
     EpisodeConfig,
     TerrainField,
@@ -26,6 +27,16 @@ def catalog():
 @pytest.fixture(scope="session")
 def catalog_map(catalog):
     return catalog_by_id(catalog)
+
+
+@pytest.fixture(scope="session")
+def box_records():
+    """Observation records of a 40-step level-1 cracker_box episode, whose
+    box mask runs the camera's reciprocal-multiply slab test."""
+    _, records = run_episode(make_config(object_id="cracker_box", seed=0,
+                                         timeout_steps=40),
+                             collect_observations=True)
+    return records
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ def test_nn_selftest(capsys):
     code, out, _ = run_cli(["nn-selftest"], capsys)
     assert code == 0
     assert "linear" in out and "ok" in out
-    for case in ("conv_pool_elu", "max_pool2", "max_pool2_view"):
+    for case in ("conv2d_rect", "conv_pool_elu", "max_pool2", "max_pool2_view"):
         assert f"{case}: max|err|" in out
     assert "FAIL" not in out
 
@@ -209,6 +209,31 @@ def test_bench_out_naming_a_file_rejected(tmp_path, capsys, monkeypatch):
         f"error: InvalidArgumentError: --out is not a directory: {afile}")
     assert episodes == []
     assert list(tmp_path.iterdir()) == [afile] and afile.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("args, taken", [
+    (["episode", "--level", "1", "--object", "rubiks_cube", "--dump-log"], "adir"),
+    (["gfm-inspect", "--object", "rubiks_cube", "--save"], "adir"),
+    (["distill-record", "--level", "1", "--out"], "adir"),
+    (["distill-record", "--level", "1", "--episodes", "2", "--out"], "adir.ep001"),
+])
+def test_output_path_naming_a_directory_rejected(args, taken, tmp_path, capsys,
+                                                  monkeypatch):
+    # found before any episode starts (distill-record checks each .epNNN
+    # file it would write), and the directory is left as it was
+    episodes, starts = count_episodes(monkeypatch), []
+    monkeypatch.setattr(graspsim.cli, "episode_start",
+                        lambda *a, **k: starts.append(a))
+    (tmp_path / taken).mkdir()
+    (tmp_path / taken / "kept").write_bytes(b"kept")
+    code, out, err = run_cli(args + [str(tmp_path / "adir")], capsys)
+    assert code == 1 and out == ""
+    assert err.strip().splitlines()[-1] == (
+        f"error: InvalidArgumentError: output path is a directory: {tmp_path / taken}")
+    assert episodes == [] and starts == []
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+    assert [p.name for p in (tmp_path / taken).iterdir()] == ["kept"]
+    assert (tmp_path / taken / "kept").read_bytes() == b"kept"
 
 
 def test_config_file_override(tmp_path, capsys):

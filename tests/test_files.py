@@ -13,13 +13,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graspsim
 from graspsim import atomicfile
 from graspsim.camera import write_pgm
 from graspsim.cli import main
+from graspsim.config import _RANGES, load_config
 from graspsim.distill import (
     HEADER,
     HEADER_SIZE,
@@ -30,7 +31,7 @@ from graspsim.distill import (
     record_distillation,
 )
 from graspsim.errors import CatalogError, GraspSimError, InvalidArgumentError
-from graspsim.gfm import build_memory, generate_candidates, save_bank
+from graspsim.gfm import build_memory, generate_candidates, load_bank, save_bank
 from graspsim.nn import PROPRIO_DIM, WeightStore
 from graspsim.scene import load_catalog
 
@@ -194,6 +195,88 @@ def test_catalog_reader_single_byte_damage(mutation):
                      for s in specs] == _oracle_catalog(damaged.decode("utf-8")))
 
 
+def _written(write) -> bytes:
+    """The bytes that ``write(path)`` puts in a fresh file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "written")
+        write(path)
+        return Path(path).read_bytes()
+
+
+def _read_damaged(data: bytes, mutation, read):
+    """``read`` of a file holding the damaged bytes, or None after a
+    GraspSimError whose message names the file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "damaged")
+        Path(path).write_bytes(_mutate(data, *mutation))
+        try:
+            return read(path)
+        except GraspSimError as exc:
+            assert str(exc).startswith(f"{path}:")
+            return None
+
+
+def _resaved(value, save, load) -> tuple:
+    """The bytes of ``save(value)``, and of saving what loading them gives."""
+    with tempfile.TemporaryDirectory() as d:
+        first = os.path.join(d, "first")
+        save(value, first)
+        return Path(first).read_bytes(), _written(lambda p: save(load(first), p))
+
+
+_CONFIG = (b"# a config file\nphysics_dt = 0.02\ndecision_dt = 0.1\n"
+           b"timeout_steps = 120\nbank_size = 20\nhfov_deg = 87.0\n"
+           b"mask_flip_prob = 0.05\nteacher_standoff = 0.55\nrewards.lift = 1.5\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutations(len(_CONFIG), list(range(len(_CONFIG)))))
+def test_config_reader_single_byte_damage(mutation):
+    cfg = _read_damaged(_CONFIG, mutation, load_config)
+    if cfg is not None:
+        for key, (ok, _) in _RANGES.items():
+            assert ok(getattr(cfg, key)), key
+        assert cfg.substeps * cfg.physics_dt == pytest.approx(cfg.decision_dt)
+        assert all(np.isfinite(v) for v in cfg.reward_weights.values())
+
+
+_TINY_MANIFEST = [("a.w", (2, 3)), ("a.b", (3,)), ("b.k", (1, 2, 2))]
+_WEIGHTS = _written(WeightStore("tiny", _TINY_MANIFEST, {
+    name: np.random.default_rng(k).standard_normal(shape)
+    for k, (name, shape) in enumerate(_TINY_MANIFEST)}).save)
+_SEP = b"\n---\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutations(len(_WEIGHTS), list(range(_WEIGHTS.index(_SEP) + len(_SEP) + 4))))
+def test_weights_reader_single_byte_damage(mutation):
+    store = _read_damaged(_WEIGHTS, mutation, WeightStore.load)
+    if store is not None:
+        first, second = _resaved(store, WeightStore.save, WeightStore.load)
+        assert first == second
+        # the floats are read and written as they are
+        damaged = _mutate(_WEIGHTS, *mutation)
+        assert first.partition(_SEP)[2] == damaged.partition(_SEP)[2]
+
+
+def _bank(catalog):
+    spec = next(s for s in catalog if s.id == "rubiks_cube")
+    return build_memory(generate_candidates(spec, 40, seed=1), 5, object_id=spec.id)
+
+
+_BANK = _written(functools.partial(save_bank, _bank(load_catalog())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutations(len(_BANK), list(range(_BANK.index(b"\n") + 1))))
+@example(("flip", 48, 31))      # an angle of -1.2e17, which the wrap leaves near -9.7
+def test_bank_reader_single_byte_damage(mutation):
+    bank = _read_damaged(_BANK, mutation, load_bank)
+    if bank is not None:
+        first, second = _resaved(bank, save_bank, load_bank)
+        assert first == second
+
+
 # ---------------------------------------------------------------------------
 # Atomic writes
 # ---------------------------------------------------------------------------
@@ -213,11 +296,6 @@ class _FullDisk:
 
     def __exit__(self, *exc):
         self._fh.close()
-
-
-def _bank(catalog):
-    spec = next(s for s in catalog if s.id == "rubiks_cube")
-    return build_memory(generate_candidates(spec, 40, seed=1), 5, object_id=spec.id)
 
 
 def _bench(out_dir):
@@ -291,13 +369,14 @@ def test_atomic_write_replaces_on_success(tmp_path):
 
 
 def test_atomic_write_failed_rename_leaves_no_twin(tmp_path):
-    # the rename onto a directory fails: the error propagates, the directory
-    # stays, and no temporary twin is left behind
+    # a directory that appears at the target during the write (one there
+    # before is rejected up front) makes the rename fail: the error
+    # propagates, the directory stays, and no temporary twin is left behind
     target = tmp_path / "taken"
-    target.mkdir()
     with pytest.raises(IsADirectoryError):
         with atomicfile.atomic_write(target, "w", encoding="ascii") as fh:
             fh.write("new")
+            target.mkdir()
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert target.is_dir()
 

@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 
@@ -56,6 +57,18 @@ def naive_conv2d(x, kern):
                             s += float(x[ch, i + a, j + bb]) * float(kern[o, ch, a, bb])
                 out[o, i, j] = s
     return out
+
+
+def tap_loop_conv2d(x, kern):
+    """conv2d with its earlier column build, one slice copy per kernel tap;
+    the GEMM operand should equal the sliding-window copy, so the bits do."""
+    oc, c, kh, kw = kern.shape
+    oh, ow = x.shape[1] - kh + 1, x.shape[2] - kw + 1
+    cols = np.empty((c, kh, kw, oh, ow), np.float32)
+    for a, b in np.ndindex(kh, kw):
+        cols[:, a, b] = x[:, a:a + oh, b:b + ow]
+    tile = kern.reshape(oc, -1) @ cols.reshape(c * kh * kw, oh * ow)
+    return tile.reshape(oc, oh, ow)
 
 
 def naive_softmax(v):
@@ -198,6 +211,25 @@ def test_conv2d_matches_naive(rng):
         slow = naive_conv2d(x, k)
         assert fast.shape == slow.shape == (4, h - 2, w - 2)
         assert np.max(np.abs(fast - slow)) < 1e-5
+    # a non-square kernel on a non-square image: swapped tap axes would show
+    x = rng.standard_normal((2, 9, 12)).astype(np.float32)
+    k = rng.standard_normal((3, 2, 3, 5)).astype(np.float32)
+    fast = conv2d(x, k)
+    assert fast.shape == (3, 7, 8)
+    assert np.max(np.abs(fast - naive_conv2d(x, k))) < 1e-5
+
+
+def test_conv2d_bits_match_tap_loop_oracle(rng):
+    # the student's two layers, the non-square case and a one-column kernel
+    for (c, h, w), (oc, kh, kw) in (((2, 54, 96), (8, 5, 5)),
+                                    ((8, 25, 46), (304, 3, 3)),
+                                    ((2, 9, 12), (3, 3, 5)),
+                                    ((3, 5, 4), (2, 5, 1))):
+        x = rng.standard_normal((c, h, w)).astype(np.float32)
+        k = rng.standard_normal((oc, c, kh, kw)).astype(np.float32)
+        fast, oracle = conv2d(x, k), tap_loop_conv2d(x, k)
+        assert fast.shape == oracle.shape == (oc, h - kh + 1, w - kw + 1)
+        assert np.array_equal(fast.view(np.uint32), oracle.view(np.uint32))
 
 
 def test_conv2d_shape_error():
@@ -475,6 +507,20 @@ def test_student_forward_contract(rng):
     bad = WeightStore("other-arch", [("x", (1,))], {"x": np.zeros(1, np.float32)})
     with pytest.raises(ArchitectureError):
         student_forward(frames, proprio, bad)
+
+
+# sha256 of student_forward(stacked, proprio, init_student_weights(0)) as
+# little-endian float32, over conftest's 37 box_records in order.  Like the
+# episode digests, it holds for the numpy and BLAS that recorded it.
+STUDENT_FORWARD_DIGEST = "14d9bdd31399658c135bc0273e3a0f5256b9654ce396c6af407bb7edaedcf909"
+
+
+def test_student_forward_bits_pinned(box_records):
+    w = init_student_weights(0)
+    digest = hashlib.sha256()
+    for stacked, proprio, *_ in box_records:
+        digest.update(student_forward(stacked, proprio, w).astype("<f4").tobytes())
+    assert digest.hexdigest() == STUDENT_FORWARD_DIGEST
 
 
 def test_encode_frames_batch_equals_single_pairs(rng):

@@ -16,6 +16,7 @@ from graspsim.camera import (
     stack_observation,
     wrist_camera,
 )
+from graspsim.camera import _box_into, _Workspace
 from graspsim.config import SimConfig
 from graspsim.episode import derive_seed, render_views
 from graspsim.errors import NotReadyError
@@ -128,6 +129,46 @@ def test_platform_fully_occludes_object():
     # the slab's near face (x = 0.3) is what the center pixel sees
     assert frame.valid[FRAME_H // 2, FRAME_W // 2]
     assert frame.depth[FRAME_H // 2, FRAME_W // 2] == pytest.approx(0.3, abs=1e-3)
+
+
+def ray_box_oracle(o, d, center, half):
+    """The box target's earlier slab test, which multiplies by 1/d: the bit
+    oracle for _box_into given reciprocal directions and np.multiply."""
+    lo = np.full(d.shape[1], -np.inf, np.float32)
+    hi = np.full(d.shape[1], np.inf, np.float32)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for axis in range(3):
+            inv = 1.0 / d[axis]
+            t1 = np.float32(center[axis] - half[axis] - o[axis]) * inv
+            t2 = np.float32(center[axis] + half[axis] - o[axis]) * inv
+            lo = np.fmax(lo, np.fmin(t1, t2))
+            hi = np.fmin(hi, np.fmax(t1, t2))
+    hit = (hi >= lo) & (hi > 0)
+    t = np.where(lo > 0, lo, hi)
+    return np.where(hit, t, np.inf)
+
+
+def test_box_slab_bits_match_reciprocal_oracle(rng):
+    # odd subset sizes run on workspace slices; zero direction components
+    # and origins inside the box take the infinite and the exit-distance paths
+    ws = _Workspace(FRAME_H * FRAME_W)
+    hits = inside = 0
+    for n in (1, 7, 333, 2049, FRAME_H * FRAME_W):
+        for trial in range(4):
+            d = rng.standard_normal((3, n)).astype(np.float32)
+            d[rng.random((3, n)) < 0.05] = 0.0
+            half = rng.uniform(0.02, 0.3, 3)
+            o = half * rng.uniform(-0.9, 0.9, 3) if trial == 0 else rng.uniform(-0.5, 0.5, 3)
+            with np.errstate(divide="ignore"):
+                inv = 1.0 / d
+            out = np.empty(n, np.float32)
+            _box_into(o, inv, np.zeros(3), half, np.multiply, out, ws)
+            expected = ray_box_oracle(o, d, np.zeros(3), half)
+            assert expected.dtype == np.float32
+            assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))
+            hits += int(np.isfinite(out).sum())
+            inside += n * bool(np.all(np.abs(o) < half))
+    assert hits > 1_000 and inside > 0
 
 
 def test_reprojection_of_random_placements(rng):

@@ -57,6 +57,9 @@ EPISODE_OUTCOMES = {
 # sha256 over the (stack, proprio, action, gripper, step) records of a
 # 4-step level-1 tennis_ball episode with collect_observations=True.
 OBSERVATION_DIGEST = "0c7dbc79a895c53079775e0f5e911b3a7bd779f41d3dc523ddf0f997a19aeee2"
+# The same over the 37 records of the 40-step level-1 cracker_box episode in
+# conftest's box_records: a box target, so its mask comes from the slab test.
+BOX_OBSERVATION_DIGEST = "8ae61ffbcf30af249f18577a680e34c6108ab5ffb391e2e56b1d134703d825a8"
 
 
 @pytest.mark.parametrize("key", sorted(EPISODE_DIGESTS))
@@ -94,12 +97,21 @@ def test_observation_bytes_pinned(catalog):
     _, records = run_episode(make_config(object_id="tennis_ball", seed=0, timeout_steps=4),
                              catalog=catalog, collect_observations=True)
     assert len(records) == 4
+    assert _records_digest(records) == OBSERVATION_DIGEST
+
+
+def test_box_observation_bytes_pinned(box_records):
+    assert len(box_records) == 37
+    assert _records_digest(box_records) == BOX_OBSERVATION_DIGEST
+
+
+def _records_digest(records) -> str:
     digest = hashlib.sha256()
     for stacked, proprio, action, gripper, step in records:
         for arr in (stacked, proprio, action):
             digest.update(np.ascontiguousarray(arr).tobytes())
         digest.update(bytes([gripper, step]))
-    assert digest.hexdigest() == OBSERVATION_DIGEST
+    return digest.hexdigest()
 
 
 def _count_checked(monkeypatch):
