@@ -16,10 +16,8 @@ from .se3 import (
     Transform,
     Twist,
     compose,
-    euler_to_transform,
     grasp_to_world,
     inverse,
-    transform_to_euler,
     vec6_decode,
     vec6_encode,
     wrap_angle,

@@ -17,15 +17,14 @@ import numpy as np
 
 from .atomicfile import atomic_write
 from .errors import InvalidArgumentError, NotReadyError
+from .nn import FRAME_SHAPE, HISTORY_LEN
 from .scene import PLATFORM_THICKNESS, SceneState
 from .se3 import Pose6, compose, euler_to_matrix
 
-FRAME_H = 54
-FRAME_W = 96
+FRAME_H, FRAME_W = FRAME_SHAPE
 DEFAULT_HFOV = np.deg2rad(87.0)
 DEPTH_CLIP = 5.0
 LATENCY_STEPS = 4
-HISTORY_LEN = 3
 _NO_HIT = np.inf
 
 BASE_CAM_OFFSET = Pose6(np.array([0.25, 0.0, 0.15]),

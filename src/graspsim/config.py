@@ -24,6 +24,27 @@ from .scene import TIMEOUT_STEPS
 ENV_CONFIG_VAR = "GRASPSIM_CONFIG"
 
 
+# Allowed range of every plain key: SimConfig checks all, load_config each line.
+_POSITIVE = (lambda v: v > 0, "> 0")
+_COUNT = (lambda v: v >= 1, ">= 1")
+_RANGES = {
+    **dict.fromkeys(("physics_dt", "decision_dt", "gripper_aperture",
+                     "teacher_standoff", "teacher_align_pos_tol",
+                     "teacher_align_ori_tol", "teacher_max_rel_speed",
+                     "sigma_track", "sigma_cf", "sigma_cv"), _POSITIVE),
+    **dict.fromkeys(("timeout_steps", "bank_size", "candidate_count"), _COUNT),
+    "teacher_intercept_horizon": (lambda v: v >= 0, ">= 0"),
+    "hfov_deg": (lambda v: 0 < v < 180, "in (0, 180)"),
+    "mask_flip_prob": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
+
+def _check_range(key: str, value) -> None:
+    ok, allowed = _RANGES[key]
+    if not (math.isfinite(value) and ok(value)):
+        raise InvalidArgumentError(f"{key} must be a finite number {allowed}, got {value}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     # clocks
@@ -51,7 +72,9 @@ class SimConfig:
     reward_weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        ratio = self.decision_dt / self.physics_dt if self.physics_dt > 0 else math.nan
+        for key in _RANGES:
+            _check_range(key, getattr(self, key))
+        ratio = self.decision_dt / self.physics_dt
         if not (math.isfinite(ratio) and round(ratio) >= 1
                 and abs(ratio - round(ratio)) <= 1e-9):
             raise InvalidArgumentError(
@@ -65,20 +88,6 @@ class SimConfig:
 
 
 _DEFAULTS = SimConfig()
-
-# Allowed range of every plain key, checked as each file line is read.
-_POSITIVE = (lambda v: v > 0, "> 0")
-_COUNT = (lambda v: v >= 1, ">= 1")
-_RANGES = {
-    **dict.fromkeys(("physics_dt", "decision_dt", "gripper_aperture",
-                     "teacher_standoff", "teacher_align_pos_tol",
-                     "teacher_align_ori_tol", "teacher_max_rel_speed",
-                     "sigma_track", "sigma_cf", "sigma_cv"), _POSITIVE),
-    **dict.fromkeys(("timeout_steps", "bank_size", "candidate_count"), _COUNT),
-    "teacher_intercept_horizon": (lambda v: v >= 0, ">= 0"),
-    "hfov_deg": (lambda v: 0 < v < 180, "in (0, 180)"),
-    "mask_flip_prob": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-}
 
 
 def _finite_float(text: str) -> float:
@@ -115,9 +124,7 @@ def load_config(path=None) -> SimConfig:
                 if term is None:
                     coerced = (int(value) if isinstance(getattr(_DEFAULTS, key), int)
                                else _finite_float(value))
-                    ok, allowed = _RANGES[key]
-                    if not ok(coerced):
-                        raise ValueError(f"{key} must be {allowed}, got {value}")
+                    _check_range(key, coerced)
                     overrides[key] = coerced
                 else:
                     weights[term] = _finite_float(value)

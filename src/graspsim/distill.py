@@ -19,11 +19,11 @@ import numpy as np
 
 from .atomicfile import atomic_write
 from .errors import InvalidArgumentError
-from .nn import FRAME_SHAPE, PROPRIO_DIM, STACK_CHANNELS
+from .nn import FRAME_SHAPE, HEAD_DIMS, PROPRIO_DIM, STACK_CHANNELS
 
 MAGIC = b"GSDSET1\n"
 OBS_SHAPE = (STACK_CHANNELS, *FRAME_SHAPE)
-ACTION_DIM = 8
+ACTION_DIM = HEAD_DIMS[-1]
 RECORD_DTYPE = np.dtype([
     ("episode_id", "<u8"),
     ("step", "<u4"),

@@ -48,7 +48,7 @@ from .scene import (
     reset_episode,
     step_scene,
 )
-from .se3 import euler_to_matrix, wrap_angle
+from .se3 import euler_to_matrix
 from .teacher import teacher_step
 
 CLOSE_COOLDOWN_STEPS = 5
@@ -75,7 +75,7 @@ def build_proprio(robot, terrain) -> np.ndarray:
         ee_local.position,
         ee_local.orientation,
         [1.0 if robot.gripper == "closed" else 0.0],
-        [wrap_angle(base.orientation[2])],
+        [base.orientation[2]],
     ]).astype(np.float32)
 
 
@@ -212,11 +212,8 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     prev_action = np.zeros(8)
     q_prev = DEFAULT_JOINTS   # the pose at rest; gait_joint_proxy(0.0) is 4e-17 off it
     q_dot_prev = np.zeros(12)
-    last_attempt = -10**9
-    n_steps = 0
 
     for step in range(config.timeout_steps):
-        n_steps = step + 1
         if collect_observations:
             f_w, f_b = render_views(scene, robot, sim_cfg, config.seed, step)
             proprio = build_proprio(robot, scene.terrain)
@@ -230,26 +227,22 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
             observations.append((stacked, proprio, action_vec.copy(),
                                  1 if action.gripper_close else 0, step))
 
-        close_event = False
-        close_ok = False
         if (action.gripper_close and robot.gripper == "open"
-                and step - last_attempt >= CLOSE_COOLDOWN_STEPS):
+                and (not close_events
+                     or step - close_events[-1][0] >= CLOSE_COOLDOWN_STEPS)):
             scene, close_ok = apply_gripper_close(scene, robot, bank, sim_cfg)
-            close_event = True
-            last_attempt = step
             close_events.append([step, bool(close_ok)])
             if close_ok:
                 robot = replace(robot, gripper="closed")
 
         u = accumulate_command(robot, action)
-        for i in range(sim_cfg.substeps):
+        for _ in range(sim_cfg.substeps):
             robot = execute_command(robot, u, scene.terrain, sim_cfg.physics_dt)
             scene = step_scene(
                 scene, traj, sim_cfg.physics_dt,
                 ee_pose=robot.ee_pose if scene.object_attached_to == "gripper" else None,
             )
-            status = check_status(scene, robot, status, config, step,
-                                  close_event=close_event and i == 0)
+            status = check_status(scene, robot, status, config, step)
             if status.terminal:
                 break
 
@@ -311,9 +304,9 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
         steps=steps,
         close_events=close_events,
         outcome=status.phase,
-        attempt_count=status.attempt_count,
+        attempt_count=len(close_events),
         success_step=status.success_step,
-        n_steps=n_steps,
+        n_steps=step + 1,          # EpisodeConfig keeps timeout_steps >= 1
     )
     if collect_observations:
         return log, observations

@@ -441,10 +441,7 @@ def load_bank(path) -> GraspMemoryBank:
                 nums = []
             if len(nums) != 7:
                 raise InvalidArgumentError(f"bad bank row {ln!r}")
-            pose = vec6_decode(np.array(nums[:6]))
-            if not all(-np.pi < a <= np.pi for a in pose.orientation):
-                raise InvalidArgumentError(f"bank row angle too large to wrap {ln!r}")
-            cands.append(GraspCandidate(pose, nums[6]))
+            cands.append(GraspCandidate(vec6_decode(np.array(nums[:6])), nums[6]))
         return GraspMemoryBank(head[1], tuple(cands), int(head[2]))
     except InvalidArgumentError as exc:
         raise InvalidArgumentError(f"{path}: {exc}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class MetricsReport:
         raise KeyError(f"no metrics row for level {level}, category {category!r}")
 
 
-def _tally(logs, split: str, category: str) -> MetricsRow:
+def _tally(logs, category: str) -> MetricsRow:
     n = len(logs)
     successes = [s for s in logs if s.outcome == "success"]
     one_shot = [s for s in successes if s.first_close_success]
@@ -58,7 +58,7 @@ def _tally(logs, split: str, category: str) -> MetricsRow:
            if successes else None)
     return MetricsRow(
         level=logs[0].level,
-        split=split,
+        split="",
         category=category,
         n_episodes=n,
         n_successes=len(successes),
@@ -70,12 +70,17 @@ def _tally(logs, split: str, category: str) -> MetricsRow:
 
 
 def compute_metrics(logs) -> MetricsReport:
-    """One "all" row per level of the given EpisodeLogs."""
+    """Per level of the given EpisodeLogs, an "all" row and then one row per
+    object category in name order; the split column is left empty."""
     if not logs:
         raise InvalidArgumentError("compute_metrics needs at least one episode")
     rows = []
     for level in sorted({s.level for s in logs}):
-        rows.append(_tally([s for s in logs if s.level == level], "", "all"))
+        level_logs = [s for s in logs if s.level == level]
+        rows.append(_tally(level_logs, "all"))
+        for category in sorted({s.category for s in level_logs}):
+            rows.append(_tally([s for s in level_logs if s.category == category],
+                               category))
     return MetricsReport(tuple(rows))
 
 
@@ -179,13 +184,7 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
             pool.shutdown(wait=True, cancel_futures=True)
 
     all_logs.sort(key=lambda s: (s.level, s.seed))
-    rows = []
-    for level in levels:
-        level_logs = [s for s in all_logs if s.level == level]
-        rows.append(_tally(level_logs, split, "all"))
-        for category in sorted({s.category for s in level_logs}):
-            rows.append(_tally([s for s in level_logs if s.category == category],
-                               split, category))
+    rows = (replace(r, split=split) for r in compute_metrics(all_logs).rows)
     report = MetricsReport(tuple(rows))
     return report, report_to_csv(report, seed), all_logs
 

@@ -25,7 +25,8 @@ from .atomicfile import atomic_write
 from .errors import ArchitectureError, InvalidArgumentError, ShapeError
 
 FRAME_SHAPE = (54, 96)
-STACK_CHANNELS = 12
+HISTORY_LEN = 3                         # frames stacked per view
+STACK_CHANNELS = 2 * 2 * HISTORY_LEN    # (wrist, base) x (mask, depth) x history
 PROPRIO_DIM = 24
 MODEL_DIM = 64
 FF_DIM = 256

@@ -146,8 +146,7 @@ def clamp_to_workspace(p) -> np.ndarray:
 def accumulate_command(robot: RobotState, a: HighLevelAction) -> CommandVector:
     """Integrate action increments into an absolute low-level command."""
     p_hat = clamp_to_workspace(robot.ee_target.position + a.dp)
-    r_hat = wrap_angle(robot.ee_target.orientation + a.dr)
-    return CommandVector(p_hat, r_hat, a.v_lin, a.omega_yaw)
+    return CommandVector(p_hat, robot.ee_target.orientation + a.dr, a.v_lin, a.omega_yaw)
 
 
 def _unicycle_step(x, y, yaw, v, omega, dt):

@@ -297,7 +297,6 @@ class EpisodeConfig:
 @dataclass(frozen=True)
 class EpisodeStatus:
     phase: str = "approaching"   # approaching|grasped|lifted|success|failed_*
-    attempt_count: int = 0
     success_step: int | None = None
     hold_steps: int = 0          # consecutive physics steps above lift height
 
@@ -558,31 +557,27 @@ def apply_gripper_close(state: SceneState, robot, bank, cfg) -> tuple[SceneState
 
 
 def check_status(state: SceneState, robot, status: EpisodeStatus,
-                 config: EpisodeConfig, decision_step: int,
-                 close_event: bool = False) -> EpisodeStatus:
+                 config: EpisodeConfig, decision_step: int) -> EpisodeStatus:
     """Advance the episode state machine by one physics step."""
     if status.terminal:
         return status
-    attempts = status.attempt_count + (1 if close_event else 0)
     # Drift from yaw 0: a pose's yaw is wrapped, so abs() alone measures it.
     if abs(robot.base_pose.orientation[2]) > YAW_FAIL_LIMIT:
-        return EpisodeStatus("failed_yaw", attempts, None, 0)
+        return EpisodeStatus("failed_yaw")
     if decision_step >= config.timeout_steps:
-        return EpisodeStatus("failed_timeout", attempts, None, 0)
+        return EpisodeStatus("failed_timeout")
 
     if state.object_attached_to == "gripper":
         lift = state.object_pose.position[2] - state.platform_pose.position[2]
         if lift >= LIFT_SUCCESS_HEIGHT:
             hold = status.hold_steps + 1
             if hold >= LIFT_HOLD_STEPS:
-                return EpisodeStatus("success", attempts, decision_step, hold)
-            return EpisodeStatus("lifted", attempts, None, hold)
-        return EpisodeStatus("grasped", attempts, None, 0)
+                return EpisodeStatus("success", decision_step, hold)
+            return EpisodeStatus("lifted", hold_steps=hold)
+        return EpisodeStatus("grasped")
 
-    if state.object_attached_to == "free":
-        return EpisodeStatus("failed_dropped", attempts, None, 0)
     rel = state.mount_offset.position[:2]
     fx, fy = state.platform_half
-    if abs(rel[0]) > fx or abs(rel[1]) > fy:
-        return EpisodeStatus("failed_dropped", attempts, None, 0)
-    return EpisodeStatus("approaching", attempts, None, 0)
+    if state.object_attached_to == "free" or abs(rel[0]) > fx or abs(rel[1]) > fy:
+        return EpisodeStatus("failed_dropped")
+    return EpisodeStatus("approaching")

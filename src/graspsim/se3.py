@@ -5,9 +5,10 @@ i.e. R = Rx(a) @ Ry(b) @ Rz(c).  Angles are kept normalized to (-pi, pi],
 with the tie at -pi mapping to +pi, so pose equality is meaningful.
 
 Where values are checked: a value is checked once, where it enters.
-``Pose6(...)``, ``Twist(...)``, ``Transform(...)`` and ``vec6_decode`` check
-shape and finiteness (a pose also wraps its angles) for anything that comes
-from user input, a file or a policy output.  A value computed from checked
+``Pose6(...)``, ``Twist(...)`` and ``vec6_decode`` check shape and
+finiteness for anything that comes from user input, a file or a policy
+output; a pose also wraps its angles and rejects one that the wrap cannot
+bring into (-pi, pi] (some past about 1e16 rad).  A value computed from checked
 values and a checked dt is finite (and, for a pose, wrapped) by
 construction, so it is built with ``_trusted``, which skips the check:
 ``compose``, ``inverse`` (and so ``grasp_to_world``), and every pose and
@@ -89,8 +90,12 @@ class Pose6:
 
     def __post_init__(self):
         pos, orn = _checked_pair(self)
+        wrapped = wrap_angle(orn)
+        if not all(-math.pi < a <= math.pi for a in wrapped.tolist()):
+            raise InvalidArgumentError(
+                f"Pose6.orientation too large to wrap into (-pi, pi], got {orn!r}")
         object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "orientation", _ro(wrap_angle(orn)))
+        object.__setattr__(self, "orientation", _ro(wrapped))
 
     @staticmethod
     def identity() -> "Pose6":
@@ -139,7 +144,7 @@ def _trusted(cls, first: np.ndarray, second: np.ndarray):
 
 @dataclass(frozen=True)
 class Transform:
-    """Internal matrix form of a pose: 3x3 rotation + translation."""
+    """Matrix form of a pose (3x3 rotation + translation); no module builds one."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -200,16 +205,6 @@ def matrix_to_euler(rotation) -> np.ndarray:
         c = np.where(regular, c, 0.0)
     abc = np.array([a, b, c]).reshape(3, -1).T.ravel().tolist()
     return np.array([_wrap1(v) for v in abc]).reshape(sb.shape + (3,))
-
-
-def euler_to_transform(p: Pose6) -> Transform:
-    """Matrix form of a pose."""
-    return Transform(euler_to_matrix(p.orientation), p.position)
-
-
-def transform_to_euler(t: Transform) -> Pose6:
-    """Pose form of a transform; angles come back normalized."""
-    return Pose6(t.translation, matrix_to_euler(t.rotation))
 
 
 def compose(a: Pose6, b: Pose6) -> Pose6:

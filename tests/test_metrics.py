@@ -173,6 +173,19 @@ def test_benchmark_reports_categories():
     assert sum(r.n_episodes for r in per_cat) == level_row.n_episodes
 
 
+def test_benchmark_report_is_compute_metrics_of_its_logs(catalog):
+    # one report builder: the sweep's rows are compute_metrics' rows of its
+    # logs ("all" first, then the categories), labelled with the split
+    one_per_category = list({s.category: s for s in catalog}.values())
+    report, csv_text, logs = run_benchmark([1, 3], episodes_per_level=4, split="both",
+                                           seed=8, timeout_steps=40,
+                                           catalog=one_per_category)
+    rows = compute_metrics(logs).rows
+    assert len({r.category for r in rows}) > 2
+    assert report.rows == tuple(dataclasses.replace(r, split="both") for r in rows)
+    assert csv_text == report_to_csv(report, seed=8)
+
+
 def test_benchmark_applies_sim_config_serial_and_parallel():
     override = SimConfig(bank_size=1, candidate_count=5, teacher_standoff=0.3)
     runs = [run_benchmark([1], episodes_per_level=3, seed=0, timeout_steps=80,

@@ -8,14 +8,12 @@ from graspsim.se3 import (
     Pose6,
     compose,
     euler_to_matrix,
-    euler_to_transform,
     grasp_to_world,
     inverse,
     matrix_to_euler,
     rot_x,
     rot_y,
     rot_z,
-    transform_to_euler,
     vec6_decode,
     vec6_encode,
     wrap_angle,
@@ -68,6 +66,32 @@ def test_wrap_angle_bits_match_round_formula(rng):
     for x in xs:
         assert (np.float64(wrap_angle(float(x))).view(np.uint64)
                 == reference(np.array(x)).view(np.uint64))
+
+
+def test_wrap_angle_returns_its_outputs_unchanged(rng):
+    # a wrapped angle wraps to the same bits, so a value built from wrapped
+    # angles (a pose, a command target) needs no second wrap
+    xs = np.concatenate([
+        [0.0, -0.0, np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
+         1e-300, -1e-300, 1e15, -1e15],
+        rng.uniform(-50.0, 50.0, 20_000),
+    ])
+    once = wrap_angle(xs)
+    assert not np.any(np.signbit(once) & (once == 0.0))
+    assert np.array_equal(wrap_angle(once).view(np.uint64), once.view(np.uint64))
+
+
+def test_angle_too_large_to_wrap_rejected():
+    # past about 1e16 rad the wrap formula is not exact: this angle wraps to
+    # -9.7168, outside (-pi, pi], so a checked pose refuses it
+    huge = -1.15707963267948966e17
+    assert not -np.pi < wrap_angle(huge) <= np.pi
+    with pytest.raises(InvalidArgumentError, match="too large to wrap"):
+        Pose6(np.zeros(3), np.array([0.0, 0.0, huge]))
+    with pytest.raises(InvalidArgumentError, match="too large to wrap"):
+        vec6_decode(np.array([0.0, 0.0, 0.0, 0.0, 0.0, huge]))
+    # the largest angles the wrap does bring into range are still taken
+    assert -np.pi < Pose6(np.zeros(3), np.array([1e15, -1e15, 0.0])).orientation[0] <= np.pi
 
 
 def _matrix_to_euler_oracle(rotation):
@@ -150,15 +174,15 @@ def test_euler_to_matrix_yaw_only_bits_match_three_matmuls(rng):
 
 
 def test_zero_pose_is_identity_transform():
-    t = euler_to_transform(Pose6.identity())
-    assert np.allclose(t.rotation, np.eye(3))
-    assert np.allclose(t.translation, 0.0)
+    p = Pose6.identity()
+    assert np.allclose(euler_to_matrix(p.orientation), np.eye(3))
+    assert np.allclose(p.position, 0.0)
 
 
 def test_yaw_quarter_turn_maps_x_to_y():
     # oracle: plain Rz(pi/2) applied to x-hat
-    t = euler_to_transform(Pose6(np.zeros(3), np.array([0, 0, np.pi / 2])))
-    assert np.allclose(t.rotation @ np.array([1.0, 0, 0]), [0, 1, 0], atol=1e-12)
+    r = euler_to_matrix(Pose6(np.zeros(3), np.array([0, 0, np.pi / 2])).orientation)
+    assert np.allclose(r @ np.array([1.0, 0, 0]), [0, 1, 0], atol=1e-12)
 
 
 def test_euler_matrix_convention_is_intrinsic_xyz(rng):
@@ -175,20 +199,15 @@ def test_euler_matrix_convention_is_intrinsic_xyz(rng):
 
 def test_transform_euler_roundtrip(rng):
     for _ in range(200):
-        p = random_pose(rng)
-        q = transform_to_euler(euler_to_transform(p))
-        assert np.allclose(
-            euler_to_matrix(q.orientation), euler_to_matrix(p.orientation), atol=1e-9
-        )
-        assert np.allclose(q.position, p.position)
+        r = euler_to_matrix(random_pose(rng).orientation)
+        orn = matrix_to_euler(r)
+        assert np.all((orn > -np.pi) & (orn <= np.pi))
+        assert np.allclose(euler_to_matrix(orn), r, atol=1e-9)
 
 
 def test_roundtrip_near_gimbal_lock():
-    p = Pose6(np.zeros(3), np.array([0.3, np.pi / 2, 0.0]))
-    q = transform_to_euler(euler_to_transform(p))
-    assert np.allclose(
-        euler_to_matrix(q.orientation), euler_to_matrix(p.orientation), atol=1e-7
-    )
+    r = euler_to_matrix(np.array([0.3, np.pi / 2, 0.0]))
+    assert np.allclose(euler_to_matrix(matrix_to_euler(r)), r, atol=1e-7)
     # the stacked conversion equals the per-matrix one bit for bit, at the
     # lock (b = +-pi/2 gives r[0, 2] = +-1 exactly) and on both sides of the
     # 1e-12 threshold (1 - |r[0, 2]| is 5e-13, then 2e-12)

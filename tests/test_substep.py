@@ -69,6 +69,7 @@ def test_episode_log_bytes_pinned(key, catalog):
                                   timeout_steps=timeout), catalog=catalog, log_steps=True)
     expected = "failed_timeout" if level == 2 else EPISODE_OUTCOMES[object_id]
     assert log.outcome == expected
+    assert log.attempt_count == len(log.close_events)
     assert hashlib.sha256(log.to_json().encode()).hexdigest() == EPISODE_DIGESTS[key]
 
 
