@@ -398,10 +398,6 @@ class ObsHistory:
         self._frames.append((frame.mask.astype(np.float32),
                              np.where(frame.valid, d, 0.0).astype(np.float32)))
 
-    @property
-    def warmed(self) -> bool:
-        return len(self._frames) > 0
-
     def frames(self) -> list:
         """(mask, depth) pairs oldest to newest, padded by repeating the oldest."""
         if not self._frames:
@@ -411,9 +407,8 @@ class ObsHistory:
 
 
 def stack_observation(hist_wrist: ObsHistory, hist_base: ObsHistory) -> np.ndarray:
-    """[12,54,96] float32 stack: wrist masks x3, wrist depths x3, then base."""
-    if not (hist_wrist.warmed and hist_base.warmed):
-        raise NotReadyError("observation histories are not warmed up")
+    """[STACK_CHANNELS,*FRAME_SHAPE] float32 stack, one view after the other in
+    `nn.VIEWS` order: its HISTORY_LEN masks, then its HISTORY_LEN depths."""
     channels = []
     for hist in (hist_wrist, hist_base):
         frames = hist.frames()

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: bench, episode, render, gfm-inspect, distill-record, nn-selftest.
+Subcommands: bench, episode, render, gfm-inspect, distill-record.  The
+tensor-op oracle checks live in tests/test_nn.py.
 Exit code 0 on success; failures print one machine-parsable line to stderr:
 ``error: <kind>: <message>``.  The --config option (or GRASPSIM_CONFIG)
 points at a key=value file overriding the documented defaults; every
@@ -24,7 +25,6 @@ from .episode import (derive_seed, episode_bank, episode_start, render_views,
 from .errors import GraspSimError, InvalidArgumentError
 from .gfm import alignment_gfm_weights, gfm_forward, save_bank
 from .metrics import run_benchmark, summaries_to_jsonl
-from .nn import selftest
 from .scene import EpisodeConfig, load_catalog, step_scene
 from .se3 import vec6_encode
 from .teacher import cached_object_feature
@@ -150,15 +150,6 @@ def _cmd_distill_record(args) -> int:
     return 0
 
 
-def _cmd_nn_selftest(_args) -> int:
-    failures = 0
-    for name, err in selftest():
-        ok = err <= 1e-5
-        failures += 0 if ok else 1
-        print(f"{name}: max|err| = {err:.2e} {'ok' if ok else 'FAIL'}")
-    return 0 if failures == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="graspsim",
                                 description="desk-scale dynamic grasping benchmark")
@@ -211,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", default="distill.bin")
     d.set_defaults(func=_cmd_distill_record)
-
-    n = sub.add_parser("nn-selftest", help="run the tensor-op oracle checks")
-    n.set_defaults(func=_cmd_nn_selftest)
     return p
 
 

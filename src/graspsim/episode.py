@@ -21,6 +21,7 @@ from .camera import (
     wrist_camera,
 )
 from .config import SimConfig
+from .distill import ACTION_DIM
 from .errors import NotReadyError
 from .gfm import alignment_gfm_weights, build_memory, generate_candidates
 from .robot import (
@@ -209,9 +210,9 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
 
     steps = [] if log_steps else None
     close_events, observations = [], []
-    prev_action = np.zeros(8)
+    prev_action = np.zeros(ACTION_DIM)
     q_prev = DEFAULT_JOINTS   # the pose at rest; gait_joint_proxy(0.0) is 4e-17 off it
-    q_dot_prev = np.zeros(12)
+    q_dot_prev = np.zeros_like(DEFAULT_JOINTS)
 
     for step in range(config.timeout_steps):
         if collect_observations:

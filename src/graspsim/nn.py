@@ -25,8 +25,9 @@ from .atomicfile import atomic_write
 from .errors import ArchitectureError, InvalidArgumentError, ShapeError
 
 FRAME_SHAPE = (54, 96)
+VIEWS = ("wrist", "base")               # camera views, in stack order
 HISTORY_LEN = 3                         # frames stacked per view
-STACK_CHANNELS = 2 * 2 * HISTORY_LEN    # (wrist, base) x (mask, depth) x history
+STACK_CHANNELS = len(VIEWS) * 2 * HISTORY_LEN   # views x (mask, depth) x history
 PROPRIO_DIM = 24
 MODEL_DIM = 64
 FF_DIM = 256
@@ -362,7 +363,7 @@ def student_manifest() -> list:
         ("cnn.fc.w", (_cnn_flat_dim(), MODEL_DIM)), ("cnn.fc.b", (MODEL_DIM,)),
         ("proprio.w", (PROPRIO_DIM, MODEL_DIM)), ("proprio.b", (MODEL_DIM,)),
     ]
-    for stream in ("wrist", "base"):
+    for stream in VIEWS:
         for l in range(NUM_LAYERS):
             p = f"{stream}.enc{l}"
             for part in ("wq", "wk", "wv", "wo"):
@@ -386,9 +387,10 @@ def init_student_weights(seed: int = 0) -> WeightStore:
     return init_weights(STUDENT_ARCH, student_manifest(), seed)
 
 
-# Stack channels of the six images as (mask, depth) pairs, image-major:
-# wrist t=0..2, then base t=0..2.
-_FRAME_PAIRS = np.array([(0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11)])
+# Stack channels of each image as a (mask, depth) pair, image-major: each
+# view's HISTORY_LEN masks come first, then its HISTORY_LEN depths.
+_FRAME_PAIRS = (np.arange(STACK_CHANNELS).reshape(len(VIEWS), 2, HISTORY_LEN)
+                .transpose(0, 2, 1).reshape(-1, 2))
 
 
 def _encode_frames(imgs, w: WeightStore) -> np.ndarray:
@@ -402,8 +404,9 @@ def _encode_frames(imgs, w: WeightStore) -> np.ndarray:
     return linear(x.reshape(x.shape[0], -1), w.get("cnn.fc.w"), w.get("cnn.fc.b"))
 
 
-def _encode_stream(tokens3, state_token, w: WeightStore, stream: str) -> np.ndarray:
-    seq = np.vstack([state_token[None, :], tokens3]).astype(np.float32)
+def _encode_stream(tokens, state_token, w: WeightStore, stream: str) -> np.ndarray:
+    """One view's HISTORY_LEN frame tokens, after the state token -> [MODEL_DIM]."""
+    seq = np.vstack([state_token[None, :], tokens]).astype(np.float32)
     seq = seq + positional_encoding(seq.shape[0], MODEL_DIM)
     for l in range(NUM_LAYERS):
         seq = transformer_encoder_layer(seq, w.layer(f"{stream}.enc{l}"))
@@ -414,8 +417,9 @@ def _encode_stream(tokens3, state_token, w: WeightStore, stream: str) -> np.ndar
 def student_forward(frames, proprio, w: WeightStore) -> np.ndarray:
     """Map stacked dual-view observations + proprioception to 8 action values.
 
-    frames: [12,54,96] stacked as produced by the perception pipeline
-    (wrist masks x3, wrist depths x3, base masks x3, base depths x3).
+    frames: [STACK_CHANNELS, *FRAME_SHAPE] as `camera.stack_observation`
+    stacks them; `_FRAME_PAIRS` reads them back as one (mask, depth) image
+    per view and time step.
     """
     if w.arch != STUDENT_ARCH:
         raise ArchitectureError(f"expected arch {STUDENT_ARCH!r}, got {w.arch!r}")
@@ -429,91 +433,11 @@ def student_forward(frames, proprio, w: WeightStore) -> np.ndarray:
 
     state_token = linear(proprio[None, :], w.get("proprio.w"), w.get("proprio.b"))[0]
     tokens = _encode_frames(frames[_FRAME_PAIRS], w)
-    streams = [
-        _encode_stream(tokens[0:3], state_token, w, "wrist"),
-        _encode_stream(tokens[3:6], state_token, w, "base"),
-    ]
+    per_view = tokens.reshape(len(VIEWS), HISTORY_LEN, MODEL_DIM)
+    streams = [_encode_stream(t, state_token, w, view) for view, t in zip(VIEWS, per_view)]
     z = np.concatenate(streams)[None, :]
     z = elu(linear(z, w.get("head.fc1.w"), w.get("head.fc1.b")))
     z = elu(linear(z, w.get("head.fc2.w"), w.get("head.fc2.b")))
     out = linear(z, w.get("head.fc3.w"), w.get("head.fc3.b"))[0]
     return _checked(out, "student_forward")
 
-
-# ---------------------------------------------------------------------------
-# Self test (used by the CLI)
-# ---------------------------------------------------------------------------
-
-def _naive_linear(x, w, b):
-    out = np.zeros((x.shape[0], w.shape[1]), dtype=np.float64)
-    for i in range(x.shape[0]):
-        for j in range(w.shape[1]):
-            acc = 0.0
-            for k in range(w.shape[0]):
-                acc += float(x[i, k]) * float(w[k, j])
-            out[i, j] = acc + float(b[j])
-    return out
-
-
-def _naive_conv2d(x, kern):
-    oc, c, kh, kw = kern.shape
-    oh, ow = x.shape[1] - kh + 1, x.shape[2] - kw + 1
-    out = np.zeros((oc, oh, ow), dtype=np.float64)
-    for o in range(oc):
-        for i in range(oh):
-            for j in range(ow):
-                acc = 0.0
-                for ch in range(c):
-                    for a in range(kh):
-                        for bb in range(kw):
-                            acc += float(x[ch, i + a, j + bb]) * float(kern[o, ch, a, bb])
-                out[o, i, j] = acc
-    return out
-
-
-def _naive_max_pool2(x):
-    out = np.zeros((*x.shape[:-2], x.shape[-2] // 2, x.shape[-1] // 2))
-    for *lead, i, j in np.ndindex(*out.shape):
-        out[(*lead, i, j)] = max(float(x[(*lead, 2 * i + a, 2 * j + bb)])
-                                 for a in (0, 1) for bb in (0, 1))
-    return out
-
-
-def _naive_conv_pool_elu(x, kern, bias):
-    out = []
-    for image in x:
-        v = _naive_max_pool2(_naive_conv2d(image, kern)) + bias[:, None, None]
-        out.append(np.where(v > 0, v, np.expm1(np.minimum(v, 0.0))))
-    return np.stack(out)
-
-
-def _naive_attention(q, k, v):
-    logits = np.array([float(np.dot(q[0], k[i])) for i in range(k.shape[0])])
-    e = np.exp(logits - logits.max())
-    alpha = e / e.sum()
-    return np.array([[float(np.dot(alpha, v[:, j])) for j in range(v.shape[1])]])
-
-
-def selftest(cases: int = 20, seed: int = 0) -> list:
-    """Compare the fast ops against naive loops; returns (name, max_err) pairs."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    checks = [                          # name, input shapes, fast op, reference
-        ("linear", [(3, 5), (5, 4), (4,)], linear, _naive_linear),
-        ("conv2d", [(2, 7, 8), (3, 2, 3, 3)], conv2d, _naive_conv2d),
-        ("conv2d_rect", [(2, 9, 12), (3, 2, 3, 5)], conv2d, _naive_conv2d),
-        ("attention", [(1, 6), (5, 6), (5, 3)], attention, _naive_attention),
-        ("softmax", [(4, 9)], lambda x: softmax(x).sum(axis=-1), lambda x: 1.0),
-        ("conv_pool_elu", [(4, 2, 7, 8), (3, 2, 3, 3), (3,)], conv_pool_elu,
-         _naive_conv_pool_elu),
-        ("max_pool2", [(2, 3, 7, 9)], max_pool2, _naive_max_pool2),
-        ("max_pool2_view", [(3, 2, 8, 21)], lambda x: max_pool2(x[:, ::-1, 1:, ::2]),
-         lambda x: _naive_max_pool2(x[:, ::-1, 1:, ::2])),
-    ]
-    results = []
-    for name, shapes, fast, slow in checks:
-        err = 0.0
-        for _ in range(cases):
-            args = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
-            err = max(err, float(np.max(np.abs(fast(*args) - slow(*args)))))
-        results.append((name, err))
-    return results

@@ -101,17 +101,6 @@ class Pose6:
     def identity() -> "Pose6":
         return Pose6(np.zeros(3), np.zeros(3))
 
-    def approx_equal(self, other: "Pose6", tol: float = 1e-9) -> bool:
-        """Same rigid pose within tol: positions and rotation matrices agree.
-
-        Euler triples are compared through their rotation matrices because
-        two distinct triples can encode one rotation (pitch-family ambiguity).
-        """
-        dp = np.max(np.abs(self.position - other.position))
-        dr = np.max(np.abs(euler_to_matrix(self.orientation)
-                           - euler_to_matrix(other.orientation)))
-        return bool(dp <= tol and dr <= tol)
-
 
 @dataclass(frozen=True)
 class Twist:

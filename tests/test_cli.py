@@ -1,4 +1,6 @@
+import argparse
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -29,15 +31,6 @@ def count_episodes(monkeypatch) -> list:
     monkeypatch.setattr(graspsim.cli, "run_episode", counted)
     monkeypatch.setattr(graspsim.metrics, "run_episode", counted)
     return calls
-
-
-def test_nn_selftest(capsys):
-    code, out, _ = run_cli(["nn-selftest"], capsys)
-    assert code == 0
-    assert "linear" in out and "ok" in out
-    for case in ("conv2d_rect", "conv_pool_elu", "max_pool2", "max_pool2_view"):
-        assert f"{case}: max|err|" in out
-    assert "FAIL" not in out
 
 
 def test_episode_command(tmp_path, capsys):
@@ -332,8 +325,18 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 
 def test_console_script_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "graspsim.cli", "nn-selftest"],
+        [sys.executable, "-m", "graspsim.cli", "gfm-inspect", "--object", "rubiks_cube"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
-    assert "ok" in proc.stdout
+    assert "object rubiks_cube" in proc.stdout and "fused world grasp:" in proc.stdout
+
+
+def test_readme_cli_block_names_every_subcommand():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines()
+                  if line.startswith("graspsim ")}
+    sub = next(a for a in graspsim.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)

@@ -210,7 +210,7 @@ def test_single_candidate_passthrough(rng):
     v = g6 @ w.wv + w.bv
     out = v @ w.wout + w.bout
     from graspsim.se3 import vec6_decode
-    assert fused.approx_equal(vec6_decode(out), 0.0)
+    assert np.array_equal(vec6_encode(fused), vec6_encode(vec6_decode(out)))
 
 
 def test_identical_candidates_degenerate_to_single(rng):
@@ -314,7 +314,10 @@ def test_select_argmax_modes(rng):
     w = random_gfm_weights(1)
     obj = Pose6(np.array([0.7, 0.1, 0.3]), np.zeros(3))
     chosen = select_argmax(bank, obj, feat, w)
-    assert chosen.approx_equal(grasp_to_world(bank.candidates[0].pose, obj), 1e-12)
+    world = grasp_to_world(bank.candidates[0].pose, obj)
+    assert np.allclose(chosen.position, world.position, rtol=0, atol=1e-12)
+    assert np.allclose(euler_to_matrix(chosen.orientation),
+                       euler_to_matrix(world.orientation), rtol=0, atol=1e-12)
 
 
 def test_select_argmax_tie_breaks_low_index():
@@ -325,7 +328,10 @@ def test_select_argmax_tie_breaks_low_index():
     w = random_gfm_weights(2)
     obj = Pose6(np.array([1.0, 0, 0.4]), np.zeros(3))
     chosen = select_argmax(bank, obj, object_feature(BOX), w)
-    assert chosen.approx_equal(grasp_to_world(dup[0].pose, obj), 1e-12)
+    world = grasp_to_world(dup[0].pose, obj)
+    assert np.allclose(chosen.position, world.position, rtol=0, atol=1e-12)
+    assert np.allclose(euler_to_matrix(chosen.orientation),
+                       euler_to_matrix(world.orientation), rtol=0, atol=1e-12)
 
 
 def test_argmax_invariant_to_logit_shift(rng):

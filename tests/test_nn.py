@@ -24,7 +24,7 @@ from graspsim.nn import (
     student_manifest,
     transformer_encoder_layer,
 )
-from graspsim.nn import _FRAME_PAIRS, _encode_frames, _naive_max_pool2
+from graspsim.nn import _FRAME_PAIRS, _encode_frames
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +57,23 @@ def naive_conv2d(x, kern):
                             s += float(x[ch, i + a, j + bb]) * float(kern[o, ch, a, bb])
                 out[o, i, j] = s
     return out
+
+
+def naive_max_pool2(x):
+    out = np.zeros((*x.shape[:-2], x.shape[-2] // 2, x.shape[-1] // 2))
+    for *lead, i, j in np.ndindex(*out.shape):
+        out[(*lead, i, j)] = max(float(x[(*lead, 2 * i + a, 2 * j + bb)])
+                                 for a in (0, 1) for bb in (0, 1))
+    return out
+
+
+def naive_conv_pool_elu(x, kern, bias):
+    """conv -> 2x2 max pool -> bias -> ELU, image by image, in float64."""
+    out = []
+    for image in x:
+        v = naive_max_pool2(naive_conv2d(image, kern)) + bias[:, None, None]
+        out.append(np.where(v > 0, v, np.expm1(np.minimum(v, 0.0))))
+    return np.stack(out)
 
 
 def tap_loop_conv2d(x, kern):
@@ -257,6 +274,7 @@ def test_conv_pool_elu_bits_match_single_image_ops(rng):
             single = elu(max_pool2(conv2d(x[i], k)) + b[:, None, None])
             assert np.array_equal(out[i], single)
             assert np.array_equal(conv_pool_elu(x[i:i + 1], k, b)[0], single)
+        assert np.max(np.abs(out - naive_conv_pool_elu(x, k, b))) < 1e-5
 
 
 def test_conv_pool_elu_errors():
@@ -408,7 +426,9 @@ def test_max_pool2(rng):
     assert np.allclose(max_pool2(x[0]), [[5, 7], [13, 15]])
     view = rng.standard_normal((4, 3, 12, 23)).astype(np.float32)[::-1, :, 1:, ::2]
     assert view.shape == (4, 3, 11, 12) and not view.flags.c_contiguous
-    assert np.array_equal(max_pool2(view), _naive_max_pool2(view))
+    assert np.array_equal(max_pool2(view), naive_max_pool2(view))
+    odd = rng.standard_normal((2, 3, 7, 9)).astype(np.float32)
+    assert np.array_equal(max_pool2(odd), naive_max_pool2(odd))
     with pytest.raises(ShapeError):
         max_pool2(np.zeros(4, np.float32))
 

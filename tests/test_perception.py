@@ -20,6 +20,7 @@ from graspsim.camera import _box_into, _Workspace
 from graspsim.config import SimConfig
 from graspsim.episode import derive_seed, render_views
 from graspsim.errors import NotReadyError
+from graspsim.nn import _FRAME_PAIRS, HISTORY_LEN, VIEWS
 from graspsim.robot import initial_robot
 from graspsim.scene import (
     ObjectSpec,
@@ -316,6 +317,27 @@ def test_stack_observation_layout_and_scaling():
     assert obs[5, 0, 0] == pytest.approx(1.0)                # 5 m -> 1.0
     assert np.all(obs[6:9] == 0.0)                           # base masks empty
     assert np.all(obs[9:12] == 1.0)                          # 10 m clips to 5
+
+
+def test_stack_channels_pair_up_in_nn_frame_order():
+    # camera writes the stack, nn gathers it: image i of the gather must be
+    # frame t = i % HISTORY_LEN of view i // HISTORY_LEN (wrist, then base),
+    # its mask and depth from that one frame.  The tag is in both channels.
+    def tagged(tag):
+        mask = np.zeros((FRAME_H, FRAME_W), bool)
+        mask[0, :tag + 1] = True
+        depth = np.full((FRAME_H, FRAME_W), 0.5 * (tag + 1), np.float32)
+        return Frame(mask, depth, depth > 0)
+
+    hw, hb = ObsHistory(), ObsHistory()
+    for view, hist in enumerate((hw, hb)):
+        for t in range(HISTORY_LEN):
+            hist.push(tagged(view * HISTORY_LEN + t))
+    imgs = stack_observation(hw, hb)[_FRAME_PAIRS]
+    assert imgs.shape == (len(VIEWS) * HISTORY_LEN, 2, FRAME_H, FRAME_W)
+    for tag, (mask, depth) in enumerate(imgs):
+        assert np.count_nonzero(mask) == tag + 1 and np.all(mask[0, :tag + 1] == 1.0)
+        assert np.allclose(depth, 0.5 * (tag + 1) / DEPTH_CLIP, rtol=0, atol=1e-6)
 
 
 def test_stack_invalid_depth_stays_zero():

@@ -231,7 +231,11 @@ def test_roundtrip_near_gimbal_lock():
 def test_compose_identity_and_inverse(rng):
     for _ in range(50):
         p = random_pose(rng)
-        assert compose(Pose6.identity(), p).approx_equal(p, 1e-12)
+        # rotations compare as matrices: two Euler triples can encode one
+        same = compose(Pose6.identity(), p)
+        assert np.allclose(same.position, p.position, rtol=0, atol=1e-12)
+        assert np.allclose(euler_to_matrix(same.orientation),
+                           euler_to_matrix(p.orientation), rtol=0, atol=1e-12)
         q = compose(p, inverse(p))
         for built in (q, inverse(p), compose(p, p), compose(inverse(p), p)):
             assert_valid_pose(built)
@@ -248,7 +252,10 @@ def test_compose_yaw_then_translation():
 
 def test_grasp_to_world_cases():
     rel = Pose6(np.array([0.1, 0, 0]), np.array([0.0, 0.2, 0.3]))
-    assert grasp_to_world(rel, Pose6.identity()).approx_equal(rel, 1e-12)
+    same = grasp_to_world(rel, Pose6.identity())
+    assert np.allclose(same.position, rel.position, rtol=0, atol=1e-12)
+    assert np.allclose(euler_to_matrix(same.orientation),
+                       euler_to_matrix(rel.orientation), rtol=0, atol=1e-12)
 
     shift = Pose6(np.array([1.0, 2.0, 3.0]), np.zeros(3))
     moved = grasp_to_world(rel, shift)
@@ -263,7 +270,10 @@ def test_grasp_to_world_cases():
 def test_vec6_encode_decode():
     assert np.allclose(vec6_encode(Pose6.identity()), np.zeros(6))
     p = Pose6(np.array([1.0, 2, 3]), np.array([0.1, -0.2, 0.3]))
-    assert vec6_decode(vec6_encode(p)).approx_equal(p, 1e-15)
+    back = vec6_decode(vec6_encode(p))
+    assert np.allclose(back.position, p.position, rtol=0, atol=1e-15)
+    assert np.allclose(euler_to_matrix(back.orientation),
+                       euler_to_matrix(p.orientation), rtol=0, atol=1e-15)
     q = vec6_decode(np.array([1.0, 2, 3, 3 * np.pi, 0, 0]))
     assert q.orientation[0] == pytest.approx(np.pi)
 
