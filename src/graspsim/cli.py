@@ -36,7 +36,11 @@ def _cmd_bench(args) -> int:
         if os.path.exists(args.out):
             raise InvalidArgumentError(f"--out is not a directory: {args.out}")
     cfg = load_config(args.config)
-    levels = [int(x) for x in args.levels.split(",") if x]
+    try:
+        levels = [int(x) for x in args.levels.split(",") if x]
+    except ValueError as exc:   # int()'s message names the bad token
+        raise InvalidArgumentError(
+            f"--levels takes comma-separated integers: {exc}") from None
     report, csv_text, summaries = run_benchmark(
         levels,
         episodes_per_level=args.episodes,
@@ -178,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--dump-log", default=None, metavar="PATH",
                    help="write the per-step log as one JSON line; the per-step "
-                        "rewards (and so the reward_weights and sigma_* keys) "
-                        "are computed only with this flag")
+                        "rewards are computed only with this flag")
     e.set_defaults(func=_cmd_episode)
 
     r = sub.add_parser("render", help="dump mask/depth frames as PGM")

@@ -1,37 +1,34 @@
 """Runtime configuration: documented defaults plus key=value file overrides.
 
 ``SimConfig`` is the one source of every tunable (clocks, grasp generation,
-perception, teacher, rewards); the CLI, ``run_benchmark`` and ``run_episode``
-take it whole.  ``scene.EpisodeConfig`` holds only what varies per episode.
+perception, teacher); the CLI, ``run_benchmark`` and ``run_episode`` take it
+whole.  ``scene.EpisodeConfig`` holds only what varies per episode.
 
 The config file is plain text, one `key = value` per line, `#` comments.
-Keys are the field names below, plus `rewards.<term>` for high-level reward
-weights.  The environment variable GRASPSIM_CONFIG points at a default file
-for the CLI.
+Keys are the field names below.  The environment variable GRASPSIM_CONFIG
+points at a default file for the CLI.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
 from .gfm import DEFAULT_BANK_SIZE, GRIPPER_APERTURE
-from .rewards import HIGH_LEVEL_WEIGHTS, SIGMA_CF, SIGMA_CV, SIGMA_TRACK
 from .scene import TIMEOUT_STEPS
 
 ENV_CONFIG_VAR = "GRASPSIM_CONFIG"
 
 
-# Allowed range of every plain key: SimConfig checks all, load_config each line.
+# Allowed range of every key: SimConfig checks all, load_config each line.
 _POSITIVE = (lambda v: v > 0, "> 0")
 _COUNT = (lambda v: v >= 1, ">= 1")
 _RANGES = {
     **dict.fromkeys(("physics_dt", "decision_dt", "gripper_aperture",
                      "teacher_standoff", "teacher_align_pos_tol",
-                     "teacher_align_ori_tol", "teacher_max_rel_speed",
-                     "sigma_track", "sigma_cf", "sigma_cv"), _POSITIVE),
+                     "teacher_align_ori_tol", "teacher_max_rel_speed"), _POSITIVE),
     **dict.fromkeys(("timeout_steps", "bank_size", "candidate_count"), _COUNT),
     "teacher_intercept_horizon": (lambda v: v >= 0, ">= 0"),
     "hfov_deg": (lambda v: 0 < v < 180, "in (0, 180)"),
@@ -64,12 +61,6 @@ class SimConfig:
     teacher_align_ori_tol: float = 0.26
     teacher_max_rel_speed: float = 0.2
     teacher_intercept_horizon: float = 0.5
-    # reward kernels
-    sigma_track: float = SIGMA_TRACK
-    sigma_cf: float = SIGMA_CF
-    sigma_cv: float = SIGMA_CV
-    # high-level reward weight overrides (empty = table defaults)
-    reward_weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for key in _RANGES:
@@ -103,7 +94,7 @@ def load_config(path=None) -> SimConfig:
         path = os.environ.get(ENV_CONFIG_VAR)
     if not path:
         return SimConfig()
-    overrides, weights = {}, {}
+    overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.read().split("\n")
@@ -117,20 +108,16 @@ def load_config(path=None) -> SimConfig:
                 raise InvalidArgumentError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            term = key[len("rewards."):] if key.startswith("rewards.") else None
-            if key not in _RANGES and term not in HIGH_LEVEL_WEIGHTS:
+            if key not in _RANGES:
                 raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                if term is None:
-                    coerced = (int(value) if isinstance(getattr(_DEFAULTS, key), int)
-                               else _finite_float(value))
-                    _check_range(key, coerced)
-                    overrides[key] = coerced
-                else:
-                    weights[term] = _finite_float(value)
+                coerced = (int(value) if isinstance(getattr(_DEFAULTS, key), int)
+                           else _finite_float(value))
+                _check_range(key, coerced)
+                overrides[key] = coerced
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from exc
     try:
-        return SimConfig(**overrides, reward_weights=weights)
+        return SimConfig(**overrides)
     except InvalidArgumentError as exc:
         raise InvalidArgumentError(f"{path}: {exc}") from exc

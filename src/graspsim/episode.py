@@ -181,17 +181,19 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
                 collect_observations: bool = False, log_steps: bool = False):
     """Run one seeded episode; returns the log (plus observations if asked).
 
-    Every timestep, grasp, perception, teacher and reward setting comes from
-    ``sim_cfg`` (default ``SimConfig()``); ``config`` names the episode, whose
-    object comes from ``catalog`` (default the bundled set).  The teacher fuses
-    the grasp bank with ``alignment_gfm_weights``, or with ``use_gfm=False``
-    aims at the object centroid (the ablation).
+    The clock, grasp, perception and teacher settings come from ``sim_cfg``
+    (default ``SimConfig()``).  ``config`` names the episode and sets its
+    timeout (the CLI fills ``config.timeout_steps`` from
+    ``SimConfig.timeout_steps``); its object comes from ``catalog`` (default
+    the bundled set).  The teacher fuses the grasp bank with
+    ``alignment_gfm_weights``, or with ``use_gfm=False`` aims at the object
+    centroid (the ablation).
 
     ``log_steps`` records the per-step trace in ``log.steps`` (and so makes
-    ``log.to_json()`` available).  The per-step rewards exist only there, so
-    ``sim_cfg.reward_weights`` and the ``sigma_*`` keys are read only when it
-    is on.  Without it the episode computes only what decides its outcome;
-    the control flow, close events, outcome and ``n_steps`` are the same.
+    ``log.to_json()`` available), with the high-level and locomotion reward
+    totals under their table weights and kernel widths.  Without it the
+    episode computes only what decides its outcome; the control flow, close
+    events, outcome and ``n_steps`` are the same.
 
     ``collect_observations`` switches the render/latency/stack pipeline on and
     returns (log, records), each record (stacked tensor, proprio, action
@@ -254,9 +256,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
             just_completed = status.phase == "success" and status.success_step == step
             hl = high_level_reward(
                 _high_level_input(scene, robot, status, action_vec, prev_action,
-                                  q_dot, q_dot_prev, action.v_lin, just_completed),
-                weights=sim_cfg.reward_weights or None,
-            )
+                                  q_dot, q_dot_prev, action.v_lin, just_completed))
             ll = low_level_reward(
                 LowLevelState(
                     q=obs_sig["q"], q_dot=q_dot,
@@ -269,8 +269,6 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
                     h_b_target=obs_sig["h_b_target"], q_default=DEFAULT_JOINTS,
                     contact_cmd=obs_sig["contact_cmd"],
                 ),
-                sigma_track=sim_cfg.sigma_track, sigma_cf=sim_cfg.sigma_cf,
-                sigma_cv=sim_cfg.sigma_cv,
             )
             steps.append({
                 "step": step,

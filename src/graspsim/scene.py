@@ -292,6 +292,8 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.timeout_steps <= 0:
             raise InvalidArgumentError("timeout_steps must be positive")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be 0 or more, got {self.seed}")
 
 
 @dataclass(frozen=True)

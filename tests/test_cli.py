@@ -1,6 +1,9 @@
 import argparse
+import dataclasses
 import json
+import os
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -9,6 +12,7 @@ import pytest
 import graspsim.cli
 import graspsim.metrics
 from graspsim.cli import main
+from graspsim.config import _RANGES, SimConfig, load_config
 from graspsim.episode import run_episode
 from graspsim.errors import InvalidArgumentError
 from graspsim.scene import EpisodeConfig
@@ -229,6 +233,29 @@ def test_output_path_naming_a_directory_rejected(args, taken, tmp_path, capsys,
     assert (tmp_path / taken / "kept").read_bytes() == b"kept"
 
 
+@pytest.mark.parametrize("args, named", [
+    (["episode", "--level", "1", "--object", "rubiks_cube", "--seed", "-1",
+      "--dump-log", "log.json"], "got -1"),
+    (["render", "--seed", "-3", "--out-dir", "frames"], "got -3"),
+    (["gfm-inspect", "--object", "rubiks_cube", "--seed", "-2",
+      "--save", "bank.txt"], "got -2"),
+    (["bench", "--levels", "1,x", "--episodes", "1", "--out", "b"], "'x'"),
+])
+def test_bad_seed_or_level_rejected(args, named, tmp_path, capsys, monkeypatch):
+    # one error line naming the bad value, before any episode starts or any
+    # output file or directory is made
+    monkeypatch.chdir(tmp_path)
+    episodes, starts = count_episodes(monkeypatch), []
+    monkeypatch.setattr(graspsim.cli, "episode_start",
+                        lambda *a, **k: starts.append(a))
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: InvalidArgumentError:") and named in line
+    assert episodes == [] and starts == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_override(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("timeout_steps = 2\nteacher_standoff = 0.55\n")
@@ -260,29 +287,18 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     assert "outcome=failed_timeout" in out
 
 
-def test_config_reward_weight_override(tmp_path):
-    from graspsim.config import load_config
-    from graspsim.rewards import high_level_reward
-    from test_rewards import hl_input
-
-    cfg_path = tmp_path / "rw.cfg"
-    cfg_path.write_text("rewards.base_h = 2.5\n")
-    cfg = load_config(cfg_path)
-    assert cfg.reward_weights == {"base_h": 2.5}
-    bd = high_level_reward(hl_input(), weights=cfg.reward_weights)
-    assert bd.terms["base_h"][1] == 2.5
-
-
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
-    cfg.write_text("warp_drive = 9\n")
-    code, _, err = run_cli([
-        "--config", str(cfg), "episode", "--level", "1",
-        "--object", "tomato_soup_can",
-    ], capsys)
-    assert code == 1
-    assert err.startswith("error: InvalidArgumentError:")
-    from graspsim.config import load_config
+    # the removed reward weight and kernel-width keys are unknown keys too
+    for text in ("warp_drive = 9\n", "rewards.base_h = 2.5\n", "sigma_cf = 50\n"):
+        cfg.write_text(text)
+        code, _, err = run_cli([
+            "--config", str(cfg), "episode", "--level", "1",
+            "--object", "tomato_soup_can",
+        ], capsys)
+        assert code == 1
+        key = text.split()[0]
+        assert err == f"error: InvalidArgumentError: {cfg}:1: unknown key {key!r}\n"
     for text in ("rewards.base_h = abc\n", "# c\nrewards.warp = 1\n",
                  "reward_weights = 1\n", "physics_dt = nan\n",
                  "rewards.base_h = inf\n", "# c\nteacher_standoff = -inf\n",
@@ -323,6 +339,39 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
+def bench_bytes(env, out) -> list:
+    """metrics.csv and episodes.jsonl of a short sweep run in a child process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "graspsim.cli", "bench", "--levels", "1,2,3,4",
+         "--episodes", "2", "--split", "both", "--seed", "9", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [(out / name).read_bytes() for name in ("metrics.csv", "episodes.jsonl")]
+
+
+@pytest.fixture(scope="module")
+def default_bench_bytes(tmp_path_factory):
+    return bench_bytes(os.environ, tmp_path_factory.mktemp("bench") / "default")
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the settings name x86-64 BLAS kernels and CPU features")
+@pytest.mark.parametrize("setting", [
+    {"OPENBLAS_CORETYPE": "Sandybridge"},
+    {"NPY_ENABLE_CPU_FEATURES": "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42 X86_V2"},
+], ids=["blas-without-fma", "numpy-without-avx512"])
+def test_bench_bytes_hold_across_kernels(setting, default_bench_bytes, tmp_path):
+    # outcomes are per seed alone: a BLAS kernel or a numpy SIMD dispatch that
+    # moves logged floats by ulps leaves the sweep's output bytes as they are
+    env = {**os.environ, **setting}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True, timeout=60)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy does not import under {setting}: {probe.stderr.strip()}")
+    assert bench_bytes(env, tmp_path / "out") == default_bench_bytes
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "graspsim.cli", "gfm-inspect", "--object", "rubiks_cube"],
@@ -332,11 +381,27 @@ def test_console_script_entry_point():
     assert "object rubiks_cube" in proc.stdout and "fused world grasp:" in proc.stdout
 
 
-def test_readme_cli_block_names_every_subcommand():
+def readme_block(marker: str) -> str:
+    """The first fenced block after ``marker`` in README.md."""
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    return readme.split(marker, 1)[1].split("```\n", 2)[1]
+
+
+def test_readme_cli_block_names_every_subcommand():
+    block = readme_block("## CLI\n")
     documented = {line.split()[1] for line in block.splitlines()
                   if line.startswith("graspsim ")}
     sub = next(a for a in graspsim.cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def test_readme_config_block_lists_every_key(tmp_path):
+    block = readme_block("A plain-text config file")
+    documented = [line.split()[0] for line in block.splitlines()]
+    names = [f.name for f in dataclasses.fields(SimConfig)]
+    assert sorted(documented) == sorted(names) == sorted(_RANGES)
+    # the block is a config file that sets every key to its default
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(block)
+    assert load_config(cfg) == SimConfig()

@@ -226,7 +226,7 @@ def _resaved(value, save, load) -> tuple:
 
 _CONFIG = (b"# a config file\nphysics_dt = 0.02\ndecision_dt = 0.1\n"
            b"timeout_steps = 120\nbank_size = 20\nhfov_deg = 87.0\n"
-           b"mask_flip_prob = 0.05\nteacher_standoff = 0.55\nrewards.lift = 1.5\n")
+           b"mask_flip_prob = 0.05\nteacher_standoff = 0.55\n")
 
 
 @settings(max_examples=150, deadline=None)
@@ -237,7 +237,6 @@ def test_config_reader_single_byte_damage(mutation):
         for key, (ok, _) in _RANGES.items():
             assert ok(getattr(cfg, key)), key
         assert cfg.substeps * cfg.physics_dt == pytest.approx(cfg.decision_dt)
-        assert all(np.isfinite(v) for v in cfg.reward_weights.values())
 
 
 _TINY_MANIFEST = [("a.w", (2, 3)), ("a.b", (3,)), ("b.k", (1, 2, 2))]

@@ -411,6 +411,8 @@ def test_timeout_status(catalog_map):
 def test_episode_config_validation():
     with pytest.raises(InvalidArgumentError):
         EpisodeConfig(level=1, object_id="x", seed=0, timeout_steps=0)
+    with pytest.raises(InvalidArgumentError, match="seed must be 0 or more, got -1"):
+        EpisodeConfig(level=1, object_id="x", seed=-1)
     with pytest.raises(InvalidArgumentError):
         SimConfig(physics_dt=0.03, decision_dt=0.1)
     for dts in ((0.1, 0.02), (0.0, 0.1), (float("nan"), 0.1), (0.02, float("inf"))):
