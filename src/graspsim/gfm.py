@@ -21,6 +21,8 @@ from .atomicfile import atomic_write
 from .errors import EmptyBankError, InvalidArgumentError, ShapeError
 from .se3 import (
     Pose6,
+    _mulv,
+    _rot9,
     _trusted,
     euler_to_matrix,
     grasp_to_world,
@@ -62,10 +64,10 @@ class GraspMemoryBank:
     object_id: str
     candidates: tuple
     k: int
-    # Object-local candidate positions (K,3,1) and rotation matrices (K,3,3),
-    # built once so that re-projecting the bank is one batched compose.
-    _local_pos: np.ndarray = field(init=False, repr=False, compare=False)
-    _local_rot: np.ndarray = field(init=False, repr=False, compare=False)
+    # Each candidate's object-local [rotation | position] as a 3x4 matrix, in
+    # a (3, 4, K) array built once: re-projecting the bank is one product of
+    # the object rotation with it, summed like compose's.
+    _local: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scores = [c.score for c in self.candidates]
@@ -73,14 +75,12 @@ class GraspMemoryBank:
             raise InvalidArgumentError("bank candidates must be sorted by score")
         if len(self.candidates) > self.k:
             raise InvalidArgumentError("bank holds more candidates than K")
-        pos = np.array([c.pose.position for c in self.candidates],
-                       dtype=float).reshape(-1, 3, 1)
-        rot = np.array([euler_to_matrix(c.pose.orientation) for c in self.candidates],
-                       dtype=float).reshape(-1, 3, 3)
-        pos.setflags(write=False)
-        rot.setflags(write=False)
-        object.__setattr__(self, "_local_pos", pos)
-        object.__setattr__(self, "_local_rot", rot)
+        local = np.array([np.column_stack([euler_to_matrix(c.pose.orientation),
+                                           c.pose.position])
+                          for c in self.candidates]).reshape(-1, 3, 4)
+        local = local.transpose(1, 2, 0).copy()
+        local.setflags(write=False)
+        object.__setattr__(self, "_local", local)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -356,15 +356,13 @@ def object_feature(spec: ObjectSpec) -> np.ndarray:
 def _world_vec6(bank: GraspMemoryBank, obj_pose: Pose6) -> np.ndarray:
     """(K, 6) world vectors of every candidate: grasp_to_world for all K at once.
 
-    Each row equals vec6_encode(grasp_to_world(c.pose, obj_pose)) bit for bit.
-    Positions use the stacked mat-vec ``ra @ p[..., None]``, which rounds like
-    the per-candidate ``ra @ p``; the transposed product ``p @ ra.T`` sums in
-    another order and changes the last bits, and so the episodes.
+    Each row equals vec6_encode(grasp_to_world(c.pose, obj_pose)) bit for bit:
+    ``_mulv`` over the rows of ``bank._local`` sums each entry in compose's
+    order, elementwise over K.
     """
-    ra = euler_to_matrix(obj_pose.orientation)
-    pos = (ra @ bank._local_pos)[..., 0] + obj_pose.position
-    orn = matrix_to_euler(ra @ bank._local_rot)
-    return np.concatenate([pos, orn], axis=1)
+    rows = np.array(_mulv(_rot9(obj_pose.orientation), bank._local))
+    pos = rows[:, 3].T + obj_pose.position
+    return np.concatenate([pos, matrix_to_euler(rows[:, :3].transpose(2, 0, 1))], axis=1)
 
 
 def gfm_forward(feat, obj_pose: Pose6, bank: GraspMemoryBank,

@@ -126,9 +126,10 @@ def high_level_reward(inp: HighLevelRewardInput,
     object), lift = 0.5 + 0.5 * progress toward the lift-success height,
     completion = 1.
     """
-    w = dict(HIGH_LEVEL_WEIGHTS)
-    if weights:
-        w.update(weights)
+    unknown = sorted(set(weights or ()) - HIGH_LEVEL_WEIGHTS.keys())
+    if unknown:
+        raise InvalidArgumentError(f"unknown high-level reward terms {unknown}")
+    w = {**HIGH_LEVEL_WEIGHTS, **(weights or {})}
     values = np.concatenate([
         inp.q_dot_prev, inp.q_dot, inp.a_prev, inp.a,
         [inp.dist_ee_obj, inp.lift_height, inp.v_x_star,
@@ -211,8 +212,10 @@ def low_level_reward(s: LowLevelState, sigma_track: float = SIGMA_TRACK,
                      sigma_cf: float = SIGMA_CF,
                      sigma_cv: float = SIGMA_CV) -> RewardBreakdown:
     """All twelve locomotion reward rows with their listed weights."""
-    if sigma_track <= 0:
-        raise InvalidArgumentError("sigma_track must be positive")
+    for name, sigma in (("sigma_track", sigma_track), ("sigma_cf", sigma_cf),
+                        ("sigma_cv", sigma_cv)):
+        if not (sigma > 0 and np.isfinite(sigma)):
+            raise InvalidArgumentError(f"{name} must be positive and finite, got {sigma}")
     values = np.concatenate([s.q, s.q_dot, s.tau, s.v_b, s.omega_b,
                              [s.v_x_star, s.v_yaw_star, s.h_b, s.h_b_target]])
     if not np.all(np.isfinite(values)):

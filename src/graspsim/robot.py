@@ -22,8 +22,7 @@ from .se3 import (
     _trusted,
     _wrap1,
     compose,
-    euler_to_matrix,
-    matrix_to_euler,
+    relative_pose,
     wrap_angle,
 )
 from .scene import TerrainField
@@ -213,10 +212,7 @@ def execute_command(robot: RobotState, u: CommandVector, terrain: TerrainField,
 
 def ee_pose_in_base(robot: RobotState) -> Pose6:
     """Current world ee pose expressed in the base frame."""
-    r = euler_to_matrix(robot.base_pose.orientation)
-    dp = robot.ee_pose.position - robot.base_pose.position
-    rel_rot = r.T @ euler_to_matrix(robot.ee_pose.orientation)
-    return _trusted(Pose6, r.T @ dp, matrix_to_euler(rel_rot))
+    return relative_pose(robot.base_pose, robot.ee_pose)
 
 
 def ik_pseudoinverse_step(jacobian, error) -> np.ndarray:

@@ -22,7 +22,7 @@ from .se3 import (
     Twist,
     _trusted,
     compose,
-    inverse,
+    relative_pose,
     rotation_angle_between,
     wrap_angle,
 )
@@ -529,7 +529,7 @@ def apply_gripper_close(state: SceneState, robot, bank, cfg) -> tuple[SceneState
     aligned = find_aligned_candidate(bank, state, ee, cfg)
     if (aligned is not None
             and relative_close_speed(state, robot) <= cfg.teacher_max_rel_speed):
-        grip = compose(inverse(ee), state.object_pose)
+        grip = relative_pose(ee, state.object_pose)
         return replace(state, object_attached_to="gripper", grip_offset=grip), True
 
     gap = float(np.linalg.norm(ee.position - state.object_pose.position))

@@ -1,7 +1,7 @@
 """Rigid-body pose algebra on 6-DoF poses (position + intrinsic XYZ Euler).
 
 One Euler convention is used everywhere in this package: intrinsic XYZ,
-i.e. R = Rx(a) @ Ry(b) @ Rz(c).  Angles are kept normalized to (-pi, pi],
+i.e. R = Rx(a) Ry(b) Rz(c).  Angles are kept normalized to (-pi, pi],
 with the tie at -pi mapping to +pi, so pose equality is meaningful.
 
 Where values are checked: a value is checked once, where it enters.
@@ -11,19 +11,23 @@ output; a pose also wraps its angles and rejects one that the wrap cannot
 bring into (-pi, pi] (some past about 1e16 rad).  A value computed from checked
 values and a checked dt is finite (and, for a pose, wrapped) by
 construction, so it is built with ``_trusted``, which skips the check:
-``compose``, ``inverse`` (and so ``grasp_to_world``), and every pose and
-twist that the robot and scene integrators advance each physics step.
+``compose``, ``inverse``, ``relative_pose`` (and so ``grasp_to_world``), and
+every pose and twist that the robot and scene integrators advance each step.
 
-The angle wrap (``_wrap1``) and the branch logic of ``matrix_to_euler`` run on
-Python floats, where a 0-d numpy call costs more than the math.  Every
-transcendental call and every ``@`` stays numpy: ``math.asin``/``atan2``/``exp``
-differ from numpy in 33,758/400k, 15,472/200k and 18,626/400k random inputs,
-and a 3x3 ``@`` (BLAS FMA) differs from left-to-right sums in 19,567/20,000.
+The angle wrap (``_wrap1``) and, for one matrix, the branches of
+``matrix_to_euler`` run on Python floats, where a 0-d numpy call costs more
+than the math.  The inverse trigonometry stays numpy: ``math.asin``/``atan2``
+differ from ``np.arcsin``/``np.arctan2`` in 33,758/400k and 15,472/200k
+random inputs.
 
-``euler_to_matrix`` of zero roll and pitch (every base and unrotated pose) is
-``rot_z(c)`` alone, with the bits of the product: each product entry is one
-``rot_z`` entry plus signed zeros.  Only yaw == +-0.0 differs (rot_z's -0.0
-sums to +0.0 in the product), so it takes the full form.
+The product rule: every rotation product (Rx Ry Rz in ``euler_to_matrix``,
+``compose``, ``inverse``, ``relative_pose``, ``rotation_angle_between``)
+multiplies row-major nine-tuples (``_mul9``) or a nine-tuple and a 3-vector
+(``_mulv``) on Python floats, each entry summed left to right.  No product
+goes through BLAS, so the bits do not depend on its kernel.  ``_mulv`` also
+takes arrays as vector entries, whose elementwise ``*`` and ``+`` round like
+floats: ``gfm`` re-projects a whole bank with the bits of one ``compose`` per
+candidate.  Only ``Transform``'s orthonormality check multiplies in numpy.
 """
 
 from __future__ import annotations
@@ -155,57 +159,92 @@ class Transform:
         object.__setattr__(self, "translation", tra)
 
 
-def rot_x(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def _mul9(m, n) -> tuple:
+    """Row-major 3x3 product m n, each entry summed left to right."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    n0, n1, n2, n3, n4, n5, n6, n7, n8 = n
+    return (m0 * n0 + m1 * n3 + m2 * n6, m0 * n1 + m1 * n4 + m2 * n7,
+            m0 * n2 + m1 * n5 + m2 * n8, m3 * n0 + m4 * n3 + m5 * n6,
+            m3 * n1 + m4 * n4 + m5 * n7, m3 * n2 + m4 * n5 + m5 * n8,
+            m6 * n0 + m7 * n3 + m8 * n6, m6 * n1 + m7 * n4 + m8 * n7,
+            m6 * n2 + m7 * n5 + m8 * n8)
 
 
-def rot_y(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _mulv(m, v) -> tuple:
+    """Row-major 3x3 times a 3-vector, each entry summed left to right."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    v0, v1, v2 = v
+    return (m0 * v0 + m1 * v1 + m2 * v2, m3 * v0 + m4 * v1 + m5 * v2,
+            m6 * v0 + m7 * v1 + m8 * v2)
 
 
-def rot_z(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _t9(m) -> tuple:
+    return m[0::3] + m[1::3] + m[2::3]
+
+
+def _rot9(orientation: np.ndarray) -> tuple:
+    """Rx(a) Ry(b) Rz(c) of a float (3,) array; ``math.sin``/``cos`` gave the
+    bits of ``np.sin``/``cos`` on 300k random inputs."""
+    a, b, c = orientation.tolist()
+    ca, sa = math.cos(a), math.sin(a)
+    cb, sb = math.cos(b), math.sin(b)
+    cc, sc = math.cos(c), math.sin(c)
+    return _mul9(_mul9((1.0, 0.0, 0.0, 0.0, ca, -sa, 0.0, sa, ca),
+                       (cb, 0.0, sb, 0.0, 1.0, 0.0, -sb, 0.0, cb)),
+                 (cc, -sc, 0.0, sc, cc, 0.0, 0.0, 0.0, 1.0))
+
+
+def _euler9(m) -> tuple:
+    """matrix_to_euler of one nine-float rotation, on Python floats."""
+    r00, r01, r02, r10, r11, r12, _, _, r22 = m
+    sb = min(max(r02, -1.0), 1.0)
+    if abs(sb) < 1.0 - 1e-12:
+        a, c = float(np.arctan2(-r12, r22)), float(np.arctan2(-r01, r00))
+    else:
+        a, c = float(np.arctan2(r10 if sb > 0.0 else -r10, r11)), 0.0
+    return _wrap1(a), _wrap1(float(np.arcsin(sb))), _wrap1(c)
 
 
 def euler_to_matrix(orientation) -> np.ndarray:
-    """Rotation matrix for intrinsic-XYZ Euler angles (Rx @ Ry @ Rz)."""
-    a, b, c = np.asarray(orientation, dtype=float).tolist()
-    if a == 0.0 and b == 0.0 and c != 0.0:
-        return rot_z(c)
-    return rot_x(a) @ rot_y(b) @ rot_z(c)
+    """Rotation matrix for intrinsic-XYZ Euler angles (Rx Ry Rz)."""
+    return np.array(_rot9(np.asarray(orientation, dtype=float))).reshape(3, 3)
 
 
 def matrix_to_euler(rotation) -> np.ndarray:
     """Invert euler_to_matrix on (..., 3, 3); returns (..., 3) angles.
 
-    Gimbal lock (|cos b| ~ 0) resolves with c = 0.
+    Gimbal lock (|cos b| ~ 0) resolves with c = 0.  A stack takes the steps
+    of ``_euler9`` as array operations, with the same bits.
     """
     r = np.asarray(rotation, dtype=float)
+    if r.shape == (3, 3):
+        return np.array(_euler9(r.ravel().tolist()))
     sb = np.minimum(np.maximum(r[..., 0, 2], -1.0), 1.0)
-    b = np.arcsin(sb)
-    a = np.arctan2(-r[..., 1, 2], r[..., 2, 2])
-    c = np.arctan2(-r[..., 0, 1], r[..., 0, 0])
-    regular = np.abs(sb) < 1.0 - 1e-12
-    if not regular.all():
-        a = np.where(regular, a, np.arctan2(np.sign(sb) * r[..., 1, 0], r[..., 1, 1]))
-        c = np.where(regular, c, 0.0)
-    abc = np.array([a, b, c]).reshape(3, -1).T.ravel().tolist()
-    return np.array([_wrap1(v) for v in abc]).reshape(sb.shape + (3,))
+    lock = np.abs(sb) >= 1.0 - 1e-12
+    a = np.where(lock, np.arctan2(np.sign(sb) * r[..., 1, 0], r[..., 1, 1]),
+                 np.arctan2(-r[..., 1, 2], r[..., 2, 2]))
+    c = np.where(lock, 0.0, np.arctan2(-r[..., 0, 1], r[..., 0, 0]))
+    return wrap_angle(np.stack([a, np.arcsin(sb), c], axis=-1))
 
 
 def compose(a: Pose6, b: Pose6) -> Pose6:
     """Pose of frame b expressed through frame a (matrix composition internally)."""
-    ra = euler_to_matrix(a.orientation)
-    rb = euler_to_matrix(b.orientation)
-    return _trusted(Pose6, ra @ b.position + a.position, matrix_to_euler(ra @ rb))
+    ra = _rot9(a.orientation)
+    return _trusted(Pose6, np.add(_mulv(ra, b.position.tolist()), a.position),
+                    np.array(_euler9(_mul9(ra, _rot9(b.orientation)))))
 
 
 def inverse(p: Pose6) -> Pose6:
-    r = euler_to_matrix(p.orientation)
-    return _trusted(Pose6, -(r.T @ p.position), matrix_to_euler(r.T))
+    rt = _t9(_rot9(p.orientation))
+    return _trusted(Pose6, np.negative(_mulv(rt, p.position.tolist())),
+                    np.array(_euler9(rt)))
+
+
+def relative_pose(frame: Pose6, p: Pose6) -> Pose6:
+    """Pose p expressed in ``frame``: compose(inverse(frame), p) in one step."""
+    rt = _t9(_rot9(frame.orientation))
+    return _trusted(Pose6, np.array(_mulv(rt, (p.position - frame.position).tolist())),
+                    np.array(_euler9(_mul9(rt, _rot9(p.orientation)))))
 
 
 def grasp_to_world(rel: Pose6, obj: Pose6) -> Pose6:
@@ -228,7 +267,7 @@ def vec6_decode(v) -> Pose6:
 
 def rotation_angle_between(orn_a, orn_b) -> float:
     """Geodesic angle in radians between two Euler orientations."""
-    ra = euler_to_matrix(orn_a)
-    rb = euler_to_matrix(orn_b)
-    tr = np.trace(ra.T @ rb)
+    rr = _mul9(_t9(_rot9(np.asarray(orn_a, dtype=float))),
+               _rot9(np.asarray(orn_b, dtype=float)))
+    tr = rr[0] + rr[4] + rr[8]
     return float(np.arccos(min(max((tr - 1.0) / 2.0, -1.0), 1.0)))

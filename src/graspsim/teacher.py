@@ -24,7 +24,7 @@ from .robot import (
     WORKSPACE_RADIUS,
 )
 from .scene import SceneState, relative_close_speed
-from .se3 import Pose6, _trusted, compose, inverse, rotation_angle_between, wrap_angle
+from .se3 import Pose6, _trusted, relative_pose, rotation_angle_between, wrap_angle
 
 YAW_CAP = np.deg2rad(65.0)     # stay clear of the 70-degree termination
 K_YAW = 3.0
@@ -108,7 +108,7 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
         close = False
     else:
         lead = _trusted(Pose6, grasp_world.position + obj_v * EE_TAU, grasp_world.orientation)
-        ee_goal_base = compose(inverse(base), lead)
+        ee_goal_base = relative_pose(base, lead)
         pos_err = float(np.linalg.norm(robot.ee_pose.position - grasp_world.position))
         ori_err = rotation_angle_between(robot.ee_pose.orientation,
                                          grasp_world.orientation)

@@ -1,8 +1,17 @@
+import itertools
+import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graspsim
 from graspsim.errors import InvalidArgumentError
 from graspsim.se3 import (
     Pose6,
@@ -11,9 +20,7 @@ from graspsim.se3 import (
     grasp_to_world,
     inverse,
     matrix_to_euler,
-    rot_x,
-    rot_y,
-    rot_z,
+    relative_pose,
     vec6_decode,
     vec6_encode,
     wrap_angle,
@@ -94,6 +101,12 @@ def test_angle_too_large_to_wrap_rejected():
     assert -np.pi < Pose6(np.zeros(3), np.array([1e15, -1e15, 0.0])).orientation[0] <= np.pi
 
 
+def rot_z(c):
+    """A yaw rotation built in numpy, with the exact zeros of a base pose."""
+    cc, sc = np.cos(c), np.sin(c)
+    return np.array([[cc, -sc, 0.0], [sc, cc, 0.0], [0.0, 0.0, 1.0]])
+
+
 def _matrix_to_euler_oracle(rotation):
     """The all-numpy form of matrix_to_euler: np.clip, both np.where branches
     (four arctan2 calls), np.stack and the np.rint wrap."""
@@ -158,19 +171,43 @@ def test_matrix_to_euler_bits_match_numpy_oracle(rng):
         assert _same_bits(row, matrix_to_euler(m))
 
 
-def test_euler_to_matrix_yaw_only_bits_match_three_matmuls(rng):
-    # The yaw-only fast path returns rot_z(c); it must give the bits of the
-    # full Rx @ Ry @ Rz product for roll and pitch of +0.0 and -0.0.
-    yaws = np.concatenate([rng.uniform(-np.pi, np.pi, 20_000),
-                           [0.0, -0.0, np.pi, -np.pi, np.pi / 2]]).tolist()
-    for a in (0.0, -0.0):
-        for b in (0.0, -0.0):
-            for c in yaws:
-                assert _same_bits(euler_to_matrix(np.array([a, b, c])),
-                                  rot_x(a) @ rot_y(b) @ rot_z(c))
-    # why yaw == 0 takes the full form: there rot_z alone has the wrong zeros
-    assert not all(_same_bits(rot_z(c), rot_x(a) @ rot_y(b) @ rot_z(c))
-                   for a in (0.0, -0.0) for b in (0.0, -0.0) for c in (0.0, -0.0))
+def _rxryrz_oracle(a, b, c):
+    """Rx(a) Ry(b) Rz(c) as nested lists of Python floats: two generic 3x3
+    products, each entry accumulated from k = 0 up (signed zeros included)."""
+    ca, sa, cb, sb, cc, sc = (math.cos(a), math.sin(a), math.cos(b),
+                              math.sin(b), math.cos(c), math.sin(c))
+    rx = [[1.0, 0.0, 0.0], [0.0, ca, -sa], [0.0, sa, ca]]
+    ry = [[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]]
+    rz = [[cc, -sc, 0.0], [sc, cc, 0.0], [0.0, 0.0, 1.0]]
+
+    def matmul(m, n):
+        out = [[0.0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(3):
+                acc = m[i][0] * n[0][j]
+                for k in (1, 2):
+                    acc = acc + m[i][k] * n[k][j]
+                out[i][j] = acc
+        return out
+
+    return matmul(matmul(rx, ry), rz)
+
+
+def test_euler_to_matrix_bits_match_python_float_product(rng):
+    # one arithmetic for every rotation product: Rx Ry Rz summed left to right
+    # on Python floats, signed zeros and exact gimbal entries included
+    special = (0.0, -0.0, np.pi, -np.pi)
+    orns = list(itertools.product(special, special + (np.pi / 2, -np.pi / 2), special))
+    orns += [tuple(o) for o in rng.uniform(-np.pi, np.pi, (20_000, 3))]
+    for a, b, c in rng.uniform(-np.pi, np.pi, (200, 3)):
+        orns += [(s, b, c) for s in special] + [(a, s, c) for s in special]
+        orns += [(a, b, s) for s in special] + [(a, np.pi / 2, c), (a, -np.pi / 2, c)]
+    zeros = 0
+    for orn in orns:
+        got = euler_to_matrix(np.array(orn))
+        assert _same_bits(got, np.array(_rxryrz_oracle(*orn)))
+        zeros += int(np.sum(got == 0.0))
+    assert zeros >= 1000      # the exact zeros, whose sign the sums decide
 
 
 def test_zero_pose_is_identity_transform():
@@ -241,6 +278,21 @@ def test_compose_identity_and_inverse(rng):
             assert_valid_pose(built)
         assert np.allclose(q.position, 0.0, atol=1e-9)
         assert np.allclose(euler_to_matrix(q.orientation), np.eye(3), atol=1e-9)
+
+
+def test_relative_pose_is_compose_of_inverse(rng):
+    for _ in range(50):
+        frame, p = random_pose(rng), random_pose(rng)
+        rel = relative_pose(frame, p)
+        assert_valid_pose(rel)
+        ref = compose(inverse(frame), p)
+        assert np.allclose(rel.position, ref.position, rtol=0, atol=1e-12)
+        assert np.allclose(euler_to_matrix(rel.orientation),
+                           euler_to_matrix(ref.orientation), rtol=0, atol=1e-12)
+        back = compose(frame, rel)
+        assert np.allclose(back.position, p.position, rtol=0, atol=1e-12)
+        assert np.allclose(euler_to_matrix(back.orientation),
+                           euler_to_matrix(p.orientation), rtol=0, atol=1e-12)
 
 
 def test_compose_yaw_then_translation():
@@ -318,3 +370,56 @@ def test_rotations_always_orthonormal(orn):
     r = euler_to_matrix(np.array(orn))
     assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-9
     assert abs(np.linalg.det(r) - 1.0) < 1e-9
+
+
+# Digests of the pose algebra on seeded inputs, and of one numpy 3x3 matmul as
+# a control that shows whether the environment changed the BLAS kernel.
+_POSE_ALGEBRA_SCRIPT = """
+import hashlib
+import numpy as np
+from graspsim import gfm, robot, se3
+from graspsim.scene import ObjectSpec
+
+rng = np.random.Generator(np.random.PCG64(11))
+poses = [se3.Pose6(rng.uniform(-2, 2, 3), rng.uniform(-np.pi, np.pi, 3))
+         for _ in range(200)]
+out = hashlib.sha256()
+for a, b in zip(poses, poses[1:]):
+    out.update(se3.euler_to_matrix(a.orientation).tobytes())
+    for p in (se3.compose(a, b), se3.inverse(a),
+              robot.ee_pose_in_base(robot.RobotState(a, se3.Twist.zero(), b, b))):
+        out.update(se3.vec6_encode(p).tobytes())
+box = ObjectSpec("bx", "box", (0.05, 0.07, 0.12), 0.3, "seen", "long_box")
+bank = gfm.build_memory(gfm.generate_candidates(box, 40, 3), 30)
+for p in poses[:50]:
+    out.update(gfm._world_vec6(bank, p).tobytes())
+m = rng.uniform(-1, 1, (2000, 3, 3))
+print(out.hexdigest(), hashlib.sha256((m @ m).tobytes()).hexdigest())
+"""
+
+
+def _pose_algebra_digests(env) -> list:
+    src = str(pathlib.Path(graspsim.__file__).parents[1])
+    env = {**env, "PYTHONPATH": os.pathsep.join([src, env.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _POSE_ALGEBRA_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the setting names an x86-64 BLAS kernel")
+def test_pose_algebra_bits_hold_across_blas_kernels():
+    # every rotation product is summed left to right on floats, so a BLAS
+    # kernel without FMA leaves euler_to_matrix, compose, inverse, the base
+    # frame ee pose and gfm's batched re-projection bit for bit as they are
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True, timeout=60)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy does not import under the setting: {probe.stderr.strip()}")
+    default_pose, default_matmul = _pose_algebra_digests(os.environ)
+    forced_pose, forced_matmul = _pose_algebra_digests(env)
+    if forced_matmul == default_matmul:
+        pytest.skip("the setting does not change the BLAS kernel on this host")
+    assert forced_pose == default_pose

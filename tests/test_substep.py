@@ -34,21 +34,21 @@ DT = SimConfig().physics_dt
 # arc, linear and random trajectories of levels 1-4.
 EPISODE_DIGESTS = {
     (1, "water_bottle", 1, 40):
-        "1cdda1364759d47b2434880a8bfa42d48479ad428e844390e7c0ba5ee514d57e",
+        "6145e9b6b22a7db7a7b547e4281059026e123b7e26c81103ff75a4df7f62d3c8",
     (1, "sugar_box", 0, 40):
-        "60f4f4c6e7c0fff1ab41a39887d7ecc863f1f01a3bbcf5d803d0b875a79e7be0",
+        "8226b1900cdaa826799e3064df6356dee4cb8639bd21ff498149bc64af839c4f",
     (2, "tennis_ball", 0, 12):
-        "8b586c4234a8a9bef66faf40e518a2c101d1294716a2990edf567c9624673b08",
+        "38c7152c892d79fde328c9d3380788ff4195d1f0020518942c7aa5558795c261",
     (2, "lemon", 2, 12):
-        "fe2ec7d730363588504b15e4a3f4e1502035a0b454796d13cb58b532f7cfa926",
+        "bd6a6b46f7bb2b6490922806a78cc6cb3965a8bfd2f0cac11790e65d7755daeb",
     (3, "marker_large", 0, 40):
-        "3ec902e17c78ec76b12e5b02498ef2effb0440e545547d14c4234c045fb0e386",
+        "5626e8271da1824f1cd034f569c996a149bc99c571ae097e71fd6a7e6ac3078c",
     (3, "sugar_box", 0, 40):
-        "8457050cadd5b6a4aefbeeb116485c49ae3e80ef573d5d9aa008f184b973c86d",
+        "9b2c9c1fcbb59a64a2140c01393275b51b999fb72a3f5ba66582f80a2045995d",
     (4, "lemon", 0, 40):
-        "1ca39775e36ec3626248b36e039184a169df667033fe1966ca71eb76a10c321e",
+        "da4813f55f6cf17c21fa9cc25411a38e57f68a8015f38edb16fab7c682137ae6",
     (4, "sugar_box", 0, 40):
-        "241c7424add2905ea92b7e4008344152a7336b5ce5dc712145bce271318b9c37",
+        "4f7b241d8f4d7c61f531e0aaa9ad290d689725b94ceb90d4ac9b64452c7aa924",
 }
 EPISODE_OUTCOMES = {
     "water_bottle": "success", "marker_large": "success", "lemon": "success",
@@ -56,10 +56,10 @@ EPISODE_OUTCOMES = {
 }
 # sha256 over the (stack, proprio, action, gripper, step) records of a
 # 4-step level-1 tennis_ball episode with collect_observations=True.
-OBSERVATION_DIGEST = "0c7dbc79a895c53079775e0f5e911b3a7bd779f41d3dc523ddf0f997a19aeee2"
+OBSERVATION_DIGEST = "31824ea0fce9e599b5dd91467c08183456671697a61aed1b8c12323bd0d7780d"
 # The same over the 37 records of the 40-step level-1 cracker_box episode in
 # conftest's box_records: a box target, so its mask comes from the slab test.
-BOX_OBSERVATION_DIGEST = "8ae61ffbcf30af249f18577a680e34c6108ab5ffb391e2e56b1d134703d825a8"
+BOX_OBSERVATION_DIGEST = "54a5a951c5e706f8d93a3456625e650bf7e945a8d9b4286af9374720c190a02a"
 
 
 @pytest.mark.parametrize("key", sorted(EPISODE_DIGESTS))
