@@ -19,7 +19,7 @@ from .atomicfile import atomic_write
 from .errors import InvalidArgumentError, NotReadyError
 from .nn import FRAME_SHAPE, HISTORY_LEN
 from .scene import PLATFORM_THICKNESS, SceneState
-from .se3 import Pose6, compose, euler_to_matrix
+from .se3 import Pose6, euler_to_matrix
 
 FRAME_H, FRAME_W = FRAME_SHAPE
 DEFAULT_HFOV = np.deg2rad(87.0)
@@ -128,11 +128,6 @@ def _workspace() -> _Workspace:
     if ws is None:
         ws = _WS_LOCAL.ws = _Workspace(FRAME_H * FRAME_W)
     return ws
-
-
-def camera_world_pose(cam: CameraModel, robot) -> Pose6:
-    parent = robot.base_pose if cam.mount == "base" else robot.ee_pose
-    return compose(parent, cam.mount_offset)
 
 
 # ---------------------------------------------------------------------------

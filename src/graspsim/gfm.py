@@ -19,17 +19,8 @@ import numpy as np
 
 from .atomicfile import atomic_write
 from .errors import EmptyBankError, InvalidArgumentError, ShapeError
-from .se3 import (
-    Pose6,
-    _mulv,
-    _rot9,
-    _trusted,
-    euler_to_matrix,
-    grasp_to_world,
-    matrix_to_euler,
-    vec6_decode,
-    vec6_encode,
-)
+from .se3 import (Pose6, _mulv, _rot9, _trusted, euler_to_matrix, grasp_to_world,
+                  matrix_to_euler, vec6_decode, vec6_encode)
 
 if TYPE_CHECKING:
     from .scene import ObjectSpec
@@ -360,7 +351,7 @@ def _world_vec6(bank: GraspMemoryBank, obj_pose: Pose6) -> np.ndarray:
     ``_mulv`` over the rows of ``bank._local`` sums each entry in compose's
     order, elementwise over K.
     """
-    rows = np.array(_mulv(_rot9(obj_pose.orientation), bank._local))
+    rows = np.array(_mulv(_rot9(obj_pose.orientation.tolist()), bank._local))
     pos = rows[:, 3].T + obj_pose.position
     return np.concatenate([pos, matrix_to_euler(rows[:, :3].transpose(2, 0, 1))], axis=1)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .config import SimConfig
 from .episode import EpisodeLog, derive_seed, run_episode
 from .errors import InvalidArgumentError
-from .scene import EpisodeConfig, catalog_by_id, load_catalog
+from .scene import EpisodeConfig, catalog_by_id, check_level, load_catalog
 
 DEFAULT_STEP_BUDGET = 5000
 CSV_HEADER = "level,split,category,n_episodes,gsr,ossr,ossr_alt,tsc,seed"
@@ -135,6 +135,8 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     levels = sorted(set(levels))
     if not levels:
         raise InvalidArgumentError("need at least one level")
+    for level in levels:
+        check_level(level)
     if split not in ("seen", "unseen", "both"):
         raise InvalidArgumentError(f"split must be seen/unseen/both, got {split!r}")
     for name, count in (("episodes_per_level", episodes_per_level),

@@ -5,26 +5,20 @@ first-order tracker that pulls the world end-effector pose toward the
 integrated target.  Integrators use exact (exponential / closed-form circle)
 discretization so that stepping at different rates stays consistent.  A
 synthetic 12-joint gait signal stands in for leg state so the locomotion
-reward formulas have inputs.
+reward formulas have inputs.  ``execute_command`` steps on Python floats
+(se3's float rule); ``np.exp`` and the arm step's dot keep numpy's bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularJacobianError
-from .se3 import (
-    Pose6,
-    Twist,
-    _trusted,
-    _wrap1,
-    compose,
-    relative_pose,
-    wrap_angle,
-)
+from .se3 import Pose6, Twist, _compose6, _relative6, _trusted, _wrap1, compose, relative_pose
 from .scene import TerrainField
 
 WORKSPACE_RADIUS = 0.8
@@ -148,20 +142,14 @@ def accumulate_command(robot: RobotState, a: HighLevelAction) -> CommandVector:
     return CommandVector(p_hat, robot.ee_target.orientation + a.dr, a.v_lin, a.omega_yaw)
 
 
-def _unicycle_step(x, y, yaw, v, omega, dt):
-    """Closed-form constant-command unicycle advance."""
-    if abs(omega) < 1e-12:
-        return x + v * np.cos(yaw) * dt, y + v * np.sin(yaw) * dt, yaw + omega * dt
-    yaw1 = yaw + omega * dt
-    x1 = x + (v / omega) * (np.sin(yaw1) - np.sin(yaw))
-    y1 = y - (v / omega) * (np.cos(yaw1) - np.cos(yaw))
-    return x1, y1, yaw1
+@lru_cache(maxsize=16)
+def _decay(dt: float, tau: float) -> float:
+    return float(np.exp(-dt / tau))   # np.exp: math.exp rounds differently
 
 
-def _lag_angle(current: np.ndarray, target: np.ndarray, alpha: float) -> np.ndarray:
+def _lag_angle(current, target, alpha: float) -> np.ndarray:
     """Exponential pull of each angle toward the target along the short way."""
-    return np.array([_wrap1(c + alpha * _wrap1(t - c))
-                     for c, t in zip(current.tolist(), target.tolist())])
+    return np.array([_wrap1(c + alpha * _wrap1(t - c)) for c, t in zip(current, target)])
 
 
 def gait_joint_proxy(travel: float) -> np.ndarray:
@@ -179,32 +167,39 @@ def execute_command(robot: RobotState, u: CommandVector, terrain: TerrainField,
     """
     if not 0.0 < dt < math.inf:
         raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
-    x0, y0 = robot.base_pose.position[0], robot.base_pose.position[1]
-    yaw0 = robot.base_pose.orientation[2]
-    x1, y1, yaw1 = _unicycle_step(x0, y0, yaw0, u.v_lin, u.omega_yaw, dt)
-
+    x0, y0, z0 = robot.base_pose.position.tolist()
+    base_orn = robot.base_pose.orientation.tolist()
+    v, omega, yaw0 = u.v_lin, u.omega_yaw, base_orn[2]
+    yaw1 = yaw0 + omega * dt
+    if abs(omega) < 1e-12:   # the closed-form unicycle advance: a line or an arc
+        x1, y1 = x0 + v * math.cos(yaw0) * dt, y0 + v * math.sin(yaw0) * dt
+    else:
+        x1 = x0 + (v / omega) * (math.sin(yaw1) - math.sin(yaw0))
+        y1 = y0 - (v / omega) * (math.cos(yaw1) - math.cos(yaw0))
+    yaw1 = _wrap1(yaw1)
     z_target = NOMINAL_HEIGHT + terrain.height_at(x1, y1)
-    z0 = robot.base_pose.position[2]
-    z1 = z_target + (z0 - z_target) * np.exp(-dt / BASE_Z_TAU)
+    z1 = z_target + (z0 - z_target) * _decay(dt, BASE_Z_TAU)
 
-    base_pose = _trusted(Pose6, np.array([x1, y1, z1]),
-                         np.array([0.0, 0.0, wrap_angle(yaw1)]))
-    base_twist = _trusted(Twist, (base_pose.position - robot.base_pose.position) / dt,
+    base_pose = _trusted(Pose6, np.array([x1, y1, z1]), np.array([0.0, 0.0, yaw1]))
+    base_twist = _trusted(Twist, np.array([(x1 - x0) / dt, (y1 - y0) / dt, (z1 - z0) / dt]),
                           np.array([0.0, 0.0, u.omega_yaw]))
 
     # The arm rides the base, so the first-order tracking happens in base
     # coordinates: with constant commands the target is fixed there and the
     # exact exponential pull makes stepping rate-consistent.
-    rel = ee_pose_in_base(robot)
-    pull = float(1.0 - np.exp(-dt / EE_TAU))
-    step_vec = (u.p_hat - rel.position) * pull
-    step_len = math.sqrt(step_vec @ step_vec)   # np.linalg.norm's 1-D formula
+    rel_pos, rel_orn = _relative6((x0, y0, z0), base_orn, robot.ee_pose.position.tolist(),
+                                  robot.ee_pose.orientation.tolist())
+    pull = 1.0 - _decay(dt, EE_TAU)
+    step_vec = np.subtract(u.p_hat, rel_pos) * pull
+    step_len = math.sqrt(step_vec @ step_vec)   # ddot, as np.linalg.norm; not a float sum
     max_step = EE_RATE_LIMIT * dt
     if step_len > max_step:
         step_vec *= max_step / step_len
-    rel_new = _trusted(Pose6, rel.position + step_vec,
-                       _lag_angle(rel.orientation, u.r_hat, pull))
-    ee_pose = compose(base_pose, rel_new)
+    sx, sy, sz = step_vec.tolist()
+    ee_pos, ee_orn = _compose6((x1, y1, z1), (0.0, 0.0, yaw1),
+                               (rel_pos[0] + sx, rel_pos[1] + sy, rel_pos[2] + sz),
+                               _lag_angle(rel_orn, u.r_hat.tolist(), pull))
+    ee_pose = _trusted(Pose6, np.array(ee_pos), np.array(ee_orn))
 
     return RobotState(base_pose, base_twist, u.target, ee_pose, robot.gripper,
                       robot.travel + abs(u.v_lin) * dt)

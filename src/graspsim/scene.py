@@ -9,6 +9,7 @@ state travels inside ``SceneState`` so episodes replay bit-for-bit.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import threading
 from dataclasses import dataclass, replace
 
@@ -16,16 +17,8 @@ import numpy as np
 
 from .errors import CatalogError, InvalidArgumentError, NotFoundError
 from .gfm import _world_vec6
-from .se3 import (
-    TWO_PI,
-    Pose6,
-    Twist,
-    _trusted,
-    compose,
-    relative_pose,
-    rotation_angle_between,
-    wrap_angle,
-)
+from .se3 import (TWO_PI, Pose6, Twist, _trusted, compose, relative_pose,
+                  rotation_angle_between, wrap_angle)
 
 TERRAIN_MAX_HEIGHT = 0.1
 TERRAIN_EXTENT = 8.0            # meters, side of the square height lattice
@@ -36,7 +29,7 @@ PLATFORM_Z_RANGE = (0.2, 0.7)   # platform-top height band at reset (and L4 z ba
 PLATFORM_AHEAD_RANGE = (1.5, 2.5)
 PLATFORM_LATERAL_RANGE = (-0.3, 0.3)
 PLATFORM_MAX_ACCEL = 0.5        # m/s^2, kinematic bound for random trajectories
-LEVEL_SPEED_RANGES = {
+LEVEL_SPEED_RANGES = {          # the benchmark levels and their speed bands
     1: (0.0, 0.15),
     2: (0.15, 0.30),
     3: (0.0, 0.30),
@@ -247,10 +240,16 @@ class PlatformTrajectory:
     z_phase: float = 0.0
 
 
+def check_level(level: int) -> None:
+    """Reject a level that LEVEL_SPEED_RANGES does not define."""
+    if level not in LEVEL_SPEED_RANGES:
+        raise InvalidArgumentError(
+            f"level must be one of {', '.join(map(str, LEVEL_SPEED_RANGES))}, got {level}")
+
+
 def make_trajectory(level: int, seed: int) -> PlatformTrajectory:
     """Seeded trajectory for one of the four benchmark levels."""
-    if level not in (1, 2, 3, 4):
-        raise InvalidArgumentError(f"level must be 1..4, got {level}")
+    check_level(level)
     rng = np.random.Generator(np.random.PCG64(seed))
     lo, hi = LEVEL_SPEED_RANGES[level]
     if level in (1, 2):
@@ -290,6 +289,7 @@ class EpisodeConfig:
     timeout_steps: int = TIMEOUT_STEPS
 
     def __post_init__(self):
+        check_level(self.level)
         if self.timeout_steps <= 0:
             raise InvalidArgumentError("timeout_steps must be positive")
         if self.seed < 0:
@@ -337,13 +337,13 @@ def _rng_from_state(state: dict) -> np.random.Generator:
     return g
 
 
-def trajectory_velocity(traj: PlatformTrajectory, t: float) -> np.ndarray | None:
-    """Closed-form platform velocity for the prescribed modes; None for random.
-    A linear path is an arc with turn_rate 0 (heading + 0.0 * t == heading)."""
+def trajectory_velocity(traj: PlatformTrajectory, t: float) -> tuple | None:
+    """Closed-form platform velocity (three floats), None for random.  A linear
+    path is an arc with turn_rate 0 (heading + 0.0 * t == heading)."""
     if traj.mode == "random":
         return None
     a = traj.heading + traj.turn_rate * t
-    return traj.speed * np.array([np.cos(a), np.sin(a), 0.0])
+    return traj.speed * math.cos(a), traj.speed * math.sin(a), 0.0
 
 
 def _riding_pose(platform_pose: Pose6, mount: Pose6) -> Pose6:
@@ -398,7 +398,7 @@ def initial_status() -> EpisodeStatus:
 
 
 def _platform_velocity(state: SceneState, traj: PlatformTrajectory, dt: float):
-    """Velocity for the next step plus the advanced RNG state."""
+    """Velocity (three floats) for the next step plus the advanced RNG state."""
     closed_form = trajectory_velocity(traj, state.time + dt)
     if closed_form is not None:
         return closed_form, state.rng_state
@@ -420,14 +420,16 @@ def _platform_velocity(state: SceneState, traj: PlatformTrajectory, dt: float):
         vxy *= hi / speed
     elif speed < lo and speed > 0.0:
         vxy *= lo / speed
+    vx, vy = vxy.tolist()
     vz = 0.0
     if traj.z_policy == "free":
-        vz_target = traj.z_amp * np.sin(
+        vz0 = v.item(2)
+        vz_target = traj.z_amp * math.sin(
             TWO_PI * traj.z_freq * (state.time + dt) + traj.z_phase
         )
-        dvz = float(min(max(vz_target - v[2], -dv_cap), dv_cap))
-        vz = float(min(max(v[2] + dvz, -L4_MAX_VZ), L4_MAX_VZ))
-    return np.array([vxy[0], vxy[1], vz]), rng.bit_generator.state
+        dvz = min(max(vz_target - vz0, -dv_cap), dv_cap)
+        vz = min(max(vz0 + dvz, -L4_MAX_VZ), L4_MAX_VZ)
+    return (vx, vy, vz), rng.bit_generator.state
 
 
 def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
@@ -439,21 +441,23 @@ def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
     exactly.  When the object rides the gripper, ``ee_pose`` must be the
     end-effector pose after the robot has stepped.  With dt checked here, every
     advanced pose and twist is finite by construction and built with ``_trusted``.
+    Python floats (se3's float rule), but for the random velocity's noise and
+    norms and the held object's twist.
     """
-    if not 0.0 < dt < np.inf:
+    if not 0.0 < dt < math.inf:
         raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
-    p = state.platform_pose.position + state.platform_twist.linear * dt
-    lo, hi = PLATFORM_Z_RANGE
-    v_next, rng_state = _platform_velocity(state, traj, dt)
+    (px, py, pz), (vx, vy, vz) = (state.platform_pose.position.tolist(),
+                                  state.platform_twist.linear.tolist())
+    px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
+    (vx, vy, vz), rng_state = _platform_velocity(state, traj, dt)
     if traj.z_policy == "free":
-        if p[2] <= lo:
-            p = np.array([p[0], p[1], lo])
-            v_next[2] = max(v_next[2], 0.0)
-        elif p[2] >= hi:
-            p = np.array([p[0], p[1], hi])
-            v_next[2] = min(v_next[2], 0.0)
-    platform_pose = _trusted(Pose6, p, state.platform_pose.orientation)
-    platform_twist = _trusted(Twist, v_next, np.zeros(3))
+        lo, hi = PLATFORM_Z_RANGE
+        if pz <= lo:
+            pz, vz = lo, max(vz, 0.0)
+        elif pz >= hi:
+            pz, vz = hi, min(vz, 0.0)
+    platform_pose = _trusted(Pose6, np.array([px, py, pz]), state.platform_pose.orientation)
+    platform_twist = _trusted(Twist, np.array([vx, vy, vz]), np.zeros(3))
 
     attached = state.object_attached_to
     obj_pose = state.object_pose
@@ -469,26 +473,20 @@ def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
                              wrap_angle(new_pose.orientation - obj_pose.orientation) / dt)
         obj_pose = new_pose
     else:  # free: ballistic drop until resting on the terrain
-        vz = obj_twist.linear[2] - GRAVITY * dt
-        pos = obj_pose.position + obj_twist.linear * dt
-        floor = state.terrain.height_at(pos[0], pos[1]) + state.object_spec.half_height
-        if pos[2] <= floor:
-            pos = np.array([pos[0], pos[1], floor])
+        (x, y, z), (lx, ly, lz) = obj_pose.position.tolist(), obj_twist.linear.tolist()
+        x, y, z = x + lx * dt, y + ly * dt, z + lz * dt
+        floor = state.terrain.height_at(x, y) + state.object_spec.half_height
+        if z <= floor:
+            z = floor
             obj_twist = _trusted(Twist, np.zeros(3), np.zeros(3))
         else:
-            lin = np.array([obj_twist.linear[0], obj_twist.linear[1], vz])
-            obj_twist = _trusted(Twist, lin, obj_twist.angular)
-        obj_pose = _trusted(Pose6, pos, obj_pose.orientation)
+            obj_twist = _trusted(Twist, np.array([lx, ly, lz - GRAVITY * dt]),
+                                 obj_twist.angular)
+        obj_pose = _trusted(Pose6, np.array([x, y, z]), obj_pose.orientation)
 
-    return replace(
-        state,
-        time=state.time + dt,
-        platform_pose=platform_pose,
-        platform_twist=platform_twist,
-        object_pose=obj_pose,
-        object_twist=obj_twist,
-        rng_state=rng_state,
-    )
+    return SceneState(state.time + dt, platform_pose, platform_twist, obj_pose, obj_twist,
+                      attached, state.terrain, rng_state, state.object_spec,
+                      state.mount_offset, state.platform_half, state.grip_offset)
 
 
 # ---------------------------------------------------------------------------

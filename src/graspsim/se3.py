@@ -14,11 +14,11 @@ construction, so it is built with ``_trusted``, which skips the check:
 ``compose``, ``inverse``, ``relative_pose`` (and so ``grasp_to_world``), and
 every pose and twist that the robot and scene integrators advance each step.
 
-The angle wrap (``_wrap1``) and, for one matrix, the branches of
-``matrix_to_euler`` run on Python floats, where a 0-d numpy call costs more
-than the math.  The inverse trigonometry stays numpy: ``math.asin``/``atan2``
-differ from ``np.arcsin``/``np.arctan2`` in 33,758/400k and 15,472/200k
-random inputs.
+The float rule: one pose is computed on Python floats, where a 0-d or (3,)
+numpy call costs more than the math (``_wrap1``, one matrix's
+``matrix_to_euler``, ``_compose6``/``_relative6``, the robot and scene
+integrators).  ``math.sin``/``cos`` give numpy's bits; inverse trigonometry
+stays numpy: ``math.asin``/``atan2`` differ in 33,758/400k, 15,472/200k inputs.
 
 The product rule: every rotation product (Rx Ry Rz in ``euler_to_matrix``,
 ``compose``, ``inverse``, ``relative_pose``, ``rotation_angle_between``)
@@ -43,8 +43,10 @@ TWO_PI = 2.0 * np.pi
 
 
 def _wrap1(x: float) -> float:
-    """The wrap rule on one float; ``copysign`` keeps the signed zero of
-    ``np.rint``, which ``round`` (an int) drops: -0.0 must wrap to +0.0."""
+    """The wrap rule on one float (on (-pi, pi] it subtracts a signed zero);
+    ``copysign`` keeps np.rint's signed zero: -0.0 must wrap to +0.0."""
+    if -math.pi < x <= math.pi:
+        return x + 0.0
     if not math.isfinite(x):
         return math.nan
     q = x / TWO_PI
@@ -57,7 +59,8 @@ def _wrap1(x: float) -> float:
 
 
 def wrap_angle(x):
-    """Normalize angle(s) to (-pi, pi]; exactly -pi maps to +pi."""
+    """Normalize angle(s) to (-pi, pi]; exactly -pi maps to +pi.  Per element:
+    on the 3-vectors it is given, ``_wrap1`` costs less than numpy ufuncs."""
     if isinstance(x, float) or np.ndim(x) == 0:
         return _wrap1(float(x))
     w = np.asarray(x, dtype=float)
@@ -182,10 +185,10 @@ def _t9(m) -> tuple:
     return m[0::3] + m[1::3] + m[2::3]
 
 
-def _rot9(orientation: np.ndarray) -> tuple:
-    """Rx(a) Ry(b) Rz(c) of a float (3,) array; ``math.sin``/``cos`` gave the
+def _rot9(angles) -> tuple:
+    """Rx(a) Ry(b) Rz(c) of three angles; ``math.sin``/``cos`` gave the
     bits of ``np.sin``/``cos`` on 300k random inputs."""
-    a, b, c = orientation.tolist()
+    a, b, c = angles
     ca, sa = math.cos(a), math.sin(a)
     cb, sb = math.cos(b), math.sin(b)
     cc, sc = math.cos(c), math.sin(c)
@@ -207,7 +210,7 @@ def _euler9(m) -> tuple:
 
 def euler_to_matrix(orientation) -> np.ndarray:
     """Rotation matrix for intrinsic-XYZ Euler angles (Rx Ry Rz)."""
-    return np.array(_rot9(np.asarray(orientation, dtype=float))).reshape(3, 3)
+    return np.array(_rot9(np.asarray(orientation, dtype=float).tolist())).reshape(3, 3)
 
 
 def matrix_to_euler(rotation) -> np.ndarray:
@@ -224,27 +227,43 @@ def matrix_to_euler(rotation) -> np.ndarray:
     a = np.where(lock, np.arctan2(np.sign(sb) * r[..., 1, 0], r[..., 1, 1]),
                  np.arctan2(-r[..., 1, 2], r[..., 2, 2]))
     c = np.where(lock, 0.0, np.arctan2(-r[..., 0, 1], r[..., 0, 0]))
-    return wrap_angle(np.stack([a, np.arcsin(sb), c], axis=-1))
+    e = np.stack([a, np.arcsin(sb), c], axis=-1)
+    # _wrap1 on [-pi, pi], the range of arctan2 and arcsin: -pi -> pi, -0.0 -> 0.0
+    return np.where(e == -np.pi, np.pi, e) + 0.0
+
+
+def _compose6(a_pos, a_orn, b_pos, b_orn) -> tuple:
+    """compose on floats: (position, orientation) of b through a, as 3-tuples."""
+    ra = _rot9(a_orn)
+    x, y, z = _mulv(ra, b_pos)
+    return (x + a_pos[0], y + a_pos[1], z + a_pos[2]), _euler9(_mul9(ra, _rot9(b_orn)))
+
+
+def _relative6(f_pos, f_orn, p_pos, p_orn) -> tuple:
+    """relative_pose on floats: (position, orientation) of p in frame f."""
+    rt = _t9(_rot9(f_orn))
+    d = (p_pos[0] - f_pos[0], p_pos[1] - f_pos[1], p_pos[2] - f_pos[2])
+    return _mulv(rt, d), _euler9(_mul9(rt, _rot9(p_orn)))
 
 
 def compose(a: Pose6, b: Pose6) -> Pose6:
     """Pose of frame b expressed through frame a (matrix composition internally)."""
-    ra = _rot9(a.orientation)
-    return _trusted(Pose6, np.add(_mulv(ra, b.position.tolist()), a.position),
-                    np.array(_euler9(_mul9(ra, _rot9(b.orientation)))))
+    pos, orn = _compose6(a.position.tolist(), a.orientation.tolist(),
+                         b.position.tolist(), b.orientation.tolist())
+    return _trusted(Pose6, np.array(pos), np.array(orn))
 
 
 def inverse(p: Pose6) -> Pose6:
-    rt = _t9(_rot9(p.orientation))
+    rt = _t9(_rot9(p.orientation.tolist()))
     return _trusted(Pose6, np.negative(_mulv(rt, p.position.tolist())),
                     np.array(_euler9(rt)))
 
 
 def relative_pose(frame: Pose6, p: Pose6) -> Pose6:
     """Pose p expressed in ``frame``: compose(inverse(frame), p) in one step."""
-    rt = _t9(_rot9(frame.orientation))
-    return _trusted(Pose6, np.array(_mulv(rt, (p.position - frame.position).tolist())),
-                    np.array(_euler9(_mul9(rt, _rot9(p.orientation)))))
+    pos, orn = _relative6(frame.position.tolist(), frame.orientation.tolist(),
+                          p.position.tolist(), p.orientation.tolist())
+    return _trusted(Pose6, np.array(pos), np.array(orn))
 
 
 def grasp_to_world(rel: Pose6, obj: Pose6) -> Pose6:
@@ -267,7 +286,7 @@ def vec6_decode(v) -> Pose6:
 
 def rotation_angle_between(orn_a, orn_b) -> float:
     """Geodesic angle in radians between two Euler orientations."""
-    rr = _mul9(_t9(_rot9(np.asarray(orn_a, dtype=float))),
-               _rot9(np.asarray(orn_b, dtype=float)))
+    rr = _mul9(_t9(_rot9(np.asarray(orn_a, dtype=float).tolist())),
+               _rot9(np.asarray(orn_b, dtype=float).tolist()))
     tr = rr[0] + rr[4] + rr[8]
     return float(np.arccos(min(max((tr - 1.0) / 2.0, -1.0), 1.0)))

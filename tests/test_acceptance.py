@@ -17,7 +17,6 @@ from graspsim.camera import (
     FRAME_W,
     LatencyBuffer,
     base_camera,
-    camera_world_pose,
     render_frame,
 )
 from graspsim.config import SimConfig
@@ -62,7 +61,7 @@ from graspsim.scene import (
     reset_episode,
     step_scene,
 )
-from graspsim.se3 import Pose6, grasp_to_world, vec6_encode
+from graspsim.se3 import Pose6, compose, grasp_to_world, vec6_encode
 
 from test_nn import (
     naive_attention,
@@ -315,7 +314,7 @@ def test_criterion_7_renderer():
         frame = render_frame(scene, robot, cam)
         rows, cols = np.nonzero(frame.mask)
         assert rows.size > 0
-        r_pred, c_pred = project_point(cam, camera_world_pose(cam, robot), pos)
+        r_pred, c_pred = project_point(cam, compose(robot.ee_pose, cam.mount_offset), pos)
         assert abs(rows.mean() - r_pred) <= 2.0
         assert abs(cols.mean() - c_pred) <= 2.0
         # analytic z-depth of the nearest-to-center mask pixel's ray

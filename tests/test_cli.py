@@ -240,6 +240,8 @@ def test_output_path_naming_a_directory_rejected(args, taken, tmp_path, capsys,
     (["gfm-inspect", "--object", "rubiks_cube", "--seed", "-2",
       "--save", "bank.txt"], "got -2"),
     (["bench", "--levels", "1,x", "--episodes", "1", "--out", "b"], "'x'"),
+    # at the default step budget, not after level 1 has run
+    (["bench", "--levels", "1,5", "--out", "b"], "got 5"),
 ])
 def test_bad_seed_or_level_rejected(args, named, tmp_path, capsys, monkeypatch):
     # one error line naming the bad value, before any episode starts or any

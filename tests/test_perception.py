@@ -10,7 +10,6 @@ from graspsim.camera import (
     LatencyBuffer,
     ObsHistory,
     base_camera,
-    camera_world_pose,
     dump_frame,
     render_frame,
     stack_observation,
@@ -27,7 +26,7 @@ from graspsim.scene import (
     SceneState,
     reset_episode,
 )
-from graspsim.se3 import Pose6, Twist
+from graspsim.se3 import Pose6, Twist, compose
 
 from conftest import flat_terrain, make_config
 
@@ -184,7 +183,7 @@ def test_reprojection_of_random_placements(rng):
         frame = render_frame(scene, robot, cam)
         assert frame.mask.sum() > 0
         rows, cols = np.nonzero(frame.mask)
-        r_pred, c_pred = project_point(cam, camera_world_pose(cam, robot), pos)
+        r_pred, c_pred = project_point(cam, compose(robot.ee_pose, cam.mount_offset), pos)
         misses = max(misses, abs(rows.mean() - r_pred), abs(cols.mean() - c_pred))
     assert misses <= 2.0
 

@@ -413,6 +413,9 @@ def test_episode_config_validation():
         EpisodeConfig(level=1, object_id="x", seed=0, timeout_steps=0)
     with pytest.raises(InvalidArgumentError, match="seed must be 0 or more, got -1"):
         EpisodeConfig(level=1, object_id="x", seed=-1)
+    for level in (0, 5):
+        with pytest.raises(InvalidArgumentError, match=f"got {level}$"):
+            EpisodeConfig(level=level, object_id="x", seed=0)
     with pytest.raises(InvalidArgumentError):
         SimConfig(physics_dt=0.03, decision_dt=0.1)
     for dts in ((0.1, 0.02), (0.0, 0.1), (float("nan"), 0.1), (0.02, float("inf"))):

@@ -15,6 +15,8 @@ import graspsim
 from graspsim.errors import InvalidArgumentError
 from graspsim.se3 import (
     Pose6,
+    _euler9,
+    _wrap1,
     compose,
     euler_to_matrix,
     grasp_to_world,
@@ -169,6 +171,61 @@ def test_matrix_to_euler_bits_match_numpy_oracle(rng):
     assert _same_bits(batch, _matrix_to_euler_oracle(stack))
     for m, row in zip(mats, batch):
         assert _same_bits(row, matrix_to_euler(m))
+
+
+
+def _raw_euler(stack):
+    """matrix_to_euler's arctan2/arcsin outputs on a (K, 3, 3) stack, unwrapped."""
+    sb = np.clip(stack[:, 0, 2], -1.0, 1.0)
+    lock = np.abs(sb) >= 1.0 - 1e-12
+    a = np.where(lock, np.arctan2(np.sign(sb) * stack[:, 1, 0], stack[:, 1, 1]),
+                 np.arctan2(-stack[:, 1, 2], stack[:, 2, 2]))
+    c = np.where(lock, 0.0, np.arctan2(-stack[:, 0, 1], stack[:, 0, 0]))
+    return np.stack([a, np.arcsin(sb), c], axis=-1)
+
+
+def test_matrix_to_euler_stack_wrap_bits_match_per_element_wrap(rng):
+    # A stack is wrapped by one elementwise expression, not _wrap1 per angle.
+    # Half-turn and gimbal matrices with every sign of their zero entries
+    # drive arctan2 and arcsin to exactly -pi, -0.0 and +-pi/2.
+    bases = [np.diag([-1.0, -1.0, 1.0]), np.diag([1.0, -1.0, -1.0]),
+             np.diag([-1.0, 1.0, -1.0]), np.eye(3),
+             np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0]]),
+             np.array([[0.0, 0.0, -1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])]
+    mats = []
+    for base in bases:
+        zeros = np.flatnonzero(base == 0.0)
+        for signs in itertools.product((0.0, -0.0), repeat=len(zeros)):
+            m = base.ravel().copy()
+            m[zeros] = signs
+            mats.append(m.reshape(3, 3))
+    mats += [euler_to_matrix(o) for o in rng.uniform(-np.pi, np.pi, (200, 3))]
+    stack = np.array(mats)
+    raw = _raw_euler(stack).ravel()
+    assert np.any(raw == -np.pi)
+    assert np.any((raw == 0.0) & np.signbit(raw))
+    assert np.any(raw == np.pi / 2) and np.any(raw == -np.pi / 2)
+    got = matrix_to_euler(stack)
+    assert _same_bits(got.ravel(), [_wrap1(x) for x in raw.tolist()])
+    for m, row in zip(mats, got):
+        assert _same_bits(row, _euler9(m.ravel().tolist()))
+
+
+def test_wrap1_in_range_return_bits_match_round_formula():
+    # _wrap1 returns x + 0.0 on (-pi, pi]: the round formula's bits at
+    # signed zeros, on both sides of +-pi and at subnormals
+    def reference(x):
+        w = x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
+        w = np.where(w <= -np.pi, w + 2.0 * np.pi, w)
+        return np.where(w > np.pi, w - 2.0 * np.pi, w)
+
+    tiny = np.finfo(float).tiny
+    xs = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(tiny, 0.0), -np.nextafter(tiny, 0.0),
+          tiny, -tiny]
+    for edge in (np.pi, -np.pi):
+        xs += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0 * edge)]
+    for x in xs:
+        assert _same_bits(_wrap1(float(x)), reference(np.float64(x))), x
 
 
 def _rxryrz_oracle(a, b, c):

@@ -18,7 +18,7 @@ from graspsim.robot import (
     execute_command,
     initial_robot,
 )
-from graspsim.scene import make_trajectory, reset_episode, step_scene
+from graspsim.scene import PLATFORM_Z_RANGE, make_trajectory, reset_episode, step_scene
 from graspsim.se3 import Pose6, Twist, compose, inverse
 
 from conftest import assert_valid_pose, make_config
@@ -134,7 +134,14 @@ def _scene(catalog_map, carrier, level):
     traj = make_trajectory(level, derive_seed(cfg.seed, 11))
     scene = reset_episode(cfg, catalog_map, traj)
     robot = initial_robot(scene.terrain)
-    if carrier == "gripper":
+    if carrier == "clamp":
+        # riding a platform that starts just above the floor of its z band,
+        # sinking, so the free-z clamp holds it there
+        pos = scene.platform_pose.position.copy()
+        pos[2] = PLATFORM_Z_RANGE[0] + 0.004
+        scene = replace(scene, platform_pose=Pose6(pos, np.zeros(3)),
+                        platform_twist=Twist(np.array([0.05, 0.1, -0.2]), np.zeros(3)))
+    elif carrier == "gripper":
         grip = compose(inverse(robot.ee_pose), scene.object_pose)
         scene = replace(scene, object_attached_to="gripper", grip_offset=grip)
     elif carrier == "free":
@@ -158,6 +165,43 @@ def _substeps(catalog_map, carrier, level, n=40):
 
 
 CARRIERS = [("platform", 1), ("platform", 4), ("gripper", 3), ("free", 4)]
+
+# sha256 over every pose and twist that 100 substeps yield, per carrier, in
+# the order of _substep_digest.  The episode digests log one row per decision
+# step and rarely reach these branches: level 1 draws an arc (the closed-form
+# velocity), level 4 the free-z OU walk, "free" falls and comes to rest,
+# "gripper" carries the held pose, and "clamp" holds the platform at the
+# floor of its z band.  Like EPISODE_DIGESTS they hold per numpy, libm and
+# BLAS kernel; recorded from the numpy-array substep, before it moved to
+# Python floats.
+SUBSTEP_DIGESTS = {
+    ("platform", 1):
+        "64003ae1b207355d406235b48c76511ed340f6b59e6914920317fbe152e8e0a2",
+    ("platform", 4):
+        "fd5d11294812a633a52683dec254cd480f6fa860192b66b63c40abf93bb6f16f",
+    ("gripper", 3):
+        "1a0cdf7f2e24b66ff465228990c5536d36c31e38868687cd3fa9d31a979dc5f2",
+    ("free", 4):
+        "9b4b90af690a5f45ad75a73947501d500ef0ae2547638bf37654286aa8344e08",
+    ("clamp", 4):
+        "8b7352649c0c9a445a2151d33248669adaeb0e0e8488432525f17d5dfe0bd928",
+}
+
+
+def _substep_digest(catalog_map, carrier, level) -> str:
+    digest = hashlib.sha256()
+    for robot, scene, _ in _substeps(catalog_map, carrier, level, n=100):
+        for value in (robot.base_pose, robot.base_twist, robot.ee_pose,
+                      scene.platform_pose, scene.platform_twist,
+                      scene.object_pose, scene.object_twist):
+            for name in value.__dataclass_fields__:
+                digest.update(getattr(value, name).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("carrier,level", sorted(SUBSTEP_DIGESTS))
+def test_substep_bytes_pinned(carrier, level, catalog_map):
+    assert _substep_digest(catalog_map, carrier, level) == SUBSTEP_DIGESTS[carrier, level]
 
 
 @pytest.mark.parametrize("carrier,level", CARRIERS)
