@@ -171,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--split", choices=("seen", "unseen", "both"), default="seen")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="bench_out")
-    b.add_argument("--workers", type=int, default=0)
+    b.add_argument("--workers", type=int, default=0,
+                   help="episodes run in this many processes at once, capped at "
+                        "the CPU count (0 or 1: serial); output bytes are the same")
     b.add_argument("--no-gfm", action="store_true",
                    help="ablation: aim at the object centroid")
     b.set_defaults(func=_cmd_bench)

@@ -1,8 +1,10 @@
 """Episode loop wiring all modules together.
 
 One decision step = render (optional) -> latency buffer -> history stack ->
-teacher acts on privileged state -> command integration -> five physics
-substeps -> status/reward bookkeeping.  Fully deterministic per seed.
+teacher acts on privileged state -> command integration -> ``advance``: five
+physics substeps of robot, scene and status on Python floats, with the robot
+and scene states built once at the end -> reward bookkeeping.  Fully
+deterministic per seed.
 """
 
 from __future__ import annotations
@@ -24,31 +26,18 @@ from .config import SimConfig
 from .distill import ACTION_DIM
 from .errors import NotReadyError
 from .gfm import alignment_gfm_weights, build_memory, generate_candidates
-from .robot import (
-    DEFAULT_JOINTS,
-    NOMINAL_HEIGHT,
-    accumulate_command,
-    ee_pose_in_base,
-    execute_command,
-    gait_observables,
-    initial_robot,
-)
+from .robot import (DEFAULT_JOINTS, NOMINAL_HEIGHT, _command_floats, _robot_floats,
+                    _robot_state, _robot_substep, accumulate_command, ee_pose_in_base,
+                    gait_observables, initial_robot)
 from .rewards import (
     HighLevelRewardInput,
     LowLevelState,
     high_level_reward,
     low_level_reward,
 )
-from .scene import (
-    EpisodeConfig,
-    apply_gripper_close,
-    check_status,
-    initial_status,
-    load_catalog,
-    make_trajectory,
-    reset_episode,
-    step_scene,
-)
+from .scene import (EpisodeConfig, _platform_rng, _scene_floats, _scene_state,
+                    _scene_substep, _status_after, apply_gripper_close, check_status,
+                    initial_status, load_catalog, make_trajectory, reset_episode)
 from .se3 import euler_to_matrix
 from .teacher import teacher_step
 
@@ -176,6 +165,26 @@ def _high_level_input(scene, robot, status, action_vec, prev_action,
     )
 
 
+def advance(robot, scene, status, u, traj, config: EpisodeConfig, sim_cfg: SimConfig,
+            step: int) -> tuple:
+    """(robot, scene, status) after decision ``step``'s physics under ``u``:
+    ``sim_cfg.substeps`` substeps, or up to the one where the status turns
+    terminal, each the cores of ``execute_command``, ``step_scene`` and
+    ``check_status`` on Python floats.  The states are read into floats, the
+    platform generator set and read back, and the states built, once each."""
+    dt, terrain = sim_cfg.physics_dt, scene.terrain
+    held = scene.object_attached_to == "gripper"
+    rf, cmd, sf = _robot_floats(robot), _command_floats(u), _scene_floats(scene)
+    rng = _platform_rng(scene, traj)
+    for _ in range(sim_cfg.substeps):   # rf[3:5] is the ee pose, rf[1][2] the base yaw
+        rf = _robot_substep(rf, cmd, terrain, dt)
+        sf = _scene_substep(sf, scene, traj, rng, dt, rf[3:5] if held else None)
+        status = _status_after(status, rf[1][2], sf, scene, config, step)
+        if status.terminal:
+            break
+    return _robot_state(rf, u, robot.gripper), _scene_state(scene, sf, rng), status
+
+
 def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
                 use_gfm: bool = True, catalog=None,
                 collect_observations: bool = False, log_steps: bool = False):
@@ -239,15 +248,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
                 robot = replace(robot, gripper="closed")
 
         u = accumulate_command(robot, action)
-        for _ in range(sim_cfg.substeps):
-            robot = execute_command(robot, u, scene.terrain, sim_cfg.physics_dt)
-            scene = step_scene(
-                scene, traj, sim_cfg.physics_dt,
-                ee_pose=robot.ee_pose if scene.object_attached_to == "gripper" else None,
-            )
-            status = check_status(scene, robot, status, config, step)
-            if status.terminal:
-                break
+        robot, scene, status = advance(robot, scene, status, u, traj, config, sim_cfg, step)
 
         if log_steps:
             obs_sig = gait_observables(robot, q_prev, sim_cfg.decision_dt, u,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -130,7 +131,9 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     overshoot the budget by at most its own length.  Serial and pooled runs
     share one loop (serially each episode runs at submission); a pool only
     parallelizes independent episodes and results are consumed in submission
-    order, so output bytes never depend on scheduling.
+    order, so output bytes never depend on scheduling.  ``workers`` above
+    ``os.cpu_count()`` is capped there: that many processes and episodes in
+    flight at most.
     """
     levels = sorted(set(levels))
     if not levels:
@@ -156,6 +159,9 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
         raise InvalidArgumentError(f"catalog has no object in split {split!r}")
     lookup = catalog_by_id(catalog)
 
+    # The pool starts all its workers on the first submit, and each episode in
+    # flight past the budget is thrown away: more than one per CPU gains nothing.
+    workers = min(workers, os.cpu_count() or 1)
     all_logs: list[EpisodeLog] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     submit, in_flight = (pool.submit, workers) if pool is not None else (_run_now, 1)

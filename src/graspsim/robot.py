@@ -5,8 +5,10 @@ first-order tracker that pulls the world end-effector pose toward the
 integrated target.  Integrators use exact (exponential / closed-form circle)
 discretization so that stepping at different rates stays consistent.  A
 synthetic 12-joint gait signal stands in for leg state so the locomotion
-reward formulas have inputs.  ``execute_command`` steps on Python floats
-(se3's float rule); ``np.exp`` and the arm step's dot keep numpy's bits.
+reward formulas have inputs.  A substep (``_robot_substep``) runs on Python
+floats (se3's float rule); ``np.exp`` and the arm step's dot keep numpy's
+bits.  ``execute_command`` is one substep on a RobotState; the episode's
+``advance`` runs a decision step's substeps on one set of floats.
 """
 
 from __future__ import annotations
@@ -158,18 +160,25 @@ def gait_joint_proxy(travel: float) -> np.ndarray:
     return DEFAULT_JOINTS + GAIT_AMPLITUDE * np.sin(phase + _LEG_PHASES)
 
 
-def execute_command(robot: RobotState, u: CommandVector, terrain: TerrainField,
-                    dt: float) -> RobotState:
-    """Advance the robot by dt under a constant command.
+def _robot_floats(robot: RobotState) -> tuple:
+    """The Python floats a substep advances: (base position, orientation and
+    linear velocity, ee position and orientation, travel)."""
+    base, ee = robot.base_pose, robot.ee_pose
+    return (base.position.tolist(), base.orientation.tolist(),
+            robot.base_twist.linear.tolist(), ee.position.tolist(),
+            ee.orientation.tolist(), robot.travel)
 
-    The command was checked when built and dt is checked here, so every pose
-    and twist is built unchecked with ``_trusted``; the ee target is ``u.target``.
-    """
-    if not 0.0 < dt < math.inf:
-        raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
-    x0, y0, z0 = robot.base_pose.position.tolist()
-    base_orn = robot.base_pose.orientation.tolist()
-    v, omega, yaw0 = u.v_lin, u.omega_yaw, base_orn[2]
+
+def _command_floats(u: CommandVector) -> tuple:
+    """(v_lin, omega_yaw, p_hat, r_hat); p_hat stays an array for the arm step."""
+    return u.v_lin, u.omega_yaw, u.p_hat, u.r_hat.tolist()
+
+
+def _robot_substep(rf: tuple, cmd: tuple, terrain: TerrainField, dt: float) -> tuple:
+    """The floats ``rf`` one substep of dt on, under the command floats ``cmd``."""
+    (x0, y0, z0), base_orn, _, ee_pos, ee_orn, travel = rf
+    v, omega, p_hat, r_hat = cmd
+    yaw0 = base_orn[2]
     yaw1 = yaw0 + omega * dt
     if abs(omega) < 1e-12:   # the closed-form unicycle advance: a line or an arc
         x1, y1 = x0 + v * math.cos(yaw0) * dt, y0 + v * math.sin(yaw0) * dt
@@ -180,17 +189,12 @@ def execute_command(robot: RobotState, u: CommandVector, terrain: TerrainField,
     z_target = NOMINAL_HEIGHT + terrain.height_at(x1, y1)
     z1 = z_target + (z0 - z_target) * _decay(dt, BASE_Z_TAU)
 
-    base_pose = _trusted(Pose6, np.array([x1, y1, z1]), np.array([0.0, 0.0, yaw1]))
-    base_twist = _trusted(Twist, np.array([(x1 - x0) / dt, (y1 - y0) / dt, (z1 - z0) / dt]),
-                          np.array([0.0, 0.0, u.omega_yaw]))
-
     # The arm rides the base, so the first-order tracking happens in base
     # coordinates: with constant commands the target is fixed there and the
     # exact exponential pull makes stepping rate-consistent.
-    rel_pos, rel_orn = _relative6((x0, y0, z0), base_orn, robot.ee_pose.position.tolist(),
-                                  robot.ee_pose.orientation.tolist())
+    rel_pos, rel_orn = _relative6((x0, y0, z0), base_orn, ee_pos, ee_orn)
     pull = 1.0 - _decay(dt, EE_TAU)
-    step_vec = np.subtract(u.p_hat, rel_pos) * pull
+    step_vec = np.subtract(p_hat, rel_pos) * pull
     step_len = math.sqrt(step_vec @ step_vec)   # ddot, as np.linalg.norm; not a float sum
     max_step = EE_RATE_LIMIT * dt
     if step_len > max_step:
@@ -198,11 +202,28 @@ def execute_command(robot: RobotState, u: CommandVector, terrain: TerrainField,
     sx, sy, sz = step_vec.tolist()
     ee_pos, ee_orn = _compose6((x1, y1, z1), (0.0, 0.0, yaw1),
                                (rel_pos[0] + sx, rel_pos[1] + sy, rel_pos[2] + sz),
-                               _lag_angle(rel_orn, u.r_hat.tolist(), pull))
-    ee_pose = _trusted(Pose6, np.array(ee_pos), np.array(ee_orn))
+                               _lag_angle(rel_orn, r_hat, pull))
+    return ((x1, y1, z1), (0.0, 0.0, yaw1), ((x1 - x0) / dt, (y1 - y0) / dt, (z1 - z0) / dt),
+            ee_pos, ee_orn, travel + abs(v) * dt)
 
-    return RobotState(base_pose, base_twist, u.target, ee_pose, robot.gripper,
-                      robot.travel + abs(u.v_lin) * dt)
+
+def _robot_state(rf: tuple, u: CommandVector, gripper: str) -> RobotState:
+    """The RobotState of floats stepped under ``u``; with the command and dt
+    checked, every pose and twist is built with ``_trusted``."""
+    base_pos, base_orn, base_lin, ee_pos, ee_orn, travel = rf
+    return RobotState(_trusted(Pose6, np.array(base_pos), np.array(base_orn)),
+                      _trusted(Twist, np.array(base_lin), np.array([0.0, 0.0, u.omega_yaw])),
+                      u.target, _trusted(Pose6, np.array(ee_pos), np.array(ee_orn)),
+                      gripper, travel)
+
+
+def execute_command(robot: RobotState, u: CommandVector, terrain: TerrainField,
+                    dt: float) -> RobotState:
+    """Advance the robot by dt under a constant command (checked when built)."""
+    if not 0.0 < dt < math.inf:
+        raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
+    return _robot_state(_robot_substep(_robot_floats(robot), _command_floats(u), terrain, dt),
+                        u, robot.gripper)
 
 
 def ee_pose_in_base(robot: RobotState) -> Pose6:

@@ -3,12 +3,17 @@
 The platform is kinematic: it follows a prescribed per-level trajectory with
 bounded acceleration, and the target object rides on it rigidly until grasped.
 Everything is a value; stepping is pure (state in, state out) and the RNG
-state travels inside ``SceneState`` so episodes replay bit-for-bit.
+state travels inside ``SceneState`` so episodes replay bit-for-bit.  A
+substep (``_scene_substep``, ``_status_after``) runs on Python floats, but for
+the random velocity's noise and norms: ``step_scene`` and ``check_status`` are
+one substep on a SceneState; the episode's ``advance`` runs a decision step's
+substeps on one set of floats and sets the generator from ``rng_state`` once.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+from array import array
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -17,8 +22,8 @@ import numpy as np
 
 from .errors import CatalogError, InvalidArgumentError, NotFoundError
 from .gfm import _world_vec6
-from .se3 import (TWO_PI, Pose6, Twist, _trusted, compose, relative_pose,
-                  rotation_angle_between, wrap_angle)
+from .se3 import (TWO_PI, Pose6, Twist, _compose6, _trusted, _wrap1, relative_pose,
+                  rotation_angle_between)
 
 TERRAIN_MAX_HEIGHT = 0.1
 TERRAIN_EXTENT = 8.0            # meters, side of the square height lattice
@@ -76,17 +81,22 @@ class TerrainField:
         flat32 = np.ascontiguousarray(h, dtype=np.float32).ravel()
         flat32.setflags(write=False)
         object.__setattr__(self, "flat32", flat32)
+        # height_at reads Python floats (a numpy scalar read costs more than the
+        # math) from array rows, a third of a list of floats' memory
+        object.__setattr__(self, "_rows", [array("d", row.tobytes()) for row in h])
+        object.__setattr__(self, "_origin", o.tolist())
 
     def height_at(self, x: float, y: float) -> float:
         """Bilinear height; coordinates outside the lattice clamp to the edge."""
-        h = self.heights
-        nx, ny = h.shape
-        gx = min(max((x - self.origin[0]) / self.cell_size, 0.0), nx - 1.0)
-        gy = min(max((y - self.origin[1]) / self.cell_size, 0.0), ny - 1.0)
+        rows, (ox, oy) = self._rows, self._origin
+        nx, ny = len(rows), len(rows[0])
+        gx = min(max((x - ox) / self.cell_size, 0.0), nx - 1.0)
+        gy = min(max((y - oy) / self.cell_size, 0.0), ny - 1.0)
         i, j = min(int(gx), nx - 2), min(int(gy), ny - 2)
         fx, fy = gx - i, gy - j
-        top = h[i, j] + fx * (h[i + 1, j] - h[i, j])
-        bot = h[i, j + 1] + fx * (h[i + 1, j + 1] - h[i, j + 1])
+        r0, r1 = rows[i], rows[i + 1]
+        top = r0[j] + fx * (r1[j] - r0[j])
+        bot = r0[j + 1] + fx * (r1[j + 1] - r0[j + 1])
         return float(top + fy * (bot - top))
 
 
@@ -326,14 +336,17 @@ class SceneState:
 _RNG_LOCAL = threading.local()
 
 
-def _rng_from_state(state: dict) -> np.random.Generator:
-    """This thread's scratch generator, continuing from ``state``.  A fresh
+def _platform_rng(state: SceneState, traj: PlatformTrajectory):
+    """None for a closed-form trajectory, which draws nothing; else this
+    thread's scratch generator, continuing from ``state.rng_state``.  A fresh
     ``PCG64()`` would seed itself from OS entropy only to be overwritten; one
     per thread keeps episodes in concurrent threads from sharing draws."""
+    if traj.mode != "random":
+        return None
     g = getattr(_RNG_LOCAL, "generator", None)
     if g is None:
         g = _RNG_LOCAL.generator = np.random.Generator(np.random.PCG64(0))
-    g.bit_generator.state = state
+    g.bit_generator.state = state.rng_state
     return g
 
 
@@ -397,23 +410,23 @@ def initial_status() -> EpisodeStatus:
     return EpisodeStatus()
 
 
-def _platform_velocity(state: SceneState, traj: PlatformTrajectory, dt: float):
-    """Velocity (three floats) for the next step plus the advanced RNG state."""
-    closed_form = trajectory_velocity(traj, state.time + dt)
+def _platform_velocity(traj: PlatformTrajectory, t: float, v, rng, dt: float) -> tuple:
+    """Velocity (three floats) at time t, the end of a step of dt from velocity
+    v; a random trajectory draws its noise from ``rng``."""
+    closed_form = trajectory_velocity(traj, t)
     if closed_form is not None:
-        return closed_form, state.rng_state
+        return closed_form
 
     # Mean-reverting random velocity, acceleration-bounded and speed-clipped.
-    v = state.platform_twist.linear
-    rng = _rng_from_state(state.rng_state)
+    v_xy = np.array(v[:2])
     noise = rng.normal(size=2)
-    dv = (OU_THETA * (np.asarray(traj.drift) - v[:2]) * dt
+    dv = (OU_THETA * (np.asarray(traj.drift) - v_xy) * dt
           + OU_SIGMA * np.sqrt(dt) * noise)
     dv_cap = PLATFORM_MAX_ACCEL * dt
     dv_norm = float(np.linalg.norm(dv))
     if dv_norm > dv_cap:
         dv *= dv_cap / dv_norm
-    vxy = v[:2] + dv
+    vxy = v_xy + dv
     lo, hi = traj.speed_range
     speed = float(np.linalg.norm(vxy))
     if speed > hi:
@@ -423,70 +436,94 @@ def _platform_velocity(state: SceneState, traj: PlatformTrajectory, dt: float):
     vx, vy = vxy.tolist()
     vz = 0.0
     if traj.z_policy == "free":
-        vz0 = v.item(2)
-        vz_target = traj.z_amp * math.sin(
-            TWO_PI * traj.z_freq * (state.time + dt) + traj.z_phase
-        )
+        vz0 = v[2]
+        vz_target = traj.z_amp * math.sin(TWO_PI * traj.z_freq * t + traj.z_phase)
         dvz = min(max(vz_target - vz0, -dv_cap), dv_cap)
         vz = min(max(vz0 + dvz, -L4_MAX_VZ), L4_MAX_VZ)
-    return (vx, vy, vz), rng.bit_generator.state
+    return vx, vy, vz
+
+
+def _scene_floats(state: SceneState) -> tuple:
+    """The Python floats a substep advances: (time, platform position and
+    velocity, object, grip).  The object's (position, orientation, linear,
+    angular) is None while it rides the platform; grip, the grip offset's
+    (position, orientation), is None unless the gripper holds it."""
+    obj = grip = None
+    if state.object_attached_to != "platform":
+        pose, twist = state.object_pose, state.object_twist
+        obj = (pose.position.tolist(), pose.orientation.tolist(),
+               twist.linear.tolist(), twist.angular.tolist())
+    if state.object_attached_to == "gripper":
+        grip = state.grip_offset.position.tolist(), state.grip_offset.orientation.tolist()
+    return (state.time, state.platform_pose.position.tolist(),
+            state.platform_twist.linear.tolist(), obj, grip)
+
+
+def _scene_substep(sf: tuple, state: SceneState, traj: PlatformTrajectory, rng,
+                   dt: float, ee) -> tuple:
+    """The floats ``sf`` of ``state`` one substep on; ``ee`` is the stepped
+    end-effector's (position, orientation) while the object is held.  The
+    displacement uses the pre-step velocity, so a finite difference of
+    positions across the step reproduces it exactly."""
+    t, (px, py, pz), (vx, vy, vz), obj, grip = sf
+    px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
+    t = t + dt
+    vel = vx, vy, vz = _platform_velocity(traj, t, sf[2], rng, dt)
+    if traj.z_policy == "free":
+        lo, hi = PLATFORM_Z_RANGE
+        if pz <= lo:
+            pz, vel = lo, (vx, vy, max(vz, 0.0))
+        elif pz >= hi:
+            pz, vel = hi, (vx, vy, min(vz, 0.0))
+
+    if grip is not None:
+        pos, orn = _compose6(ee[0], ee[1], grip[0], grip[1])
+        obj = (pos, orn, tuple((a - b) / dt for a, b in zip(pos, obj[0])),
+               tuple(_wrap1(a - b) / dt for a, b in zip(orn, obj[1])))
+    elif obj is not None:  # free: ballistic drop until resting on the terrain
+        (x, y, z), orn, (lx, ly, lz), ang = obj
+        x, y, z = x + lx * dt, y + ly * dt, z + lz * dt
+        floor = state.terrain.height_at(x, y) + state.object_spec.half_height
+        if z <= floor:
+            obj = (x, y, floor), orn, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+        else:
+            obj = (x, y, z), orn, (lx, ly, lz - GRAVITY * dt), ang
+    return t, (px, py, pz), vel, obj, grip
+
+
+def _scene_state(state: SceneState, sf: tuple, rng) -> SceneState:
+    """``state`` advanced to the floats ``sf`` and the generator ``rng``; with
+    dt checked, every pose and twist is finite and built with ``_trusted``."""
+    t, pos, vel, obj, _ = sf
+    platform_pose = _trusted(Pose6, np.array(pos), state.platform_pose.orientation)
+    platform_twist = _trusted(Twist, np.array(vel), np.zeros(3))
+    if obj is None:
+        obj_pose, obj_twist = _riding_pose(platform_pose, state.mount_offset), platform_twist
+    else:
+        obj_pose = _trusted(Pose6, np.array(obj[0]), np.array(obj[1]))
+        obj_twist = _trusted(Twist, np.array(obj[2]), np.array(obj[3]))
+    return SceneState(t, platform_pose, platform_twist, obj_pose, obj_twist,
+                      state.object_attached_to, state.terrain,
+                      state.rng_state if rng is None else rng.bit_generator.state,
+                      state.object_spec, state.mount_offset, state.platform_half,
+                      state.grip_offset)
 
 
 def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
                ee_pose: Pose6 | None = None) -> SceneState:
     """Advance the platform by dt; the object follows its carrier rigidly.
-
-    The displacement over this step uses the stored (pre-step) twist, so a
-    finite difference of positions across the step reproduces the twist
-    exactly.  When the object rides the gripper, ``ee_pose`` must be the
-    end-effector pose after the robot has stepped.  With dt checked here, every
-    advanced pose and twist is finite by construction and built with ``_trusted``.
-    Python floats (se3's float rule), but for the random velocity's noise and
-    norms and the held object's twist.
-    """
+    When the object rides the gripper, ``ee_pose`` must be the end-effector
+    pose after the robot has stepped."""
     if not 0.0 < dt < math.inf:
         raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
-    (px, py, pz), (vx, vy, vz) = (state.platform_pose.position.tolist(),
-                                  state.platform_twist.linear.tolist())
-    px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
-    (vx, vy, vz), rng_state = _platform_velocity(state, traj, dt)
-    if traj.z_policy == "free":
-        lo, hi = PLATFORM_Z_RANGE
-        if pz <= lo:
-            pz, vz = lo, max(vz, 0.0)
-        elif pz >= hi:
-            pz, vz = hi, min(vz, 0.0)
-    platform_pose = _trusted(Pose6, np.array([px, py, pz]), state.platform_pose.orientation)
-    platform_twist = _trusted(Twist, np.array([vx, vy, vz]), np.zeros(3))
-
-    attached = state.object_attached_to
-    obj_pose = state.object_pose
-    obj_twist = state.object_twist
-    if attached == "platform":
-        obj_pose = _riding_pose(platform_pose, state.mount_offset)
-        obj_twist = platform_twist
-    elif attached == "gripper":
+    ee = None
+    if state.object_attached_to == "gripper":
         if ee_pose is None:
             raise InvalidArgumentError("step_scene needs ee_pose while object is held")
-        new_pose = compose(ee_pose, state.grip_offset)
-        obj_twist = _trusted(Twist, (new_pose.position - obj_pose.position) / dt,
-                             wrap_angle(new_pose.orientation - obj_pose.orientation) / dt)
-        obj_pose = new_pose
-    else:  # free: ballistic drop until resting on the terrain
-        (x, y, z), (lx, ly, lz) = obj_pose.position.tolist(), obj_twist.linear.tolist()
-        x, y, z = x + lx * dt, y + ly * dt, z + lz * dt
-        floor = state.terrain.height_at(x, y) + state.object_spec.half_height
-        if z <= floor:
-            z = floor
-            obj_twist = _trusted(Twist, np.zeros(3), np.zeros(3))
-        else:
-            obj_twist = _trusted(Twist, np.array([lx, ly, lz - GRAVITY * dt]),
-                                 obj_twist.angular)
-        obj_pose = _trusted(Pose6, np.array([x, y, z]), obj_pose.orientation)
-
-    return SceneState(state.time + dt, platform_pose, platform_twist, obj_pose, obj_twist,
-                      attached, state.terrain, rng_state, state.object_spec,
-                      state.mount_offset, state.platform_half, state.grip_offset)
+        ee = ee_pose.position.tolist(), ee_pose.orientation.tolist()
+    rng = _platform_rng(state, traj)
+    sf = _scene_substep(_scene_floats(state), state, traj, rng, dt, ee)
+    return _scene_state(state, sf, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -556,19 +593,19 @@ def apply_gripper_close(state: SceneState, robot, bank, cfg) -> tuple[SceneState
     return state, False
 
 
-def check_status(state: SceneState, robot, status: EpisodeStatus,
-                 config: EpisodeConfig, decision_step: int) -> EpisodeStatus:
-    """Advance the episode state machine by one physics step."""
+def _status_after(status: EpisodeStatus, yaw: float, sf: tuple, state: SceneState,
+                  config: EpisodeConfig, decision_step: int) -> EpisodeStatus:
+    """check_status on the base yaw and the floats ``sf`` of ``state``."""
     if status.terminal:
         return status
     # Drift from yaw 0: a pose's yaw is wrapped, so abs() alone measures it.
-    if abs(robot.base_pose.orientation[2]) > YAW_FAIL_LIMIT:
+    if abs(yaw) > YAW_FAIL_LIMIT:
         return EpisodeStatus("failed_yaw")
     if decision_step >= config.timeout_steps:
         return EpisodeStatus("failed_timeout")
 
     if state.object_attached_to == "gripper":
-        lift = state.object_pose.position[2] - state.platform_pose.position[2]
+        lift = sf[3][0][2] - sf[1][2]
         if lift >= LIFT_SUCCESS_HEIGHT:
             hold = status.hold_steps + 1
             if hold >= LIFT_HOLD_STEPS:
@@ -581,3 +618,10 @@ def check_status(state: SceneState, robot, status: EpisodeStatus,
     if state.object_attached_to == "free" or abs(rel[0]) > fx or abs(rel[1]) > fy:
         return EpisodeStatus("failed_dropped")
     return EpisodeStatus("approaching")
+
+
+def check_status(state: SceneState, robot, status: EpisodeStatus,
+                 config: EpisodeConfig, decision_step: int) -> EpisodeStatus:
+    """Advance the episode state machine by one physics step."""
+    return _status_after(status, robot.base_pose.orientation.item(2), _scene_floats(state),
+                         state, config, decision_step)

@@ -232,3 +232,32 @@ def test_benchmark_rejects_empty_split_before_pool(catalog, monkeypatch):
         with pytest.raises(InvalidArgumentError, match="split 'unseen'"):
             run_benchmark([1], episodes_per_level=1, split="unseen",
                           workers=workers, catalog=seen_only)
+
+
+def test_benchmark_caps_workers_at_cpu_count(monkeypatch):
+    # --workers 64 on 2 CPUs asks for a 2-process pool and keeps 2 episodes in
+    # flight; the stand-in pool runs each episode at submission, no process
+    requested, submitted = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def submit(self, fn, *args):
+            submitted.append(args[0][0])
+            return metrics._run_now(fn, *args)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
+    _, csv_p, sums_p = run_benchmark([1], episodes_per_level=3, seed=5, timeout_steps=20,
+                                     workers=64)
+    assert requested == [2]
+    assert len(submitted) == 3 + 1     # the third result is read with one more in flight
+    _, csv_s, sums_s = run_benchmark([1], episodes_per_level=3, seed=5, timeout_steps=20)
+    assert (csv_p, summaries_to_jsonl(sums_p)) == (csv_s, summaries_to_jsonl(sums_s))
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: None)
+    run_benchmark([1], episodes_per_level=1, seed=5, timeout_steps=5, workers=8)
+    assert requested == [2]            # one CPU, or an unknown count: serial, no pool

@@ -56,6 +56,41 @@ def test_terrain_node_query_exact():
             assert t.height_at(x, y) == pytest.approx(t.heights[i, j], abs=1e-12)
 
 
+def _height_at_numpy(t, x, y):
+    """The bilinear formula on numpy scalars of the grid and origin."""
+    h = t.heights
+    nx, ny = h.shape
+    gx = min(max((x - t.origin[0]) / t.cell_size, 0.0), nx - 1.0)
+    gy = min(max((y - t.origin[1]) / t.cell_size, 0.0), ny - 1.0)
+    i, j = min(int(gx), nx - 2), min(int(gy), ny - 2)
+    fx, fy = gx - i, gy - j
+    top = h[i, j] + fx * (h[i + 1, j] - h[i, j])
+    bot = h[i, j + 1] + fx * (h[i + 1, j + 1] - h[i, j + 1])
+    return float(top + fy * (bot - top))
+
+
+def test_height_at_bits_match_numpy_scalar_formula(rng):
+    # height_at reads a Python-float copy of the grid and origin; the same
+    # formula on numpy scalars gives the same bits, inside the lattice, on
+    # its nodes and edges, and clamped outside it
+    t = sample_terrain(11)
+    lo = t.origin
+    hi = t.origin + t.cell_size * (np.array(t.heights.shape) - 1)
+    points = [tuple(p) for p in rng.uniform(lo - 1.0, hi + 1.0, (3000, 2))]
+    nodes = [lo + t.cell_size * np.array([i, j])
+             for i in (0, 1, 40, 79, 80) for j in (0, 1, 40, 79, 80)]
+    points += [tuple(p) for p in nodes]
+    ys = rng.uniform(lo[1], hi[1], 50)
+    points += [(x, y) for x in (lo[0], hi[0], np.nextafter(hi[0], 0.0)) for y in ys]
+    points += [(y, x) for x, y in points[-150:]]
+    points += [(-1e3, 2.0), (1e3, -2.0), (0.5, 1e9), (-1e9, -1e9), (1e9, 1e9)]
+    for x, y in points:
+        for args in ((float(x), float(y)), (np.float64(x), np.float64(y))):
+            got, want = t.height_at(*args), _height_at_numpy(t, *args)
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
 def test_terrain_continuity_lipschitz(rng):
     t = sample_terrain(3)
     bound = 0.1 / t.cell_size

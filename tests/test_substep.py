@@ -1,5 +1,6 @@
 """The physics substep: pinned episode bytes, the rule that the robot and
 scene integrators build no checked value once the command and dt are in, the
+episode's float ``advance`` against one-substep calls of the public API, the
 gait joints computed only for a logged episode, and the decision step's
 checked poses (the command and the policy output only)."""
 
@@ -18,7 +19,13 @@ from graspsim.robot import (
     execute_command,
     initial_robot,
 )
-from graspsim.scene import PLATFORM_Z_RANGE, make_trajectory, reset_episode, step_scene
+from graspsim.scene import (
+    PLATFORM_Z_RANGE,
+    check_status,
+    make_trajectory,
+    reset_episode,
+    step_scene,
+)
 from graspsim.se3 import Pose6, Twist, compose, inverse
 
 from conftest import assert_valid_pose, make_config
@@ -264,3 +271,62 @@ def test_decision_step_checks_only_command_and_policy_output(object_id, seed, ca
     per_step = np.diff(at_decision + [counts["Pose6"]])
     assert len(per_step) == log.n_steps
     assert per_step.max() <= 2
+
+
+def _advance_by_substeps(robot, scene, status, u, traj, config, sim_cfg, step):
+    """advance as one-substep calls of execute_command, step_scene and
+    check_status; also returns how many substeps ran."""
+    dt = sim_cfg.physics_dt
+    for n in range(1, sim_cfg.substeps + 1):
+        robot = execute_command(robot, u, scene.terrain, dt)
+        held = robot.ee_pose if scene.object_attached_to == "gripper" else None
+        scene = step_scene(scene, traj, dt, ee_pose=held)
+        status = check_status(scene, robot, status, config, step)
+        if status.terminal:
+            break
+    return robot, scene, status, n
+
+
+def _state_bytes(robot, scene) -> bytes:
+    values = (robot.base_pose, robot.base_twist, robot.ee_pose,
+              scene.platform_pose, scene.platform_twist, scene.object_pose, scene.object_twist)
+    arrays = [getattr(v, name) for v in values for name in v.__dataclass_fields__]
+    arrays.append(np.array([robot.travel, scene.time]))
+    return b"".join(a.tobytes() for a in arrays)
+
+
+# The EPISODE_DIGESTS episodes of levels 1, 3 and 4 plus one of level 2:
+# held objects lifted to success, objects shoved off the platform (free),
+# closed-form and random platform motion.
+PARITY_EPISODES = [(1, "water_bottle", 1), (1, "sugar_box", 0), (2, "lemon", 2),
+                   (3, "marker_large", 0), (3, "sugar_box", 0), (4, "lemon", 0),
+                   (4, "sugar_box", 0)]
+
+
+def test_advance_matches_one_substep_calls(catalog, monkeypatch):
+    real_advance, seen = episode.advance, {"carriers": set(), "partway": 0, "draws": 0}
+
+    def compared(robot, scene, status, u, traj, config, sim_cfg, step):
+        got = real_advance(robot, scene, status, u, traj, config, sim_cfg, step)
+        want_robot, want_scene, want_status, n = _advance_by_substeps(
+            robot, scene, status, u, traj, config, sim_cfg, step)
+        assert _state_bytes(*got[:2]) == _state_bytes(want_robot, want_scene)
+        assert got[2] == want_status
+        assert got[1].rng_state == want_scene.rng_state
+        assert (got[0].gripper, got[0].ee_target) == (want_robot.gripper, u.target)
+        assert got[1].object_attached_to == want_scene.object_attached_to
+        seen["carriers"].add(scene.object_attached_to)
+        seen["partway"] += n < sim_cfg.substeps
+        seen["draws"] += got[1].rng_state != scene.rng_state
+        return got
+
+    monkeypatch.setattr(episode, "advance", compared)
+    outcomes = set()
+    for level, object_id, seed in PARITY_EPISODES:
+        log = run_episode(make_config(level=level, object_id=object_id, seed=seed,
+                                      timeout_steps=40), catalog=catalog)
+        outcomes.add(log.outcome)
+    assert outcomes == {"success", "failed_dropped", "failed_timeout"}
+    assert seen["carriers"] == {"platform", "gripper", "free"}
+    assert seen["partway"] > 0         # a status turned terminal inside a decision step
+    assert seen["draws"] > 0           # the random levels advanced their generator

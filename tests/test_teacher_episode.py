@@ -225,13 +225,14 @@ def test_episode_takes_clocks_from_sim_config(monkeypatch):
     import graspsim.episode as episode_mod
 
     calls = []
-    real_step = episode_mod.step_scene
+    real_substep = episode_mod._scene_substep
 
-    def counting_step(scene, traj, dt, **kw):
+    def counting_substep(sf, scene, traj, rng, dt, ee):
         calls.append(dt)
-        return real_step(scene, traj, dt, **kw)
+        return real_substep(sf, scene, traj, rng, dt, ee)
 
-    monkeypatch.setattr(episode_mod, "step_scene", counting_step)
+    # advance looks its scene substep up at call time, once per substep
+    monkeypatch.setattr(episode_mod, "_scene_substep", counting_substep)
     log = run_episode(make_config(timeout_steps=3, **GOLDEN),
                       sim_cfg=SimConfig(physics_dt=0.05), log_steps=True)
     assert (log.physics_dt, log.decision_dt, log.n_steps) == (0.05, 0.1, 3)

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from graspsim import episode
+from graspsim.config import SimConfig
 
 from conftest import make_config
 
@@ -36,6 +37,14 @@ def test_tracer_installs_counts_and_restores(catalog):
         assert tr.span("episode.run_episode").calls == 1
         assert tr.span("scene.check_status").calls > 0
         assert tr.span("se3.Pose6").calls > 0
+        # episode.advance runs the substeps through the robot and scene float
+        # cores, cross-module bindings, so their time stays on those layers
+        substeps = 2 * SimConfig().substeps
+        for core in ("robot._robot_substep", "scene._scene_substep"):
+            assert tr.span(core).calls == substeps
+            assert tr.span(core).self_time > 0.0
+        assert tr.span("scene._status_after").calls == substeps
+        assert tr.span("se3._compose6").calls >= substeps
         metrics = tracer.layer_metrics(tr, log.n_steps, 1.0, 1.0, 1.0)
         assert metrics["nn.flops_per_forward"] > 0
     finally:
