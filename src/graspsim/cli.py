@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("render", help="dump mask/depth frames as PGM")
     r.add_argument("--level", type=int, default=1)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--step", type=int, default=0)
+    r.add_argument("--step", type=int, default=0, help="advance only the scene N decision "
+                   "steps; the robot stays put, so these are not the episode's frames")
     r.add_argument("--object", default=None)
     r.add_argument("--out-dir", default="frames")
     r.set_defaults(func=_cmd_render)

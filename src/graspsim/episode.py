@@ -25,7 +25,7 @@ from .camera import (
 from .config import SimConfig
 from .distill import ACTION_DIM
 from .errors import NotReadyError
-from .gfm import alignment_gfm_weights, build_memory, generate_candidates
+from .gfm import alignment_gfm_weights, draw_bank
 from .robot import (DEFAULT_JOINTS, NOMINAL_HEIGHT, _command_floats, _robot_floats,
                     _robot_state, _robot_substep, accumulate_command, ee_pose_in_base,
                     gait_observables, initial_robot)
@@ -113,10 +113,8 @@ def episode_start(config: EpisodeConfig, catalog):
 
 def episode_bank(spec, sim_cfg: SimConfig, seed: int):
     """The grasp memory bank of every episode of ``seed`` on object ``spec``."""
-    candidates = generate_candidates(spec, sim_cfg.candidate_count,
-                                     derive_seed(seed, 23),
-                                     aperture=sim_cfg.gripper_aperture)
-    return build_memory(candidates, sim_cfg.bank_size, object_id=spec.id)
+    return draw_bank(spec, sim_cfg.candidate_count, sim_cfg.bank_size,
+                     derive_seed(seed, 23), aperture=sim_cfg.gripper_aperture)
 
 
 def render_views(scene, robot, sim_cfg: SimConfig, seed: int, step: int) -> tuple:

@@ -1,8 +1,9 @@
 """Grasp memory and attention fusion.
 
 Candidates are generated analytically per primitive (antipodal pairs that fit
-the parallel-jaw aperture), stored object-locally in a top-K memory bank,
-re-projected to the world frame at query time, and fused with a single
+the parallel-jaw aperture); an episode's top-K memory bank (``draw_bank``)
+poses only the K it keeps.  The bank, stored object-locally, is projected to
+the world frame once per object orientation and fused with a single
 query/key/value attention pass.  Orientation fusion happens in the 64-d value
 embedding and is projected back to 6-D; note that the degenerate linear
 default weights make this a convex blend of pose vectors, and averaging Euler
@@ -59,6 +60,8 @@ class GraspMemoryBank:
     # a (3, 4, K) array built once: re-projecting the bank is one product of
     # the object rotation with it, summed like compose's.
     _local: np.ndarray = field(init=False, repr=False, compare=False)
+    # _world_vec6's last projection: (orientation bytes, offsets, Euler rows).
+    _memo: tuple = field(init=False, repr=False, compare=False, default=(None, None, None))
 
     def __post_init__(self):
         scores = [c.score for c in self.candidates]
@@ -168,113 +171,122 @@ def _pose_from_axes(position, approach, closing) -> Pose6:
     return _trusted(Pose6, np.array(position, dtype=float), matrix_to_euler(r))
 
 
-def _score(width: float, approach, aperture: float) -> float:
-    """Wider pairs score lower; approaching from below is penalized."""
-    base = 1.0 - width / aperture
-    up = max(0.0, float(approach[2]))
-    return float(min(max(base * (1.0 - 0.5 * up), 0.0), 1.0))
+def _score(width, approach_z, aperture: float) -> list:
+    """Each candidate's score from its pair width and approach-axis z: wider
+    pairs score lower; approaching from below is penalized."""
+    base = 1.0 - np.asarray(width, dtype=float) / aperture
+    up = np.maximum(0.0, approach_z)
+    return np.minimum(np.maximum(base * (1.0 - 0.5 * up), 0.0), 1.0).tolist()
 
 
-def _sphere_candidates(radius, n, rng, aperture):
-    out = []
+def _uniform(u: np.ndarray, lo: float, hi: float) -> list:
+    """``rng.uniform(lo, hi)`` of each ``rng.random()`` draw in ``u``, as
+    Python floats: numpy computes one as ``lo + (hi - lo) * random()``."""
+    return (lo + (hi - lo) * u).tolist()
+
+
+def _sphere_draws(radius, n, rng, aperture):
     if 2.0 * radius > aperture:
-        return out
-    for _ in range(n):
-        z = rng.uniform(-1.0, 1.0)
-        phi = rng.uniform(-np.pi, np.pi)
-        s = np.sqrt(max(0.0, 1.0 - z * z))
-        approach = np.array([s * np.cos(phi), s * np.sin(phi), z])
-        helper = np.array([0.0, 0.0, 1.0])
-        if abs(approach[2]) > 0.9:
-            helper = np.array([1.0, 0.0, 0.0])
+        return [], None
+    u = rng.random((n, 3))   # z, phi and roll of each candidate in turn
+    z = _uniform(u[:, 0], -1.0, 1.0)
+    phi, roll = (_uniform(u[:, j], -np.pi, np.pi) for j in (1, 2))
+
+    def pose(i):
+        s = np.sqrt(max(0.0, 1.0 - z[i] * z[i]))
+        approach = np.array([s * np.cos(phi[i]), s * np.sin(phi[i]), z[i]])
+        helper = np.array([1.0, 0.0, 0.0] if abs(z[i]) > 0.9 else [0.0, 0.0, 1.0])
         closing_seed = _cross(approach, helper)
-        roll = rng.uniform(-np.pi, np.pi)
-        c = (np.cos(roll) * closing_seed
-             + np.sin(roll) * _cross(approach, closing_seed))
-        out.append(GraspCandidate(
-            _pose_from_axes(np.zeros(3), approach, c),
-            _score(2.0 * radius, approach, aperture),
-        ))
-    return out
+        c = (np.cos(roll[i]) * closing_seed
+             + np.sin(roll[i]) * _cross(approach, closing_seed))
+        return _pose_from_axes(np.zeros(3), approach, c)
+    return _score(2.0 * radius, np.array(z), aperture), pose
 
 
-_BOX_AXES = (np.array([1.0, 0.0, 0.0]),
-             np.array([0.0, 1.0, 0.0]),
-             np.array([0.0, 0.0, 1.0]))
+_AXES = tuple(np.eye(3))
 
 
-def _box_candidates(dims, n, rng, aperture):
+def _box_draws(dims, n, rng, aperture):
     feasible = [i for i in range(3) if dims[i] <= aperture]
     if not feasible:
-        return []
-    combos = []
-    for ci in feasible:
-        for ai in range(3):
-            if ai == ci:
-                continue
-            free = 3 - ci - ai
-            for sign in (1.0, -1.0):
-                combos.append((ci, ai, sign, free))
-    out = []
-    for idx in range(n):
-        ci, ai, sign, free = combos[idx % len(combos)]
-        # Slide along the remaining axis; index 0 of each combo stays centered.
-        frac = 0.0 if idx < len(combos) else rng.uniform(-0.25, 0.25)
-        position = _BOX_AXES[free] * (frac * dims[free])
-        approach = sign * _BOX_AXES[ai]
-        out.append(GraspCandidate(
-            _pose_from_axes(position, approach, _BOX_AXES[ci]),
-            _score(dims[ci], approach, aperture),
-        ))
-    return out
+        return [], None
+    combos = [(ci, ai, sign, 3 - ci - ai) for ci in feasible for ai in range(3)
+              if ai != ci for sign in (1.0, -1.0)]
+    picks = [combos[idx % len(combos)] for idx in range(n)]
+    # Slide along the remaining axis; index 0 of each combo stays centered.
+    frac = [0.0] * min(n, len(combos)) + _uniform(rng.random(max(0, n - len(combos))),
+                                                  -0.25, 0.25)
+
+    def pose(i):
+        ci, ai, sign, free = picks[i]
+        return _pose_from_axes(_AXES[free] * (frac[i] * dims[free]),
+                               sign * _AXES[ai], _AXES[ci])
+    approach_z = np.array([sign * _AXES[ai][2] for _, ai, sign, _ in picks])
+    return _score([dims[ci] for ci, *_ in picks], approach_z, aperture), pose
 
 
-def _cylinder_candidates(radius, height, n, rng, aperture):
-    out = []
+def _cylinder_draws(radius, height, n, rng, aperture):
     if 2.0 * radius > aperture:
-        return out
+        return [], None
     n_top = max(1, n // 4)
-    for i in range(n - n_top):
-        phi = rng.uniform(-np.pi, np.pi)
-        frac = 0.0 if i == 0 else rng.uniform(-0.25, 0.25)
-        approach = np.array([np.cos(phi), np.sin(phi), 0.0])
-        position = np.array([0.0, 0.0, frac * height])
-        out.append(GraspCandidate(
-            _pose_from_axes(position, approach, np.array([0.0, 0.0, 1.0])),
-            _score(2.0 * radius, approach, aperture),
-        ))
-    for _ in range(n_top):
-        phi = rng.uniform(-np.pi, np.pi)
-        closing = np.array([np.cos(phi), np.sin(phi), 0.0])
-        position = np.array([0.0, 0.0, 0.25 * height])
-        approach = np.array([0.0, 0.0, -1.0])
-        out.append(GraspCandidate(
-            _pose_from_axes(position, approach, closing),
-            _score(2.0 * radius, approach, aperture),
-        ))
-    return out
+    side = n - n_top
+    # A side grasp draws its phi, then its frac (the first stays centered);
+    # then each top grasp draws its phi.
+    k = max(0, 2 * side - 1)
+    u = rng.random(k + n_top)
+    phi = _uniform(np.concatenate([u[:min(side, 1)], u[1:k:2], u[k:]]), -np.pi, np.pi)
+    frac = [0.0] + _uniform(u[2:k:2], -0.25, 0.25)
+
+    def pose(i):
+        ring = np.array([np.cos(phi[i]), np.sin(phi[i]), 0.0])
+        if i < side:
+            return _pose_from_axes(np.array([0.0, 0.0, frac[i] * height]), ring, _AXES[2])
+        return _pose_from_axes(np.array([0.0, 0.0, 0.25 * height]), np.array([0.0, 0.0, -1.0]),
+                               ring)
+    return _score(2.0 * radius, np.array([0.0] * side + [-1.0] * n_top), aperture), pose
+
+
+def _draws(spec: ObjectSpec, n: int, seed: int, aperture: float):
+    """The scores of ``n`` candidates of ``spec`` in draw order, and a function
+    that builds the pose of candidate i; no candidates if nothing fits."""
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if spec.shape == "sphere":
+        return _sphere_draws(spec.dims[0], n, rng, aperture)
+    if spec.shape == "box":
+        return _box_draws(spec.dims, n, rng, aperture)
+    return _cylinder_draws(spec.dims[0], spec.dims[1], n, rng, aperture)
+
+
+def _kept(scores, k: int) -> list:
+    """Indices of the top-K scores, best first (stable: ties keep earlier entries)."""
+    if k < 1:
+        raise InvalidArgumentError(f"K must be >= 1, got {k}")
+    return sorted(range(len(scores)), key=lambda i: -scores[i])[:k]
 
 
 def generate_candidates(spec: ObjectSpec, n: int, seed: int,
                         aperture: float = GRIPPER_APERTURE) -> list:
     """Antipodal grasp candidates in the object frame; empty if nothing fits."""
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if spec.shape == "sphere":
-        return _sphere_candidates(spec.dims[0], n, rng, aperture)
-    if spec.shape == "box":
-        return _box_candidates(spec.dims, n, rng, aperture)
-    return _cylinder_candidates(spec.dims[0], spec.dims[1], n, rng, aperture)
+    scores, pose = _draws(spec, n, seed, aperture)
+    return [GraspCandidate(pose(i), s) for i, s in enumerate(scores)]
 
 
 def build_memory(candidates, k: int = DEFAULT_BANK_SIZE,
                  object_id: str = "") -> GraspMemoryBank:
     """Keep the top-K candidates by score (stable: ties keep earlier entries)."""
-    if k < 1:
-        raise InvalidArgumentError(f"K must be >= 1, got {k}")
-    order = sorted(range(len(candidates)), key=lambda i: -candidates[i].score)
-    return GraspMemoryBank(object_id, tuple(candidates[i] for i in order[:k]), k)
+    return GraspMemoryBank(object_id, tuple(candidates[i] for i in
+                                            _kept([c.score for c in candidates], k)), k)
+
+
+def draw_bank(spec: ObjectSpec, n: int, k: int, seed: int,
+              aperture: float = GRIPPER_APERTURE) -> GraspMemoryBank:
+    """``build_memory(generate_candidates(spec, n, seed, aperture), k, spec.id)``,
+    with a pose built only for the K candidates it keeps."""
+    scores, pose = _draws(spec, n, seed, aperture)
+    return GraspMemoryBank(spec.id, tuple(GraspCandidate(pose(i), scores[i])
+                                          for i in _kept(scores, k)), k)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +361,18 @@ def _world_vec6(bank: GraspMemoryBank, obj_pose: Pose6) -> np.ndarray:
 
     Each row equals vec6_encode(grasp_to_world(c.pose, obj_pose)) bit for bit:
     ``_mulv`` over the rows of ``bank._local`` sums each entry in compose's
-    order, elementwise over K.
+    order, elementwise over K.  The rotated offsets and Euler rows depend on
+    the orientation alone, so the bank keeps the last ones: a riding object
+    only translates, and a query at the same orientation bytes adds the
+    position to the kept offsets.
     """
-    rows = np.array(_mulv(_rot9(obj_pose.orientation.tolist()), bank._local))
-    pos = rows[:, 3].T + obj_pose.position
-    return np.concatenate([pos, matrix_to_euler(rows[:, :3].transpose(2, 0, 1))], axis=1)
+    key, (memo_key, offsets, euler) = obj_pose.orientation.tobytes(), bank._memo
+    if key != memo_key:
+        rows = np.array(_mulv(_rot9(obj_pose.orientation.tolist()), bank._local))
+        offsets = rows[:, 3].T.copy()
+        euler = matrix_to_euler(rows[:, :3].transpose(2, 0, 1))
+        object.__setattr__(bank, "_memo", (key, offsets, euler))
+    return np.concatenate([offsets + obj_pose.position, euler], axis=1)
 
 
 def gfm_forward(feat, obj_pose: Pose6, bank: GraspMemoryBank,

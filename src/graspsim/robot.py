@@ -149,9 +149,9 @@ def _decay(dt: float, tau: float) -> float:
     return float(np.exp(-dt / tau))   # np.exp: math.exp rounds differently
 
 
-def _lag_angle(current, target, alpha: float) -> np.ndarray:
+def _lag_angle(current, target, alpha: float) -> tuple:
     """Exponential pull of each angle toward the target along the short way."""
-    return np.array([_wrap1(c + alpha * _wrap1(t - c)) for c, t in zip(current, target)])
+    return tuple([_wrap1(c + alpha * _wrap1(t - c)) for c, t in zip(current, target)])
 
 
 def gait_joint_proxy(travel: float) -> np.ndarray:

@@ -75,15 +75,15 @@ def _ro(a):
 
 def _checked_pair(value):
     """The two fields of a Pose6 or Twist as read-only float copies, checked
-    to be finite 3-vectors."""
+    on Python floats to be finite 3-vectors."""
     kind, names = type(value).__name__, value.__dataclass_fields__
-    first, second = (_ro(getattr(value, name)) for name in names)
+    first, second = [_ro(getattr(value, name)) for name in names]
     if first.shape != (3,) or second.shape != (3,):
         raise InvalidArgumentError(
             f"{kind} needs two 3-vectors, got {first.shape} / {second.shape}"
         )
     for name, a in zip(names, (first, second)):
-        if not np.isfinite(a).all():
+        if not all(map(math.isfinite, a.tolist())):
             raise InvalidArgumentError(f"{kind}.{name} must be finite, got {a!r}")
     return first, second
 
@@ -97,8 +97,8 @@ class Pose6:
 
     def __post_init__(self):
         pos, orn = _checked_pair(self)
-        wrapped = wrap_angle(orn)
-        if not all(-math.pi < a <= math.pi for a in wrapped.tolist()):
+        wrapped = [_wrap1(a) for a in orn.tolist()]
+        if not all(-math.pi < a <= math.pi for a in wrapped):
             raise InvalidArgumentError(
                 f"Pose6.orientation too large to wrap into (-pi, pi], got {orn!r}")
         object.__setattr__(self, "position", pos)

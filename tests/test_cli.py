@@ -97,15 +97,15 @@ def test_gfm_inspect_saves_the_episode_bank(tmp_path, capsys, monkeypatch):
     # gfm-inspect shows the bank that an episode of that object and seed
     # grasps from, whatever the episode's level
     import graspsim.episode as episode
-    from graspsim.gfm import build_memory, save_bank
+    from graspsim.gfm import save_bank
 
-    built = []
+    built, real_bank = [], episode.episode_bank
 
     def recording(*args, **kwargs):
-        built.append(build_memory(*args, **kwargs))
+        built.append(real_bank(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(episode, "build_memory", recording)
+    monkeypatch.setattr(episode, "episode_bank", recording)
     run_episode(EpisodeConfig(level=2, object_id="mustard_bottle", seed=9,
                               timeout_steps=1))
     save_bank(built[0], tmp_path / "episode_bank.txt")

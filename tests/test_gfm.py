@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from graspsim.config import SimConfig
+from graspsim.episode import derive_seed, episode_bank
 from graspsim.errors import EmptyBankError, InvalidArgumentError
 from graspsim.gfm import (
     _cross,
@@ -10,6 +12,7 @@ from graspsim.gfm import (
     GraspMemoryBank,
     alignment_gfm_weights,
     build_memory,
+    draw_bank,
     generate_candidates,
     gfm_forward,
     load_bank,
@@ -111,6 +114,36 @@ def test_build_memory_short_list():
     cands = generate_candidates(SPHERE, 5, seed=2)
     bank = build_memory(cands, 30)
     assert len(bank) == 5
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_episode_bank_bytes_equal_the_memory_of_every_candidate(seed, catalog, tmp_path):
+    # an episode's bank poses only the K candidates it keeps; its file is the
+    # one build_memory writes after posing all 200, for every bundled object
+    # (a sphere, box and cylinder each, ties included: box scores repeat)
+    for spec in catalog:
+        save_bank(episode_bank(spec, SimConfig(), seed), tmp_path / "kept.txt")
+        every = generate_candidates(spec, 200, derive_seed(seed, 23))
+        save_bank(build_memory(every, 30, spec.id), tmp_path / "all.txt")
+        assert ((tmp_path / "kept.txt").read_bytes()
+                == (tmp_path / "all.txt").read_bytes()), spec.id
+    assert {spec.shape for spec in catalog} == {"sphere", "box", "cylinder"}
+
+
+def test_draw_bank_short_lists_and_errors():
+    # fewer candidates than K keeps them all; nothing that fits gives an
+    # empty bank; bad n and K fail as generate_candidates and build_memory do
+    for spec, n, k in ((SPHERE, 5, 30), (CYL, 1, 30), (BOX, 13, 4), (BIG_BOX, 40, 30)):
+        want = build_memory(generate_candidates(spec, n, seed=8), k, spec.id)
+        got = draw_bank(spec, n, k, seed=8)
+        assert (got.object_id, got.k, len(got)) == (want.object_id, want.k, len(want))
+        for g, c in zip(got.candidates, want.candidates):
+            assert g.score == c.score
+            assert vec6_encode(g.pose).tobytes() == vec6_encode(c.pose).tobytes()
+    with pytest.raises(InvalidArgumentError, match="n must be >= 1"):
+        draw_bank(SPHERE, 0, 30, seed=1)
+    with pytest.raises(InvalidArgumentError, match="K must be >= 1"):
+        draw_bank(SPHERE, 10, 0, seed=1)
 
 
 def test_build_memory_stable_ties():
@@ -306,6 +339,26 @@ def test_reprojection_frame_consistency(rng):
             for row, c in zip(g6, bank.candidates):
                 assert np.array_equal(row, vec6_encode(grasp_to_world(c.pose, obj)))
     assert locked > 0
+
+
+def test_world_projection_memo_follows_the_orientation(rng):
+    # the bank keeps its last projection, keyed by the orientation bytes:
+    # queries at orientations A, B, A and at A moved give a fresh bank's bytes
+    cands = generate_candidates(CYL, 60, seed=5)
+    bank, feat, w = build_memory(cands, 30), object_feature(CYL), random_gfm_weights(4)
+    a = Pose6(rng.uniform(-1, 1, 3), rng.uniform(-np.pi, np.pi, 3))
+    b = Pose6(a.position, rng.uniform(-np.pi, np.pi, 3))
+    moved = Pose6(a.position + np.array([0.3, -0.1, 0.02]), a.orientation)
+    for pose in (a, b, a, moved, moved):
+        want = _world_vec6(build_memory(cands, 30), pose)
+        got = _world_vec6(bank, pose)
+        assert got.tobytes() == want.tobytes()
+        got[:] = 7.0    # a caller's edit does not reach the next query
+        assert _world_vec6(bank, pose).tobytes() == want.tobytes()
+        fused, alphas = gfm_forward(feat, pose, bank, w)
+        fresh_fused, fresh_alphas = gfm_forward(feat, pose, build_memory(cands, 30), w)
+        assert vec6_encode(fused).tobytes() == vec6_encode(fresh_fused).tobytes()
+        assert alphas.tobytes() == fresh_alphas.tobytes()
 
 
 def test_select_argmax_modes(rng):

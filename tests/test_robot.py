@@ -159,7 +159,7 @@ def test_lag_angle_bits_match_array_form(rng):
     alphas += list(rng.uniform(0.0, 1.0, 2)) + [0.0, 1.0]
     for k, (current, target) in enumerate(pairs):
         alpha = alphas[k % len(alphas)]
-        got = _lag_angle(current, target, float(alpha))
+        got = np.array(_lag_angle(current, target, float(alpha)))
         want = reference(current, target, alpha)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

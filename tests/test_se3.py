@@ -15,6 +15,7 @@ import graspsim
 from graspsim.errors import InvalidArgumentError
 from graspsim.se3 import (
     Pose6,
+    Twist,
     _euler9,
     _wrap1,
     compose,
@@ -397,6 +398,47 @@ def test_non_finite_rejected():
             vec6_decode(np.array([0, 0, 0, bad, 0, 0]))
         with pytest.raises(InvalidArgumentError):
             vec6_decode(np.array([0, bad, 0, 0, 0, 0]))
+
+
+HUGE_ANGLE = -1.15707963267948966e17   # the wrap brings it to -9.7168
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Pose6(np.array([np.nan, 0.0, 0.0]), np.zeros(3)), r"Pose6\.position must be finite"),
+    (lambda: Pose6(np.zeros(3), [0.0, -np.inf, 1e300]), r"Pose6\.orientation must be finite"),
+    (lambda: Twist([0.0, 0.0, np.inf], np.zeros(3)), r"Twist\.linear must be finite"),
+    (lambda: Twist(np.zeros(3), [np.nan, 1.0, 2.0]), r"Twist\.angular must be finite"),
+    (lambda: vec6_decode([0.0, 0.0, 0.0, 0.0, np.nan, 0.0]), r"Pose6\.orientation must be finite"),
+    (lambda: Pose6(np.zeros(2), np.zeros(3)), r"Pose6 needs two 3-vectors, got \(2,\) / \(3,\)"),
+    (lambda: Pose6(np.zeros(3), np.zeros((1, 3))), r"got \(3,\) / \(1, 3\)"),
+    (lambda: Twist(np.zeros(4), 0.0), r"Twist needs two 3-vectors, got \(4,\) / \(\)"),
+    (lambda: vec6_decode(np.zeros(7)), r"vec6_decode expects shape \(6,\), got \(7,\)"),
+    (lambda: Pose6(np.zeros(3), [HUGE_ANGLE, 0.0, 0.0]), "orientation too large to wrap"),
+], ids=["nan-position", "inf-orientation", "inf-linear", "nan-angular", "nan-decode",
+        "short-position", "2d-orientation", "scalar-angular", "long-decode", "huge-angle"])
+def test_checked_values_reject_with_their_messages(make, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        make()
+
+
+def test_checked_pose_keeps_read_only_copies_and_wrap_bits(rng):
+    # a checked pose wraps each angle as wrap_angle does, bit for bit, and owns
+    # read-only copies of its inputs
+    pi, nxt = np.pi, np.nextafter(np.pi, 0.0)
+    angles = np.concatenate([[0.0, -0.0, pi, -pi, nxt, -nxt, 2 * pi, -2 * pi, 3 * pi, -3 * pi,
+                              1e15, -1e15],
+                             rng.uniform(-50.0, 50.0, 600)]).reshape(-1, 3)
+    for orn in angles:
+        p = Pose6(orn, orn)
+        assert p.orientation.tobytes() == wrap_angle(orn).tobytes()
+        assert p.position.tobytes() == orn.tobytes()
+    pos, orn = np.array([1.0, 2.0, 3.0]), np.array([0.1, 4.0, -0.2])
+    for value in (Pose6(pos, orn), Twist(pos, orn)):
+        first, second = vars(value).values()
+        assert not first.flags.writeable and not second.flags.writeable
+        assert not np.shares_memory(first, pos) and not np.shares_memory(second, orn)
+    pos[0] = 9.0
+    assert Pose6(pos, orn).position[0] == 9.0 and value.linear[0] == 1.0
 
 
 @settings(max_examples=80, deadline=None)

@@ -249,25 +249,25 @@ def test_decision_step_checks_only_command_and_policy_output(object_id, seed, ca
     # the shoved object are computed and built unchecked.  water_bottle is
     # grasped and lifted; sugar_box is shoved along the platform, then off it.
     counts = _count_checked(monkeypatch)
-    in_candidates, at_decision = [], []
-    real_generate, real_teacher = episode.generate_candidates, episode.teacher_step
+    in_bank, at_decision = [], []
+    real_bank, real_teacher = episode.episode_bank, episode.teacher_step
 
-    def generate(*args, **kwargs):
+    def bank(*args, **kwargs):
         before = counts["Pose6"]
-        out = real_generate(*args, **kwargs)
-        in_candidates.append(counts["Pose6"] - before)
+        out = real_bank(*args, **kwargs)
+        in_bank.append(counts["Pose6"] - before)
         return out
 
     def teacher(*args, **kwargs):
         at_decision.append(counts["Pose6"])
         return real_teacher(*args, **kwargs)
 
-    monkeypatch.setattr(episode, "generate_candidates", generate)
+    monkeypatch.setattr(episode, "episode_bank", bank)
     monkeypatch.setattr(episode, "teacher_step", teacher)
     log = run_episode(make_config(level=1, object_id=object_id, seed=seed, timeout_steps=40),
                       catalog=catalog)
     assert log.outcome == EPISODE_OUTCOMES[object_id]
-    assert in_candidates == [0]
+    assert in_bank == [0]
     per_step = np.diff(at_decision + [counts["Pose6"]])
     assert len(per_step) == log.n_steps
     assert per_step.max() <= 2
