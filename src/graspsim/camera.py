@@ -4,11 +4,15 @@ Frames are 54x96.  Depth is z-depth along the optical axis, not Euclidean
 range — the two differ off-axis.  No-hit pixels store depth 0 with the
 validity bit cleared.  Rays are cast against the ground heightfield, the
 platform box, and the target primitive; the nearest hit wins and the mask
-marks pixels whose nearest hit is the target.
+marks pixels whose nearest hit is the target.  ``render_views`` casts a
+decision step's (wrist, base) views as one [3, 2n] ray batch, ``render_frame``
+one view; the exact object test casts only the rays inside the object's
+bounding sphere, the terrain test only the descending rays.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -16,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomicfile import atomic_write
+from .config import SimConfig
 from .errors import InvalidArgumentError, NotReadyError
 from .nn import FRAME_SHAPE, HISTORY_LEN
-from .scene import PLATFORM_THICKNESS, SceneState
+from .scene import PLATFORM_THICKNESS, SceneState, derive_seed
 from .se3 import Pose6, euler_to_matrix
 
 FRAME_H, FRAME_W = FRAME_SHAPE
@@ -78,8 +83,8 @@ _RAY_CACHE: dict = {}
 def _camera_rays(cam: CameraModel):
     """Unnormalized camera-frame ray directions with x = 1 (so t is z-depth).
 
-    Returns (dirs [3,n] row-contiguous float32, |dir|^2 [n]); rotation
-    preserves the norms, so the squared lengths serve every world-frame
+    Returns (dirs [3,n] row-contiguous float32, |dir|^2 [n], 1 / (2 |dir|^2)
+    [n]); rotation preserves the norms, so they serve every world-frame
     quadratic test.
     """
     key = round(cam.hfov, 12)
@@ -90,34 +95,35 @@ def _camera_rays(cam: CameraModel):
         v = (np.arange(FRAME_H) + 0.5 - FRAME_H / 2.0) / (FRAME_H / 2.0)
         yy = -tan_h * u[None, :] * np.ones((FRAME_H, 1))
         zz = -tan_v * v[:, None] * np.ones((1, FRAME_W))
-        dirs = np.ascontiguousarray(
-            np.stack([np.ones_like(yy), yy, zz], axis=-1).reshape(-1, 3).T,
-            dtype=np.float32,
-        )
-        dirs.setflags(write=False)
+        dirs = np.stack([np.ones_like(yy), yy, zz]).reshape(3, -1).astype(np.float32)
         norm_sq = np.einsum("ij,ij->j", dirs, dirs)
-        norm_sq.setflags(write=False)
-        _RAY_CACHE[key] = (dirs, norm_sq)
+        _RAY_CACHE[key] = (dirs, norm_sq, np.divide(np.float32(0.5), norm_sq))
+        for a in _RAY_CACHE[key]:
+            a.setflags(write=False)
     return _RAY_CACHE[key]
 
 
 class _Workspace:
-    """Per-thread scratch buffers so a frame render allocates almost nothing.
+    """Per-thread scratch buffers so a render allocates almost nothing.
 
     Fresh 40 KB temporaries on every ufunc call blow the cache and turn the
-    renderer memory-bound; reusing warm buffers is worth ~5x here.
+    renderer memory-bound; reusing warm buffers is worth ~5x here.  Each holds
+    both views of a decision step (2n rays); the float64 ones serve cylinders.
     """
 
     def __init__(self, n: int):
-        self.d = np.empty((3, n), np.float32)
-        self.t_obj = np.empty(n, np.float32)
-        self.t_plat = np.empty(n, np.float32)
-        self.t_ground = np.empty(n, np.float32)
-        self.r = [np.empty(n, np.float32) for _ in range(8)]
-        self.i1 = np.empty(n, np.intp)
-        self.i2 = np.empty(n, np.intp)
-        self.m1 = np.empty(n, bool)
-        self.m2 = np.empty(n, bool)
+        self.d = np.empty((3, 2 * n), np.float32)     # ray directions
+        self.t = np.empty((4, 2 * n), np.float32)     # object, platform, terrain, nearest
+        self.r = np.empty((8, 2 * n), np.float32)
+        self.f = np.empty((5, 2 * n), np.float64)
+        self.ij = np.empty((2, 2 * n), np.intp)
+        self.m = np.empty((3, 2 * n), bool)
+
+    @staticmethod
+    def shaped(stack, shape) -> np.ndarray:
+        """Each row of ``stack`` cut to prod(shape) entries viewed as ``shape``."""
+        return stack[:, :shape[0]] if len(shape) == 1 else stack[:, :math.prod(shape)].reshape(
+            (len(stack),) + shape)
 
 
 _WS_LOCAL = threading.local()
@@ -131,86 +137,100 @@ def _workspace() -> _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Ray-primitive intersections.  Directions are [3,n] with contiguous rows;
-# origins are single 3-points, so slab offsets stay scalar.  The in-place tests
-# write into workspace buffers; the slab test runs on slices of them, so the
-# full frame and the object's few candidate rays share it.
+# Ray-primitive intersections.  A render casts its views' rays as one batch:
+# directions [3, views, n] (or flat [3, views*n]) with contiguous rows, each
+# view's origin a (views, 1) column (a lone view's scalars), so every
+# elementwise op gives the bits of a one-view cast.  The tests write into
+# workspace buffers, whose slices also serve the object's candidate rays.
 # ---------------------------------------------------------------------------
 
-def _ray_cylinder_local(o, d, radius, height) -> np.ndarray:
-    """Cylinder centered at the local origin with axis z."""
+def _cylinder_into(o, d, radius, height, ws: _Workspace) -> np.ndarray:
+    """Cylinder centered at the local origin with axis z; returns the float64
+    hit distances (inf for misses) in a workspace buffer.  ``o`` is a float64
+    origin per ray, so the side and cap math runs in float64."""
+    m = d.shape[1]
     hz = height / 2.0
     dx, dy, dz = d
-    a = dx * dx + dy * dy
-    b = 2.0 * (o[0] * dx + o[1] * dy)
+    a, tmp = ws.r[0, :m], ws.r[1, :m]
+    b, disc, t, best, z = ws.f[:, :m]
+    ok, good, more = ws.m[:, :m]
+
+    def keep(hit):                                     # best = t where hit, 0 < t < best
+        hit &= np.greater(t, 0, out=more)
+        hit &= np.less(t, best, out=more)
+        np.copyto(best, t, where=hit)
+
+    np.add(np.multiply(dx, dx, out=a), np.multiply(dy, dy, out=tmp), out=a)
+    np.add(np.multiply(dx, o[0], out=b), np.multiply(dy, o[1], out=t), out=b)
+    b *= 2.0                                           # b = 2 (o . d) in xy
     c = o[0] * o[0] + o[1] * o[1] - radius * radius
-    disc = b * b - (4.0 * c) * a
-    ok = (disc >= 0) & (a > 1e-18)
-    sq = np.sqrt(np.where(ok, disc, 0.0))
-    inv2a = 0.5 / np.where(ok, a, 1.0)
-    best = np.full(d.shape[1], _NO_HIT, np.float32)
-    for sgn in (-1.0, 1.0):
-        t = (-b + sgn * sq) * inv2a
-        z = o[2] + t * dz
-        good = ok & (t > 0) & (np.abs(z) <= hz)
-        best = np.where(good & (t < best), t, best)
+    np.subtract(np.multiply(b, b, out=disc), np.multiply(a, 4.0 * c, out=t), out=disc)
+    np.logical_and(np.greater_equal(disc, 0, out=ok), np.greater(a, 1e-18, out=good), out=ok)
+    np.logical_not(ok, out=good)
+    np.copyto(disc, 0.0, where=good)
+    np.sqrt(disc, out=disc)                            # sq
+    np.copyto(a, 1.0, where=good)
+    np.divide(0.5, a, out=a)                           # 1 / 2a
+    best.fill(_NO_HIT)
+    for sgn in (-1.0, 1.0):                            # sides: t = (-b +- sq) / 2a
+        np.multiply(np.subtract(np.multiply(disc, sgn, out=t), b, out=t), a, out=t)
+        np.abs(np.add(np.multiply(t, dz, out=z), o[2], out=z), out=z)
+        keep(np.logical_and(np.less_equal(z, hz, out=good), ok, out=good))
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_dz = 1.0 / dz
-        for cap in (-hz, hz):
-            t = (cap - o[2]) * inv_dz
-            x = o[0] + t * dx
-            y = o[1] + t * dy
-            good = (t > 0) & np.isfinite(t) & (x * x + y * y <= radius * radius)
-            best = np.where(good & (t < best), t, best)
+        np.divide(1.0, dz, out=tmp)                    # 1 / dz
+        for cap in (-hz, hz):                          # caps: x^2 + y^2 into z, b
+            np.multiply(tmp, cap - o[2], out=t)
+            np.square(np.add(np.multiply(t, dx, out=z), o[0], out=z), out=z)
+            np.square(np.add(np.multiply(t, dy, out=b), o[1], out=b), out=b)
+            np.less_equal(np.add(z, b, out=z), radius * radius, out=good)
+            keep(np.logical_and(good, np.isfinite(t, out=more), out=good))
     return best
 
 
-def _sphere_into(o, d, d_sq, center, radius, out, ws: _Workspace) -> None:
-    """Quadratic sphere test, fully in-place; misses become inf in ``out``."""
-    b, disc, reg = ws.r[4], ws.r[5], ws.r[6]
-    ocx = np.float32(o[0] - center[0])
-    ocy = np.float32(o[1] - center[1])
-    ocz = np.float32(o[2] - center[2])
-    c0 = float(ocx) ** 2 + float(ocy) ** 2 + float(ocz) ** 2 - float(radius) ** 2
-    np.multiply(d[0], np.float32(2.0 * ocx), out=b)
-    np.multiply(d[1], np.float32(2.0 * ocy), out=reg)
-    b += reg
-    np.multiply(d[2], np.float32(2.0 * ocz), out=reg)
-    b += reg                                           # b = 2 d . oc
-    np.multiply(b, b, out=disc)
-    np.multiply(d_sq, np.float32(4.0 * c0), out=reg)
-    disc -= reg                                        # disc = b^2 - 4ac
-    np.greater_equal(disc, 0.0, out=ws.m1)
-    np.maximum(disc, 0.0, out=disc)
-    np.sqrt(disc, out=disc)                            # sq
-    np.divide(np.float32(0.5), d_sq, out=reg)          # 1 / 2a
-    np.add(b, disc, out=out)
-    np.negative(out, out=out)
-    out *= reg                                         # t0 = (-b - sq) / 2a
-    np.subtract(disc, b, out=disc)
-    disc *= reg                                        # t1 = (-b + sq) / 2a
-    np.less_equal(out, 0.0, out=ws.m2)
-    np.copyto(out, disc, where=ws.m2)                  # prefer t0 when > 0
-    np.greater(out, 0.0, out=ws.m2)
-    ws.m1 &= ws.m2
-    np.logical_not(ws.m1, out=ws.m2)
-    np.copyto(out, _NO_HIT, where=ws.m2)
+def _sphere_into(o, d, d_sq, inv_2a, center, radius, out, ws: _Workspace,
+                 exact: bool = True) -> np.ndarray:
+    """Quadratic sphere test, fully in-place; returns the hit mask and, when
+    ``exact``, writes the hit distances into ``out`` (misses inf)."""
+    b, disc, reg = ws.shaped(ws.r[4:7], out.shape)
+    hit, m2 = ws.shaped(ws.m[:2], out.shape)
+    oc = (o.T - center).T.astype(np.float32)
+    sq = np.square(oc, dtype=np.float64)               # exact for float32 inputs
+    c4 = (4.0 * (sq[0] + sq[1] + sq[2] - float(radius) ** 2)).astype(np.float32)
+    oc *= 2.0
+    np.add(np.multiply(d[0], oc[0], out=b), np.multiply(d[1], oc[1], out=reg), out=b)
+    np.add(b, np.multiply(d[2], oc[2], out=reg), out=b)                    # b = 2 d . oc
+    np.subtract(np.multiply(b, b, out=disc), np.multiply(d_sq, c4, out=reg), out=disc)
+    np.greater_equal(disc, 0.0, out=hit)
+    np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)                    # sq
+    if exact:                                                             # t0 = (-b - sq) / 2a
+        np.multiply(np.negative(np.add(b, disc, out=out), out=out), inv_2a, out=out)
+    np.multiply(np.subtract(disc, b, out=disc), inv_2a, out=disc)         # t1 = (-b + sq) / 2a
+    hit &= np.greater(disc, 0.0, out=m2)               # t0 <= t1: a hit iff t1 > 0
+    if exact:
+        np.copyto(out, disc, where=np.less_equal(out, 0.0, out=m2))       # t0 if > 0, else t1
+        np.copyto(out, _NO_HIT, where=np.logical_not(hit, out=m2))
+    return hit
 
 
 def _box_into(o, d, center, half, op, out, ws: _Workspace) -> None:
-    """Slab test over len(out) rays, slab distances ``op(center -+ half - o, d)``.
-    The platform passes directions and np.divide, the object reciprocals and
-    np.multiply: the two round differently, and each caller's bits are pinned
-    (every frame; the recorded student datasets).  A zero direction component
-    gives an unconstrained (or empty) interval on its axis."""
-    lo, hi, t1, t2 = (r[:len(out)] for r in ws.r[4:8])
-    m1, m2 = ws.m1[:len(out)], ws.m2[:len(out)]
-    lo.fill(-np.inf)
-    hi.fill(np.inf)
+    """Slab test over the rays of ``out``, slab distances ``op(center -+ half
+    - o, d)``.  The platform passes directions and np.divide, the object
+    reciprocals and np.multiply: the two round differently, and each caller's
+    bits are pinned (every frame; the recorded student datasets).  A zero
+    direction component gives an unconstrained (or empty) interval on its
+    axis."""
+    lo, hi, t1, t2 = ws.shaped(ws.r[4:8], out.shape)
+    m1, m2 = ws.shaped(ws.m[:2], out.shape)
+    near_side = [np.float32(c - h - oa) for c, h, oa in zip(center, half, o)]
+    far_side = [np.float32(c + h - oa) for c, h, oa in zip(center, half, o)]
     with np.errstate(divide="ignore", invalid="ignore"):
         for axis in range(3):
-            op(np.float32(center[axis] - half[axis] - o[axis]), d[axis], out=t1)
-            op(np.float32(center[axis] + half[axis] - o[axis]), d[axis], out=t2)
+            op(near_side[axis], d[axis], out=t1)
+            op(far_side[axis], d[axis], out=t2)
+            if axis == 0:          # fmin/fmax of a slab pair is never NaN: half > 0
+                np.fmin(t1, t2, out=lo)
+                np.fmax(t1, t2, out=hi)
+                continue
             np.fmax(lo, np.fmin(t1, t2, out=out), out=lo)
             np.fmin(hi, np.fmax(t1, t2, out=t2), out=hi)
     np.greater_equal(hi, lo, out=m1)
@@ -223,140 +243,151 @@ def _box_into(o, d, center, half, op, out, ws: _Workspace) -> None:
     np.copyto(out, _NO_HIT, where=m2)
 
 
-def _heights_into(terrain, xs, ys, out, ws: _Workspace) -> None:
-    """Bilinear terrain sample into ``out``; xs/ys are consumed as scratch."""
-    nx, ny = terrain.heights.shape
-    flat = terrain.flat32
-    inv_cell = np.float32(1.0 / terrain.cell_size)
-    xs -= np.float32(terrain.origin[0])
-    xs *= inv_cell
-    np.clip(xs, 0.0, np.float32(nx - 1), out=xs)
-    ys -= np.float32(terrain.origin[1])
-    ys *= inv_cell
-    np.clip(ys, 0.0, np.float32(ny - 1), out=ys)
-    i0, j0 = ws.i1, ws.i2
-    np.copyto(i0, xs, casting="unsafe")                # trunc == floor (>= 0)
-    np.minimum(i0, nx - 2, out=i0)
-    np.copyto(j0, ys, casting="unsafe")
-    np.minimum(j0, ny - 2, out=j0)
-    xs -= i0                                           # fx
-    ys -= j0                                           # fy
-    i0 *= ny
-    i0 += j0                                           # flat index of (i0, j0)
-    h10, h11 = ws.r[6], ws.r[7]
-    flat.take(i0, out=out)                             # h00
-    i0 += ny
-    flat.take(i0, out=h10)
-    h10 -= out
-    h10 *= xs
-    out += h10                                         # top = h00 + fx (h10 - h00)
-    i0 += 1
-    flat.take(i0, out=h11)
-    i0 -= ny
-    flat.take(i0, out=h10)                             # h01
-    h11 -= h10
-    h11 *= xs
-    h10 += h11                                         # bot = h01 + fx (h11 - h01)
-    h10 -= out
-    h10 *= ys
-    out += h10                                         # top + fy (bot - top)
-
-
-def _terrain_into(o, d, terrain, out, ws: _Workspace) -> None:
+def _terrain_into(origins, d, terrain, out, ws: _Workspace) -> None:
     """Descending rays vs the 0..0.1 m heightfield band.
 
     One fixed-point step of t = (h(x(t), y(t)) - oz) / dz from the band's
     mid-height (0.05 m), clamped to the band entry: a median 1.6 mm and a
     99th percentile 3.7 cm off the converged depth (spawn views, 20 scenes).
     Terrain sits strictly below the floating platform and the object, so its
-    depth never occludes them.  Non-descending rays ride along on a pinned
-    slope and are masked out at the end.
+    depth never occludes them.  Only the descending rays (dz < -1e-12) are
+    gathered and cast; every other ray misses.  ``d`` and ``out`` are flat
+    over the views, whose camera positions are ``origins``.
     """
-    dz = d[2]
-    inv, t_band, t = ws.r[0], ws.r[1], ws.r[2]
-    xs, ys, h = ws.r[3], ws.r[4], ws.r[5]
-    np.minimum(dz, np.float32(-1e-12), out=inv)
-    np.divide(np.float32(1.0), inv, out=inv)
-    np.multiply(inv, np.float32(0.1 - o[2]), out=t_band)
+    down = np.less(d[2], np.float32(-1e-12), out=ws.m[0, :out.size])
+    idx = down.nonzero()[0]
+    out.fill(_NO_HIT)
+    m = idx.size
+    inv, t_band, t, h, xy = ws.r[0, :m], ws.r[1, :m], ws.r[2, :m], ws.r[5, :m], ws.r[3:5, :m]
+    for row, buf in zip(d, (xy[0], xy[1], inv)):
+        row.take(idx, out=buf, mode="wrap")
+    np.divide(np.float32(1.0), inv, out=inv)           # 1 / dz
+    # the gathered rays run view by view; each run takes its view's origin
+    n = out.size // len(origins)
+    ends = np.searchsorted(idx, n * np.arange(1, len(origins) + 1)).tolist()
+    runs = [slice(start, end) for start, end in zip([0] + ends, ends)]
+    for (_, _, oz), run in zip(origins, runs):
+        np.multiply(inv[run], np.float32(0.1 - oz), out=t_band[run])
+        np.multiply(inv[run], np.float32(0.05 - oz), out=t[run])
     np.maximum(t_band, 0.0, out=t_band)
-    np.multiply(inv, np.float32(0.05 - o[2]), out=t)
-    np.multiply(t, d[0], out=xs)
-    xs += np.float32(o[0])
-    np.multiply(t, d[1], out=ys)
-    ys += np.float32(o[1])
-    _heights_into(terrain, xs, ys, h, ws)
-    h -= np.float32(o[2])
+    xy *= t
+    for (ox, oy, _), run in zip(origins, runs):
+        xy[0, run] += np.float32(ox)
+        xy[1, run] += np.float32(oy)
+
+    # bilinear height at xy: grid coordinates clamped to the lattice
+    nx, ny = terrain.heights.shape
+    corner, ij = ws.r[6:8, :m], ws.ij[:, :m]
+    xy -= np.array(terrain.origin, np.float32)[:, None]
+    xy *= np.float32(1.0 / terrain.cell_size)
+    top = np.array([[nx - 1], [ny - 1]], np.float32)
+    np.minimum(np.maximum(xy, 0.0, out=xy), top, out=xy)
+    np.trunc(xy, out=corner)                           # trunc == floor (>= 0)
+    np.minimum(corner, top - 1, out=corner)
+    xy -= corner                                       # fx, fy: exact in float32
+    np.copyto(ij, corner, casting="unsafe")
+    (fx, fy), (i0, j0), bot = xy, ij, corner[0]
+    i0 *= ny
+    i0 += j0                                           # flat index of cell (i0, j0)
+    # every index is in range, so "wrap" just skips the bounds check; the
+    # (4, m) cell terms borrow the float64 buffers, which only the object uses
+    cell = ws.f.reshape(-1).view(np.float32)[:4 * m].reshape(4, m)
+    terrain.cells32.take(i0, axis=1, out=cell, mode="wrap")
+    h00, d10, h01, d11 = cell
+    np.add(h00, np.multiply(d10, fx, out=h), out=h)                  # top: h00 + fx (h10 - h00)
+    np.add(h01, np.multiply(d11, fx, out=bot), out=bot)              # bot: h01 + fx (h11 - h01)
+    h += np.multiply(np.subtract(bot, h, out=bot), fy, out=bot)      # top + fy (bot - top)
+    for (_, _, oz), run in zip(origins, runs):
+        h[run] -= np.float32(oz)
     np.multiply(h, inv, out=t)
-    np.maximum(t, t_band, out=out)
-    np.less(dz, np.float32(-1e-12), out=ws.m1)
-    np.logical_not(ws.m1, out=ws.m1)
-    np.copyto(out, _NO_HIT, where=ws.m1)
+    np.maximum(t, t_band, out=t)
+    out[down] = t
 
 
-def _object_into(o, d, d_sq, pose: Pose6, spec, out, ws: _Workspace) -> None:
+def _object_into(o, d, d_sq, inv_2a, pose: Pose6, spec, out, ws: _Workspace) -> None:
     """Target primitive in its (possibly rotated) frame.
 
     A bounding-sphere prefilter keeps the exact (and pricier) primitive test
-    on the handful of rays that can possibly hit the object.  A box multiplies
-    by reciprocal directions, the arithmetic that made the recorded masks.
+    on the handful of rays that can possibly hit the object.  Each view's
+    candidates are rotated into the object frame on their own, then all are
+    tested in one call with a per-ray float64 origin.  A box multiplies by
+    reciprocal directions, the arithmetic that made the recorded masks.
     """
     if spec.shape == "sphere":
-        _sphere_into(o, d, d_sq, pose.position, spec.dims[0], out, ws)
+        _sphere_into(o, d, d_sq, inv_2a, pose.position, spec.dims[0], out, ws)
         return
-    _sphere_into(o, d, d_sq, pose.position, spec.bounding_radius * 1.001,
-                 out, ws)
-    np.isfinite(out, out=ws.m1)
-    near = np.flatnonzero(ws.m1)
+    near = np.flatnonzero(_sphere_into(o, d, d_sq, inv_2a, pose.position,
+                                       spec.bounding_radius * 1.001, out, ws, exact=False))
     out.fill(_NO_HIT)
     if near.size == 0:
         return
-    r = euler_to_matrix(pose.orientation)
-    o_l = r.T @ (o - pose.position)
-    d_l = (r.T @ d.take(near, axis=1).astype(np.float64)).astype(np.float32)
+    r, origins = euler_to_matrix(pose.orientation), np.reshape(o, (3, -1))
+    ends = np.searchsorted(near, d.shape[-1] * np.arange(1, len(origins.T) + 1)).tolist()
+    rays = d.reshape(3, -1).take(near, axis=1).astype(np.float64)
+    d_l, o_l = np.empty_like(rays), np.empty_like(rays)
+    for origin, run in zip(origins.T, (slice(a, b) for a, b in zip([0] + ends, ends))):
+        o_l[:, run] = (r.T @ (origin - pose.position))[:, None]
+        np.matmul(r.T, rays[:, run], out=d_l[:, run])  # one product per view, as one-view casts
+    d_l = d_l.astype(np.float32)
     if spec.shape == "box":
-        hits = ws.r[3][:near.size]
+        hits = ws.r[3, :near.size]
         with np.errstate(divide="ignore"):
             _box_into(o_l, 1.0 / d_l, np.zeros(3), np.asarray(spec.dims) / 2.0,
                       np.multiply, hits, ws)
-        out[near] = hits
     else:
-        out[near] = _ray_cylinder_local(o_l, d_l, spec.dims[0], spec.dims[1])
+        hits = _cylinder_into(o_l, d_l, spec.dims[0], spec.dims[1], ws)
+    out.reshape(-1)[near] = hits
+
+
+def _render(scene: SceneState, robot, cams, mask_flip_prob: float,
+            noise_seed: int) -> tuple:
+    """The frames of ``cams`` (one field of view), cast as one ray batch:
+    view k's rays are the k-th block of n, and its mask flips with noise seed
+    ``noise_seed + k``.  A lone view keeps 1-D rays and a scalar origin."""
+    rays, d_sq, inv_2a = _camera_rays(cams[0])
+    ws, views, n = _workspace(), len(cams), rays.shape[1]
+    shape = (views, n) if views > 1 else (n,)
+    d, origins = ws.d[:, :views * n], []
+    for k, cam in enumerate(cams):
+        parent = robot.base_pose if cam.mount == "base" else robot.ee_pose
+        r_parent = euler_to_matrix(parent.orientation)
+        rot = r_parent @ euler_to_matrix(cam.mount_offset.orientation)
+        origins.append(parent.position + r_parent @ cam.mount_offset.position)
+        np.matmul(rot.astype(np.float32), rays, out=d[:, k * n:(k + 1) * n])
+    o = np.array(origins).T[..., None] if views > 1 else origins[0]
+    t_obj, t_plat, t_ground, nearest = ws.shaped(ws.t, shape)
+
+    d_views = d.reshape((3,) + shape)
+    _object_into(o, d_views, d_sq, inv_2a, scene.object_pose, scene.object_spec, t_obj, ws)
+    pc, (hx, hy), hz = scene.platform_pose.position, scene.platform_half, PLATFORM_THICKNESS / 2
+    _box_into(o, d_views, (pc[0], pc[1], pc[2] - hz), (hx, hy, hz), np.divide, t_plat, ws)
+    _terrain_into([p.tolist() for p in origins], d, scene.terrain, t_ground.reshape(-1), ws)
+
+    np.fmin(np.fmin(t_obj, t_plat, out=nearest), t_ground, out=nearest)
+    valid = np.isfinite(nearest)
+    mask = np.less_equal(t_obj, nearest)
+    mask &= valid
+    depth = np.where(valid, nearest, np.float32(0.0))
+    if mask_flip_prob > 0.0:
+        flips = [np.random.Generator(np.random.PCG64(noise_seed + k)).random(n)
+                 for k in range(views)]
+        mask ^= (np.concatenate(flips) < mask_flip_prob).reshape(shape)
+    mask, depth, valid = (a.reshape(views, FRAME_H, FRAME_W) for a in (mask, depth, valid))
+    return tuple(Frame(mask[k], depth[k], valid[k]) for k in range(views))
 
 
 def render_frame(scene: SceneState, robot, cam: CameraModel,
                  mask_flip_prob: float = 0.0, noise_seed: int = 0) -> Frame:
     """Cast one ray per pixel and return the target mask plus z-depth."""
-    parent = robot.base_pose if cam.mount == "base" else robot.ee_pose
-    r_parent = euler_to_matrix(parent.orientation)
-    rot = r_parent @ euler_to_matrix(cam.mount_offset.orientation)
-    o = parent.position + r_parent @ cam.mount_offset.position
-    rays, d_sq = _camera_rays(cam)
-    ws = _workspace()
-    d = np.matmul(rot.astype(np.float32), rays, out=ws.d)
+    return _render(scene, robot, (cam,), mask_flip_prob, noise_seed)[0]
 
-    _object_into(o, d, d_sq, scene.object_pose, scene.object_spec, ws.t_obj, ws)
-    pc = scene.platform_pose.position
-    center = (pc[0], pc[1], pc[2] - PLATFORM_THICKNESS / 2.0)
-    half = (scene.platform_half[0], scene.platform_half[1],
-            PLATFORM_THICKNESS / 2.0)
-    _box_into(o, d, center, half, np.divide, ws.t_plat, ws)
-    _terrain_into(o, d, scene.terrain, ws.t_ground, ws)
 
-    nearest = ws.r[0]
-    np.fmin(ws.t_obj, ws.t_plat, out=nearest)
-    np.fmin(nearest, ws.t_ground, out=nearest)
-    valid = np.isfinite(nearest)
-    mask = np.less_equal(ws.t_obj, nearest)
-    mask &= valid
-    depth = np.where(valid, nearest, np.float32(0.0))
-
-    mask = mask.reshape(FRAME_H, FRAME_W)
-    if mask_flip_prob > 0.0:
-        rng = np.random.Generator(np.random.PCG64(noise_seed))
-        flips = rng.random(mask.shape) < mask_flip_prob
-        mask = mask ^ flips
-    return Frame(mask, depth.reshape(FRAME_H, FRAME_W),
-                 valid.reshape(FRAME_H, FRAME_W))
+def render_views(scene: SceneState, robot, sim_cfg: SimConfig, seed: int, step: int) -> tuple:
+    """The (wrist, base) frames of decision ``step`` of an episode of ``seed``, in
+    one render; view k flips with noise seed derive_seed(seed, 31, step) + k."""
+    hfov, flip = np.deg2rad(sim_cfg.hfov_deg), sim_cfg.mask_flip_prob
+    noise_seed = derive_seed(seed, 31, step) if flip > 0.0 else 0   # read only to flip
+    return _render(scene, robot, (wrist_camera(hfov), base_camera(hfov)), flip, noise_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +395,18 @@ def render_frame(scene: SceneState, robot, cam: CameraModel,
 # ---------------------------------------------------------------------------
 
 class LatencyBuffer:
-    """Fixed FIFO delaying frames by LATENCY_STEPS (four) decision steps.
+    """Fixed FIFO delaying its items (frames, or the states they are rendered
+    from) by LATENCY_STEPS (four) decision steps.
 
-    During warm-up (fewer than LATENCY_STEPS + 1 pushes) the first frame ever
+    During warm-up (fewer than LATENCY_STEPS + 1 pushes) the first item ever
     pushed keeps coming back, so the very first call returns its own input.
     """
 
     def __init__(self):
         self._queue: deque = deque()
 
-    def push_and_fetch(self, frame):
-        self._queue.append(frame)
+    def push_and_fetch(self, item):
+        self._queue.append(item)
         if len(self._queue) > LATENCY_STEPS:
             return self._queue.popleft()
         return self._queue[0]

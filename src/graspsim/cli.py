@@ -17,15 +17,14 @@ import os
 import sys
 
 from .atomicfile import atomic_write, check_output_path
-from .camera import dump_frame
+from .camera import dump_frame, render_views
 from .config import load_config
 from .distill import record_distillation
-from .episode import (derive_seed, episode_bank, episode_start, render_views,
-                      run_episode)
+from .episode import episode_bank, episode_start, run_episode
 from .errors import GraspSimError, InvalidArgumentError
 from .gfm import alignment_gfm_weights, gfm_forward, save_bank
 from .metrics import run_benchmark, summaries_to_jsonl
-from .scene import EpisodeConfig, load_catalog, step_scene
+from .scene import EpisodeConfig, derive_seed, load_catalog, step_scene
 from .se3 import vec6_encode
 from .teacher import cached_object_feature
 

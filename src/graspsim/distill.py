@@ -61,8 +61,9 @@ def record_distillation(log, observations, path) -> int:
     """Write one episode's (observation, label) stream; returns record count.
 
     ``observations`` is the list produced by run_episode(collect_observations
-    =True): (stacked, proprio, action vector, gripper bit, step index).  A
-    stream that fails validation part way leaves no file at ``path``.
+    =True): (stacked, proprio, action vector, gripper bit, step index).  Every
+    record is checked as ``read_dataset`` checks it (a value that is not
+    finite as float32 fails, naming its record) before any file appears.
     """
     if len(observations) != log.n_steps:
         raise InvalidArgumentError(
@@ -70,13 +71,18 @@ def record_distillation(log, observations, path) -> int:
             f"decision steps ({log.n_steps})"
         )
     episode_id = log.seed & 0xFFFFFFFFFFFFFFFF
+    with np.errstate(over="ignore"):                  # past float32's range: inf
+        records = [DistillRecord(episode_id, step, *(np.asarray(a, np.float32) for a in floats),
+                                 int(grip)) for *floats, grip, step in observations]
+    for i, rec in enumerate(records):                 # the reader's min/max test
+        bad = [name for name in sorted(_FLOAT_FIELDS) if not (
+            np.isfinite(getattr(rec, name).min()) and np.isfinite(getattr(rec, name).max()))]
+        if bad:
+            raise InvalidArgumentError(f"{path}: record {i}: {bad[0]} is not finite")
     row = np.zeros((), RECORD_DTYPE)
     with atomic_write(path) as fh:
         fh.write(HEADER)
-        for stacked, proprio, action, grip, step in observations:
-            rec = DistillRecord(episode_id, step, np.asarray(stacked, np.float32),
-                                np.asarray(proprio, np.float32),
-                                np.asarray(action, np.float32), int(grip))
+        for rec in records:
             for name in RECORD_DTYPE.names:
                 row[name] = getattr(rec, name)
             fh.write(row.tobytes())

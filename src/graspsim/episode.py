@@ -1,10 +1,11 @@
 """Episode loop wiring all modules together.
 
-One decision step = render (optional) -> latency buffer -> history stack ->
-teacher acts on privileged state -> command integration -> ``advance``: five
-physics substeps of robot, scene and status on Python floats, with the robot
-and scene states built once at the end -> reward bookkeeping.  Fully
-deterministic per seed.
+One decision step = observation (optional: the state enters the latency
+queue, and the history fetches the state of four steps ago, rendered in one
+two-view batch when first fetched) -> history stack -> teacher acts on
+privileged state -> command integration -> ``advance``: five physics substeps
+of robot, scene and status on Python floats, with the robot and scene states
+built once at the end -> reward bookkeeping.  Fully deterministic per seed.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .camera import (
-    LatencyBuffer,
-    ObsHistory,
-    base_camera,
-    render_frame,
-    stack_observation,
-    wrist_camera,
-)
+from .camera import LatencyBuffer, ObsHistory, render_views, stack_observation
 from .config import SimConfig
 from .distill import ACTION_DIM
 from .errors import NotReadyError
@@ -37,17 +31,12 @@ from .rewards import (
 )
 from .scene import (EpisodeConfig, _platform_rng, _scene_floats, _scene_state,
                     _scene_substep, _status_after, apply_gripper_close, check_status,
-                    initial_status, load_catalog, make_trajectory, reset_episode)
+                    derive_seed, initial_status, load_catalog, make_trajectory,
+                    reset_episode)
 from .se3 import euler_to_matrix
 from .teacher import teacher_step
 
 CLOSE_COOLDOWN_STEPS = 5
-
-
-def derive_seed(*parts) -> int:
-    """Stable sub-seed from integer parts (order matters)."""
-    return int(np.random.SeedSequence([int(p) & 0x7FFFFFFF for p in parts])
-               .generate_state(1)[0])
 
 
 def build_proprio(robot, terrain) -> np.ndarray:
@@ -115,15 +104,6 @@ def episode_bank(spec, sim_cfg: SimConfig, seed: int):
     """The grasp memory bank of every episode of ``seed`` on object ``spec``."""
     return draw_bank(spec, sim_cfg.candidate_count, sim_cfg.bank_size,
                      derive_seed(seed, 23), aperture=sim_cfg.gripper_aperture)
-
-
-def render_views(scene, robot, sim_cfg: SimConfig, seed: int, step: int) -> tuple:
-    """The (wrist, base) frames of decision ``step`` of an episode of ``seed``."""
-    hfov = np.deg2rad(sim_cfg.hfov_deg)
-    flip = sim_cfg.mask_flip_prob
-    noise_seed = derive_seed(seed, 31, step) if flip > 0.0 else 0   # read only to flip
-    return tuple(render_frame(scene, robot, cam, flip, noise_seed + k)
-                 for k, cam in enumerate((wrist_camera(hfov), base_camera(hfov))))
 
 
 def _high_level_input(scene, robot, status, action_vec, prev_action,
@@ -214,7 +194,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     weights = alignment_gfm_weights()
     status = initial_status()
 
-    lat_w, lat_b = LatencyBuffer(), LatencyBuffer()
+    latency, shown = LatencyBuffer(), None
     hist_w, hist_b = ObsHistory(), ObsHistory()
 
     steps = [] if log_steps else None
@@ -225,10 +205,13 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
 
     for step in range(config.timeout_steps):
         if collect_observations:
-            f_w, f_b = render_views(scene, robot, sim_cfg, config.seed, step)
+            delayed = latency.push_and_fetch((scene, robot, step))
+            if delayed is not shown:                # rendered once, when first fetched
+                shown = delayed
+                f_w, f_b = render_views(*delayed[:2], sim_cfg, config.seed, delayed[2])
             proprio = build_proprio(robot, scene.terrain)
-            hist_w.push(lat_w.push_and_fetch(f_w))
-            hist_b.push(lat_b.push_and_fetch(f_b))
+            hist_w.push(f_w)
+            hist_b.push(f_b)
             stacked = stack_observation(hist_w, hist_b)
         action = teacher_step(scene, robot, bank, weights, sim_cfg, use_gfm)
         if collect_observations or log_steps:

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SimConfig
-from .episode import EpisodeLog, derive_seed, run_episode
+from .episode import EpisodeLog, run_episode
 from .errors import InvalidArgumentError
-from .scene import EpisodeConfig, catalog_by_id, check_level, load_catalog
+from .scene import EpisodeConfig, catalog_by_id, check_level, derive_seed, load_catalog
 
 DEFAULT_STEP_BUDGET = 5000
 CSV_HEADER = "level,split,category,n_episodes,gsr,ossr,ossr_alt,tsc,seed"

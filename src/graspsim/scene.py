@@ -78,9 +78,13 @@ class TerrainField:
         o.setflags(write=False)
         object.__setattr__(self, "heights", h)
         object.__setattr__(self, "origin", o)
-        flat32 = np.ascontiguousarray(h, dtype=np.float32).ravel()
-        flat32.setflags(write=False)
-        object.__setattr__(self, "flat32", flat32)
+        # the renderer's float32 terms of cell (i, j): h00, h10 - h00, h01, h11 - h01
+        h32 = h.astype(np.float32)
+        cells = np.zeros((4,) + h.shape, np.float32)
+        cells[:, :-1, :-1] = (h32[:-1, :-1], h32[1:, :-1] - h32[:-1, :-1],
+                              h32[:-1, 1:], h32[1:, 1:] - h32[:-1, 1:])
+        cells.setflags(write=False)
+        object.__setattr__(self, "cells32", cells.reshape(4, -1))
         # height_at reads Python floats (a numpy scalar read costs more than the
         # math) from array rows, a third of a list of floats' memory
         object.__setattr__(self, "_rows", [array("d", row.tobytes()) for row in h])
@@ -255,6 +259,12 @@ def check_level(level: int) -> None:
     if level not in LEVEL_SPEED_RANGES:
         raise InvalidArgumentError(
             f"level must be one of {', '.join(map(str, LEVEL_SPEED_RANGES))}, got {level}")
+
+
+def derive_seed(*parts) -> int:
+    """Stable sub-seed from integer parts (order matters)."""
+    return int(np.random.SeedSequence([int(p) & 0x7FFFFFFF for p in parts])
+               .generate_state(1)[0])
 
 
 def make_trajectory(level: int, seed: int) -> PlatformTrajectory:

@@ -20,7 +20,7 @@ from graspsim.camera import (
     render_frame,
 )
 from graspsim.config import SimConfig
-from graspsim.episode import derive_seed, run_episode
+from graspsim.episode import run_episode
 from graspsim.errors import SingularJacobianError
 from graspsim.gfm import (
     GfmWeights,
@@ -56,6 +56,7 @@ from graspsim.scene import (
     EpisodeConfig,
     LEVEL_SPEED_RANGES,
     check_status,
+    derive_seed,
     initial_status,
     make_trajectory,
     reset_episode,

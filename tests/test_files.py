@@ -114,6 +114,26 @@ def test_read_dataset_rejects_non_finite(tmp_path, field, index, value):
     assert str(err.value) == f"{path}: record {index}: {field} is not finite"
 
 
+@pytest.mark.parametrize("field, index, value", [
+    ("observation", 2, np.nan), ("proprio", 0, np.inf), ("action", 1, 1e39),
+    ("proprio", 2, -1e39),
+])
+def test_record_distillation_rejects_what_the_reader_rejects(tmp_path, field, index,
+                                                              value):
+    # NaN, +-inf and a float64 past float32's range (inf once cast) fail with
+    # the reader's message, before any file (or temporary twin) appears
+    rng = np.random.default_rng(0)
+    obs = [[rng.random(OBS_SHAPE), rng.random(PROPRIO_DIM), rng.random(8), 0, k]
+           for k in range(3)]
+    column = ("observation", "proprio", "action").index(field)
+    obs[index][column].flat[-1] = value
+    path = tmp_path / "bad.bin"
+    with pytest.raises(InvalidArgumentError) as err:
+        record_distillation(SimpleNamespace(n_steps=3, seed=7), obs, path)
+    assert str(err.value) == f"{path}: record {index}: {field} is not finite"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _mutations(size: int, hot: list):
     """One truncation, flip, insert or delete of a byte; ``hot`` positions
     (header, record seams, gripper bytes) are drawn as often as the rest."""

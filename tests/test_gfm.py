@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graspsim.config import SimConfig
-from graspsim.episode import derive_seed, episode_bank
+from graspsim.episode import episode_bank
 from graspsim.errors import EmptyBankError, InvalidArgumentError
 from graspsim.gfm import (
     _cross,
@@ -21,7 +21,7 @@ from graspsim.gfm import (
     save_bank,
     select_argmax,
 )
-from graspsim.scene import ObjectSpec
+from graspsim.scene import ObjectSpec, derive_seed
 from graspsim.se3 import (
     Pose6,
     compose,

@@ -2,31 +2,34 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from graspsim import episode
 from graspsim.camera import (
     DEPTH_CLIP,
     FRAME_H,
     FRAME_W,
+    LATENCY_STEPS,
     Frame,
     LatencyBuffer,
     ObsHistory,
     base_camera,
     dump_frame,
     render_frame,
+    render_views,
     stack_observation,
     wrist_camera,
 )
-from graspsim.camera import _box_into, _Workspace
+from graspsim.camera import _box_into, _camera_rays, _Workspace
 from graspsim.config import SimConfig
-from graspsim.episode import derive_seed, render_views
 from graspsim.errors import NotReadyError
 from graspsim.nn import _FRAME_PAIRS, HISTORY_LEN, VIEWS
 from graspsim.robot import initial_robot
 from graspsim.scene import (
     ObjectSpec,
     SceneState,
+    derive_seed,
     reset_episode,
 )
-from graspsim.se3 import Pose6, Twist, compose
+from graspsim.se3 import Pose6, Twist, compose, euler_to_matrix
 
 from conftest import flat_terrain, make_config
 
@@ -243,6 +246,61 @@ def test_render_views_seeds_flips_per_step_and_view(catalog_map):
             assert np.array_equal(got.depth, want.depth)
             clean = render_frame(scene, robot, cam)
             assert np.array_equal(got.mask, clean.mask) == (prob == 0.0)
+
+
+def _descending_rays(robot, cam) -> int:
+    rays = _camera_rays(cam)[0]
+    parent = robot.base_pose if cam.mount == "base" else robot.ee_pose
+    rot = euler_to_matrix(parent.orientation) @ euler_to_matrix(cam.mount_offset.orientation)
+    return int(np.count_nonzero((rot.astype(np.float32) @ rays)[2] < -1e-12))
+
+
+@pytest.mark.parametrize("object_id", ["tennis_ball", "cracker_box", "mustard_bottle"])
+@pytest.mark.parametrize("case", ["spawn", "wrist_looks_up", "wrist_inside_object"])
+def test_two_view_batch_equals_one_view_renders(object_id, case, catalog_map):
+    # the (wrist, base) batch gives every bit of two one-view renders: at
+    # spawn; with a wrist view that has no descending ray; and with every
+    # wrist ray near the object (its camera inside the object) while no base
+    # ray is (the object is behind the base camera)
+    spec = catalog_map[object_id]
+    scene = reset_episode(make_config(object_id=object_id, seed=3), catalog_map)
+    robot = initial_robot(scene.terrain)
+    cams = (wrist_camera(), base_camera())
+    if case == "wrist_looks_up":
+        robot = eye_robot([0.3, 0.1, 0.7], (0.2, -0.9, 0.3))
+        assert _descending_rays(robot, cams[0]) == 0 < _descending_rays(robot, cams[1])
+    elif case == "wrist_inside_object":
+        center = np.array([-1.5, 0.2, 0.5])
+        scene = make_scene(spec, Pose6(center, np.array([0.1, 0.2, 0.3])))
+        robot = eye_robot(center - cams[0].mount_offset.position)
+    batch = render_views(scene, robot, SimConfig(), 0, 0)
+    for cam, got in zip(cams, batch):
+        want = render_frame(scene, robot, cam)
+        for name in ("mask", "depth", "valid"):
+            assert np.array_equal(getattr(got, name).view(np.uint8),
+                                  getattr(want, name).view(np.uint8)), name
+    if case == "wrist_inside_object":
+        assert batch[0].mask.all() and not batch[1].mask.any()
+
+
+def test_episode_renders_each_state_the_history_reads_once(catalog, monkeypatch):
+    # the latency queue holds states; the history fetches the state of
+    # LATENCY_STEPS steps ago (step 0's during the warm-up), rendered once, so
+    # the last LATENCY_STEPS states are never rendered
+    rendered = []
+
+    def counted(scene, robot, sim_cfg, seed, step):
+        rendered.append(step)
+        return render_views(scene, robot, sim_cfg, seed, step)
+
+    monkeypatch.setattr(episode, "render_views", counted)
+    for timeout in (1, LATENCY_STEPS, LATENCY_STEPS + 1, 12):
+        rendered.clear()
+        log, records = episode.run_episode(
+            make_config(object_id="tennis_ball", seed=0, timeout_steps=timeout),
+            catalog=catalog, collect_observations=True)
+        assert log.n_steps == len(records) == timeout
+        assert rendered == list(range(max(1, timeout - LATENCY_STEPS)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from graspsim import episode, robot as robot_module
 from graspsim.config import SimConfig
-from graspsim.episode import derive_seed, run_episode
+from graspsim.episode import run_episode
 from graspsim.robot import (
     HighLevelAction,
     accumulate_command,
@@ -22,6 +22,7 @@ from graspsim.robot import (
 from graspsim.scene import (
     PLATFORM_Z_RANGE,
     check_status,
+    derive_seed,
     make_trajectory,
     reset_episode,
     step_scene,
@@ -67,6 +68,11 @@ OBSERVATION_DIGEST = "31824ea0fce9e599b5dd91467c08183456671697a61aed1b8c12323bd0
 # The same over the 37 records of the 40-step level-1 cracker_box episode in
 # conftest's box_records: a box target, so its mask comes from the slab test.
 BOX_OBSERVATION_DIGEST = "54a5a951c5e706f8d93a3456625e650bf7e945a8d9b4286af9374720c190a02a"
+# The same over the 31 records of the 40-step level-4 mustard_bottle episode
+# (a success, so its last frames show the held object): a cylinder target,
+# whose mask comes from the exact cylinder test.
+CYLINDER_OBSERVATION_DIGEST = (
+    "b46f5c6e2364b316f20986d0ee50188da5e0a621abad636527d3fdf5187b3ac3")
 
 
 @pytest.mark.parametrize("key", sorted(EPISODE_DIGESTS))
@@ -111,6 +117,14 @@ def test_observation_bytes_pinned(catalog):
 def test_box_observation_bytes_pinned(box_records):
     assert len(box_records) == 37
     assert _records_digest(box_records) == BOX_OBSERVATION_DIGEST
+
+
+def test_cylinder_observation_bytes_pinned(catalog):
+    log, records = run_episode(make_config(level=4, object_id="mustard_bottle", seed=0,
+                                           timeout_steps=40),
+                               catalog=catalog, collect_observations=True)
+    assert log.outcome == "success" and len(records) == 31
+    assert _records_digest(records) == CYLINDER_OBSERVATION_DIGEST
 
 
 def _records_digest(records) -> str:

@@ -15,7 +15,7 @@ from graspsim.distill import (
     read_dataset,
     record_distillation,
 )
-from graspsim.episode import build_proprio, derive_seed, run_episode
+from graspsim.episode import build_proprio, run_episode
 from graspsim.errors import (
     EmptyBankError,
     InvalidArgumentError,
@@ -26,7 +26,7 @@ from graspsim.gfm import alignment_gfm_weights, build_memory, generate_candidate
 from graspsim.metrics import summaries_to_jsonl
 from graspsim.nn import PROPRIO_DIM, kd_loss
 from graspsim.robot import initial_robot
-from graspsim.scene import ObjectSpec, reset_episode
+from graspsim.scene import ObjectSpec, derive_seed, reset_episode
 from graspsim.se3 import Pose6, compose, wrap_angle
 from graspsim.teacher import YAW_CAP, _steer, cached_object_feature, teacher_step
 
