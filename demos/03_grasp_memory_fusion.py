@@ -16,10 +16,9 @@ from graspsim.gfm import (
     gfm_forward,
     object_feature,
     random_gfm_weights,
-    select_argmax,
 )
 from graspsim.scene import catalog_by_id
-from graspsim.se3 import vec6_encode
+from graspsim.se3 import grasp_to_world, vec6_encode
 
 np.set_printoptions(precision=3, suppress=True)
 catalog = catalog_by_id(load_catalog())
@@ -45,7 +44,7 @@ for name, weights in (("alignment", alignment_gfm_weights()),
     print(f"\n{name} weights: alpha max {alphas.max():.3f}, "
           f"sum {alphas.sum():.6f}")
     print("  fused world grasp:", vec6_encode(fused))
-    hard = select_argmax(bank, obj_pose, feat, weights)
+    hard = grasp_to_world(bank.candidates[int(np.argmax(alphas))].pose, obj_pose)
     print("  argmax world grasp:", vec6_encode(hard))
 
 # Selection is stable while the object translates: the attention logits all

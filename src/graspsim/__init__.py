@@ -43,7 +43,6 @@ from .robot import (
     accumulate_command,
     execute_command,
     ik_pseudoinverse_step,
-    interpolate_target,
 )
 from .rewards import (
     HighLevelRewardInput,
@@ -72,7 +71,6 @@ from .gfm import (
     generate_candidates,
     gfm_forward,
     object_feature,
-    select_argmax,
 )
 from .camera import (
     CameraModel,

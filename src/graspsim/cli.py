@@ -20,11 +20,11 @@ from .atomicfile import atomic_write, check_output_path
 from .camera import dump_frame, render_views
 from .config import load_config
 from .distill import record_distillation
-from .episode import episode_bank, episode_start, run_episode
+from .episode import decisions, episode_bank, run_episode
 from .errors import GraspSimError, InvalidArgumentError
 from .gfm import alignment_gfm_weights, gfm_forward, save_bank
 from .metrics import run_benchmark, summaries_to_jsonl
-from .scene import EpisodeConfig, derive_seed, load_catalog, step_scene
+from .scene import EpisodeConfig, derive_seed, load_catalog, reset_episode
 from .se3 import vec6_encode
 from .teacher import cached_object_feature
 
@@ -87,16 +87,21 @@ def _cmd_episode(args) -> int:
 def _cmd_render(args) -> int:
     if args.step < 0:
         raise InvalidArgumentError(f"--step must be 0 or more, got {args.step}")
+    if not args.out_dir:                              # found before the episode runs
+        raise InvalidArgumentError("output path is empty")
     cfg = load_config(args.config)
     catalog = load_catalog()
-    object_id = args.object or catalog[0].id
-    config = EpisodeConfig(level=args.level, object_id=object_id, seed=args.seed)
-    traj, scene, robot = episode_start(config, catalog)
-    for _ in range(args.step * cfg.substeps):
-        scene = step_scene(scene, traj, cfg.physics_dt)
+    config = EpisodeConfig(level=args.level, object_id=args.object or catalog[0].id,
+                           seed=args.seed, timeout_steps=cfg.timeout_steps)
+    for step, seen, *_ in decisions(config, cfg, catalog=catalog):
+        if step == args.step:
+            break
+    else:
+        raise InvalidArgumentError(f"--step {args.step} is past the episode's end: "
+                                   f"its last decision step is {step}")
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
-    frames = render_views(scene, robot, cfg, config.seed, args.step)
+    frames = render_views(*seen, cfg, config.seed, args.step)
     for frame, name in zip(frames, ("wrist", "base")):
         written += dump_frame(frame, os.path.join(args.out_dir,
                                                   f"step{args.step:04d}_{name}"))
@@ -109,7 +114,7 @@ def _cmd_gfm_inspect(args) -> int:
         check_output_path(args.save)
     cfg = load_config(args.config)
     config = EpisodeConfig(level=1, object_id=args.object, seed=args.seed)
-    _, scene, _ = episode_start(config, load_catalog())
+    scene = reset_episode(config, load_catalog())
     spec = scene.object_spec
     bank = episode_bank(spec, cfg, args.seed)
     feat = cached_object_feature(spec)
@@ -189,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("render", help="dump mask/depth frames as PGM")
     r.add_argument("--level", type=int, default=1)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--step", type=int, default=0, help="advance only the scene N decision "
-                   "steps; the robot stays put, so these are not the episode's frames")
+    r.add_argument("--step", type=int, default=0, help="render the frames that the "
+                   "episode's decision step N sees (its robot and scene)")
     r.add_argument("--object", default=None)
     r.add_argument("--out-dir", default="frames")
     r.set_defaults(func=_cmd_render)

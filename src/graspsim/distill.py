@@ -51,7 +51,7 @@ class DistillRecord:
 
     def __post_init__(self):
         for name in _FLOAT_FIELDS:
-            if getattr(self, name).shape != RECORD_DTYPE[name].shape:
+            if np.shape(getattr(self, name)) != RECORD_DTYPE[name].shape:
                 raise InvalidArgumentError(f"{name} must be {RECORD_DTYPE[name].shape}")
         if self.gripper not in (0, 1):
             raise InvalidArgumentError(f"gripper must be 0 or 1, got {self.gripper!r}")
@@ -61,32 +61,44 @@ def record_distillation(log, observations, path) -> int:
     """Write one episode's (observation, label) stream; returns record count.
 
     ``observations`` is the list produced by run_episode(collect_observations
-    =True): (stacked, proprio, action vector, gripper bit, step index).  Every
-    record is checked as ``read_dataset`` checks it (a value that is not
-    finite as float32 fails, naming its record) before any file appears.
+    =True): (stacked, proprio, action vector, gripper bit, step index).  Each
+    record is checked as it is packed, as ``read_dataset`` checks it; a
+    rejection names the path and the record, and leaves no file.
     """
     if len(observations) != log.n_steps:
         raise InvalidArgumentError(
             f"observation stream ({len(observations)}) does not match "
             f"decision steps ({log.n_steps})"
         )
-    episode_id = log.seed & 0xFFFFFFFFFFFFFFFF
-    with np.errstate(over="ignore"):                  # past float32's range: inf
-        records = [DistillRecord(episode_id, step, *(np.asarray(a, np.float32) for a in floats),
-                                 int(grip)) for *floats, grip, step in observations]
-    for i, rec in enumerate(records):                 # the reader's min/max test
-        bad = [name for name in sorted(_FLOAT_FIELDS) if not (
-            np.isfinite(getattr(rec, name).min()) and np.isfinite(getattr(rec, name).max()))]
-        if bad:
-            raise InvalidArgumentError(f"{path}: record {i}: {bad[0]} is not finite")
-    row = np.zeros((), RECORD_DTYPE)
+    row = np.zeros(1, RECORD_DTYPE)
     with atomic_write(path) as fh:
         fh.write(HEADER)
-        for rec in records:
-            for name in RECORD_DTYPE.names:
-                row[name] = getattr(rec, name)
+        for i, (*floats, grip, step) in enumerate(observations):
+            try:    # checks the shapes, which numpy would broadcast into the row
+                rec = DistillRecord(log.seed & 0xFFFFFFFFFFFFFFFF, step, *floats, grip)
+            except InvalidArgumentError as exc:
+                raise InvalidArgumentError(f"{path}: record {i}: {exc}") from None
+            with np.errstate(over="ignore"):          # past float32's range: inf
+                for name in RECORD_DTYPE.names:
+                    row[name] = getattr(rec, name)
+            _check_rows(row, path, i)
             fh.write(row.tobytes())
     return len(observations)
+
+
+def _check_rows(rows, path, first: int = 0) -> None:
+    """Reject the first row (``rows[0]`` is record ``first``) with a gripper
+    byte other than 0/1 or a float that is not finite, naming its record."""
+    faults = [("gripper must be 0 or 1", rows["gripper"] > 1)]
+    for name in _FLOAT_FIELDS:
+        # min/max propagate NaN and expose +-inf without a per-float mask
+        axes = tuple(range(1, rows[name].ndim))
+        finite = np.isfinite(rows[name].min(axis=axes)) & np.isfinite(rows[name].max(axis=axes))
+        faults.append((f"{name} is not finite", ~finite))
+    bad = [(int(np.argmax(mask)), what) for what, mask in faults if mask.any()]
+    if bad:
+        i, what = min(bad)
+        raise InvalidArgumentError(f"{path}: record {first + i}: {what}")
 
 
 def read_dataset(path) -> list:
@@ -108,15 +120,7 @@ def read_dataset(path) -> list:
     if (len(data) - HEADER_SIZE) % RECORD_SIZE != 0:
         raise InvalidArgumentError(f"{path}: truncated record data")
     rows = np.frombuffer(data, dtype=RECORD_DTYPE, offset=HEADER_SIZE)
-    faults = [("gripper must be 0 or 1", rows["gripper"] > 1)]
-    for name in _FLOAT_FIELDS:
-        # min/max propagate NaN and expose +-inf without a per-float mask
-        axes = tuple(range(1, rows[name].ndim))
-        finite = np.isfinite(rows[name].min(axis=axes)) & np.isfinite(rows[name].max(axis=axes))
-        faults.append((f"{name} is not finite", ~finite))
-    bad = [(int(np.argmax(mask)), what) for what, mask in faults if mask.any()]
-    if bad:
-        raise InvalidArgumentError("{}: record {}: {}".format(path, *min(bad)))
+    _check_rows(rows, path)
     obs, proprio, action = (rows[name] for name in _FLOAT_FIELDS)
     return [DistillRecord(eid, step, obs[i], proprio[i], action[i], grip)
             for i, (eid, step, grip) in enumerate(

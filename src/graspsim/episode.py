@@ -1,11 +1,12 @@
 """Episode loop wiring all modules together.
 
-One decision step = observation (optional: the state enters the latency
-queue, and the history fetches the state of four steps ago, rendered in one
-two-view batch when first fetched) -> history stack -> teacher acts on
-privileged state -> command integration -> ``advance``: five physics substeps
-of robot, scene and status on Python floats, with the robot and scene states
-built once at the end -> reward bookkeeping.  Fully deterministic per seed.
+``decisions`` steps an episode: teacher acts on privileged state -> gripper
+close -> command integration -> ``advance``: five physics substeps of robot,
+scene and status on Python floats, with the robot and scene states built once
+at the end.  ``run_episode`` loops over it, adding the observation (optional:
+the state a step saw enters the latency queue, and the history fetches the
+state of four steps ago, rendered in one two-view batch when first fetched)
+-> history stack, and the reward bookkeeping.  Fully deterministic per seed.
 """
 
 from __future__ import annotations
@@ -93,13 +94,6 @@ class EpisodeLog:
         return bool(self.close_events) and bool(self.close_events[0][1])
 
 
-def episode_start(config: EpisodeConfig, catalog):
-    """The seeded platform trajectory, initial scene and robot of an episode."""
-    traj = make_trajectory(config.level, derive_seed(config.seed, 11))
-    scene = reset_episode(config, catalog, traj)
-    return traj, scene, initial_robot(scene.terrain)
-
-
 def episode_bank(spec, sim_cfg: SimConfig, seed: int):
     """The grasp memory bank of every episode of ``seed`` on object ``spec``."""
     return draw_bank(spec, sim_cfg.candidate_count, sim_cfg.bank_size,
@@ -163,18 +157,47 @@ def advance(robot, scene, status, u, traj, config: EpisodeConfig, sim_cfg: SimCo
     return _robot_state(rf, u, robot.gripper), _scene_state(scene, sf, rng), status
 
 
+def decisions(config: EpisodeConfig, sim_cfg: SimConfig, use_gfm: bool = True,
+              catalog=None):
+    """Step one seeded episode, yielding ``(step, seen, action, close, u,
+    robot, scene, status)`` per decision step up to a terminal status or the
+    timeout: ``seen`` is the (scene, robot) the decision saw, ``close`` None or
+    whether a gripper close held, ``u`` the command, then the states after the
+    physics.  ``use_gfm=False`` aims the teacher at the object centroid (the
+    ablation); ``catalog`` defaults to the bundled set."""
+    catalog = catalog if catalog is not None else load_catalog()
+    traj = make_trajectory(config.level, derive_seed(config.seed, 11))
+    scene = reset_episode(config, catalog, traj)
+    robot = initial_robot(scene.terrain)
+    bank = episode_bank(scene.object_spec, sim_cfg, config.seed)
+    weights = alignment_gfm_weights()
+    status = initial_status()
+    last_close = -CLOSE_COOLDOWN_STEPS
+
+    for step in range(config.timeout_steps):
+        seen = scene, robot
+        action = teacher_step(scene, robot, bank, weights, sim_cfg, use_gfm)
+        close = None
+        if (action.gripper_close and robot.gripper == "open"
+                and step - last_close >= CLOSE_COOLDOWN_STEPS):
+            scene, held = apply_gripper_close(scene, robot, bank, sim_cfg)
+            close, last_close = bool(held), step
+            if close:
+                robot = replace(robot, gripper="closed")
+        u = accumulate_command(robot, action)
+        robot, scene, status = advance(robot, scene, status, u, traj, config, sim_cfg, step)
+        yield step, seen, action, close, u, robot, scene, status
+        if status.terminal:
+            return
+
+
 def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
                 use_gfm: bool = True, catalog=None,
                 collect_observations: bool = False, log_steps: bool = False):
-    """Run one seeded episode; returns the log (plus observations if asked).
-
-    The clock, grasp, perception and teacher settings come from ``sim_cfg``
-    (default ``SimConfig()``).  ``config`` names the episode and sets its
-    timeout (the CLI fills ``config.timeout_steps`` from
-    ``SimConfig.timeout_steps``); its object comes from ``catalog`` (default
-    the bundled set).  The teacher fuses the grasp bank with
-    ``alignment_gfm_weights``, or with ``use_gfm=False`` aims at the object
-    centroid (the ablation).
+    """Run one seeded episode over ``decisions``; returns the log (plus
+    observations if asked).  ``sim_cfg`` defaults to ``SimConfig()``, and
+    ``config.timeout_steps`` is the timeout (the CLI fills it from
+    ``SimConfig.timeout_steps``).
 
     ``log_steps`` records the per-step trace in ``log.steps`` (and so makes
     ``log.to_json()`` available), with the high-level and locomotion reward
@@ -188,12 +211,6 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     flow (the teacher is privileged), so sweeps leave it off for speed.
     """
     sim_cfg = sim_cfg if sim_cfg is not None else SimConfig()
-    catalog = catalog if catalog is not None else load_catalog()
-    traj, scene, robot = episode_start(config, catalog)
-    bank = episode_bank(scene.object_spec, sim_cfg, config.seed)
-    weights = alignment_gfm_weights()
-    status = initial_status()
-
     latency, shown = LatencyBuffer(), None
     hist_w, hist_b = ObsHistory(), ObsHistory()
 
@@ -203,33 +220,22 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     q_prev = DEFAULT_JOINTS   # the pose at rest; gait_joint_proxy(0.0) is 4e-17 off it
     q_dot_prev = np.zeros_like(DEFAULT_JOINTS)
 
-    for step in range(config.timeout_steps):
-        if collect_observations:
-            delayed = latency.push_and_fetch((scene, robot, step))
-            if delayed is not shown:                # rendered once, when first fetched
-                shown = delayed
-                f_w, f_b = render_views(*delayed[:2], sim_cfg, config.seed, delayed[2])
-            proprio = build_proprio(robot, scene.terrain)
-            hist_w.push(f_w)
-            hist_b.push(f_b)
-            stacked = stack_observation(hist_w, hist_b)
-        action = teacher_step(scene, robot, bank, weights, sim_cfg, use_gfm)
+    for step, seen, action, close, u, robot, scene, status in decisions(
+            config, sim_cfg, use_gfm, catalog):
         if collect_observations or log_steps:
             action_vec = action.as_vector()
         if collect_observations:
-            observations.append((stacked, proprio, action_vec.copy(),
+            delayed = latency.push_and_fetch((*seen, step))
+            if delayed is not shown:                # rendered once, when first fetched
+                shown = delayed
+                f_w, f_b = render_views(*delayed[:2], sim_cfg, config.seed, delayed[2])
+            hist_w.push(f_w)
+            hist_b.push(f_b)
+            observations.append((stack_observation(hist_w, hist_b),
+                                 build_proprio(seen[1], seen[0].terrain), action_vec.copy(),
                                  1 if action.gripper_close else 0, step))
-
-        if (action.gripper_close and robot.gripper == "open"
-                and (not close_events
-                     or step - close_events[-1][0] >= CLOSE_COOLDOWN_STEPS)):
-            scene, close_ok = apply_gripper_close(scene, robot, bank, sim_cfg)
-            close_events.append([step, bool(close_ok)])
-            if close_ok:
-                robot = replace(robot, gripper="closed")
-
-        u = accumulate_command(robot, action)
-        robot, scene, status = advance(robot, scene, status, u, traj, config, sim_cfg, step)
+        if close is not None:
+            close_events.append([step, close])
 
         if log_steps:
             obs_sig = gait_observables(robot, q_prev, sim_cfg.decision_dt, u,
@@ -268,8 +274,6 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
             prev_action = action_vec
             q_prev = obs_sig["q"]
             q_dot_prev = q_dot
-        if status.terminal:
-            break
 
     if not status.terminal:
         status = check_status(scene, robot, status, config, config.timeout_steps)

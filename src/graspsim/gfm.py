@@ -20,8 +20,8 @@ import numpy as np
 
 from .atomicfile import atomic_write
 from .errors import EmptyBankError, InvalidArgumentError, ShapeError
-from .se3 import (Pose6, _mulv, _rot9, _trusted, euler_to_matrix, grasp_to_world,
-                  matrix_to_euler, vec6_decode, vec6_encode)
+from .se3 import (Pose6, _mulv, _rot9, _trusted, euler_to_matrix, matrix_to_euler,
+                  vec6_decode, vec6_encode)
 
 if TYPE_CHECKING:
     from .scene import ObjectSpec
@@ -406,14 +406,6 @@ def gfm_forward(feat, obj_pose: Pose6, bank: GraspMemoryBank,
     fused = anchor + alphas @ (vals - vals[0])
     out = fused @ w.wout + w.bout
     return vec6_decode(out), alphas
-
-
-def select_argmax(bank: GraspMemoryBank, obj_pose: Pose6, feat,
-                  w: GfmWeights) -> Pose6:
-    """World pose of the candidate with the largest attention weight."""
-    _, alphas = gfm_forward(feat, obj_pose, bank, w)
-    idx = int(np.argmax(alphas))
-    return grasp_to_world(bank.candidates[idx].pose, obj_pose)
 
 
 # ---------------------------------------------------------------------------

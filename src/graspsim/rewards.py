@@ -15,7 +15,7 @@ from .errors import InvalidArgumentError
 from .se3 import wrap_angle
 
 YAW_PENALTY_THRESHOLD = np.pi / 3.0
-SIGMA_TRACK = 0.25      # Gaussian tracking-kernel width (exposed, conventional)
+SIGMA_TRACK = 0.25      # Gaussian tracking-kernel width (conventional)
 SIGMA_CF = 100.0        # swing-phase force kernel, N^2
 SIGMA_CV = 0.05         # stance-phase velocity kernel, (m/s)^2
 
@@ -117,8 +117,7 @@ def yaw_penalty(psi_c: float, psi_0: float) -> float:
     return 0.0
 
 
-def high_level_reward(inp: HighLevelRewardInput,
-                      weights: dict | None = None) -> RewardBreakdown:
+def high_level_reward(inp: HighLevelRewardInput) -> RewardBreakdown:
     """Staged task reward plus always-on assistant terms.
 
     Exactly one of approach/lift/completion is active, chosen by phase.  The
@@ -126,10 +125,6 @@ def high_level_reward(inp: HighLevelRewardInput,
     object), lift = 0.5 + 0.5 * progress toward the lift-success height,
     completion = 1.
     """
-    unknown = sorted(set(weights or ()) - HIGH_LEVEL_WEIGHTS.keys())
-    if unknown:
-        raise InvalidArgumentError(f"unknown high-level reward terms {unknown}")
-    w = {**HIGH_LEVEL_WEIGHTS, **(weights or {})}
     values = np.concatenate([
         inp.q_dot_prev, inp.q_dot, inp.a_prev, inp.a,
         [inp.dist_ee_obj, inp.lift_height, inp.v_x_star,
@@ -164,7 +159,7 @@ def high_level_reward(inp: HighLevelRewardInput,
         "base_h": np.exp(-abs(inp.h_current - inp.h_target)),
         "yaw": yaw_penalty(inp.psi_c, inp.psi_0),
     }
-    return _breakdown(raw, w)
+    return _breakdown(raw, HIGH_LEVEL_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -208,14 +203,8 @@ def tracking_kernel(x, sigma: float) -> float:
     return float(np.exp(-np.dot(x.ravel(), x.ravel()) / sigma))
 
 
-def low_level_reward(s: LowLevelState, sigma_track: float = SIGMA_TRACK,
-                     sigma_cf: float = SIGMA_CF,
-                     sigma_cv: float = SIGMA_CV) -> RewardBreakdown:
-    """All twelve locomotion reward rows with their listed weights."""
-    for name, sigma in (("sigma_track", sigma_track), ("sigma_cf", sigma_cf),
-                        ("sigma_cv", sigma_cv)):
-        if not (sigma > 0 and np.isfinite(sigma)):
-            raise InvalidArgumentError(f"{name} must be positive and finite, got {sigma}")
+def low_level_reward(s: LowLevelState) -> RewardBreakdown:
+    """All twelve locomotion reward rows with their listed weights and widths."""
     values = np.concatenate([s.q, s.q_dot, s.tau, s.v_b, s.omega_b,
                              [s.v_x_star, s.v_yaw_star, s.h_b, s.h_b_target]])
     if not np.all(np.isfinite(values)):
@@ -223,12 +212,12 @@ def low_level_reward(s: LowLevelState, sigma_track: float = SIGMA_TRACK,
 
     v_cmd_xy = np.array([s.v_x_star, 0.0])
     swing = np.sum((1.0 - s.contact_cmd)
-                   * (1.0 - np.exp(-np.abs(s.f_foot ** 2) / sigma_cf)))
+                   * (1.0 - np.exp(-np.abs(s.f_foot ** 2) / SIGMA_CF)))
     stance = np.sum(s.contact_cmd
-                    * (1.0 - np.exp(-np.abs(s.v_z_foot ** 2) / sigma_cv)))
+                    * (1.0 - np.exp(-np.abs(s.v_z_foot ** 2) / SIGMA_CV)))
     raw = {
-        "lin_vel_tracking": tracking_kernel(v_cmd_xy - s.v_b[:2], sigma_track),
-        "yaw_vel_tracking": tracking_kernel(s.v_yaw_star - s.omega_b[2], sigma_track),
+        "lin_vel_tracking": tracking_kernel(v_cmd_xy - s.v_b[:2], SIGMA_TRACK),
+        "yaw_vel_tracking": tracking_kernel(s.v_yaw_star - s.omega_b[2], SIGMA_TRACK),
         "ang_vel_penalty": -float(np.sum(s.omega_b[:2] ** 2)),
         "joint_torques": -float(np.sum(s.tau ** 2)),
         "action_rate": -float(np.sum(s.q_star ** 2)),

@@ -247,18 +247,6 @@ def ik_pseudoinverse_step(jacobian, error) -> np.ndarray:
     return j.T @ np.linalg.solve(jjt, e)
 
 
-def interpolate_target(p, p_end, t: float, total: float) -> np.ndarray:
-    """Linear blend from p to p_end: (t/T) p_end + (1 - t/T) p."""
-    if total <= 0:
-        raise InvalidArgumentError(f"T must be positive, got {total}")
-    if t < 0 or t > total:
-        raise InvalidArgumentError(f"t must lie in [0, {total}], got {t}")
-    p = np.asarray(p, dtype=float)
-    p_end = np.asarray(p_end, dtype=float)
-    w = t / total
-    return w * p_end + (1.0 - w) * p
-
-
 def gait_observables(robot: RobotState, q_prev: np.ndarray, dt: float,
                      u: CommandVector, terrain) -> dict:
     """Synthetic low-level signals derived from the gait clock.

@@ -423,7 +423,7 @@ def test_criterion_8_reward_fidelity(catalog_map):
         q_default=np.full(12, 0.1), contact_cmd=np.array([1.0, 0.0, 0.7, 0.3]),
     )
     sigma, scf, scv = 0.25, 100.0, 0.05
-    lbd = low_level_reward(s, sigma_track=sigma, sigma_cf=scf, sigma_cv=scv)
+    lbd = low_level_reward(s)
     verr = np.array([0.4 - 0.25, 0.05])
     low_expected = {
         "lin_vel_tracking": (np.exp(-float(verr @ verr) / sigma), 1.0),

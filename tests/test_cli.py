@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -7,14 +8,17 @@ import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import graspsim.cli
-import graspsim.metrics
+import graspsim.episode
+from graspsim.camera import DEPTH_CLIP
 from graspsim.cli import main
 from graspsim.config import _RANGES, SimConfig, load_config
 from graspsim.episode import run_episode
 from graspsim.errors import InvalidArgumentError
+from graspsim.nn import HISTORY_LEN, VIEWS
 from graspsim.scene import EpisodeConfig
 
 
@@ -24,16 +28,22 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
-def count_episodes(monkeypatch) -> list:
-    """Record every run_episode call the CLI makes, directly or in a sweep."""
+@pytest.fixture
+def episode_starts(monkeypatch) -> list:
+    """Record every episode the CLI starts: each call of ``decisions``, the
+    stepper that run_episode (directly or in a sweep) and render step
+    through, and gfm-inspect's call of ``reset_episode``."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return run_episode(*args, **kwargs)
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(graspsim.cli, "run_episode", counted)
-    monkeypatch.setattr(graspsim.metrics, "run_episode", counted)
+    monkeypatch.setattr(graspsim.episode, "decisions", counted(graspsim.episode.decisions))
+    monkeypatch.setattr(graspsim.cli, "decisions", counted(graspsim.cli.decisions))
+    monkeypatch.setattr(graspsim.cli, "reset_episode", counted(graspsim.cli.reset_episode))
     return calls
 
 
@@ -72,6 +82,79 @@ def test_render_command(tmp_path, capsys):
     ]
     for p in out_dir.iterdir():
         assert p.read_bytes().startswith(b"P5\n96 54\n")
+
+
+def _pgm(path) -> np.ndarray:
+    data = path.read_bytes()
+    maxval = int(data.split(b"\n")[2])
+    dtype = ">u2" if maxval > 255 else np.uint8
+    return np.frombuffer(data, dtype, count=54 * 96, offset=len(data) - 54 * 96
+                         * np.dtype(dtype).itemsize).reshape(54, 96)
+
+
+@pytest.mark.parametrize("level, obj, seed, step, flip", [
+    (1, "tennis_ball", 0, 12, 0.0),        # sphere: wrist mask 0 px, base 16 px
+    (4, "mustard_bottle", 3, 7, 0.0),      # cylinder
+    (2, "orange", 4, 9, 0.05),             # mask flips, seeded per step and view
+])
+def test_render_step_writes_the_episodes_frames(level, obj, seed, step, flip, tmp_path,
+                                                capsys):
+    # the frames of the state decision N saw: the newest frames of the
+    # episode's record N + 4, four steps of latency later
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text(f"timeout_steps = {step + 5}\nmask_flip_prob = {flip}\n")
+    out = tmp_path / "frames"
+    code, _, _ = run_cli(["--config", str(cfg_path), "render", "--level", str(level),
+                          "--object", obj, "--seed", str(seed), "--step", str(step),
+                          "--out-dir", str(out)], capsys)
+    assert code == 0
+    cfg = load_config(cfg_path)
+    _, records = run_episode(EpisodeConfig(level=level, object_id=obj, seed=seed,
+                                           timeout_steps=cfg.timeout_steps),
+                             sim_cfg=cfg, collect_observations=True)
+    stacked = records[step + 4][0]
+    for k, view in enumerate(VIEWS):
+        newest = k * 2 * HISTORY_LEN + HISTORY_LEN - 1     # masks, then depths
+        mask = _pgm(out / f"step{step:04d}_{view}_mask.pgm")
+        depth_mm = _pgm(out / f"step{step:04d}_{view}_depth.pgm").astype(float)
+        assert np.array_equal(mask == 255, stacked[newest] == 1.0)
+        assert np.abs(np.minimum(depth_mm, 1000.0 * DEPTH_CLIP)
+                      - 1000.0 * DEPTH_CLIP * stacked[newest + HISTORY_LEN]).max() <= 1.0
+
+
+@pytest.mark.parametrize("config, step, last", [(None, 40, 39), ("timeout_steps = 3\n", 3, 2)])
+def test_render_step_past_the_episodes_end_rejected(config, step, last, tmp_path, capsys):
+    # level 1 tennis_ball seed 0 succeeds at step 39; the other run times out
+    args = ["render", "--step", str(step), "--out-dir", str(tmp_path / "frames")]
+    if config is not None:
+        (tmp_path / "sim.cfg").write_text(config)
+        args = ["--config", str(tmp_path / "sim.cfg")] + args
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: InvalidArgumentError: --step {step} is past the episode's end: "
+        f"its last decision step is {last}"]
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["sim.cfg"])
+
+
+# sha256 over the four PGMs in name order, as written before render stepped
+# the episode (it advanced only the scene then); step 0 is the episode's start
+RENDER_STEP0_DIGESTS = {
+    (1, 0, "tennis_ball"): "78c6f84c15b469938c69b1ff3238e01ad73334a1be3884d7f977a2151fca5a28",
+    (4, 3, "mustard_bottle"): "434ddcf305e7cad49e1985fe645ae2b9518408d3e6ef993765c14783be8bb0ef",
+    (2, 5, "cracker_box"): "c1c0b45da40683794690f59562b1b013ae04b7d58645239814f5b029e0531ab1",
+}
+
+
+@pytest.mark.parametrize("level, seed, obj", sorted(RENDER_STEP0_DIGESTS))
+def test_render_step_zero_bytes_pinned(level, seed, obj, tmp_path, capsys):
+    out = tmp_path / "frames"
+    assert run_cli(["render", "--level", str(level), "--seed", str(seed), "--object", obj,
+                    "--step", "0", "--out-dir", str(out)], capsys)[0] == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == RENDER_STEP0_DIGESTS[level, seed, obj]
 
 
 def test_gfm_inspect_command(capsys):
@@ -166,16 +249,15 @@ def test_count_arguments_rejected(args, tmp_path, capsys, monkeypatch):
     ["bench", "--levels", "1", "--episodes", "1", "--out"],
     ["render", "--out-dir"],
 ])
-def test_empty_file_flag_rejected(args, tmp_path, capsys, monkeypatch):
+def test_empty_file_flag_rejected(args, tmp_path, capsys, monkeypatch, episode_starts):
     # an empty path is an error, not "flag not given", found before any
     # episode runs, and leaves no file
     monkeypatch.chdir(tmp_path)
-    episodes = count_episodes(monkeypatch)
     code, _, err = run_cli(args + [""], capsys)
     assert code == 1
     assert err.strip().splitlines()[-1].startswith("error: ")
     assert list(tmp_path.iterdir()) == []
-    assert episodes == []
+    assert episode_starts == []
 
 
 @pytest.mark.parametrize("args", [
@@ -183,28 +265,27 @@ def test_empty_file_flag_rejected(args, tmp_path, capsys, monkeypatch):
     ["distill-record", "--level", "1", "--out"],
     ["bench", "--levels", "1", "--episodes", "1", "--out"],
 ])
-def test_missing_output_directory_rejected(args, tmp_path, capsys, monkeypatch):
+def test_missing_output_directory_rejected(args, tmp_path, capsys, monkeypatch,
+                                           episode_starts):
     monkeypatch.chdir(tmp_path)
-    episodes = count_episodes(monkeypatch)
     code, _, err = run_cli(args + [str(tmp_path / "missing" / "out")], capsys)
     assert code == 1
     assert err.strip().splitlines()[-1] == (
         f"error: InvalidArgumentError: output directory does not exist: "
         f"{tmp_path / 'missing'}")
     assert list(tmp_path.iterdir()) == []
-    assert episodes == []
+    assert episode_starts == []
 
 
-def test_bench_out_naming_a_file_rejected(tmp_path, capsys, monkeypatch):
+def test_bench_out_naming_a_file_rejected(tmp_path, capsys, episode_starts):
     afile = tmp_path / "afile"
     afile.write_bytes(b"kept")
-    episodes = count_episodes(monkeypatch)
     code, out, err = run_cli(["bench", "--levels", "1", "--episodes", "2",
                               "--out", str(afile)], capsys)
     assert code == 1 and out == ""
     assert err.strip().splitlines()[-1] == (
         f"error: InvalidArgumentError: --out is not a directory: {afile}")
-    assert episodes == []
+    assert episode_starts == []
     assert list(tmp_path.iterdir()) == [afile] and afile.read_bytes() == b"kept"
 
 
@@ -215,19 +296,16 @@ def test_bench_out_naming_a_file_rejected(tmp_path, capsys, monkeypatch):
     (["distill-record", "--level", "1", "--episodes", "2", "--out"], "adir.ep001"),
 ])
 def test_output_path_naming_a_directory_rejected(args, taken, tmp_path, capsys,
-                                                  monkeypatch):
+                                                  episode_starts):
     # found before any episode starts (distill-record checks each .epNNN
     # file it would write), and the directory is left as it was
-    episodes, starts = count_episodes(monkeypatch), []
-    monkeypatch.setattr(graspsim.cli, "episode_start",
-                        lambda *a, **k: starts.append(a))
     (tmp_path / taken).mkdir()
     (tmp_path / taken / "kept").write_bytes(b"kept")
     code, out, err = run_cli(args + [str(tmp_path / "adir")], capsys)
     assert code == 1 and out == ""
     assert err.strip().splitlines()[-1] == (
         f"error: InvalidArgumentError: output path is a directory: {tmp_path / taken}")
-    assert episodes == [] and starts == []
+    assert episode_starts == []
     assert [p.name for p in tmp_path.iterdir()] == [taken]
     assert [p.name for p in (tmp_path / taken).iterdir()] == ["kept"]
     assert (tmp_path / taken / "kept").read_bytes() == b"kept"
@@ -243,18 +321,16 @@ def test_output_path_naming_a_directory_rejected(args, taken, tmp_path, capsys,
     # at the default step budget, not after level 1 has run
     (["bench", "--levels", "1,5", "--out", "b"], "got 5"),
 ])
-def test_bad_seed_or_level_rejected(args, named, tmp_path, capsys, monkeypatch):
+def test_bad_seed_or_level_rejected(args, named, tmp_path, capsys, monkeypatch,
+                                    episode_starts):
     # one error line naming the bad value, before any episode starts or any
     # output file or directory is made
     monkeypatch.chdir(tmp_path)
-    episodes, starts = count_episodes(monkeypatch), []
-    monkeypatch.setattr(graspsim.cli, "episode_start",
-                        lambda *a, **k: starts.append(a))
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     [line] = err.splitlines()
     assert line.startswith("error: InvalidArgumentError:") and named in line
-    assert episodes == [] and starts == []
+    assert episode_starts == []
     assert list(tmp_path.iterdir()) == []
 
 

@@ -116,21 +116,33 @@ def test_read_dataset_rejects_non_finite(tmp_path, field, index, value):
 
 @pytest.mark.parametrize("field, index, value", [
     ("observation", 2, np.nan), ("proprio", 0, np.inf), ("action", 1, 1e39),
-    ("proprio", 2, -1e39),
+    ("proprio", 2, -1e39), ("gripper", 1, 2),
+    # wrong shapes, given as a shape; numpy would broadcast the last two into a row
+    ("observation", 0, (12, 54, 95)), ("observation", 2, (54, 96)), ("proprio", 1, ()),
 ])
 def test_record_distillation_rejects_what_the_reader_rejects(tmp_path, field, index,
                                                               value):
     # NaN, +-inf and a float64 past float32's range (inf once cast) fail with
-    # the reader's message, before any file (or temporary twin) appears
+    # the reader's message, and a gripper bit of 2 or a wrong shape with the
+    # writer's; each names the path and the record, and leaves no file (nor
+    # temporary twin)
     rng = np.random.default_rng(0)
     obs = [[rng.random(OBS_SHAPE), rng.random(PROPRIO_DIM), rng.random(8), 0, k]
            for k in range(3)]
-    column = ("observation", "proprio", "action").index(field)
-    obs[index][column].flat[-1] = value
+    column = ("observation", "proprio", "action", "gripper").index(field)
+    if field == "gripper":
+        obs[index][column] = value
+        what = f"gripper must be 0 or 1, got {value}"
+    elif isinstance(value, tuple):
+        obs[index][column] = rng.random(value)
+        what = f"{field} must be {RECORD_DTYPE[field].shape}"
+    else:
+        obs[index][column].flat[-1] = value
+        what = f"{field} is not finite"
     path = tmp_path / "bad.bin"
     with pytest.raises(InvalidArgumentError) as err:
         record_distillation(SimpleNamespace(n_steps=3, seed=7), obs, path)
-    assert str(err.value) == f"{path}: record {index}: {field} is not finite"
+    assert str(err.value) == f"{path}: record {index}: {what}"
     assert list(tmp_path.iterdir()) == []
 
 

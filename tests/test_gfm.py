@@ -19,7 +19,6 @@ from graspsim.gfm import (
     object_feature,
     random_gfm_weights,
     save_bank,
-    select_argmax,
 )
 from graspsim.scene import ObjectSpec, derive_seed
 from graspsim.se3 import (
@@ -359,32 +358,6 @@ def test_world_projection_memo_follows_the_orientation(rng):
         fresh_fused, fresh_alphas = gfm_forward(feat, pose, build_memory(cands, 30), w)
         assert vec6_encode(fused).tobytes() == vec6_encode(fresh_fused).tobytes()
         assert alphas.tobytes() == fresh_alphas.tobytes()
-
-
-def test_select_argmax_modes(rng):
-    feat = object_feature(BOX)
-    bank = random_bank(rng, k=1)
-    w = random_gfm_weights(1)
-    obj = Pose6(np.array([0.7, 0.1, 0.3]), np.zeros(3))
-    chosen = select_argmax(bank, obj, feat, w)
-    world = grasp_to_world(bank.candidates[0].pose, obj)
-    assert np.allclose(chosen.position, world.position, rtol=0, atol=1e-12)
-    assert np.allclose(euler_to_matrix(chosen.orientation),
-                       euler_to_matrix(world.orientation), rtol=0, atol=1e-12)
-
-
-def test_select_argmax_tie_breaks_low_index():
-    from graspsim.gfm import GraspCandidate
-    pose = generate_candidates(BOX, 4, seed=2)[0].pose
-    dup = tuple(GraspCandidate(pose, 0.5) for _ in range(4))
-    bank = GraspMemoryBank("bx", dup, 4)
-    w = random_gfm_weights(2)
-    obj = Pose6(np.array([1.0, 0, 0.4]), np.zeros(3))
-    chosen = select_argmax(bank, obj, object_feature(BOX), w)
-    world = grasp_to_world(dup[0].pose, obj)
-    assert np.allclose(chosen.position, world.position, rtol=0, atol=1e-12)
-    assert np.allclose(euler_to_matrix(chosen.orientation),
-                       euler_to_matrix(world.orientation), rtol=0, atol=1e-12)
 
 
 def test_argmax_invariant_to_logit_shift(rng):

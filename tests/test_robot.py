@@ -16,7 +16,6 @@ from graspsim.robot import (
     execute_command,
     ik_pseudoinverse_step,
     initial_robot,
-    interpolate_target,
 )
 from graspsim.scene import sample_terrain
 from graspsim.se3 import wrap_angle
@@ -217,17 +216,3 @@ def test_ik_rejects_singular():
     j = np.array([[1.0, 0, 0], [1.0, 0, 0]])
     with pytest.raises(SingularJacobianError):
         ik_pseudoinverse_step(j, np.array([1.0, 1.0]))
-
-
-def test_interpolate_target():
-    p = np.array([0.0, 0, 0])
-    q = np.array([1.0, 2, 3])
-    assert np.allclose(interpolate_target(p, q, 0.0, 2.0), p)
-    assert np.allclose(interpolate_target(p, q, 2.0, 2.0), q)
-    assert np.allclose(interpolate_target(p, q, 1.0, 2.0), (p + q) / 2)
-    with pytest.raises(InvalidArgumentError):
-        interpolate_target(p, q, -0.1, 2.0)
-    with pytest.raises(InvalidArgumentError):
-        interpolate_target(p, q, 2.1, 2.0)
-    with pytest.raises(InvalidArgumentError):
-        interpolate_target(p, q, 0.0, 0.0)
