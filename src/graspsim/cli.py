@@ -89,6 +89,11 @@ def _cmd_render(args) -> int:
         raise InvalidArgumentError(f"--step must be 0 or more, got {args.step}")
     if not args.out_dir:                              # found before the episode runs
         raise InvalidArgumentError("output path is empty")
+    head = os.path.abspath(args.out_dir)              # makedirs makes what is missing
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise InvalidArgumentError(f"--out-dir: not a directory: {head}")
     cfg = load_config(args.config)
     catalog = load_catalog()
     config = EpisodeConfig(level=args.level, object_id=args.object or catalog[0].id,

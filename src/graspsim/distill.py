@@ -12,6 +12,7 @@ that one array, not copies.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -88,17 +89,19 @@ def record_distillation(log, observations, path) -> int:
 
 def _check_rows(rows, path, first: int = 0) -> None:
     """Reject the first row (``rows[0]`` is record ``first``) with a gripper
-    byte other than 0/1 or a float that is not finite, naming its record."""
+    byte other than 0/1 or a float that is not finite, naming its record.
+    min/max propagate NaN and expose +-inf: per field first, then per row."""
+    if not len(rows) or rows["gripper"].max() <= 1 and all(
+            math.isfinite(rows[name].min()) and math.isfinite(rows[name].max())
+            for name in _FLOAT_FIELDS):
+        return
     faults = [("gripper must be 0 or 1", rows["gripper"] > 1)]
     for name in _FLOAT_FIELDS:
-        # min/max propagate NaN and expose +-inf without a per-float mask
         axes = tuple(range(1, rows[name].ndim))
         finite = np.isfinite(rows[name].min(axis=axes)) & np.isfinite(rows[name].max(axis=axes))
         faults.append((f"{name} is not finite", ~finite))
-    bad = [(int(np.argmax(mask)), what) for what, mask in faults if mask.any()]
-    if bad:
-        i, what = min(bad)
-        raise InvalidArgumentError(f"{path}: record {first + i}: {what}")
+    i, what = min((int(np.argmax(mask)), what) for what, mask in faults if mask.any())
+    raise InvalidArgumentError(f"{path}: record {first + i}: {what}")
 
 
 def read_dataset(path) -> list:

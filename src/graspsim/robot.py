@@ -5,10 +5,10 @@ first-order tracker that pulls the world end-effector pose toward the
 integrated target.  Integrators use exact (exponential / closed-form circle)
 discretization so that stepping at different rates stays consistent.  A
 synthetic 12-joint gait signal stands in for leg state so the locomotion
-reward formulas have inputs.  A substep (``_robot_substep``) runs on Python
-floats (se3's float rule); ``np.exp`` and the arm step's dot keep numpy's
-bits.  ``execute_command`` is one substep on a RobotState; the episode's
-``advance`` runs a decision step's substeps on one set of floats.
+reward formulas have inputs.  A substep and the action checks run on Python
+floats (se3's float rule), a substep's pure-yaw base rotation built once and
+reused by the next; ``np.exp`` and the norms keep numpy's bits.  ``advance``
+runs a decision step's substeps, ``execute_command`` one on a RobotState.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularJacobianError
-from .se3 import Pose6, Twist, _compose6, _relative6, _trusted, _wrap1, compose, relative_pose
+from .se3 import (Pose6, Twist, _compose6, _relative6, _ro, _rot9, _trusted, _wrap1, compose,
+                  relative_pose)
 from .scene import TerrainField
 
 WORKSPACE_RADIUS = 0.8
@@ -50,21 +51,17 @@ class HighLevelAction:
     gripper_close: bool = False
 
     def __post_init__(self):
-        dp = np.array(self.dp, dtype=float)
+        dp = np.asarray(self.dp, dtype=float)
         dr = np.asarray(self.dr, dtype=float)
         if dp.shape != (3,) or dr.shape != (3,):
             raise InvalidArgumentError("dp and dr must be 3-vectors")
-        if not (np.all(np.isfinite(dp)) and np.all(np.isfinite(dr))
-                and np.isfinite(self.v_lin) and np.isfinite(self.omega_yaw)):
+        dr = dr.tolist()
+        if not all(map(math.isfinite, dp.tolist() + dr + [self.v_lin, self.omega_yaw])):
             raise InvalidArgumentError("HighLevelAction fields must be finite")
         n = float(np.linalg.norm(dp))
-        if n > MAX_DP:
-            dp *= MAX_DP / n
-        dp.setflags(write=False)
-        dr = np.clip(dr, -MAX_DR, MAX_DR)
-        dr.setflags(write=False)
-        object.__setattr__(self, "dp", dp)
-        object.__setattr__(self, "dr", dr)
+        k = MAX_DP / n if n > MAX_DP else 1.0           # x * 1.0 is x, bit for bit
+        object.__setattr__(self, "dp", _ro([x * k for x in dp.tolist()]))
+        object.__setattr__(self, "dr", _ro([min(max(x, -MAX_DR), MAX_DR) for x in dr]))
         object.__setattr__(self, "v_lin", float(min(max(self.v_lin, -MAX_V_LIN), MAX_V_LIN)))
         object.__setattr__(self, "omega_yaw",
                            float(min(max(self.omega_yaw, -MAX_OMEGA), MAX_OMEGA)))
@@ -118,14 +115,8 @@ def initial_robot(terrain: TerrainField) -> RobotState:
     """Robot at the origin facing +x, standing at nominal height, arm tucked."""
     z = NOMINAL_HEIGHT + terrain.height_at(0.0, 0.0)
     base = Pose6(np.array([0.0, 0.0, z]), np.zeros(3))
-    ee_world = compose(base, CARRY_EE_TARGET)
-    return RobotState(
-        base_pose=base,
-        base_twist=Twist.zero(),
-        ee_target=CARRY_EE_TARGET,
-        ee_pose=ee_world,
-        gripper="open",
-    )
+    return RobotState(base_pose=base, base_twist=Twist.zero(), ee_target=CARRY_EE_TARGET,
+                      ee_pose=compose(base, CARRY_EE_TARGET), gripper="open")
 
 
 def clamp_to_workspace(p) -> np.ndarray:
@@ -162,22 +153,22 @@ def gait_joint_proxy(travel: float) -> np.ndarray:
 
 def _robot_floats(robot: RobotState) -> tuple:
     """The Python floats a substep advances: (base position, orientation and
-    linear velocity, ee position and orientation, travel)."""
+    linear velocity, ee position and orientation, travel, base rotation)."""
     base, ee = robot.base_pose, robot.ee_pose
-    return (base.position.tolist(), base.orientation.tolist(),
-            robot.base_twist.linear.tolist(), ee.position.tolist(),
-            ee.orientation.tolist(), robot.travel)
+    orn = base.orientation.tolist()
+    return (base.position.tolist(), orn, robot.base_twist.linear.tolist(),
+            ee.position.tolist(), ee.orientation.tolist(), robot.travel, _rot9(orn))
 
 
 def _command_floats(u: CommandVector) -> tuple:
-    """(v_lin, omega_yaw, p_hat, r_hat); p_hat stays an array for the arm step."""
-    return u.v_lin, u.omega_yaw, u.p_hat, u.r_hat.tolist()
+    """(v_lin, omega_yaw, p_hat, r_hat)."""
+    return u.v_lin, u.omega_yaw, u.p_hat.tolist(), u.r_hat.tolist()
 
 
 def _robot_substep(rf: tuple, cmd: tuple, terrain: TerrainField, dt: float) -> tuple:
     """The floats ``rf`` one substep of dt on, under the command floats ``cmd``."""
-    (x0, y0, z0), base_orn, _, ee_pos, ee_orn, travel = rf
-    v, omega, p_hat, r_hat = cmd
+    (x0, y0, z0), base_orn, _, ee_pos, ee_orn, travel, frame = rf
+    v, omega, (px, py, pz), r_hat = cmd
     yaw0 = base_orn[2]
     yaw1 = yaw0 + omega * dt
     if abs(omega) < 1e-12:   # the closed-form unicycle advance: a line or an arc
@@ -192,25 +183,26 @@ def _robot_substep(rf: tuple, cmd: tuple, terrain: TerrainField, dt: float) -> t
     # The arm rides the base, so the first-order tracking happens in base
     # coordinates: with constant commands the target is fixed there and the
     # exact exponential pull makes stepping rate-consistent.
-    rel_pos, rel_orn = _relative6((x0, y0, z0), base_orn, ee_pos, ee_orn)
+    (rx, ry, rz), rel_orn = _relative6((x0, y0, z0), frame, ee_pos, ee_orn)
     pull = 1.0 - _decay(dt, EE_TAU)
-    step_vec = np.subtract(p_hat, rel_pos) * pull
-    step_len = math.sqrt(step_vec @ step_vec)   # ddot, as np.linalg.norm; not a float sum
+    sx, sy, sz = (px - rx) * pull, (py - ry) * pull, (pz - rz) * pull
+    step = np.array((sx, sy, sz))
+    step_len = math.sqrt(step @ step)   # ddot, as np.linalg.norm; not a float sum
     max_step = EE_RATE_LIMIT * dt
-    if step_len > max_step:
-        step_vec *= max_step / step_len
-    sx, sy, sz = step_vec.tolist()
-    ee_pos, ee_orn = _compose6((x1, y1, z1), (0.0, 0.0, yaw1),
-                               (rel_pos[0] + sx, rel_pos[1] + sy, rel_pos[2] + sz),
+    k = max_step / step_len if step_len > max_step else 1.0
+    # the base frame is pure yaw: _rot9((0.0, 0.0, yaw1)), the next substep's frame
+    c, s = math.cos(yaw1), math.sin(yaw1)
+    frame = (c, -s + 0.0, 0.0, s + 0.0, c, 0.0, 0.0, 0.0, 1.0)
+    ee_pos, ee_orn = _compose6((x1, y1, z1), frame, (rx + sx * k, ry + sy * k, rz + sz * k),
                                _lag_angle(rel_orn, r_hat, pull))
     return ((x1, y1, z1), (0.0, 0.0, yaw1), ((x1 - x0) / dt, (y1 - y0) / dt, (z1 - z0) / dt),
-            ee_pos, ee_orn, travel + abs(v) * dt)
+            ee_pos, ee_orn, travel + abs(v) * dt, frame)
 
 
 def _robot_state(rf: tuple, u: CommandVector, gripper: str) -> RobotState:
     """The RobotState of floats stepped under ``u``; with the command and dt
     checked, every pose and twist is built with ``_trusted``."""
-    base_pos, base_orn, base_lin, ee_pos, ee_orn, travel = rf
+    base_pos, base_orn, base_lin, ee_pos, ee_orn, travel, _ = rf
     return RobotState(_trusted(Pose6, np.array(base_pos), np.array(base_orn)),
                       _trusted(Twist, np.array(base_lin), np.array([0.0, 0.0, u.omega_yaw])),
                       u.target, _trusted(Pose6, np.array(ee_pos), np.array(ee_orn)),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CatalogError, InvalidArgumentError, NotFoundError
 from .gfm import _world_vec6
-from .se3 import (TWO_PI, Pose6, Twist, _compose6, _trusted, _wrap1, relative_pose,
+from .se3 import (TWO_PI, Pose6, Twist, _compose6, _rot9, _trusted, _wrap1, relative_pose,
                   rotation_angle_between)
 
 TERRAIN_MAX_HEIGHT = 0.1
@@ -262,7 +262,9 @@ def check_level(level: int) -> None:
 
 
 def derive_seed(*parts) -> int:
-    """Stable sub-seed from integer parts (order matters)."""
+    """Stable sub-seed from integer parts (order matters), none negative."""
+    if min(parts) < 0:      # the mask would alias it to another seed
+        raise InvalidArgumentError(f"seed must be 0 or more, got {min(parts)}")
     return int(np.random.SeedSequence([int(p) & 0x7FFFFFFF for p in parts])
                .generate_state(1)[0])
 
@@ -427,23 +429,19 @@ def _platform_velocity(traj: PlatformTrajectory, t: float, v, rng, dt: float) ->
     if closed_form is not None:
         return closed_form
 
-    # Mean-reverting random velocity, acceleration-bounded and speed-clipped.
-    v_xy = np.array(v[:2])
-    noise = rng.normal(size=2)
-    dv = (OU_THETA * (np.asarray(traj.drift) - v_xy) * dt
-          + OU_SIGMA * np.sqrt(dt) * noise)
+    # Mean-reverting random velocity, acceleration-bounded and speed-clipped;
+    # floats but for the norms (ddot) and the generator's draw.
+    (vx, vy), (nx, ny), (mx, my) = v[:2], rng.normal(size=2).tolist(), traj.drift
+    kick = OU_SIGMA * math.sqrt(dt)
+    dvx, dvy = OU_THETA * (mx - vx) * dt + kick * nx, OU_THETA * (my - vy) * dt + kick * ny
     dv_cap = PLATFORM_MAX_ACCEL * dt
-    dv_norm = float(np.linalg.norm(dv))
-    if dv_norm > dv_cap:
-        dv *= dv_cap / dv_norm
-    vxy = v_xy + dv
+    dv_norm = float(np.linalg.norm((dvx, dvy)))
+    k = dv_cap / dv_norm if dv_norm > dv_cap else 1.0     # x * 1.0 is x, bit for bit
+    vx, vy = vx + dvx * k, vy + dvy * k
     lo, hi = traj.speed_range
-    speed = float(np.linalg.norm(vxy))
-    if speed > hi:
-        vxy *= hi / speed
-    elif speed < lo and speed > 0.0:
-        vxy *= lo / speed
-    vx, vy = vxy.tolist()
+    speed = float(np.linalg.norm((vx, vy)))
+    k = hi / speed if speed > hi else lo / speed if 0.0 < speed < lo else 1.0
+    vx, vy = vx * k, vy * k
     vz = 0.0
     if traj.z_policy == "free":
         vz0 = v[2]
@@ -487,7 +485,7 @@ def _scene_substep(sf: tuple, state: SceneState, traj: PlatformTrajectory, rng,
             pz, vel = hi, (vx, vy, min(vz, 0.0))
 
     if grip is not None:
-        pos, orn = _compose6(ee[0], ee[1], grip[0], grip[1])
+        pos, orn = _compose6(ee[0], _rot9(ee[1]), grip[0], grip[1])
         obj = (pos, orn, tuple((a - b) / dt for a, b in zip(pos, obj[0])),
                tuple(_wrap1(a - b) / dt for a, b in zip(orn, obj[1])))
     elif obj is not None:  # free: ballistic drop until resting on the terrain

@@ -14,20 +14,20 @@ construction, so it is built with ``_trusted``, which skips the check:
 ``compose``, ``inverse``, ``relative_pose`` (and so ``grasp_to_world``), and
 every pose and twist that the robot and scene integrators advance each step.
 
-The float rule: one pose is computed on Python floats, where a 0-d or (3,)
-numpy call costs more than the math (``_wrap1``, one matrix's
-``matrix_to_euler``, ``_compose6``/``_relative6``, the robot and scene
-integrators).  ``math.sin``/``cos`` give numpy's bits; inverse trigonometry
-stays numpy: ``math.asin``/``atan2`` differ in 33,758/400k, 15,472/200k inputs.
+The float rule: where a 0-d or (3,) numpy call costs more than the math, it
+runs on Python floats (``_wrap1``, one matrix's ``matrix_to_euler``, the
+integrators, the teacher, the action checks).  ``math.sin``/``cos``/``sqrt``
+give numpy's bits; ``np.arctan2``/``arcsin``/``exp`` and BLAS dots and norms
+stay numpy (``math.asin``/``atan2`` differ in 33,758/400k, 15,472/200k inputs).
 
-The product rule: every rotation product (Rx Ry Rz in ``euler_to_matrix``,
-``compose``, ``inverse``, ``relative_pose``, ``rotation_angle_between``)
-multiplies row-major nine-tuples (``_mul9``) or a nine-tuple and a 3-vector
-(``_mulv``) on Python floats, each entry summed left to right.  No product
-goes through BLAS, so the bits do not depend on its kernel.  ``_mulv`` also
-takes arrays as vector entries, whose elementwise ``*`` and ``+`` round like
-floats: ``gfm`` re-projects a whole bank with the bits of one ``compose`` per
-candidate.  Only ``Transform``'s orthonormality check multiplies in numpy.
+The product rule: every rotation product multiplies row-major nine-tuples
+(``_mul9``) or a nine-tuple and a 3-vector (``_mulv``) on Python floats, each
+entry summed left to right; ``_rot9`` (Rx Ry Rz) is that nested product's
+closed form, bit for bit.  No product goes through BLAS, so the bits do not
+depend on its kernel.  ``_mulv`` also takes arrays as vector entries, whose
+elementwise ``*`` and ``+`` round like floats: ``gfm`` re-projects a whole bank
+with the bits of one ``compose`` per candidate.  Only ``Transform``'s
+orthonormality check multiplies in numpy.
 """
 
 from __future__ import annotations
@@ -186,15 +186,18 @@ def _t9(m) -> tuple:
 
 
 def _rot9(angles) -> tuple:
-    """Rx(a) Ry(b) Rz(c) of three angles; ``math.sin``/``cos`` gave the
-    bits of ``np.sin``/``cos`` on 300k random inputs."""
+    """Rx(a) Ry(b) Rz(c): the nested ``_mul9`` product's bits for finite angles.
+    Its zero terms fold to ``+ 0.0``: they set only a zero entry's sign, and
+    an entry is zero only by cancellation or at a tiny angle, whose cosine is
+    positive, so the product made it +0.0."""
     a, b, c = angles
     ca, sa = math.cos(a), math.sin(a)
     cb, sb = math.cos(b), math.sin(b)
     cc, sc = math.cos(c), math.sin(c)
-    return _mul9(_mul9((1.0, 0.0, 0.0, 0.0, ca, -sa, 0.0, sa, ca),
-                       (cb, 0.0, sb, 0.0, 1.0, 0.0, -sb, 0.0, cb)),
-                 (cc, -sc, 0.0, sc, cc, 0.0, 0.0, 0.0, 1.0))
+    sab, cab = sa * sb, ca * -sb
+    return (cb * cc, cb * -sc + 0.0, sb + 0.0,
+            sab * cc + ca * sc + 0.0, sab * -sc + ca * cc, -sa * cb + 0.0,
+            cab * cc + sa * sc + 0.0, cab * -sc + sa * cc + 0.0, ca * cb)
 
 
 def _euler9(m) -> tuple:
@@ -202,7 +205,7 @@ def _euler9(m) -> tuple:
     r00, r01, r02, r10, r11, r12, _, _, r22 = m
     sb = min(max(r02, -1.0), 1.0)
     if abs(sb) < 1.0 - 1e-12:
-        a, c = float(np.arctan2(-r12, r22)), float(np.arctan2(-r01, r00))
+        a, c = np.arctan2((-r12, -r01), (r22, r00)).tolist()   # bits of two calls
     else:
         a, c = float(np.arctan2(r10 if sb > 0.0 else -r10, r11)), 0.0
     return _wrap1(a), _wrap1(float(np.arcsin(sb))), _wrap1(c)
@@ -232,23 +235,22 @@ def matrix_to_euler(rotation) -> np.ndarray:
     return np.where(e == -np.pi, np.pi, e) + 0.0
 
 
-def _compose6(a_pos, a_orn, b_pos, b_orn) -> tuple:
-    """compose on floats: (position, orientation) of b through a, as 3-tuples."""
-    ra = _rot9(a_orn)
+def _compose6(a_pos, ra, b_pos, b_orn) -> tuple:
+    """compose on floats: b through the frame at a_pos with rotation nine-tuple ra."""
     x, y, z = _mulv(ra, b_pos)
     return (x + a_pos[0], y + a_pos[1], z + a_pos[2]), _euler9(_mul9(ra, _rot9(b_orn)))
 
 
-def _relative6(f_pos, f_orn, p_pos, p_orn) -> tuple:
-    """relative_pose on floats: (position, orientation) of p in frame f."""
-    rt = _t9(_rot9(f_orn))
+def _relative6(f_pos, rf, p_pos, p_orn) -> tuple:
+    """relative_pose on floats: p in the frame at f_pos with rotation nine-tuple rf."""
+    rt = _t9(rf)
     d = (p_pos[0] - f_pos[0], p_pos[1] - f_pos[1], p_pos[2] - f_pos[2])
     return _mulv(rt, d), _euler9(_mul9(rt, _rot9(p_orn)))
 
 
 def compose(a: Pose6, b: Pose6) -> Pose6:
     """Pose of frame b expressed through frame a (matrix composition internally)."""
-    pos, orn = _compose6(a.position.tolist(), a.orientation.tolist(),
+    pos, orn = _compose6(a.position.tolist(), _rot9(a.orientation.tolist()),
                          b.position.tolist(), b.orientation.tolist())
     return _trusted(Pose6, np.array(pos), np.array(orn))
 
@@ -261,7 +263,7 @@ def inverse(p: Pose6) -> Pose6:
 
 def relative_pose(frame: Pose6, p: Pose6) -> Pose6:
     """Pose p expressed in ``frame``: compose(inverse(frame), p) in one step."""
-    pos, orn = _relative6(frame.position.tolist(), frame.orientation.tolist(),
+    pos, orn = _relative6(frame.position.tolist(), _rot9(frame.orientation.tolist()),
                           p.position.tolist(), p.orientation.tolist())
     return _trusted(Pose6, np.array(pos), np.array(orn))
 

@@ -2,12 +2,14 @@
 
 Stands in for a trained high-level policy behind the same information
 contract: object pose and velocity, object geometry feature, grasp memory,
-and robot proprioception in; an 8-number action plus a gripper bit out.
-A learned policy can replace ``teacher_step`` without touching the runner.
+and robot proprioception in; an 8-number action plus a gripper bit out (a
+learned policy can replace ``teacher_step``).  Vector arithmetic runs on
+Python floats (se3's float rule); norms, dots and ``np.arctan2`` stay numpy.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +26,7 @@ from .robot import (
     WORKSPACE_RADIUS,
 )
 from .scene import SceneState, relative_close_speed
-from .se3 import Pose6, _trusted, relative_pose, rotation_angle_between, wrap_angle
+from .se3 import Pose6, _relative6, _rot9, _wrap1, rotation_angle_between, wrap_angle
 
 YAW_CAP = np.deg2rad(65.0)     # stay clear of the 70-degree termination
 K_YAW = 3.0
@@ -55,7 +57,7 @@ def _reach_limited_standoff(standoff: float, grasp_z: float, base_z: float) -> f
     reach_sq = (WORKSPACE_RADIUS - REACH_MARGIN) ** 2 - dz * dz
     if reach_sq <= 0.25**2:
         return 0.25
-    return float(min(standoff, np.sqrt(reach_sq)))
+    return min(standoff, math.sqrt(reach_sq))
 
 
 def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
@@ -70,45 +72,42 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
     alignment tolerances at a safe relative speed.  ``use_gfm=False`` aims
     at the object centroid instead of the fused grasp (the ablation).
     """
-    obj_p = scene.object_pose.position
-    obj_v = scene.object_twist.linear
-    base = robot.base_pose
-    yaw = base.orientation[2]
-    holding = robot.gripper == "closed"
-
-    if holding:
+    if robot.gripper == "closed":
         dp = LIFT_TARGET.position - robot.ee_target.position
         return HighLevelAction(dp, np.zeros(3), 0.0, 0.0, gripper_close=False)
+
+    ox, oy, _ = scene.object_pose.position.tolist()
+    vx, vy, vz = scene.object_twist.linear.tolist()
+    bx, by, bz = robot.base_pose.position.tolist()
+    yaw = robot.base_pose.orientation.item(2)
 
     if use_gfm:
         feat = cached_object_feature(scene.object_spec)
         grasp_world, _ = gfm_forward(feat, scene.object_pose, bank, gfm_weights)
     else:
-        grasp_world = Pose6(obj_p, np.zeros(3))
+        grasp_world = Pose6(scene.object_pose.position, np.zeros(3))
 
-    rel_xy = obj_p[:2] - base.position[:2]
-    dist = float(np.linalg.norm(rel_xy))
+    dist = float(np.linalg.norm((ox - bx, oy - by)))
     lead_t = min(cfg.teacher_intercept_horizon, dist / MAX_V_LIN)
-    intercept_xy = obj_p[:2] + obj_v[:2] * lead_t
-
-    standoff = _reach_limited_standoff(cfg.teacher_standoff, grasp_world.position[2],
-                                       base.position[2])
-    to_icpt = intercept_xy - base.position[:2]
+    to_icpt = ox + vx * lead_t - bx, oy + vy * lead_t - by   # the intercept, base-relative
+    standoff = _reach_limited_standoff(cfg.teacher_standoff, grasp_world.position[2], bz)
     icpt_dist = float(np.linalg.norm(to_icpt))
     yaw_err = _steer(to_icpt, yaw)
     omega = float(min(max(K_YAW * yaw_err, -1.0), 1.0))
-    heading = np.array([np.cos(yaw), np.sin(yaw)])
-    v_feedforward = float(obj_v[:2] @ heading)
-    gate = max(0.0, np.cos(yaw_err))
+    v_feedforward = float(np.array((vx, vy)) @ np.array((math.cos(yaw), math.sin(yaw))))
+    gate = max(0.0, math.cos(yaw_err))
     v_lin = float(min(max(K_V * (icpt_dist - standoff) * gate + v_feedforward,
                           -MAX_V_LIN), MAX_V_LIN))
 
     if dist > cfg.teacher_standoff + FAR_DISTANCE_MARGIN:
-        ee_goal_base = CARRY_EE_TARGET
+        goal = CARRY_EE_TARGET.position.tolist(), CARRY_EE_TARGET.orientation.tolist()
         close = False
-    else:
-        lead = _trusted(Pose6, grasp_world.position + obj_v * EE_TAU, grasp_world.orientation)
-        ee_goal_base = relative_pose(base, lead)
+    else:   # the base-frame pose of the grasp led by the object's velocity
+        gx, gy, gz = grasp_world.position.tolist()
+        goal = _relative6(
+            (bx, by, bz), _rot9(robot.base_pose.orientation.tolist()),
+            (gx + vx * EE_TAU, gy + vy * EE_TAU, gz + vz * EE_TAU),
+            grasp_world.orientation.tolist())
         pos_err = float(np.linalg.norm(robot.ee_pose.position - grasp_world.position))
         ori_err = rotation_angle_between(robot.ee_pose.orientation,
                                          grasp_world.orientation)
@@ -116,6 +115,7 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
                  and ori_err <= cfg.teacher_align_ori_tol
                  and relative_close_speed(scene, robot) <= cfg.teacher_max_rel_speed)
 
-    dp = ee_goal_base.position - robot.ee_target.position
-    dr = wrap_angle(ee_goal_base.orientation - robot.ee_target.orientation)
+    target = robot.ee_target
+    dp = [g - t for g, t in zip(goal[0], target.position.tolist())]
+    dr = [_wrap1(g - t) for g, t in zip(goal[1], target.orientation.tolist())]
     return HighLevelAction(dp, dr, v_lin, omega, gripper_close=close)

@@ -289,6 +289,21 @@ def test_bench_out_naming_a_file_rejected(tmp_path, capsys, episode_starts):
     assert list(tmp_path.iterdir()) == [afile] and afile.read_bytes() == b"kept"
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["the-file", "under-a-file"])
+def test_render_out_dir_naming_a_file_rejected(under, tmp_path, capsys, episode_starts):
+    # found before the episode runs to --step, as bench --out is; a file on
+    # the way to the directory, which makedirs would meet, counts too
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept")
+    out_dir = afile / "frames" if under else afile
+    code, out, err = run_cli(["render", "--step", "30", "--out-dir", str(out_dir)], capsys)
+    assert code == 1 and out == ""
+    assert err.strip().splitlines()[-1] == (
+        f"error: InvalidArgumentError: --out-dir: not a directory: {afile}")
+    assert episode_starts == []
+    assert list(tmp_path.iterdir()) == [afile] and afile.read_bytes() == b"kept"
+
+
 @pytest.mark.parametrize("args, taken", [
     (["episode", "--level", "1", "--object", "rubiks_cube", "--dump-log"], "adir"),
     (["gfm-inspect", "--object", "rubiks_cube", "--save"], "adir"),
@@ -320,6 +335,9 @@ def test_output_path_naming_a_directory_rejected(args, taken, tmp_path, capsys,
     (["bench", "--levels", "1,x", "--episodes", "1", "--out", "b"], "'x'"),
     # at the default step budget, not after level 1 has run
     (["bench", "--levels", "1,5", "--out", "b"], "got 5"),
+    # derive_seed would turn a negative seed into another seed's episodes
+    (["distill-record", "--seed", "-1", "--out", "d.bin"], "got -1"),
+    (["bench", "--levels", "1", "--episodes", "1", "--seed", "-4", "--out", "b"], "got -4"),
 ])
 def test_bad_seed_or_level_rejected(args, named, tmp_path, capsys, monkeypatch,
                                     episode_starts):

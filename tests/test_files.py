@@ -114,6 +114,29 @@ def test_read_dataset_rejects_non_finite(tmp_path, field, index, value):
     assert str(err.value) == f"{path}: record {index}: {field} is not finite"
 
 
+def test_read_dataset_names_the_first_bad_record(tmp_path):
+    # clean rows pass on whole-field min/max; once one is bad, the record
+    # named is the first bad one, whatever field is bad in the later ones
+    path = tmp_path / "bad.bin"
+    data = bytearray(_write_records(path, 4))
+
+    def put(index, field, raw):
+        offset = HEADER_SIZE + index * RECORD_SIZE + RECORD_DTYPE.fields[field][1]
+        data[offset:offset + len(raw)] = raw
+
+    put(3, "observation", struct.pack("<f", np.nan))
+    put(2, "action", struct.pack("<f", -np.inf))
+    put(1, "gripper", b"\x07")
+    path.write_bytes(data)
+    with pytest.raises(InvalidArgumentError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: record 1: gripper must be 0 or 1"
+    # a file of no records reads as none
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(HEADER)
+    assert read_dataset(empty) == []
+
+
 @pytest.mark.parametrize("field, index, value", [
     ("observation", 2, np.nan), ("proprio", 0, np.inf), ("action", 1, 1e39),
     ("proprio", 2, -1e39), ("gripper", 1, 2),

@@ -5,12 +5,18 @@ import pytest
 
 from graspsim.errors import InvalidArgumentError, SingularJacobianError
 from graspsim.robot import (
+    MAX_DP,
+    MAX_DR,
+    MAX_OMEGA,
+    MAX_V_LIN,
     CommandVector,
     EE_TAU,
     HighLevelAction,
     WORKSPACE_CENTER,
     WORKSPACE_RADIUS,
     _lag_angle,
+    _robot_floats,
+    _robot_substep,
     accumulate_command,
     clamp_to_workspace,
     execute_command,
@@ -18,7 +24,7 @@ from graspsim.robot import (
     initial_robot,
 )
 from graspsim.scene import sample_terrain
-from graspsim.se3 import wrap_angle
+from graspsim.se3 import _rot9, wrap_angle
 
 from conftest import assert_valid_pose, flat_terrain
 
@@ -32,6 +38,58 @@ def test_action_clamps_on_construction():
     assert np.all(np.abs(a.dr) <= 0.2)
     assert a.v_lin == pytest.approx(0.8)
     assert a.omega_yaw == pytest.approx(-1.0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+def _action_oracle(dp, dr, v_lin, omega_yaw):
+    """HighLevelAction's clamps in numpy: np.linalg.norm and an in-place
+    scale for dp, np.clip for the rest."""
+    dp = np.array(dp, dtype=float)
+    n = float(np.linalg.norm(dp))
+    if n > MAX_DP:
+        dp *= MAX_DP / n
+    return (dp, np.clip(np.asarray(dr, dtype=float), -MAX_DR, MAX_DR),
+            np.clip(v_lin, -MAX_V_LIN, MAX_V_LIN), np.clip(omega_yaw, -MAX_OMEGA, MAX_OMEGA))
+
+
+def test_action_clamp_bits_match_numpy_oracle(rng):
+    # the clamps run on floats: the bits of np.clip and of the norm's scale,
+    # at the bounds, just past them, at -0.0 and at subnormals
+    edges = [0.0, -0.0, 5e-324, MAX_DR, -MAX_DR, np.nextafter(MAX_DR, 1.0),
+             np.nextafter(-MAX_DR, -1.0), 1.0, -3.0]
+    cases = [(v[:3], v[3:6], v[6], v[7])
+             for scale in (0.01, 0.1, 0.3, 3.0) for v in rng.uniform(-scale, scale, (500, 8))]
+    cases += [(np.array(d) / 4.0, d, d[0] * 4.0, d[1] * 5.0)
+              for d in itertools.product(edges, repeat=3)]
+    cases += [((MAX_DP, 0.0, -0.0), (0.0,) * 3, MAX_V_LIN, -MAX_OMEGA),
+              ((-0.0,) * 3, (-0.0,) * 3, -0.0, -0.0),
+              ((0.03, 0.04, 0.0), (0.2, -0.2, 0.2), np.nextafter(MAX_V_LIN, 2.0), 1.0)]
+    for dp, dr, v_lin, omega_yaw in cases:
+        a = HighLevelAction(dp, dr, v_lin, omega_yaw)
+        want = _action_oracle(dp, dr, v_lin, omega_yaw)
+        assert [_bits(x) for x in (a.dp, a.dr, a.v_lin, a.omega_yaw)] == \
+            [_bits(x) for x in want]
+        assert not (a.dp.flags.writeable or a.dr.flags.writeable)
+
+
+def test_substep_yaw_frame_bits_match_rot9(rng):
+    # a substep hands its base rotation to the next, built as the pure-yaw
+    # closed form: _rot9's bits with a roll and pitch of 0.0 or -0.0
+    yaws = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, np.pi, np.nextafter(np.pi, 0.0),
+            np.nextafter(-np.pi, 0.0), np.pi / 2, -np.pi / 2]
+    yaws += rng.uniform(-np.pi, np.pi, 2000).tolist()
+    rf = list(_robot_floats(initial_robot(GROUND)))
+    for yaw in yaws:
+        rf[1] = (0.0, 0.0, yaw)
+        rf[6] = _rot9(rf[1])
+        for omega in (0.0, 0.7):
+            out = _robot_substep(tuple(rf), (0.3, omega, [0.4, 0.0, 0.2], [0.0, 0.0, 0.0]),
+                                 GROUND, 0.02)
+            for roll, pitch in itertools.product((0.0, -0.0), repeat=2):
+                assert _bits(out[6]) == _bits(_rot9((roll, pitch, out[1][2]))), yaw
 
 
 def test_action_rejects_non_finite():

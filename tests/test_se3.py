@@ -17,6 +17,9 @@ from graspsim.se3 import (
     Pose6,
     Twist,
     _euler9,
+    _mul9,
+    _rot9,
+    _t9,
     _wrap1,
     compose,
     euler_to_matrix,
@@ -266,6 +269,63 @@ def test_euler_to_matrix_bits_match_python_float_product(rng):
         assert _same_bits(got, np.array(_rxryrz_oracle(*orn)))
         zeros += int(np.sum(got == 0.0))
     assert zeros >= 1000      # the exact zeros, whose sign the sums decide
+
+
+def _nested_rot9(a, b, c):
+    """Rx(a) Ry(b) Rz(c) as the two nested ``_mul9`` products that ``_rot9``
+    writes out in closed form."""
+    ca, sa, cb, sb, cc, sc = (math.cos(a), math.sin(a), math.cos(b),
+                              math.sin(b), math.cos(c), math.sin(c))
+    return _mul9(_mul9((1.0, 0.0, 0.0, 0.0, ca, -sa, 0.0, sa, ca),
+                       (cb, 0.0, sb, 0.0, 1.0, 0.0, -sb, 0.0, cb)),
+                 (cc, -sc, 0.0, sc, cc, 0.0, 0.0, 0.0, 1.0))
+
+
+# signed zeros, subnormal and tiny angles (whose sine products underflow to a
+# signed zero), gimbal angles and their neighbours, half turns
+_SPECIAL_ANGLES = [s * x for x in (
+    0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 1e-160, 1e-20, 1.0,
+    np.pi / 2, np.nextafter(np.pi / 2, 0.0), np.nextafter(np.pi / 2, 4.0),
+    np.nextafter(np.pi, 0.0), np.pi) for s in (1.0, -1.0)]
+
+
+def test_rot9_closed_form_bits_match_nested_product(rng):
+    # the closed form folds the product's zero terms to + 0.0; every sign of
+    # zero and every rounding of the product is kept
+    orns = list(itertools.product(_SPECIAL_ANGLES, repeat=3))
+    orns += [tuple(o) for o in rng.uniform(-np.pi, np.pi, (50_000, 3)).tolist()]
+    zeros = 0
+    for orn in orns:
+        got = _rot9(orn)
+        assert _same_bits(got, _nested_rot9(*orn)), orn
+        zeros += got.count(0.0)
+    assert zeros >= 7_000     # the zero entries, whose sign the folding decides
+
+
+def _euler9_two_calls(m):
+    """``_euler9`` with one np.arctan2 call per angle."""
+    r00, r01, r02, r10, r11, r12, _, _, r22 = m
+    sb = min(max(r02, -1.0), 1.0)
+    if abs(sb) < 1.0 - 1e-12:
+        a, c = float(np.arctan2(-r12, r22)), float(np.arctan2(-r01, r00))
+    else:
+        a, c = float(np.arctan2(r10 if sb > 0.0 else -r10, r11)), 0.0
+    return _wrap1(a), _wrap1(float(np.arcsin(sb))), _wrap1(c)
+
+
+def test_euler9_paired_arctan2_bits_match_two_calls(rng):
+    # one np.arctan2 call on the (a, c) pair gives each angle the bits of its
+    # own call: rotations, relative rotations as the robot forms them, and
+    # every sign of zero in the four inputs (arctan2(+-0.0, -x) is +-pi)
+    mats = [_rot9(o) for o in itertools.product(_SPECIAL_ANGLES[::3], repeat=3)]
+    mats += [_rot9(o) for o in rng.uniform(-np.pi, np.pi, (20_000, 3)).tolist()]
+    mats += [_mul9(_t9(_rot9((0.0, 0.0, o[0]))), _rot9(o))
+             for o in rng.uniform(-np.pi, np.pi, (5_000, 3)).tolist()]
+    values = (0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300)
+    for r00, r01, r12, r22 in itertools.product(values, repeat=4):
+        mats.append((r00, r01, 0.3, 0.0, 0.0, r12, 0.0, 0.0, r22))
+    for m in mats:
+        assert _same_bits(_euler9(m), _euler9_two_calls(m)), m
 
 
 def test_zero_pose_is_identity_transform():

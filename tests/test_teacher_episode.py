@@ -328,3 +328,6 @@ def test_distill_rejects_corrupt_file(tmp_path):
 def test_derive_seed_stable():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
+    # the 31-bit mask would alias a negative part to another seed's sub-seed
+    with pytest.raises(InvalidArgumentError, match="got -1"):
+        derive_seed(-1, 2, 3)
