@@ -29,7 +29,14 @@ from .se3 import vec6_encode
 from .teacher import cached_object_feature
 
 
+def _check_sweep_seed(seed: int) -> None:
+    """derive_seed's 31-bit mask would run a seed of 2**31 or more as a lower one."""
+    if not 0 <= seed < 2**31:
+        raise InvalidArgumentError(f"--seed must be in 0..{2**31 - 1}, got {seed}")
+
+
 def _cmd_bench(args) -> int:
+    _check_sweep_seed(args.seed)
     if not os.path.isdir(args.out):                   # else the run reuses it
         check_output_path(args.out)
         if os.path.exists(args.out):
@@ -140,6 +147,7 @@ def _cmd_gfm_inspect(args) -> int:
 
 
 def _cmd_distill_record(args) -> int:
+    _check_sweep_seed(args.seed)
     if args.episodes < 1:
         raise InvalidArgumentError(f"--episodes must be at least 1, got {args.episodes}")
     paths = ([f"{args.out}.ep{i:03d}" for i in range(args.episodes)]

@@ -30,9 +30,9 @@ from .rewards import (
     high_level_reward,
     low_level_reward,
 )
-from .scene import (EpisodeConfig, _platform_rng, _scene_floats, _scene_state,
-                    _scene_substep, _status_after, apply_gripper_close, check_status,
-                    derive_seed, initial_status, load_catalog, make_trajectory,
+from .scene import (EpisodeConfig, EpisodeStatus, _platform_rng, _scene_floats,
+                    _scene_state, _scene_substep, _status_after, apply_gripper_close,
+                    check_status, derive_seed, load_catalog, make_trajectory,
                     reset_episode)
 from .se3 import euler_to_matrix
 from .teacher import teacher_step
@@ -171,7 +171,7 @@ def decisions(config: EpisodeConfig, sim_cfg: SimConfig, use_gfm: bool = True,
     robot = initial_robot(scene.terrain)
     bank = episode_bank(scene.object_spec, sim_cfg, config.seed)
     weights = alignment_gfm_weights()
-    status = initial_status()
+    status = EpisodeStatus()
     last_close = -CLOSE_COOLDOWN_STEPS
 
     for step in range(config.timeout_steps):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .atomicfile import atomic_write
 from .errors import EmptyBankError, InvalidArgumentError, ShapeError
-from .se3 import (Pose6, _mulv, _rot9, _trusted, euler_to_matrix, matrix_to_euler,
+from .se3 import (Pose6, _euler9, _mul9, _mulv, _rot9, _trusted, matrix_to_euler,
                   vec6_decode, vec6_encode)
 
 if TYPE_CHECKING:
@@ -56,10 +56,6 @@ class GraspMemoryBank:
     object_id: str
     candidates: tuple
     k: int
-    # Each candidate's object-local [rotation | position] as a 3x4 matrix, in
-    # a (3, 4, K) array built once: re-projecting the bank is one product of
-    # the object rotation with it, summed like compose's.
-    _local: np.ndarray = field(init=False, repr=False, compare=False)
     # _world_vec6's last projection: (orientation bytes, offsets, Euler rows).
     _memo: tuple = field(init=False, repr=False, compare=False, default=(None, None, None))
 
@@ -69,12 +65,6 @@ class GraspMemoryBank:
             raise InvalidArgumentError("bank candidates must be sorted by score")
         if len(self.candidates) > self.k:
             raise InvalidArgumentError("bank holds more candidates than K")
-        local = np.array([np.column_stack([euler_to_matrix(c.pose.orientation),
-                                           c.pose.position])
-                          for c in self.candidates]).reshape(-1, 3, 4)
-        local = local.transpose(1, 2, 0).copy()
-        local.setflags(write=False)
-        object.__setattr__(self, "_local", local)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -357,20 +347,20 @@ def object_feature(spec: ObjectSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _world_vec6(bank: GraspMemoryBank, obj_pose: Pose6) -> np.ndarray:
-    """(K, 6) world vectors of every candidate: grasp_to_world for all K at once.
-
-    Each row equals vec6_encode(grasp_to_world(c.pose, obj_pose)) bit for bit:
-    ``_mulv`` over the rows of ``bank._local`` sums each entry in compose's
-    order, elementwise over K.  The rotated offsets and Euler rows depend on
-    the orientation alone, so the bank keeps the last ones: a riding object
-    only translates, and a query at the same orientation bytes adds the
-    position to the kept offsets.
+    """(K, 6) world vectors of every candidate: row i is
+    vec6_encode(grasp_to_world(c_i.pose, obj_pose)), through compose's float
+    steps.  The rotated offsets and Euler rows depend on the orientation
+    alone, so the bank keeps the last ones: a riding object only translates,
+    and a query at the same orientation bytes adds the position to the kept
+    offsets.
     """
     key, (memo_key, offsets, euler) = obj_pose.orientation.tobytes(), bank._memo
     if key != memo_key:
-        rows = np.array(_mulv(_rot9(obj_pose.orientation.tolist()), bank._local))
-        offsets = rows[:, 3].T.copy()
-        euler = matrix_to_euler(rows[:, :3].transpose(2, 0, 1))
+        ra = _rot9(obj_pose.orientation.tolist())
+        poses = [c.pose for c in bank.candidates]
+        offsets = np.array([_mulv(ra, p.position.tolist()) for p in poses]).reshape(-1, 3)
+        euler = np.array([_euler9(_mul9(ra, _rot9(p.orientation.tolist())))
+                          for p in poses]).reshape(-1, 3)
         object.__setattr__(bank, "_memo", (key, offsets, euler))
     return np.concatenate([offsets + obj_pose.position, euler], axis=1)
 

@@ -14,7 +14,7 @@ runs a decision step's substeps, ``execute_command`` one on a RobotState.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -77,23 +77,17 @@ class HighLevelAction:
 @dataclass(frozen=True)
 class CommandVector:
     """Low-level command: target ee pose (base frame) + base velocities (R^8).
+    ``target`` is a Pose6, checked where it was built."""
 
-    Checked once, here: ``target`` is the checked ``Pose6(p_hat, r_hat)``,
-    and ``p_hat``/``r_hat`` are its read-only, wrapped arrays."""
-
-    p_hat: np.ndarray
-    r_hat: np.ndarray
+    target: Pose6
     v_lin: float
     omega_yaw: float
-    target: Pose6 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.target, Pose6):
+            raise InvalidArgumentError("CommandVector.target must be a Pose6")
         if not (math.isfinite(self.v_lin) and math.isfinite(self.omega_yaw)):
             raise InvalidArgumentError("CommandVector fields must be finite")
-        target = Pose6(self.p_hat, self.r_hat)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "p_hat", target.position)
-        object.__setattr__(self, "r_hat", target.orientation)
 
 
 @dataclass(frozen=True)
@@ -130,9 +124,10 @@ def clamp_to_workspace(p) -> np.ndarray:
 
 
 def accumulate_command(robot: RobotState, a: HighLevelAction) -> CommandVector:
-    """Integrate action increments into an absolute low-level command."""
+    """Integrate action increments into an absolute command (target built unchecked)."""
     p_hat = clamp_to_workspace(robot.ee_target.position + a.dp)
-    return CommandVector(p_hat, robot.ee_target.orientation + a.dr, a.v_lin, a.omega_yaw)
+    r_hat = [_wrap1(r + d) for r, d in zip(robot.ee_target.orientation.tolist(), a.dr.tolist())]
+    return CommandVector(_trusted(Pose6, p_hat, np.array(r_hat)), a.v_lin, a.omega_yaw)
 
 
 @lru_cache(maxsize=16)
@@ -161,8 +156,8 @@ def _robot_floats(robot: RobotState) -> tuple:
 
 
 def _command_floats(u: CommandVector) -> tuple:
-    """(v_lin, omega_yaw, p_hat, r_hat)."""
-    return u.v_lin, u.omega_yaw, u.p_hat.tolist(), u.r_hat.tolist()
+    """(v_lin, omega_yaw, target position, target orientation)."""
+    return u.v_lin, u.omega_yaw, u.target.position.tolist(), u.target.orientation.tolist()
 
 
 def _robot_substep(rf: tuple, cmd: tuple, terrain: TerrainField, dt: float) -> tuple:

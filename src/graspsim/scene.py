@@ -418,10 +418,6 @@ def reset_episode(config: EpisodeConfig, catalog,
     )
 
 
-def initial_status() -> EpisodeStatus:
-    return EpisodeStatus()
-
-
 def _platform_velocity(traj: PlatformTrajectory, t: float, v, rng, dt: float) -> tuple:
     """Velocity (three floats) at time t, the end of a step of dt from velocity
     v; a random trajectory draws its noise from ``rng``."""

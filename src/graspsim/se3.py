@@ -15,19 +15,17 @@ construction, so it is built with ``_trusted``, which skips the check:
 every pose and twist that the robot and scene integrators advance each step.
 
 The float rule: where a 0-d or (3,) numpy call costs more than the math, it
-runs on Python floats (``_wrap1``, one matrix's ``matrix_to_euler``, the
-integrators, the teacher, the action checks).  ``math.sin``/``cos``/``sqrt``
-give numpy's bits; ``np.arctan2``/``arcsin``/``exp`` and BLAS dots and norms
-stay numpy (``math.asin``/``atan2`` differ in 33,758/400k, 15,472/200k inputs).
+runs on Python floats (``_wrap1``, ``matrix_to_euler``, the integrators, the
+teacher, the action checks).  ``math.sin``/``cos``/``sqrt`` give numpy's bits;
+``np.arctan2``/``arcsin``/``exp`` and BLAS dots and norms stay numpy
+(``math.asin``/``atan2`` differ in 33,758/400k, 15,472/200k inputs).
 
 The product rule: every rotation product multiplies row-major nine-tuples
 (``_mul9``) or a nine-tuple and a 3-vector (``_mulv``) on Python floats, each
 entry summed left to right; ``_rot9`` (Rx Ry Rz) is that nested product's
 closed form, bit for bit.  No product goes through BLAS, so the bits do not
-depend on its kernel.  ``_mulv`` also takes arrays as vector entries, whose
-elementwise ``*`` and ``+`` round like floats: ``gfm`` re-projects a whole bank
-with the bits of one ``compose`` per candidate.  Only ``Transform``'s
-orthonormality check multiplies in numpy.
+depend on its kernel.  Only ``Transform``'s orthonormality check multiplies
+in numpy.
 """
 
 from __future__ import annotations
@@ -217,22 +215,9 @@ def euler_to_matrix(orientation) -> np.ndarray:
 
 
 def matrix_to_euler(rotation) -> np.ndarray:
-    """Invert euler_to_matrix on (..., 3, 3); returns (..., 3) angles.
-
-    Gimbal lock (|cos b| ~ 0) resolves with c = 0.  A stack takes the steps
-    of ``_euler9`` as array operations, with the same bits.
-    """
+    """Invert euler_to_matrix on one 3x3; gimbal lock (|cos b| ~ 0) gives c = 0."""
     r = np.asarray(rotation, dtype=float)
-    if r.shape == (3, 3):
-        return np.array(_euler9(r.ravel().tolist()))
-    sb = np.minimum(np.maximum(r[..., 0, 2], -1.0), 1.0)
-    lock = np.abs(sb) >= 1.0 - 1e-12
-    a = np.where(lock, np.arctan2(np.sign(sb) * r[..., 1, 0], r[..., 1, 1]),
-                 np.arctan2(-r[..., 1, 2], r[..., 2, 2]))
-    c = np.where(lock, 0.0, np.arctan2(-r[..., 0, 1], r[..., 0, 0]))
-    e = np.stack([a, np.arcsin(sb), c], axis=-1)
-    # _wrap1 on [-pi, pi], the range of arctan2 and arcsin: -pi -> pi, -0.0 -> 0.0
-    return np.where(e == -np.pi, np.pi, e) + 0.0
+    return np.array(_euler9(r.ravel().tolist()))
 
 
 def _compose6(a_pos, ra, b_pos, b_orn) -> tuple:

@@ -54,10 +54,10 @@ from graspsim.rewards import (
 from graspsim.robot import ik_pseudoinverse_step, initial_robot
 from graspsim.scene import (
     EpisodeConfig,
+    EpisodeStatus,
     LEVEL_SPEED_RANGES,
     check_status,
     derive_seed,
-    initial_status,
     make_trajectory,
     reset_episode,
     step_scene,
@@ -409,7 +409,7 @@ def test_criterion_8_reward_fidelity(catalog_map):
     robot = initial_robot(scene.terrain)
     bad = replace(robot, base_pose=Pose6(robot.base_pose.position,
                                          np.array([0, 0, np.deg2rad(70.5)])))
-    assert check_status(scene, bad, initial_status(), cfg, 0).phase == "failed_yaw"
+    assert check_status(scene, bad, EpisodeStatus(), cfg, 0).phase == "failed_yaw"
 
     # low-level table, every row against hand-evaluated values
     s = LowLevelState(

@@ -338,6 +338,10 @@ def test_output_path_naming_a_directory_rejected(args, taken, tmp_path, capsys,
     # derive_seed would turn a negative seed into another seed's episodes
     (["distill-record", "--seed", "-1", "--out", "d.bin"], "got -1"),
     (["bench", "--levels", "1", "--episodes", "1", "--seed", "-4", "--out", "b"], "got -4"),
+    # derive_seed's 31-bit mask would alias these to seed 0
+    (["distill-record", "--seed", str(2**31), "--out", "d.bin"], f"got {2**31}"),
+    (["bench", "--levels", "1", "--episodes", "1", "--seed", str(2**32), "--out", "b"],
+     f"got {2**32}"),
 ])
 def test_bad_seed_or_level_rejected(args, named, tmp_path, capsys, monkeypatch,
                                     episode_starts):

@@ -321,7 +321,7 @@ def test_reprojection_frame_consistency(rng):
         assert np.allclose(a.position, b.position, atol=1e-9)
         assert np.allclose(euler_to_matrix(a.orientation),
                            euler_to_matrix(b.orientation), atol=1e-9)
-    # the batched re-projection of a whole bank equals re-projecting each
+    # the memoized re-projection of a whole bank equals re-projecting each
     # candidate on its own, bit for bit; the thin box's bank holds gimbal-lock
     # grasps (approach +-y closing z, or +-z closing y: r[0, 2] = +-1)
     thin = ObjectSpec("thin", "box", (0.10, 0.04, 0.06), 0.2, "seen", "long_box")

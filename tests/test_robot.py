@@ -24,7 +24,7 @@ from graspsim.robot import (
     initial_robot,
 )
 from graspsim.scene import sample_terrain
-from graspsim.se3 import _rot9, wrap_angle
+from graspsim.se3 import Pose6, _rot9, wrap_angle
 
 from conftest import assert_valid_pose, flat_terrain
 
@@ -101,25 +101,27 @@ def test_action_rejects_non_finite():
     u = accumulate_command(robot, HighLevelAction.zero())
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
-            CommandVector(np.zeros(3), np.zeros(3), bad, 0.0)
+            CommandVector(Pose6.identity(), bad, 0.0)
         with pytest.raises(InvalidArgumentError):
-            CommandVector(np.zeros(3), np.zeros(3), 0.0, bad)
+            CommandVector(Pose6.identity(), 0.0, bad)
         with pytest.raises(InvalidArgumentError):
-            CommandVector(np.array([0.0, bad, 0.0]), np.zeros(3), 0.0, 0.0)
+            CommandVector(Pose6(np.array([0.0, bad, 0.0]), np.zeros(3)), 0.0, 0.0)
         with pytest.raises(InvalidArgumentError):
-            CommandVector(np.zeros(3), np.array([0.0, 0.0, bad]), 0.0, 0.0)
+            CommandVector(Pose6(np.zeros(3), np.array([0.0, 0.0, bad])), 0.0, 0.0)
         with pytest.raises(InvalidArgumentError):
             execute_command(robot, u, GROUND, bad)
     with pytest.raises(InvalidArgumentError):
-        CommandVector(np.zeros(2), np.zeros(3), 0.0, 0.0)
+        CommandVector(Pose6(np.zeros(2), np.zeros(3)), 0.0, 0.0)
+    # the target is a checked Pose6, not the arrays of one
+    with pytest.raises(InvalidArgumentError, match="must be a Pose6"):
+        CommandVector((np.zeros(3), np.zeros(3)), 0.0, 0.0)
 
 
 def test_accumulate_zero_action_keeps_target():
     robot = initial_robot(GROUND)
     u = accumulate_command(robot, HighLevelAction.zero())
-    assert u.p_hat is u.target.position and u.r_hat is u.target.orientation
-    assert np.allclose(u.p_hat, robot.ee_target.position)
-    assert np.allclose(u.r_hat, robot.ee_target.orientation)
+    assert np.allclose(u.target.position, robot.ee_target.position)
+    assert np.allclose(u.target.orientation, robot.ee_target.orientation)
     assert u.v_lin == 0.0 and u.omega_yaw == 0.0
 
 
@@ -147,6 +149,11 @@ def test_accumulate_wraps_orientation():
     for _ in range(24):
         a = HighLevelAction(np.zeros(3), np.array([0, 0, 0.2]), 0.3, 1.0)
         u = accumulate_command(robot, a)
+        # the unchecked target has the checked Pose6's bits
+        want = Pose6(clamp_to_workspace(robot.ee_target.position + a.dp),
+                     robot.ee_target.orientation + a.dr)
+        assert u.target.position.tobytes() == want.position.tobytes()
+        assert u.target.orientation.tobytes() == want.orientation.tobytes()
         robot = execute_command(robot, u, GROUND, 0.2)
         for pose in (robot.base_pose, robot.ee_pose, robot.ee_target):
             assert_valid_pose(pose)
@@ -155,8 +162,7 @@ def test_accumulate_wraps_orientation():
 
 def test_unicycle_straight_line():
     robot = initial_robot(GROUND)
-    u = CommandVector(robot.ee_target.position, robot.ee_target.orientation,
-                      v_lin=0.5, omega_yaw=0.0)
+    u = CommandVector(robot.ee_target, v_lin=0.5, omega_yaw=0.0)
     for _ in range(50):
         robot = execute_command(robot, u, GROUND, 0.02)
     assert robot.base_pose.position[0] == pytest.approx(0.5, abs=1e-9)
@@ -165,8 +171,7 @@ def test_unicycle_straight_line():
 
 def test_unicycle_pure_rotation():
     robot = initial_robot(GROUND)
-    u = CommandVector(robot.ee_target.position, robot.ee_target.orientation,
-                      v_lin=0.0, omega_yaw=np.pi / 2)
+    u = CommandVector(robot.ee_target, v_lin=0.0, omega_yaw=np.pi / 2)
     for _ in range(50):
         robot = execute_command(robot, u, GROUND, 0.02)
     assert robot.base_pose.orientation[2] == pytest.approx(np.pi / 2, abs=1e-9)
@@ -176,8 +181,7 @@ def test_unicycle_pure_rotation():
 def test_unicycle_arc_matches_closed_form():
     robot = initial_robot(GROUND)
     v, w, T = 0.6, 0.8, 1.5
-    u = CommandVector(robot.ee_target.position, robot.ee_target.orientation,
-                      v_lin=v, omega_yaw=w)
+    u = CommandVector(robot.ee_target, v_lin=v, omega_yaw=w)
     steps = 75
     for _ in range(steps):
         robot = execute_command(robot, u, GROUND, T / steps)
@@ -192,7 +196,7 @@ def test_ee_converges_to_reachable_target():
     robot = initial_robot(GROUND)
     target = np.array([0.5, 0.1, 0.4])       # base frame
     orn = np.array([0.0, 0.3, -0.2])
-    u = CommandVector(target, orn, 0.0, 0.0)
+    u = CommandVector(Pose6(target, orn), 0.0, 0.0)
     for _ in range(100):  # 2 seconds
         robot = execute_command(robot, u, GROUND, 0.02)
     world_target = robot.base_pose.position + target  # base sits at yaw 0
@@ -223,7 +227,7 @@ def test_lag_angle_bits_match_array_form(rng):
 
 def test_step_rate_consistency():
     # same constant command: two 0.01 s steps equal one 0.02 s step
-    u = CommandVector(np.array([0.4, 0.0, 0.3]), np.zeros(3), 0.5, 0.7)
+    u = CommandVector(Pose6(np.array([0.4, 0.0, 0.3]), np.zeros(3)), 0.5, 0.7)
     a = initial_robot(GROUND)
     a = execute_command(a, u, GROUND, 0.02)
     b = initial_robot(GROUND)
@@ -237,8 +241,7 @@ def test_step_rate_consistency():
 def test_base_height_tracks_terrain():
     terrain = sample_terrain(5)
     robot = initial_robot(terrain)
-    u = CommandVector(robot.ee_target.position, robot.ee_target.orientation,
-                      v_lin=0.5, omega_yaw=0.0)
+    u = CommandVector(robot.ee_target, v_lin=0.5, omega_yaw=0.0)
     for _ in range(300):
         robot = execute_command(robot, u, terrain, 0.02)
     x, y = robot.base_pose.position[:2]

@@ -8,16 +8,16 @@ import pytest
 
 from graspsim.config import _RANGES, SimConfig
 from graspsim.errors import CatalogError, InvalidArgumentError, NotFoundError
-from graspsim.gfm import build_memory, generate_candidates
+from graspsim.gfm import _world_vec6, build_memory, generate_candidates
 from graspsim.robot import initial_robot
 from graspsim.scene import (
     EpisodeConfig,
+    EpisodeStatus,
     LEVEL_SPEED_RANGES,
     ObjectSpec,
     apply_gripper_close,
     check_status,
     find_aligned_candidate,
-    initial_status,
     load_catalog,
     make_trajectory,
     parse_catalog,
@@ -339,7 +339,7 @@ def _aligned_by_compose(bank, state, ee_pose, cfg):
 
 
 def test_find_aligned_candidate_matches_per_candidate_compose(catalog_map, rng):
-    # the batched bank re-projection picks the same candidate as composing
+    # the memoized bank re-projection picks the same candidate as composing
     # each one; an ee exactly on a candidate ties with every candidate at the
     # same position (the centred box grasps), and the first aligned one wins
     found = set()
@@ -356,6 +356,14 @@ def test_find_aligned_candidate_matches_per_candidate_compose(catalog_map, rng):
     assert None in found and len(found) > 3
 
 
+def test_empty_bank_projects_to_no_rows_and_aligns_nothing(catalog_map):
+    # an empty bank's projection keeps its (0, 6) shape, so no grasp aligns
+    _, state, robot, _ = _scene_and_aligned_robot(catalog_map)
+    empty = build_memory([], 30, object_id="none")
+    assert _world_vec6(empty, state.object_pose).shape == (0, 6)
+    assert find_aligned_candidate(empty, state, robot.ee_pose, SIM_CFG) is None
+
+
 def test_aligned_close_attaches(catalog_map):
     cfg, state, robot, bank = _scene_and_aligned_robot(catalog_map)
     new_state, ok = apply_gripper_close(state, robot, bank, SIM_CFG)
@@ -364,7 +372,7 @@ def test_aligned_close_attaches(catalog_map):
 
 def test_misaligned_close_bumps_object_off(catalog_map):
     cfg, state, robot, bank = _scene_and_aligned_robot(catalog_map)
-    status = initial_status()
+    status = EpisodeStatus()
     # keep closing with the gripper badly misaligned right next to the object;
     # the tight footprint means a couple of shoves push it off the platform
     for _ in range(4):
@@ -397,12 +405,12 @@ def test_yaw_drift_over_70_degrees_fails(catalog_map):
     cfg, state, robot, _ = _scene_and_aligned_robot(catalog_map)
     yawed = Pose6(robot.base_pose.position, np.array([0, 0, np.deg2rad(71.0)]))
     robot = replace(robot, base_pose=yawed)
-    status = check_status(state, robot, initial_status(), cfg, 0)
+    status = check_status(state, robot, EpisodeStatus(), cfg, 0)
     assert status.phase == "failed_yaw"
     # 69 degrees survives
     yawed = Pose6(robot.base_pose.position, np.array([0, 0, np.deg2rad(69.0)]))
     robot = replace(robot, base_pose=yawed)
-    status = check_status(state, robot, initial_status(), cfg, 0)
+    status = check_status(state, robot, EpisodeStatus(), cfg, 0)
     assert status.phase == "approaching"
 
 
@@ -428,7 +436,7 @@ def test_grasp_lift_hold_to_success(catalog_map):
         state.platform_pose.position + np.array([0.0, 0.0, 0.2]), np.zeros(3)
     )
     state = replace(state, object_pose=lifted)
-    status = check_status(state, robot, initial_status(), cfg, 0)
+    status = check_status(state, robot, EpisodeStatus(), cfg, 0)
     assert status.phase == "grasped" or status.phase == "lifted"
     for _ in range(10):
         status = check_status(state, robot, status, cfg, 3)
@@ -438,7 +446,7 @@ def test_grasp_lift_hold_to_success(catalog_map):
 
 def test_timeout_status(catalog_map):
     cfg, state, robot, _ = _scene_and_aligned_robot(catalog_map)
-    status = check_status(state, robot, initial_status(), cfg,
+    status = check_status(state, robot, EpisodeStatus(), cfg,
                           cfg.timeout_steps)
     assert status.phase == "failed_timeout"
 

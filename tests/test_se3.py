@@ -169,17 +169,11 @@ def test_matrix_to_euler_bits_match_numpy_oracle(rng):
     assert sum(negative_zero) >= 6
     for m in mats:
         assert _same_bits(matrix_to_euler(m), _matrix_to_euler_oracle(m))
-    # a (K, 3, 3) stack: the oracle's bits, and row for row the single result
-    stack = np.array(mats)
-    batch = matrix_to_euler(stack)
-    assert _same_bits(batch, _matrix_to_euler_oracle(stack))
-    for m, row in zip(mats, batch):
-        assert _same_bits(row, matrix_to_euler(m))
 
 
 
 def _raw_euler(stack):
-    """matrix_to_euler's arctan2/arcsin outputs on a (K, 3, 3) stack, unwrapped."""
+    """matrix_to_euler's arctan2/arcsin outputs for each of (K, 3, 3), unwrapped."""
     sb = np.clip(stack[:, 0, 2], -1.0, 1.0)
     lock = np.abs(sb) >= 1.0 - 1e-12
     a = np.where(lock, np.arctan2(np.sign(sb) * stack[:, 1, 0], stack[:, 1, 1]),
@@ -188,8 +182,8 @@ def _raw_euler(stack):
     return np.stack([a, np.arcsin(sb), c], axis=-1)
 
 
-def test_matrix_to_euler_stack_wrap_bits_match_per_element_wrap(rng):
-    # A stack is wrapped by one elementwise expression, not _wrap1 per angle.
+def test_matrix_to_euler_wrap_bits_match_per_element_wrap(rng):
+    # matrix_to_euler wraps each arctan2/arcsin output as _wrap1 does.
     # Half-turn and gimbal matrices with every sign of their zero entries
     # drive arctan2 and arcsin to exactly -pi, -0.0 and +-pi/2.
     bases = [np.diag([-1.0, -1.0, 1.0]), np.diag([1.0, -1.0, -1.0]),
@@ -204,15 +198,12 @@ def test_matrix_to_euler_stack_wrap_bits_match_per_element_wrap(rng):
             m[zeros] = signs
             mats.append(m.reshape(3, 3))
     mats += [euler_to_matrix(o) for o in rng.uniform(-np.pi, np.pi, (200, 3))]
-    stack = np.array(mats)
-    raw = _raw_euler(stack).ravel()
+    raw = _raw_euler(np.array(mats)).ravel()
     assert np.any(raw == -np.pi)
     assert np.any((raw == 0.0) & np.signbit(raw))
     assert np.any(raw == np.pi / 2) and np.any(raw == -np.pi / 2)
-    got = matrix_to_euler(stack)
+    got = np.array([matrix_to_euler(m) for m in mats])
     assert _same_bits(got.ravel(), [_wrap1(x) for x in raw.tolist()])
-    for m, row in zip(mats, got):
-        assert _same_bits(row, _euler9(m.ravel().tolist()))
 
 
 def test_wrap1_in_range_return_bits_match_round_formula():
@@ -363,9 +354,9 @@ def test_transform_euler_roundtrip(rng):
 def test_roundtrip_near_gimbal_lock():
     r = euler_to_matrix(np.array([0.3, np.pi / 2, 0.0]))
     assert np.allclose(euler_to_matrix(matrix_to_euler(r)), r, atol=1e-7)
-    # the stacked conversion equals the per-matrix one bit for bit, at the
-    # lock (b = +-pi/2 gives r[0, 2] = +-1 exactly) and on both sides of the
-    # 1e-12 threshold (1 - |r[0, 2]| is 5e-13, then 2e-12)
+    # the conversion keeps the numpy oracle's bits at the lock (b = +-pi/2
+    # gives r[0, 2] = +-1 exactly) and on both sides of the 1e-12 threshold
+    # (1 - |r[0, 2]| is 5e-13, then 2e-12)
     rng = np.random.Generator(np.random.PCG64(7))
     orns = rng.uniform(-np.pi, np.pi, (64, 3))
     orns[::4, 1] = np.pi / 2
@@ -375,10 +366,8 @@ def test_roundtrip_near_gimbal_lock():
     mats = np.array([euler_to_matrix(o) for o in orns])
     assert np.sum(np.abs(mats[:, 0, 2]) == 1.0) == 32
     assert np.sum(np.abs(mats[:, 0, 2]) < 1.0 - 1e-12) == 16
-    stacked = matrix_to_euler(mats.reshape(4, 16, 3, 3))
-    assert stacked.shape == (4, 16, 3)
     single = np.array([matrix_to_euler(m) for m in mats])
-    assert np.array_equal(stacked.reshape(64, 3), single)
+    assert _same_bits(single, _matrix_to_euler_oracle(mats))
     assert np.all(single[0::4, 2] == 0.0) and np.all(single[2::4, 2] == 0.0)
     assert np.allclose([euler_to_matrix(o) for o in single], mats, atol=1e-5)
 
@@ -571,7 +560,7 @@ def _pose_algebra_digests(env) -> list:
 def test_pose_algebra_bits_hold_across_blas_kernels():
     # every rotation product is summed left to right on floats, so a BLAS
     # kernel without FMA leaves euler_to_matrix, compose, inverse, the base
-    # frame ee pose and gfm's batched re-projection bit for bit as they are
+    # frame ee pose and gfm's bank re-projection bit for bit as they are
     env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"}
     probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
                            capture_output=True, text=True, timeout=60)

@@ -257,10 +257,10 @@ def test_substep_values_keep_the_checked_guarantees(carrier, level, catalog_map)
 @pytest.mark.parametrize("object_id,seed", [("water_bottle", 1), ("sugar_box", 0)])
 def test_decision_step_checks_only_command_and_policy_output(object_id, seed, catalog,
                                                             monkeypatch):
-    # A GFM episode checks a Pose6 only where a value enters: the command
-    # (CommandVector) and the fused policy output (vec6_decode), so at most
-    # two per decision step.  Candidate poses, the teacher's lead pose and
-    # the shoved object are computed and built unchecked.  water_bottle is
+    # A GFM episode checks a Pose6 only where a value enters: the fused
+    # policy output (vec6_decode), so at most one per decision step.  The
+    # command's target, candidate poses, the teacher's lead pose and the
+    # shoved object are computed and built unchecked.  water_bottle is
     # grasped and lifted; sugar_box is shoved along the platform, then off it.
     counts = _count_checked(monkeypatch)
     in_bank, at_decision = [], []
@@ -284,7 +284,7 @@ def test_decision_step_checks_only_command_and_policy_output(object_id, seed, ca
     assert in_bank == [0]
     per_step = np.diff(at_decision + [counts["Pose6"]])
     assert len(per_step) == log.n_steps
-    assert per_step.max() <= 2
+    assert per_step.max() <= 1
 
 
 def _advance_by_substeps(robot, scene, status, u, traj, config, sim_cfg, step):
