@@ -6,7 +6,8 @@ scene and status on Python floats, with the robot and scene states built once
 at the end.  ``run_episode`` loops over it, adding the observation (optional:
 the state a step saw enters the latency queue, and the history fetches the
 state of four steps ago, rendered in one two-view batch when first fetched)
--> history stack, and the reward bookkeeping.  Fully deterministic per seed.
+-> history stack, and a logged step's task and locomotion reward totals, both
+over one ``gait_observables`` state.  Fully deterministic per seed.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from .gfm import alignment_gfm_weights, draw_bank
 from .robot import (DEFAULT_JOINTS, NOMINAL_HEIGHT, _command_floats, _robot_floats,
                     _robot_state, _robot_substep, accumulate_command, ee_pose_in_base,
                     gait_observables, initial_robot)
-from .rewards import (
-    HighLevelRewardInput,
-    LowLevelState,
-    high_level_reward,
-    low_level_reward,
-)
+from .rewards import HighLevelRewardInput, high_level_reward, low_level_reward
 from .scene import (EpisodeConfig, EpisodeStatus, _platform_rng, _scene_floats,
                     _scene_state, _scene_substep, _status_after, apply_gripper_close,
                     check_status, derive_seed, load_catalog, make_trajectory,
@@ -100,8 +96,8 @@ def episode_bank(spec, sim_cfg: SimConfig, seed: int):
                      derive_seed(seed, 23), aperture=sim_cfg.gripper_aperture)
 
 
-def _high_level_input(scene, robot, status, action_vec, prev_action,
-                      q_dot, q_dot_prev, v_x_star, just_completed):
+def _high_level_input(scene, robot, status, action_vec, prev_action, low, q_dot_prev):
+    """The task table's input; joint rates, command and base height come from ``low``."""
     base = robot.base_pose
     obj = scene.object_pose.position
     d_obj = obj - base.position
@@ -114,23 +110,22 @@ def _high_level_input(scene, robot, status, action_vec, prev_action,
         if scene.object_attached_to == "gripper" else 0.0
     phase = {"approaching": "approaching", "grasped": "grasped",
              "lifted": "lifted"}.get(status.phase, "lifted")
-    terrain_h = scene.terrain.height_at(base.position[0], base.position[1])
     return HighLevelRewardInput(
         phase=phase,
         dist_ee_obj=float(np.linalg.norm(robot.ee_pose.position - obj)),
         lift_height=float(lift),
-        completed=just_completed,
+        completed=status.phase == "success",   # terminal: yielded at its success_step only
         q_dot_prev=q_dot_prev,
-        q_dot=q_dot,
+        q_dot=low.q_dot,
         a_prev=prev_action,
         a=action_vec,
-        v_x_star=float(v_x_star),
+        v_x_star=float(low.v_x_star),
         d_obj=d_obj,
         d_ee=d_ee / np.linalg.norm(d_ee),
         d_base=d_base,
         x_obj=float(np.linalg.norm(obj[:2] - base.position[:2])),
         x_base=0.0,
-        h_current=float(base.position[2] - terrain_h),
+        h_current=float(low.h_b),
         h_target=NOMINAL_HEIGHT,
         psi_c=float(yaw),
         psi_0=0.0,
@@ -238,26 +233,11 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
             close_events.append([step, close])
 
         if log_steps:
-            obs_sig = gait_observables(robot, q_prev, sim_cfg.decision_dt, u,
-                                       scene.terrain)
-            q_dot = obs_sig["q_dot"]
-            just_completed = status.phase == "success" and status.success_step == step
-            hl = high_level_reward(
-                _high_level_input(scene, robot, status, action_vec, prev_action,
-                                  q_dot, q_dot_prev, action.v_lin, just_completed))
-            ll = low_level_reward(
-                LowLevelState(
-                    q=obs_sig["q"], q_dot=q_dot,
-                    q_ddot=(q_dot - q_dot_prev) / sim_cfg.decision_dt,
-                    q_star=obs_sig["q_star"], tau=obs_sig["tau"],
-                    v_b=robot.base_twist.linear, omega_b=robot.base_twist.angular,
-                    v_x_star=u.v_lin, v_yaw_star=u.omega_yaw, n_collision=0,
-                    f_foot=obs_sig["f_foot"], v_z_foot=obs_sig["v_z_foot"],
-                    t_air=obs_sig["t_air"], h_b=obs_sig["h_b"],
-                    h_b_target=obs_sig["h_b_target"], q_default=DEFAULT_JOINTS,
-                    contact_cmd=obs_sig["contact_cmd"],
-                ),
-            )
+            low = gait_observables(robot, q_prev, q_dot_prev, sim_cfg.decision_dt, u,
+                                   scene.terrain)
+            hl = high_level_reward(_high_level_input(scene, robot, status, action_vec,
+                                                     prev_action, low, q_dot_prev))
+            ll = low_level_reward(low)
             steps.append({
                 "step": step,
                 "phase": status.phase,
@@ -271,9 +251,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
                 "reward_total": hl.total,
                 "low_reward_total": ll.total,
             })
-            prev_action = action_vec
-            q_prev = obs_sig["q"]
-            q_dot_prev = q_dot
+            prev_action, q_prev, q_dot_prev = action_vec, low.q, low.q_dot
 
     if not status.terminal:
         status = check_status(scene, robot, status, config, config.timeout_steps)

@@ -127,13 +127,13 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     a serial run; ``timeout_steps`` defaults to the config's timeout.
 
     Episodes run per level either a fixed count or until the decision-step
-    budget (default 5,000 per level) is consumed; the final episode may
-    overshoot the budget by at most its own length.  Serial and pooled runs
-    share one loop (serially each episode runs at submission); a pool only
-    parallelizes independent episodes and results are consumed in submission
-    order, so output bytes never depend on scheduling.  ``workers`` above
-    ``os.cpu_count()`` is capped there: that many processes and episodes in
-    flight at most.
+    budget (default 5,000 per level) is consumed, never both; the final
+    episode may overshoot the budget by at most its own length.  Serial and
+    pooled runs share one loop (serially each episode runs at submission); a
+    pool only parallelizes independent episodes and results are consumed in
+    submission order, so output bytes never depend on scheduling.  ``workers``
+    above ``os.cpu_count()`` is capped there: that many processes and episodes
+    in flight at most.
     """
     levels = sorted(set(levels))
     if not levels:
@@ -148,6 +148,8 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
             raise InvalidArgumentError(f"{name} must be at least 1, got {count}")
     if workers < 0:
         raise InvalidArgumentError(f"workers must be 0 or more, got {workers}")
+    if episodes_per_level is not None and step_budget is not None:
+        raise InvalidArgumentError("pass episodes_per_level or step_budget, not both")
     if episodes_per_level is None and step_budget is None:
         step_budget = DEFAULT_STEP_BUDGET
     catalog = catalog if catalog is not None else load_catalog()

@@ -175,19 +175,19 @@ def layer_norm(x, gain, bias) -> np.ndarray:
     return ((x - mean) / np.sqrt(var + _LN_EPS) * gain + bias).astype(np.float32)
 
 
-def multi_head_self_attention(tokens, wq, bq, wk, bk, wv, bv, wo, bo) -> np.ndarray:
-    """Scaled dot-product self-attention with NUM_HEADS heads over a token sequence."""
+def multi_head_self_attention(tokens, weights: dict) -> np.ndarray:
+    """Scaled dot-product self-attention with NUM_HEADS heads under ``attn.*`` weights."""
     t, d = tokens.shape
     dh = d // NUM_HEADS
-    q = linear(tokens, wq, bq)
-    k = linear(tokens, wk, bk)
-    v = linear(tokens, wv, bv)
+    q = linear(tokens, weights["attn.wq"], weights["attn.bq"])
+    k = linear(tokens, weights["attn.wk"], weights["attn.bk"])
+    v = linear(tokens, weights["attn.wv"], weights["attn.bv"])
     out = np.empty((t, d), dtype=np.float32)
     for h in range(NUM_HEADS):
         sl = slice(h * dh, (h + 1) * dh)
         logits = (q[:, sl] @ k[:, sl].T) / np.float32(np.sqrt(dh))
         out[:, sl] = softmax(logits, axis=-1) @ v[:, sl]
-    return linear(out, wo, bo)
+    return linear(out, weights["attn.wo"], weights["attn.bo"])
 
 
 def transformer_encoder_layer(tokens, weights: dict) -> np.ndarray:
@@ -195,13 +195,7 @@ def transformer_encoder_layer(tokens, weights: dict) -> np.ndarray:
     tokens = as_tensor(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"tokens must be 2-D, got {tokens.shape}")
-    attn = multi_head_self_attention(
-        tokens,
-        weights["attn.wq"], weights["attn.bq"],
-        weights["attn.wk"], weights["attn.bk"],
-        weights["attn.wv"], weights["attn.bv"],
-        weights["attn.wo"], weights["attn.bo"],
-    )
+    attn = multi_head_self_attention(tokens, weights)
     x = layer_norm(tokens + attn, weights["ln1.g"], weights["ln1.b"])
     ff = linear(elu(linear(x, weights["ff.w1"], weights["ff.b1"])),
                 weights["ff.w2"], weights["ff.b2"])

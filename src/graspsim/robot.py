@@ -4,11 +4,12 @@ The base is a unicycle whose height rides the terrain; the arm is a
 first-order tracker that pulls the world end-effector pose toward the
 integrated target.  Integrators use exact (exponential / closed-form circle)
 discretization so that stepping at different rates stays consistent.  A
-synthetic 12-joint gait signal stands in for leg state so the locomotion
-reward formulas have inputs.  A substep and the action checks run on Python
-floats (se3's float rule), a substep's pure-yaw base rotation built once and
-reused by the next; ``np.exp`` and the norms keep numpy's bits.  ``advance``
-runs a decision step's substeps, ``execute_command`` one on a RobotState.
+synthetic 12-joint gait signal stands in for leg state: ``gait_observables``
+builds the locomotion reward table's input from it.  A substep and the
+action checks run on Python floats (se3's float rule), a substep's pure-yaw
+base rotation built once and reused by the next; ``np.exp`` and the norms
+keep numpy's bits.  ``advance`` runs a decision step's substeps,
+``execute_command`` one on a RobotState.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularJacobianError
+from .rewards import LowLevelState
 from .se3 import (Pose6, Twist, _compose6, _relative6, _ro, _rot9, _trusted, _wrap1, compose,
                   relative_pose)
 from .scene import TerrainField
@@ -234,33 +236,25 @@ def ik_pseudoinverse_step(jacobian, error) -> np.ndarray:
     return j.T @ np.linalg.solve(jjt, e)
 
 
-def gait_observables(robot: RobotState, q_prev: np.ndarray, dt: float,
-                     u: CommandVector, terrain) -> dict:
-    """Synthetic low-level signals derived from the gait clock.
-
-    The joints ``q`` are ``gait_joint_proxy(robot.travel)``, derived here
-    and stored nowhere; ``q_prev`` is the caller's ``q`` of dt ago.  These
-    feed the locomotion reward formulas; they carry no dynamics.
-    """
+def gait_observables(robot: RobotState, q_prev: np.ndarray, q_dot_prev: np.ndarray,
+                     dt: float, u: CommandVector, terrain) -> LowLevelState:
+    """The locomotion reward table's input after a decision step of dt under ``u``:
+    the gait joints ``q = gait_joint_proxy(robot.travel)`` (stored nowhere) and
+    their rates against the ``q_prev`` and ``q_dot_prev`` of dt ago, the base
+    twist, the base height over the terrain, and the command."""
     q = gait_joint_proxy(robot.travel)
     q_dot = (q - q_prev) / dt
-    phase = 2.0 * np.pi * robot.travel / GAIT_WAVELENGTH
-    leg_phase = phase + _LEG_PHASES[::3]
+    leg_phase = 2.0 * np.pi * robot.travel / GAIT_WAVELENGTH + _LEG_PHASES[::3]
     contact = 0.5 * (1.0 + np.cos(leg_phase))          # 1 = stance command
     weight = 9.81 * 12.0
-    f_foot = weight * contact / np.maximum(np.sum(contact), 1e-6)
-    v_z_foot = -GAIT_AMPLITUDE * np.sin(leg_phase) * abs(u.v_lin)
-    t_air = 0.5 * (1.0 - contact)
-    h_terrain = terrain.height_at(robot.base_pose.position[0], robot.base_pose.position[1])
-    return {
-        "q": q,
-        "q_dot": q_dot,
-        "q_star": gait_joint_proxy(robot.travel + abs(u.v_lin) * dt),
-        "tau": 0.5 * q_dot,
-        "contact_cmd": contact,
-        "f_foot": f_foot,
-        "v_z_foot": v_z_foot,
-        "t_air": t_air,
-        "h_b": robot.base_pose.position[2] - h_terrain,
-        "h_b_target": NOMINAL_HEIGHT,
-    }
+    base = robot.base_pose.position
+    return LowLevelState(
+        q=q, q_dot=q_dot, q_ddot=(q_dot - q_dot_prev) / dt,
+        q_star=gait_joint_proxy(robot.travel + abs(u.v_lin) * dt), tau=0.5 * q_dot,
+        v_b=robot.base_twist.linear, omega_b=robot.base_twist.angular,
+        v_x_star=u.v_lin, v_yaw_star=u.omega_yaw, n_collision=0,
+        f_foot=weight * contact / np.maximum(np.sum(contact), 1e-6),
+        v_z_foot=-GAIT_AMPLITUDE * np.sin(leg_phase) * abs(u.v_lin),
+        t_air=0.5 * (1.0 - contact), h_b=base[2] - terrain.height_at(base[0], base[1]),
+        h_b_target=NOMINAL_HEIGHT, q_default=DEFAULT_JOINTS, contact_cmd=contact,
+    )

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 # Pin the BLAS / OpenMP pools to one thread before numpy loads, as
 # perfbench/run.py does, so spinning pool threads on a busy host do not
@@ -17,6 +18,16 @@ from graspsim.scene import (  # noqa: E402
     load_catalog,
 )
 from graspsim.se3 import Pose6  # noqa: E402
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(env=None) -> dict:
+    """``env`` (default os.environ) for a child process that imports graspsim
+    from this checkout: ``src`` first on its PYTHONPATH."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,8 @@ from graspsim.errors import InvalidArgumentError
 from graspsim.nn import HISTORY_LEN, VIEWS
 from graspsim.scene import EpisodeConfig
 
+from conftest import child_env
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -444,7 +446,7 @@ def bench_bytes(env, out) -> list:
     proc = subprocess.run(
         [sys.executable, "-m", "graspsim.cli", "bench", "--levels", "1,2,3,4",
          "--episodes", "2", "--split", "both", "--seed", "9", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=child_env(env), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return [(out / name).read_bytes() for name in ("metrics.csv", "episodes.jsonl")]
@@ -475,7 +477,7 @@ def test_bench_bytes_hold_across_kernels(setting, default_bench_bytes, tmp_path)
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "graspsim.cli", "gfm-inspect", "--object", "rubiks_cube"],
-        capture_output=True, text=True, timeout=120,
+        env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
     assert "object rubiks_cube" in proc.stdout and "fused world grasp:" in proc.stdout

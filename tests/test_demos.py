@@ -1,7 +1,8 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import child_env
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -11,7 +12,7 @@ def test_every_demo_runs(tmp_path):
     # directory, so each runs in a scratch directory against the source tree.
     demos = sorted((REPO / "demos").glob("*.py"))
     assert demos
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env = child_env()
     for demo in demos:
         proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=300)

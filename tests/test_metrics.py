@@ -206,6 +206,9 @@ def test_benchmark_rejects_bad_args():
                    {"step_budget": 0}, {"episodes_per_level": 1, "workers": -2}):
         with pytest.raises(InvalidArgumentError):
             run_benchmark([1], **kwargs)
+    # a count with a budget, as the CLI's exclusive --episodes and --steps
+    with pytest.raises(InvalidArgumentError, match="episodes_per_level or step_budget"):
+        run_benchmark([1], episodes_per_level=2, step_budget=5, timeout_steps=30)
 
 
 def test_benchmark_uses_given_catalog_serial_and_parallel(catalog):

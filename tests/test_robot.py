@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from graspsim.errors import InvalidArgumentError, SingularJacobianError
+from graspsim.rewards import LowLevelState
 from graspsim.robot import (
+    DEFAULT_JOINTS,
     MAX_DP,
     MAX_DR,
     MAX_OMEGA,
@@ -20,6 +22,8 @@ from graspsim.robot import (
     accumulate_command,
     clamp_to_workspace,
     execute_command,
+    gait_joint_proxy,
+    gait_observables,
     ik_pseudoinverse_step,
     initial_robot,
 )
@@ -247,6 +251,31 @@ def test_base_height_tracks_terrain():
     x, y = robot.base_pose.position[:2]
     expected = terrain.height_at(x, y) + 0.55
     assert robot.base_pose.position[2] == pytest.approx(expected, abs=0.02)
+
+
+def test_gait_observables_is_the_locomotion_input():
+    # after each decision step of dt: the joint rates are finite differences
+    # of the q and q_dot handed on from the step before, as run_episode hands
+    # them on, and h_b is the base's height over the terrain under it
+    terrain = sample_terrain(5)
+    robot = initial_robot(terrain)
+    u = CommandVector(robot.ee_target, v_lin=0.5, omega_yaw=0.3)
+    dt = 0.1
+    q_prev, q_dot_prev = DEFAULT_JOINTS, np.zeros(12)
+    for i in range(2):
+        for _ in range(5):
+            robot = execute_command(robot, u, terrain, dt / 5)
+        low = gait_observables(robot, q_prev, q_dot_prev, dt, u, terrain)
+        assert isinstance(low, LowLevelState)
+        assert low.q.tobytes() == gait_joint_proxy(robot.travel).tobytes()
+        assert low.q_dot.tobytes() == ((low.q - q_prev) / dt).tobytes()
+        assert low.q_ddot.tobytes() == ((low.q_dot - q_dot_prev) / dt).tobytes()
+        assert np.array_equal(low.q_ddot, low.q_dot / dt) == (i == 0)   # q_dot_prev 0, then not
+        x, y, z = robot.base_pose.position
+        assert low.h_b == z - terrain.height_at(x, y) != z
+        assert np.array_equal(low.v_b, robot.base_twist.linear)
+        assert (low.v_x_star, low.v_yaw_star) == (u.v_lin, u.omega_yaw)
+        q_prev, q_dot_prev = low.q, low.q_dot
 
 
 def test_ik_identity_and_orthonormal_rows(rng):

@@ -1,7 +1,6 @@
 import itertools
 import math
 import os
-import pathlib
 import platform
 import subprocess
 import sys
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graspsim
 from graspsim.errors import InvalidArgumentError
 from graspsim.se3 import (
     Pose6,
@@ -32,7 +30,7 @@ from graspsim.se3 import (
     wrap_angle,
 )
 
-from conftest import assert_valid_pose
+from conftest import assert_valid_pose, child_env
 
 angles = st.floats(-np.pi, np.pi, allow_nan=False, allow_infinity=False)
 coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -547,9 +545,7 @@ print(out.hexdigest(), hashlib.sha256((m @ m).tobytes()).hexdigest())
 
 
 def _pose_algebra_digests(env) -> list:
-    src = str(pathlib.Path(graspsim.__file__).parents[1])
-    env = {**env, "PYTHONPATH": os.pathsep.join([src, env.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", _POSE_ALGEBRA_SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", _POSE_ALGEBRA_SCRIPT], env=child_env(env),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
