@@ -7,13 +7,13 @@ platform box, and the target primitive; the nearest hit wins and the mask
 marks pixels whose nearest hit is the target.  ``render_views`` casts a
 decision step's (wrist, base) views as one [3, 2n] ray batch, ``render_frame``
 one view; the exact object test casts only the rays inside the object's
-bounding sphere, the terrain test only the descending rays.
+bounding sphere, the terrain test only the descending rays.  Each ray test
+makes the arrays it returns, so renders share no scratch arrays and threads
+may render at once.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -103,147 +103,93 @@ def _camera_rays(cam: CameraModel):
     return _RAY_CACHE[key]
 
 
-class _Workspace:
-    """Per-thread scratch buffers so a render allocates almost nothing.
-
-    Fresh 40 KB temporaries on every ufunc call blow the cache and turn the
-    renderer memory-bound; reusing warm buffers is worth ~5x here.  Each holds
-    both views of a decision step (2n rays); the float64 ones serve cylinders.
-    """
-
-    def __init__(self, n: int):
-        self.d = np.empty((3, 2 * n), np.float32)     # ray directions
-        self.t = np.empty((4, 2 * n), np.float32)     # object, platform, terrain, nearest
-        self.r = np.empty((8, 2 * n), np.float32)
-        self.f = np.empty((5, 2 * n), np.float64)
-        self.ij = np.empty((2, 2 * n), np.intp)
-        self.m = np.empty((3, 2 * n), bool)
-
-    @staticmethod
-    def shaped(stack, shape) -> np.ndarray:
-        """Each row of ``stack`` cut to prod(shape) entries viewed as ``shape``."""
-        return stack[:, :shape[0]] if len(shape) == 1 else stack[:, :math.prod(shape)].reshape(
-            (len(stack),) + shape)
-
-
-_WS_LOCAL = threading.local()
-
-
-def _workspace() -> _Workspace:
-    ws = getattr(_WS_LOCAL, "ws", None)
-    if ws is None:
-        ws = _WS_LOCAL.ws = _Workspace(FRAME_H * FRAME_W)
-    return ws
-
-
 # ---------------------------------------------------------------------------
 # Ray-primitive intersections.  A render casts its views' rays as one batch:
 # directions [3, views, n] (or flat [3, views*n]) with contiguous rows, each
 # view's origin a (views, 1) column (a lone view's scalars), so every
-# elementwise op gives the bits of a one-view cast.  The tests write into
-# workspace buffers, whose slices also serve the object's candidate rays.
+# elementwise op gives the bits of a one-view cast.  Each test makes its own
+# arrays and returns the hit distances (inf for misses).
 # ---------------------------------------------------------------------------
 
-def _cylinder_into(o, d, radius, height, ws: _Workspace) -> np.ndarray:
-    """Cylinder centered at the local origin with axis z; returns the float64
-    hit distances (inf for misses) in a workspace buffer.  ``o`` is a float64
-    origin per ray, so the side and cap math runs in float64."""
-    m = d.shape[1]
+def _cylinder_hits(o, d, radius, height) -> np.ndarray:
+    """Cylinder centered at the local origin with axis z; returns float64 hit
+    distances.  ``o`` is a float64 origin per ray, so the side and cap math
+    runs in float64."""
     hz = height / 2.0
     dx, dy, dz = d
-    a, tmp = ws.r[0, :m], ws.r[1, :m]
-    b, disc, t, best, z = ws.f[:, :m]
-    ok, good, more = ws.m[:, :m]
-
-    def keep(hit):                                     # best = t where hit, 0 < t < best
-        hit &= np.greater(t, 0, out=more)
-        hit &= np.less(t, best, out=more)
-        np.copyto(best, t, where=hit)
-
-    np.add(np.multiply(dx, dx, out=a), np.multiply(dy, dy, out=tmp), out=a)
-    np.add(np.multiply(dx, o[0], out=b), np.multiply(dy, o[1], out=t), out=b)
+    a = dx * dx + dy * dy
+    b = dx * o[0] + dy * o[1]
     b *= 2.0                                           # b = 2 (o . d) in xy
     c = o[0] * o[0] + o[1] * o[1] - radius * radius
-    np.subtract(np.multiply(b, b, out=disc), np.multiply(a, 4.0 * c, out=t), out=disc)
-    np.logical_and(np.greater_equal(disc, 0, out=ok), np.greater(a, 1e-18, out=good), out=ok)
-    np.logical_not(ok, out=good)
-    np.copyto(disc, 0.0, where=good)
-    np.sqrt(disc, out=disc)                            # sq
-    np.copyto(a, 1.0, where=good)
-    np.divide(0.5, a, out=a)                           # 1 / 2a
-    best.fill(_NO_HIT)
+    disc = b * b - a * (4.0 * c)
+    ok = (disc >= 0) & (a > 1e-18)
+    miss = ~ok
+    disc[miss] = 0.0
+    sq = np.sqrt(disc)
+    a[miss] = 1.0
+    inv_2a = 0.5 / a
+    best = np.full(d.shape[1], _NO_HIT)
+
+    def keep(t, hit):                                  # best = t where hit, 0 < t < best
+        hit &= t > 0
+        hit &= t < best
+        np.copyto(best, t, where=hit)
+
     for sgn in (-1.0, 1.0):                            # sides: t = (-b +- sq) / 2a
-        np.multiply(np.subtract(np.multiply(disc, sgn, out=t), b, out=t), a, out=t)
-        np.abs(np.add(np.multiply(t, dz, out=z), o[2], out=z), out=z)
-        keep(np.logical_and(np.less_equal(z, hz, out=good), ok, out=good))
+        t = (sq * sgn - b) * inv_2a
+        keep(t, (np.abs(t * dz + o[2]) <= hz) & ok)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(1.0, dz, out=tmp)                    # 1 / dz
-        for cap in (-hz, hz):                          # caps: x^2 + y^2 into z, b
-            np.multiply(tmp, cap - o[2], out=t)
-            np.square(np.add(np.multiply(t, dx, out=z), o[0], out=z), out=z)
-            np.square(np.add(np.multiply(t, dy, out=b), o[1], out=b), out=b)
-            np.less_equal(np.add(z, b, out=z), radius * radius, out=good)
-            keep(np.logical_and(good, np.isfinite(t, out=more), out=good))
+        inv_dz = 1.0 / dz
+        for cap in (-hz, hz):                          # caps: x^2 + y^2 <= r^2 at z = cap
+            t = inv_dz * (cap - o[2])
+            r_sq = np.square(t * dx + o[0]) + np.square(t * dy + o[1])
+            keep(t, (r_sq <= radius * radius) & np.isfinite(t))
     return best
 
 
-def _sphere_into(o, d, d_sq, inv_2a, center, radius, out, ws: _Workspace,
-                 exact: bool = True) -> np.ndarray:
-    """Quadratic sphere test, fully in-place; returns the hit mask and, when
-    ``exact``, writes the hit distances into ``out`` (misses inf)."""
-    b, disc, reg = ws.shaped(ws.r[4:7], out.shape)
-    hit, m2 = ws.shaped(ws.m[:2], out.shape)
+def _sphere_hits(o, d, d_sq, inv_2a, center, radius, exact: bool = True) -> np.ndarray:
+    """Quadratic sphere test: the hit distances, or with ``exact=False`` only
+    the hit mask."""
     oc = (o.T - center).T.astype(np.float32)
-    sq = np.square(oc, dtype=np.float64)               # exact for float32 inputs
-    c4 = (4.0 * (sq[0] + sq[1] + sq[2] - float(radius) ** 2)).astype(np.float32)
+    oc_sq = np.square(oc, dtype=np.float64)            # exact for float32 inputs
+    c4 = (4.0 * (oc_sq[0] + oc_sq[1] + oc_sq[2] - float(radius) ** 2)).astype(np.float32)
     oc *= 2.0
-    np.add(np.multiply(d[0], oc[0], out=b), np.multiply(d[1], oc[1], out=reg), out=b)
-    np.add(b, np.multiply(d[2], oc[2], out=reg), out=b)                    # b = 2 d . oc
-    np.subtract(np.multiply(b, b, out=disc), np.multiply(d_sq, c4, out=reg), out=disc)
-    np.greater_equal(disc, 0.0, out=hit)
-    np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)                    # sq
-    if exact:                                                             # t0 = (-b - sq) / 2a
-        np.multiply(np.negative(np.add(b, disc, out=out), out=out), inv_2a, out=out)
-    np.multiply(np.subtract(disc, b, out=disc), inv_2a, out=disc)         # t1 = (-b + sq) / 2a
-    hit &= np.greater(disc, 0.0, out=m2)               # t0 <= t1: a hit iff t1 > 0
-    if exact:
-        np.copyto(out, disc, where=np.less_equal(out, 0.0, out=m2))       # t0 if > 0, else t1
-        np.copyto(out, _NO_HIT, where=np.logical_not(hit, out=m2))
-    return hit
+    b = d[0] * oc[0] + d[1] * oc[1] + d[2] * oc[2]      # b = 2 d . oc
+    disc = b * b - d_sq * c4
+    hit = disc >= 0.0
+    sq = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    t1 = (sq - b) * inv_2a                             # t1 = (-b + sq) / 2a
+    hit &= t1 > 0.0                                    # t0 <= t1: a hit iff t1 > 0
+    if not exact:
+        return hit
+    t = -(b + sq) * inv_2a                             # t0 = (-b - sq) / 2a
+    np.copyto(t, t1, where=t <= 0.0)                   # t0 if > 0, else t1
+    t[~hit] = _NO_HIT
+    return t
 
 
-def _box_into(o, d, center, half, op, out, ws: _Workspace) -> None:
-    """Slab test over the rays of ``out``, slab distances ``op(center -+ half
-    - o, d)``.  The platform passes directions and np.divide, the object
-    reciprocals and np.multiply: the two round differently, and each caller's
-    bits are pinned (every frame; the recorded student datasets).  A zero
-    direction component gives an unconstrained (or empty) interval on its
-    axis."""
-    lo, hi, t1, t2 = ws.shaped(ws.r[4:8], out.shape)
-    m1, m2 = ws.shaped(ws.m[:2], out.shape)
-    near_side = [np.float32(c - h - oa) for c, h, oa in zip(center, half, o)]
-    far_side = [np.float32(c + h - oa) for c, h, oa in zip(center, half, o)]
+def _box_hits(o, d, center, half, op) -> np.ndarray:
+    """Slab test, slab distances ``op(center -+ half - o, d)``.  The platform
+    passes directions and np.divide, the object reciprocals and np.multiply:
+    the two round differently, and each caller's bits are pinned (every frame;
+    the recorded student datasets).  A zero direction component gives an
+    unconstrained (or empty) interval on its axis."""
     with np.errstate(divide="ignore", invalid="ignore"):
         for axis in range(3):
-            op(near_side[axis], d[axis], out=t1)
-            op(far_side[axis], d[axis], out=t2)
+            t1 = op(np.float32(center[axis] - half[axis] - o[axis]), d[axis])
+            t2 = op(np.float32(center[axis] + half[axis] - o[axis]), d[axis])
             if axis == 0:          # fmin/fmax of a slab pair is never NaN: half > 0
-                np.fmin(t1, t2, out=lo)
-                np.fmax(t1, t2, out=hi)
-                continue
-            np.fmax(lo, np.fmin(t1, t2, out=out), out=lo)
-            np.fmin(hi, np.fmax(t1, t2, out=t2), out=hi)
-    np.greater_equal(hi, lo, out=m1)
-    np.greater(hi, 0.0, out=m2)
-    m1 &= m2
-    np.less_equal(lo, 0.0, out=m2)
-    np.copyto(out, lo)
-    np.copyto(out, hi, where=m2)                       # t = lo if lo > 0 else hi
-    np.logical_not(m1, out=m2)
-    np.copyto(out, _NO_HIT, where=m2)
+                lo, hi = np.fmin(t1, t2), np.fmax(t1, t2)
+            else:
+                np.fmax(lo, np.fmin(t1, t2), out=lo)
+                np.fmin(hi, np.fmax(t1, t2), out=hi)
+    hit = (hi >= lo) & (hi > 0.0)
+    np.copyto(lo, hi, where=lo <= 0.0)                 # t = lo if lo > 0 else hi
+    lo[~hit] = _NO_HIT
+    return lo
 
 
-def _terrain_into(origins, d, terrain, out, ws: _Workspace) -> None:
+def _terrain_hits(origins, d, terrain) -> np.ndarray:
     """Descending rays vs the 0..0.1 m heightfield band.
 
     One fixed-point step of t = (h(x(t), y(t)) - oz) / dz from the band's
@@ -251,24 +197,21 @@ def _terrain_into(origins, d, terrain, out, ws: _Workspace) -> None:
     99th percentile 3.7 cm off the converged depth (spawn views, 20 scenes).
     Terrain sits strictly below the floating platform and the object, so its
     depth never occludes them.  Only the descending rays (dz < -1e-12) are
-    gathered and cast; every other ray misses.  ``d`` and ``out`` are flat
-    over the views, whose camera positions are ``origins``.
+    gathered and cast; every other ray misses.  ``d`` is flat over the views,
+    whose camera positions are ``origins``.
     """
-    down = np.less(d[2], np.float32(-1e-12), out=ws.m[0, :out.size])
+    down = d[2] < np.float32(-1e-12)
     idx = down.nonzero()[0]
-    out.fill(_NO_HIT)
-    m = idx.size
-    inv, t_band, t, h, xy = ws.r[0, :m], ws.r[1, :m], ws.r[2, :m], ws.r[5, :m], ws.r[3:5, :m]
-    for row, buf in zip(d, (xy[0], xy[1], inv)):
-        row.take(idx, out=buf, mode="wrap")
-    np.divide(np.float32(1.0), inv, out=inv)           # 1 / dz
+    xy = d[:2].take(idx, axis=1, mode="wrap")          # every index is in range
+    inv = 1.0 / d[2].take(idx, mode="wrap")            # 1 / dz
     # the gathered rays run view by view; each run takes its view's origin
-    n = out.size // len(origins)
+    n = d.shape[1] // len(origins)
     ends = np.searchsorted(idx, n * np.arange(1, len(origins) + 1)).tolist()
     runs = [slice(start, end) for start, end in zip([0] + ends, ends)]
+    t_band, t = np.empty_like(inv), np.empty_like(inv)
     for (_, _, oz), run in zip(origins, runs):
-        np.multiply(inv[run], np.float32(0.1 - oz), out=t_band[run])
-        np.multiply(inv[run], np.float32(0.05 - oz), out=t[run])
+        t_band[run] = inv[run] * np.float32(0.1 - oz)
+        t[run] = inv[run] * np.float32(0.05 - oz)
     np.maximum(t_band, 0.0, out=t_band)
     xy *= t
     for (ox, oy, _), run in zip(origins, runs):
@@ -277,34 +220,24 @@ def _terrain_into(origins, d, terrain, out, ws: _Workspace) -> None:
 
     # bilinear height at xy: grid coordinates clamped to the lattice
     nx, ny = terrain.heights.shape
-    corner, ij = ws.r[6:8, :m], ws.ij[:, :m]
     xy -= np.array(terrain.origin, np.float32)[:, None]
     xy *= np.float32(1.0 / terrain.cell_size)
     top = np.array([[nx - 1], [ny - 1]], np.float32)
     np.minimum(np.maximum(xy, 0.0, out=xy), top, out=xy)
-    np.trunc(xy, out=corner)                           # trunc == floor (>= 0)
-    np.minimum(corner, top - 1, out=corner)
+    corner = np.minimum(np.trunc(xy), top - 1)         # trunc == floor (>= 0)
     xy -= corner                                       # fx, fy: exact in float32
-    np.copyto(ij, corner, casting="unsafe")
-    (fx, fy), (i0, j0), bot = xy, ij, corner[0]
-    i0 *= ny
-    i0 += j0                                           # flat index of cell (i0, j0)
-    # every index is in range, so "wrap" just skips the bounds check; the
-    # (4, m) cell terms borrow the float64 buffers, which only the object uses
-    cell = ws.f.reshape(-1).view(np.float32)[:4 * m].reshape(4, m)
-    terrain.cells32.take(i0, axis=1, out=cell, mode="wrap")
-    h00, d10, h01, d11 = cell
-    np.add(h00, np.multiply(d10, fx, out=h), out=h)                  # top: h00 + fx (h10 - h00)
-    np.add(h01, np.multiply(d11, fx, out=bot), out=bot)              # bot: h01 + fx (h11 - h01)
-    h += np.multiply(np.subtract(bot, h, out=bot), fy, out=bot)      # top + fy (bot - top)
+    (fx, fy), (i0, j0) = xy, corner.astype(np.intp)
+    h00, d10, h01, d11 = terrain.cells32.take(i0 * ny + j0, axis=1, mode="wrap")
+    h = h00 + d10 * fx                                 # top: h00 + fx (h10 - h00)
+    h += (h01 + d11 * fx - h) * fy                     # top + fy (bot - top)
     for (_, _, oz), run in zip(origins, runs):
         h[run] -= np.float32(oz)
-    np.multiply(h, inv, out=t)
-    np.maximum(t, t_band, out=t)
-    out[down] = t
+    hits = np.full(d.shape[1], _NO_HIT, np.float32)
+    hits[down] = np.maximum(h * inv, t_band)
+    return hits
 
 
-def _object_into(o, d, d_sq, inv_2a, pose: Pose6, spec, out, ws: _Workspace) -> None:
+def _object_hits(o, d, d_sq, inv_2a, pose: Pose6, spec) -> np.ndarray:
     """Target primitive in its (possibly rotated) frame.
 
     A bounding-sphere prefilter keeps the exact (and pricier) primitive test
@@ -314,13 +247,12 @@ def _object_into(o, d, d_sq, inv_2a, pose: Pose6, spec, out, ws: _Workspace) -> 
     reciprocal directions, the arithmetic that made the recorded masks.
     """
     if spec.shape == "sphere":
-        _sphere_into(o, d, d_sq, inv_2a, pose.position, spec.dims[0], out, ws)
-        return
-    near = np.flatnonzero(_sphere_into(o, d, d_sq, inv_2a, pose.position,
-                                       spec.bounding_radius * 1.001, out, ws, exact=False))
-    out.fill(_NO_HIT)
+        return _sphere_hits(o, d, d_sq, inv_2a, pose.position, spec.dims[0])
+    near = np.flatnonzero(_sphere_hits(o, d, d_sq, inv_2a, pose.position,
+                                       spec.bounding_radius * 1.001, exact=False))
+    hits = np.full(d.shape[1:], _NO_HIT, np.float32)
     if near.size == 0:
-        return
+        return hits
     r, origins = euler_to_matrix(pose.orientation), np.reshape(o, (3, -1))
     ends = np.searchsorted(near, d.shape[-1] * np.arange(1, len(origins.T) + 1)).tolist()
     rays = d.reshape(3, -1).take(near, axis=1).astype(np.float64)
@@ -330,13 +262,12 @@ def _object_into(o, d, d_sq, inv_2a, pose: Pose6, spec, out, ws: _Workspace) -> 
         np.matmul(r.T, rays[:, run], out=d_l[:, run])  # one product per view, as one-view casts
     d_l = d_l.astype(np.float32)
     if spec.shape == "box":
-        hits = ws.r[3, :near.size]
         with np.errstate(divide="ignore"):
-            _box_into(o_l, 1.0 / d_l, np.zeros(3), np.asarray(spec.dims) / 2.0,
-                      np.multiply, hits, ws)
+            t = _box_hits(o_l, 1.0 / d_l, np.zeros(3), np.asarray(spec.dims) / 2.0, np.multiply)
     else:
-        hits = _cylinder_into(o_l, d_l, spec.dims[0], spec.dims[1], ws)
-    out.reshape(-1)[near] = hits
+        t = _cylinder_hits(o_l, d_l, spec.dims[0], spec.dims[1])
+    hits.reshape(-1)[near] = t
+    return hits
 
 
 def _render(scene: SceneState, robot, cams, mask_flip_prob: float,
@@ -345,9 +276,9 @@ def _render(scene: SceneState, robot, cams, mask_flip_prob: float,
     view k's rays are the k-th block of n, and its mask flips with noise seed
     ``noise_seed + k``.  A lone view keeps 1-D rays and a scalar origin."""
     rays, d_sq, inv_2a = _camera_rays(cams[0])
-    ws, views, n = _workspace(), len(cams), rays.shape[1]
+    views, n = len(cams), rays.shape[1]
     shape = (views, n) if views > 1 else (n,)
-    d, origins = ws.d[:, :views * n], []
+    d, origins = np.empty((3, views * n), np.float32), []
     for k, cam in enumerate(cams):
         parent = robot.base_pose if cam.mount == "base" else robot.ee_pose
         r_parent = euler_to_matrix(parent.orientation)
@@ -355,15 +286,14 @@ def _render(scene: SceneState, robot, cams, mask_flip_prob: float,
         origins.append(parent.position + r_parent @ cam.mount_offset.position)
         np.matmul(rot.astype(np.float32), rays, out=d[:, k * n:(k + 1) * n])
     o = np.array(origins).T[..., None] if views > 1 else origins[0]
-    t_obj, t_plat, t_ground, nearest = ws.shaped(ws.t, shape)
 
     d_views = d.reshape((3,) + shape)
-    _object_into(o, d_views, d_sq, inv_2a, scene.object_pose, scene.object_spec, t_obj, ws)
+    t_obj = _object_hits(o, d_views, d_sq, inv_2a, scene.object_pose, scene.object_spec)
     pc, (hx, hy), hz = scene.platform_pose.position, scene.platform_half, PLATFORM_THICKNESS / 2
-    _box_into(o, d_views, (pc[0], pc[1], pc[2] - hz), (hx, hy, hz), np.divide, t_plat, ws)
-    _terrain_into([p.tolist() for p in origins], d, scene.terrain, t_ground.reshape(-1), ws)
+    t_plat = _box_hits(o, d_views, (pc[0], pc[1], pc[2] - hz), (hx, hy, hz), np.divide)
+    t_ground = _terrain_hits([p.tolist() for p in origins], d, scene.terrain).reshape(shape)
 
-    np.fmin(np.fmin(t_obj, t_plat, out=nearest), t_ground, out=nearest)
+    nearest = np.fmin(np.fmin(t_obj, t_plat), t_ground)
     valid = np.isfinite(nearest)
     mask = np.less_equal(t_obj, nearest)
     mask &= valid

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
 from .gfm import DEFAULT_BANK_SIZE, GRIPPER_APERTURE
-from .scene import TIMEOUT_STEPS
+from .scene import TIMEOUT_STEPS, check_integer
 
 ENV_CONFIG_VAR = "GRASPSIM_CONFIG"
 
@@ -25,11 +25,12 @@ ENV_CONFIG_VAR = "GRASPSIM_CONFIG"
 # Allowed range of every key: SimConfig checks all, load_config each line.
 _POSITIVE = (lambda v: v > 0, "> 0")
 _COUNT = (lambda v: v >= 1, ">= 1")
+_INTEGER_KEYS = ("timeout_steps", "bank_size", "candidate_count")
 _RANGES = {
     **dict.fromkeys(("physics_dt", "decision_dt", "gripper_aperture",
                      "teacher_standoff", "teacher_align_pos_tol",
                      "teacher_align_ori_tol", "teacher_max_rel_speed"), _POSITIVE),
-    **dict.fromkeys(("timeout_steps", "bank_size", "candidate_count"), _COUNT),
+    **dict.fromkeys(_INTEGER_KEYS, _COUNT),
     "teacher_intercept_horizon": (lambda v: v >= 0, ">= 0"),
     "hfov_deg": (lambda v: 0 < v < 180, "in (0, 180)"),
     "mask_flip_prob": (lambda v: 0 <= v <= 1, "in [0, 1]"),
@@ -63,6 +64,8 @@ class SimConfig:
     teacher_intercept_horizon: float = 0.5
 
     def __post_init__(self):
+        for key in _INTEGER_KEYS:
+            object.__setattr__(self, key, check_integer(key, getattr(self, key)))
         for key in _RANGES:
             _check_range(key, getattr(self, key))
         ratio = self.decision_dt / self.physics_dt
@@ -76,9 +79,6 @@ class SimConfig:
     @property
     def substeps(self) -> int:
         return int(round(self.decision_dt / self.physics_dt))
-
-
-_DEFAULTS = SimConfig()
 
 
 def _finite_float(text: str) -> float:
@@ -110,9 +110,10 @@ def load_config(path=None) -> SimConfig:
             key, value = key.strip(), value.strip()
             if key not in _RANGES:
                 raise InvalidArgumentError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in overrides:
+                raise InvalidArgumentError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                coerced = (int(value) if isinstance(getattr(_DEFAULTS, key), int)
-                           else _finite_float(value))
+                coerced = int(value) if key in _INTEGER_KEYS else _finite_float(value)
                 _check_range(key, coerced)
                 overrides[key] = coerced
             except ValueError as exc:

@@ -108,10 +108,8 @@ def _high_level_input(scene, robot, status, action_vec, prev_action, low, q_dot_
     d_base = np.array([np.cos(yaw), np.sin(yaw), 0.0])
     lift = max(0.0, scene.object_pose.position[2] - scene.platform_pose.position[2]) \
         if scene.object_attached_to == "gripper" else 0.0
-    phase = {"approaching": "approaching", "grasped": "grasped",
-             "lifted": "lifted"}.get(status.phase, "lifted")
     return HighLevelRewardInput(
-        phase=phase,
+        phase=status.phase,
         dist_ee_obj=float(np.linalg.norm(robot.ee_pose.position - obj)),
         lift_height=float(lift),
         completed=status.phase == "success",   # terminal: yielded at its success_step only

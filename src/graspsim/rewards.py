@@ -87,7 +87,7 @@ def _unit(v, name):
 class HighLevelRewardInput:
     """Inputs for one high-level reward evaluation."""
 
-    phase: str                 # approaching | grasped | lifted
+    phase: str                 # approaching|grasped|lifted|success|failed_*
     dist_ee_obj: float
     lift_height: float
     completed: bool
@@ -120,11 +120,15 @@ def yaw_penalty(psi_c: float, psi_0: float) -> float:
 def high_level_reward(inp: HighLevelRewardInput) -> RewardBreakdown:
     """Staged task reward plus always-on assistant terms.
 
-    Exactly one of approach/lift/completion is active, chosen by phase.  The
-    stage raw values are artifact defaults: approach = exp(-distance to the
-    object), lift = 0.5 + 0.5 * progress toward the lift-success height,
-    completion = 1.
+    At most one of approach/lift/completion is active: completion when
+    ``completed``, else approach while approaching and lift once grasped or
+    lifted; a failed step scores no stage.  The stage raw values are artifact
+    defaults: approach = exp(-distance to the object), lift = 0.5 + 0.5 *
+    progress toward the lift-success height, completion = 1.
     """
+    if inp.phase not in ("approaching", "grasped", "lifted", "success") \
+            and not inp.phase.startswith("failed_"):
+        raise InvalidArgumentError(f"unknown episode phase {inp.phase!r}")
     values = np.concatenate([
         inp.q_dot_prev, inp.q_dot, inp.a_prev, inp.a,
         [inp.dist_ee_obj, inp.lift_height, inp.v_x_star,
@@ -139,7 +143,7 @@ def high_level_reward(inp: HighLevelRewardInput) -> RewardBreakdown:
         completion = 1.0
     elif inp.phase in ("grasped", "lifted"):
         lift = 0.5 + 0.5 * float(min(max(inp.lift_height / 0.15, 0.0), 1.0))
-    else:
+    elif inp.phase == "approaching":
         approach = float(np.exp(-inp.dist_ee_obj))
 
     d_obj = _unit(inp.d_obj, "d_obj")

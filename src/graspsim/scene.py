@@ -254,6 +254,14 @@ class PlatformTrajectory:
     z_phase: float = 0.0
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; anything but an int or a numpy integer (a bool
+    too) is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_level(level: int) -> None:
     """Reject a level that LEVEL_SPEED_RANGES does not define."""
     if level not in LEVEL_SPEED_RANGES:
@@ -311,6 +319,8 @@ class EpisodeConfig:
     timeout_steps: int = TIMEOUT_STEPS
 
     def __post_init__(self):
+        for name in ("level", "seed", "timeout_steps"):    # kept as ints: logs are JSON
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         check_level(self.level)
         if self.timeout_steps <= 0:
             raise InvalidArgumentError("timeout_steps must be positive")

@@ -389,6 +389,17 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     assert "outcome=failed_timeout" in out
 
 
+def test_config_rejects_duplicate_key(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    for text, lineno in (("bank_size = 5\nbank_size = 7\n", 2),
+                         ("hfov_deg = 60\n# c\nphysics_dt = 0.02\nhfov_deg = 60\n", 4)):
+        cfg.write_text(text)
+        key = text.split()[0]
+        with pytest.raises(InvalidArgumentError) as exc:
+            load_config(cfg)
+        assert str(exc.value) == f"{cfg}:{lineno}: duplicate key {key!r}"
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     # the removed reward weight and kernel-width keys are unknown keys too

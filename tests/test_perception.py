@@ -1,6 +1,8 @@
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from graspsim import episode
 from graspsim.camera import (
@@ -18,7 +20,7 @@ from graspsim.camera import (
     stack_observation,
     wrist_camera,
 )
-from graspsim.camera import _box_into, _camera_rays, _Workspace
+from graspsim.camera import _box_hits, _camera_rays
 from graspsim.config import SimConfig
 from graspsim.errors import NotReadyError
 from graspsim.nn import _FRAME_PAIRS, HISTORY_LEN, VIEWS
@@ -136,7 +138,7 @@ def test_platform_fully_occludes_object():
 
 def ray_box_oracle(o, d, center, half):
     """The box target's earlier slab test, which multiplies by 1/d: the bit
-    oracle for _box_into given reciprocal directions and np.multiply."""
+    oracle for _box_hits given reciprocal directions and np.multiply."""
     lo = np.full(d.shape[1], -np.inf, np.float32)
     hi = np.full(d.shape[1], np.inf, np.float32)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -152,9 +154,8 @@ def ray_box_oracle(o, d, center, half):
 
 
 def test_box_slab_bits_match_reciprocal_oracle(rng):
-    # odd subset sizes run on workspace slices; zero direction components
-    # and origins inside the box take the infinite and the exit-distance paths
-    ws = _Workspace(FRAME_H * FRAME_W)
+    # zero direction components and origins inside the box take the
+    # infinite and the exit-distance paths
     hits = inside = 0
     for n in (1, 7, 333, 2049, FRAME_H * FRAME_W):
         for trial in range(4):
@@ -164,8 +165,7 @@ def test_box_slab_bits_match_reciprocal_oracle(rng):
             o = half * rng.uniform(-0.9, 0.9, 3) if trial == 0 else rng.uniform(-0.5, 0.5, 3)
             with np.errstate(divide="ignore"):
                 inv = 1.0 / d
-            out = np.empty(n, np.float32)
-            _box_into(o, inv, np.zeros(3), half, np.multiply, out, ws)
+            out = _box_hits(o, inv, np.zeros(3), half, np.multiply)
             expected = ray_box_oracle(o, d, np.zeros(3), half)
             assert expected.dtype == np.float32
             assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))
@@ -281,6 +281,28 @@ def test_two_view_batch_equals_one_view_renders(object_id, case, catalog_map):
                                   getattr(want, name).view(np.uint8)), name
     if case == "wrist_inside_object":
         assert batch[0].mask.all() and not batch[1].mask.any()
+
+
+def test_threads_render_the_serial_bytes(catalog):
+    # the renderer keeps no state between calls: a 2-thread pool rendering
+    # the decision-step states of three level-4 episodes (a box, a cylinder
+    # and a sphere) gives the bytes of serial renders, run after run
+    cfg = SimConfig()
+    states = [(seen, step) for object_id in ("sugar_box", "marker_large", "tennis_ball")
+              for step, seen, *_ in episode.decisions(
+                  make_config(level=4, object_id=object_id, seed=0, timeout_steps=40),
+                  cfg, catalog=catalog)]
+
+    def render(state):
+        (scene, robot), step = state
+        return b"".join(a.tobytes() for f in render_views(scene, robot, cfg, 0, step)
+                        for a in (f.mask, f.depth, f.valid))
+
+    serial = [render(state) for state in states]
+    assert len(serial) == 90
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(3):
+            assert list(pool.map(render, states)) == serial
 
 
 def test_episode_renders_each_state_the_history_reads_once(catalog, monkeypatch):

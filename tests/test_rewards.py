@@ -117,6 +117,14 @@ def test_exactly_one_stage_active():
         assert len(active) == 1
 
 
+def test_failed_step_scores_no_stage():
+    for phase in ("failed_dropped", "failed_timeout", "failed_yaw"):
+        bd = high_level_reward(hl_input(phase=phase, lift_height=0.1))
+        assert [bd.raw(n) for n in ("approach", "lift", "completion")] == [0.0, 0.0, 0.0]
+    with pytest.raises(InvalidArgumentError, match="phase"):
+        high_level_reward(hl_input(phase="dropped"))
+
+
 def test_assistant_rows_hand_values():
     q_dot = np.zeros(12)
     q_dot_prev = np.full(12, 0.25)

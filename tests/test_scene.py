@@ -459,6 +459,16 @@ def test_episode_config_validation():
     for level in (0, 5):
         with pytest.raises(InvalidArgumentError, match=f"got {level}$"):
             EpisodeConfig(level=level, object_id="x", seed=0)
+    # integer fields take an int or a numpy integer, nothing else (no bool)
+    for name, bad in (("level", 1.0), ("level", True), ("seed", 1.5), ("seed", "0"),
+                      ("timeout_steps", 2.5), ("timeout_steps", np.float64(3.0))):
+        fields = {"level": 1, "object_id": "x", "seed": 0, name: bad}
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer"):
+            EpisodeConfig(**fields)
+    cfg = EpisodeConfig(level=np.int64(2), object_id="x", seed=np.uint32(3),
+                        timeout_steps=np.int32(7))
+    assert [type(v) for v in (cfg.level, cfg.seed, cfg.timeout_steps)] == [int] * 3
+    assert (cfg.level, cfg.seed, cfg.timeout_steps) == (2, 3, 7)
     with pytest.raises(InvalidArgumentError):
         SimConfig(physics_dt=0.03, decision_dt=0.1)
     for dts in ((0.1, 0.02), (0.0, 0.1), (float("nan"), 0.1), (0.02, float("inf"))):
@@ -482,3 +492,10 @@ def test_sim_config_rejects_out_of_range(key):
             SimConfig(**{key: bad})
     ok, _ = _RANGES[key]
     assert ok(getattr(SimConfig(), key))
+    if isinstance(getattr(SimConfig(), key), int):
+        # a count takes an int or a numpy integer, nothing else (no bool)
+        for bad in (2.5, 7.0, True, np.float32(3.0), "3"):
+            with pytest.raises(InvalidArgumentError, match=f"^{key} must be an integer"):
+                SimConfig(**{key: bad})
+        value = getattr(SimConfig(**{key: np.int64(9)}), key)
+        assert type(value) is int and value == 9

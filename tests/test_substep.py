@@ -44,7 +44,7 @@ EPISODE_DIGESTS = {
     (1, "water_bottle", 1, 40):
         "6145e9b6b22a7db7a7b547e4281059026e123b7e26c81103ff75a4df7f62d3c8",
     (1, "sugar_box", 0, 40):
-        "8226b1900cdaa826799e3064df6356dee4cb8639bd21ff498149bc64af839c4f",
+        "50689a5a8214401f9f496507ef863b45a9dc4ac29a058050e889efc62dac9484",
     (2, "tennis_ball", 0, 12):
         "38c7152c892d79fde328c9d3380788ff4195d1f0020518942c7aa5558795c261",
     (2, "lemon", 2, 12):
@@ -52,11 +52,11 @@ EPISODE_DIGESTS = {
     (3, "marker_large", 0, 40):
         "5626e8271da1824f1cd034f569c996a149bc99c571ae097e71fd6a7e6ac3078c",
     (3, "sugar_box", 0, 40):
-        "9b2c9c1fcbb59a64a2140c01393275b51b999fb72a3f5ba66582f80a2045995d",
+        "b63507acdac473158fd82c67f63acd37e6854a4a08fb0b2c1775de0237d8ddb7",
     (4, "lemon", 0, 40):
         "da4813f55f6cf17c21fa9cc25411a38e57f68a8015f38edb16fab7c682137ae6",
     (4, "sugar_box", 0, 40):
-        "4f7b241d8f4d7c61f531e0aaa9ad290d689725b94ceb90d4ac9b64452c7aa924",
+        "1d1a11cc47dc7ec948fef106812a5a7e2411893df98d9839629ee097e477e17d",
 }
 EPISODE_OUTCOMES = {
     "water_bottle": "success", "marker_large": "success", "lemon": "success",
