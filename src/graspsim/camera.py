@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,38 +78,35 @@ class Frame:
             a.setflags(write=False)
 
 
-_RAY_CACHE: dict = {}
-
-
-def _camera_rays(cam: CameraModel):
+@lru_cache(maxsize=None)
+def _camera_rays(hfov: float):
     """Unnormalized camera-frame ray directions with x = 1 (so t is z-depth).
 
     Returns (dirs [3,n] row-contiguous float32, |dir|^2 [n], 1 / (2 |dir|^2)
     [n]); rotation preserves the norms, so they serve every world-frame
     quadratic test.
     """
-    key = round(cam.hfov, 12)
-    if key not in _RAY_CACHE:
-        tan_h = np.tan(cam.hfov / 2.0)
-        tan_v = tan_h * FRAME_H / FRAME_W               # square pixels
-        u = (np.arange(FRAME_W) + 0.5 - FRAME_W / 2.0) / (FRAME_W / 2.0)
-        v = (np.arange(FRAME_H) + 0.5 - FRAME_H / 2.0) / (FRAME_H / 2.0)
-        yy = -tan_h * u[None, :] * np.ones((FRAME_H, 1))
-        zz = -tan_v * v[:, None] * np.ones((1, FRAME_W))
-        dirs = np.stack([np.ones_like(yy), yy, zz]).reshape(3, -1).astype(np.float32)
-        norm_sq = np.einsum("ij,ij->j", dirs, dirs)
-        _RAY_CACHE[key] = (dirs, norm_sq, np.divide(np.float32(0.5), norm_sq))
-        for a in _RAY_CACHE[key]:
-            a.setflags(write=False)
-    return _RAY_CACHE[key]
+    tan_h = np.tan(hfov / 2.0)
+    tan_v = tan_h * FRAME_H / FRAME_W                   # square pixels
+    u = (np.arange(FRAME_W) + 0.5 - FRAME_W / 2.0) / (FRAME_W / 2.0)
+    v = (np.arange(FRAME_H) + 0.5 - FRAME_H / 2.0) / (FRAME_H / 2.0)
+    yy = -tan_h * u[None, :] * np.ones((FRAME_H, 1))
+    zz = -tan_v * v[:, None] * np.ones((1, FRAME_W))
+    dirs = np.stack([np.ones_like(yy), yy, zz]).reshape(3, -1).astype(np.float32)
+    norm_sq = np.einsum("ij,ij->j", dirs, dirs)
+    rays = dirs, norm_sq, np.divide(np.float32(0.5), norm_sq)
+    for a in rays:
+        a.setflags(write=False)
+    return rays
 
 
 # ---------------------------------------------------------------------------
 # Ray-primitive intersections.  A render casts its views' rays as one batch:
 # directions [3, views, n] (or flat [3, views*n]) with contiguous rows, each
-# view's origin a (views, 1) column (a lone view's scalars), so every
-# elementwise op gives the bits of a one-view cast.  Each test makes its own
-# arrays and returns the hit distances (inf for misses).
+# view's origin a (views, 1) column (a lone view's scalars).  Each op is
+# elementwise or a matrix product whose columns are computed apart, so every
+# view gets the bits of a one-view cast.  Each test makes its own arrays and
+# returns the hit distances (inf for misses).
 # ---------------------------------------------------------------------------
 
 def _cylinder_hits(o, d, radius, height) -> np.ndarray:
@@ -241,10 +239,10 @@ def _object_hits(o, d, d_sq, inv_2a, pose: Pose6, spec) -> np.ndarray:
     """Target primitive in its (possibly rotated) frame.
 
     A bounding-sphere prefilter keeps the exact (and pricier) primitive test
-    on the handful of rays that can possibly hit the object.  Each view's
-    candidates are rotated into the object frame on their own, then all are
-    tested in one call with a per-ray float64 origin.  A box multiplies by
-    reciprocal directions, the arithmetic that made the recorded masks.
+    on the handful of rays that can possibly hit the object.  All views'
+    candidates are rotated into the object frame in one product and tested
+    in one call, each ray with its view's float64 origin.  A box multiplies
+    by reciprocal directions, the arithmetic that made the recorded masks.
     """
     if spec.shape == "sphere":
         return _sphere_hits(o, d, d_sq, inv_2a, pose.position, spec.dims[0])
@@ -253,14 +251,10 @@ def _object_hits(o, d, d_sq, inv_2a, pose: Pose6, spec) -> np.ndarray:
     hits = np.full(d.shape[1:], _NO_HIT, np.float32)
     if near.size == 0:
         return hits
-    r, origins = euler_to_matrix(pose.orientation), np.reshape(o, (3, -1))
-    ends = np.searchsorted(near, d.shape[-1] * np.arange(1, len(origins.T) + 1)).tolist()
-    rays = d.reshape(3, -1).take(near, axis=1).astype(np.float64)
-    d_l, o_l = np.empty_like(rays), np.empty_like(rays)
-    for origin, run in zip(origins.T, (slice(a, b) for a, b in zip([0] + ends, ends))):
-        o_l[:, run] = (r.T @ (origin - pose.position))[:, None]
-        np.matmul(r.T, rays[:, run], out=d_l[:, run])  # one product per view, as one-view casts
-    d_l = d_l.astype(np.float32)
+    r = euler_to_matrix(pose.orientation)
+    o_views = r.T @ (np.reshape(o, (3, -1)) - pose.position[:, None])   # [3, views]
+    o_l = o_views[:, near // d.shape[-1]]              # each ray's view origin
+    d_l = (r.T @ d.reshape(3, -1).take(near, axis=1).astype(np.float64)).astype(np.float32)
     if spec.shape == "box":
         with np.errstate(divide="ignore"):
             t = _box_hits(o_l, 1.0 / d_l, np.zeros(3), np.asarray(spec.dims) / 2.0, np.multiply)
@@ -275,7 +269,7 @@ def _render(scene: SceneState, robot, cams, mask_flip_prob: float,
     """The frames of ``cams`` (one field of view), cast as one ray batch:
     view k's rays are the k-th block of n, and its mask flips with noise seed
     ``noise_seed + k``.  A lone view keeps 1-D rays and a scalar origin."""
-    rays, d_sq, inv_2a = _camera_rays(cams[0])
+    rays, d_sq, inv_2a = _camera_rays(cams[0].hfov)
     views, n = len(cams), rays.shape[1]
     shape = (views, n) if views > 1 else (n,)
     d, origins = np.empty((3, views * n), np.float32), []

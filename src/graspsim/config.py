@@ -81,13 +81,6 @@ class SimConfig:
         return int(round(self.decision_dt / self.physics_dt))
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
-
-
 def load_config(path=None) -> SimConfig:
     """Build a SimConfig from defaults plus an optional override file."""
     if path is None:
@@ -113,7 +106,7 @@ def load_config(path=None) -> SimConfig:
             if key in overrides:
                 raise InvalidArgumentError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                coerced = int(value) if key in _INTEGER_KEYS else _finite_float(value)
+                coerced = int(value) if key in _INTEGER_KEYS else float(value)
                 _check_range(key, coerced)
                 overrides[key] = coerced
             except ValueError as exc:

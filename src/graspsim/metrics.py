@@ -19,7 +19,8 @@ import numpy as np
 from .config import SimConfig
 from .episode import EpisodeLog, run_episode
 from .errors import InvalidArgumentError
-from .scene import EpisodeConfig, catalog_by_id, check_level, derive_seed, load_catalog
+from .scene import (EpisodeConfig, catalog_by_id, check_integer, check_level, derive_seed,
+                    load_catalog)
 
 DEFAULT_STEP_BUDGET = 5000
 CSV_HEADER = "level,split,category,n_episodes,gsr,ossr,ossr_alt,tsc,seed"
@@ -142,9 +143,10 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
         check_level(level)
     if split not in ("seen", "unseen", "both"):
         raise InvalidArgumentError(f"split must be seen/unseen/both, got {split!r}")
+    seed, workers = check_integer("seed", seed), check_integer("workers", workers)
     for name, count in (("episodes_per_level", episodes_per_level),
                         ("step_budget", step_budget)):
-        if count is not None and count < 1:
+        if count is not None and check_integer(name, count) < 1:
             raise InvalidArgumentError(f"{name} must be at least 1, got {count}")
     if workers < 0:
         raise InvalidArgumentError(f"workers must be 0 or more, got {workers}")

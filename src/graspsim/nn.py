@@ -6,7 +6,7 @@ uniform in +-1/sqrt(fan_in), biases zero, norm gains one).
 
 Validation happens at the boundaries: `WeightStore` rejects non-finite weights
 once, when they enter the program (init, `load`, construction).  The ops check
-activations, not weights; `linear`'s output check still sees any bad weight.
+activations, not weights; `linear` and `layer_norm` check their outputs.
 The CNN runs one image at a time: `conv_pool_elu` copies an image's sliding
 windows into columns, runs one GEMM into a cache-sized tile, checks it as
 `conv2d` does, then pools, biases and ELUs it into an image-major [n,oc,h,w]
@@ -169,10 +169,10 @@ def attention(q, k, v) -> np.ndarray:
 
 
 def layer_norm(x, gain, bias) -> np.ndarray:
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    x, gain, bias = as_tensor(x), np.asarray(gain, np.float32), np.asarray(bias, np.float32)
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return ((x - mean) / np.sqrt(var + _LN_EPS) * gain + bias).astype(np.float32)
+    y = (x - mean) / np.sqrt(x.var(axis=-1, keepdims=True) + _LN_EPS) * gain + bias
+    return _checked(y.astype(np.float32), "layer_norm")
 
 
 def multi_head_self_attention(tokens, weights: dict) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .scene import LIFT_SUCCESS_HEIGHT
 from .se3 import wrap_angle
 
 YAW_PENALTY_THRESHOLD = np.pi / 3.0
@@ -142,7 +143,7 @@ def high_level_reward(inp: HighLevelRewardInput) -> RewardBreakdown:
     if inp.completed:
         completion = 1.0
     elif inp.phase in ("grasped", "lifted"):
-        lift = 0.5 + 0.5 * float(min(max(inp.lift_height / 0.15, 0.0), 1.0))
+        lift = 0.5 + 0.5 * float(min(max(inp.lift_height / LIFT_SUCCESS_HEIGHT, 0.0), 1.0))
     elif inp.phase == "approaching":
         approach = float(np.exp(-inp.dist_ee_obj))
 

@@ -24,7 +24,7 @@ from .errors import InvalidArgumentError, SingularJacobianError
 from .rewards import LowLevelState
 from .se3 import (Pose6, Twist, _compose6, _relative6, _ro, _rot9, _trusted, _wrap1, compose,
                   relative_pose)
-from .scene import TerrainField
+from .scene import GRAVITY, TerrainField
 
 WORKSPACE_RADIUS = 0.8
 WORKSPACE_CENTER = np.array([0.0, 0.0, 0.3])   # in the base frame
@@ -246,7 +246,7 @@ def gait_observables(robot: RobotState, q_prev: np.ndarray, q_dot_prev: np.ndarr
     q_dot = (q - q_prev) / dt
     leg_phase = 2.0 * np.pi * robot.travel / GAIT_WAVELENGTH + _LEG_PHASES[::3]
     contact = 0.5 * (1.0 + np.cos(leg_phase))          # 1 = stance command
-    weight = 9.81 * 12.0
+    weight = GRAVITY * 12.0
     base = robot.base_pose.position
     return LowLevelState(
         q=q, q_dot=q_dot, q_ddot=(q_dot - q_dot_prev) / dt,

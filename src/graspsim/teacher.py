@@ -93,11 +93,9 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
     standoff = _reach_limited_standoff(cfg.teacher_standoff, grasp_world.position[2], bz)
     icpt_dist = float(np.linalg.norm(to_icpt))
     yaw_err = _steer(to_icpt, yaw)
-    omega = float(min(max(K_YAW * yaw_err, -1.0), 1.0))
     v_feedforward = float(np.array((vx, vy)) @ np.array((math.cos(yaw), math.sin(yaw))))
     gate = max(0.0, math.cos(yaw_err))
-    v_lin = float(min(max(K_V * (icpt_dist - standoff) * gate + v_feedforward,
-                          -MAX_V_LIN), MAX_V_LIN))
+    v_lin = K_V * (icpt_dist - standoff) * gate + v_feedforward
 
     if dist > cfg.teacher_standoff + FAR_DISTANCE_MARGIN:
         goal = CARRY_EE_TARGET.position.tolist(), CARRY_EE_TARGET.orientation.tolist()
@@ -118,4 +116,4 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
     target = robot.ee_target
     dp = [g - t for g, t in zip(goal[0], target.position.tolist())]
     dr = [_wrap1(g - t) for g, t in zip(goal[1], target.orientation.tolist())]
-    return HighLevelAction(dp, dr, v_lin, omega, gripper_close=close)
+    return HighLevelAction(dp, dr, v_lin, K_YAW * yaw_err, gripper_close=close)

@@ -429,6 +429,8 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
             load_config(cfg)
         lineno = text.count("\n")
         assert f"{cfg}:{lineno}:" in str(exc.value)
+        if text == "physics_dt = nan\n":     # the range check names the key and its range
+            assert str(exc.value) == f"{cfg}:1: physics_dt must be a finite number > 0, got nan"
     cfg.write_text("mask_flip_prob = 1\nhfov_deg = 179.5\nbank_size = 1\n"
                    "teacher_intercept_horizon = 0\n")
     loaded = load_config(cfg)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 
+import numpy as np
 import pytest
 
 from graspsim import metrics
@@ -206,6 +207,16 @@ def test_benchmark_rejects_bad_args():
                    {"step_budget": 0}, {"episodes_per_level": 1, "workers": -2}):
         with pytest.raises(InvalidArgumentError):
             run_benchmark([1], **kwargs)
+    # counts, the seed and the worker count are integers (a numpy integer too)
+    one = {"episodes_per_level": 1}
+    for kwargs in ({"episodes_per_level": 1.5}, {"episodes_per_level": True},
+                   {"step_budget": 2.5}, {**one, "seed": 1.5}, {**one, "seed": True},
+                   {**one, "workers": 1.0}, {**one, "workers": True}):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            run_benchmark([1], timeout_steps=3, **kwargs)
+    _, csv_text, _ = run_benchmark([1], episodes_per_level=np.int64(1), seed=np.int64(2),
+                                   timeout_steps=3)
+    assert csv_text.splitlines()[1].endswith(",2")
     # a count with a budget, as the CLI's exclusive --episodes and --steps
     with pytest.raises(InvalidArgumentError, match="episodes_per_level or step_budget"):
         run_benchmark([1], episodes_per_level=2, step_budget=5, timeout_steps=30)

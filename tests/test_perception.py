@@ -1,3 +1,8 @@
+import os
+import platform
+import re
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -33,7 +38,7 @@ from graspsim.scene import (
 )
 from graspsim.se3 import Pose6, Twist, compose, euler_to_matrix
 
-from conftest import flat_terrain, make_config
+from conftest import child_env, flat_terrain, make_config
 
 
 def make_scene(spec, obj_pose, platform_pose=None, terrain=None):
@@ -249,19 +254,21 @@ def test_render_views_seeds_flips_per_step_and_view(catalog_map):
 
 
 def _descending_rays(robot, cam) -> int:
-    rays = _camera_rays(cam)[0]
+    rays = _camera_rays(cam.hfov)[0]
     parent = robot.base_pose if cam.mount == "base" else robot.ee_pose
     rot = euler_to_matrix(parent.orientation) @ euler_to_matrix(cam.mount_offset.orientation)
     return int(np.count_nonzero((rot.astype(np.float32) @ rays)[2] < -1e-12))
 
 
 @pytest.mark.parametrize("object_id", ["tennis_ball", "cracker_box", "mustard_bottle"])
-@pytest.mark.parametrize("case", ["spawn", "wrist_looks_up", "wrist_inside_object"])
+@pytest.mark.parametrize("case", ["spawn", "wrist_looks_up", "wrist_inside_object",
+                                  "rotated_in_both_views"])
 def test_two_view_batch_equals_one_view_renders(object_id, case, catalog_map):
     # the (wrist, base) batch gives every bit of two one-view renders: at
-    # spawn; with a wrist view that has no descending ray; and with every
-    # wrist ray near the object (its camera inside the object) while no base
-    # ray is (the object is behind the base camera)
+    # spawn; with a wrist view that has no descending ray; with every wrist
+    # ray near the object (its camera inside the object) while no base ray is
+    # (the object is behind the base camera); and with a rotated object that
+    # rays of both views hit, so one rotation product serves both views' rays
     spec = catalog_map[object_id]
     scene = reset_episode(make_config(object_id=object_id, seed=3), catalog_map)
     robot = initial_robot(scene.terrain)
@@ -273,6 +280,8 @@ def test_two_view_batch_equals_one_view_renders(object_id, case, catalog_map):
         center = np.array([-1.5, 0.2, 0.5])
         scene = make_scene(spec, Pose6(center, np.array([0.1, 0.2, 0.3])))
         robot = eye_robot(center - cams[0].mount_offset.position)
+    elif case == "rotated_in_both_views":
+        scene = make_scene(spec, Pose6(np.array([1.0, 0.0, 0.5]), np.array([0.4, -0.3, 0.7])))
     batch = render_views(scene, robot, SimConfig(), 0, 0)
     for cam, got in zip(cams, batch):
         want = render_frame(scene, robot, cam)
@@ -281,6 +290,38 @@ def test_two_view_batch_equals_one_view_renders(object_id, case, catalog_map):
                                   getattr(want, name).view(np.uint8)), name
     if case == "wrist_inside_object":
         assert batch[0].mask.all() and not batch[1].mask.any()
+    if case == "rotated_in_both_views":
+        assert batch[0].mask.any() and batch[1].mask.any()
+
+
+_MATMUL_CONTROL = """
+import hashlib
+import numpy as np
+m = np.random.Generator(np.random.PCG64(5)).uniform(-1, 1, (2000, 3, 3))
+print(hashlib.sha256((m @ m).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the setting names an x86-64 BLAS kernel")
+def test_two_view_batch_holds_under_blas_without_fma():
+    # the batch equals one-view renders under a BLAS kernel without FMA too:
+    # the comparison above, run in a child process under that kernel
+    env = child_env({**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"})
+    probe = subprocess.run([sys.executable, "-c", _MATMUL_CONTROL], env=env,
+                           capture_output=True, text=True, timeout=60)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy does not import under the setting: {probe.stderr.strip()}")
+    default = subprocess.run([sys.executable, "-c", _MATMUL_CONTROL], env=child_env(),
+                             capture_output=True, text=True, timeout=60)
+    if probe.stdout == default.stdout:
+        pytest.skip("the setting does not change the BLAS kernel on this host")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_two_view_batch_equals_one_view_renders"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout
+    assert re.fullmatch(r"\d+ passed in .*", proc.stdout.strip().splitlines()[-1]), proc.stdout
 
 
 def test_threads_render_the_serial_bytes(catalog):
