@@ -327,12 +327,10 @@ class LatencyBuffer:
     """
 
     def __init__(self):
-        self._queue: deque = deque()
+        self._queue: deque = deque(maxlen=LATENCY_STEPS + 1)
 
     def push_and_fetch(self, item):
         self._queue.append(item)
-        if len(self._queue) > LATENCY_STEPS:
-            return self._queue.popleft()
         return self._queue[0]
 
 

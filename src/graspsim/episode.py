@@ -130,17 +130,17 @@ def _high_level_input(scene, robot, status, action_vec, prev_action, low, q_dot_
     )
 
 
-def advance(robot, scene, status, u, traj, config: EpisodeConfig, sim_cfg: SimConfig,
+def advance(robot, scene, status, u, traj, rng, config: EpisodeConfig, sim_cfg: SimConfig,
             step: int) -> tuple:
     """(robot, scene, status) after decision ``step``'s physics under ``u``:
     ``sim_cfg.substeps`` substeps, or up to the one where the status turns
     terminal, each the cores of ``execute_command``, ``step_scene`` and
-    ``check_status`` on Python floats.  The states are read into floats, the
-    platform generator set and read back, and the states built, once each."""
+    ``check_status`` on Python floats, drawing from the episode's platform
+    generator ``rng`` (None for closed-form motion).  The states are read into
+    floats and built, and the generator's state read, once each."""
     dt, terrain = sim_cfg.physics_dt, scene.terrain
     held = scene.object_attached_to == "gripper"
     rf, cmd, sf = _robot_floats(robot), _command_floats(u), _scene_floats(scene)
-    rng = _platform_rng(scene, traj)
     for _ in range(sim_cfg.substeps):   # rf[3:5] is the ee pose, rf[1][2] the base yaw
         rf = _robot_substep(rf, cmd, terrain, dt)
         sf = _scene_substep(sf, scene, traj, rng, dt, rf[3:5] if held else None)
@@ -161,6 +161,7 @@ def decisions(config: EpisodeConfig, sim_cfg: SimConfig, use_gfm: bool = True,
     catalog = catalog if catalog is not None else load_catalog()
     traj = make_trajectory(config.level, derive_seed(config.seed, 11))
     scene = reset_episode(config, catalog, traj)
+    rng = _platform_rng(scene, traj)
     robot = initial_robot(scene.terrain)
     bank = episode_bank(scene.object_spec, sim_cfg, config.seed)
     weights = alignment_gfm_weights()
@@ -178,7 +179,8 @@ def decisions(config: EpisodeConfig, sim_cfg: SimConfig, use_gfm: bool = True,
             if close:
                 robot = replace(robot, gripper="closed")
         u = accumulate_command(robot, action)
-        robot, scene, status = advance(robot, scene, status, u, traj, config, sim_cfg, step)
+        robot, scene, status = advance(robot, scene, status, u, traj, rng, config, sim_cfg,
+                                       step)
         yield step, seen, action, close, u, robot, scene, status
         if status.terminal:
             return

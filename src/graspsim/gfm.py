@@ -13,7 +13,7 @@ angles directly is geometrically valid only for tightly clustered rotations.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,6 +60,8 @@ class GraspMemoryBank:
     _memo: tuple = field(init=False, repr=False, compare=False, default=(None, None, None))
 
     def __post_init__(self):
+        if self.k < 1:
+            raise InvalidArgumentError(f"K must be >= 1, got {self.k}")
         scores = [c.score for c in self.candidates]
         if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
             raise InvalidArgumentError("bank candidates must be sorted by score")
@@ -84,16 +86,16 @@ class GfmWeights:
     bout: np.ndarray
 
     def __post_init__(self):
-        for (name, shape), attr in zip(GFM_SHAPES,
-                                       ("wq", "bq", "wk", "bk", "wv", "bv",
-                                        "wout", "bout")):
-            arr = np.asarray(getattr(self, attr), dtype=np.float64)
+        for (name, shape), f in zip(GFM_SHAPES, fields(self)):
+            arr = np.asarray(getattr(self, f.name), dtype=np.float64)
             if arr.shape != shape:
                 raise ShapeError(f"GFM weight {name} must have shape {shape}, "
                                  f"got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise InvalidArgumentError(f"GFM weight {name} has non-finite values")
             arr = arr.copy()
             arr.setflags(write=False)
-            object.__setattr__(self, attr, arr)
+            object.__setattr__(self, f.name, arr)
 
 
 def random_gfm_weights(seed: int = 0) -> GfmWeights:
@@ -251,8 +253,6 @@ def _draws(spec: ObjectSpec, n: int, seed: int, aperture: float):
 
 def _kept(scores, k: int) -> list:
     """Indices of the top-K scores, best first (stable: ties keep earlier entries)."""
-    if k < 1:
-        raise InvalidArgumentError(f"K must be >= 1, got {k}")
     return sorted(range(len(scores)), key=lambda i: -scores[i])[:k]
 
 

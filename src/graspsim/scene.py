@@ -6,8 +6,8 @@ Everything is a value; stepping is pure (state in, state out) and the RNG
 state travels inside ``SceneState`` so episodes replay bit-for-bit.  A
 substep (``_scene_substep``, ``_status_after``) runs on Python floats, but for
 the random velocity's noise and norms: ``step_scene`` and ``check_status`` are
-one substep on a SceneState; the episode's ``advance`` runs a decision step's
-substeps on one set of floats and sets the generator from ``rng_state`` once.
+one substep on a SceneState, and ``advance`` a decision step's substeps on one
+set of floats, drawing from the one generator its episode owns: threads share none.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import importlib.resources
 from array import array
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,6 +74,10 @@ class TerrainField:
             raise InvalidArgumentError("terrain grid must be at least 2x2")
         h.setflags(write=False)
         o = np.array(self.origin, dtype=float)
+        if not (o.shape == (2,) and np.isfinite(h).all() and np.isfinite(o).all()
+                and 0.0 < self.cell_size < math.inf):
+            raise InvalidArgumentError("terrain heights and (x, y) origin must be finite, "
+                                       f"cell size finite and > 0 (cell size {self.cell_size})")
         o.setflags(write=False)
         object.__setattr__(self, "heights", h)
         object.__setattr__(self, "origin", o)
@@ -146,8 +149,8 @@ class ObjectSpec:
                 f"{self.id}: {self.shape} needs {_DIM_COUNT[self.shape]} dims, "
                 f"got {len(self.dims)}"
             )
-        if any(d <= 0 for d in self.dims) or self.mass <= 0:
-            raise CatalogError(f"{self.id}: dims and mass must be positive")
+        if not all(0.0 < v < math.inf for v in (*self.dims, self.mass)):
+            raise CatalogError(f"{self.id}: dims and mass must be positive and finite")
 
     @property
     def half_height(self) -> float:
@@ -355,19 +358,13 @@ class SceneState:
     grip_offset: Pose6 | None = None  # object pose in the ee frame while held
 
 
-_RNG_LOCAL = threading.local()
-
-
 def _platform_rng(state: SceneState, traj: PlatformTrajectory):
-    """None for a closed-form trajectory, which draws nothing; else this
-    thread's scratch generator, continuing from ``state.rng_state``.  A fresh
-    ``PCG64()`` would seed itself from OS entropy only to be overwritten; one
-    per thread keeps episodes in concurrent threads from sharing draws."""
+    """None for a closed-form trajectory, which draws nothing; else a new
+    generator continuing from ``state.rng_state`` (seeded 0, since a bare
+    ``PCG64()`` would seed itself from OS entropy only to be overwritten)."""
     if traj.mode != "random":
         return None
-    g = getattr(_RNG_LOCAL, "generator", None)
-    if g is None:
-        g = _RNG_LOCAL.generator = np.random.Generator(np.random.PCG64(0))
+    g = np.random.Generator(np.random.PCG64(0))
     g.bit_generator.state = state.rng_state
     return g
 
@@ -525,9 +522,9 @@ def _scene_state(state: SceneState, sf: tuple, rng) -> SceneState:
 
 def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
                ee_pose: Pose6 | None = None) -> SceneState:
-    """Advance the platform by dt; the object follows its carrier rigidly.
-    When the object rides the gripper, ``ee_pose`` must be the end-effector
-    pose after the robot has stepped."""
+    """Advance the platform by dt, drawing from a generator built for this call;
+    the object follows its carrier rigidly.  When the object rides the gripper,
+    ``ee_pose`` must be the end-effector pose after the robot has stepped."""
     if not 0.0 < dt < math.inf:
         raise InvalidArgumentError(f"dt must be positive and finite, got {dt}")
     ee = None

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 # Pin the BLAS / OpenMP pools to one thread before numpy loads, as
@@ -27,6 +29,37 @@ def child_env(env=None) -> dict:
     from this checkout: ``src`` first on its PYTHONPATH."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+# One numpy 3x3 matmul batch: its digest shows whether a setting changed the
+# BLAS kernel.
+_MATMUL_CONTROL = """
+import hashlib
+import numpy as np
+m = np.random.Generator(np.random.PCG64(5)).uniform(-1, 1, (2000, 3, 3))
+print(hashlib.sha256((m @ m).tobytes()).hexdigest())
+"""
+
+
+def _matmul_digest(env) -> str:
+    return subprocess.run([sys.executable, "-c", _MATMUL_CONTROL], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+def setting_env(setting: dict, control: bool = False) -> dict:
+    """``child_env`` with ``setting`` (x86-64 BLAS kernel or CPU-feature
+    variables) added, for a child run compared with a default one.  Skips the
+    calling test where numpy does not import under the setting and, with
+    ``control``, where the setting leaves a matmul's bits as they are (it
+    changes no BLAS kernel on this host)."""
+    env = child_env({**os.environ, **setting})
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True, timeout=60)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy does not import under {setting}: {probe.stderr.strip()}")
+    if control and _matmul_digest(env) == _matmul_digest(child_env()):
+        pytest.skip(f"{setting} does not change the BLAS kernel on this host")
     return env
 
 

@@ -2,7 +2,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import pathlib
 import platform
 import subprocess
@@ -21,7 +20,7 @@ from graspsim.errors import InvalidArgumentError
 from graspsim.nn import HISTORY_LEN, VIEWS
 from graspsim.scene import EpisodeConfig
 
-from conftest import child_env
+from conftest import child_env, setting_env
 
 
 def run_cli(args, capsys):
@@ -459,7 +458,7 @@ def bench_bytes(env, out) -> list:
     proc = subprocess.run(
         [sys.executable, "-m", "graspsim.cli", "bench", "--levels", "1,2,3,4",
          "--episodes", "2", "--split", "both", "--seed", "9", "--out", str(out)],
-        env=child_env(env), capture_output=True, text=True, timeout=300,
+        env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return [(out / name).read_bytes() for name in ("metrics.csv", "episodes.jsonl")]
@@ -467,7 +466,7 @@ def bench_bytes(env, out) -> list:
 
 @pytest.fixture(scope="module")
 def default_bench_bytes(tmp_path_factory):
-    return bench_bytes(os.environ, tmp_path_factory.mktemp("bench") / "default")
+    return bench_bytes(child_env(), tmp_path_factory.mktemp("bench") / "default")
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
@@ -479,12 +478,7 @@ def default_bench_bytes(tmp_path_factory):
 def test_bench_bytes_hold_across_kernels(setting, default_bench_bytes, tmp_path):
     # outcomes are per seed alone: a BLAS kernel or a numpy SIMD dispatch that
     # moves logged floats by ulps leaves the sweep's output bytes as they are
-    env = {**os.environ, **setting}
-    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
-                           capture_output=True, text=True, timeout=60)
-    if probe.returncode != 0:
-        pytest.skip(f"numpy does not import under {setting}: {probe.stderr.strip()}")
-    assert bench_bytes(env, tmp_path / "out") == default_bench_bytes
+    assert bench_bytes(setting_env(setting), tmp_path / "out") == default_bench_bytes
 
 
 def test_console_script_entry_point():

@@ -165,11 +165,15 @@ def test_bank_rejects_unsorted(tmp_path):
     for text in ("", "\n\n", "bank x 2\n0 0 0 0 0 0 abc\n", "bank x 2.5\n",
                  "bank x two\n", "bank x -1\n", "bank \u00e9 2\n",
                  "bank x 2\n0 0 nan 0 0 0 0.5\n", "bank x 2\n0 0 0 0 inf 0 0.5\n",
-                 "bank x 2\n0 0 0 0 0 0 nan\n", "bank x 1\n0 0 0 0 0 0 0.5\n0 0 0 0 0 0 0.4\n"):
+                 "bank x 2\n0 0 0 0 0 0 nan\n", "bank x 1\n0 0 0 0 0 0 0.5\n0 0 0 0 0 0 0.4\n",
+                 "bank x 0\n"):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(InvalidArgumentError) as err:
             load_bank(path)
         assert str(path) in str(err.value)
+    assert str(err.value) == f"{path}: K must be >= 1, got 0"
+    with pytest.raises(InvalidArgumentError, match="^K must be >= 1, got 0$"):
+        GraspMemoryBank("x", (), 0)
 
 
 def test_bank_file_roundtrip(tmp_path):
@@ -374,6 +378,20 @@ def test_argmax_invariant_to_logit_shift(rng):
     _, alphas2 = gfm_forward(feat, obj, bank, w2)
     assert int(np.argmax(alphas)) == int(np.argmax(alphas2))
     assert np.allclose(alphas, alphas2, atol=1e-9)
+
+
+def test_gfm_weights_reject_non_finite_and_name_it():
+    # a NaN or inf weight would fail only later, in gfm_forward's pose
+    w = random_gfm_weights(0)
+    names = ("q.w", "q.b", "k.w", "k.b", "v.w", "v.b", "out.w", "out.b")
+    arrays = (w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wout, w.bout)
+    for i, name in enumerate(names):
+        for bad in (np.nan, np.inf, -np.inf):
+            arrs = [a.copy() for a in arrays]
+            arrs[i].flat[-1] = bad
+            with pytest.raises(InvalidArgumentError) as err:
+                GfmWeights(*arrs)
+            assert str(err.value) == f"GFM weight {name} has non-finite values"
 
 
 def test_alignment_weights_pick_bank_members(catalog_map):

@@ -1,4 +1,3 @@
-import os
 import platform
 import re
 import subprocess
@@ -38,7 +37,7 @@ from graspsim.scene import (
 )
 from graspsim.se3 import Pose6, Twist, compose, euler_to_matrix
 
-from conftest import child_env, flat_terrain, make_config
+from conftest import flat_terrain, make_config, setting_env
 
 
 def make_scene(spec, obj_pose, platform_pose=None, terrain=None):
@@ -294,28 +293,12 @@ def test_two_view_batch_equals_one_view_renders(object_id, case, catalog_map):
         assert batch[0].mask.any() and batch[1].mask.any()
 
 
-_MATMUL_CONTROL = """
-import hashlib
-import numpy as np
-m = np.random.Generator(np.random.PCG64(5)).uniform(-1, 1, (2000, 3, 3))
-print(hashlib.sha256((m @ m).tobytes()).hexdigest())
-"""
-
-
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="the setting names an x86-64 BLAS kernel")
 def test_two_view_batch_holds_under_blas_without_fma():
     # the batch equals one-view renders under a BLAS kernel without FMA too:
     # the comparison above, run in a child process under that kernel
-    env = child_env({**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"})
-    probe = subprocess.run([sys.executable, "-c", _MATMUL_CONTROL], env=env,
-                           capture_output=True, text=True, timeout=60)
-    if probe.returncode != 0:
-        pytest.skip(f"numpy does not import under the setting: {probe.stderr.strip()}")
-    default = subprocess.run([sys.executable, "-c", _MATMUL_CONTROL], env=child_env(),
-                             capture_output=True, text=True, timeout=60)
-    if probe.stdout == default.stdout:
-        pytest.skip("the setting does not change the BLAS kernel on this host")
+    env = setting_env({"OPENBLAS_CORETYPE": "Sandybridge"}, control=True)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{__file__}::test_two_view_batch_equals_one_view_renders"],

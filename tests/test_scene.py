@@ -15,6 +15,7 @@ from graspsim.scene import (
     EpisodeStatus,
     LEVEL_SPEED_RANGES,
     ObjectSpec,
+    TerrainField,
     apply_gripper_close,
     check_status,
     find_aligned_candidate,
@@ -101,6 +102,26 @@ def test_terrain_continuity_lipschitz(rng):
         assert dh <= bound * np.linalg.norm(eps) + 1e-12
 
 
+@pytest.mark.parametrize("heights,cell,origin", [
+    ([[0.0, np.nan], [0.0, 0.0]], 0.1, [0.0, 0.0]),
+    ([[0.0, 0.0], [np.inf, 0.0]], 0.1, [0.0, 0.0]),
+    ([[0.0, 0.0], [0.0, 0.0]], 0.1, [np.nan, 0.0]),
+    ([[0.0, 0.0], [0.0, 0.0]], 0.1, [0.0, -np.inf]),
+    ([[0.0, 0.0], [0.0, 0.0]], 0.0, [0.0, 0.0]),
+    ([[0.0, 0.0], [0.0, 0.0]], -0.1, [0.0, 0.0]),
+    ([[0.0, 0.0], [0.0, 0.0]], np.inf, [0.0, 0.0]),
+    ([[0.0, 0.0], [0.0, 0.0]], np.nan, [0.0, 0.0]),
+    ([[0.0, 0.0], [0.0, 0.0]], 0.1, [0.0, 0.0, 0.0]),
+    ([[0.0, 0.0], [0.0, 0.0]], 0.1, 0.5),
+], ids=["nan-height", "inf-height", "nan-origin", "inf-origin", "zero-cell",
+        "negative-cell", "inf-cell", "nan-cell", "3d-origin", "scalar-origin"])
+def test_terrain_rejects_non_finite_grid_or_bad_cell(heights, cell, origin):
+    # a NaN height would reach the base height through height_at, a zero
+    # cell size a ZeroDivisionError, an origin that is not (x, y) an unpacking error
+    with pytest.raises(InvalidArgumentError, match=r"^terrain heights and \(x, y\) origin"):
+        TerrainField(np.array(heights), cell, np.array(origin))
+
+
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
@@ -124,6 +145,12 @@ def test_catalog_parse_errors():
         parse_catalog("thing sphere 0.1 0.2 seen nosuchcategory\n")
     with pytest.raises(CatalogError):
         parse_catalog("only five fields here now\n")
+    for line in ("a sphere nan 0.1 seen ball", "a sphere inf 0.1 seen ball",
+                 "a box 0.1,-inf,0.1 0.1 seen long_box", "a sphere 0.1 nan seen ball",
+                 "a cylinder 0.1,0.2 inf seen cup", "a sphere 0 0.1 seen ball",
+                 "a sphere 0.1 -0.1 seen ball"):
+        with pytest.raises(CatalogError, match="^a: dims and mass must be positive and finite"):
+            parse_catalog(line)
 
 
 def test_catalog_file_errors_name_the_path(tmp_path):
@@ -146,6 +173,14 @@ def test_catalog_file_errors_name_the_path(tmp_path):
     with pytest.raises(CatalogError, match="expected 6 fields") as err:
         load_catalog(fields)
     assert str(err.value).startswith(f"{fields}: line ")
+    for dim, mass in ((b"nan", b"0.058"), (b"0.0335", b"inf")):
+        not_finite = tmp_path / "not_finite.txt"
+        not_finite.write_bytes(bundled.replace(b"sphere    0.0335             0.058",
+                                               b"sphere " + dim + b" " + mass, 1))
+        with pytest.raises(CatalogError) as err:
+            load_catalog(not_finite)
+        assert str(err.value) == (f"{not_finite}: tennis_ball: dims and mass must be "
+                                  "positive and finite")
 
 
 def test_catalog_duplicate_ids_rejected(catalog):

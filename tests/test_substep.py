@@ -320,8 +320,8 @@ PARITY_EPISODES = [(1, "water_bottle", 1), (1, "sugar_box", 0), (2, "lemon", 2),
 def test_advance_matches_one_substep_calls(catalog, monkeypatch):
     real_advance, seen = episode.advance, {"carriers": set(), "partway": 0, "draws": 0}
 
-    def compared(robot, scene, status, u, traj, config, sim_cfg, step):
-        got = real_advance(robot, scene, status, u, traj, config, sim_cfg, step)
+    def compared(robot, scene, status, u, traj, rng, config, sim_cfg, step):
+        got = real_advance(robot, scene, status, u, traj, rng, config, sim_cfg, step)
         want_robot, want_scene, want_status, n = _advance_by_substeps(
             robot, scene, status, u, traj, config, sim_cfg, step)
         assert _state_bytes(*got[:2]) == _state_bytes(want_robot, want_scene)
