@@ -23,12 +23,12 @@ import numpy as np
 from .atomicfile import atomic_write
 from .config import SimConfig
 from .errors import InvalidArgumentError, NotReadyError
-from .nn import FRAME_SHAPE, HISTORY_LEN
-from .scene import PLATFORM_THICKNESS, SceneState, derive_seed
+from .nn import _FRAME_PAIRS, FRAME_SHAPE, HISTORY_LEN, STACK_CHANNELS
+from .scene import PLATFORM_THICKNESS, TERRAIN_MAX_HEIGHT, SceneState, derive_seed
 from .se3 import Pose6, euler_to_matrix
 
 FRAME_H, FRAME_W = FRAME_SHAPE
-DEFAULT_HFOV = np.deg2rad(87.0)
+DEFAULT_HFOV = np.deg2rad(SimConfig.hfov_deg)
 DEPTH_CLIP = 5.0
 LATENCY_STEPS = 4
 _NO_HIT = np.inf
@@ -188,10 +188,10 @@ def _box_hits(o, d, center, half, op) -> np.ndarray:
 
 
 def _terrain_hits(origins, d, terrain) -> np.ndarray:
-    """Descending rays vs the 0..0.1 m heightfield band.
+    """Descending rays vs the height band 0..TERRAIN_MAX_HEIGHT that TerrainField keeps.
 
     One fixed-point step of t = (h(x(t), y(t)) - oz) / dz from the band's
-    mid-height (0.05 m), clamped to the band entry: a median 1.6 mm and a
+    mid-height, clamped to the band entry: a median 1.6 mm and a
     99th percentile 3.7 cm off the converged depth (spawn views, 20 scenes).
     Terrain sits strictly below the floating platform and the object, so its
     depth never occludes them.  Only the descending rays (dz < -1e-12) are
@@ -208,8 +208,8 @@ def _terrain_hits(origins, d, terrain) -> np.ndarray:
     runs = [slice(start, end) for start, end in zip([0] + ends, ends)]
     t_band, t = np.empty_like(inv), np.empty_like(inv)
     for (_, _, oz), run in zip(origins, runs):
-        t_band[run] = inv[run] * np.float32(0.1 - oz)
-        t[run] = inv[run] * np.float32(0.05 - oz)
+        t_band[run] = inv[run] * np.float32(TERRAIN_MAX_HEIGHT - oz)
+        t[run] = inv[run] * np.float32(TERRAIN_MAX_HEIGHT / 2 - oz)
     np.maximum(t_band, 0.0, out=t_band)
     xy *= t
     for (ox, oy, _), run in zip(origins, runs):
@@ -356,13 +356,13 @@ class ObsHistory:
 
 
 def stack_observation(hist_wrist: ObsHistory, hist_base: ObsHistory) -> np.ndarray:
-    """[STACK_CHANNELS,*FRAME_SHAPE] float32 stack, one view after the other in
-    `nn.VIEWS` order: its HISTORY_LEN masks, then its HISTORY_LEN depths."""
-    channels = []
-    for hist in (hist_wrist, hist_base):
-        frames = hist.frames()
-        channels += [mask for mask, _ in frames] + [depth for _, depth in frames]
-    return np.stack(channels)
+    """[STACK_CHANNELS,*FRAME_SHAPE] float32 stack: each view's (mask, depth)
+    pairs, oldest first, in the channels that `nn._FRAME_PAIRS` reads."""
+    stack = np.empty((STACK_CHANNELS, FRAME_H, FRAME_W), np.float32)
+    for (mask_ch, depth_ch), (mask, depth) in zip(_FRAME_PAIRS.tolist(),
+                                                  hist_wrist.frames() + hist_base.frames()):
+        stack[mask_ch], stack[depth_ch] = mask, depth
+    return stack
 
 
 # ---------------------------------------------------------------------------

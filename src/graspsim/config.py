@@ -15,9 +15,9 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_integer
 from .gfm import DEFAULT_BANK_SIZE, GRIPPER_APERTURE
-from .scene import TIMEOUT_STEPS, check_integer
+from .scene import TIMEOUT_STEPS
 
 ENV_CONFIG_VAR = "GRASPSIM_CONFIG"
 

@@ -227,7 +227,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
             hist_w.push(f_w)
             hist_b.push(f_b)
             observations.append((stack_observation(hist_w, hist_b),
-                                 build_proprio(seen[1], seen[0].terrain), action_vec.copy(),
+                                 build_proprio(seen[1], seen[0].terrain), action_vec,
                                  1 if action.gripper_close else 0, step))
         if close is not None:
             close_events.append([step, close])

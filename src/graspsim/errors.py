@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
+
+import numpy as np
 
 
 class GraspSimError(Exception):
@@ -36,3 +38,11 @@ class EmptyBankError(GraspSimError, ValueError):
 class NotReadyError(GraspSimError, RuntimeError):
     """A result was asked for before it exists: an observation history before
     warm-up, or the per-step log of an episode run without it."""
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; anything but an int or a numpy integer (a bool
+    too) is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    return int(value)

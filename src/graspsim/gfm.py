@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .atomicfile import atomic_write
-from .errors import EmptyBankError, InvalidArgumentError, ShapeError
+from .errors import EmptyBankError, InvalidArgumentError, ShapeError, check_integer
 from .se3 import (Pose6, _euler9, _mul9, _mulv, _rot9, _trusted, matrix_to_euler,
                   vec6_decode, vec6_encode)
 
@@ -60,6 +60,7 @@ class GraspMemoryBank:
     _memo: tuple = field(init=False, repr=False, compare=False, default=(None, None, None))
 
     def __post_init__(self):
+        object.__setattr__(self, "k", check_integer("K", self.k))
         if self.k < 1:
             raise InvalidArgumentError(f"K must be >= 1, got {self.k}")
         scores = [c.score for c in self.candidates]
@@ -253,7 +254,7 @@ def _draws(spec: ObjectSpec, n: int, seed: int, aperture: float):
 
 def _kept(scores, k: int) -> list:
     """Indices of the top-K scores, best first (stable: ties keep earlier entries)."""
-    return sorted(range(len(scores)), key=lambda i: -scores[i])[:k]
+    return sorted(range(len(scores)), key=lambda i: -scores[i])[:check_integer("K", k)]
 
 
 def generate_candidates(spec: ObjectSpec, n: int, seed: int,

@@ -18,9 +18,8 @@ import numpy as np
 
 from .config import SimConfig
 from .episode import EpisodeLog, run_episode
-from .errors import InvalidArgumentError
-from .scene import (EpisodeConfig, catalog_by_id, check_integer, check_level, derive_seed,
-                    load_catalog)
+from .errors import InvalidArgumentError, check_integer
+from .scene import EpisodeConfig, catalog_by_id, check_level, derive_seed, load_catalog
 
 DEFAULT_STEP_BUDGET = 5000
 CSV_HEADER = "level,split,category,n_episodes,gsr,ossr,ossr_alt,tsc,seed"

@@ -227,16 +227,20 @@ def kd_loss(student_actions, teacher_actions) -> float:
 
 @dataclass
 class WeightStore:
-    """Named parameter map validated against an architecture manifest."""
+    """Named parameters matching a manifest; student-v1's is `student_manifest()`."""
 
     arch: str
     manifest: list                      # ordered (name, shape) pairs
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        declared = dict(self.manifest)
+        declared = {name: tuple(shape) for name, shape in self.manifest}
         if len(declared) != len(self.manifest):
             raise ArchitectureError(f"manifest of arch {self.arch} repeats a name")
+        want = dict(student_manifest()) if self.arch == STUDENT_ARCH else declared
+        for name in (n for n in {**want, **declared} if declared.get(n) != want.get(n)):
+            raise ArchitectureError(f"{self.arch} parameter {name!r}: the manifest says "
+                                    f"{declared.get(name)}, the network needs {want.get(name)}")
         if set(declared) != set(self.params):
             missing = sorted(set(declared) - set(self.params))
             extra = sorted(set(self.params) - set(declared))
@@ -323,21 +327,6 @@ class WeightStore:
             raise ArchitectureError(f"{path}: {exc}") from exc
 
 
-def init_weights(arch: str, manifest: list, seed: int) -> WeightStore:
-    """Seeded init: matrices uniform +-1/sqrt(fan_in); biases 0; norm gains 1."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    params = {}
-    for name, shape in manifest:
-        if len(shape) >= 2:
-            bound = 1.0 / np.sqrt(shape[0] if len(shape) == 2 else np.prod(shape[1:]))
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-        elif name.endswith(".g"):
-            params[name] = np.ones(shape, dtype=np.float32)
-        else:
-            params[name] = np.zeros(shape, dtype=np.float32)
-    return WeightStore(arch, manifest, params)
-
-
 # ---------------------------------------------------------------------------
 # Student network
 # ---------------------------------------------------------------------------
@@ -378,11 +367,22 @@ def student_manifest() -> list:
 
 
 def init_student_weights(seed: int = 0) -> WeightStore:
-    return init_weights(STUDENT_ARCH, student_manifest(), seed)
+    """Seeded init: matrices uniform +-1/sqrt(fan_in); biases 0; norm gains 1."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    manifest, params = student_manifest(), {}
+    for name, shape in manifest:
+        if len(shape) >= 2:
+            bound = 1.0 / np.sqrt(shape[0] if len(shape) == 2 else np.prod(shape[1:]))
+            params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        elif name.endswith(".g"):
+            params[name] = np.ones(shape, dtype=np.float32)
+        else:
+            params[name] = np.zeros(shape, dtype=np.float32)
+    return WeightStore(STUDENT_ARCH, manifest, params)
 
 
-# Stack channels of each image as a (mask, depth) pair, image-major: each
-# view's HISTORY_LEN masks come first, then its HISTORY_LEN depths.
+# The stack layout, written by `camera.stack_observation`: each image's (mask,
+# depth) channel pair, image-major; a view's HISTORY_LEN masks, then its depths.
 _FRAME_PAIRS = (np.arange(STACK_CHANNELS).reshape(len(VIEWS), 2, HISTORY_LEN)
                 .transpose(0, 2, 1).reshape(-1, 2))
 
@@ -411,9 +411,8 @@ def _encode_stream(tokens, state_token, w: WeightStore, stream: str) -> np.ndarr
 def student_forward(frames, proprio, w: WeightStore) -> np.ndarray:
     """Map stacked dual-view observations + proprioception to 8 action values.
 
-    frames: [STACK_CHANNELS, *FRAME_SHAPE] as `camera.stack_observation`
-    stacks them; `_FRAME_PAIRS` reads them back as one (mask, depth) image
-    per view and time step.
+    frames: [STACK_CHANNELS, *FRAME_SHAPE], read through `_FRAME_PAIRS` as one
+    (mask, depth) image per view and time step.
     """
     if w.arch != STUDENT_ARCH:
         raise ArchitectureError(f"expected arch {STUDENT_ARCH!r}, got {w.arch!r}")

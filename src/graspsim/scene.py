@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CatalogError, InvalidArgumentError, NotFoundError
+from .errors import CatalogError, InvalidArgumentError, NotFoundError, check_integer
 from .gfm import _world_vec6
 from .se3 import (TWO_PI, Pose6, Twist, _compose6, _rot9, _trusted, _wrap1, relative_pose,
                   rotation_angle_between)
@@ -74,9 +74,10 @@ class TerrainField:
             raise InvalidArgumentError("terrain grid must be at least 2x2")
         h.setflags(write=False)
         o = np.array(self.origin, dtype=float)
-        if not (o.shape == (2,) and np.isfinite(h).all() and np.isfinite(o).all()
-                and 0.0 < self.cell_size < math.inf):
+        if not (o.shape == (2,) and 0.0 <= h.min() <= h.max() <= TERRAIN_MAX_HEIGHT
+                and np.isfinite(o).all() and 0.0 < self.cell_size < math.inf):
             raise InvalidArgumentError("terrain heights and (x, y) origin must be finite, "
+                                       f"heights in the render band 0..{TERRAIN_MAX_HEIGHT} m, "
                                        f"cell size finite and > 0 (cell size {self.cell_size})")
         o.setflags(write=False)
         object.__setattr__(self, "heights", h)
@@ -255,14 +256,6 @@ class PlatformTrajectory:
     z_amp: float = 0.0           # seeded vertical-velocity oscillation (level 4)
     z_freq: float = 0.0
     z_phase: float = 0.0
-
-
-def check_integer(name: str, value) -> int:
-    """``value`` as an int; anything but an int or a numpy integer (a bool
-    too) is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def check_level(level: int) -> None:

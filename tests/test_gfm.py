@@ -56,6 +56,12 @@ def test_sphere_candidates_geometry():
 
 def test_infeasible_box_yields_empty_list():
     assert generate_candidates(BIG_BOX, 40, seed=0) == []
+    # a sphere or a cylinder wider than the aperture gives none either
+    for wide in (ObjectSpec("big_ball", "sphere", (0.05,), 0.5, "seen", "ball"),
+                 ObjectSpec("drum", "cylinder", (0.05, 0.2), 1.0, "seen", "bottle")):
+        assert 2 * wide.dims[0] > GRIPPER_APERTURE
+        assert generate_candidates(wide, 40, seed=0) == []
+        assert len(draw_bank(wide, 40, 30, seed=0)) == 0
 
 
 def test_generation_deterministic():
@@ -143,6 +149,14 @@ def test_draw_bank_short_lists_and_errors():
         draw_bank(SPHERE, 0, 30, seed=1)
     with pytest.raises(InvalidArgumentError, match="K must be >= 1"):
         draw_bank(SPHERE, 10, 0, seed=1)
+    # K is an integer, checked before it slices; a numpy integer is kept as an int
+    cands = generate_candidates(SPHERE, 20, 1)
+    for k in (2.5, 3.0, True):
+        for make in (lambda: draw_bank(SPHERE, 20, k, seed=1), lambda: build_memory(cands, k)):
+            with pytest.raises(InvalidArgumentError, match=f"^K must be an integer, got {k!r}$"):
+                make()
+    for bank in (draw_bank(SPHERE, 20, np.int64(3), seed=1), build_memory(cands, np.int64(3))):
+        assert type(bank.k) is int and bank.k == 3
 
 
 def test_build_memory_stable_ties():
@@ -174,6 +188,9 @@ def test_bank_rejects_unsorted(tmp_path):
     assert str(err.value) == f"{path}: K must be >= 1, got 0"
     with pytest.raises(InvalidArgumentError, match="^K must be >= 1, got 0$"):
         GraspMemoryBank("x", (), 0)
+    for k in (2.5, 3.0, True):
+        with pytest.raises(InvalidArgumentError, match=f"^K must be an integer, got {k!r}$"):
+            GraspMemoryBank("x", (), k)
 
 
 def test_bank_file_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import time
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 
 from graspsim.errors import ArchitectureError, InvalidArgumentError, ShapeError
 from graspsim.nn import (
+    MODEL_DIM,
     PROPRIO_DIM,
     WeightStore,
     attention,
@@ -490,6 +492,9 @@ def test_weight_file_rejects_garbage(tmp_path):
     (tmp_path / "ragged.weights").write_bytes(data[:-3])
     with pytest.raises(ArchitectureError):
         WeightStore.load(tmp_path / "ragged.weights")
+    (tmp_path / "long.weights").write_bytes(data + bytes(8))
+    with pytest.raises(ArchitectureError, match="2 trailing floats$"):
+        WeightStore.load(tmp_path / "long.weights")
     blob = b"\n---\n"
     for head in (b"", b"weights-v1 toy\na.w", b"weights-v1 toy\na.w 2,3 x",
                  b"weights-v1 toy\na.w 2,x", b"weights-v1 toy\na.w 2.0,3",
@@ -506,6 +511,25 @@ def test_weight_file_rejects_garbage(tmp_path):
     with pytest.raises(ArchitectureError) as err:
         WeightStore.load(path)
     assert "a.w" in str(err.value) and str(path) in str(err.value)
+
+
+def test_student_weight_file_must_match_the_student_manifest(tmp_path):
+    # a student-v1 file with one edited shape, or one parameter missing, fails
+    # as it loads, naming that parameter, not partway through a forward
+    w = init_student_weights(0)
+    edits = {"cnn.fc.w": [(n, (10, MODEL_DIM) if n == "cnn.fc.w" else s) for n, s in w.manifest],
+             "head.fc3.b": w.manifest[:-1]}
+    path = tmp_path / "student.weights"
+    for name, manifest in edits.items():
+        params = {n: w.get(n)[:shape[0]] for n, shape in manifest}
+        WeightStore("toy", manifest, params).save(path)
+        path.write_bytes(path.read_bytes().replace(b"weights-v1 toy\n",
+                                                   b"weights-v1 student-v1\n", 1))
+        message = f"student-v1 parameter '{name}': the manifest says "
+        with pytest.raises(ArchitectureError, match=re.escape(f"{path}: {message}")):
+            WeightStore.load(path)
+        with pytest.raises(ArchitectureError, match=f"^{message}"):
+            WeightStore("student-v1", manifest, params)
 
 
 def test_student_parameter_count_near_reported_budget():

@@ -30,6 +30,9 @@ from graspsim.errors import NotReadyError
 from graspsim.nn import _FRAME_PAIRS, HISTORY_LEN, VIEWS
 from graspsim.robot import initial_robot
 from graspsim.scene import (
+    PLATFORM_THICKNESS,
+    PLATFORM_Z_RANGE,
+    TERRAIN_MAX_HEIGHT,
     ObjectSpec,
     SceneState,
     derive_seed,
@@ -252,11 +255,38 @@ def test_render_views_seeds_flips_per_step_and_view(catalog_map):
             assert np.array_equal(got.mask, clean.mask) == (prob == 0.0)
 
 
-def _descending_rays(robot, cam) -> int:
-    rays = _camera_rays(cam.hfov)[0]
+def _view_rays(robot, cam):
+    """A view's camera position and world ray directions, as the renderer makes them."""
     parent = robot.base_pose if cam.mount == "base" else robot.ee_pose
-    rot = euler_to_matrix(parent.orientation) @ euler_to_matrix(cam.mount_offset.orientation)
-    return int(np.count_nonzero((rot.astype(np.float32) @ rays)[2] < -1e-12))
+    r_parent = euler_to_matrix(parent.orientation)
+    rot = r_parent @ euler_to_matrix(cam.mount_offset.orientation)
+    origin = parent.position + r_parent @ cam.mount_offset.position
+    return origin, rot.astype(np.float32) @ _camera_rays(cam.hfov)[0]
+
+
+def _descending_rays(robot, cam) -> int:
+    return int(np.count_nonzero(_view_rays(robot, cam)[1][2] < -1e-12))
+
+
+@pytest.mark.parametrize("height", [0.0, TERRAIN_MAX_HEIGHT])
+def test_flat_terrain_depth_is_the_plane_depth(height):
+    # the terrain test casts into the 0..TERRAIN_MAX_HEIGHT band; on a flat
+    # terrain at either edge of it, every descending ray of both views sees
+    # the plane at its analytic z-depth, and every other ray sees nothing
+    # (the object and its platform stand behind both cameras)
+    assert PLATFORM_Z_RANGE[0] - PLATFORM_THICKNESS > TERRAIN_MAX_HEIGHT
+    terrain = flat_terrain(height)
+    scene = make_scene(SPHERE, Pose6(np.array([-5.0, 0.0, 0.5]), np.zeros(3)), terrain=terrain)
+    robot = initial_robot(terrain)
+    for cam, frame in zip((wrist_camera(), base_camera()),
+                          render_views(scene, robot, SimConfig(), 0, 0)):
+        origin, d = _view_rays(robot, cam)
+        down = d[2] < -1e-12
+        depth = frame.depth.reshape(-1)
+        plane = (height - origin[2]) / d[2][down].astype(np.float64)
+        assert down.sum() > 1_000 and not frame.mask.any()
+        assert np.all(np.abs(depth[down] - plane) <= 1e-5 * plane)
+        assert np.array_equal(frame.valid.reshape(-1), down) and not depth[~down].any()
 
 
 @pytest.mark.parametrize("object_id", ["tennis_ball", "cracker_box", "mustard_bottle"])

@@ -102,23 +102,32 @@ def test_terrain_continuity_lipschitz(rng):
         assert dh <= bound * np.linalg.norm(eps) + 1e-12
 
 
-@pytest.mark.parametrize("heights,cell,origin", [
-    ([[0.0, np.nan], [0.0, 0.0]], 0.1, [0.0, 0.0]),
-    ([[0.0, 0.0], [np.inf, 0.0]], 0.1, [0.0, 0.0]),
-    ([[0.0, 0.0], [0.0, 0.0]], 0.1, [np.nan, 0.0]),
-    ([[0.0, 0.0], [0.0, 0.0]], 0.1, [0.0, -np.inf]),
-    ([[0.0, 0.0], [0.0, 0.0]], 0.0, [0.0, 0.0]),
-    ([[0.0, 0.0], [0.0, 0.0]], -0.1, [0.0, 0.0]),
-    ([[0.0, 0.0], [0.0, 0.0]], np.inf, [0.0, 0.0]),
-    ([[0.0, 0.0], [0.0, 0.0]], np.nan, [0.0, 0.0]),
-    ([[0.0, 0.0], [0.0, 0.0]], 0.1, [0.0, 0.0, 0.0]),
-    ([[0.0, 0.0], [0.0, 0.0]], 0.1, 0.5),
+_VALUES = r"^terrain heights and \(x, y\) origin"
+
+
+@pytest.mark.parametrize("heights,cell,origin,match", [
+    ([[0.0, np.nan], [0.0, 0.0]], 0.1, [0.0, 0.0], _VALUES),
+    ([[0.0, 0.0], [np.inf, 0.0]], 0.1, [0.0, 0.0], _VALUES),
+    ([[0.0, 0.0], [0.0, 0.0]], 0.1, [np.nan, 0.0], _VALUES),
+    ([[0.0, 0.0], [0.0, 0.0]], 0.1, [0.0, -np.inf], _VALUES),
+    ([[0.0, 0.0], [0.0, 0.0]], 0.0, [0.0, 0.0], _VALUES),
+    ([[0.0, 0.0], [0.0, 0.0]], -0.1, [0.0, 0.0], _VALUES),
+    ([[0.0, 0.0], [0.0, 0.0]], np.inf, [0.0, 0.0], _VALUES),
+    ([[0.0, 0.0], [0.0, 0.0]], np.nan, [0.0, 0.0], _VALUES),
+    ([[0.0, 0.0], [0.0, 0.0]], 0.1, [0.0, 0.0, 0.0], _VALUES),
+    ([[0.0, 0.0], [0.0, 0.0]], 0.1, 0.5, _VALUES),
+    ([[0.0, 0.0], [0.1 + 1e-9, 0.0]], 0.1, [0.0, 0.0], _VALUES + r".* render band 0\.\.0\.1 m"),
+    ([[0.0, -1e-9], [0.0, 0.0]], 0.1, [0.0, 0.0], _VALUES + r".* render band 0\.\.0\.1 m"),
+    ([[0.0, 0.0]], 0.1, [0.0, 0.0], r"^terrain grid must be at least 2x2$"),
 ], ids=["nan-height", "inf-height", "nan-origin", "inf-origin", "zero-cell",
-        "negative-cell", "inf-cell", "nan-cell", "3d-origin", "scalar-origin"])
-def test_terrain_rejects_non_finite_grid_or_bad_cell(heights, cell, origin):
+        "negative-cell", "inf-cell", "nan-cell", "3d-origin", "scalar-origin",
+        "above-band", "below-band", "1x2-grid"])
+def test_terrain_rejects_non_finite_grid_or_bad_cell(heights, cell, origin, match):
     # a NaN height would reach the base height through height_at, a zero
-    # cell size a ZeroDivisionError, an origin that is not (x, y) an unpacking error
-    with pytest.raises(InvalidArgumentError, match=r"^terrain heights and \(x, y\) origin"):
+    # cell size a ZeroDivisionError, an origin that is not (x, y) an unpacking
+    # error, a grid of one row no bilinear cell; a height outside the band that
+    # the renderer's terrain test casts into would give wrong depths
+    with pytest.raises(InvalidArgumentError, match=match):
         TerrainField(np.array(heights), cell, np.array(origin))
 
 
@@ -136,6 +145,16 @@ def test_bundled_catalog_counts(catalog):
 def test_catalog_count_mismatch_rejected(catalog):
     with pytest.raises(CatalogError):
         validate_catalog(list(catalog)[:42])
+    specs = list(catalog)
+    first_seen = next(i for i, s in enumerate(specs) if s.split == "seen")
+    specs[first_seen] = replace(specs[first_seen], split="unseen")
+    with pytest.raises(CatalogError, match="^catalog split must be 30 seen / 13 unseen, got 29/14$"):
+        validate_catalog(specs)
+    # every seen object made a sphere: that split has no tall/slender object
+    squat = [replace(s, shape="sphere", dims=(0.03,)) if s.split == "seen" else s
+             for s in catalog]
+    with pytest.raises(CatalogError, match="^seen split needs both compact and tall"):
+        validate_catalog(squat)
 
 
 def test_catalog_parse_errors():
@@ -304,6 +323,10 @@ def test_step_scene_rejects_bad_dt(catalog_map):
         for tr in (traj, line):
             with pytest.raises(InvalidArgumentError):
                 step_scene(state, tr, dt)
+    # a held object moves with the end effector, so its pose is required
+    held = replace(state, object_attached_to="gripper")
+    with pytest.raises(InvalidArgumentError, match="^step_scene needs ee_pose while object is held$"):
+        step_scene(held, traj, DT)
 
 
 def test_scene_sequence_bit_deterministic(catalog_map):
@@ -434,6 +457,13 @@ def test_far_close_is_a_no_op(catalog_map):
     new_state, ok = apply_gripper_close(state, robot, bank, SIM_CFG)
     assert not ok and new_state.object_attached_to == "platform"
     assert np.allclose(new_state.object_pose.position, state.object_pose.position)
+    # an object not riding the platform (held, or fallen) is left as it is,
+    # even by a close that would capture it from the platform
+    _, state, robot, bank = _scene_and_aligned_robot(catalog_map)
+    for carrier in ("gripper", "free"):
+        off = replace(state, object_attached_to=carrier)
+        new_state, ok = apply_gripper_close(off, robot, bank, SIM_CFG)
+        assert new_state is off and ok is False
 
 
 def test_yaw_drift_over_70_degrees_fails(catalog_map):

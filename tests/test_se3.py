@@ -64,7 +64,7 @@ def test_wrap_angle_bits_match_round_formula(rng):
         w = np.where(w <= -np.pi, w + 2.0 * np.pi, w)
         return np.where(w > np.pi, w - 2.0 * np.pi, w)
 
-    k = np.arange(-6.0, 7.0)
+    k = np.arange(-10.0, 11.0)
     xs = np.concatenate([
         [0.0, -0.0, np.pi, -np.pi, np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0)],
         2.0 * np.pi * k, np.pi * (2.0 * k + 1.0),
@@ -76,6 +76,10 @@ def test_wrap_angle_bits_match_round_formula(rng):
     for x in xs:
         assert (np.float64(wrap_angle(float(x))).view(np.uint64)
                 == reference(np.array(x)).view(np.uint64))
+    # a non-finite angle wraps to nan, scalar and array alike
+    for x in (np.inf, -np.inf, np.nan):
+        assert math.isnan(wrap_angle(x))
+        assert np.isnan(wrap_angle(np.array([x, 1.0, x]))[[0, 2]]).all()
 
 
 def test_wrap_angle_returns_its_outputs_unchanged(rng):
