@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -166,6 +166,8 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     # flight past the budget is thrown away: more than one per CPU gains nothing.
     workers = min(workers, os.cpu_count() or 1)
     all_logs: list[EpisodeLog] = []
+    if workers > 1:     # imported here, so that `import graspsim` loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     submit, in_flight = (pool.submit, workers) if pool is not None else (_run_now, 1)
     try:

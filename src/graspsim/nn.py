@@ -6,15 +6,19 @@ uniform in +-1/sqrt(fan_in), biases zero, norm gains one).
 
 Validation happens at the boundaries: `WeightStore` rejects non-finite weights
 once, when they enter the program (init, `load`, construction).  The ops check
-activations, not weights; `linear` and `layer_norm` check their outputs.
-The CNN runs one image at a time: `conv_pool_elu` copies an image's sliding
-windows into columns, runs one GEMM into a cache-sized tile, checks it as
-`conv2d` does, then pools, biases and ELUs it into an image-major [n,oc,h,w]
-batch, already the fc's row layout.  `max_pool2` trusts the tile it is handed.
+activations, not weights: a public op checks its input, then runs its private
+kernel (`_linear`, `_layer_norm`, `_elu`, `_softmax`), which the encoder layers
+call directly and which checks its output.  The CNN runs one image at a time:
+`conv_pool_elu` copies an image's sliding windows into columns in row-parity
+order (even output rows, then odd ones; an odd last row is not cast), runs one
+GEMM into a tile it reuses, checks it as `conv2d` does, then pools, biases and
+ELUs it into an image-major [n,oc,h,w] batch, already the fc's row layout.
+`max_pool2` trusts the tile it is handed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomicfile import atomic_write
-from .errors import ArchitectureError, InvalidArgumentError, ShapeError
+from .errors import ArchitectureError, InvalidArgumentError, ShapeError, check_integer
 
 FRAME_SHAPE = (54, 96)
 VIEWS = ("wrist", "base")               # camera views, in stack order
@@ -61,10 +65,12 @@ def linear(x, w, b) -> np.ndarray:
     """y = x @ w + b over the last axis; w and b are not scanned on entry."""
     x, w, b = as_tensor(x), np.asarray(w, np.float32), np.asarray(b, np.float32)
     if x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise ShapeError(
-            f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}"
-        )
-    return _checked((x @ w + b).astype(np.float32), "linear")
+        raise ShapeError(f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    return _linear(x, w, b)
+
+
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _checked(x @ w + b, "linear")
 
 
 def elu(x) -> np.ndarray:
@@ -78,18 +84,20 @@ def elu(x) -> np.ndarray:
     return _elu(x, np.empty_like(x))
 
 
-def _elu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`elu` of a float32 array already known finite, written into `out`."""
-    np.minimum(x, 0.0, out=out)
+def _elu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`elu` of a finite float32 array of 1 or more axes, into `out` or a new array."""
+    out = np.minimum(x, 0.0, out=out)
     np.expm1(out, out=out)
     return np.maximum(out, x, out=out)
 
 
 def softmax(x, axis: int = -1) -> np.ndarray:
-    x = as_tensor(x)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return (e / np.sum(e, axis=axis, keepdims=True)).astype(np.float32)
+    return _softmax(as_tensor(x), axis)
+
+
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def conv2d(x, kernels) -> np.ndarray:
@@ -100,16 +108,17 @@ def conv2d(x, kernels) -> np.ndarray:
     x, k = as_tensor(x), np.asarray(kernels, np.float32)
     if x.ndim != 3:
         raise ShapeError(f"conv2d takes one image [c,h,w], got {x.shape}")
-    return _conv_tile(x, k, *_conv_fit(x.shape, k, "conv2d"))
+    oh, ow = _conv_fit(x.shape, k, "conv2d")
+    return _conv_tile(x, k, oh, ow, np.empty((k.shape[0], 1, oh, ow), np.float32))[:, 0]
 
 
 def conv_pool_elu(x, kernels, bias) -> np.ndarray:
     """elu(max_pool2(conv2d(x[i], kernels)) + bias) for every image of a batch
-    x [n,c,h,w] -> [n,oc,oh//2,ow//2], bit for bit.
+    x [n,c,h,w] -> [n,oc,oh//2,ow//2], bit for bit under the kernels README names.
 
-    One image at a time: its conv tile [oc,oh,ow] stays in cache, and only
-    the pooled result is kept.  ELU is monotone, so pooling before it gives
-    the bits of conv -> ELU -> pool on a quarter of the work.
+    One image at a time, through one cache-sized tile in row-parity order, so
+    its row pairs are its two contiguous halves.  ELU is monotone, so pooling
+    before it gives the bits of conv -> ELU -> pool on a quarter of the work.
     """
     x, k = as_tensor(x), np.asarray(kernels, np.float32)
     b = np.asarray(bias, np.float32)
@@ -118,8 +127,9 @@ def conv_pool_elu(x, kernels, bias) -> np.ndarray:
                          f"kernel, got {x.shape}, kernels {k.shape}, bias {b.shape}")
     oh, ow = _conv_fit(x.shape[1:], k, "conv_pool_elu")
     out = np.empty((x.shape[0], k.shape[0], oh // 2, ow // 2), np.float32)
+    tile = np.empty((k.shape[0], 2, oh // 2, ow), np.float32)     # [oc,parity,row,col]
     for image, o in zip(x, out):
-        pooled = max_pool2(_conv_tile(image, k, oh, ow))
+        pooled = max_pool2(_conv_tile(image, k, oh, ow, tile).swapaxes(1, 2))[:, :, 0]
         pooled += b[:, None, None]
         _elu(pooled, o)
     return out
@@ -136,13 +146,18 @@ def _conv_fit(image_shape, k: np.ndarray, op: str) -> tuple:
     return oh, ow
 
 
-def _conv_tile(x: np.ndarray, k: np.ndarray, oh: int, ow: int) -> np.ndarray:
-    """The one im2col and GEMM: image x [c,h,w] -> checked tile [oc,oh,ow].
-    x's (oh, ow) windows, one per kernel tap, are the columns in [c,kh,kw,oh,ow]
-    order already; one reshape copies them into the GEMM operand."""
-    cols = sliding_window_view(x, (oh, ow), axis=(1, 2)).reshape(-1, oh * ow)
-    tile = k.reshape(k.shape[0], -1) @ cols
-    return _checked(tile.reshape(-1, oh, ow), "conv2d")
+def _conv_tile(x: np.ndarray, k: np.ndarray, oh: int, ow: int, tile: np.ndarray) -> np.ndarray:
+    """The one im2col and GEMM: x [c,h,w]'s (oh, ow) windows, one per kernel tap,
+    times kernels k [oc,c,kh,kw] into tile [oc,step,rows,ow], checked by min and
+    max (they propagate NaN and expose +-inf).  Row step 1 keeps the output rows
+    in order; 2 casts the even rows, then the odd ones, and no odd last row."""
+    step, rows = tile.shape[1:3]
+    win = sliding_window_view(x, (oh, ow), axis=(1, 2))[..., :step * rows, :]
+    cols = win.reshape(*win.shape[:3], rows, step, ow).swapaxes(3, 4).reshape(-1, tile[0].size)
+    np.matmul(k.reshape(len(k), -1), cols, out=tile.reshape(len(k), -1))
+    if not (np.isfinite(tile.min()) and np.isfinite(tile.max())):
+        raise InvalidArgumentError("conv2d produced non-finite values")
+    return tile
 
 
 def max_pool2(x) -> np.ndarray:
@@ -164,51 +179,49 @@ def attention(q, k, v) -> np.ndarray:
     if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, "
                          f"v {v.shape}")
-    alpha = softmax(q @ k.T, axis=-1)
-    return _checked((alpha @ v).astype(np.float32), "attention")
+    return _checked(_softmax(q @ k.T) @ v, "attention")
 
 
 def layer_norm(x, gain, bias) -> np.ndarray:
-    x, gain, bias = as_tensor(x), np.asarray(gain, np.float32), np.asarray(bias, np.float32)
-    mean = x.mean(axis=-1, keepdims=True)
-    y = (x - mean) / np.sqrt(x.var(axis=-1, keepdims=True) + _LN_EPS) * gain + bias
-    return _checked(y.astype(np.float32), "layer_norm")
+    return _layer_norm(as_tensor(x), np.asarray(gain, np.float32), np.asarray(bias, np.float32))
 
 
-def multi_head_self_attention(tokens, weights: dict) -> np.ndarray:
-    """Scaled dot-product self-attention with NUM_HEADS heads under ``attn.*`` weights."""
-    t, d = tokens.shape
-    dh = d // NUM_HEADS
-    q = linear(tokens, weights["attn.wq"], weights["attn.bq"])
-    k = linear(tokens, weights["attn.wk"], weights["attn.bk"])
-    v = linear(tokens, weights["attn.wv"], weights["attn.bv"])
-    out = np.empty((t, d), dtype=np.float32)
-    for h in range(NUM_HEADS):
-        sl = slice(h * dh, (h + 1) * dh)
-        logits = (q[:, sl] @ k[:, sl].T) / np.float32(np.sqrt(dh))
-        out[:, sl] = softmax(logits, axis=-1) @ v[:, sl]
-    return linear(out, weights["attn.wo"], weights["attn.bo"])
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The variance is x.var's: the float32 sum of squares over an intp count."""
+    centred = x - x.mean(axis=-1, keepdims=True)
+    var = np.sum(centred * centred, axis=-1, keepdims=True)
+    var /= np.intp(x.shape[-1])
+    return _checked(centred / np.sqrt(var + _LN_EPS) * gain + bias, "layer_norm")
 
 
 def transformer_encoder_layer(tokens, weights: dict) -> np.ndarray:
-    """Post-norm encoder layer: self-attention + residual + norm, FF + residual + norm."""
+    """Post-norm encoder layer: NUM_HEADS-head scaled dot-product self-attention
+    under ``attn.*`` + residual + norm, FF + residual + norm."""
     tokens = as_tensor(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"tokens must be 2-D, got {tokens.shape}")
-    attn = multi_head_self_attention(tokens, weights)
-    x = layer_norm(tokens + attn, weights["ln1.g"], weights["ln1.b"])
-    ff = linear(elu(linear(x, weights["ff.w1"], weights["ff.b1"])),
-                weights["ff.w2"], weights["ff.b2"])
-    return layer_norm(x + ff, weights["ln2.g"], weights["ln2.b"])
+    q, k, v = (_linear(tokens, weights[f"attn.w{p}"], weights[f"attn.b{p}"]) for p in "qkv")
+    dh = tokens.shape[1] // NUM_HEADS
+    heads = np.empty_like(tokens)
+    for h in range(NUM_HEADS):
+        sl = slice(h * dh, (h + 1) * dh)
+        heads[:, sl] = _softmax((q[:, sl] @ k[:, sl].T) / np.float32(np.sqrt(dh))) @ v[:, sl]
+    x = _layer_norm(tokens + _linear(heads, weights["attn.wo"], weights["attn.bo"]),
+                    weights["ln1.g"], weights["ln1.b"])
+    ff = _linear(_elu(_linear(x, weights["ff.w1"], weights["ff.b1"])),
+                 weights["ff.w2"], weights["ff.b2"])
+    return _layer_norm(x + ff, weights["ln2.g"], weights["ln2.b"])
 
 
+@functools.lru_cache(maxsize=8)
 def positional_encoding(length: int, dim: int) -> np.ndarray:
-    """Sinusoidal position codes, shape [length, dim]."""
+    """Sinusoidal position codes, shape [length, dim]; cached, read-only."""
     pos = np.arange(length, dtype=np.float32)[:, None]
     i = np.arange(dim, dtype=np.float32)[None, :]
     angles = pos / np.power(10000.0, (2.0 * np.floor(i / 2.0)) / dim)
-    pe = np.where(i.astype(int) % 2 == 0, np.sin(angles), np.cos(angles))
-    return pe.astype(np.float32)
+    pe = np.where(i.astype(int) % 2 == 0, np.sin(angles), np.cos(angles)).astype(np.float32)
+    pe.flags.writeable = False
+    return pe
 
 
 def kd_loss(student_actions, teacher_actions) -> float:
@@ -368,6 +381,8 @@ def student_manifest() -> list:
 
 def init_student_weights(seed: int = 0) -> WeightStore:
     """Seeded init: matrices uniform +-1/sqrt(fan_in); biases 0; norm gains 1."""
+    if check_integer("seed", seed) < 0:
+        raise InvalidArgumentError(f"seed must be 0 or more, got {seed!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     manifest, params = student_manifest(), {}
     for name, shape in manifest:
@@ -400,8 +415,8 @@ def _encode_frames(imgs, w: WeightStore) -> np.ndarray:
 
 def _encode_stream(tokens, state_token, w: WeightStore, stream: str) -> np.ndarray:
     """One view's HISTORY_LEN frame tokens, after the state token -> [MODEL_DIM]."""
-    seq = np.vstack([state_token[None, :], tokens]).astype(np.float32)
-    seq = seq + positional_encoding(seq.shape[0], MODEL_DIM)
+    seq = np.vstack([state_token[None, :], tokens])
+    seq += positional_encoding(seq.shape[0], MODEL_DIM)
     for l in range(NUM_LAYERS):
         seq = transformer_encoder_layer(seq, w.layer(f"{stream}.enc{l}"))
     visual = seq[1:].mean(axis=0, keepdims=True)
@@ -416,8 +431,7 @@ def student_forward(frames, proprio, w: WeightStore) -> np.ndarray:
     """
     if w.arch != STUDENT_ARCH:
         raise ArchitectureError(f"expected arch {STUDENT_ARCH!r}, got {w.arch!r}")
-    frames = as_tensor(frames)
-    proprio = as_tensor(proprio)
+    frames, proprio = as_tensor(frames), as_tensor(proprio)
     if frames.shape != (STACK_CHANNELS, *FRAME_SHAPE):
         raise ShapeError(f"frames must be {(STACK_CHANNELS, *FRAME_SHAPE)}, "
                          f"got {frames.shape}")
@@ -429,8 +443,7 @@ def student_forward(frames, proprio, w: WeightStore) -> np.ndarray:
     per_view = tokens.reshape(len(VIEWS), HISTORY_LEN, MODEL_DIM)
     streams = [_encode_stream(t, state_token, w, view) for view, t in zip(VIEWS, per_view)]
     z = np.concatenate(streams)[None, :]
-    z = elu(linear(z, w.get("head.fc1.w"), w.get("head.fc1.b")))
-    z = elu(linear(z, w.get("head.fc2.w"), w.get("head.fc2.b")))
-    out = linear(z, w.get("head.fc3.w"), w.get("head.fc3.b"))[0]
-    return _checked(out, "student_forward")
+    z = _elu(linear(z, w.get("head.fc1.w"), w.get("head.fc1.b")))
+    z = _elu(linear(z, w.get("head.fc2.w"), w.get("head.fc2.b")))
+    return linear(z, w.get("head.fc3.w"), w.get("head.fc3.b"))[0]
 

@@ -1,6 +1,9 @@
+import concurrent.futures
 import dataclasses
 import functools
 import hashlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from graspsim.metrics import (
     run_benchmark,
     summaries_to_jsonl,
 )
+
+from conftest import child_env
 
 
 def summary(level=1, outcome="success", success_step=30, first=True,
@@ -240,7 +245,7 @@ def test_benchmark_rejects_empty_split_before_pool(catalog, monkeypatch):
     def no_pool(*_args, **_kwargs):
         raise AssertionError("a pool started for an empty split")
 
-    monkeypatch.setattr(metrics, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     seen_only = [next(s for s in catalog if s.split == "seen")]
     for workers in (0, 2):
         with pytest.raises(InvalidArgumentError, match="split 'unseen'"):
@@ -264,7 +269,7 @@ def test_benchmark_caps_workers_at_cpu_count(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(metrics, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
     _, csv_p, sums_p = run_benchmark([1], episodes_per_level=3, seed=5, timeout_steps=20,
                                      workers=64)
@@ -275,3 +280,14 @@ def test_benchmark_caps_workers_at_cpu_count(monkeypatch):
     monkeypatch.setattr(metrics.os, "cpu_count", lambda: None)
     run_benchmark([1], episodes_per_level=1, seed=5, timeout_steps=5, workers=8)
     assert requested == [2]            # one CPU, or an unknown count: serial, no pool
+
+
+def test_import_loads_no_process_pool():
+    # run_benchmark imports the pool only when it starts one, so a plain
+    # `import graspsim` pulls neither multiprocessing nor socket in
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, graspsim; "
+         "print(sorted({'multiprocessing', 'socket'} & set(sys.modules)))"],
+        env=child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,8 @@
 import hashlib
+import platform
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -27,6 +30,8 @@ from graspsim.nn import (
     transformer_encoder_layer,
 )
 from graspsim.nn import _FRAME_PAIRS, _encode_frames
+
+from conftest import setting_env
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +284,35 @@ def test_conv_pool_elu_bits_match_single_image_ops(rng):
         assert np.max(np.abs(out - naive_conv_pool_elu(x, k, b))) < 1e-5
 
 
+def test_conv_pool_elu_bits_match_single_image_ops_on_student_layers(rng):
+    # conv2's 23 output rows leave an odd last row, which conv_pool_elu does
+    # not cast: the bits hold where a GEMM element's bits depend neither on
+    # its column's position nor on the operand's width
+    for c, h, w, oc, kh in ((2, 54, 96, 8, 5), (8, 25, 46, 304, 3)):
+        x = rng.random((2, c, h, w)).astype(np.float32)
+        k = rng.uniform(-0.3, 0.3, (oc, c, kh, kh)).astype(np.float32)
+        b = rng.uniform(-0.1, 0.1, oc).astype(np.float32)
+        out = conv_pool_elu(x, k, b)
+        for i in range(2):
+            single = elu(max_pool2(conv2d(x[i], k)) + b[:, None, None])
+            assert np.array_equal(out[i].view(np.uint32), single.view(np.uint32))
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the setting names an x86-64 BLAS kernel")
+def test_conv_pool_elu_bits_hold_under_blas_without_fma():
+    # the two comparisons above, run in a child process under a BLAS kernel
+    # whose bits, like the default's, ignore column position and width
+    env = setting_env({"OPENBLAS_CORETYPE": "Sandybridge"})
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_conv_pool_elu_bits_match_single_image_ops",
+         f"{__file__}::test_conv_pool_elu_bits_match_single_image_ops_on_student_layers"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout
+    assert re.fullmatch(r"2 passed in .*", proc.stdout.strip().splitlines()[-1]), proc.stdout
+
+
 def test_conv_pool_elu_errors():
     k = np.zeros((2, 3, 3, 3), np.float32)
     for x, b in ((np.zeros((3, 4, 4), np.float32), np.zeros(2, np.float32)),
@@ -333,6 +367,14 @@ def test_attention_output_in_value_hull(rng):
         assert v.min() - 1e-6 <= out <= v.max() + 1e-6
 
 
+def test_attention_rejects_bad_shapes():
+    q, k, v = np.zeros((1, 4)), np.zeros((3, 4)), np.zeros((3, 2))
+    with pytest.raises(ShapeError, match="expects"):
+        attention(np.zeros((2, 4)), k, v)
+    with pytest.raises(ShapeError, match="disagree"):
+        attention(q, k, v[:2])
+
+
 def test_transformer_layer_shape_and_oracle(rng):
     w = random_layer_weights(rng)
     tokens = rng.standard_normal((4, 64)).astype(np.float32)
@@ -381,6 +423,19 @@ def test_transformer_layer_reduced_to_attention_path(rng):
     assert np.max(np.abs(out - ref)) < 1e-4
 
 
+def test_transformer_layer_rejects_tokens_not_2d(rng):
+    w = random_layer_weights(rng)
+    with pytest.raises(ShapeError, match="2-D"):
+        transformer_encoder_layer(np.zeros((2, 3, 64), np.float32), w)
+
+
+def test_positional_encoding_cached_read_only():
+    pe = positional_encoding(4, 64)
+    assert positional_encoding(4, 64) is pe and not pe.flags.writeable
+    with pytest.raises(ValueError):
+        pe[0, 0] = 1.0
+
+
 def test_positional_encoding_values():
     pe = positional_encoding(4, 6)
     assert pe[0, 0] == pytest.approx(0.0)
@@ -411,6 +466,19 @@ def test_layer_norm_matches_naive(rng):
     g = rng.uniform(0.5, 1.5, 16).astype(np.float32)
     b = rng.uniform(-0.5, 0.5, 16).astype(np.float32)
     assert np.max(np.abs(layer_norm(x, g, b) - naive_layer_norm(x, g, b))) < 1e-5
+
+
+def test_layer_norm_bits_match_var_formula(rng):
+    # the variance is x.var's, divided by the count as numpy does; at a width
+    # that is not a power of two, a multiply by the count's reciprocal shows
+    for width in (64, 100, 7):
+        x = rng.standard_normal((5, width)).astype(np.float32) * 3 + 1
+        g = rng.uniform(0.5, 1.5, width).astype(np.float32)
+        b = rng.uniform(-0.5, 0.5, width).astype(np.float32)
+        mean = x.mean(axis=-1, keepdims=True)
+        want = (x - mean) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5) * g + b
+        assert want.dtype == np.float32
+        assert np.array_equal(layer_norm(x, g, b).view(np.uint32), want.view(np.uint32))
 
 
 def test_max_pool2(rng):
@@ -464,6 +532,21 @@ def test_weight_store_manifest_validation():
     assert "a.b" in str(err.value)
     with pytest.raises(ArchitectureError):
         store.get("missing.w")
+
+
+def test_weight_store_layer_rejects_unknown_prefix():
+    store = init_student_weights(0)
+    assert set(store.layer("head")) == {"fc1.w", "fc1.b", "fc2.w", "fc2.b", "fc3.w", "fc3.b"}
+    with pytest.raises(ArchitectureError, match="wrist.enc9"):
+        store.layer("wrist.enc9")
+
+
+def test_init_student_weights_rejects_bad_seeds():
+    for seed in (True, 1.5, -1):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            init_student_weights(seed)
+    want = init_student_weights(3).get("head.fc3.w")
+    assert np.array_equal(init_student_weights(np.int64(3)).get("head.fc3.w"), want)
 
 
 def test_weight_store_file_roundtrip(tmp_path, rng):

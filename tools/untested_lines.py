@@ -10,9 +10,10 @@ recording every line executed in a file of ``src/graspsim``.  The report lists,
 per file, each statement inside a function (or method) whose first line never
 ran, as ``path:line: source``.  Child processes (pooled sweeps, CLI and demo
 runs) are not traced, so code that only they reach is listed too.  Tracing
-slows the run several times, so wall-clock floors in the suite may fail; the
-tool asserts nothing and exits 0 whatever the tests do.  Standard library and
-pytest only.
+slows the run several times, so the tests of ``UNTRACED``, which time
+themselves against wall-clock floors, run last and with the trace suspended:
+lines that only those tests reach are listed too.  The tool asserts nothing
+and exits 0 whatever the tests do.  Standard library and pytest only.
 """
 
 from __future__ import annotations
@@ -26,6 +27,34 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "graspsim"
+# (file, test) of the wall-clock acceptance criteria 1, 7 and 10
+UNTRACED = {("test_acceptance.py", name) for name in (
+    "test_criterion_1_protocol_constants", "test_criterion_7_renderer",
+    "test_criterion_10_end_to_end")}
+
+
+class _SuspendTrace:
+    """pytest plugin: runs the UNTRACED tests last, the call phase of each with
+    no trace, so that what they would reach first (a cache's first fill, say)
+    is reached traced by the other tests."""
+
+    def __init__(self, trace):
+        self.trace = trace
+
+    def pytest_collection_modifyitems(self, items):
+        items.sort(key=lambda item: (item.path.name, item.name) in UNTRACED)
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_runtest_call(self, item):
+        if (item.path.name, item.name) not in UNTRACED:
+            return (yield)
+        sys.settrace(None)
+        threading.settrace(None)
+        try:
+            return (yield)
+        finally:
+            threading.settrace(self.trace)
+            sys.settrace(self.trace)
 
 
 def _function_statements(tree: ast.AST) -> list:
@@ -66,7 +95,7 @@ def main(argv: list) -> int:
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
-        pytest.main(argv)
+        pytest.main(argv, plugins=[_SuspendTrace(on_call)])
     finally:
         sys.settrace(None)
         threading.settrace(None)
