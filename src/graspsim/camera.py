@@ -206,15 +206,13 @@ def _terrain_hits(origins, d, terrain) -> np.ndarray:
     n = d.shape[1] // len(origins)
     ends = np.searchsorted(idx, n * np.arange(1, len(origins) + 1)).tolist()
     runs = [slice(start, end) for start, end in zip([0] + ends, ends)]
-    t_band, t = np.empty_like(inv), np.empty_like(inv)
-    for (_, _, oz), run in zip(origins, runs):
+    t_band = np.empty_like(inv)
+    for (ox, oy, oz), run in zip(origins, runs):     # xy at the band's mid-height
         t_band[run] = inv[run] * np.float32(TERRAIN_MAX_HEIGHT - oz)
-        t[run] = inv[run] * np.float32(TERRAIN_MAX_HEIGHT / 2 - oz)
-    np.maximum(t_band, 0.0, out=t_band)
-    xy *= t
-    for (ox, oy, _), run in zip(origins, runs):
+        xy[:, run] *= inv[run] * np.float32(TERRAIN_MAX_HEIGHT / 2 - oz)
         xy[0, run] += np.float32(ox)
         xy[1, run] += np.float32(oy)
+    np.maximum(t_band, 0.0, out=t_band)
 
     # bilinear height at xy: grid coordinates clamped to the lattice
     nx, ny = terrain.heights.shape

@@ -23,8 +23,8 @@ from .distill import record_distillation
 from .episode import decisions, episode_bank, run_episode
 from .errors import GraspSimError, InvalidArgumentError
 from .gfm import alignment_gfm_weights, gfm_forward, save_bank
-from .metrics import run_benchmark, summaries_to_jsonl
-from .scene import EpisodeConfig, derive_seed, load_catalog, reset_episode
+from .metrics import DEFAULT_STEP_BUDGET, episode_config, run_benchmark, summaries_to_jsonl
+from .scene import EpisodeConfig, load_catalog, reset_episode
 from .se3 import vec6_encode
 from .teacher import cached_object_feature
 
@@ -159,14 +159,11 @@ def _cmd_distill_record(args) -> int:
     objects = [s for s in catalog if s.split == "seen"]
     total = 0
     for i, path in enumerate(paths):
-        obj = objects[i % len(objects)]
-        config = EpisodeConfig(level=args.level, object_id=obj.id,
-                               seed=derive_seed(args.seed, args.level, i),
-                               timeout_steps=cfg.timeout_steps)
+        config = episode_config(args.level, objects, args.seed, i, cfg.timeout_steps)
         log, obs = run_episode(config, sim_cfg=cfg, collect_observations=True)
         n = record_distillation(log, obs, path)
         total += n
-        print(f"episode {i}: {obj.id} outcome={log.outcome} records={n} -> {path}")
+        print(f"episode {i}: {config.object_id} outcome={log.outcome} records={n} -> {path}")
     print(f"total records: {total}")
     return 0
 
@@ -184,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--episodes", type=int, default=None,
                        help="episodes per level")
     group.add_argument("--steps", type=int, default=None,
-                       help="decision-step budget per level (default 5000)")
+                       help=f"decision-step budget per level (default {DEFAULT_STEP_BUDGET})")
     b.add_argument("--split", choices=("seen", "unseen", "both"), default="seen")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default="bench_out")

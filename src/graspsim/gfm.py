@@ -242,7 +242,7 @@ def _cylinder_draws(radius, height, n, rng, aperture):
 def _draws(spec: ObjectSpec, n: int, seed: int, aperture: float):
     """The scores of ``n`` candidates of ``spec`` in draw order, and a function
     that builds the pose of candidate i; no candidates if nothing fits."""
-    if n < 1:
+    if check_integer("n", n) < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
     if spec.shape == "sphere":
@@ -400,7 +400,7 @@ def gfm_forward(feat, obj_pose: Pose6, bank: GraspMemoryBank,
 
 
 # ---------------------------------------------------------------------------
-# Bank file round trip
+# Bank file (written only, like the PGM frames: no reader)
 # ---------------------------------------------------------------------------
 
 def save_bank(bank: GraspMemoryBank, path) -> None:
@@ -410,29 +410,3 @@ def save_bank(bank: GraspMemoryBank, path) -> None:
         lines.append(" ".join(f"{x:.17g}" for x in v) + f" {c.score:.17g}")
     with atomic_write(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_bank(path) -> GraspMemoryBank:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii():
-        raise InvalidArgumentError(f"{path}: bank file is not ASCII")
-    lines = [ln for ln in data.decode("ascii").splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidArgumentError(f"{path}: empty bank file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "bank" or not head[2].isdigit():
-        raise InvalidArgumentError(f"{path}: bad bank header {lines[0]!r}")
-    cands = []
-    try:
-        for ln in lines[1:]:
-            try:
-                nums = [float(x) for x in ln.split()]
-            except ValueError:
-                nums = []
-            if len(nums) != 7:
-                raise InvalidArgumentError(f"bad bank row {ln!r}")
-            cands.append(GraspCandidate(vec6_decode(np.array(nums[:6])), nums[6]))
-        return GraspMemoryBank(head[1], tuple(cands), int(head[2]))
-    except InvalidArgumentError as exc:
-        raise InvalidArgumentError(f"{path}: {exc}") from exc

@@ -103,6 +103,13 @@ def report_to_csv(report: MetricsReport, seed: int) -> str:
 # Benchmark sweep
 # ---------------------------------------------------------------------------
 
+def episode_config(level: int, objs, seed: int, i: int, timeout_steps: int) -> EpisodeConfig:
+    """Episode i of ``level`` over ``objs``, for ``bench`` and ``distill-record``
+    alike: object i mod their count, seed ``derive_seed(seed, level, i)``."""
+    return EpisodeConfig(level, objs[i % len(objs)].id, derive_seed(seed, level, i),
+                         timeout_steps)
+
+
 def _episode_task(args) -> EpisodeLog:
     cfg, sim_cfg, use_gfm, lookup = args
     return run_episode(cfg, sim_cfg=sim_cfg, use_gfm=use_gfm, catalog=lookup)
@@ -127,7 +134,7 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     a serial run; ``timeout_steps`` defaults to the config's timeout.
 
     Episodes run per level either a fixed count or until the decision-step
-    budget (default 5,000 per level) is consumed, never both; the final
+    budget (default DEFAULT_STEP_BUDGET per level) is consumed, never both; the final
     episode may overshoot the budget by at most its own length.  Serial and
     pooled runs share one loop (serially each episode runs at submission); a
     pool only parallelizes independent episodes and results are consumed in
@@ -172,8 +179,7 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     submit, in_flight = (pool.submit, workers) if pool is not None else (_run_now, 1)
     try:
         for level in levels:
-            tasks = ((EpisodeConfig(level, objs[i % len(objs)].id,
-                                    derive_seed(seed, level, i), timeout_steps),
+            tasks = ((episode_config(level, objs, seed, i, timeout_steps),
                       sim_cfg, use_gfm, lookup) for i in itertools.count())
             got: list[EpisodeLog] = []
             steps_used = 0

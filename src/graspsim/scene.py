@@ -617,9 +617,8 @@ def _status_after(status: EpisodeStatus, yaw: float, sf: tuple, state: SceneStat
             return EpisodeStatus("lifted", hold_steps=hold)
         return EpisodeStatus("grasped")
 
-    rel = state.mount_offset.position[:2]
-    fx, fy = state.platform_half
-    if state.object_attached_to == "free" or abs(rel[0]) > fx or abs(rel[1]) > fy:
+    # only apply_gripper_close moves the mount, and it frees what it shoves off
+    if state.object_attached_to == "free":
         return EpisodeStatus("failed_dropped")
     return EpisodeStatus("approaching")
 

@@ -18,14 +18,15 @@ The float rule: where a 0-d or (3,) numpy call costs more than the math, it
 runs on Python floats (``_wrap1``, ``matrix_to_euler``, the integrators, the
 teacher, the action checks).  ``math.sin``/``cos``/``sqrt`` give numpy's bits;
 ``np.arctan2``/``arcsin``/``exp`` and BLAS dots and norms stay numpy
-(``math.asin``/``atan2`` differ in 33,758/400k, 15,472/200k inputs).
+(``math.asin``/``atan2`` differ in 33,758/400k, 15,472/200k inputs).  These
+ufuncs follow numpy's SIMD dispatch: without AVX512, ``_euler9`` of 21,353 in 100k
+composed rotations gave other bits, each angle at most 1 ulp off.
 
 The product rule: every rotation product multiplies row-major nine-tuples
 (``_mul9``) or a nine-tuple and a 3-vector (``_mulv``) on Python floats, each
 entry summed left to right; ``_rot9`` (Rx Ry Rz) is that nested product's
-closed form, bit for bit.  No product goes through BLAS, so the bits do not
-depend on its kernel.  Only ``Transform``'s orthonormality check multiplies
-in numpy.
+closed form, bit for bit.  Only ``Transform``'s orthonormality check
+multiplies in numpy, so no product's bits depend on the BLAS kernel.
 """
 
 from __future__ import annotations

@@ -166,15 +166,13 @@ def test_gfm_inspect_command(capsys):
 
 
 def test_gfm_inspect_save_roundtrip(tmp_path, capsys):
-    from graspsim.gfm import load_bank
-
     path = tmp_path / "bank.txt"
     code, _, _ = run_cli(["gfm-inspect", "--object", "rubiks_cube",
                           "--save", str(path)], capsys)
     assert code == 0
-    bank = load_bank(path)
-    assert bank.object_id == "rubiks_cube"
-    assert len(bank) == 30
+    head, *rows = path.read_text(encoding="ascii").splitlines()
+    assert head == "bank rubiks_cube 30"
+    assert len(rows) == 30 and all(len(row.split()) == 7 for row in rows)
 
 
 def test_gfm_inspect_saves_the_episode_bank(tmp_path, capsys, monkeypatch):
@@ -224,6 +222,20 @@ def test_distill_record_command(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "total records:" in text
+
+
+def test_distill_record_runs_the_bench_episodes(tmp_path, capsys, episode_starts):
+    # distill-record --episodes N --level L --seed S records the (object, seed)
+    # episodes that bench --levels L --episodes N --split seen --seed S runs
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("timeout_steps = 8\n")
+    for args in (["distill-record", "--episodes", "2", "--level", "3", "--seed", "6",
+                  "--out", str(tmp_path / "d.bin")],
+                 ["bench", "--levels", "3", "--episodes", "2", "--split", "seen",
+                  "--seed", "6", "--out", str(tmp_path / "bench")]):
+        assert run_cli(["--config", str(cfg)] + args, capsys)[0] == 0
+    runs = [(c.level, c.object_id, c.seed) for c, *_ in episode_starts]
+    assert len(runs) == 4 and runs[:2] == runs[2:] and runs[0][1:] != runs[1][1:]
 
 
 @pytest.mark.parametrize("args", [

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graspsim
@@ -31,7 +31,7 @@ from graspsim.distill import (
     record_distillation,
 )
 from graspsim.errors import CatalogError, GraspSimError, InvalidArgumentError
-from graspsim.gfm import build_memory, generate_candidates, load_bank, save_bank
+from graspsim.gfm import build_memory, generate_candidates, save_bank
 from graspsim.nn import PROPRIO_DIM, WeightStore
 from graspsim.scene import load_catalog
 
@@ -313,24 +313,6 @@ def test_weights_reader_single_byte_damage(mutation):
         assert first.partition(_SEP)[2] == damaged.partition(_SEP)[2]
 
 
-def _bank(catalog):
-    spec = next(s for s in catalog if s.id == "rubiks_cube")
-    return build_memory(generate_candidates(spec, 40, seed=1), 5, object_id=spec.id)
-
-
-_BANK = _written(functools.partial(save_bank, _bank(load_catalog())))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_mutations(len(_BANK), list(range(_BANK.index(b"\n") + 1))))
-@example(("flip", 48, 31))      # an angle of -1.2e17, which the wrap leaves near -9.7
-def test_bank_reader_single_byte_damage(mutation):
-    bank = _read_damaged(_BANK, mutation, load_bank)
-    if bank is not None:
-        first, second = _resaved(bank, save_bank, load_bank)
-        assert first == second
-
-
 # ---------------------------------------------------------------------------
 # Atomic writes
 # ---------------------------------------------------------------------------
@@ -354,6 +336,11 @@ class _FullDisk:
 
 def _bench(out_dir):
     return main(["bench", "--levels", "1", "--episodes", "1", "--out", str(out_dir)])
+
+
+def _bank(catalog):
+    spec = next(s for s in catalog if s.id == "rubiks_cube")
+    return build_memory(generate_candidates(spec, 40, seed=1), 5, object_id=spec.id)
 
 
 # (target file name, action writing it into a directory, writer raises?)

@@ -98,6 +98,15 @@ def test_compute_metrics_empty_rejected():
         compute_metrics([])
 
 
+def test_report_row_missing_raises():
+    report = compute_metrics([summary(level=2)])
+    assert report.row(2).n_episodes == 1
+    with pytest.raises(KeyError, match="no metrics row for level 1, category 'all'"):
+        report.row(1)
+    with pytest.raises(KeyError, match="no metrics row for level 2, category 'cup'"):
+        report.row(2, "cup")
+
+
 def test_metrics_match_counting_oracle(rng):
     outcomes = ["success", "failed_timeout", "failed_dropped", "failed_yaw"]
     for _ in range(25):
@@ -225,6 +234,17 @@ def test_benchmark_rejects_bad_args():
     # a count with a budget, as the CLI's exclusive --episodes and --steps
     with pytest.raises(InvalidArgumentError, match="episodes_per_level or step_budget"):
         run_benchmark([1], episodes_per_level=2, step_budget=5, timeout_steps=30)
+
+
+def test_benchmark_default_step_budget(monkeypatch):
+    # with neither a count nor a budget, each level runs DEFAULT_STEP_BUDGET
+    # decision steps, the last episode overshooting by at most its own length
+    monkeypatch.setattr(metrics, "DEFAULT_STEP_BUDGET", 12)
+    _, csv_text, logs = run_benchmark([1, 2], timeout_steps=5)
+    for level in (1, 2):
+        steps = [s.n_steps for s in logs if s.level == level]
+        assert sum(steps[:-1]) < 12 <= sum(steps)
+    assert csv_text == run_benchmark([1, 2], step_budget=12, timeout_steps=5)[1]
 
 
 def test_benchmark_uses_given_catalog_serial_and_parallel(catalog):

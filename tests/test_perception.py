@@ -14,6 +14,7 @@ from graspsim.camera import (
     FRAME_H,
     FRAME_W,
     LATENCY_STEPS,
+    CameraModel,
     Frame,
     LatencyBuffer,
     ObsHistory,
@@ -26,7 +27,7 @@ from graspsim.camera import (
 )
 from graspsim.camera import _box_hits, _camera_rays
 from graspsim.config import SimConfig
-from graspsim.errors import NotReadyError
+from graspsim.errors import InvalidArgumentError, NotReadyError
 from graspsim.nn import _FRAME_PAIRS, HISTORY_LEN, VIEWS
 from graspsim.robot import initial_robot
 from graspsim.scene import (
@@ -494,3 +495,17 @@ def test_dump_frame_pgm(tmp_path, catalog_map):
     for p in paths:
         data = open(p, "rb").read()
         assert data.startswith(b"P5\n96 54\n")
+
+
+def test_camera_model_and_frame_reject_bad_fields():
+    # both are exported, so their constructors are boundaries
+    for hfov in (0.0, np.pi, -0.5, np.nan):
+        with pytest.raises(InvalidArgumentError, match=r"^hfov must be in \(0, pi\), got "):
+            CameraModel("base", Pose6.identity(), hfov)
+    with pytest.raises(InvalidArgumentError, match="^mount must be base or wrist, got head$"):
+        CameraModel("head", Pose6.identity())
+    for name in ("mask", "depth", "valid"):
+        arrays = {k: np.zeros((FRAME_H, FRAME_W)) for k in ("mask", "depth", "valid")}
+        arrays[name] = np.zeros((FRAME_W, FRAME_H))
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be {FRAME_H}x{FRAME_W}$"):
+            Frame(**arrays)

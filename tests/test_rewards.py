@@ -65,6 +65,12 @@ def test_yaw_penalty_zero_inside_threshold():
     assert yaw_penalty(np.pi / 3, 0.0) == 0.0
 
 
+def test_yaw_penalty_rejects_non_finite():
+    for psi_c, psi_0 in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)):
+        with pytest.raises(InvalidArgumentError, match="^yaw angles must be finite$"):
+            yaw_penalty(psi_c, psi_0)
+
+
 def test_yaw_penalty_values():
     assert yaw_penalty(np.pi, 0.0) == pytest.approx(-np.tanh(np.pi), abs=1e-12)
     assert yaw_penalty(np.pi, 0.0) == pytest.approx(-0.9962720762, abs=1e-6)
@@ -185,6 +191,13 @@ def test_assistant_raw_bounds(rng):
 def test_high_level_rejects_nan():
     with pytest.raises(InvalidArgumentError):
         high_level_reward(hl_input(dist_ee_obj=float("nan")))
+
+
+def test_high_level_rejects_non_unit_directions():
+    for name in ("d_obj", "d_ee", "d_base"):
+        for v in (np.array([2.0, 0.0, 0.0]), np.zeros(3), np.array([np.nan, 0.0, 0.0])):
+            with pytest.raises(InvalidArgumentError, match=f"^{name} must be unit-norm, "):
+                high_level_reward(hl_input(**{name: v}))
 
 
 # ---------------------------------------------------------------------------

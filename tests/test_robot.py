@@ -96,6 +96,13 @@ def test_substep_yaw_frame_bits_match_rot9(rng):
                 assert _bits(out[6]) == _bits(_rot9((roll, pitch, out[1][2]))), yaw
 
 
+def test_action_rejects_non_3_vectors():
+    for dp, dr in ((np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(4)),
+                   (np.zeros((1, 3)), np.zeros(3)), (0.0, np.zeros(3))):
+        with pytest.raises(InvalidArgumentError, match="^dp and dr must be 3-vectors$"):
+            HighLevelAction(dp, dr, 0.0, 0.0)
+
+
 def test_action_rejects_non_finite():
     with pytest.raises(InvalidArgumentError):
         HighLevelAction(np.array([np.nan, 0, 0]), np.zeros(3), 0.0, 0.0)
@@ -300,6 +307,13 @@ def test_ik_residual_and_minimum_norm(rng):
             null -= j.T @ np.linalg.solve(j @ j.T, j @ null)
             z = dq + null
             assert np.linalg.norm(dq) <= np.linalg.norm(z) + 1e-9
+
+
+def test_ik_rejects_bad_shapes():
+    for j, e in ((np.zeros(3), np.zeros(3)), (np.eye(3), np.zeros(2)),
+                 (np.zeros((2, 3, 1)), np.zeros(2))):
+        with pytest.raises(InvalidArgumentError, match=r"^need J \(m,n\) and e \(m,\), got "):
+            ik_pseudoinverse_step(j, e)
 
 
 def test_ik_rejects_singular():

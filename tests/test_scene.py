@@ -164,6 +164,11 @@ def test_catalog_parse_errors():
         parse_catalog("thing sphere 0.1 0.2 seen nosuchcategory\n")
     with pytest.raises(CatalogError):
         parse_catalog("only five fields here now\n")
+    for line, message in (("a sphere 0.1,0.2 0.1 seen ball", "sphere needs 1 dims, got 2"),
+                          ("a box 0.1,0.2 0.1 seen long_box", "box needs 3 dims, got 2"),
+                          ("a cylinder 0.1 0.1 seen cup", "cylinder needs 2 dims, got 1")):
+        with pytest.raises(CatalogError, match=f"^a: {message}$"):
+            parse_catalog(line)
     for line in ("a sphere nan 0.1 seen ball", "a sphere inf 0.1 seen ball",
                  "a box 0.1,-inf,0.1 0.1 seen long_box", "a sphere 0.1 nan seen ball",
                  "a cylinder 0.1,0.2 inf seen cup", "a sphere 0 0.1 seen ball",

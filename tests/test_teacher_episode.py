@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -25,10 +26,11 @@ from graspsim.errors import (
 from graspsim.gfm import alignment_gfm_weights, build_memory, generate_candidates
 from graspsim.metrics import summaries_to_jsonl
 from graspsim.nn import PROPRIO_DIM, kd_loss
-from graspsim.robot import initial_robot
+from graspsim.robot import WORKSPACE_CENTER, WORKSPACE_RADIUS, initial_robot
 from graspsim.scene import ObjectSpec, derive_seed, reset_episode
 from graspsim.se3 import Pose6, compose, wrap_angle
-from graspsim.teacher import YAW_CAP, _steer, cached_object_feature, teacher_step
+from graspsim.teacher import (REACH_MARGIN, YAW_CAP, _reach_limited_standoff, _steer,
+                              cached_object_feature, teacher_step)
 
 from conftest import make_config
 
@@ -106,6 +108,19 @@ def test_teacher_empty_bank_propagates(catalog_map):
     with pytest.raises(EmptyBankError):
         teacher_step(scene, robot, empty, alignment_gfm_weights(),
                      SimConfig())
+
+
+def test_reach_limited_standoff_floor():
+    # the standoff shrinks to what the arm ball reaches at the grasp's height
+    # offset dz from the workspace center, and never below 0.25 m
+    center = float(WORKSPACE_CENTER[2])
+    reach = WORKSPACE_RADIUS - REACH_MARGIN
+    assert _reach_limited_standoff(0.55, center, 0.0) == 0.55
+    for dz in (0.6, -0.6):     # a reach of 0.45 m
+        assert (_reach_limited_standoff(0.55, center + dz, 0.0)
+                == pytest.approx(math.sqrt(reach**2 - dz**2)))
+    for dz in (0.71, -0.71, 0.75, 2.0):
+        assert _reach_limited_standoff(0.55, center + dz, 0.0) == 0.25
 
 
 def test_steer_bits_match_the_yaw_ref_form(rng):
