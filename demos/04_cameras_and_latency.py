@@ -10,9 +10,9 @@ import os
 from graspsim import EpisodeConfig, SimConfig, load_catalog
 from graspsim.camera import (
     LatencyBuffer,
-    ObsHistory,
     base_camera,
     dump_frame,
+    frame_channels,
     render_frame,
     stack_observation,
     wrist_camera,
@@ -43,12 +43,13 @@ for step in range(8):
     delayed = buf.push_and_fetch(f"frame@{step}")
     print(f"step {step}: observed {delayed}")
 
-# History stacking: wrist + base, masks then depths, depths normalized /5 m.
-hist_w, hist_b = ObsHistory(), ObsHistory()
+# Stacking: each render's (wrist, base) frames are normalized once (masks 0/1,
+# depths /5 m); the stack is the newest three renders, wrist then base.
+history = []
 for k in range(3):
     scene = step_scene(scene, traj, SimConfig().physics_dt)
-    hist_w.push(render_frame(scene, robot, wrist_camera()))
-    hist_b.push(render_frame(scene, robot, base_camera()))
-obs = stack_observation(hist_w, hist_b)
+    history.append(frame_channels((render_frame(scene, robot, wrist_camera()),
+                                   render_frame(scene, robot, base_camera()))))
+obs = stack_observation(history)
 print("\nstacked observation:", obs.shape, obs.dtype,
       "value range", float(obs.min()), "..", round(float(obs.max()), 3))

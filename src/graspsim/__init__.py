@@ -76,7 +76,7 @@ from .camera import (
     CameraModel,
     Frame,
     LatencyBuffer,
-    ObsHistory,
+    frame_channels,
     render_frame,
     stack_observation,
 )

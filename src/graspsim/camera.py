@@ -1,4 +1,4 @@
-"""Dual pinhole cameras, raycast mask/depth rendering, history and latency.
+"""Dual pinhole cameras, raycast mask/depth rendering, latency and stacking.
 
 Frames are 54x96.  Depth is z-depth along the optical axis, not Euclidean
 range — the two differ off-axis.  No-hit pixels store depth 0 with the
@@ -22,8 +22,8 @@ import numpy as np
 
 from .atomicfile import atomic_write
 from .config import SimConfig
-from .errors import InvalidArgumentError, NotReadyError
-from .nn import _FRAME_PAIRS, FRAME_SHAPE, HISTORY_LEN, STACK_CHANNELS
+from .errors import InvalidArgumentError, NotReadyError, check_integer
+from .nn import FRAME_SHAPE, HISTORY_LEN, STACK_SHAPE
 from .scene import PLATFORM_THICKNESS, TERRAIN_MAX_HEIGHT, SceneState, derive_seed
 from .se3 import Pose6, euler_to_matrix
 
@@ -300,7 +300,12 @@ def _render(scene: SceneState, robot, cams, mask_flip_prob: float,
 
 def render_frame(scene: SceneState, robot, cam: CameraModel,
                  mask_flip_prob: float = 0.0, noise_seed: int = 0) -> Frame:
-    """Cast one ray per pixel and return the target mask plus z-depth."""
+    """Cast one ray per pixel and return the target mask plus z-depth, each mask
+    pixel flipped with probability ``mask_flip_prob`` from noise seed ``noise_seed``."""
+    if not 0.0 <= mask_flip_prob <= 1.0:               # NaN too
+        raise InvalidArgumentError(f"mask_flip_prob must be in [0, 1], got {mask_flip_prob}")
+    if check_integer("noise_seed", noise_seed) < 0:
+        raise InvalidArgumentError(f"noise_seed must be 0 or more, got {noise_seed}")
     return _render(scene, robot, (cam,), mask_flip_prob, noise_seed)[0]
 
 
@@ -313,7 +318,7 @@ def render_views(scene: SceneState, robot, sim_cfg: SimConfig, seed: int, step: 
 
 
 # ---------------------------------------------------------------------------
-# Latency and history
+# Latency and stacking
 # ---------------------------------------------------------------------------
 
 class LatencyBuffer:
@@ -332,35 +337,26 @@ class LatencyBuffer:
         return self._queue[0]
 
 
-class ObsHistory:
-    """Ring of the last HISTORY_LEN frames of one view."""
-
-    def __init__(self):
-        self._frames: deque = deque(maxlen=HISTORY_LEN)
-
-    def push(self, frame) -> None:
-        """Keep the frame as its float32 channels, normalized once: the mask as
-        {0,1}, the depth clipped to [0, 5] m over 5 (invalid pixels 0)."""
-        d = np.clip(frame.depth, 0.0, DEPTH_CLIP) / DEPTH_CLIP
-        self._frames.append((frame.mask.astype(np.float32),
-                             np.where(frame.valid, d, 0.0).astype(np.float32)))
-
-    def frames(self) -> list:
-        """(mask, depth) pairs oldest to newest, padded by repeating the oldest."""
-        if not self._frames:
-            raise NotReadyError("observation history is empty")
-        frames = list(self._frames)
-        return [frames[0]] * (HISTORY_LEN - len(frames)) + frames
+def frame_channels(frames) -> np.ndarray:
+    """[views, 2, FRAME_H, FRAME_W] float32 block of one render's frames: each mask
+    as {0,1}, each depth clipped to [0, 5] m over 5 (invalid pixels 0)."""
+    block = np.empty((len(frames), 2, FRAME_H, FRAME_W), np.float32)
+    for (mask, depth), frame in zip(block, frames):
+        mask[...] = frame.mask
+        np.divide(np.clip(frame.depth, 0.0, DEPTH_CLIP), DEPTH_CLIP, out=depth)
+        depth[~frame.valid] = 0.0
+    return block
 
 
-def stack_observation(hist_wrist: ObsHistory, hist_base: ObsHistory) -> np.ndarray:
-    """[STACK_CHANNELS,*FRAME_SHAPE] float32 stack: each view's (mask, depth)
-    pairs, oldest first, in the channels that `nn._FRAME_PAIRS` reads."""
-    stack = np.empty((STACK_CHANNELS, FRAME_H, FRAME_W), np.float32)
-    for (mask_ch, depth_ch), (mask, depth) in zip(_FRAME_PAIRS.tolist(),
-                                                  hist_wrist.frames() + hist_base.frames()):
-        stack[mask_ch], stack[depth_ch] = mask, depth
-    return stack
+def stack_observation(history) -> np.ndarray:
+    """STACK_SHAPE float32 stack of the newest HISTORY_LEN `frame_channels` blocks
+    in ``history``, oldest first and padded by repeating the oldest: the
+    channels run (view, mask or depth, time), as `nn.STACK_LAYOUT` states."""
+    if not history:
+        raise NotReadyError("no frames rendered yet")
+    blocks = list(history)[-HISTORY_LEN:]
+    blocks = [blocks[0]] * (HISTORY_LEN - len(blocks)) + blocks
+    return np.stack(blocks, axis=2).reshape(STACK_SHAPE)
 
 
 # ---------------------------------------------------------------------------

@@ -20,21 +20,20 @@ import numpy as np
 
 from .atomicfile import atomic_write
 from .errors import InvalidArgumentError
-from .nn import FRAME_SHAPE, HEAD_DIMS, PROPRIO_DIM, STACK_CHANNELS
+from .nn import HEAD_DIMS, PROPRIO_DIM, STACK_SHAPE
 
 MAGIC = b"GSDSET1\n"
-OBS_SHAPE = (STACK_CHANNELS, *FRAME_SHAPE)
 ACTION_DIM = HEAD_DIMS[-1]
 RECORD_DTYPE = np.dtype([
     ("episode_id", "<u8"),
     ("step", "<u4"),
-    ("observation", "<f4", OBS_SHAPE),
+    ("observation", "<f4", STACK_SHAPE),
     ("proprio", "<f4", (PROPRIO_DIM,)),
     ("action", "<f4", (ACTION_DIM,)),
     ("gripper", "u1"),
 ])
 RECORD_SIZE = RECORD_DTYPE.itemsize
-HEADER = MAGIC + struct.pack("<IIIIII", 1, *OBS_SHAPE, PROPRIO_DIM, ACTION_DIM)
+HEADER = MAGIC + struct.pack("<IIIIII", 1, *STACK_SHAPE, PROPRIO_DIM, ACTION_DIM)
 HEADER_SIZE = len(HEADER)
 _FLOAT_FIELDS = ("observation", "proprio", "action")
 

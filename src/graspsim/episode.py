@@ -4,20 +4,21 @@
 close -> command integration -> ``advance``: five physics substeps of robot,
 scene and status on Python floats, with the robot and scene states built once
 at the end.  ``run_episode`` loops over it, adding the observation (optional:
-the state a step saw enters the latency queue, and the history fetches the
-state of four steps ago, rendered in one two-view batch when first fetched)
--> history stack, and a logged step's task and locomotion reward totals, both
-over one ``gait_observables`` state.  Fully deterministic per seed.
+the latency queue returns the state of four steps ago, rendered in one two-view
+batch and normalized once when first fetched) -> the stack of the newest three
+renders, and a logged step's task and locomotion reward totals, both over one
+``gait_observables`` state.  Fully deterministic per seed.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .camera import LatencyBuffer, ObsHistory, render_views, stack_observation
+from .camera import HISTORY_LEN, LatencyBuffer, frame_channels, render_views, stack_observation
 from .config import SimConfig
 from .distill import ACTION_DIM
 from .errors import NotReadyError
@@ -207,7 +208,7 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     """
     sim_cfg = sim_cfg if sim_cfg is not None else SimConfig()
     latency, shown = LatencyBuffer(), None
-    hist_w, hist_b = ObsHistory(), ObsHistory()
+    history = deque(maxlen=HISTORY_LEN)         # one frame_channels block per render
 
     steps = [] if log_steps else None
     close_events, observations = [], []
@@ -223,10 +224,9 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
             delayed = latency.push_and_fetch((*seen, step))
             if delayed is not shown:                # rendered once, when first fetched
                 shown = delayed
-                f_w, f_b = render_views(*delayed[:2], sim_cfg, config.seed, delayed[2])
-            hist_w.push(f_w)
-            hist_b.push(f_b)
-            observations.append((stack_observation(hist_w, hist_b),
+                history.append(frame_channels(
+                    render_views(*delayed[:2], sim_cfg, config.seed, delayed[2])))
+            observations.append((stack_observation(history),
                                  build_proprio(seen[1], seen[0].terrain), action_vec,
                                  1 if action.gripper_close else 0, step))
         if close is not None:

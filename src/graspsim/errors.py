@@ -36,8 +36,8 @@ class EmptyBankError(GraspSimError, ValueError):
 
 
 class NotReadyError(GraspSimError, RuntimeError):
-    """A result was asked for before it exists: an observation history before
-    warm-up, or the per-step log of an episode run without it."""
+    """A result was asked for before it exists: an observation stack before
+    the first render, or the per-step log of an episode run without it."""
 
 
 def check_integer(name: str, value) -> int:

@@ -140,7 +140,9 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     pool only parallelizes independent episodes and results are consumed in
     submission order, so output bytes never depend on scheduling.  ``workers``
     above ``os.cpu_count()`` is capped there: that many processes and episodes
-    in flight at most.
+    in flight at most.  `derive_seed` masks ``seed`` to 31 bits, so 2**31 gives
+    seed 0's rows but for the seed column; only the CLI's ``--seed`` rejects
+    such seeds (perfbench's ``sweep`` passes 32-bit ones).
     """
     levels = sorted(set(levels))
     if not levels:
@@ -169,8 +171,10 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
         raise InvalidArgumentError(f"catalog has no object in split {split!r}")
     lookup = catalog_by_id(catalog)
 
-    # The pool starts all its workers on the first submit, and each episode in
-    # flight past the budget is thrown away: more than one per CPU gains nothing.
+    # The pool starts all its workers on the first submit.  Past a step budget
+    # episodes in flight are thrown away, so more than one per CPU gains nothing
+    # there; with an episode count, 8 in flight took 3.47-3.74 s against
+    # 3.97-5.22 s at 2 (2 vCPUs; ROADMAP, "`bench --workers` keeps every worker busy").
     workers = min(workers, os.cpu_count() or 1)
     all_logs: list[EpisodeLog] = []
     if workers > 1:     # imported here, so that `import graspsim` loads no multiprocessing

@@ -31,7 +31,9 @@ from .errors import ArchitectureError, InvalidArgumentError, ShapeError, check_i
 FRAME_SHAPE = (54, 96)
 VIEWS = ("wrist", "base")               # camera views, in stack order
 HISTORY_LEN = 3                         # frames stacked per view
-STACK_CHANNELS = len(VIEWS) * 2 * HISTORY_LEN   # views x (mask, depth) x history
+STACK_LAYOUT = (len(VIEWS), 2, HISTORY_LEN)     # views x (mask, depth) x history
+STACK_CHANNELS = math.prod(STACK_LAYOUT)
+STACK_SHAPE = (STACK_CHANNELS, *FRAME_SHAPE)
 PROPRIO_DIM = 24
 MODEL_DIM = 64
 FF_DIM = 256
@@ -396,10 +398,9 @@ def init_student_weights(seed: int = 0) -> WeightStore:
     return WeightStore(STUDENT_ARCH, manifest, params)
 
 
-# The stack layout, written by `camera.stack_observation`: each image's (mask,
-# depth) channel pair, image-major; a view's HISTORY_LEN masks, then its depths.
-_FRAME_PAIRS = (np.arange(STACK_CHANNELS).reshape(len(VIEWS), 2, HISTORY_LEN)
-                .transpose(0, 2, 1).reshape(-1, 2))
+# Each image's (mask, depth) channel pair in the STACK_LAYOUT stack that
+# `camera.stack_observation` writes, image-major: a view's frames, oldest first.
+_FRAME_PAIRS = np.arange(STACK_CHANNELS).reshape(STACK_LAYOUT).transpose(0, 2, 1).reshape(-1, 2)
 
 
 def _encode_frames(imgs, w: WeightStore) -> np.ndarray:
@@ -426,15 +427,14 @@ def _encode_stream(tokens, state_token, w: WeightStore, stream: str) -> np.ndarr
 def student_forward(frames, proprio, w: WeightStore) -> np.ndarray:
     """Map stacked dual-view observations + proprioception to 8 action values.
 
-    frames: [STACK_CHANNELS, *FRAME_SHAPE], read through `_FRAME_PAIRS` as one
-    (mask, depth) image per view and time step.
+    frames: STACK_SHAPE, read through `_FRAME_PAIRS` as one (mask, depth)
+    image per view and time step.
     """
     if w.arch != STUDENT_ARCH:
         raise ArchitectureError(f"expected arch {STUDENT_ARCH!r}, got {w.arch!r}")
     frames, proprio = as_tensor(frames), as_tensor(proprio)
-    if frames.shape != (STACK_CHANNELS, *FRAME_SHAPE):
-        raise ShapeError(f"frames must be {(STACK_CHANNELS, *FRAME_SHAPE)}, "
-                         f"got {frames.shape}")
+    if frames.shape != STACK_SHAPE:
+        raise ShapeError(f"frames must be {STACK_SHAPE}, got {frames.shape}")
     if proprio.shape != (PROPRIO_DIM,):
         raise ShapeError(f"proprio must be ({PROPRIO_DIM},), got {proprio.shape}")
 

@@ -24,7 +24,6 @@ from graspsim.config import _RANGES, load_config
 from graspsim.distill import (
     HEADER,
     HEADER_SIZE,
-    OBS_SHAPE,
     RECORD_DTYPE,
     RECORD_SIZE,
     read_dataset,
@@ -32,7 +31,7 @@ from graspsim.distill import (
 )
 from graspsim.errors import CatalogError, GraspSimError, InvalidArgumentError
 from graspsim.gfm import build_memory, generate_candidates, save_bank
-from graspsim.nn import PROPRIO_DIM, WeightStore
+from graspsim.nn import PROPRIO_DIM, STACK_SHAPE, WeightStore
 from graspsim.scene import load_catalog
 
 SRC = Path(graspsim.__file__).parent
@@ -41,7 +40,7 @@ SRC = Path(graspsim.__file__).parent
 def _write_records(path, n, seed=0, episode_seed=7):
     """A valid n-record dataset of seeded finite values; returns its bytes."""
     rng = np.random.default_rng(seed)
-    obs = [(rng.random(OBS_SHAPE), rng.random(PROPRIO_DIM) - 0.5,
+    obs = [(rng.random(STACK_SHAPE), rng.random(PROPRIO_DIM) - 0.5,
             rng.random(8) * 2 - 1, k % 2, k) for k in range(n)]
     record_distillation(SimpleNamespace(n_steps=n, seed=episode_seed), obs, path)
     return Path(path).read_bytes()
@@ -58,7 +57,7 @@ def _repack(records) -> bytes:
 # ---------------------------------------------------------------------------
 
 def test_record_layout_pinned(tmp_path):
-    obs = (np.arange(np.prod(OBS_SHAPE), dtype=np.float32) * 0.25 - 7.0).reshape(OBS_SHAPE)
+    obs = (np.arange(np.prod(STACK_SHAPE), dtype=np.float32) * 0.25 - 7.0).reshape(STACK_SHAPE)
     proprio = np.linspace(-1.0, 1.0, PROPRIO_DIM, dtype=np.float32)
     action = np.arange(8, dtype=np.float32) - 3.5
     eid, step = 0x0123456789ABCDEF, 0xDEADBEEF
@@ -150,7 +149,7 @@ def test_record_distillation_rejects_what_the_reader_rejects(tmp_path, field, in
     # writer's; each names the path and the record, and leaves no file (nor
     # temporary twin)
     rng = np.random.default_rng(0)
-    obs = [[rng.random(OBS_SHAPE), rng.random(PROPRIO_DIM), rng.random(8), 0, k]
+    obs = [[rng.random(STACK_SHAPE), rng.random(PROPRIO_DIM), rng.random(8), 0, k]
            for k in range(3)]
     column = ("observation", "proprio", "action", "gripper").index(field)
     if field == "gripper":

@@ -2,6 +2,7 @@ import platform
 import re
 import subprocess
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -17,9 +18,9 @@ from graspsim.camera import (
     CameraModel,
     Frame,
     LatencyBuffer,
-    ObsHistory,
     base_camera,
     dump_frame,
+    frame_channels,
     render_frame,
     render_views,
     stack_observation,
@@ -28,7 +29,7 @@ from graspsim.camera import (
 from graspsim.camera import _box_hits, _camera_rays
 from graspsim.config import SimConfig
 from graspsim.errors import InvalidArgumentError, NotReadyError
-from graspsim.nn import _FRAME_PAIRS, HISTORY_LEN, VIEWS
+from graspsim.nn import _FRAME_PAIRS, FRAME_SHAPE, HISTORY_LEN, STACK_LAYOUT, VIEWS
 from graspsim.robot import initial_robot
 from graspsim.scene import (
     PLATFORM_THICKNESS,
@@ -238,6 +239,27 @@ def test_mask_noise_flips_pixels(catalog_map):
     assert np.array_equal(noisy.mask, again.mask)
 
 
+def test_render_frame_rejects_bad_noise_arguments(catalog_map):
+    # render_frame is exported, so its noise arguments are checked at the call
+    cfg = make_config(seed=12)
+    scene = reset_episode(cfg, catalog_map)
+    robot = initial_robot(scene.terrain)
+    cam = base_camera()
+    for prob in (-0.1, 1.5, np.nan, -np.inf):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^mask_flip_prob must be in \[0, 1\], got "):
+            render_frame(scene, robot, cam, mask_flip_prob=prob)
+    for seed in (2.5, True, "4"):
+        with pytest.raises(InvalidArgumentError, match="^noise_seed must be an integer, got "):
+            render_frame(scene, robot, cam, mask_flip_prob=0.05, noise_seed=seed)
+    with pytest.raises(InvalidArgumentError, match="^noise_seed must be 0 or more, got -1$"):
+        render_frame(scene, robot, cam, mask_flip_prob=0.05, noise_seed=-1)
+    # both bounds of the probability are valid: 1 flips every pixel
+    clean = render_frame(scene, robot, cam, mask_flip_prob=0.0)
+    inverted = render_frame(scene, robot, cam, mask_flip_prob=1.0, noise_seed=np.int64(4))
+    assert np.array_equal(inverted.mask, ~clean.mask)
+
+
 def test_render_views_seeds_flips_per_step_and_view(catalog_map):
     # each view of decision step k flips with noise seed derive_seed(seed, 31, k)
     # plus its view index; without flips, the frames are the clean renders
@@ -380,8 +402,27 @@ def test_episode_renders_each_state_the_history_reads_once(catalog, monkeypatch)
         assert rendered == list(range(max(1, timeout - LATENCY_STEPS)))
 
 
+@pytest.mark.parametrize("level, object_id, timeout", [
+    (1, "tennis_ball", 1), (1, "tennis_ball", LATENCY_STEPS + 1),
+    (1, "tennis_ball", LATENCY_STEPS + 3), (1, "tennis_ball", None),
+    (4, "sugar_box", None)])
+def test_recorded_stacks_follow_the_index_rule(level, object_id, timeout, catalog):
+    # a record's time slot t holds, bit for bit, the newest slot of record
+    # max(i - (HISTORY_LEN - 1 - t), 0), for every view and channel: the warm-up
+    # (timeouts 1 to LATENCY_STEPS + 3) and whole episodes alike
+    kw = {} if timeout is None else {"timeout_steps": timeout}
+    log, records = episode.run_episode(make_config(level, object_id, seed=0, **kw),
+                                       catalog=catalog, collect_observations=True)
+    assert len(records) == log.n_steps == (timeout or log.n_steps)
+    slots = [stack.reshape(STACK_LAYOUT + FRAME_SHAPE) for stack, *_ in records]
+    for i, stack in enumerate(slots):
+        for t in range(HISTORY_LEN):
+            source = slots[max(i - (HISTORY_LEN - 1 - t), 0)][:, :, -1]
+            assert stack[:, :, t].tobytes() == source.tobytes(), (i, t)
+
+
 # ---------------------------------------------------------------------------
-# Latency buffer and history
+# Latency buffer and stacking
 # ---------------------------------------------------------------------------
 
 def test_latency_four_step_delay():
@@ -412,20 +453,26 @@ def test_latency_sentinel_random_positions(rng):
 
 
 def test_history_prewarm_repeats_oldest():
-    # frames a, b, c, d are told apart by their depth channel: 1, 2, 3, 4 m
-    def pushed(hist):
-        return [round(float(depth[0, 0]) * DEPTH_CLIP, 6) for _, depth in hist.frames()]
+    # renders a, b, c, d are told apart by their depth channel: 1, 2, 3, 4 m;
+    # a stack reads the newest HISTORY_LEN of them, padded with the oldest
+    def stacked(history):
+        wrist = stack_observation(history)[_FRAME_PAIRS][:HISTORY_LEN]
+        return [round(float(depth[0, 0]) * DEPTH_CLIP, 6) for _, depth in wrist]
 
-    hist = ObsHistory()
+    def render(depth):
+        return frame_channels([_const_frame(True, depth)] * len(VIEWS))
+
+    history = []
     with pytest.raises(NotReadyError):
-        hist.frames()
-    hist.push(_const_frame(True, 1.0))
-    assert pushed(hist) == [1.0, 1.0, 1.0]
-    hist.push(_const_frame(True, 2.0))
-    assert pushed(hist) == [1.0, 1.0, 2.0]
-    hist.push(_const_frame(True, 3.0))
-    hist.push(_const_frame(True, 4.0))
-    assert pushed(hist) == [2.0, 3.0, 4.0]
+        stack_observation(history)
+    history.append(render(1.0))
+    assert stacked(history) == [1.0, 1.0, 1.0]
+    history.append(render(2.0))
+    assert stacked(history) == [1.0, 1.0, 2.0]
+    history.append(render(3.0))
+    history.append(render(4.0))
+    assert stacked(history) == [2.0, 3.0, 4.0]
+    assert stacked(deque(history, maxlen=HISTORY_LEN)) == [2.0, 3.0, 4.0]
 
 
 def _const_frame(mask_val, depth_val):
@@ -436,13 +483,13 @@ def _const_frame(mask_val, depth_val):
 
 
 def test_stack_observation_layout_and_scaling():
-    hw, hb = ObsHistory(), ObsHistory()
+    history = []
     with pytest.raises(NotReadyError):
-        stack_observation(hw, hb)
+        stack_observation(history)
     for d in (1.0, 2.5, 5.0):
-        hw.push(_const_frame(True, d))
-        hb.push(_const_frame(False, 10.0))   # clipped to 5 m
-    obs = stack_observation(hw, hb)
+        history.append(frame_channels((_const_frame(True, d),
+                                       _const_frame(False, 10.0))))   # clipped to 5 m
+    obs = stack_observation(history)
     assert obs.shape == (12, FRAME_H, FRAME_W)
     assert obs.dtype == np.float32
     assert np.all(obs[0] == 1.0) and np.all(obs[2] == 1.0)   # wrist masks
@@ -463,11 +510,9 @@ def test_stack_channels_pair_up_in_nn_frame_order():
         depth = np.full((FRAME_H, FRAME_W), 0.5 * (tag + 1), np.float32)
         return Frame(mask, depth, depth > 0)
 
-    hw, hb = ObsHistory(), ObsHistory()
-    for view, hist in enumerate((hw, hb)):
-        for t in range(HISTORY_LEN):
-            hist.push(tagged(view * HISTORY_LEN + t))
-    imgs = stack_observation(hw, hb)[_FRAME_PAIRS]
+    history = [frame_channels([tagged(view * HISTORY_LEN + t) for view in range(len(VIEWS))])
+               for t in range(HISTORY_LEN)]
+    imgs = stack_observation(history)[_FRAME_PAIRS]
     assert imgs.shape == (len(VIEWS) * HISTORY_LEN, 2, FRAME_H, FRAME_W)
     for tag, (mask, depth) in enumerate(imgs):
         assert np.count_nonzero(mask) == tag + 1 and np.all(mask[0, :tag + 1] == 1.0)
@@ -475,15 +520,20 @@ def test_stack_channels_pair_up_in_nn_frame_order():
 
 
 def test_stack_invalid_depth_stays_zero():
-    hw, hb = ObsHistory(), ObsHistory()
     dead = Frame(np.zeros((FRAME_H, FRAME_W), bool),
                  np.zeros((FRAME_H, FRAME_W), np.float32),
                  np.zeros((FRAME_H, FRAME_W), bool))
-    for _ in range(3):
-        hw.push(dead)
-        hb.push(dead)
-    obs = stack_observation(hw, hb)
+    history = [frame_channels((dead, dead))] * 3
+    obs = stack_observation(history)
     assert np.all(obs == 0.0)
+    # the valid bit decides, not the depth: 3 m pixels whose bit is clear read
+    # 0, the one valid pixel 3 / DEPTH_CLIP
+    valid = np.zeros((FRAME_H, FRAME_W), bool)
+    valid[0, 0] = True
+    far = Frame(dead.mask, np.full((FRAME_H, FRAME_W), 3.0, np.float32), valid)
+    depth = stack_observation([frame_channels((far, dead))])[_FRAME_PAIRS][0, 1]
+    assert depth[0, 0] == np.float32(3.0) / np.float32(DEPTH_CLIP)
+    assert np.count_nonzero(depth) == 1
 
 
 def test_dump_frame_pgm(tmp_path, catalog_map):

@@ -10,7 +10,6 @@ import pytest
 from graspsim.config import SimConfig
 from graspsim.distill import (
     HEADER_SIZE,
-    OBS_SHAPE,
     RECORD_SIZE,
     DistillRecord,
     read_dataset,
@@ -25,7 +24,7 @@ from graspsim.errors import (
 )
 from graspsim.gfm import alignment_gfm_weights, build_memory, generate_candidates
 from graspsim.metrics import summaries_to_jsonl
-from graspsim.nn import PROPRIO_DIM, kd_loss
+from graspsim.nn import PROPRIO_DIM, STACK_SHAPE, kd_loss
 from graspsim.robot import WORKSPACE_CENTER, WORKSPACE_RADIUS, initial_robot
 from graspsim.scene import ObjectSpec, derive_seed, reset_episode
 from graspsim.se3 import Pose6, compose, wrap_angle
@@ -325,7 +324,7 @@ def test_distill_rejects_corrupt_file(tmp_path):
         read_dataset(tmp_path / "grip.bin")
     assert f"{tmp_path / 'grip.bin'}: record 1:" in str(err.value)
     with pytest.raises(InvalidArgumentError):
-        DistillRecord(0, 0, np.zeros(OBS_SHAPE, np.float32),
+        DistillRecord(0, 0, np.zeros(STACK_SHAPE, np.float32),
                       np.zeros(PROPRIO_DIM, np.float32), np.zeros(8, np.float32), 2)
     # a recording that fails at its third record leaves no file behind and
     # keeps an earlier file at the same path as it was
