@@ -1,18 +1,18 @@
 """Dual-view rendering, the 4-step latency buffer, and frame stacking.
 
 Both cameras produce a binary target mask plus a z-depth map at 54x96; the
-student network sees them 4 decision steps late, stacked 3 frames deep per
-view into a [12, 54, 96] tensor.
+student network sees them 4 decision steps late, stacked 3 renders deep into
+a [12, 54, 96] tensor that is a view of the episode's frame store.
 """
 
 import os
 
 from graspsim import EpisodeConfig, SimConfig, load_catalog
 from graspsim.camera import (
+    FrameStore,
     LatencyBuffer,
     base_camera,
     dump_frame,
-    frame_channels,
     render_frame,
     stack_observation,
     wrist_camera,
@@ -44,12 +44,14 @@ for step in range(8):
     print(f"step {step}: observed {delayed}")
 
 # Stacking: each render's (wrist, base) frames are normalized once (masks 0/1,
-# depths /5 m); the stack is the newest three renders, wrist then base.
-history = []
+# depths /5 m) into the store, time outermost; the stack is a read-only view
+# of the newest three renders.
+store = FrameStore()
 for k in range(3):
     scene = step_scene(scene, traj, SimConfig().physics_dt)
-    history.append(frame_channels((render_frame(scene, robot, wrist_camera()),
-                                   render_frame(scene, robot, base_camera()))))
-obs = stack_observation(history)
+    store.append((render_frame(scene, robot, wrist_camera()),
+                  render_frame(scene, robot, base_camera())))
+obs = stack_observation(store)
 print("\nstacked observation:", obs.shape, obs.dtype,
-      "value range", float(obs.min()), "..", round(float(obs.max()), 3))
+      "value range", float(obs.min()), "..", round(float(obs.max()), 3),
+      "| a view of the store:", obs.base is store.blocks)

@@ -75,8 +75,8 @@ from .gfm import (
 from .camera import (
     CameraModel,
     Frame,
+    FrameStore,
     LatencyBuffer,
-    frame_channels,
     render_frame,
     stack_observation,
 )

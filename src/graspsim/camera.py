@@ -23,7 +23,7 @@ import numpy as np
 from .atomicfile import atomic_write
 from .config import SimConfig
 from .errors import InvalidArgumentError, NotReadyError, check_integer
-from .nn import FRAME_SHAPE, HISTORY_LEN, STACK_SHAPE
+from .nn import FRAME_SHAPE, HISTORY_LEN, STACK_SHAPE, VIEWS
 from .scene import PLATFORM_THICKNESS, TERRAIN_MAX_HEIGHT, SceneState, derive_seed
 from .se3 import Pose6, euler_to_matrix
 
@@ -31,6 +31,7 @@ FRAME_H, FRAME_W = FRAME_SHAPE
 DEFAULT_HFOV = np.deg2rad(SimConfig.hfov_deg)
 DEPTH_CLIP = 5.0
 LATENCY_STEPS = 4
+STORE_CHUNK = 32                  # renders per FrameStore chunk
 _NO_HIT = np.inf
 
 BASE_CAM_OFFSET = Pose6(np.array([0.25, 0.0, 0.15]),
@@ -337,26 +338,42 @@ class LatencyBuffer:
         return self._queue[0]
 
 
-def frame_channels(frames) -> np.ndarray:
-    """[views, 2, FRAME_H, FRAME_W] float32 block of one render's frames: each mask
-    as {0,1}, each depth clipped to [0, 5] m over 5 (invalid pixels 0)."""
-    block = np.empty((len(frames), 2, FRAME_H, FRAME_W), np.float32)
-    for (mask, depth), frame in zip(block, frames):
-        mask[...] = frame.mask
-        np.divide(np.clip(frame.depth, 0.0, DEPTH_CLIP), DEPTH_CLIP, out=depth)
-        depth[~frame.valid] = 0.0
-    return block
+class FrameStore:
+    """An episode's renders in time order, each normalized once into its
+    [views, 2, FRAME_H, FRAME_W] block of a float32 chunk: masks as {0,1},
+    depths clipped to [0, 5] m over 5 (invalid pixels 0).  A chunk holds
+    STORE_CHUNK renders after HISTORY_LEN - 1 blocks carried from the chunk
+    before (the first chunk's are copies of its first render), so the newest
+    HISTORY_LEN blocks sit side by side, and memory follows the renders made."""
+
+    blocks, newest = None, -1           # the open chunk and its newest block's index
+
+    def append(self, frames) -> None:
+        """Normalize one render's (wrist, base) frames into the next block."""
+        carry, old = HISTORY_LEN - 1, self.blocks
+        if old is None or self.newest + 1 == len(old):
+            shape = (carry + STORE_CHUNK, len(VIEWS), 2, FRAME_H, FRAME_W)
+            self.blocks, self.newest = np.empty(shape, np.float32), carry - 1
+        self.newest += 1
+        for (mask, depth), frame in zip(self.blocks[self.newest], frames, strict=True):
+            mask[...] = frame.mask
+            np.divide(np.clip(frame.depth, 0.0, DEPTH_CLIP), DEPTH_CLIP, out=depth)
+            depth[~frame.valid] = 0.0
+        if self.newest == carry:            # a new chunk: fill the blocks before it
+            self.blocks[:carry] = self.blocks[carry] if old is None else old[len(old) - carry:]
 
 
-def stack_observation(history) -> np.ndarray:
-    """STACK_SHAPE float32 stack of the newest HISTORY_LEN `frame_channels` blocks
-    in ``history``, oldest first and padded by repeating the oldest: the
-    channels run (view, mask or depth, time), as `nn.STACK_LAYOUT` states."""
-    if not history:
+def stack_observation(store: FrameStore) -> np.ndarray:
+    """Read-only STACK_SHAPE view of the newest HISTORY_LEN blocks in ``store``,
+    oldest first, the first render standing in for those before it: the
+    channels run (time, view, mask or depth), as `nn.STACK_LAYOUT` states.
+    The view keeps its chunk alive."""
+    if store.blocks is None:
         raise NotReadyError("no frames rendered yet")
-    blocks = list(history)[-HISTORY_LEN:]
-    blocks = [blocks[0]] * (HISTORY_LEN - len(blocks)) + blocks
-    return np.stack(blocks, axis=2).reshape(STACK_SHAPE)
+    end = store.newest + 1
+    stack = store.blocks[end - HISTORY_LEN:end].reshape(STACK_SHAPE)
+    stack.flags.writeable = False
+    return stack
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .errors import InvalidArgumentError
 from .nn import HEAD_DIMS, PROPRIO_DIM, STACK_SHAPE
 
 MAGIC = b"GSDSET1\n"
+VERSION = 2                 # 2: observation channels run (time, view, mask|depth)
 ACTION_DIM = HEAD_DIMS[-1]
 RECORD_DTYPE = np.dtype([
     ("episode_id", "<u8"),
@@ -33,7 +34,7 @@ RECORD_DTYPE = np.dtype([
     ("gripper", "u1"),
 ])
 RECORD_SIZE = RECORD_DTYPE.itemsize
-HEADER = MAGIC + struct.pack("<IIIIII", 1, *STACK_SHAPE, PROPRIO_DIM, ACTION_DIM)
+HEADER = MAGIC + struct.pack("<IIIIII", VERSION, *STACK_SHAPE, PROPRIO_DIM, ACTION_DIM)
 HEADER_SIZE = len(HEADER)
 _FLOAT_FIELDS = ("observation", "proprio", "action")
 
@@ -117,6 +118,10 @@ def read_dataset(path) -> list:
         raise InvalidArgumentError(f"{path}: bad magic {head[:8]!r}")
     if len(head) < HEADER_SIZE:
         raise InvalidArgumentError(f"{path}: truncated header")
+    version = int.from_bytes(head[len(MAGIC):len(MAGIC) + 4], "little")
+    if version != VERSION:
+        raise InvalidArgumentError(f"{path}: dataset version {version}, not {VERSION}: "
+                                   "version 2 puts time outermost in the observation channels")
     if head != HEADER:
         raise InvalidArgumentError(f"{path}: unsupported header {head!r}")
     if (len(data) - HEADER_SIZE) % RECORD_SIZE != 0:

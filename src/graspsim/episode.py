@@ -13,12 +13,11 @@ renders, and a logged step's task and locomotion reward totals, both over one
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .camera import HISTORY_LEN, LatencyBuffer, frame_channels, render_views, stack_observation
+from .camera import FrameStore, LatencyBuffer, render_views, stack_observation
 from .config import SimConfig
 from .distill import ACTION_DIM
 from .errors import NotReadyError
@@ -202,13 +201,14 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
     events, outcome and ``n_steps`` are the same.
 
     ``collect_observations`` switches the render/latency/stack pipeline on and
-    returns (log, records), each record (stacked tensor, proprio, action
-    vector, gripper bit, step index); it changes nothing about the control
-    flow (the teacher is privileged), so sweeps leave it off for speed.
+    returns (log, records), each record (stack, a read-only view into the
+    episode's FrameStore; proprio, action vector, gripper bit, step index);
+    it changes nothing about the control flow (the teacher is privileged),
+    so sweeps leave it off for speed.
     """
     sim_cfg = sim_cfg if sim_cfg is not None else SimConfig()
     latency, shown = LatencyBuffer(), None
-    history = deque(maxlen=HISTORY_LEN)         # one frame_channels block per render
+    store = FrameStore()                        # every render, normalized once
 
     steps = [] if log_steps else None
     close_events, observations = [], []
@@ -224,9 +224,8 @@ def run_episode(config: EpisodeConfig, *, sim_cfg: SimConfig | None = None,
             delayed = latency.push_and_fetch((*seen, step))
             if delayed is not shown:                # rendered once, when first fetched
                 shown = delayed
-                history.append(frame_channels(
-                    render_views(*delayed[:2], sim_cfg, config.seed, delayed[2])))
-            observations.append((stack_observation(history),
+                store.append(render_views(*delayed[:2], sim_cfg, config.seed, delayed[2]))
+            observations.append((stack_observation(store),
                                  build_proprio(seen[1], seen[0].terrain), action_vec,
                                  1 if action.gripper_close else 0, step))
         if close is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,7 +32,7 @@ from .errors import ArchitectureError, InvalidArgumentError, ShapeError, check_i
 FRAME_SHAPE = (54, 96)
 VIEWS = ("wrist", "base")               # camera views, in stack order
 HISTORY_LEN = 3                         # frames stacked per view
-STACK_LAYOUT = (len(VIEWS), 2, HISTORY_LEN)     # views x (mask, depth) x history
+STACK_LAYOUT = (HISTORY_LEN, len(VIEWS), 2)     # history x views x (mask, depth)
 STACK_CHANNELS = math.prod(STACK_LAYOUT)
 STACK_SHAPE = (STACK_CHANNELS, *FRAME_SHAPE)
 PROPRIO_DIM = 24
@@ -272,6 +273,10 @@ class WeightStore:
             p = self.params[name] = np.ascontiguousarray(p, dtype=np.float32)
             if not np.all(np.isfinite(p)):
                 raise ArchitectureError(f"parameter {name!r} has non-finite values")
+        self._layers = {}                   # prefix -> {name under prefix.: parameter}
+        for name, p in self.params.items():
+            for dot in (i for i, c in enumerate(name) if c == "."):
+                self._layers.setdefault(name[:dot], {})[name[dot + 1:]] = p
 
     def get(self, name: str) -> np.ndarray:
         if name not in self.params:
@@ -281,14 +286,11 @@ class WeightStore:
     def param_count(self) -> int:
         return int(sum(int(np.prod(shape)) for _, shape in self.manifest))
 
-    def layer(self, prefix: str) -> dict:
-        """Sub-map of parameters under `prefix.`, keys relative to it."""
-        plen = len(prefix) + 1
-        sub = {n[plen:]: p for n, p in self.params.items()
-               if n.startswith(prefix + ".")}
-        if not sub:
+    def layer(self, prefix: str) -> MappingProxyType:
+        """Read-only sub-map of parameters under `prefix.`, keys relative to it."""
+        if prefix not in self._layers:
             raise ArchitectureError(f"no parameters under prefix {prefix!r}")
-        return sub
+        return MappingProxyType(self._layers[prefix])
 
     def save(self, path) -> None:
         lines = [f"weights-v1 {self.arch}"]
@@ -399,8 +401,8 @@ def init_student_weights(seed: int = 0) -> WeightStore:
 
 
 # Each image's (mask, depth) channel pair in the STACK_LAYOUT stack that
-# `camera.stack_observation` writes, image-major: a view's frames, oldest first.
-_FRAME_PAIRS = np.arange(STACK_CHANNELS).reshape(STACK_LAYOUT).transpose(0, 2, 1).reshape(-1, 2)
+# `camera.stack_observation` returns, image-major: a view's frames, oldest first.
+_FRAME_PAIRS = np.arange(STACK_CHANNELS).reshape(STACK_LAYOUT).transpose(1, 0, 2).reshape(-1, 2)
 
 
 def _encode_frames(imgs, w: WeightStore) -> np.ndarray:

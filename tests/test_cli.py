@@ -17,7 +17,7 @@ from graspsim.cli import main
 from graspsim.config import _RANGES, SimConfig, load_config
 from graspsim.episode import run_episode
 from graspsim.errors import InvalidArgumentError
-from graspsim.nn import HISTORY_LEN, VIEWS
+from graspsim.nn import FRAME_SHAPE, STACK_LAYOUT, VIEWS
 from graspsim.scene import EpisodeConfig
 
 from conftest import child_env, setting_env
@@ -113,14 +113,13 @@ def test_render_step_writes_the_episodes_frames(level, obj, seed, step, flip, tm
     _, records = run_episode(EpisodeConfig(level=level, object_id=obj, seed=seed,
                                            timeout_steps=cfg.timeout_steps),
                              sim_cfg=cfg, collect_observations=True)
-    stacked = records[step + 4][0]
-    for k, view in enumerate(VIEWS):
-        newest = k * 2 * HISTORY_LEN + HISTORY_LEN - 1     # masks, then depths
+    newest = records[step + 4][0].reshape(STACK_LAYOUT + FRAME_SHAPE)[-1]
+    for view, (stacked_mask, stacked_depth) in zip(VIEWS, newest, strict=True):
         mask = _pgm(out / f"step{step:04d}_{view}_mask.pgm")
         depth_mm = _pgm(out / f"step{step:04d}_{view}_depth.pgm").astype(float)
-        assert np.array_equal(mask == 255, stacked[newest] == 1.0)
+        assert np.array_equal(mask == 255, stacked_mask == 1.0)
         assert np.abs(np.minimum(depth_mm, 1000.0 * DEPTH_CLIP)
-                      - 1000.0 * DEPTH_CLIP * stacked[newest + HISTORY_LEN]).max() <= 1.0
+                      - 1000.0 * DEPTH_CLIP * stacked_depth).max() <= 1.0
 
 
 @pytest.mark.parametrize("config, step, last", [(None, 40, 39), ("timeout_steps = 3\n", 3, 2)])

@@ -64,7 +64,7 @@ def test_record_layout_pinned(tmp_path):
     path = tmp_path / "one.bin"
     n = record_distillation(SimpleNamespace(n_steps=1, seed=eid),
                             [(obs, proprio, action, 1, step)], path)
-    expected = (b"GSDSET1\n" + struct.pack("<6I", 1, 12, 54, 96, PROPRIO_DIM, 8)
+    expected = (b"GSDSET1\n" + struct.pack("<6I", 2, 12, 54, 96, PROPRIO_DIM, 8)
                 + struct.pack("<QI", eid, step)
                 + struct.pack(f"<{obs.size}f", *obs.ravel())
                 + struct.pack(f"<{PROPRIO_DIM}f", *proprio)
@@ -78,6 +78,26 @@ def test_record_layout_pinned(tmp_path):
     assert np.array_equal(rec.observation, obs)
     assert np.array_equal(rec.proprio, proprio)
     assert np.array_equal(rec.action, action)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    (0, 1, "dataset version 1, not 2: version 2 puts time outermost in the "
+           "observation channels"),
+    (0, 3, "dataset version 3, not 2: version 2 puts time outermost in the "
+           "observation channels"),
+    (1, 6, "unsupported header " + repr(HEADER[:8] + struct.pack("<6I", 2, 6, 54, 96,
+                                                                 PROPRIO_DIM, 8))),
+])
+def test_read_dataset_rejects_other_headers(tmp_path, field, value, error):
+    # a version-1 file holds its channels in (view, mask or depth, time) order:
+    # it is rejected by its version, not read in the wrong order
+    path = tmp_path / "old.bin"
+    data = bytearray(_write_records(path, 1))
+    struct.pack_into("<I", data, len(b"GSDSET1\n") + 4 * field, value)
+    path.write_bytes(data)
+    with pytest.raises(InvalidArgumentError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: {error}"
 
 
 def test_read_dataset_returns_views_of_one_array(tmp_path):

@@ -537,8 +537,15 @@ def test_weight_store_manifest_validation():
 def test_weight_store_layer_rejects_unknown_prefix():
     store = init_student_weights(0)
     assert set(store.layer("head")) == {"fc1.w", "fc1.b", "fc2.w", "fc2.b", "fc3.w", "fc3.b"}
-    with pytest.raises(ArchitectureError, match="wrist.enc9"):
-        store.layer("wrist.enc9")
+    # the maps are built with the store: every prefix, read-only, the store's arrays
+    enc = store.layer("wrist.enc1")
+    assert len(enc) == 16 and enc["attn.wq"] is store.get("wrist.enc1.attn.wq")
+    assert store.layer("wrist")["enc1.attn.wq"] is enc["attn.wq"]
+    with pytest.raises(TypeError):
+        enc["attn.wq"] = enc["attn.wk"]
+    for prefix in ("wrist.enc9", "wrist.enc1.attn.wq", "wris", ""):
+        with pytest.raises(ArchitectureError, match=f"prefix {prefix!r}"):
+            store.layer(prefix)
 
 
 def test_init_student_weights_rejects_bad_seeds():

@@ -2,14 +2,14 @@ import platform
 import re
 import subprocess
 import sys
-from collections import deque
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from graspsim import episode
+from graspsim import camera, episode
 from graspsim.camera import (
     DEPTH_CLIP,
     FRAME_H,
@@ -17,10 +17,11 @@ from graspsim.camera import (
     LATENCY_STEPS,
     CameraModel,
     Frame,
+    FrameStore,
     LatencyBuffer,
+    STORE_CHUNK,
     base_camera,
     dump_frame,
-    frame_channels,
     render_frame,
     render_views,
     stack_observation,
@@ -417,8 +418,65 @@ def test_recorded_stacks_follow_the_index_rule(level, object_id, timeout, catalo
     slots = [stack.reshape(STACK_LAYOUT + FRAME_SHAPE) for stack, *_ in records]
     for i, stack in enumerate(slots):
         for t in range(HISTORY_LEN):
-            source = slots[max(i - (HISTORY_LEN - 1 - t), 0)][:, :, -1]
-            assert stack[:, :, t].tobytes() == source.tobytes(), (i, t)
+            source = slots[max(i - (HISTORY_LEN - 1 - t), 0)][-1]
+            assert stack[t].tobytes() == source.tobytes(), (i, t)
+
+
+@pytest.fixture(scope="module")
+def timed_out_episode(catalog):
+    """A level-2 episode that runs all 120 steps, recorded under tracemalloc:
+    (log, records, peak bytes)."""
+    tracemalloc.start()
+    try:
+        log, records = episode.run_episode(
+            make_config(2, "tennis_ball", seed=0, timeout_steps=120),
+            catalog=catalog, collect_observations=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.outcome == "failed_timeout" and len(records) == 120
+    return log, records, peak
+
+
+def test_stacks_are_views_of_the_episodes_store(timed_out_episode):
+    # every stack is a read-only view of a store chunk; consecutive stacks
+    # overlap in memory unless a new chunk opened between them
+    _, records, _ = timed_out_episode
+    stacks = [stack for stack, *_ in records]
+    chunk_shape = (HISTORY_LEN - 1 + STORE_CHUNK, len(VIEWS), 2, *FRAME_SHAPE)
+    assert all(s.base.shape == chunk_shape and not s.flags.writeable for s in stacks)
+    renders = len(records) - LATENCY_STEPS
+    assert len({id(s.base) for s in stacks}) == -(-renders // STORE_CHUNK) == 4
+    for a, b in zip(stacks, stacks[1:]):
+        assert np.shares_memory(a, b) == (a.base is b.base)
+
+
+def _block_bytes() -> int:
+    return len(VIEWS) * 2 * FRAME_H * FRAME_W * np.dtype(np.float32).itemsize
+
+
+def test_recording_keeps_about_one_block_per_render(timed_out_episode):
+    # a stack per record costs HISTORY_LEN blocks; the store keeps one block a
+    # render, plus the carried blocks and the open chunk's unused tail
+    _, records, peak = timed_out_episode
+    renders = len(records) - LATENCY_STEPS
+    assert renders * _block_bytes() < peak < 0.45 * len(records) * records[0][0].nbytes
+
+
+def test_store_does_not_grow_with_the_timeout(catalog):
+    # level 1 tennis_ball seed 0 succeeds at step 39 of a 10**9-step timeout:
+    # memory follows its 36 renders, at most two chunks over
+    tracemalloc.start()
+    try:
+        log, records = episode.run_episode(
+            make_config(object_id="tennis_ball", seed=0, timeout_steps=10**9),
+            catalog=catalog, collect_observations=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.success_step == 39 and len(records) == 40
+    chunk = HISTORY_LEN - 1 + STORE_CHUNK
+    assert peak < (len(records) - LATENCY_STEPS + 2 * chunk) * _block_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -452,27 +510,26 @@ def test_latency_sentinel_random_positions(rng):
         assert seen_at == k + 4
 
 
-def test_history_prewarm_repeats_oldest():
-    # renders a, b, c, d are told apart by their depth channel: 1, 2, 3, 4 m;
-    # a stack reads the newest HISTORY_LEN of them, padded with the oldest
-    def stacked(history):
-        wrist = stack_observation(history)[_FRAME_PAIRS][:HISTORY_LEN]
-        return [round(float(depth[0, 0]) * DEPTH_CLIP, 6) for _, depth in wrist]
+def test_history_prewarm_repeats_oldest(monkeypatch):
+    # renders 1, 2, 3, ... are told apart by their depth channel, in half
+    # metres (all under DEPTH_CLIP); a stack reads the newest HISTORY_LEN of
+    # them, padded with the oldest, across every chunk a store opens (one per
+    # render with chunks of 1).  The stacks are read after the last render: a
+    # stack never changes once made, whatever chunks the store opens later.
+    def depths(stack):
+        wrist = stack[_FRAME_PAIRS][:HISTORY_LEN]
+        return [round(float(depth[0, 0]) * DEPTH_CLIP * 2, 6) for _, depth in wrist]
 
-    def render(depth):
-        return frame_channels([_const_frame(True, depth)] * len(VIEWS))
-
-    history = []
-    with pytest.raises(NotReadyError):
-        stack_observation(history)
-    history.append(render(1.0))
-    assert stacked(history) == [1.0, 1.0, 1.0]
-    history.append(render(2.0))
-    assert stacked(history) == [1.0, 1.0, 2.0]
-    history.append(render(3.0))
-    history.append(render(4.0))
-    assert stacked(history) == [2.0, 3.0, 4.0]
-    assert stacked(deque(history, maxlen=HISTORY_LEN)) == [2.0, 3.0, 4.0]
+    for chunk in (1, 2, STORE_CHUNK):
+        monkeypatch.setattr(camera, "STORE_CHUNK", chunk)
+        store, stacks = FrameStore(), []
+        with pytest.raises(NotReadyError):
+            stack_observation(store)
+        for depth in range(1, 8):
+            store.append([_const_frame(True, depth / 2)] * len(VIEWS))
+            stacks.append(stack_observation(store))
+        assert [depths(s) for s in stacks] == [[max(d - 2, 1), max(d - 1, 1), d]
+                                               for d in range(1, 8)], chunk
 
 
 def _const_frame(mask_val, depth_val):
@@ -483,21 +540,22 @@ def _const_frame(mask_val, depth_val):
 
 
 def test_stack_observation_layout_and_scaling():
-    history = []
+    store = FrameStore()
     with pytest.raises(NotReadyError):
-        stack_observation(history)
+        stack_observation(store)
     for d in (1.0, 2.5, 5.0):
-        history.append(frame_channels((_const_frame(True, d),
-                                       _const_frame(False, 10.0))))   # clipped to 5 m
-    obs = stack_observation(history)
+        store.append((_const_frame(True, d), _const_frame(False, 10.0)))  # clipped to 5 m
+    obs = stack_observation(store)
     assert obs.shape == (12, FRAME_H, FRAME_W)
     assert obs.dtype == np.float32
-    assert np.all(obs[0] == 1.0) and np.all(obs[2] == 1.0)   # wrist masks
-    assert obs[3, 0, 0] == pytest.approx(1.0 / DEPTH_CLIP)
-    assert obs[4, 0, 0] == pytest.approx(2.5 / DEPTH_CLIP)   # 2.5 m -> 0.5
-    assert obs[5, 0, 0] == pytest.approx(1.0)                # 5 m -> 1.0
-    assert np.all(obs[6:9] == 0.0)                           # base masks empty
-    assert np.all(obs[9:12] == 1.0)                          # 10 m clips to 5
+    (wrist_mask, wrist_depth), (base_mask, base_depth) = (
+        obs.reshape(STACK_LAYOUT + FRAME_SHAPE).transpose(1, 2, 0, 3, 4))   # view, kind
+    assert np.all(wrist_mask[0] == 1.0) and np.all(wrist_mask[2] == 1.0)
+    assert wrist_depth[0, 0, 0] == pytest.approx(1.0 / DEPTH_CLIP)
+    assert wrist_depth[1, 0, 0] == pytest.approx(2.5 / DEPTH_CLIP)   # 2.5 m -> 0.5
+    assert wrist_depth[2, 0, 0] == pytest.approx(1.0)                # 5 m -> 1.0
+    assert np.all(base_mask == 0.0)                                  # base masks empty
+    assert np.all(base_depth == 1.0)                                 # 10 m clips to 5
 
 
 def test_stack_channels_pair_up_in_nn_frame_order():
@@ -510,9 +568,10 @@ def test_stack_channels_pair_up_in_nn_frame_order():
         depth = np.full((FRAME_H, FRAME_W), 0.5 * (tag + 1), np.float32)
         return Frame(mask, depth, depth > 0)
 
-    history = [frame_channels([tagged(view * HISTORY_LEN + t) for view in range(len(VIEWS))])
-               for t in range(HISTORY_LEN)]
-    imgs = stack_observation(history)[_FRAME_PAIRS]
+    store = FrameStore()
+    for t in range(HISTORY_LEN):
+        store.append([tagged(view * HISTORY_LEN + t) for view in range(len(VIEWS))])
+    imgs = stack_observation(store)[_FRAME_PAIRS]
     assert imgs.shape == (len(VIEWS) * HISTORY_LEN, 2, FRAME_H, FRAME_W)
     for tag, (mask, depth) in enumerate(imgs):
         assert np.count_nonzero(mask) == tag + 1 and np.all(mask[0, :tag + 1] == 1.0)
@@ -523,15 +582,17 @@ def test_stack_invalid_depth_stays_zero():
     dead = Frame(np.zeros((FRAME_H, FRAME_W), bool),
                  np.zeros((FRAME_H, FRAME_W), np.float32),
                  np.zeros((FRAME_H, FRAME_W), bool))
-    history = [frame_channels((dead, dead))] * 3
-    obs = stack_observation(history)
-    assert np.all(obs == 0.0)
+    store = FrameStore()
+    store.append((dead, dead))
+    assert np.all(stack_observation(store) == 0.0)
     # the valid bit decides, not the depth: 3 m pixels whose bit is clear read
     # 0, the one valid pixel 3 / DEPTH_CLIP
     valid = np.zeros((FRAME_H, FRAME_W), bool)
     valid[0, 0] = True
     far = Frame(dead.mask, np.full((FRAME_H, FRAME_W), 3.0, np.float32), valid)
-    depth = stack_observation([frame_channels((far, dead))])[_FRAME_PAIRS][0, 1]
+    store = FrameStore()
+    store.append((far, dead))
+    depth = stack_observation(store)[_FRAME_PAIRS][0, 1]
     assert depth[0, 0] == np.float32(3.0) / np.float32(DEPTH_CLIP)
     assert np.count_nonzero(depth) == 1
 

@@ -13,6 +13,7 @@ import pytest
 from graspsim import episode, robot as robot_module
 from graspsim.config import SimConfig
 from graspsim.episode import run_episode
+from graspsim.nn import FRAME_SHAPE, STACK_LAYOUT
 from graspsim.robot import (
     HighLevelAction,
     accumulate_command,
@@ -63,7 +64,8 @@ EPISODE_OUTCOMES = {
     "sugar_box": "failed_dropped", "tennis_ball": "failed_timeout",
 }
 # sha256 over the (stack, proprio, action, gripper, step) records of a
-# 4-step level-1 tennis_ball episode with collect_observations=True.
+# 4-step level-1 tennis_ball episode with collect_observations=True, each
+# stack hashed in its channels' (view, mask or depth, time) order.
 OBSERVATION_DIGEST = "31824ea0fce9e599b5dd91467c08183456671697a61aed1b8c12323bd0d7780d"
 # The same over the 37 records of the 40-step level-1 cracker_box episode in
 # conftest's box_records: a box target, so its mask comes from the slab test.
@@ -128,9 +130,12 @@ def test_cylinder_observation_bytes_pinned(catalog):
 
 
 def _records_digest(records) -> str:
+    # each stack is hashed in (view, mask or depth, time) channel order,
+    # whatever order STACK_LAYOUT keeps in memory
     digest = hashlib.sha256()
     for stacked, proprio, action, gripper, step in records:
-        for arr in (stacked, proprio, action):
+        by_view = stacked.reshape(STACK_LAYOUT + FRAME_SHAPE).transpose(1, 2, 0, 3, 4)
+        for arr in (by_view, proprio, action):
             digest.update(np.ascontiguousarray(arr).tobytes())
         digest.update(bytes([gripper, step]))
     return digest.hexdigest()
