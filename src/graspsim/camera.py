@@ -31,7 +31,7 @@ FRAME_H, FRAME_W = FRAME_SHAPE
 DEFAULT_HFOV = np.deg2rad(SimConfig.hfov_deg)
 DEPTH_CLIP = 5.0
 LATENCY_STEPS = 4
-STORE_CHUNK = 32                  # renders per FrameStore chunk
+STORE_CHUNK = 32                  # renders per FrameStore chunk of an episode
 _NO_HIT = np.inf
 
 BASE_CAM_OFFSET = Pose6(np.array([0.25, 0.0, 0.15]),
@@ -339,26 +339,33 @@ class LatencyBuffer:
 
 
 class FrameStore:
-    """An episode's renders in time order, each normalized once into its
-    [views, 2, FRAME_H, FRAME_W] block of a float32 chunk: masks as {0,1},
-    depths clipped to [0, 5] m over 5 (invalid pixels 0).  A chunk holds
-    STORE_CHUNK renders after HISTORY_LEN - 1 blocks carried from the chunk
-    before (the first chunk's are copies of its first render), so the newest
-    HISTORY_LEN blocks sit side by side, and memory follows the renders made."""
+    """Renders in time order, each normalized once into its [views, 2,
+    FRAME_H, FRAME_W] block of a float32 chunk: masks as {0,1}, depths
+    clipped to [0, 5] m over 5 (invalid pixels 0).  A chunk holds ``chunk``
+    renders after HISTORY_LEN - 1 blocks carried from the chunk before (the
+    first chunk's are copies of its first render), so the newest HISTORY_LEN
+    blocks sit side by side, and memory follows the renders made."""
 
     blocks, newest = None, -1           # the open chunk and its newest block's index
 
+    def __init__(self, chunk: int = STORE_CHUNK):
+        self.chunk = chunk
+
     def append(self, frames) -> None:
-        """Normalize one render's (wrist, base) frames into the next block."""
+        """Put one render in the next block: its (wrist, base) frames,
+        normalized here, or a block normalized before (a dataset's)."""
         carry, old = HISTORY_LEN - 1, self.blocks
         if old is None or self.newest + 1 == len(old):
-            shape = (carry + STORE_CHUNK, len(VIEWS), 2, FRAME_H, FRAME_W)
+            shape = (carry + self.chunk, len(VIEWS), 2, FRAME_H, FRAME_W)
             self.blocks, self.newest = np.empty(shape, np.float32), carry - 1
         self.newest += 1
-        for (mask, depth), frame in zip(self.blocks[self.newest], frames, strict=True):
-            mask[...] = frame.mask
-            np.divide(np.clip(frame.depth, 0.0, DEPTH_CLIP), DEPTH_CLIP, out=depth)
-            depth[~frame.valid] = 0.0
+        if isinstance(frames, np.ndarray):
+            self.blocks[self.newest] = frames
+        else:
+            for (mask, depth), frame in zip(self.blocks[self.newest], frames, strict=True):
+                mask[...] = frame.mask
+                np.divide(np.clip(frame.depth, 0.0, DEPTH_CLIP), DEPTH_CLIP, out=depth)
+                depth[~frame.valid] = 0.0
         if self.newest == carry:            # a new chunk: fill the blocks before it
             self.blocks[:carry] = self.blocks[carry] if old is None else old[len(old) - carry:]
 

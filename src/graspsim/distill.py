@@ -5,22 +5,25 @@ each one ``RECORD_DTYPE`` row: a packed, little-endian numpy structured
 dtype (``episode_id`` u64, ``step`` u32, ``observation``/``proprio``/
 ``action`` float32 arrays, ``gripper`` u8; 248,973 bytes).  That dtype is
 the only statement of the layout: the writer packs with it and the reader
-maps the whole body with it in one call, so reads are bit-exact round trips
-of writes.  The records ``read_dataset`` returns are read-only views into
-that one array, not copies.
+streams the body with it, READ_CHUNK records a read, so reads are bit-exact
+round trips of writes.  The stacks ``read_dataset`` returns are read-only
+views into one `camera.FrameStore` that holds each frame block once, so
+consecutive records of an episode share memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomicfile import atomic_write
+from .camera import FrameStore, stack_observation
 from .errors import InvalidArgumentError
-from .nn import HEAD_DIMS, PROPRIO_DIM, STACK_SHAPE
+from .nn import FRAME_SHAPE, HEAD_DIMS, HISTORY_LEN, PROPRIO_DIM, STACK_LAYOUT, STACK_SHAPE
 
 MAGIC = b"GSDSET1\n"
 VERSION = 2                 # 2: observation channels run (time, view, mask|depth)
@@ -37,6 +40,8 @@ RECORD_SIZE = RECORD_DTYPE.itemsize
 HEADER = MAGIC + struct.pack("<IIIIII", VERSION, *STACK_SHAPE, PROPRIO_DIM, ACTION_DIM)
 HEADER_SIZE = len(HEADER)
 _FLOAT_FIELDS = ("observation", "proprio", "action")
+_LABELS = np.dtype([(n, RECORD_DTYPE[n]) for n in RECORD_DTYPE.names if n != "observation"])
+READ_CHUNK = 8                  # records per read of a dataset body
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ def _check_rows(rows, path, first: int = 0) -> None:
     """Reject the first row (``rows[0]`` is record ``first``) with a gripper
     byte other than 0/1 or a float that is not finite, naming its record.
     min/max propagate NaN and expose +-inf: per field first, then per row."""
-    if not len(rows) or rows["gripper"].max() <= 1 and all(
+    if rows["gripper"].max() <= 1 and all(
             math.isfinite(rows[name].min()) and math.isfinite(rows[name].max())
             for name in _FLOAT_FIELDS):
         return
@@ -105,30 +110,45 @@ def _check_rows(rows, path, first: int = 0) -> None:
 
 
 def read_dataset(path) -> list:
-    """Load every record back as views into one array.
+    """Stream every record back, checking each chunk of records as it is read.
 
-    Raises on a malformed header, a body that is not whole records, a
-    gripper byte other than 0/1 or a non-finite float, naming the first bad
-    record.
-    """
+    A record whose two older frame blocks equal, bit for bit, the newest two
+    in the store adds only its newest block; any other adds all three, so
+    every file reads back exactly.  Raises on a malformed header, a body that
+    is not whole records, a gripper byte other than 0/1 or a non-finite
+    float, naming the first bad record."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    head = data[:HEADER_SIZE]
-    if head[:len(MAGIC)] != MAGIC:
-        raise InvalidArgumentError(f"{path}: bad magic {head[:8]!r}")
-    if len(head) < HEADER_SIZE:
-        raise InvalidArgumentError(f"{path}: truncated header")
-    version = int.from_bytes(head[len(MAGIC):len(MAGIC) + 4], "little")
-    if version != VERSION:
-        raise InvalidArgumentError(f"{path}: dataset version {version}, not {VERSION}: "
-                                   "version 2 puts time outermost in the observation channels")
-    if head != HEADER:
-        raise InvalidArgumentError(f"{path}: unsupported header {head!r}")
-    if (len(data) - HEADER_SIZE) % RECORD_SIZE != 0:
-        raise InvalidArgumentError(f"{path}: truncated record data")
-    rows = np.frombuffer(data, dtype=RECORD_DTYPE, offset=HEADER_SIZE)
-    _check_rows(rows, path)
-    obs, proprio, action = (rows[name] for name in _FLOAT_FIELDS)
-    return [DistillRecord(eid, step, obs[i], proprio[i], action[i], grip)
-            for i, (eid, step, grip) in enumerate(
-                rows[["episode_id", "step", "gripper"]].tolist())]
+        head = fh.read(HEADER_SIZE)
+        if head[:len(MAGIC)] != MAGIC:
+            raise InvalidArgumentError(f"{path}: bad magic {head[:8]!r}")
+        if len(head) < HEADER_SIZE:
+            raise InvalidArgumentError(f"{path}: truncated header")
+        version = int.from_bytes(head[len(MAGIC):len(MAGIC) + 4], "little")
+        if version != VERSION:
+            raise InvalidArgumentError(f"{path}: dataset version {version}, not {VERSION}: "
+                                       "version 2 puts time outermost in the observation channels")
+        if head != HEADER:
+            raise InvalidArgumentError(f"{path}: unsupported header {head!r}")
+        n, rest = divmod(os.fstat(fh.fileno()).st_size - HEADER_SIZE, RECORD_SIZE)
+        if rest:
+            raise InvalidArgumentError(f"{path}: truncated record data")
+        store = FrameStore(n + HISTORY_LEN - 1)     # a chained file fills one chunk
+        rows, labels = np.empty(min(n, READ_CHUNK), RECORD_DTYPE), np.empty(n, _LABELS)
+        stacks, older = [], None                    # older: the store's newest two blocks
+        for first in range(0, n, READ_CHUNK):
+            chunk = rows[:n - first]
+            if fh.readinto(chunk) != chunk.nbytes:  # the file shrank as it was read
+                raise InvalidArgumentError(f"{path}: truncated record data")
+            _check_rows(chunk, path, first)
+            labels[first:first + len(chunk)] = chunk[list(_LABELS.names)]
+            for obs in chunk["observation"].reshape(-1, *STACK_LAYOUT, *FRAME_SHAPE):
+                chained = np.array_equal(obs[:-1].view(np.uint32), older)  # -0.0 != 0.0
+                for block in obs[-1:] if chained else obs:
+                    store.append(block)
+                stacks.append(stack_observation(store))
+                older = stacks[-1].reshape(obs.shape)[1:].view(np.uint32)
+    labels.flags.writeable = False
+    return [DistillRecord(eid, step, stack, proprio, action, grip)
+            for (eid, step, grip), stack, proprio, action in zip(
+                labels[["episode_id", "step", "gripper"]].tolist(), stacks,
+                labels["proprio"], labels["action"])]

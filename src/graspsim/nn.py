@@ -45,6 +45,7 @@ CNN_CH2 = 304
 HEAD_DIMS = (128, 64, 8)
 STUDENT_ARCH = "student-v1"
 _LN_EPS = 1e-5
+_DRAW_CHUNK = 1 << 16                   # float64 values per init_student_weights draw
 
 
 def as_tensor(x) -> np.ndarray:
@@ -306,24 +307,24 @@ class WeightStore:
 
     @staticmethod
     def load(path) -> "WeightStore":
+        """Read a ``save`` file; its parameters are slices of one float32 array."""
         with open(path, "rb") as fh:
-            data = fh.read()
-        sep = b"\n---\n"
-        cut = data.find(sep)
-        if cut < 0:
-            raise ArchitectureError(f"{path}: missing manifest separator")
-        if not data[:cut].isascii():
-            raise ArchitectureError(f"{path}: manifest is not ASCII")
-        head = data[:cut].decode("ascii").splitlines() or [""]
-        blob = data[cut + len(sep):]
-        magic = head[0].split()
-        if len(magic) != 2 or magic[0] != "weights-v1":
-            raise ArchitectureError(f"{path}: bad header line {head[0]!r}")
-        if len(blob) % 4:
-            raise ArchitectureError(f"{path}: blob is not a whole number of floats")
-        arch = magic[1]
+            lines = []                      # the manifest ends at its first "\n---\n"
+            while (line := fh.readline()) and not (lines and line == b"---\n"):
+                lines.append(line)
+            if not line:
+                raise ArchitectureError(f"{path}: missing manifest separator")
+            head = b"".join(lines)
+            if not head.isascii():
+                raise ArchitectureError(f"{path}: manifest is not ASCII")
+            head = head.decode("ascii").splitlines() or [""]
+            magic = head[0].split()
+            if len(magic) != 2 or magic[0] != "weights-v1":
+                raise ArchitectureError(f"{path}: bad header line {head[0]!r}")
+            raw = np.fromfile(fh, "<f4")            # the blob, read once
+            if fh.read(1):
+                raise ArchitectureError(f"{path}: blob is not a whole number of floats")
         manifest, params, offset = [], {}, 0
-        raw = np.frombuffer(blob, dtype="<f4")
         for line in head[1:]:
             parts = line.split()
             if len(parts) != 2 or not all(d.isdigit() and int(d) > 0
@@ -333,13 +334,13 @@ class WeightStore:
             size = math.prod(shape)
             if offset + size > raw.size:
                 raise ArchitectureError(f"{path}: blob too short at {name!r}")
-            params[name] = raw[offset:offset + size].reshape(shape).copy()
+            params[name] = raw[offset:offset + size].reshape(shape)
             manifest.append((name, shape))
             offset += size
         if offset != raw.size:
             raise ArchitectureError(f"{path}: {raw.size - offset} trailing floats")
         try:
-            return WeightStore(arch, manifest, params)
+            return WeightStore(magic[1], manifest, params)
         except ArchitectureError as exc:
             raise ArchitectureError(f"{path}: {exc}") from exc
 
@@ -392,7 +393,9 @@ def init_student_weights(seed: int = 0) -> WeightStore:
     for name, shape in manifest:
         if len(shape) >= 2:
             bound = 1.0 / np.sqrt(shape[0] if len(shape) == 2 else np.prod(shape[1:]))
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            params[name] = np.empty(shape, np.float32)    # one stream, in bounded draws
+            for part in np.array_split(params[name].reshape(-1), -(-math.prod(shape) // _DRAW_CHUNK)):
+                part[...] = rng.uniform(-bound, bound, size=part.size)
         elif name.endswith(".g"):
             params[name] = np.ones(shape, dtype=np.float32)
         else:

@@ -24,6 +24,7 @@ from graspsim.config import _RANGES, load_config
 from graspsim.distill import (
     HEADER,
     HEADER_SIZE,
+    READ_CHUNK,
     RECORD_DTYPE,
     RECORD_SIZE,
     read_dataset,
@@ -31,7 +32,7 @@ from graspsim.distill import (
 )
 from graspsim.errors import CatalogError, GraspSimError, InvalidArgumentError
 from graspsim.gfm import build_memory, generate_candidates, save_bank
-from graspsim.nn import PROPRIO_DIM, STACK_SHAPE, WeightStore
+from graspsim.nn import FRAME_SHAPE, HISTORY_LEN, PROPRIO_DIM, STACK_SHAPE, VIEWS, WeightStore
 from graspsim.scene import load_catalog
 
 SRC = Path(graspsim.__file__).parent
@@ -100,20 +101,88 @@ def test_read_dataset_rejects_other_headers(tmp_path, field, value, error):
     assert str(err.value) == f"{path}: {error}"
 
 
-def test_read_dataset_returns_views_of_one_array(tmp_path):
-    path = tmp_path / "three.bin"
-    _write_records(path, 3)
+def _root(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_read_dataset_shares_one_frame_store(tmp_path, box_records):
+    # a recorded episode streams through several reads; each stack is a
+    # read-only view that shares its two older blocks with the record before,
+    # and the store holds each render's block once: n + 4 blocks (the record
+    # of the first render adds three, and a chunk opens with two carried)
+    n = len(box_records)
+    assert n > 2 * READ_CHUNK
+    path = tmp_path / "episode.bin"
+    record_distillation(SimpleNamespace(n_steps=n, seed=0), box_records, path)
     records = read_dataset(path)
+    assert _repack(records) == path.read_bytes()
+    for rec, (stacked, *_rest) in zip(records, box_records):
+        assert rec.observation.tobytes() == np.asarray(stacked, "<f4").tobytes()
+    assert not any(a.flags.writeable for r in records
+                   for a in (r.observation, r.proprio, r.action))
+    assert all(np.shares_memory(a.observation, b.observation)
+               for a, b in zip(records, records[1:]))
+    (store,) = {id(_root(r.observation)): _root(r.observation) for r in records}.values()
+    assert store.shape == (n + 4, len(VIEWS), 2, *FRAME_SHAPE)
+    assert len({id(_root(a)) for r in records for a in (r.proprio, r.action)}) == 1
 
-    def root(a):
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        return a.base
 
-    roots = {id(root(getattr(r, f))) for r in records
-             for f in ("observation", "proprio", "action")}
-    assert len(roots) == 1
-    assert not any(r.observation.flags.writeable for r in records)
+def _chained_stacks(n, seed=0):
+    """The stacks of n renders of seeded random blocks, as an episode makes them."""
+    rng = np.random.default_rng(seed)
+    blocks = [rng.random((STACK_SHAPE[0] // HISTORY_LEN, *FRAME_SHAPE), dtype=np.float32)
+              for _ in range(n)]
+    return [np.concatenate([blocks[max(i - k, 0)] for k in reversed(range(HISTORY_LEN))])
+            for i in range(n)]
+
+
+def _write_stacks(path, stacks, seed=0) -> bytes:
+    rng = np.random.default_rng(seed)
+    obs = [(s, rng.random(PROPRIO_DIM), rng.random(8), k % 2, k) for k, s in enumerate(stacks)]
+    record_distillation(SimpleNamespace(n_steps=len(obs), seed=seed), obs, path)
+    return Path(path).read_bytes()
+
+
+_PER = STACK_SHAPE[0] // HISTORY_LEN     # channels per render
+
+
+def _signed_zero_stacks():
+    # render 4 holds a 0.0 pixel, and record 5's copy of it is -0.0: equal as
+    # floats, so only a compare of the bits keeps record 5 from chaining on
+    stacks = _chained_stacks(READ_CHUNK + 3)
+    for k, channel in ((4, -_PER), (5, -2 * _PER), (6, -3 * _PER)):
+        stacks[k][channel, 0, 0] = 0.0
+    stacks[5][-2 * _PER, 0, 0] = -0.0
+    return stacks
+
+
+@pytest.mark.parametrize("make", [
+    # unrelated random stacks: every record adds all three blocks
+    lambda: [np.random.default_rng(k).random(STACK_SHAPE) for k in range(READ_CHUNK + 3)],
+    # two episodes joined: the second's first record does not chain on
+    lambda: _chained_stacks(READ_CHUNK + 1) + _chained_stacks(5, seed=1),
+], ids=["random", "joined"])
+def test_read_dataset_reads_unchained_records_exactly(tmp_path, make):
+    stacks = make()
+    path = tmp_path / "set.bin"
+    data = _write_stacks(path, stacks)
+    records = read_dataset(path)
+    assert _repack(records) == data
+    assert [r.observation.tobytes() for r in records] == [
+        np.asarray(s, "<f4").tobytes() for s in stacks]
+
+
+def test_read_dataset_keeps_a_signed_zero_apart(tmp_path):
+    data = _write_stacks(tmp_path / "set.bin", _signed_zero_stacks())
+    records = read_dataset(tmp_path / "set.bin")
+    assert _repack(records) == data
+    assert np.signbit(records[5].observation[-2 * _PER, 0, 0])
+    assert not np.signbit(records[4].observation[-_PER, 0, 0])
+    # records 5 and 6 add three blocks each; the records around them chain
+    assert [np.shares_memory(records[k].observation, records[k + 1].observation)
+            for k in (3, 4, 5, len(records) - 2)] == [True, False, False, True]
 
 
 @pytest.mark.parametrize("field, index, value", [
@@ -154,6 +223,49 @@ def test_read_dataset_names_the_first_bad_record(tmp_path):
     empty = tmp_path / "empty.bin"
     empty.write_bytes(HEADER)
     assert read_dataset(empty) == []
+
+
+@pytest.mark.parametrize("first_bad", [READ_CHUNK, 2 * READ_CHUNK - 1, 2 * READ_CHUNK])
+def test_read_dataset_names_a_bad_record_past_the_first_read(tmp_path, first_bad):
+    # each read's rows are checked with their offset in the file; a second
+    # bad record in a later read does not hide the first
+    path = tmp_path / "bad.bin"
+    data = bytearray(_write_records(path, 2 * READ_CHUNK + 2))
+    for index, field, raw in ((first_bad, "proprio", struct.pack("<f", np.inf)),
+                              (2 * READ_CHUNK + 1, "gripper", b"\x07")):
+        offset = HEADER_SIZE + index * RECORD_SIZE + RECORD_DTYPE.fields[field][1]
+        data[offset:offset + len(raw)] = raw
+    path.write_bytes(data)
+    with pytest.raises(InvalidArgumentError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: record {first_bad}: proprio is not finite"
+
+
+@pytest.mark.parametrize("damage, error", [
+    (lambda data: data[:-5], "truncated record data"),
+    (lambda data: data[:HEADER_SIZE - 3], "truncated header"),
+    (lambda data: b"XXXX" + data[4:], "bad magic b'XXXXET1\\n'"),
+    (lambda data: b"", "bad magic b''"),
+], ids=["body", "header", "magic", "empty"])
+def test_read_dataset_rejects_damaged_files(tmp_path, damage, error):
+    path = tmp_path / "damaged.bin"
+    path.write_bytes(damage(_write_records(path, READ_CHUNK + 1)))
+    with pytest.raises(InvalidArgumentError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: {error}"
+
+
+def test_read_dataset_rejects_a_file_that_shrinks_as_it_is_read(tmp_path, monkeypatch):
+    # the reader sizes its arrays from the file's length, then reads into
+    # them; a read that comes up short fails rather than leave stale bytes
+    path = tmp_path / "set.bin"
+    _write_records(path, READ_CHUNK + 1)
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+        st_size=fstat(fd).st_size + RECORD_SIZE))
+    with pytest.raises(InvalidArgumentError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: truncated record data"
 
 
 @pytest.mark.parametrize("field, index, value", [

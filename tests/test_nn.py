@@ -556,15 +556,43 @@ def test_init_student_weights_rejects_bad_seeds():
     assert np.array_equal(init_student_weights(np.int64(3)).get("head.fc3.w"), want)
 
 
+def _peak_bytes(fn):
+    """(fn(), the peak of memory traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_init_student_weights_draws_each_matrix_in_bounded_chunks():
+    # one generator drawn in chunks gives the bits of one float64 draw per
+    # matrix, cast, without holding that draw
+    store, peak = _peak_bytes(lambda: init_student_weights(5))
+    rng = np.random.Generator(np.random.PCG64(5))
+    for name, shape in store.manifest:
+        if len(shape) >= 2:
+            bound = 1.0 / np.sqrt(shape[0] if len(shape) == 2 else np.prod(shape[1:]))
+            want = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            assert store.get(name).tobytes() == want.tobytes(), name
+    # the weights, the finiteness mask of the largest matrix, one draw
+    size = 4 * store.param_count()
+    assert peak < size + max(p.size for p in store.params.values()) + 1e6, (peak, size)
+
+
 def test_weight_store_file_roundtrip(tmp_path, rng):
+    # the loaded floats are the saved ones, bit for bit, read into one array:
+    # loading holds one file, not the file beside a copy of each weight
     store = init_student_weights(3)
     path = tmp_path / "student.weights"
     store.save(path)
-    loaded = WeightStore.load(path)
+    loaded, peak = _peak_bytes(lambda: WeightStore.load(path))
     assert loaded.arch == store.arch
     assert loaded.manifest == store.manifest
     for name, _ in store.manifest:
-        assert np.array_equal(loaded.get(name), store.get(name))
+        assert loaded.get(name).tobytes() == store.get(name).tobytes()
+    size = path.stat().st_size        # the weights and the largest matrix's finiteness mask
+    assert size < peak < size + max(p.size for p in store.params.values()) + 1e6, (peak, size)
 
 
 def test_weight_file_rejects_garbage(tmp_path):

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from graspsim import camera, episode
+from graspsim import episode
 from graspsim.camera import (
     DEPTH_CLIP,
     FRAME_H,
@@ -510,7 +510,7 @@ def test_latency_sentinel_random_positions(rng):
         assert seen_at == k + 4
 
 
-def test_history_prewarm_repeats_oldest(monkeypatch):
+def test_history_prewarm_repeats_oldest():
     # renders 1, 2, 3, ... are told apart by their depth channel, in half
     # metres (all under DEPTH_CLIP); a stack reads the newest HISTORY_LEN of
     # them, padded with the oldest, across every chunk a store opens (one per
@@ -521,8 +521,7 @@ def test_history_prewarm_repeats_oldest(monkeypatch):
         return [round(float(depth[0, 0]) * DEPTH_CLIP * 2, 6) for _, depth in wrist]
 
     for chunk in (1, 2, STORE_CHUNK):
-        monkeypatch.setattr(camera, "STORE_CHUNK", chunk)
-        store, stacks = FrameStore(), []
+        store, stacks = FrameStore(chunk), []
         with pytest.raises(NotReadyError):
             stack_observation(store)
         for depth in range(1, 8):
