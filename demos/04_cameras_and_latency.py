@@ -27,10 +27,11 @@ scene = reset_episode(cfg, catalog, traj)
 robot = initial_robot(scene.terrain)
 
 frame = render_frame(scene, robot, base_camera())
+hits = frame.depth > 0                      # a ray that hits nothing reads depth 0
 print(f"base view: {int(frame.mask.sum())} target px, "
-      f"{int(frame.valid.sum())}/{frame.valid.size} px hit anything")
-print(f"depth range on hits: {frame.depth[frame.valid].min():.2f}"
-      f"..{frame.depth[frame.valid].max():.2f} m")
+      f"{int(hits.sum())}/{hits.size} px hit anything")
+print(f"depth range on hits: {frame.depth[hits].min():.2f}"
+      f"..{frame.depth[hits].max():.2f} m")
 
 out_dir = "demo_frames"
 os.makedirs(out_dir, exist_ok=True)

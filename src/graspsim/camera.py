@@ -1,8 +1,8 @@
 """Dual pinhole cameras, raycast mask/depth rendering, latency and stacking.
 
 Frames are 54x96.  Depth is z-depth along the optical axis, not Euclidean
-range — the two differ off-axis.  No-hit pixels store depth 0 with the
-validity bit cleared.  Rays are cast against the ground heightfield, the
+range — the two differ off-axis.  No-hit pixels store depth 0, so
+depth > 0 marks a hit.  Rays are cast against the ground heightfield, the
 platform box, and the target primitive; the nearest hit wins and the mask
 marks pixels whose nearest hit is the target.  ``render_views`` casts a
 decision step's (wrist, base) views as one [3, 2n] ray batch, ``render_frame``
@@ -22,8 +22,8 @@ import numpy as np
 
 from .atomicfile import atomic_write
 from .config import SimConfig
-from .errors import InvalidArgumentError, NotReadyError, check_integer
-from .nn import FRAME_SHAPE, HISTORY_LEN, STACK_SHAPE, VIEWS
+from .errors import InvalidArgumentError, NotReadyError, ShapeError, check_integer
+from .nn import FRAME_SHAPE, HISTORY_LEN, STACK_LAYOUT, STACK_SHAPE, VIEWS
 from .scene import PLATFORM_THICKNESS, TERRAIN_MAX_HEIGHT, SceneState, derive_seed
 from .se3 import Pose6, euler_to_matrix
 
@@ -32,6 +32,7 @@ DEFAULT_HFOV = np.deg2rad(SimConfig.hfov_deg)
 DEPTH_CLIP = 5.0
 LATENCY_STEPS = 4
 STORE_CHUNK = 32                  # renders per FrameStore chunk of an episode
+BLOCK_SHAPE = (*STACK_LAYOUT[1:], *FRAME_SHAPE)    # one render: views x (mask, depth)
 _NO_HIT = np.inf
 
 BASE_CAM_OFFSET = Pose6(np.array([0.25, 0.0, 0.15]),
@@ -65,14 +66,15 @@ def wrist_camera(hfov: float = DEFAULT_HFOV) -> CameraModel:
 
 @dataclass(frozen=True)
 class Frame:
-    """Binary target mask plus z-depth map with per-pixel validity."""
+    """Boolean target mask plus z-depth map, 0 where no ray hit."""
 
     mask: np.ndarray
     depth: np.ndarray
-    valid: np.ndarray
 
     def __post_init__(self):
-        for name in ("mask", "depth", "valid"):
+        if self.mask.dtype != bool:
+            raise InvalidArgumentError(f"mask must be boolean, got {self.mask.dtype}")
+        for name in ("mask", "depth"):
             a = getattr(self, name)
             if a.shape != (FRAME_H, FRAME_W):
                 raise InvalidArgumentError(f"{name} must be {FRAME_H}x{FRAME_W}")
@@ -295,8 +297,8 @@ def _render(scene: SceneState, robot, cams, mask_flip_prob: float,
         flips = [np.random.Generator(np.random.PCG64(noise_seed + k)).random(n)
                  for k in range(views)]
         mask ^= (np.concatenate(flips) < mask_flip_prob).reshape(shape)
-    mask, depth, valid = (a.reshape(views, FRAME_H, FRAME_W) for a in (mask, depth, valid))
-    return tuple(Frame(mask[k], depth[k], valid[k]) for k in range(views))
+    mask, depth = (a.reshape(views, FRAME_H, FRAME_W) for a in (mask, depth))
+    return tuple(Frame(mask[k], depth[k]) for k in range(views))
 
 
 def render_frame(scene: SceneState, robot, cam: CameraModel,
@@ -339,12 +341,12 @@ class LatencyBuffer:
 
 
 class FrameStore:
-    """Renders in time order, each normalized once into its [views, 2,
-    FRAME_H, FRAME_W] block of a float32 chunk: masks as {0,1}, depths
-    clipped to [0, 5] m over 5 (invalid pixels 0).  A chunk holds ``chunk``
-    renders after HISTORY_LEN - 1 blocks carried from the chunk before (the
-    first chunk's are copies of its first render), so the newest HISTORY_LEN
-    blocks sit side by side, and memory follows the renders made."""
+    """Renders in time order, each normalized once into its BLOCK_SHAPE
+    block of a float32 chunk: masks as {0,1}, depths clipped to [0, 5] m
+    over 5 (no-hit pixels stay 0).  A chunk holds ``chunk`` renders after
+    HISTORY_LEN - 1 blocks carried from the chunk before (the first chunk's
+    are copies of its first render), so the newest HISTORY_LEN blocks sit
+    side by side, and memory follows the renders made."""
 
     blocks, newest = None, -1           # the open chunk and its newest block's index
 
@@ -353,19 +355,22 @@ class FrameStore:
 
     def append(self, frames) -> None:
         """Put one render in the next block: its (wrist, base) frames,
-        normalized here, or a block normalized before (a dataset's)."""
+        normalized here, or a BLOCK_SHAPE block normalized before (a dataset's)."""
+        if isinstance(frames, np.ndarray) and frames.shape != BLOCK_SHAPE:
+            raise ShapeError(f"a block must be {BLOCK_SHAPE}, got {frames.shape}")
+        if not isinstance(frames, np.ndarray) and len(frames) != len(VIEWS):
+            raise ShapeError(f"a render must be {len(VIEWS)} frames, got {len(frames)}")
         carry, old = HISTORY_LEN - 1, self.blocks
         if old is None or self.newest + 1 == len(old):
-            shape = (carry + self.chunk, len(VIEWS), 2, FRAME_H, FRAME_W)
+            shape = (carry + self.chunk, *BLOCK_SHAPE)
             self.blocks, self.newest = np.empty(shape, np.float32), carry - 1
         self.newest += 1
         if isinstance(frames, np.ndarray):
             self.blocks[self.newest] = frames
         else:
-            for (mask, depth), frame in zip(self.blocks[self.newest], frames, strict=True):
+            for (mask, depth), frame in zip(self.blocks[self.newest], frames):
                 mask[...] = frame.mask
                 np.divide(np.clip(frame.depth, 0.0, DEPTH_CLIP), DEPTH_CLIP, out=depth)
-                depth[~frame.valid] = 0.0
         if self.newest == carry:            # a new chunk: fill the blocks before it
             self.blocks[:carry] = self.blocks[carry] if old is None else old[len(old) - carry:]
 
@@ -404,6 +409,6 @@ def dump_frame(frame: Frame, stem) -> list:
     mask_path = f"{stem}_mask.pgm"
     depth_path = f"{stem}_depth.pgm"
     write_pgm(mask_path, np.where(frame.mask, 255, 0), 255)
-    mm = np.clip(np.where(frame.valid, frame.depth, 0.0) * 1000.0, 0, 65535)
+    mm = np.clip(frame.depth * 1000.0, 0, 65535)
     write_pgm(depth_path, mm.astype(np.uint16), 65535)
     return [mask_path, depth_path]

@@ -403,11 +403,6 @@ def init_student_weights(seed: int = 0) -> WeightStore:
     return WeightStore(STUDENT_ARCH, manifest, params)
 
 
-# Each image's (mask, depth) channel pair in the STACK_LAYOUT stack that
-# `camera.stack_observation` returns, image-major: a view's frames, oldest first.
-_FRAME_PAIRS = np.arange(STACK_CHANNELS).reshape(STACK_LAYOUT).transpose(1, 0, 2).reshape(-1, 2)
-
-
 def _encode_frames(imgs, w: WeightStore) -> np.ndarray:
     """Shared CNN over mask+depth pairs [n,2,54,96] -> [n,64] tokens.
 
@@ -432,8 +427,8 @@ def _encode_stream(tokens, state_token, w: WeightStore, stream: str) -> np.ndarr
 def student_forward(frames, proprio, w: WeightStore) -> np.ndarray:
     """Map stacked dual-view observations + proprioception to 8 action values.
 
-    frames: STACK_SHAPE, read through `_FRAME_PAIRS` as one (mask, depth)
-    image per view and time step.
+    frames: STACK_SHAPE in STACK_LAYOUT order; its (mask, depth) images are
+    encoded as they lie, (time, view), and each view then reads its tokens.
     """
     if w.arch != STUDENT_ARCH:
         raise ArchitectureError(f"expected arch {STUDENT_ARCH!r}, got {w.arch!r}")
@@ -444,8 +439,8 @@ def student_forward(frames, proprio, w: WeightStore) -> np.ndarray:
         raise ShapeError(f"proprio must be ({PROPRIO_DIM},), got {proprio.shape}")
 
     state_token = linear(proprio[None, :], w.get("proprio.w"), w.get("proprio.b"))[0]
-    tokens = _encode_frames(frames[_FRAME_PAIRS], w)
-    per_view = tokens.reshape(len(VIEWS), HISTORY_LEN, MODEL_DIM)
+    tokens = _encode_frames(frames.reshape(-1, 2, *FRAME_SHAPE), w)
+    per_view = tokens.reshape(HISTORY_LEN, len(VIEWS), MODEL_DIM).swapaxes(0, 1)
     streams = [_encode_stream(t, state_token, w, view) for view, t in zip(VIEWS, per_view)]
     z = np.concatenate(streams)[None, :]
     z = _elu(linear(z, w.get("head.fc1.w"), w.get("head.fc1.b")))

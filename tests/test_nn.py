@@ -11,8 +11,10 @@ import pytest
 
 from graspsim.errors import ArchitectureError, InvalidArgumentError, ShapeError
 from graspsim.nn import (
+    FRAME_SHAPE,
     MODEL_DIM,
     PROPRIO_DIM,
+    STACK_LAYOUT,
     WeightStore,
     attention,
     conv2d,
@@ -29,7 +31,7 @@ from graspsim.nn import (
     student_manifest,
     transformer_encoder_layer,
 )
-from graspsim.nn import _FRAME_PAIRS, _encode_frames
+from graspsim.nn import _encode_frames
 
 from conftest import setting_env
 
@@ -301,16 +303,18 @@ def test_conv_pool_elu_bits_match_single_image_ops_on_student_layers(rng):
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
                     reason="the setting names an x86-64 BLAS kernel")
 def test_conv_pool_elu_bits_hold_under_blas_without_fma():
-    # the two comparisons above, run in a child process under a BLAS kernel
-    # whose bits, like the default's, ignore column position and width
+    # the two comparisons above and the student's batch-order check, run in
+    # a child process under a BLAS kernel whose bits, like the default's,
+    # ignore column position and width
     env = setting_env({"OPENBLAS_CORETYPE": "Sandybridge"})
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{__file__}::test_conv_pool_elu_bits_match_single_image_ops",
-         f"{__file__}::test_conv_pool_elu_bits_match_single_image_ops_on_student_layers"],
+         f"{__file__}::test_conv_pool_elu_bits_match_single_image_ops_on_student_layers",
+         f"{__file__}::test_encode_frames_batch_equals_single_pairs"],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout
-    assert re.fullmatch(r"2 passed in .*", proc.stdout.strip().splitlines()[-1]), proc.stdout
+    assert re.fullmatch(r"3 passed in .*", proc.stdout.strip().splitlines()[-1]), proc.stdout
 
 
 def test_conv_pool_elu_errors():
@@ -687,13 +691,18 @@ def test_student_forward_bits_pinned(box_records):
 
 def test_encode_frames_batch_equals_single_pairs(rng):
     # Each pair is also encoded as a batch of two copies: a one-row fc would
-    # run as a BLAS matrix-vector product, which sums in another order.
+    # run as a BLAS matrix-vector product, which sums in another order.  The
+    # stack goes in as student_forward reads it, (time, view), and again in
+    # (view, time) order: a token's bits may not depend on its row.
     w = init_student_weights(1)
     frames = rng.random((12, 54, 96)).astype(np.float32)
-    imgs = frames[_FRAME_PAIRS]
+    imgs = frames.reshape(-1, 2, *FRAME_SHAPE)
     assert imgs.shape == (6, 2, 54, 96)
     tokens = _encode_frames(imgs, w)
     assert tokens.shape == (6, 64)
+    by_view = frames.reshape(STACK_LAYOUT + FRAME_SHAPE).swapaxes(0, 1).reshape(imgs.shape)
+    assert np.array_equal(_encode_frames(by_view, w).reshape(STACK_LAYOUT[1], -1, MODEL_DIM),
+                          tokens.reshape(*STACK_LAYOUT[:2], MODEL_DIM).swapaxes(0, 1))
     for i in range(6):
         single = _encode_frames(imgs[[i, i]], w)
         assert np.array_equal(single[0], tokens[i])

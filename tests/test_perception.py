@@ -29,8 +29,8 @@ from graspsim.camera import (
 )
 from graspsim.camera import _box_hits, _camera_rays
 from graspsim.config import SimConfig
-from graspsim.errors import InvalidArgumentError, NotReadyError
-from graspsim.nn import _FRAME_PAIRS, FRAME_SHAPE, HISTORY_LEN, STACK_LAYOUT, VIEWS
+from graspsim.errors import InvalidArgumentError, NotReadyError, ShapeError
+from graspsim.nn import FRAME_SHAPE, HISTORY_LEN, STACK_LAYOUT, VIEWS
 from graspsim.robot import initial_robot
 from graspsim.scene import (
     PLATFORM_THICKNESS,
@@ -142,7 +142,7 @@ def test_platform_fully_occludes_object():
     frame = render_frame(scene, robot, centered_wrist_cam())
     assert frame.mask.sum() == 0
     # the slab's near face (x = 0.3) is what the center pixel sees
-    assert frame.valid[FRAME_H // 2, FRAME_W // 2]
+    assert frame.depth[FRAME_H // 2, FRAME_W // 2] > 0
     assert frame.depth[FRAME_H // 2, FRAME_W // 2] == pytest.approx(0.3, abs=1e-3)
 
 
@@ -210,9 +210,8 @@ def test_mask_depth_consistency_random_scenes(rng, catalog_map):
         scene = make_scene(spec, Pose6(pos, rng.uniform(-1, 1, 3)))
         robot = eye_robot([0.0, 0.0, 0.6])
         frame = render_frame(scene, robot, centered_wrist_cam())
-        assert np.all(frame.valid[frame.mask])
         assert np.all(frame.depth[frame.mask] > 0)
-        assert np.all(frame.depth[~frame.valid] == 0.0)
+        assert np.all(frame.depth >= 0.0)              # a no-hit pixel reads 0, never NaN
 
 
 def test_render_is_deterministic(catalog_map):
@@ -223,7 +222,6 @@ def test_render_is_deterministic(catalog_map):
     b = render_frame(scene, robot, base_camera())
     assert np.array_equal(a.mask, b.mask)
     assert np.array_equal(a.depth, b.depth)
-    assert np.array_equal(a.valid, b.valid)
 
 
 def test_mask_noise_flips_pixels(catalog_map):
@@ -310,7 +308,7 @@ def test_flat_terrain_depth_is_the_plane_depth(height):
         plane = (height - origin[2]) / d[2][down].astype(np.float64)
         assert down.sum() > 1_000 and not frame.mask.any()
         assert np.all(np.abs(depth[down] - plane) <= 1e-5 * plane)
-        assert np.array_equal(frame.valid.reshape(-1), down) and not depth[~down].any()
+        assert np.array_equal(depth > 0, down) and not depth[~down].any()
 
 
 @pytest.mark.parametrize("object_id", ["tennis_ball", "cracker_box", "mustard_bottle"])
@@ -338,7 +336,7 @@ def test_two_view_batch_equals_one_view_renders(object_id, case, catalog_map):
     batch = render_views(scene, robot, SimConfig(), 0, 0)
     for cam, got in zip(cams, batch):
         want = render_frame(scene, robot, cam)
-        for name in ("mask", "depth", "valid"):
+        for name in ("mask", "depth"):
             assert np.array_equal(getattr(got, name).view(np.uint8),
                                   getattr(want, name).view(np.uint8)), name
     if case == "wrist_inside_object":
@@ -374,7 +372,7 @@ def test_threads_render_the_serial_bytes(catalog):
     def render(state):
         (scene, robot), step = state
         return b"".join(a.tobytes() for f in render_views(scene, robot, cfg, 0, step)
-                        for a in (f.mask, f.depth, f.valid))
+                        for a in (f.mask, f.depth))
 
     serial = [render(state) for state in states]
     assert len(serial) == 90
@@ -517,7 +515,7 @@ def test_history_prewarm_repeats_oldest():
     # render with chunks of 1).  The stacks are read after the last render: a
     # stack never changes once made, whatever chunks the store opens later.
     def depths(stack):
-        wrist = stack[_FRAME_PAIRS][:HISTORY_LEN]
+        wrist = stack.reshape(STACK_LAYOUT + FRAME_SHAPE)[:, 0]
         return [round(float(depth[0, 0]) * DEPTH_CLIP * 2, 6) for _, depth in wrist]
 
     for chunk in (1, 2, STORE_CHUNK):
@@ -534,8 +532,7 @@ def test_history_prewarm_repeats_oldest():
 def _const_frame(mask_val, depth_val):
     mask = np.full((FRAME_H, FRAME_W), mask_val, dtype=bool)
     depth = np.full((FRAME_H, FRAME_W), depth_val, dtype=np.float32)
-    valid = depth > 0
-    return Frame(mask, depth, valid)
+    return Frame(mask, depth)
 
 
 def test_stack_observation_layout_and_scaling():
@@ -558,42 +555,60 @@ def test_stack_observation_layout_and_scaling():
 
 
 def test_stack_channels_pair_up_in_nn_frame_order():
-    # camera writes the stack, nn gathers it: image i of the gather must be
-    # frame t = i % HISTORY_LEN of view i // HISTORY_LEN (wrist, then base),
-    # its mask and depth from that one frame.  The tag is in both channels.
+    # camera writes the stack, nn reads it in STACK_LAYOUT order: image
+    # [t, view] must be frame t of that view (wrist, then base), its mask
+    # and depth from that one frame.  The tag is in both channels.
     def tagged(tag):
         mask = np.zeros((FRAME_H, FRAME_W), bool)
         mask[0, :tag + 1] = True
         depth = np.full((FRAME_H, FRAME_W), 0.5 * (tag + 1), np.float32)
-        return Frame(mask, depth, depth > 0)
+        return Frame(mask, depth)
 
     store = FrameStore()
     for t in range(HISTORY_LEN):
         store.append([tagged(view * HISTORY_LEN + t) for view in range(len(VIEWS))])
-    imgs = stack_observation(store)[_FRAME_PAIRS]
-    assert imgs.shape == (len(VIEWS) * HISTORY_LEN, 2, FRAME_H, FRAME_W)
-    for tag, (mask, depth) in enumerate(imgs):
+    imgs = stack_observation(store).reshape(STACK_LAYOUT + FRAME_SHAPE)
+    assert imgs.shape == (HISTORY_LEN, len(VIEWS), 2, FRAME_H, FRAME_W)
+    for t, view in np.ndindex(HISTORY_LEN, len(VIEWS)):
+        mask, depth = imgs[t, view]
+        tag = view * HISTORY_LEN + t
         assert np.count_nonzero(mask) == tag + 1 and np.all(mask[0, :tag + 1] == 1.0)
         assert np.allclose(depth, 0.5 * (tag + 1) / DEPTH_CLIP, rtol=0, atol=1e-6)
 
 
 def test_stack_invalid_depth_stays_zero():
     dead = Frame(np.zeros((FRAME_H, FRAME_W), bool),
-                 np.zeros((FRAME_H, FRAME_W), np.float32),
-                 np.zeros((FRAME_H, FRAME_W), bool))
+                 np.zeros((FRAME_H, FRAME_W), np.float32))
     store = FrameStore()
     store.append((dead, dead))
     assert np.all(stack_observation(store) == 0.0)
-    # the valid bit decides, not the depth: 3 m pixels whose bit is clear read
-    # 0, the one valid pixel 3 / DEPTH_CLIP
-    valid = np.zeros((FRAME_H, FRAME_W), bool)
-    valid[0, 0] = True
-    far = Frame(dead.mask, np.full((FRAME_H, FRAME_W), 3.0, np.float32), valid)
+    # beside one 3 m hit, the no-hit pixels (depth 0) still read 0
+    hit = np.zeros((FRAME_H, FRAME_W), np.float32)
+    hit[0, 0] = 3.0
     store = FrameStore()
-    store.append((far, dead))
-    depth = stack_observation(store)[_FRAME_PAIRS][0, 1]
+    store.append((Frame(dead.mask, hit), dead))
+    depth = stack_observation(store).reshape(STACK_LAYOUT + FRAME_SHAPE)[0, 0, 1]
     assert depth[0, 0] == np.float32(3.0) / np.float32(DEPTH_CLIP)
     assert np.count_nonzero(depth) == 1
+
+
+@pytest.mark.parametrize("shape", [(len(VIEWS),) + FRAME_SHAPE, (), (1, 2) + FRAME_SHAPE])
+def test_frame_store_rejects_a_malformed_block(shape):
+    # a block that would broadcast (one view's, or a 0-d fill) is refused,
+    # and the store keeps the blocks it had
+    store, block = FrameStore(), (len(VIEWS), 2) + FRAME_SHAPE
+    store.append(np.zeros(block, np.float32))
+    with pytest.raises(ShapeError, match=re.escape(f"a block must be {block}, got {shape}")):
+        store.append(np.full(shape, 7.0, np.float32))
+    assert store.newest == HISTORY_LEN - 1 and not stack_observation(store).any()
+
+
+@pytest.mark.parametrize("views", [1, len(VIEWS) + 1])
+def test_frame_store_rejects_a_render_of_other_than_two_frames(views):
+    store = FrameStore()
+    with pytest.raises(ShapeError, match=f"^a render must be {len(VIEWS)} frames, got {views}$"):
+        store.append([_const_frame(True, 1.0)] * views)
+    assert store.blocks is None
 
 
 def test_dump_frame_pgm(tmp_path, catalog_map):
@@ -614,8 +629,11 @@ def test_camera_model_and_frame_reject_bad_fields():
             CameraModel("base", Pose6.identity(), hfov)
     with pytest.raises(InvalidArgumentError, match="^mount must be base or wrist, got head$"):
         CameraModel("head", Pose6.identity())
-    for name in ("mask", "depth", "valid"):
-        arrays = {k: np.zeros((FRAME_H, FRAME_W)) for k in ("mask", "depth", "valid")}
-        arrays[name] = np.zeros((FRAME_W, FRAME_H))
+    for name in ("mask", "depth"):
+        arrays = {"mask": np.zeros((FRAME_H, FRAME_W), bool), "depth": np.zeros((FRAME_H, FRAME_W))}
+        arrays[name] = np.zeros((FRAME_W, FRAME_H), arrays[name].dtype)
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be {FRAME_H}x{FRAME_W}$"):
             Frame(**arrays)
+    # a mask is boolean: a 0.7 would reach the student's 0/1 mask channel
+    with pytest.raises(InvalidArgumentError, match="^mask must be boolean, got float64$"):
+        Frame(np.full((FRAME_H, FRAME_W), 0.7), np.zeros((FRAME_H, FRAME_W)))
