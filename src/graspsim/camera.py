@@ -66,7 +66,7 @@ def wrist_camera(hfov: float = DEFAULT_HFOV) -> CameraModel:
 
 @dataclass(frozen=True)
 class Frame:
-    """Boolean target mask plus z-depth map, 0 where no ray hit."""
+    """Boolean target mask plus finite, non-negative z-depth map, 0 where no ray hit."""
 
     mask: np.ndarray
     depth: np.ndarray
@@ -79,6 +79,8 @@ class Frame:
             if a.shape != (FRAME_H, FRAME_W):
                 raise InvalidArgumentError(f"{name} must be {FRAME_H}x{FRAME_W}")
             a.setflags(write=False)
+        if not 0.0 <= self.depth.min() <= self.depth.max() < np.inf:     # NaN fails too
+            raise InvalidArgumentError("depth must be finite and non-negative")
 
 
 @lru_cache(maxsize=None)
@@ -351,7 +353,9 @@ class FrameStore:
     blocks, newest = None, -1           # the open chunk and its newest block's index
 
     def __init__(self, chunk: int = STORE_CHUNK):
-        self.chunk = chunk
+        self.chunk = check_integer("chunk", chunk)
+        if self.chunk < 1:
+            raise InvalidArgumentError(f"chunk must be at least 1, got {chunk}")
 
     def append(self, frames) -> None:
         """Put one render in the next block: its (wrist, base) frames,

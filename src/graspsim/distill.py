@@ -5,7 +5,7 @@ each one ``RECORD_DTYPE`` row: a packed, little-endian numpy structured
 dtype (``episode_id`` u64, ``step`` u32, ``observation``/``proprio``/
 ``action`` float32 arrays, ``gripper`` u8; 248,973 bytes).  That dtype is
 the only statement of the layout: the writer packs with it and the reader
-streams the body with it, READ_CHUNK records a read, so reads are bit-exact
+streams the body with it, one record a read, so reads are bit-exact
 round trips of writes.  The stacks ``read_dataset`` returns are read-only
 views into one `camera.FrameStore` that holds each frame block once, so
 consecutive records of an episode share memory.
@@ -41,7 +41,6 @@ HEADER = MAGIC + struct.pack("<IIIIII", VERSION, *STACK_SHAPE, PROPRIO_DIM, ACTI
 HEADER_SIZE = len(HEADER)
 _FLOAT_FIELDS = ("observation", "proprio", "action")
 _LABELS = np.dtype([(n, RECORD_DTYPE[n]) for n in RECORD_DTYPE.names if n != "observation"])
-READ_CHUNK = 8                  # records per read of a dataset body
 
 
 @dataclass(frozen=True)
@@ -87,36 +86,32 @@ def record_distillation(log, observations, path) -> int:
             with np.errstate(over="ignore"):          # past float32's range: inf
                 for name in RECORD_DTYPE.names:
                     row[name] = getattr(rec, name)
-            _check_rows(row, path, i)
+            _check_record(row, path, i, row["observation"])
             fh.write(row.tobytes())
     return len(observations)
 
 
-def _check_rows(rows, path, first: int = 0) -> None:
-    """Reject the first row (``rows[0]`` is record ``first``) with a gripper
-    byte other than 0/1 or a float that is not finite, naming its record.
-    min/max propagate NaN and expose +-inf: per field first, then per row."""
-    if rows["gripper"].max() <= 1 and all(
-            math.isfinite(rows[name].min()) and math.isfinite(rows[name].max())
-            for name in _FLOAT_FIELDS):
-        return
-    faults = [("gripper must be 0 or 1", rows["gripper"] > 1)]
-    for name in _FLOAT_FIELDS:
-        axes = tuple(range(1, rows[name].ndim))
-        finite = np.isfinite(rows[name].min(axis=axes)) & np.isfinite(rows[name].max(axis=axes))
-        faults.append((f"{name} is not finite", ~finite))
-    i, what = min((int(np.argmax(mask)), what) for what, mask in faults if mask.any())
-    raise InvalidArgumentError(f"{path}: record {first + i}: {what}")
+def _check_record(row, path, i: int, observation) -> None:
+    """Reject record ``i``, one RECORD_DTYPE ``row`` whose frame blocks left to
+    check are ``observation``, naming its first fault by field name: a gripper
+    byte other than 0/1 or a float that min/max find not finite (NaN, +-inf)."""
+    faults = [f"{name} is not finite" for name, a in (
+        ("action", row["action"]), ("observation", observation), ("proprio", row["proprio"]))
+        if not (math.isfinite(a.min()) and math.isfinite(a.max()))]
+    if row["gripper"].max() > 1:
+        faults.append("gripper must be 0 or 1")
+    if faults:
+        raise InvalidArgumentError(f"{path}: record {i}: {min(faults)}")
 
 
 def read_dataset(path) -> list:
-    """Stream every record back, checking each chunk of records as it is read.
+    """Stream every record back, one read each, checking what it stores.
 
     A record whose two older frame blocks equal, bit for bit, the newest two
-    in the store adds only its newest block; any other adds all three, so
-    every file reads back exactly.  Raises on a malformed header, a body that
-    is not whole records, a gripper byte other than 0/1 or a non-finite
-    float, naming the first bad record."""
+    (checked) blocks in the store adds only its newest block; any other adds
+    all three, so every file reads back exactly.  Raises on a malformed
+    header, a body that is not whole records, a gripper byte other than 0/1
+    or a non-finite float, naming the first bad record."""
     with open(path, "rb") as fh:
         head = fh.read(HEADER_SIZE)
         if head[:len(MAGIC)] != MAGIC:
@@ -133,20 +128,20 @@ def read_dataset(path) -> list:
         if rest:
             raise InvalidArgumentError(f"{path}: truncated record data")
         store = FrameStore(n + HISTORY_LEN - 1)     # a chained file fills one chunk
-        rows, labels = np.empty(min(n, READ_CHUNK), RECORD_DTYPE), np.empty(n, _LABELS)
+        row, labels = np.empty(1, RECORD_DTYPE), np.empty(n, _LABELS)
+        obs = row["observation"].reshape(*STACK_LAYOUT, *FRAME_SHAPE)
         stacks, older = [], None                    # older: the store's newest two blocks
-        for first in range(0, n, READ_CHUNK):
-            chunk = rows[:n - first]
-            if fh.readinto(chunk) != chunk.nbytes:  # the file shrank as it was read
+        for i in range(n):
+            if fh.readinto(row) != RECORD_SIZE:     # the file shrank as it was read
                 raise InvalidArgumentError(f"{path}: truncated record data")
-            _check_rows(chunk, path, first)
-            labels[first:first + len(chunk)] = chunk[list(_LABELS.names)]
-            for obs in chunk["observation"].reshape(-1, *STACK_LAYOUT, *FRAME_SHAPE):
-                chained = np.array_equal(obs[:-1].view(np.uint32), older)  # -0.0 != 0.0
-                for block in obs[-1:] if chained else obs:
-                    store.append(block)
-                stacks.append(stack_observation(store))
-                older = stacks[-1].reshape(obs.shape)[1:].view(np.uint32)
+            chained = np.array_equal(obs[:-1].view(np.uint32), older)  # -0.0 != 0.0
+            new = obs[-1:] if chained else obs      # older blocks equal checked ones
+            _check_record(row, path, i, new)
+            labels[i:i + 1] = row[list(_LABELS.names)]
+            for block in new:
+                store.append(block)
+            stacks.append(stack_observation(store))
+            older = stacks[-1].reshape(obs.shape)[1:].view(np.uint32)
     labels.flags.writeable = False
     return [DistillRecord(eid, step, stack, proprio, action, grip)
             for (eid, step, grip), stack, proprio, action in zip(

@@ -183,8 +183,8 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
     submit, in_flight = (pool.submit, workers) if pool is not None else (_run_now, 1)
     try:
         for level in levels:
-            tasks = ((episode_config(level, objs, seed, i, timeout_steps),
-                      sim_cfg, use_gfm, lookup) for i in itertools.count())
+            tasks = ((episode_config(level, objs, seed, i, timeout_steps), sim_cfg, use_gfm,
+                      lookup) for i in itertools.islice(itertools.count(), episodes_per_level))
             got: list[EpisodeLog] = []
             steps_used = 0
 
@@ -193,12 +193,12 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
                     return len(got) >= episodes_per_level
                 return steps_used >= step_budget
 
-            pending = [submit(_episode_task, next(tasks)) for _ in range(in_flight)]
+            pending = [submit(_episode_task, t) for t in itertools.islice(tasks, in_flight)]
             while not done():
                 got.append(pending.pop(0).result())
                 steps_used += got[-1].n_steps
-                if not done():
-                    pending.append(submit(_episode_task, next(tasks)))
+                if not done() and (task := next(tasks, None)):   # a count's tasks run out
+                    pending.append(submit(_episode_task, task))
             for fut in pending:
                 fut.cancel()
             all_logs.extend(got)

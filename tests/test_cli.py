@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -12,6 +13,7 @@ import pytest
 
 import graspsim.cli
 import graspsim.episode
+import graspsim.metrics
 from graspsim.camera import DEPTH_CLIP
 from graspsim.cli import main
 from graspsim.config import _RANGES, SimConfig, load_config
@@ -210,6 +212,37 @@ def test_bench_command_writes_outputs(tmp_path, capsys):
     assert code == 0
     assert (out_dir2 / "metrics.csv").read_bytes() == csv_a
     assert (out_dir2 / "episodes.jsonl").read_bytes() == log_a
+
+
+@pytest.mark.parametrize("episodes", [1, 3, 5])
+def test_pooled_bench_submits_only_the_episodes_it_reads(tmp_path, capsys, monkeypatch,
+                                                         episodes):
+    # a pool cannot cancel a task it has queued, so each one submitted runs:
+    # with --episodes E, E per level at any worker count.  The stand-in pool
+    # runs each episode at submission, in this process.
+    submitted = []
+
+    class CountingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, *args):
+            submitted.append(args[0][0].level)
+            return graspsim.metrics._run_now(fn, *args)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(graspsim.metrics.os, "cpu_count", lambda: 2)
+    csvs = []
+    for workers in ("0", "2"):
+        out = tmp_path / workers
+        assert run_cli(["bench", "--levels", "1,2", "--episodes", str(episodes), "--seed", "5",
+                        "--workers", workers, "--out", str(out)], capsys)[0] == 0
+        csvs.append((out / "metrics.csv").read_bytes())
+    assert submitted == [1] * episodes + [2] * episodes
+    assert csvs[1] == csvs[0]
 
 
 def test_distill_record_command(tmp_path, capsys):

@@ -24,7 +24,6 @@ from graspsim.config import _RANGES, load_config
 from graspsim.distill import (
     HEADER,
     HEADER_SIZE,
-    READ_CHUNK,
     RECORD_DTYPE,
     RECORD_SIZE,
     read_dataset,
@@ -113,7 +112,7 @@ def test_read_dataset_shares_one_frame_store(tmp_path, box_records):
     # and the store holds each render's block once: n + 4 blocks (the record
     # of the first render adds three, and a chunk opens with two carried)
     n = len(box_records)
-    assert n > 2 * READ_CHUNK
+    assert n > 16
     path = tmp_path / "episode.bin"
     record_distillation(SimpleNamespace(n_steps=n, seed=0), box_records, path)
     records = read_dataset(path)
@@ -151,7 +150,7 @@ _PER = STACK_SHAPE[0] // HISTORY_LEN     # channels per render
 def _signed_zero_stacks():
     # render 4 holds a 0.0 pixel, and record 5's copy of it is -0.0: equal as
     # floats, so only a compare of the bits keeps record 5 from chaining on
-    stacks = _chained_stacks(READ_CHUNK + 3)
+    stacks = _chained_stacks(11)
     for k, channel in ((4, -_PER), (5, -2 * _PER), (6, -3 * _PER)):
         stacks[k][channel, 0, 0] = 0.0
     stacks[5][-2 * _PER, 0, 0] = -0.0
@@ -160,9 +159,9 @@ def _signed_zero_stacks():
 
 @pytest.mark.parametrize("make", [
     # unrelated random stacks: every record adds all three blocks
-    lambda: [np.random.default_rng(k).random(STACK_SHAPE) for k in range(READ_CHUNK + 3)],
+    lambda: [np.random.default_rng(k).random(STACK_SHAPE) for k in range(11)],
     # two episodes joined: the second's first record does not chain on
-    lambda: _chained_stacks(READ_CHUNK + 1) + _chained_stacks(5, seed=1),
+    lambda: _chained_stacks(9) + _chained_stacks(5, seed=1),
 ], ids=["random", "joined"])
 def test_read_dataset_reads_unchained_records_exactly(tmp_path, make):
     stacks = make()
@@ -225,20 +224,36 @@ def test_read_dataset_names_the_first_bad_record(tmp_path):
     assert read_dataset(empty) == []
 
 
-@pytest.mark.parametrize("first_bad", [READ_CHUNK, 2 * READ_CHUNK - 1, 2 * READ_CHUNK])
+@pytest.mark.parametrize("first_bad", [8, 15, 16])
 def test_read_dataset_names_a_bad_record_past_the_first_read(tmp_path, first_bad):
-    # each read's rows are checked with their offset in the file; a second
-    # bad record in a later read does not hide the first
+    # each record is checked as it is read, with its index in the file; a
+    # second bad record later does not hide the first
     path = tmp_path / "bad.bin"
-    data = bytearray(_write_records(path, 2 * READ_CHUNK + 2))
+    data = bytearray(_write_records(path, 18))
     for index, field, raw in ((first_bad, "proprio", struct.pack("<f", np.inf)),
-                              (2 * READ_CHUNK + 1, "gripper", b"\x07")):
+                              (17, "gripper", b"\x07")):
         offset = HEADER_SIZE + index * RECORD_SIZE + RECORD_DTYPE.fields[field][1]
         data[offset:offset + len(raw)] = raw
     path.write_bytes(data)
     with pytest.raises(InvalidArgumentError) as err:
         read_dataset(path)
     assert str(err.value) == f"{path}: record {first_bad}: proprio is not finite"
+
+
+def test_read_dataset_checks_the_older_blocks_of_a_record_that_does_not_chain(tmp_path):
+    # a record adds, and has checked, only the blocks it stores: a NaN and an
+    # inf in its two older blocks (its newest one clean) keep it from chaining
+    # on, so it stores all three, and is rejected by name
+    path = tmp_path / "bad.bin"
+    data = bytearray(_write_stacks(path, _chained_stacks(6)))
+    for channel, value in ((0, np.nan), (_PER + 1, np.inf)):
+        offset = (HEADER_SIZE + 3 * RECORD_SIZE + RECORD_DTYPE.fields["observation"][1]
+                  + channel * FRAME_SHAPE[0] * FRAME_SHAPE[1] * 4)
+        data[offset:offset + 4] = struct.pack("<f", value)
+    path.write_bytes(data)
+    with pytest.raises(InvalidArgumentError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: record 3: observation is not finite"
 
 
 @pytest.mark.parametrize("damage, error", [
@@ -249,7 +264,7 @@ def test_read_dataset_names_a_bad_record_past_the_first_read(tmp_path, first_bad
 ], ids=["body", "header", "magic", "empty"])
 def test_read_dataset_rejects_damaged_files(tmp_path, damage, error):
     path = tmp_path / "damaged.bin"
-    path.write_bytes(damage(_write_records(path, READ_CHUNK + 1)))
+    path.write_bytes(damage(_write_records(path, 9)))
     with pytest.raises(InvalidArgumentError) as err:
         read_dataset(path)
     assert str(err.value) == f"{path}: {error}"
@@ -259,7 +274,7 @@ def test_read_dataset_rejects_a_file_that_shrinks_as_it_is_read(tmp_path, monkey
     # the reader sizes its arrays from the file's length, then reads into
     # them; a read that comes up short fails rather than leave stale bytes
     path = tmp_path / "set.bin"
-    _write_records(path, READ_CHUNK + 1)
+    _write_records(path, 9)
     fstat = os.fstat
     monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
         st_size=fstat(fd).st_size + RECORD_SIZE))

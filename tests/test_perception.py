@@ -603,6 +603,16 @@ def test_frame_store_rejects_a_malformed_block(shape):
     assert store.newest == HISTORY_LEN - 1 and not stack_observation(store).any()
 
 
+@pytest.mark.parametrize("chunk, error", [
+    (0, "chunk must be at least 1, got 0"), (-3, "chunk must be at least 1, got -3"),
+    (2.5, "chunk must be an integer, got 2.5"), (True, "chunk must be an integer, got True"),
+])
+def test_frame_store_rejects_a_bad_chunk(chunk, error):
+    # caught when the store is made, not at its first append
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(error)}$"):
+        FrameStore(chunk)
+
+
 @pytest.mark.parametrize("views", [1, len(VIEWS) + 1])
 def test_frame_store_rejects_a_render_of_other_than_two_frames(views):
     store = FrameStore()
@@ -637,3 +647,11 @@ def test_camera_model_and_frame_reject_bad_fields():
     # a mask is boolean: a 0.7 would reach the student's 0/1 mask channel
     with pytest.raises(InvalidArgumentError, match="^mask must be boolean, got float64$"):
         Frame(np.full((FRAME_H, FRAME_W), 0.7), np.zeros((FRAME_H, FRAME_W)))
+    # a depth is finite and non-negative: FrameStore.append would carry a NaN
+    # into the stack (np.clip keeps it), and a render never makes one
+    mask = np.zeros((FRAME_H, FRAME_W), bool)
+    for bad in (np.nan, np.inf, -np.inf, -1.0):
+        depth = np.full((FRAME_H, FRAME_W), 2.0, np.float32)
+        depth[-1, -1] = bad
+        with pytest.raises(InvalidArgumentError, match="^depth must be finite and non-negative$"):
+            Frame(mask, depth)
