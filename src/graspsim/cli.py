@@ -43,7 +43,7 @@ def _cmd_bench(args) -> int:
             raise InvalidArgumentError(f"--out is not a directory: {args.out}")
     cfg = load_config(args.config)
     try:
-        levels = [int(x) for x in args.levels.split(",") if x]
+        levels = [int(x) for x in args.levels.split(",")]
     except ValueError as exc:   # int()'s message names the bad token
         raise InvalidArgumentError(
             f"--levels takes comma-separated integers: {exc}") from None

@@ -87,7 +87,7 @@ def record_distillation(log, observations, path) -> int:
                 for name in RECORD_DTYPE.names:
                     row[name] = getattr(rec, name)
             _check_record(row, path, i, row["observation"])
-            fh.write(row.tobytes())
+            fh.write(row)
     return len(observations)
 
 

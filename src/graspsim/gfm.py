@@ -377,7 +377,7 @@ def gfm_forward(feat, obj_pose: Pose6, bank: GraspMemoryBank,
     bit-exact instead of merely close.
     """
     if len(bank) == 0:
-        raise EmptyBankError("cannot fuse an empty grasp memory bank")
+        raise EmptyBankError(f"cannot fuse the empty grasp memory bank of {bank.object_id!r}")
     feat = np.asarray(feat, dtype=np.float64)
     if feat.shape != (FEATURE_DIM,):
         raise ShapeError(f"feature must be ({FEATURE_DIM},), got {feat.shape}")

@@ -4,15 +4,18 @@ Everything runs on float32 numpy arrays; there is no autograd, no training,
 and no GPU path.  Weights come from files or seeded initialization (matrices
 uniform in +-1/sqrt(fan_in), biases zero, norm gains one).
 
-Validation happens at the boundaries: `WeightStore` rejects non-finite weights
-once, when they enter the program (init, `load`, construction).  The ops check
-activations, not weights: a public op checks its input, then runs its private
-kernel (`_linear`, `_layer_norm`, `_elu`, `_softmax`), which the encoder layers
-call directly and which checks its output.  The CNN runs one image at a time:
-`conv_pool_elu` copies an image's sliding windows into columns in row-parity
-order (even output rows, then odd ones; an odd last row is not cast), runs one
-GEMM into a tile it reuses, checks it as `conv2d` does, then pools, biases and
-ELUs it into an image-major [n,oc,h,w] batch, already the fc's row layout.
+A `WeightStore` is its arch and its ordered parameters; the manifest a weight
+file states is derived from them, and `load` checks it.  Validation happens at
+the boundaries: a store rejects non-finite weights, and student-v1 names or
+shapes other than `student_manifest()`'s, once, when they enter the program
+(init, `load`, construction).  The ops check activations, not weights: a public
+op checks its input, then runs its private kernel (`_linear`, `_layer_norm`,
+`_elu`, `_softmax`), which the encoder layers call directly and which checks
+its output.  The CNN runs one image at a time: `conv_pool_elu` copies an
+image's sliding windows into columns in row-parity order (even output rows,
+then odd ones; an odd last row is not cast), runs one GEMM into a tile it
+reuses, checks it as `conv2d` does, then pools, biases and ELUs it into an
+image-major [n,oc,h,w] batch, already the fc's row layout.
 `max_pool2` trusts the tile it is handed.
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -244,34 +247,21 @@ def kd_loss(student_actions, teacher_actions) -> float:
 
 @dataclass
 class WeightStore:
-    """Named parameters matching a manifest; student-v1's is `student_manifest()`."""
+    """Named parameters, in the order `save` writes them; student-v1's names and
+    shapes must be `student_manifest()`."""
 
     arch: str
-    manifest: list                      # ordered (name, shape) pairs
-    params: dict = field(default_factory=dict)
+    params: dict                        # name -> array, in file order
 
     def __post_init__(self):
-        declared = {name: tuple(shape) for name, shape in self.manifest}
-        if len(declared) != len(self.manifest):
-            raise ArchitectureError(f"manifest of arch {self.arch} repeats a name")
-        want = dict(student_manifest()) if self.arch == STUDENT_ARCH else declared
-        for name in (n for n in {**want, **declared} if declared.get(n) != want.get(n)):
-            raise ArchitectureError(f"{self.arch} parameter {name!r}: the manifest says "
-                                    f"{declared.get(name)}, the network needs {want.get(name)}")
-        if set(declared) != set(self.params):
-            missing = sorted(set(declared) - set(self.params))
-            extra = sorted(set(self.params) - set(declared))
-            raise ArchitectureError(
-                f"parameters do not match manifest (missing {missing}, extra {extra})"
-            )
-        for name, shape in self.manifest:
-            p = self.params[name]
-            if tuple(p.shape) != tuple(shape):
-                raise ArchitectureError(
-                    f"parameter {name!r} has shape {tuple(p.shape)}, "
-                    f"manifest says {tuple(shape)}"
-                )
+        if self.arch == STUDENT_ARCH:
+            have, want = {n: np.shape(p) for n, p in self.params.items()}, dict(student_manifest())
+            for name in (n for n in {**want, **have} if have.get(n) != want.get(n)):
+                raise ArchitectureError(f"{self.arch} parameter {name!r}: the manifest says "
+                                        f"{have.get(name)}, the network needs {want.get(name)}")
+        for name, p in self.params.items():
             p = self.params[name] = np.ascontiguousarray(p, dtype=np.float32)
+            # a whole mask: cnn.fc.w's 4.7 MB one lifts the mmap threshold; forwards take no faults
             if not np.all(np.isfinite(p)):
                 raise ArchitectureError(f"parameter {name!r} has non-finite values")
         self._layers = {}                   # prefix -> {name under prefix.: parameter}
@@ -279,13 +269,18 @@ class WeightStore:
             for dot in (i for i, c in enumerate(name) if c == "."):
                 self._layers.setdefault(name[:dot], {})[name[dot + 1:]] = p
 
+    @property
+    def manifest(self) -> list:
+        """Ordered (name, shape) pairs of the parameters."""
+        return [(name, p.shape) for name, p in self.params.items()]
+
     def get(self, name: str) -> np.ndarray:
         if name not in self.params:
             raise ArchitectureError(f"unknown parameter {name!r} for arch {self.arch}")
         return self.params[name]
 
     def param_count(self) -> int:
-        return int(sum(int(np.prod(shape)) for _, shape in self.manifest))
+        return sum(p.size for p in self.params.values())
 
     def layer(self, prefix: str) -> MappingProxyType:
         """Read-only sub-map of parameters under `prefix.`, keys relative to it."""
@@ -295,15 +290,11 @@ class WeightStore:
 
     def save(self, path) -> None:
         lines = [f"weights-v1 {self.arch}"]
-        for name, shape in self.manifest:
-            lines.append(f"{name} {','.join(str(int(d)) for d in shape)}")
-        header = ("\n".join(lines) + "\n---\n").encode("ascii")
-        blob = b"".join(
-            self.params[name].astype("<f4").tobytes() for name, _ in self.manifest
-        )
+        lines += (f"{name} {','.join(map(str, shape))}" for name, shape in self.manifest)
         with atomic_write(path) as fh:
-            fh.write(header)
-            fh.write(blob)
+            fh.write(("\n".join(lines) + "\n---\n").encode("ascii"))
+            for p in self.params.values():          # each as it lies, no copy
+                fh.write(p.astype("<f4", copy=False))
 
     @staticmethod
     def load(path) -> "WeightStore":
@@ -324,23 +315,24 @@ class WeightStore:
             raw = np.fromfile(fh, "<f4")            # the blob, read once
             if fh.read(1):
                 raise ArchitectureError(f"{path}: blob is not a whole number of floats")
-        manifest, params, offset = [], {}, 0
+        params, offset = {}, 0
         for line in head[1:]:
             parts = line.split()
             if len(parts) != 2 or not all(d.isdigit() and int(d) > 0
                                           for d in parts[1].split(",")):
                 raise ArchitectureError(f"{path}: bad manifest line {line!r}")
             name, shape = parts[0], tuple(int(d) for d in parts[1].split(","))
+            if name in params:
+                raise ArchitectureError(f"{path}: manifest repeats {name!r}")
             size = math.prod(shape)
             if offset + size > raw.size:
                 raise ArchitectureError(f"{path}: blob too short at {name!r}")
             params[name] = raw[offset:offset + size].reshape(shape)
-            manifest.append((name, shape))
             offset += size
         if offset != raw.size:
             raise ArchitectureError(f"{path}: {raw.size - offset} trailing floats")
         try:
-            return WeightStore(magic[1], manifest, params)
+            return WeightStore(magic[1], params)
         except ArchitectureError as exc:
             raise ArchitectureError(f"{path}: {exc}") from exc
 
@@ -389,8 +381,8 @@ def init_student_weights(seed: int = 0) -> WeightStore:
     if check_integer("seed", seed) < 0:
         raise InvalidArgumentError(f"seed must be 0 or more, got {seed!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    manifest, params = student_manifest(), {}
-    for name, shape in manifest:
+    params = {}
+    for name, shape in student_manifest():
         if len(shape) >= 2:
             bound = 1.0 / np.sqrt(shape[0] if len(shape) == 2 else np.prod(shape[1:]))
             params[name] = np.empty(shape, np.float32)    # one stream, in bounded draws
@@ -400,7 +392,7 @@ def init_student_weights(seed: int = 0) -> WeightStore:
             params[name] = np.ones(shape, dtype=np.float32)
         else:
             params[name] = np.zeros(shape, dtype=np.float32)
-    return WeightStore(STUDENT_ARCH, manifest, params)
+    return WeightStore(STUDENT_ARCH, params)
 
 
 def _encode_frames(imgs, w: WeightStore) -> np.ndarray:

@@ -441,7 +441,7 @@ def test_config_reader_single_byte_damage(mutation):
 
 
 _TINY_MANIFEST = [("a.w", (2, 3)), ("a.b", (3,)), ("b.k", (1, 2, 2))]
-_WEIGHTS = _written(WeightStore("tiny", _TINY_MANIFEST, {
+_WEIGHTS = _written(WeightStore("tiny", {
     name: np.random.default_rng(k).standard_normal(shape)
     for k, (name, shape) in enumerate(_TINY_MANIFEST)}).save)
 _SEP = b"\n---\n"
@@ -492,7 +492,7 @@ def _bank(catalog):
 # (target file name, action writing it into a directory, writer raises?)
 WRITERS = {
     "weights": ("w.bin", lambda d, cat: WeightStore(
-        "t", [("w", (2, 3))], {"w": np.ones((2, 3))}).save(d / "w.bin"), True),
+        "t", {"w": np.ones((2, 3))}).save(d / "w.bin"), True),
     "bank": ("bank.txt", lambda d, cat: save_bank(_bank(cat), d / "bank.txt"), True),
     "pgm": ("f.pgm", lambda d, cat: write_pgm(d / "f.pgm", np.zeros((4, 5)), 255), True),
     "dataset": ("set.bin", lambda d, cat: _write_records(d / "set.bin", 2), True),

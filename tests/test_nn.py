@@ -512,27 +512,22 @@ def test_max_pool2(rng):
 # ---------------------------------------------------------------------------
 
 def test_weight_store_manifest_validation():
-    manifest = [("a.w", (2, 3)), ("a.b", (3,))]
+    # the manifest is the params' names and shapes, in their order, read-only
     params = {"a.w": np.zeros((2, 3), np.float32), "a.b": np.zeros(3, np.float32)}
-    store = WeightStore("toy", manifest, dict(params))
+    store = WeightStore("toy", dict(params))
+    assert store.manifest == [("a.w", (2, 3)), ("a.b", (3,))]
+    with pytest.raises(AttributeError):
+        store.manifest = [("a.w", (2, 3))]
     assert store.param_count() == 9
-    with pytest.raises(ArchitectureError) as err:
-        WeightStore("toy", manifest, {"a.w": params["a.w"],
-                                      "a.b": np.zeros(4, np.float32)})
-    assert "a.b" in str(err.value)
-    with pytest.raises(ArchitectureError):
-        WeightStore("toy", manifest, {"a.w": params["a.w"]})
-    with pytest.raises(ArchitectureError):
-        WeightStore("toy", manifest + [("a.b", (3,))], dict(params))
     for bad in (np.nan, np.inf):
         w = params["a.w"].copy()
         w[1, 2] = bad
         with pytest.raises(ArchitectureError) as err:
-            WeightStore("toy", manifest, {"a.w": w, "a.b": params["a.b"]})
+            WeightStore("toy", {"a.w": w, "a.b": params["a.b"]})
         assert "a.w" in str(err.value)
     with np.errstate(over="ignore"), pytest.raises(ArchitectureError) as err:
-        WeightStore("toy", manifest, {"a.w": params["a.w"],     # overflows float32
-                                      "a.b": np.full(3, 1e300)})
+        WeightStore("toy", {"a.w": params["a.w"],     # overflows float32
+                            "a.b": np.full(3, 1e300)})
     assert "a.b" in str(err.value)
     with pytest.raises(ArchitectureError):
         store.get("missing.w")
@@ -597,6 +592,11 @@ def test_weight_store_file_roundtrip(tmp_path, rng):
         assert loaded.get(name).tobytes() == store.get(name).tobytes()
     size = path.stat().st_size        # the weights and the largest matrix's finiteness mask
     assert size < peak < size + max(p.size for p in store.params.values()) + 1e6, (peak, size)
+    # saving writes each parameter as it lies: at most one converted copy
+    # (on a big-endian host), never the whole blob beside its parts
+    _, peak = _peak_bytes(lambda: store.save(tmp_path / "again.weights"))
+    assert peak <= max(p.nbytes for p in store.params.values()) + 1e6, peak
+    assert (tmp_path / "again.weights").read_bytes() == path.read_bytes()
 
 
 def test_weight_file_rejects_garbage(tmp_path):
@@ -626,7 +626,11 @@ def test_weight_file_rejects_garbage(tmp_path):
         with pytest.raises(ArchitectureError) as err:
             WeightStore.load(path)
         assert str(path) in str(err.value)
-    toy = WeightStore("toy", [("a.w", (2, 3))], {"a.w": np.ones((2, 3), np.float32)})
+    # a repeated name would overwrite the first parameter of that name
+    path.write_bytes(b"weights-v1 toy\na.w 2,3\na.b 3\na.w 2,3" + blob + bytes(4 * 15))
+    with pytest.raises(ArchitectureError, match=re.escape(f"{path}: manifest repeats 'a.w'")):
+        WeightStore.load(path)
+    toy = WeightStore("toy", {"a.w": np.ones((2, 3), np.float32)})
     toy.save(path)
     WeightStore.load(path)
     path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
@@ -644,14 +648,14 @@ def test_student_weight_file_must_match_the_student_manifest(tmp_path):
     path = tmp_path / "student.weights"
     for name, manifest in edits.items():
         params = {n: w.get(n)[:shape[0]] for n, shape in manifest}
-        WeightStore("toy", manifest, params).save(path)
+        WeightStore("toy", params).save(path)
         path.write_bytes(path.read_bytes().replace(b"weights-v1 toy\n",
                                                    b"weights-v1 student-v1\n", 1))
         message = f"student-v1 parameter '{name}': the manifest says "
         with pytest.raises(ArchitectureError, match=re.escape(f"{path}: {message}")):
             WeightStore.load(path)
         with pytest.raises(ArchitectureError, match=f"^{message}"):
-            WeightStore("student-v1", manifest, params)
+            WeightStore("student-v1", params)
 
 
 def test_student_parameter_count_near_reported_budget():
@@ -670,7 +674,7 @@ def test_student_forward_contract(rng):
         student_forward(frames[:6], proprio, w)
     with pytest.raises(ShapeError):
         student_forward(frames, proprio[:10], w)
-    bad = WeightStore("other-arch", [("x", (1,))], {"x": np.zeros(1, np.float32)})
+    bad = WeightStore("other-arch", {"x": np.zeros(1, np.float32)})
     with pytest.raises(ArchitectureError):
         student_forward(frames, proprio, bad)
 

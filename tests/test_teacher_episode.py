@@ -231,7 +231,7 @@ def test_episode_unknown_object():
 
 def test_episode_infeasible_object_raises_empty_bank():
     big = ObjectSpec("brick", "box", (0.2, 0.2, 0.2), 2.0, "seen", "square_box")
-    with pytest.raises(EmptyBankError):
+    with pytest.raises(EmptyBankError, match="'brick'"):
         run_episode(make_config(object_id="brick"), catalog={"brick": big})
 
 
