@@ -378,8 +378,6 @@ def test_output_path_naming_a_directory_rejected(args, taken, tmp_path, capsys,
     (["gfm-inspect", "--object", "rubiks_cube", "--seed", "-2",
       "--save", "bank.txt"], "got -2"),
     (["bench", "--levels", "1,x", "--episodes", "1", "--out", "b"], "'x'"),
-    (["bench", "--levels", "1,,2", "--episodes", "1", "--out", "b"], "''"),
-    (["bench", "--levels", "1,", "--episodes", "1", "--out", "b"], "''"),
     # at the default step budget, not after level 1 has run
     (["bench", "--levels", "1,5", "--out", "b"], "got 5"),
     # derive_seed would turn a negative seed into another seed's episodes
@@ -389,6 +387,8 @@ def test_output_path_naming_a_directory_rejected(args, taken, tmp_path, capsys,
     (["distill-record", "--seed", str(2**31), "--out", "d.bin"], f"got {2**31}"),
     (["bench", "--levels", "1", "--episodes", "1", "--seed", str(2**32), "--out", "b"],
      f"got {2**32}"),
+    (["bench", "--levels", "1,,2", "--episodes", "1", "--out", "b"], "''"),
+    (["bench", "--levels", "1,", "--episodes", "1", "--out", "b"], "''"),
 ])
 def test_bad_seed_or_level_rejected(args, named, tmp_path, capsys, monkeypatch,
                                     episode_starts):
