@@ -35,9 +35,10 @@ STORE_CHUNK = 32                  # renders per FrameStore chunk of an episode
 BLOCK_SHAPE = (*STACK_LAYOUT[1:], *FRAME_SHAPE)    # one render: views x (mask, depth)
 _NO_HIT = np.inf
 
-BASE_CAM_OFFSET = Pose6(np.array([0.25, 0.0, 0.15]),
-                        np.array([0.0, np.deg2rad(15.0), 0.0]))
-WRIST_CAM_OFFSET = Pose6(np.array([-0.08, 0.0, 0.04]), np.zeros(3))
+MOUNT_OFFSETS = {                 # each view's camera pose on its parent (ee or base)
+    "wrist": Pose6(np.array([-0.08, 0.0, 0.04]), np.zeros(3)),
+    "base": Pose6(np.array([0.25, 0.0, 0.15]), np.array([0.0, np.deg2rad(15.0), 0.0])),
+}
 
 
 @dataclass(frozen=True)
@@ -45,23 +46,23 @@ class CameraModel:
     """Pinhole camera of FRAME_H x FRAME_W square pixels: optical axis +x,
     image right -y, image up +z."""
 
-    mount: str                        # base | wrist
+    mount: str                        # one of nn.VIEWS
     mount_offset: Pose6
     hfov: float = DEFAULT_HFOV
 
     def __post_init__(self):
         if not (0.0 < self.hfov < np.pi):
             raise InvalidArgumentError(f"hfov must be in (0, pi), got {self.hfov}")
-        if self.mount not in ("base", "wrist"):
-            raise InvalidArgumentError(f"mount must be base or wrist, got {self.mount}")
+        if self.mount not in VIEWS:
+            raise InvalidArgumentError(f"mount must be {' or '.join(VIEWS)}, got {self.mount}")
 
 
 def base_camera(hfov: float = DEFAULT_HFOV) -> CameraModel:
-    return CameraModel("base", BASE_CAM_OFFSET, hfov=hfov)
+    return CameraModel("base", MOUNT_OFFSETS["base"], hfov=hfov)
 
 
 def wrist_camera(hfov: float = DEFAULT_HFOV) -> CameraModel:
-    return CameraModel("wrist", WRIST_CAM_OFFSET, hfov=hfov)
+    return CameraModel("wrist", MOUNT_OFFSETS["wrist"], hfov=hfov)
 
 
 @dataclass(frozen=True)
@@ -309,17 +310,17 @@ def render_frame(scene: SceneState, robot, cam: CameraModel,
     pixel flipped with probability ``mask_flip_prob`` from noise seed ``noise_seed``."""
     if not 0.0 <= mask_flip_prob <= 1.0:               # NaN too
         raise InvalidArgumentError(f"mask_flip_prob must be in [0, 1], got {mask_flip_prob}")
-    if check_integer("noise_seed", noise_seed) < 0:
-        raise InvalidArgumentError(f"noise_seed must be 0 or more, got {noise_seed}")
+    check_integer("noise_seed", noise_seed, 0)
     return _render(scene, robot, (cam,), mask_flip_prob, noise_seed)[0]
 
 
 def render_views(scene: SceneState, robot, sim_cfg: SimConfig, seed: int, step: int) -> tuple:
-    """The (wrist, base) frames of decision ``step`` of an episode of ``seed``, in
-    one render; view k flips with noise seed derive_seed(seed, 31, step) + k."""
+    """The frames of decision ``step`` of an episode of ``seed``, one per VIEWS view,
+    in one render; view k flips with noise seed derive_seed(seed, 31, step) + k."""
     hfov, flip = np.deg2rad(sim_cfg.hfov_deg), sim_cfg.mask_flip_prob
     noise_seed = derive_seed(seed, 31, step) if flip > 0.0 else 0   # read only to flip
-    return _render(scene, robot, (wrist_camera(hfov), base_camera(hfov)), flip, noise_seed)
+    cams = tuple(CameraModel(view, MOUNT_OFFSETS[view], hfov=hfov) for view in VIEWS)
+    return _render(scene, robot, cams, flip, noise_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +354,10 @@ class FrameStore:
     blocks, newest = None, -1           # the open chunk and its newest block's index
 
     def __init__(self, chunk: int = STORE_CHUNK):
-        self.chunk = check_integer("chunk", chunk)
-        if self.chunk < 1:
-            raise InvalidArgumentError(f"chunk must be at least 1, got {chunk}")
+        self.chunk = check_integer("chunk", chunk, 1)
 
     def append(self, frames) -> None:
-        """Put one render in the next block: its (wrist, base) frames,
+        """Put one render in the next block: its frames, one per VIEWS view,
         normalized here, or a BLOCK_SHAPE block normalized before (a dataset's)."""
         if isinstance(frames, np.ndarray) and frames.shape != BLOCK_SHAPE:
             raise ShapeError(f"a block must be {BLOCK_SHAPE}, got {frames.shape}")

@@ -21,9 +21,10 @@ from .camera import dump_frame, render_views
 from .config import load_config
 from .distill import record_distillation
 from .episode import decisions, episode_bank, run_episode
-from .errors import GraspSimError, InvalidArgumentError
+from .errors import GraspSimError, InvalidArgumentError, check_integer
 from .gfm import alignment_gfm_weights, gfm_forward, save_bank
 from .metrics import DEFAULT_STEP_BUDGET, episode_config, run_benchmark, summaries_to_jsonl
+from .nn import VIEWS
 from .scene import EpisodeConfig, load_catalog, reset_episode
 from .se3 import vec6_encode
 from .teacher import cached_object_feature
@@ -92,8 +93,7 @@ def _cmd_episode(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if args.step < 0:
-        raise InvalidArgumentError(f"--step must be 0 or more, got {args.step}")
+    check_integer("--step", args.step, 0)
     if not args.out_dir:                              # found before the episode runs
         raise InvalidArgumentError("output path is empty")
     head = os.path.abspath(args.out_dir)              # makedirs makes what is missing
@@ -114,7 +114,7 @@ def _cmd_render(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
     frames = render_views(*seen, cfg, config.seed, args.step)
-    for frame, name in zip(frames, ("wrist", "base")):
+    for frame, name in zip(frames, VIEWS):
         written += dump_frame(frame, os.path.join(args.out_dir,
                                                   f"step{args.step:04d}_{name}"))
     print("wrote " + " ".join(written))
@@ -148,8 +148,7 @@ def _cmd_gfm_inspect(args) -> int:
 
 def _cmd_distill_record(args) -> int:
     _check_sweep_seed(args.seed)
-    if args.episodes < 1:
-        raise InvalidArgumentError(f"--episodes must be at least 1, got {args.episodes}")
+    check_integer("--episodes", args.episodes, 1)
     paths = ([f"{args.out}.ep{i:03d}" for i in range(args.episodes)]
              if args.episodes > 1 and args.out else [args.out])  # "" stays an error
     for path in paths:

@@ -40,9 +40,11 @@ class NotReadyError(GraspSimError, RuntimeError):
     the first render, or the per-step log of an episode run without it."""
 
 
-def check_integer(name: str, value) -> int:
+def check_integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int; anything but an int or a numpy integer (a bool
-    too) is rejected."""
+    too) is rejected, and so is a value below ``minimum`` when one is given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
     return int(value)

@@ -60,9 +60,7 @@ class GraspMemoryBank:
     _memo: tuple = field(init=False, repr=False, compare=False, default=(None, None, None))
 
     def __post_init__(self):
-        object.__setattr__(self, "k", check_integer("K", self.k))
-        if self.k < 1:
-            raise InvalidArgumentError(f"K must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", check_integer("K", self.k, 1))
         scores = [c.score for c in self.candidates]
         if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
             raise InvalidArgumentError("bank candidates must be sorted by score")
@@ -242,8 +240,7 @@ def _cylinder_draws(radius, height, n, rng, aperture):
 def _draws(spec: ObjectSpec, n: int, seed: int, aperture: float):
     """The scores of ``n`` candidates of ``spec`` in draw order, and a function
     that builds the pose of candidate i; no candidates if nothing fits."""
-    if check_integer("n", n) < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    check_integer("n", n, 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     if spec.shape == "sphere":
         return _sphere_draws(spec.dims[0], n, rng, aperture)

@@ -151,13 +151,11 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
         check_level(level)
     if split not in ("seen", "unseen", "both"):
         raise InvalidArgumentError(f"split must be seen/unseen/both, got {split!r}")
-    seed, workers = check_integer("seed", seed), check_integer("workers", workers)
+    seed, workers = check_integer("seed", seed, 0), check_integer("workers", workers, 0)
     for name, count in (("episodes_per_level", episodes_per_level),
                         ("step_budget", step_budget)):
-        if count is not None and check_integer(name, count) < 1:
-            raise InvalidArgumentError(f"{name} must be at least 1, got {count}")
-    if workers < 0:
-        raise InvalidArgumentError(f"workers must be 0 or more, got {workers}")
+        if count is not None:
+            check_integer(name, count, 1)
     if episodes_per_level is not None and step_budget is not None:
         raise InvalidArgumentError("pass episodes_per_level or step_budget, not both")
     if episodes_per_level is None and step_budget is None:

@@ -248,12 +248,17 @@ def kd_loss(student_actions, teacher_actions) -> float:
 @dataclass
 class WeightStore:
     """Named parameters, in the order `save` writes them; student-v1's names and
-    shapes must be `student_manifest()`."""
+    shapes must be `student_manifest()`.  Only what a weight file can state is
+    held: the arch and each name a whitespace-free ASCII word, no empty axis."""
 
     arch: str
     params: dict                        # name -> array, in file order
 
     def __post_init__(self):
+        for word in (self.arch, *self.params):
+            if not (isinstance(word, str) and word.isascii() and word.split() == [word]):
+                raise ArchitectureError(
+                    f"arch or parameter name {word!r} is not a whitespace-free ASCII word")
         if self.arch == STUDENT_ARCH:
             have, want = {n: np.shape(p) for n, p in self.params.items()}, dict(student_manifest())
             for name in (n for n in {**want, **have} if have.get(n) != want.get(n)):
@@ -261,6 +266,8 @@ class WeightStore:
                                         f"{have.get(name)}, the network needs {want.get(name)}")
         for name, p in self.params.items():
             p = self.params[name] = np.ascontiguousarray(p, dtype=np.float32)
+            if 0 in p.shape:
+                raise ArchitectureError(f"parameter {name!r} has an empty axis: {p.shape}")
             # a whole mask: cnn.fc.w's 4.7 MB one lifts the mmap threshold; forwards take no faults
             if not np.all(np.isfinite(p)):
                 raise ArchitectureError(f"parameter {name!r} has non-finite values")
@@ -378,9 +385,7 @@ def student_manifest() -> list:
 
 def init_student_weights(seed: int = 0) -> WeightStore:
     """Seeded init: matrices uniform +-1/sqrt(fan_in); biases 0; norm gains 1."""
-    if check_integer("seed", seed) < 0:
-        raise InvalidArgumentError(f"seed must be 0 or more, got {seed!r}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(check_integer("seed", seed, 0)))
     params = {}
     for name, shape in student_manifest():
         if len(shape) >= 2:

@@ -266,10 +266,9 @@ def check_level(level: int) -> None:
 
 
 def derive_seed(*parts) -> int:
-    """Stable sub-seed from integer parts (order matters), none negative."""
-    if min(parts) < 0:      # the mask would alias it to another seed
-        raise InvalidArgumentError(f"seed must be 0 or more, got {min(parts)}")
-    return int(np.random.SeedSequence([int(p) & 0x7FFFFFFF for p in parts])
+    """Stable sub-seed from integer parts (order matters), none negative:
+    the mask would alias a negative part to another seed."""
+    return int(np.random.SeedSequence([check_integer("seed", p, 0) & 0x7FFFFFFF for p in parts])
                .generate_state(1)[0])
 
 
@@ -318,10 +317,8 @@ class EpisodeConfig:
         for name in ("level", "seed", "timeout_steps"):    # kept as ints: logs are JSON
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         check_level(self.level)
-        if self.timeout_steps <= 0:
-            raise InvalidArgumentError("timeout_steps must be positive")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be 0 or more, got {self.seed}")
+        check_integer("timeout_steps", self.timeout_steps, 1)
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

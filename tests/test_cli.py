@@ -270,20 +270,22 @@ def test_distill_record_runs_the_bench_episodes(tmp_path, capsys, episode_starts
     assert len(runs) == 4 and runs[:2] == runs[2:] and runs[0][1:] != runs[1][1:]
 
 
-@pytest.mark.parametrize("args", [
-    ["bench", "--levels", "1", "--episodes", "0"],
-    ["bench", "--levels", "1", "--steps", "0"],
-    ["bench", "--levels", "1", "--episodes", "1", "--workers", "-2"],
-    ["render", "--step", "-3"],
-    ["distill-record", "--episodes", "0"],
-    ["distill-record", "--episodes", "-1"],
+@pytest.mark.parametrize("args", [     # (argv, the message), so the ids stay args0..
+    (["bench", "--levels", "1", "--episodes", "0"], "episodes_per_level must be >= 1, got 0"),
+    (["bench", "--levels", "1", "--steps", "0"], "step_budget must be >= 1, got 0"),
+    (["bench", "--levels", "1", "--episodes", "1", "--workers", "-2"],
+     "workers must be >= 0, got -2"),
+    (["render", "--step", "-3"], "--step must be >= 0, got -3"),
+    (["distill-record", "--episodes", "0"], "--episodes must be >= 1, got 0"),
+    (["distill-record", "--episodes", "-1"], "--episodes must be >= 1, got -1"),
 ])
 def test_count_arguments_rejected(args, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(args + ["--out-dir" if args[0] == "render" else "--out",
+    argv, message = args
+    code, _, err = run_cli(argv + ["--out-dir" if argv[0] == "render" else "--out",
                                    str(tmp_path / "out")], capsys)
     assert code == 1
-    assert err.strip().splitlines()[-1].startswith("error: InvalidArgumentError:")
+    assert err.strip().splitlines()[-1] == f"error: InvalidArgumentError: {message}"
     assert list(tmp_path.iterdir()) == []
 
 

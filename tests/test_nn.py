@@ -533,6 +533,25 @@ def test_weight_store_manifest_validation():
         store.get("missing.w")
 
 
+_NOT_A_WORD = "arch or parameter name {!r} is not a whitespace-free ASCII word"
+
+
+@pytest.mark.parametrize("arch, params, error", [
+    ("t x", {"a": np.zeros(2)}, _NOT_A_WORD.format("t x")),
+    ("", {"a": np.zeros(2)}, _NOT_A_WORD.format("")),
+    ("toy", {"a b": np.zeros(2)}, _NOT_A_WORD.format("a b")),
+    ("toy", {"a\nb": np.zeros(2)}, _NOT_A_WORD.format("a\nb")),
+    ("toy", {"é": np.zeros(2)}, _NOT_A_WORD.format("é")),
+    ("toy", {1: np.zeros(2)}, _NOT_A_WORD.format(1)),
+    ("toy", {"a": np.zeros((0, 3))}, "parameter 'a' has an empty axis: (0, 3)"),
+], ids=["arch-space", "arch-empty", "name-space", "name-newline", "name-non-ascii",
+        "name-not-str", "empty-axis"])
+def test_weight_store_holds_only_what_its_file_states(arch, params, error):
+    # each of these would save a file that WeightStore.load rejects
+    with pytest.raises(ArchitectureError, match=f"^{re.escape(error)}$"):
+        WeightStore(arch, params)
+
+
 def test_weight_store_layer_rejects_unknown_prefix():
     store = init_student_weights(0)
     assert set(store.layer("head")) == {"fc1.w", "fc1.b", "fc2.w", "fc2.b", "fc3.w", "fc3.b"}

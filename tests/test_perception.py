@@ -251,7 +251,7 @@ def test_render_frame_rejects_bad_noise_arguments(catalog_map):
     for seed in (2.5, True, "4"):
         with pytest.raises(InvalidArgumentError, match="^noise_seed must be an integer, got "):
             render_frame(scene, robot, cam, mask_flip_prob=0.05, noise_seed=seed)
-    with pytest.raises(InvalidArgumentError, match="^noise_seed must be 0 or more, got -1$"):
+    with pytest.raises(InvalidArgumentError, match="^noise_seed must be >= 0, got -1$"):
         render_frame(scene, robot, cam, mask_flip_prob=0.05, noise_seed=-1)
     # both bounds of the probability are valid: 1 flips every pixel
     clean = render_frame(scene, robot, cam, mask_flip_prob=0.0)
@@ -275,6 +275,9 @@ def test_render_views_seeds_flips_per_step_and_view(catalog_map):
             assert np.array_equal(got.depth, want.depth)
             clean = render_frame(scene, robot, cam)
             assert np.array_equal(got.mask, clean.mask) == (prob == 0.0)
+    # a seed is an integer: 0.7 is not run as seed 0's noise
+    with pytest.raises(InvalidArgumentError, match="^seed must be an integer, got 0.7$"):
+        render_views(scene, robot, SimConfig(mask_flip_prob=0.05), 0.7, 7)
 
 
 def _view_rays(robot, cam):
@@ -604,9 +607,9 @@ def test_frame_store_rejects_a_malformed_block(shape):
 
 
 @pytest.mark.parametrize("chunk, error", [
-    (0, "chunk must be at least 1, got 0"), (-3, "chunk must be at least 1, got -3"),
+    (0, "chunk must be >= 1, got 0"), (-3, "chunk must be >= 1, got -3"),
     (2.5, "chunk must be an integer, got 2.5"), (True, "chunk must be an integer, got True"),
-])
+], ids=["0", "-3", "2.5", "True"])
 def test_frame_store_rejects_a_bad_chunk(chunk, error):
     # caught when the store is made, not at its first append
     with pytest.raises(InvalidArgumentError, match=f"^{re.escape(error)}$"):
@@ -637,7 +640,7 @@ def test_camera_model_and_frame_reject_bad_fields():
     for hfov in (0.0, np.pi, -0.5, np.nan):
         with pytest.raises(InvalidArgumentError, match=r"^hfov must be in \(0, pi\), got "):
             CameraModel("base", Pose6.identity(), hfov)
-    with pytest.raises(InvalidArgumentError, match="^mount must be base or wrist, got head$"):
+    with pytest.raises(InvalidArgumentError, match="^mount must be wrist or base, got head$"):
         CameraModel("head", Pose6.identity())
     for name in ("mask", "depth"):
         arrays = {"mask": np.zeros((FRAME_H, FRAME_W), bool), "depth": np.zeros((FRAME_H, FRAME_W))}

@@ -524,7 +524,7 @@ def test_timeout_status(catalog_map):
 def test_episode_config_validation():
     with pytest.raises(InvalidArgumentError):
         EpisodeConfig(level=1, object_id="x", seed=0, timeout_steps=0)
-    with pytest.raises(InvalidArgumentError, match="seed must be 0 or more, got -1"):
+    with pytest.raises(InvalidArgumentError, match="seed must be >= 0, got -1"):
         EpisodeConfig(level=1, object_id="x", seed=-1)
     for level in (0, 5):
         with pytest.raises(InvalidArgumentError, match=f"got {level}$"):

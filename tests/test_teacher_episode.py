@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -343,5 +344,10 @@ def test_derive_seed_stable():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
     # the 31-bit mask would alias a negative part to another seed's sub-seed
-    with pytest.raises(InvalidArgumentError, match="got -1"):
+    with pytest.raises(InvalidArgumentError, match="^seed must be >= 0, got -1$"):
         derive_seed(-1, 2, 3)
+    # and int() would run a float or a bool as another seed
+    for part in (1.5, True, np.float64(2.0)):
+        error = f"seed must be an integer, got {part!r}"
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(error)}$"):
+            derive_seed(part)
