@@ -11,12 +11,12 @@ shapes other than `student_manifest()`'s, once, when they enter the program
 (init, `load`, construction).  The ops check activations, not weights: a public
 op checks its input, then runs its private kernel (`_linear`, `_layer_norm`,
 `_elu`, `_softmax`), which the encoder layers call directly and which checks
-its output.  The CNN runs one image at a time: `conv_pool_elu` copies an
-image's sliding windows into columns in row-parity order (even output rows,
-then odd ones; an odd last row is not cast), runs one GEMM into a tile it
-reuses, checks it as `conv2d` does, then pools, biases and ELUs it into an
-image-major [n,oc,h,w] batch, already the fc's row layout.
-`max_pool2` trusts the tile it is handed.
+its output, each by one min and one max scan.  The CNN runs one image at a
+time: `conv_pool_elu` casts an image's windows into a reused tile, one GEMM per
+block of output-row (and column) parity, so a 2x2 pool is `np.maximum` over
+whole blocks, then checks, biases and ELUs it into an image-major [n,oc,h,w]
+batch, already the fc's row layout.  A student-v1 store also stacks each
+per-view parameter over `VIEWS`, so both views' streams run as one batch.
 """
 
 from __future__ import annotations
@@ -53,13 +53,14 @@ _DRAW_CHUNK = 1 << 16                   # float64 values per init_student_weight
 
 def as_tensor(x) -> np.ndarray:
     t = np.asarray(x, dtype=np.float32)
-    if not np.all(np.isfinite(t)):
+    # min and max propagate NaN and show +-inf, with no bool mask; an empty array passes
+    if not (math.isfinite(t.min(initial=0.0)) and math.isfinite(t.max(initial=0.0))):
         raise InvalidArgumentError("tensor contains non-finite values")
     return t
 
 
 def _checked(y: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(y)):
+    if not (math.isfinite(y.min(initial=0.0)) and math.isfinite(y.max(initial=0.0))):
         raise InvalidArgumentError(f"{op} produced non-finite values")
     return y
 
@@ -69,9 +70,12 @@ def _checked(y: np.ndarray, op: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def linear(x, w, b) -> np.ndarray:
-    """y = x @ w + b over the last axis; w and b are not scanned on entry."""
+    """y = x @ w + b over the last axis, for w [d,e] and b [e], or for x [v,n,d]
+    and a stack w [v,d,e], b [v,1,e]; w and b are not scanned on entry."""
     x, w, b = as_tensor(x), np.asarray(w, np.float32), np.asarray(b, np.float32)
-    if x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+    stacked = w.ndim == x.ndim == 3 and len(w) == len(x)
+    if (w.ndim != 2 and not stacked) or x.shape[-1:] != w.shape[-2:-1] \
+            or b.shape != ((len(w), 1) if stacked else ()) + w.shape[-1:]:
         raise ShapeError(f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
     return _linear(x, w, b)
 
@@ -116,16 +120,19 @@ def conv2d(x, kernels) -> np.ndarray:
     if x.ndim != 3:
         raise ShapeError(f"conv2d takes one image [c,h,w], got {x.shape}")
     oh, ow = _conv_fit(x.shape, k, "conv2d")
-    return _conv_tile(x, k, oh, ow, np.empty((k.shape[0], 1, oh, ow), np.float32))[:, 0]
+    return _checked(_conv_tile(x, k, np.empty((1, 1, k.shape[0], oh, ow), np.float32))[0, 0],
+                    "conv2d")
 
 
 def conv_pool_elu(x, kernels, bias) -> np.ndarray:
-    """elu(max_pool2(conv2d(x[i], kernels)) + bias) for every image of a batch
+    """elu(2x2 max pool of conv2d(x[i], kernels) + bias) for every image of a batch
     x [n,c,h,w] -> [n,oc,oh//2,ow//2], bit for bit under the kernels README names.
 
-    One image at a time, through one cache-sized tile in row-parity order, so
-    its row pairs are its two contiguous halves.  ELU is monotone, so pooling
-    before it gives the bits of conv -> ELU -> pool on a quarter of the work.
+    One image at a time, through one cache-sized tile whose blocks hold the even
+    and odd output rows (and columns, where kernels outnumber taps and a strided
+    pool would move more floats than the cast), so a pool is a max of whole
+    blocks; ELU, monotone, runs after it on a quarter of the values.  The tile's
+    min and the pool's max (the tile's max) check it as `conv2d` does.
     """
     x, k = as_tensor(x), np.asarray(kernels, np.float32)
     b = np.asarray(bias, np.float32)
@@ -133,10 +140,17 @@ def conv_pool_elu(x, kernels, bias) -> np.ndarray:
         raise ShapeError(f"conv_pool_elu takes images [n,c,h,w] and a bias per "
                          f"kernel, got {x.shape}, kernels {k.shape}, bias {b.shape}")
     oh, ow = _conv_fit(x.shape[1:], k, "conv_pool_elu")
+    cp = 2 if k.shape[0] > k[0].size else 1             # column parities cast apart
     out = np.empty((x.shape[0], k.shape[0], oh // 2, ow // 2), np.float32)
-    tile = np.empty((k.shape[0], 2, oh // 2, ow), np.float32)     # [oc,parity,row,col]
+    tile = np.empty((2, cp, k.shape[0], oh // 2, ow // 2 * 2 // cp), np.float32)
     for image, o in zip(x, out):
-        pooled = max_pool2(_conv_tile(image, k, oh, ow, tile).swapaxes(1, 2))[:, :, 0]
+        t = _conv_tile(image, k, tile)
+        least = t.min(initial=0.0)                      # before the pool overwrites t[0]
+        rows = np.maximum(t[0], t[1], out=t[0])         # [cp,oc,oh//2,cols]
+        pooled = (np.maximum(rows[0], rows[1], out=rows[0]) if cp == 2
+                  else np.maximum(rows[0, ..., 0::2], rows[0, ..., 1::2]))
+        if not (math.isfinite(least) and math.isfinite(pooled.max(initial=0.0))):
+            raise InvalidArgumentError("conv2d produced non-finite values")
         pooled += b[:, None, None]
         _elu(pooled, o)
     return out
@@ -153,28 +167,18 @@ def _conv_fit(image_shape, k: np.ndarray, op: str) -> tuple:
     return oh, ow
 
 
-def _conv_tile(x: np.ndarray, k: np.ndarray, oh: int, ow: int, tile: np.ndarray) -> np.ndarray:
-    """The one im2col and GEMM: x [c,h,w]'s (oh, ow) windows, one per kernel tap,
-    times kernels k [oc,c,kh,kw] into tile [oc,step,rows,ow], checked by min and
-    max (they propagate NaN and expose +-inf).  Row step 1 keeps the output rows
-    in order; 2 casts the even rows, then the odd ones, and no odd last row."""
-    step, rows = tile.shape[1:3]
-    win = sliding_window_view(x, (oh, ow), axis=(1, 2))[..., :step * rows, :]
-    cols = win.reshape(*win.shape[:3], rows, step, ow).swapaxes(3, 4).reshape(-1, tile[0].size)
-    np.matmul(k.reshape(len(k), -1), cols, out=tile.reshape(len(k), -1))
-    if not (np.isfinite(tile.min()) and np.isfinite(tile.max())):
-        raise InvalidArgumentError("conv2d produced non-finite values")
+def _conv_tile(x: np.ndarray, k: np.ndarray, tile: np.ndarray) -> np.ndarray:
+    """The one im2col and its GEMMs: x [c,h,w]'s windows, one per kernel tap,
+    times kernels k [oc,c,kh,kw] into tile [rs,cs,oc,rows,cols], whose block
+    [i,j] holds output rows i, i+rs, ... and columns j, j+cs, ...; the first
+    rs*rows rows and cs*cols columns are cast, one copy, and each block is one
+    GEMM [oc,c*kh*kw] x [c*kh*kw,rows*cols] into its contiguous place."""
+    rs, cs, oc, rows, cols = tile.shape
+    win = sliding_window_view(x, (rs * rows, cs * cols), axis=(1, 2))[:, :k.shape[2], :k.shape[3]]
+    blocks = win.reshape(*win.shape[:3], rows, rs, cols, cs).transpose(4, 6, 0, 1, 2, 3, 5)
+    np.matmul(k.reshape(oc, -1), blocks.reshape(rs * cs, k[0].size, rows * cols),
+              out=tile.reshape(rs * cs, oc, rows * cols))
     return tile
-
-
-def max_pool2(x) -> np.ndarray:
-    """2x2 stride-2 max pooling of the last two axes; an odd last row/col is dropped."""
-    x = np.asarray(x, np.float32)
-    if x.ndim < 2:
-        raise ShapeError(f"max_pool2 needs at least 2 axes, got {x.shape}")
-    h2, w2 = x.shape[-2] // 2 * 2, x.shape[-1] // 2 * 2
-    rows = np.maximum(x[..., 0:h2:2, :w2], x[..., 1:h2:2, :w2])
-    return np.maximum(rows[..., 0::2], rows[..., 1::2])
 
 
 def attention(q, k, v) -> np.ndarray:
@@ -190,7 +194,11 @@ def attention(q, k, v) -> np.ndarray:
 
 
 def layer_norm(x, gain, bias) -> np.ndarray:
-    return _layer_norm(as_tensor(x), np.asarray(gain, np.float32), np.asarray(bias, np.float32))
+    x, gain, bias = as_tensor(x), np.asarray(gain, np.float32), np.asarray(bias, np.float32)
+    if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
+        raise ShapeError(f"layer_norm takes a gain and a bias of shape (d,): "
+                         f"x {x.shape}, gain {gain.shape}, bias {bias.shape}")
+    return _layer_norm(x, gain, bias)
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -203,16 +211,19 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray
 
 def transformer_encoder_layer(tokens, weights: dict) -> np.ndarray:
     """Post-norm encoder layer: NUM_HEADS-head scaled dot-product self-attention
-    under ``attn.*`` + residual + norm, FF + residual + norm."""
-    tokens = as_tensor(tokens)
-    if tokens.ndim != 2:
-        raise ShapeError(f"tokens must be 2-D, got {tokens.shape}")
+    under ``attn.*`` + residual + norm, FF + residual + norm.  tokens [v,n,d]
+    take v layers' weights stacked, as in a student-v1 store's `layer("enc0")`."""
+    tokens, wq = as_tensor(tokens), np.shape(weights["attn.wq"])
+    if tokens.ndim not in (2, 3) or tokens.ndim != len(wq) or tokens.shape[:-2] != wq[:-2]:
+        raise ShapeError(f"tokens must be 2-D, or 3-D with weights stacked to match: "
+                         f"tokens {tokens.shape}, attn.wq {wq}")
     q, k, v = (_linear(tokens, weights[f"attn.w{p}"], weights[f"attn.b{p}"]) for p in "qkv")
-    dh = tokens.shape[1] // NUM_HEADS
+    dh = tokens.shape[-1] // NUM_HEADS
     heads = np.empty_like(tokens)
     for h in range(NUM_HEADS):
         sl = slice(h * dh, (h + 1) * dh)
-        heads[:, sl] = _softmax((q[:, sl] @ k[:, sl].T) / np.float32(np.sqrt(dh))) @ v[:, sl]
+        scores = q[..., sl] @ k[..., sl].swapaxes(-1, -2)
+        heads[..., sl] = _softmax(scores / np.float32(np.sqrt(dh))) @ v[..., sl]
     x = _layer_norm(tokens + _linear(heads, weights["attn.wo"], weights["attn.bo"]),
                     weights["ln1.g"], weights["ln1.b"])
     ff = _linear(_elu(_linear(x, weights["ff.w1"], weights["ff.b1"])),
@@ -249,7 +260,8 @@ def kd_loss(student_actions, teacher_actions) -> float:
 class WeightStore:
     """Named parameters, in the order `save` writes them; student-v1's names and
     shapes must be `student_manifest()`.  Only what a weight file can state is
-    held: the arch and each name a whitespace-free ASCII word, no empty axis."""
+    held: the arch and each name a whitespace-free ASCII word, one or more axes
+    and none empty.  student-v1's per-view names view `layer()`'s view stacks."""
 
     arch: str
     params: dict                        # name -> array, in file order
@@ -265,14 +277,22 @@ class WeightStore:
                 raise ArchitectureError(f"{self.arch} parameter {name!r}: the manifest says "
                                         f"{have.get(name)}, the network needs {want.get(name)}")
         for name, p in self.params.items():
-            p = self.params[name] = np.ascontiguousarray(p, dtype=np.float32)
-            if 0 in p.shape:
-                raise ArchitectureError(f"parameter {name!r} has an empty axis: {p.shape}")
+            p = self.params[name] = np.asarray(p, np.float32, order="C")
+            if 0 in p.shape or p.ndim == 0:
+                raise ArchitectureError(f"parameter {name!r} has {'an empty' if p.ndim else 'no'} "
+                                        f"axis: {p.shape}")
             # a whole mask: cnn.fc.w's 4.7 MB one lifts the mmap threshold; forwards take no faults
             if not np.all(np.isfinite(p)):
                 raise ArchitectureError(f"parameter {name!r} has non-finite values")
+        stacks = {}     # X [v,...] per VIEWS[0].X, vectors [v,1,e], made after the masks are freed
+        if self.arch == STUDENT_ARCH:
+            for rest in [n.partition(".")[2] for n in self.params if n.startswith(VIEWS[0] + ".")]:
+                twins = [f"{view}.{rest}" for view in VIEWS]
+                stacks[rest] = np.stack([np.atleast_2d(self.params[t]) for t in twins])
+                for t, row in zip(twins, stacks[rest]):     # the per-view names: its rows
+                    self.params[t] = row.reshape(self.params[t].shape)
         self._layers = {}                   # prefix -> {name under prefix.: parameter}
-        for name, p in self.params.items():
+        for name, p in {**self.params, **stacks}.items():
             for dot in (i for i, c in enumerate(name) if c == "."):
                 self._layers.setdefault(name[:dot], {})[name[dot + 1:]] = p
 
@@ -411,21 +431,12 @@ def _encode_frames(imgs, w: WeightStore) -> np.ndarray:
     return linear(x.reshape(x.shape[0], -1), w.get("cnn.fc.w"), w.get("cnn.fc.b"))
 
 
-def _encode_stream(tokens, state_token, w: WeightStore, stream: str) -> np.ndarray:
-    """One view's HISTORY_LEN frame tokens, after the state token -> [MODEL_DIM]."""
-    seq = np.vstack([state_token[None, :], tokens])
-    seq += positional_encoding(seq.shape[0], MODEL_DIM)
-    for l in range(NUM_LAYERS):
-        seq = transformer_encoder_layer(seq, w.layer(f"{stream}.enc{l}"))
-    visual = seq[1:].mean(axis=0, keepdims=True)
-    return linear(visual, w.get(f"{stream}.proj.w"), w.get(f"{stream}.proj.b"))[0]
-
-
 def student_forward(frames, proprio, w: WeightStore) -> np.ndarray:
     """Map stacked dual-view observations + proprioception to 8 action values.
 
     frames: STACK_SHAPE in STACK_LAYOUT order; its (mask, depth) images are
-    encoded as they lie, (time, view), and each view then reads its tokens.
+    encoded as they lie, (time, view).  The views' streams, each the state token
+    and its frame tokens, run as one [len(VIEWS), 1 + HISTORY_LEN, MODEL_DIM] batch.
     """
     if w.arch != STUDENT_ARCH:
         raise ArchitectureError(f"expected arch {STUDENT_ARCH!r}, got {w.arch!r}")
@@ -435,11 +446,15 @@ def student_forward(frames, proprio, w: WeightStore) -> np.ndarray:
     if proprio.shape != (PROPRIO_DIM,):
         raise ShapeError(f"proprio must be ({PROPRIO_DIM},), got {proprio.shape}")
 
-    state_token = linear(proprio[None, :], w.get("proprio.w"), w.get("proprio.b"))[0]
     tokens = _encode_frames(frames.reshape(-1, 2, *FRAME_SHAPE), w)
-    per_view = tokens.reshape(HISTORY_LEN, len(VIEWS), MODEL_DIM).swapaxes(0, 1)
-    streams = [_encode_stream(t, state_token, w, view) for view, t in zip(VIEWS, per_view)]
-    z = np.concatenate(streams)[None, :]
+    seq = np.empty((len(VIEWS), 1 + HISTORY_LEN, MODEL_DIM), np.float32)
+    seq[:, 0] = linear(proprio[None, :], w.get("proprio.w"), w.get("proprio.b"))
+    seq[:, 1:] = tokens.reshape(HISTORY_LEN, len(VIEWS), MODEL_DIM).swapaxes(0, 1)
+    seq += positional_encoding(1 + HISTORY_LEN, MODEL_DIM)
+    for l in range(NUM_LAYERS):
+        seq = transformer_encoder_layer(seq, w.layer(f"enc{l}"))
+    proj = w.layer("proj")
+    z = linear(seq[:, 1:].mean(axis=1, keepdims=True), proj["w"], proj["b"]).reshape(1, -1)
     z = _elu(linear(z, w.get("head.fc1.w"), w.get("head.fc1.b")))
     z = _elu(linear(z, w.get("head.fc2.w"), w.get("head.fc2.b")))
     return linear(z, w.get("head.fc3.w"), w.get("head.fc3.b"))[0]
