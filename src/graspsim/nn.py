@@ -6,7 +6,7 @@ uniform in +-1/sqrt(fan_in), biases zero, norm gains one).
 
 A `WeightStore` is its arch and its ordered parameters; the manifest a weight
 file states is derived from them, and `load` checks it.  Validation happens at
-the boundaries: a store rejects non-finite weights, and student-v1 names or
+the boundaries: a store rejects non-finite weights, and student-v2 names or
 shapes other than `student_manifest()`'s, once, when they enter the program
 (init, `load`, construction).  The ops check activations, not weights: a public
 op checks its input, then runs its private kernel (`_linear`, `_layer_norm`,
@@ -15,13 +15,14 @@ its output, each by one min and one max scan.  The CNN runs one image at a
 time: `conv_pool_elu` casts an image's windows into a reused tile, one GEMM per
 block of output-row (and column) parity, so a 2x2 pool is `np.maximum` over
 whole blocks, then checks, biases and ELUs it into an image-major [n,oc,h,w]
-batch, already the fc's row layout.  A student-v1 store also stacks each
-per-view parameter over `VIEWS`, so both views' streams run as one batch.
+batch, already the fc's row layout.  A student-v2 store holds each per-view
+parameter once, stacked over `VIEWS`: both views' streams run as one batch.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -46,7 +47,7 @@ NUM_LAYERS = 2
 CNN_CH1 = 8
 CNN_CH2 = 304
 HEAD_DIMS = (128, 64, 8)
-STUDENT_ARCH = "student-v1"
+STUDENT_ARCH = "student-v2"
 _LN_EPS = 1e-5
 _DRAW_CHUNK = 1 << 16                   # float64 values per init_student_weights draw
 
@@ -157,10 +158,10 @@ def conv_pool_elu(x, kernels, bias) -> np.ndarray:
 
 
 def _conv_fit(image_shape, k: np.ndarray, op: str) -> tuple:
-    """(oh, ow) of kernels k [oc,c,kh,kw] over one image [c,h,w]."""
-    if k.ndim != 4 or image_shape[0] != k.shape[1]:
-        raise ShapeError(f"{op} shapes disagree: image {tuple(image_shape)}, "
-                         f"kernels {k.shape}")
+    """(oh, ow) of kernels k [oc,c,kh,kw], no axis empty, over one image [c,h,w]."""
+    if k.ndim != 4 or 0 in k.shape or image_shape[0] != k.shape[1]:
+        raise ShapeError(f"{op} takes kernels [oc,c,kh,kw], no axis empty, c the image's: "
+                         f"image {tuple(image_shape)}, kernels {k.shape}")
     oh, ow = image_shape[1] - k.shape[2] + 1, image_shape[2] - k.shape[3] + 1
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"{op} kernel {k.shape} does not fit image {tuple(image_shape)}")
@@ -184,8 +185,8 @@ def _conv_tile(x: np.ndarray, k: np.ndarray, tile: np.ndarray) -> np.ndarray:
 def attention(q, k, v) -> np.ndarray:
     """Single-query attention with unscaled dot-product logits."""
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim != 2 or q.shape[0] != 1 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError(f"attention expects q [1,d], k [n,d], v [n,d'], "
+    if q.ndim != 2 or q.shape[0] != 1 or k.ndim != 2 or len(k) == 0 or v.ndim != 2:
+        raise ShapeError(f"attention expects q [1,d], k [n,d], v [n,d'] with n >= 1, "
                          f"got {q.shape}, {k.shape}, {v.shape}")
     if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, "
@@ -212,7 +213,7 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray
 def transformer_encoder_layer(tokens, weights: dict) -> np.ndarray:
     """Post-norm encoder layer: NUM_HEADS-head scaled dot-product self-attention
     under ``attn.*`` + residual + norm, FF + residual + norm.  tokens [v,n,d]
-    take v layers' weights stacked, as in a student-v1 store's `layer("enc0")`."""
+    take v layers' weights stacked, as in a student-v2 store's `layer("enc0")`."""
     tokens, wq = as_tensor(tokens), np.shape(weights["attn.wq"])
     if tokens.ndim not in (2, 3) or tokens.ndim != len(wq) or tokens.shape[:-2] != wq[:-2]:
         raise ShapeError(f"tokens must be 2-D, or 3-D with weights stacked to match: "
@@ -258,10 +259,11 @@ def kd_loss(student_actions, teacher_actions) -> float:
 
 @dataclass
 class WeightStore:
-    """Named parameters, in the order `save` writes them; student-v1's names and
+    """Named parameters, in the order `save` writes them; student-v2's names and
     shapes must be `student_manifest()`.  Only what a weight file can state is
     held: the arch and each name a whitespace-free ASCII word, one or more axes
-    and none empty.  student-v1's per-view names view `layer()`'s view stacks."""
+    and none empty.  `layer()` maps hold the parameters themselves, so a loaded
+    store is its blob's slices and nothing else."""
 
     arch: str
     params: dict                        # name -> array, in file order
@@ -284,15 +286,8 @@ class WeightStore:
             # a whole mask: cnn.fc.w's 4.7 MB one lifts the mmap threshold; forwards take no faults
             if not np.all(np.isfinite(p)):
                 raise ArchitectureError(f"parameter {name!r} has non-finite values")
-        stacks = {}     # X [v,...] per VIEWS[0].X, vectors [v,1,e], made after the masks are freed
-        if self.arch == STUDENT_ARCH:
-            for rest in [n.partition(".")[2] for n in self.params if n.startswith(VIEWS[0] + ".")]:
-                twins = [f"{view}.{rest}" for view in VIEWS]
-                stacks[rest] = np.stack([np.atleast_2d(self.params[t]) for t in twins])
-                for t, row in zip(twins, stacks[rest]):     # the per-view names: its rows
-                    self.params[t] = row.reshape(self.params[t].shape)
         self._layers = {}                   # prefix -> {name under prefix.: parameter}
-        for name, p in {**self.params, **stacks}.items():
+        for name, p in self.params.items():
             for dot in (i for i, c in enumerate(name) if c == "."):
                 self._layers.setdefault(name[:dot], {})[name[dot + 1:]] = p
 
@@ -376,26 +371,26 @@ def _cnn_flat_dim() -> int:
 
 
 def student_manifest() -> list:
-    """Ordered (name, shape) pairs for the student policy network."""
+    """Ordered (name, shape) pairs for the student policy network; the only 3-axis
+    ones stack a per-view parameter over `VIEWS`: matrices [v,d,e], vectors [v,1,e]."""
+    v = len(VIEWS)
     m = [
         ("cnn.conv1.w", (CNN_CH1, 2, 5, 5)), ("cnn.conv1.b", (CNN_CH1,)),
         ("cnn.conv2.w", (CNN_CH2, CNN_CH1, 3, 3)), ("cnn.conv2.b", (CNN_CH2,)),
         ("cnn.fc.w", (_cnn_flat_dim(), MODEL_DIM)), ("cnn.fc.b", (MODEL_DIM,)),
         ("proprio.w", (PROPRIO_DIM, MODEL_DIM)), ("proprio.b", (MODEL_DIM,)),
     ]
-    for stream in VIEWS:
-        for l in range(NUM_LAYERS):
-            p = f"{stream}.enc{l}"
-            for part in ("wq", "wk", "wv", "wo"):
-                m.append((f"{p}.attn.{part}", (MODEL_DIM, MODEL_DIM)))
-                m.append((f"{p}.attn.{part.replace('w', 'b')}", (MODEL_DIM,)))
-            m += [(f"{p}.ln1.g", (MODEL_DIM,)), (f"{p}.ln1.b", (MODEL_DIM,)),
-                  (f"{p}.ff.w1", (MODEL_DIM, FF_DIM)), (f"{p}.ff.b1", (FF_DIM,)),
-                  (f"{p}.ff.w2", (FF_DIM, MODEL_DIM)), (f"{p}.ff.b2", (MODEL_DIM,)),
-                  (f"{p}.ln2.g", (MODEL_DIM,)), (f"{p}.ln2.b", (MODEL_DIM,))]
-        m += [(f"{stream}.proj.w", (MODEL_DIM, MODEL_DIM)),
-              (f"{stream}.proj.b", (MODEL_DIM,))]
+    for l in range(NUM_LAYERS):
+        p = f"enc{l}"
+        for part in ("wq", "wk", "wv", "wo"):
+            m.append((f"{p}.attn.{part}", (v, MODEL_DIM, MODEL_DIM)))
+            m.append((f"{p}.attn.{part.replace('w', 'b')}", (v, 1, MODEL_DIM)))
+        m += [(f"{p}.ln1.g", (v, 1, MODEL_DIM)), (f"{p}.ln1.b", (v, 1, MODEL_DIM)),
+              (f"{p}.ff.w1", (v, MODEL_DIM, FF_DIM)), (f"{p}.ff.b1", (v, 1, FF_DIM)),
+              (f"{p}.ff.w2", (v, FF_DIM, MODEL_DIM)), (f"{p}.ff.b2", (v, 1, MODEL_DIM)),
+              (f"{p}.ln2.g", (v, 1, MODEL_DIM)), (f"{p}.ln2.b", (v, 1, MODEL_DIM))]
     m += [
+        ("proj.w", (v, MODEL_DIM, MODEL_DIM)), ("proj.b", (v, 1, MODEL_DIM)),
         ("head.fc1.w", (2 * MODEL_DIM, HEAD_DIMS[0])), ("head.fc1.b", (HEAD_DIMS[0],)),
         ("head.fc2.w", (HEAD_DIMS[0], HEAD_DIMS[1])), ("head.fc2.b", (HEAD_DIMS[1],)),
         ("head.fc3.w", (HEAD_DIMS[1], HEAD_DIMS[2])), ("head.fc3.b", (HEAD_DIMS[2],)),
@@ -404,19 +399,18 @@ def student_manifest() -> list:
 
 
 def init_student_weights(seed: int = 0) -> WeightStore:
-    """Seeded init: matrices uniform +-1/sqrt(fan_in); biases 0; norm gains 1."""
+    """Seeded init: matrices (`w*` names) uniform +-1/sqrt(fan_in), each one stream
+    of bounded draws; biases 0; norm gains 1.  A stack's rows draw as matrices."""
     rng = np.random.Generator(np.random.PCG64(check_integer("seed", seed, 0)))
-    params = {}
-    for name, shape in student_manifest():
-        if len(shape) >= 2:
-            bound = 1.0 / np.sqrt(shape[0] if len(shape) == 2 else np.prod(shape[1:]))
-            params[name] = np.empty(shape, np.float32)    # one stream, in bounded draws
-            for part in np.array_split(params[name].reshape(-1), -(-math.prod(shape) // _DRAW_CHUNK)):
-                part[...] = rng.uniform(-bound, bound, size=part.size)
-        elif name.endswith(".g"):
-            params[name] = np.ones(shape, dtype=np.float32)
-        else:
-            params[name] = np.zeros(shape, dtype=np.float32)
+    params = {n: np.full(s, n.endswith(".g"), np.float32) for n, s in student_manifest()}
+    matrices = (p for n, p in params.items() if n.rpartition(".")[2][0] == "w")
+    # student-v1's order: a run of stacks draws all its wrist rows, then all its base rows
+    draws = [m for stacked, run in itertools.groupby(matrices, key=lambda p: p.ndim == 3)
+             for m in (itertools.chain(*zip(*run)) if stacked else run)]
+    for m in draws:
+        bound = 1.0 / np.sqrt(m.shape[0] if m.ndim == 2 else np.prod(m.shape[1:]))
+        for part in np.array_split(m.reshape(-1), -(-m.size // _DRAW_CHUNK)):
+            part[...] = rng.uniform(-bound, bound, size=part.size)
     return WeightStore(STUDENT_ARCH, params)
 
 

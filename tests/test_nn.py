@@ -336,6 +336,19 @@ def test_conv2d_shape_error():
         conv2d(np.zeros((1, 1, 4, 4), np.float32), np.zeros((1, 1, 3, 3), np.float32))
 
 
+@pytest.mark.parametrize("op", ["conv2d", "conv_pool_elu"])
+@pytest.mark.parametrize("kernels", [(0, 3, 3, 3), (2, 0, 3, 3), (2, 3, 0, 3), (2, 3, 3, 0)],
+                         ids=["no-kernel", "no-channel", "no-row", "no-column"])
+def test_conv_ops_reject_a_kernel_with_an_empty_axis(op, kernels):
+    # the image has the kernels' channels (none, for no-channel): only the empty axis is wrong
+    x, k = np.ones((1, kernels[1], 6, 6), np.float32), np.ones(kernels, np.float32)
+    with pytest.raises(ShapeError, match=re.escape(f"kernels {kernels}")):
+        if op == "conv2d":
+            conv2d(x[0], k)
+        else:
+            conv_pool_elu(x, k, np.zeros(kernels[0], np.float32))
+
+
 def test_conv_pool_elu_bits_match_single_image_ops(rng):
     # conv output sizes 6x7, 7x8 and 5x5 leave an odd row or column to pool away
     for n, c, h, w in ((3, 3, 8, 9), (2, 2, 9, 10), (1, 3, 7, 7)):
@@ -481,6 +494,8 @@ def test_attention_rejects_bad_shapes():
         attention(np.zeros((2, 4)), k, v)
     with pytest.raises(ShapeError, match="disagree"):
         attention(q, k, v[:2])
+    with pytest.raises(ShapeError, match=r"^attention expects .* n >= 1, got \(1, 4\), \(0, 4\)"):
+        attention(q, k[:0], v[:0])          # no key: the softmax would have nothing to weigh
 
 
 def test_transformer_layer_shape_and_oracle(rng):
@@ -532,29 +547,31 @@ def test_transformer_layer_reduced_to_attention_path(rng):
 
 
 def test_transformer_layer_runs_both_views_as_one_batch(rng):
-    # a student store stacks each per-view parameter over the views, vectors
-    # as [v,1,e]; the batch gives each view's stream the bits it gets alone
+    # a student-v2 store holds each per-view parameter as one stack over the
+    # views, vectors as [v,1,e]; the batch gives each view's stream the bits
+    # that view's slice of the weights gives it alone, through the 2-D path
     params = dict(init_student_weights(1).params)
     for name, shape in student_manifest():
-        if len(shape) == 1:         # non-zero biases, gains other than one
+        if name.rpartition(".")[2][0] in "bg":      # non-zero biases, gains other than one
             params[name] = params[name] + rng.uniform(-0.3, 0.3, shape).astype(np.float32)
-    store = WeightStore("student-v1", params)
+    store = WeightStore("student-v2", params)
     tokens = rng.standard_normal((len(VIEWS), 4, MODEL_DIM)).astype(np.float32)
     for layer in [f"enc{l}" for l in range(NUM_LAYERS)]:
         stacked = store.layer(layer)
         assert stacked["attn.wq"].shape == (2, 64, 64) and stacked["ln1.g"].shape == (2, 1, 64)
+        assert stacked["ff.w1"] is store.get(f"{layer}.ff.w1")     # the store's own arrays
         both = transformer_encoder_layer(tokens, stacked)
         for i, view in enumerate(VIEWS):
-            own = store.layer(f"{view}.{layer}")
-            assert own["attn.bq"].base is stacked["attn.bq"]   # a view: RSS does not grow
-            assert np.array_equal(own["ff.w1"], params[f"{view}.{layer}.ff.w1"])
+            own = {n: p[i] if p.shape[1] > 1 else p[i, 0] for n, p in stacked.items()}
+            assert own["attn.wq"].shape == (64, 64) and own["ln1.g"].shape == (64,)
             alone = transformer_encoder_layer(tokens[i], own)
             assert np.array_equal(both[i].view(np.uint32), alone.view(np.uint32)), (layer, view)
     proj, visual = store.layer("proj"), tokens[:, :1]
+    assert proj["w"].shape == (2, 64, 64) and proj["b"].shape == (2, 1, 64)
     both = linear(visual, proj["w"], proj["b"])
     for i, view in enumerate(VIEWS):
-        alone = linear(visual[i], store.get(f"{view}.proj.w"), store.get(f"{view}.proj.b"))
-        assert np.array_equal(both[i].view(np.uint32), alone.view(np.uint32))
+        alone = linear(visual[i], proj["w"][i], proj["b"][i, 0])
+        assert np.array_equal(both[i].view(np.uint32), alone.view(np.uint32)), view
 
 
 def test_transformer_layer_rejects_tokens_not_2d(rng):
@@ -687,12 +704,13 @@ def test_weight_store_layer_rejects_unknown_prefix():
     store = init_student_weights(0)
     assert set(store.layer("head")) == {"fc1.w", "fc1.b", "fc2.w", "fc2.b", "fc3.w", "fc3.b"}
     # the maps are built with the store: every prefix, read-only, the store's arrays
-    enc = store.layer("wrist.enc1")
-    assert len(enc) == 16 and enc["attn.wq"] is store.get("wrist.enc1.attn.wq")
-    assert store.layer("wrist")["enc1.attn.wq"] is enc["attn.wq"]
+    enc = store.layer("enc1")
+    assert len(enc) == 16 and enc["attn.wq"] is store.get("enc1.attn.wq")
+    assert store.layer("enc1.attn")["wq"] is enc["attn.wq"]
     with pytest.raises(TypeError):
         enc["attn.wq"] = enc["attn.wk"]
-    for prefix in ("wrist.enc9", "wrist.enc1.attn.wq", "wris", ""):
+    # student-v2 has no per-view names
+    for prefix in ("enc9", "enc1.attn.wq", "wrist.enc1", "wrist", "en", ""):
         with pytest.raises(ArchitectureError, match=f"prefix {prefix!r}"):
             store.layer(prefix)
 
@@ -716,14 +734,24 @@ def _peak_bytes(fn):
 
 def test_init_student_weights_draws_each_matrix_in_bounded_chunks():
     # one generator drawn in chunks gives the bits of one float64 draw per
-    # matrix, cast, without holding that draw
+    # matrix, cast, without holding that draw.  The draws run in student-v1's
+    # order, where each view had its own matrices: the CNN and proprio, then
+    # every stack's wrist row, every stack's base row, then the head.
     store, peak = _peak_bytes(lambda: init_student_weights(5))
     rng = np.random.Generator(np.random.PCG64(5))
-    for name, shape in store.manifest:
-        if len(shape) >= 2:
-            bound = 1.0 / np.sqrt(shape[0] if len(shape) == 2 else np.prod(shape[1:]))
-            want = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-            assert store.get(name).tobytes() == want.tobytes(), name
+    stacks = [f"enc{l}.{part}" for l in range(NUM_LAYERS)
+              for part in ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ff.w1", "ff.w2")]
+    draws = ([(n, ()) for n in ("cnn.conv1.w", "cnn.conv2.w", "cnn.fc.w", "proprio.w")]
+             + [(n, (i,)) for i in range(len(VIEWS)) for n in stacks + ["proj.w"]]
+             + [(f"head.fc{i}.w", ()) for i in (1, 2, 3)])
+    for name, row in draws:
+        shape = store.get(name)[row].shape
+        bound = 1.0 / np.sqrt(shape[0] if len(shape) == 2 else np.prod(shape[1:]))
+        want = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        assert store.get(name)[row].tobytes() == want.tobytes(), (name, row)
+    for name, p in store.params.items():        # the rest: biases 0, norm gains 1
+        if name not in dict(draws):
+            assert np.all(p == name.endswith(".g")), name
     # the weights, the finiteness mask of the largest matrix, one draw
     size = 4 * store.param_count()
     assert peak < size + max(p.size for p in store.params.values()) + 1e6, (peak, size)
@@ -790,22 +818,57 @@ def test_weight_file_rejects_garbage(tmp_path):
 
 
 def test_student_weight_file_must_match_the_student_manifest(tmp_path):
-    # a student-v1 file with one edited shape, or one parameter missing, fails
+    # a student-v2 file with one edited shape, or one parameter missing, fails
     # as it loads, naming that parameter, not partway through a forward
     w = init_student_weights(0)
     edits = {"cnn.fc.w": [(n, (10, MODEL_DIM) if n == "cnn.fc.w" else s) for n, s in w.manifest],
+             "enc1.attn.wq": [(n, (1, MODEL_DIM, MODEL_DIM) if n == "enc1.attn.wq" else s)
+                              for n, s in w.manifest],      # a stack of one view
              "head.fc3.b": w.manifest[:-1]}
     path = tmp_path / "student.weights"
     for name, manifest in edits.items():
         params = {n: w.get(n)[:shape[0]] for n, shape in manifest}
         WeightStore("toy", params).save(path)
         path.write_bytes(path.read_bytes().replace(b"weights-v1 toy\n",
-                                                   b"weights-v1 student-v1\n", 1))
-        message = f"student-v1 parameter '{name}': the manifest says "
+                                                   b"weights-v1 student-v2\n", 1))
+        message = f"student-v2 parameter '{name}': the manifest says "
         with pytest.raises(ArchitectureError, match=re.escape(f"{path}: {message}")):
             WeightStore.load(path)
         with pytest.raises(ArchitectureError, match=f"^{message}"):
-            WeightStore("student-v1", params)
+            WeightStore("student-v2", params)
+
+
+def test_loaded_student_store_is_slices_of_one_blob(tmp_path):
+    # the file's blob is the only copy of the weights: every parameter, and
+    # every layer() map's entry, is a slice of it
+    path = tmp_path / "student.weights"
+    init_student_weights(3).save(path)
+    loaded = WeightStore.load(path)
+    blob = loaded.get("cnn.conv1.w").base
+    assert blob.ndim == 1 and blob.size == loaded.param_count()
+    for name, p in loaded.params.items():
+        assert p.base is blob and np.shares_memory(p, blob), name
+    for prefix in ("enc0", "enc1", "proj"):
+        for key, p in loaded.layer(prefix).items():
+            assert p is loaded.get(f"{prefix}.{key}")
+
+
+def test_student_v1_file_loads_but_does_not_run(tmp_path):
+    # a student-v1 file (each view's weights named apart) is a generic store
+    # now; the forward's arch check names it
+    v1 = {}
+    for name, p in init_student_weights(0).params.items():
+        if p.ndim != 3:
+            v1[name] = p
+        for i, view in enumerate(VIEWS if p.ndim == 3 else ()):
+            v1[f"{view}.{name}"] = p[i] if p.shape[1] > 1 else p[i, 0]
+    path = tmp_path / "v1.weights"
+    WeightStore("student-v1", v1).save(path)
+    loaded = WeightStore.load(path)
+    assert loaded.arch == "student-v1" and len(loaded.params) == 82
+    frames, proprio = np.zeros(nn.STACK_SHAPE, np.float32), np.zeros(PROPRIO_DIM, np.float32)
+    with pytest.raises(ArchitectureError, match="^expected arch 'student-v2', got 'student-v1'$"):
+        student_forward(frames, proprio, loaded)
 
 
 def test_student_parameter_count_near_reported_budget():
@@ -903,11 +966,13 @@ def test_student_forward_latency_budget(rng):
 
 
 def test_student_manifest_is_stable():
-    names = [n for n, _ in student_manifest()]
-    assert names[0] == "cnn.conv1.w"
-    assert "wrist.enc0.attn.wq" in names
-    assert "base.proj.w" in names
-    assert names[-1] == "head.fc3.b"
+    shapes = dict(student_manifest())
+    names = list(shapes)
+    assert names[0] == "cnn.conv1.w" and names[-1] == "head.fc3.b"
+    # student-v2: each per-view parameter once, stacked over the views
+    assert len(names) == 48 and not any(n.startswith(VIEWS) for n in names)
+    assert shapes["enc0.attn.wq"] == shapes["proj.w"] == (len(VIEWS), MODEL_DIM, MODEL_DIM)
+    assert shapes["enc1.ln1.g"] == shapes["enc1.attn.bq"] == (len(VIEWS), 1, MODEL_DIM)
 
 
 def test_tensor_guards():
