@@ -4,8 +4,8 @@ Subcommands: bench, episode, render, gfm-inspect, distill-record.  The
 tensor-op oracle checks live in tests/test_nn.py.
 Exit code 0 on success; failures print one machine-parsable line to stderr:
 ``error: <kind>: <message>``.  The --config option (or GRASPSIM_CONFIG)
-points at a key=value file overriding the documented defaults; every
-subcommand runs under that one loaded ``SimConfig``.  Every output file is
+points at a key=value file overriding the documented defaults; ``main``
+loads it once and hands that ``SimConfig`` to the subcommand.  Every output file is
 written atomically: to a temporary file beside it, renamed into place once
 complete, so a failed run leaves the earlier file (or none), never a part.
 """
@@ -36,13 +36,12 @@ def _check_sweep_seed(seed: int) -> None:
         raise InvalidArgumentError(f"--seed must be in 0..{2**31 - 1}, got {seed}")
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, cfg) -> int:
     _check_sweep_seed(args.seed)
     if not os.path.isdir(args.out):                   # else the run reuses it
         check_output_path(args.out)
         if os.path.exists(args.out):
             raise InvalidArgumentError(f"--out is not a directory: {args.out}")
-    cfg = load_config(args.config)
     try:
         levels = [int(x) for x in args.levels.split(",")]
     except ValueError as exc:   # int()'s message names the bad token
@@ -76,8 +75,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_episode(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_episode(args, cfg) -> int:
     config = EpisodeConfig(level=args.level, object_id=args.object, seed=args.seed,
                            timeout_steps=cfg.timeout_steps)
     if args.dump_log is not None:
@@ -92,7 +90,7 @@ def _cmd_episode(args) -> int:
     return 0
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args, cfg) -> int:
     check_integer("--step", args.step, 0)
     if not args.out_dir:                              # found before the episode runs
         raise InvalidArgumentError("output path is empty")
@@ -101,7 +99,6 @@ def _cmd_render(args) -> int:
         head = os.path.dirname(head)
     if not os.path.isdir(head):
         raise InvalidArgumentError(f"--out-dir: not a directory: {head}")
-    cfg = load_config(args.config)
     catalog = load_catalog()
     config = EpisodeConfig(level=args.level, object_id=args.object or catalog[0].id,
                            seed=args.seed, timeout_steps=cfg.timeout_steps)
@@ -121,10 +118,9 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _cmd_gfm_inspect(args) -> int:
+def _cmd_gfm_inspect(args, cfg) -> int:
     if args.save is not None:
         check_output_path(args.save)
-    cfg = load_config(args.config)
     config = EpisodeConfig(level=1, object_id=args.object, seed=args.seed)
     scene = reset_episode(config, load_catalog())
     spec = scene.object_spec
@@ -146,14 +142,13 @@ def _cmd_gfm_inspect(args) -> int:
     return 0
 
 
-def _cmd_distill_record(args) -> int:
+def _cmd_distill_record(args, cfg) -> int:
     _check_sweep_seed(args.seed)
     check_integer("--episodes", args.episodes, 1)
     paths = ([f"{args.out}.ep{i:03d}" for i in range(args.episodes)]
              if args.episodes > 1 and args.out else [args.out])  # "" stays an error
     for path in paths:
         check_output_path(path)
-    cfg = load_config(args.config)
     catalog = load_catalog()
     objects = [s for s in catalog if s.split == "seen"]
     total = 0
@@ -227,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except (GraspSimError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -42,6 +42,17 @@ DEFAULT_JOINTS = np.tile(np.array([0.0, 0.8, -1.5]), 4)
 _LEG_PHASES = np.repeat(np.array([0.0, np.pi, np.pi, 0.0]), 3)
 
 
+def _direction_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(v, |v|)``, v first divided by its largest absolute entry when finite
+    entries square past the float range (an inf norm would scale v to zero)."""
+    with np.errstate(over="ignore"):                 # a finite norm keeps its bits
+        n = float(np.linalg.norm(v))
+    if n == math.inf and np.isfinite(v).all():
+        v = v / np.abs(v).max()
+        n = float(np.linalg.norm(v))
+    return v, n
+
+
 @dataclass(frozen=True)
 class HighLevelAction:
     """Policy output: ee increments plus base velocity commands (clamped)."""
@@ -60,7 +71,7 @@ class HighLevelAction:
         dr = dr.tolist()
         if not all(map(math.isfinite, dp.tolist() + dr + [self.v_lin, self.omega_yaw])):
             raise InvalidArgumentError("HighLevelAction fields must be finite")
-        n = float(np.linalg.norm(dp))
+        dp, n = _direction_norm(dp)
         k = MAX_DP / n if n > MAX_DP else 1.0           # x * 1.0 is x, bit for bit
         object.__setattr__(self, "dp", _ro([x * k for x in dp.tolist()]))
         object.__setattr__(self, "dr", _ro([min(max(x, -MAX_DR), MAX_DR) for x in dr]))
@@ -118,8 +129,7 @@ def initial_robot(terrain: TerrainField) -> RobotState:
 def clamp_to_workspace(p) -> np.ndarray:
     """Project a base-frame point into the reachable ball."""
     p = np.asarray(p, dtype=float)
-    off = p - WORKSPACE_CENTER
-    n = float(np.linalg.norm(off))
+    off, n = _direction_norm(p - WORKSPACE_CENTER)
     if n <= WORKSPACE_RADIUS:
         return p
     return WORKSPACE_CENTER + off * (WORKSPACE_RADIUS / n)

@@ -306,7 +306,8 @@ def make_trajectory(level: int, seed: int) -> PlatformTrajectory:
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """What varies per episode; the shared tunables live in config.SimConfig."""
+    """What varies per episode, kept as ints (logs are JSON); the shared
+    tunables live in config.SimConfig."""
 
     level: int
     object_id: str
@@ -314,11 +315,9 @@ class EpisodeConfig:
     timeout_steps: int = TIMEOUT_STEPS
 
     def __post_init__(self):
-        for name in ("level", "seed", "timeout_steps"):    # kept as ints: logs are JSON
-            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        for name, minimum in (("level", None), ("seed", 0), ("timeout_steps", 1)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         check_level(self.level)
-        check_integer("timeout_steps", self.timeout_steps, 1)
-        check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -531,23 +530,19 @@ def step_scene(state: SceneState, traj: PlatformTrajectory, dt: float,
 # Grasp attempts and episode status
 # ---------------------------------------------------------------------------
 
-def relative_close_speed(state: SceneState, robot) -> float:
-    """Object speed relative to the robot base (the arm is settled at close)."""
-    return float(np.linalg.norm(state.object_twist.linear - robot.base_twist.linear))
-
-
-def find_aligned_candidate(bank, state: SceneState, ee_pose: Pose6, cfg):
-    """Index of a stored grasp within cfg's align tolerances of the ee, or None."""
-    best = None
-    best_d = np.inf
-    for i, world in enumerate(_world_vec6(bank, state.object_pose)):
-        d = float(np.linalg.norm(world[:3] - ee_pose.position))
-        if d > cfg.teacher_align_pos_tol:
-            continue
-        if (rotation_angle_between(world[3:], ee_pose.orientation)
-                > cfg.teacher_align_ori_tol):
-            continue
-        if d < best_d:
+def close_target(state: SceneState, robot, grasps, cfg) -> int | None:
+    """The gripper-close rule under ``cfg`` (a SimConfig): the index of the world
+    grasp row of ``grasps`` ([K, 6]) nearest the ee within both align tolerances
+    (the first on a tie), or None; None too when the object moves too fast
+    relative to the base.  A NaN fails every test, so it refuses the close."""
+    if not (float(np.linalg.norm(state.object_twist.linear - robot.base_twist.linear))
+            <= cfg.teacher_max_rel_speed):
+        return None
+    best, best_d = None, math.inf
+    for i, world in enumerate(grasps):
+        d = float(np.linalg.norm(world[:3] - robot.ee_pose.position))
+        if d <= cfg.teacher_align_pos_tol and d < best_d and (rotation_angle_between(
+                world[3:], robot.ee_pose.orientation) <= cfg.teacher_align_ori_tol):
             best, best_d = i, d
     return best
 
@@ -555,16 +550,14 @@ def find_aligned_candidate(bank, state: SceneState, ee_pose: Pose6, cfg):
 def apply_gripper_close(state: SceneState, robot, bank, cfg) -> tuple[SceneState, bool]:
     """Resolve a gripper-close event under ``cfg``'s (a SimConfig) tolerances.
 
-    An aligned, slow-enough close captures the object onto the gripper.  A
-    miss close enough to touch shoves the object across the platform; the
+    A close that ``close_target`` allows on a stored grasp captures the object.
+    A miss close enough to touch shoves the object across the platform; the
     footprint is barely larger than the object, so a shove usually drops it.
     """
     if state.object_attached_to != "platform":
         return state, False
     ee = robot.ee_pose
-    aligned = find_aligned_candidate(bank, state, ee, cfg)
-    if (aligned is not None
-            and relative_close_speed(state, robot) <= cfg.teacher_max_rel_speed):
+    if close_target(state, robot, _world_vec6(bank, state.object_pose), cfg) is not None:
         grip = relative_pose(ee, state.object_pose)
         return replace(state, object_attached_to="gripper", grip_offset=grip), True
 

@@ -25,8 +25,8 @@ from .robot import (
     WORKSPACE_CENTER,
     WORKSPACE_RADIUS,
 )
-from .scene import SceneState, relative_close_speed
-from .se3 import Pose6, _relative6, _rot9, _wrap1, rotation_angle_between, wrap_angle
+from .scene import SceneState, close_target
+from .se3 import Pose6, _relative6, _rot9, _wrap1, vec6_encode, wrap_angle
 
 YAW_CAP = np.deg2rad(65.0)     # stay clear of the 70-degree termination
 K_YAW = 3.0
@@ -67,10 +67,9 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
 
     Predicts a short intercept of the object's motion, steers the base to a
     standoff point, pulls the end-effector toward the fused grasp (with a
-    velocity lead that cancels the arm's first-order tracking lag), and
-    closes the gripper once the end-effector sits on the target within the
-    alignment tolerances at a safe relative speed.  ``use_gfm=False`` aims
-    at the object centroid instead of the fused grasp (the ablation).
+    velocity lead that cancels the arm's first-order tracking lag), and closes
+    the gripper when ``scene.close_target`` allows it on the target.
+    ``use_gfm=False`` aims at the object centroid, not the fused grasp (the ablation).
     """
     if robot.gripper == "closed":
         dp = LIFT_TARGET.position - robot.ee_target.position
@@ -106,12 +105,7 @@ def teacher_step(scene: SceneState, robot: RobotState, bank: GraspMemoryBank,
             (bx, by, bz), _rot9(robot.base_pose.orientation.tolist()),
             (gx + vx * EE_TAU, gy + vy * EE_TAU, gz + vz * EE_TAU),
             grasp_world.orientation.tolist())
-        pos_err = float(np.linalg.norm(robot.ee_pose.position - grasp_world.position))
-        ori_err = rotation_angle_between(robot.ee_pose.orientation,
-                                         grasp_world.orientation)
-        close = (pos_err <= cfg.teacher_align_pos_tol
-                 and ori_err <= cfg.teacher_align_ori_tol
-                 and relative_close_speed(scene, robot) <= cfg.teacher_max_rel_speed)
+        close = close_target(scene, robot, vec6_encode(grasp_world)[None], cfg) is not None
 
     target = robot.ee_target
     dp = [g - t for g, t in zip(goal[0], target.position.tolist())]

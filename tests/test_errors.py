@@ -6,6 +6,7 @@ import pytest
 
 from graspsim import cli
 from graspsim.camera import FrameStore, base_camera, render_frame
+from graspsim.config import SimConfig
 from graspsim.errors import InvalidArgumentError, check_integer
 from graspsim.gfm import GraspMemoryBank, generate_candidates
 from graspsim.metrics import run_benchmark
@@ -54,9 +55,10 @@ BOUNDED = {
     "EpisodeConfig-timeout_steps": ("timeout_steps", 1, lambda v, seen: make_config(
         timeout_steps=v)),
     "derive_seed-part": ("seed", 0, lambda v, seen: derive_seed(1, v)),
-    "render-step": ("--step", 0, lambda v, seen: cli._cmd_render(argparse.Namespace(step=v))),
+    "render-step": ("--step", 0, lambda v, seen: cli._cmd_render(
+        argparse.Namespace(step=v), SimConfig())),
     "distill-record-episodes": ("--episodes", 1, lambda v, seen: cli._cmd_distill_record(
-        argparse.Namespace(seed=0, episodes=v))),
+        argparse.Namespace(seed=0, episodes=v), SimConfig())),
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -70,13 +71,39 @@ def test_action_clamp_bits_match_numpy_oracle(rng):
               for d in itertools.product(edges, repeat=3)]
     cases += [((MAX_DP, 0.0, -0.0), (0.0,) * 3, MAX_V_LIN, -MAX_OMEGA),
               ((-0.0,) * 3, (-0.0,) * 3, -0.0, -0.0),
-              ((0.03, 0.04, 0.0), (0.2, -0.2, 0.2), np.nextafter(MAX_V_LIN, 2.0), 1.0)]
+              ((0.03, 0.04, 0.0), (0.2, -0.2, 0.2), np.nextafter(MAX_V_LIN, 2.0), 1.0),
+              ((3e153, 0.0, 0.0), (0.0,) * 3, 0.0, 0.0),           # huge, the norm finite
+              ((7e153, -7e153, 1e153), (0.0,) * 3, 0.0, 0.0)]
     for dp, dr, v_lin, omega_yaw in cases:
         a = HighLevelAction(dp, dr, v_lin, omega_yaw)
         want = _action_oracle(dp, dr, v_lin, omega_yaw)
         assert [_bits(x) for x in (a.dp, a.dr, a.v_lin, a.omega_yaw)] == \
             [_bits(x) for x in want]
         assert not (a.dp.flags.writeable or a.dr.flags.writeable)
+
+
+def test_finite_vectors_whose_norm_overflows_are_clamped_not_zeroed():
+    # finite entries whose squares overflow make np.linalg.norm inf, and a
+    # scale by MAX_DP / inf would zero dp; the clamps scale by the largest
+    # entry first, so the result keeps the direction, with no warning
+    cases = [((1e200,) * 3, (MAX_DP / np.sqrt(3.0),) * 3),
+             ((1e200, 0.0, 0.0), (MAX_DP, 0.0, 0.0)),
+             ((-1.7e308, 0.0, 1.7e308), (-MAX_DP / np.sqrt(2.0), 0.0, MAX_DP / np.sqrt(2.0)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dp, want in cases:
+            got = HighLevelAction(np.array(dp), np.zeros(3), 0.0, 0.0).dp
+            assert np.allclose(got, want, rtol=1e-15, atol=0.0), dp
+        assert np.allclose(clamp_to_workspace([1e200, 0.0, 0.0]),
+                           [WORKSPACE_RADIUS, 0.0, WORKSPACE_CENTER[2]], rtol=1e-15, atol=0.0)
+        far = clamp_to_workspace([-1e308, 1e308, 0.0])
+        assert np.allclose(far - WORKSPACE_CENTER,
+                           np.array([-1.0, 1.0, 0.0]) * WORKSPACE_RADIUS / np.sqrt(2.0))
+        # a huge point whose norm is finite keeps the plain projection's bits
+        for p in ([3e153, 0.0, 0.0], [7e153, -7e153, 1e153]):
+            off = np.array(p) - WORKSPACE_CENTER
+            want = WORKSPACE_CENTER + off * (WORKSPACE_RADIUS / np.linalg.norm(off))
+            assert _bits(clamp_to_workspace(p)) == _bits(want)
 
 
 def test_substep_yaw_frame_bits_match_rot9(rng):

@@ -18,7 +18,7 @@ from graspsim.scene import (
     TerrainField,
     apply_gripper_close,
     check_status,
-    find_aligned_candidate,
+    close_target,
     load_catalog,
     make_trajectory,
     parse_catalog,
@@ -386,7 +386,7 @@ def _scene_and_aligned_robot(catalog_map, object_id="rubiks_cube", seed=4):
 
 
 def _aligned_by_compose(bank, state, ee_pose, cfg):
-    """find_aligned_candidate re-projecting one candidate at a time."""
+    """close_target's alignment, re-projecting one candidate at a time."""
     best, best_d = None, np.inf
     for i, cand in enumerate(bank.candidates):
         world = compose(state.object_pose, cand.pose)
@@ -401,22 +401,35 @@ def _aligned_by_compose(bank, state, ee_pose, cfg):
     return best
 
 
-def test_find_aligned_candidate_matches_per_candidate_compose(catalog_map, rng):
+def test_close_target_matches_per_candidate_compose(catalog_map, rng):
     # the memoized bank re-projection picks the same candidate as composing
     # each one; an ee exactly on a candidate ties with every candidate at the
     # same position (the centred box grasps), and the first aligned one wins
     found = set()
     for object_id in ("rubiks_cube", "sugar_box", "tennis_ball", "tomato_soup_can"):
-        _, state, _, bank = _scene_and_aligned_robot(catalog_map, object_id)
+        _, state, robot, bank = _scene_and_aligned_robot(catalog_map, object_id)
+        rows = _world_vec6(bank, state.object_pose)
         for _ in range(25):
             k = int(rng.integers(len(bank)))
             world = compose(state.object_pose, bank.candidates[k].pose)
             for ee in (world, Pose6(world.position + rng.normal(0.0, 0.012, 3),
                                     world.orientation + rng.normal(0.0, 0.12, 3))):
-                got = find_aligned_candidate(bank, state, ee, SIM_CFG)
+                got = close_target(state, replace(robot, ee_pose=ee), rows, SIM_CFG)
                 assert got == _aligned_by_compose(bank, state, ee, SIM_CFG)
                 found.add(got)
     assert None in found and len(found) > 3
+
+
+def test_close_target_refuses_a_nan_row(catalog_map):
+    # each comparison is written so that a NaN distance or angle refuses the row
+    _, state, robot, _ = _scene_and_aligned_robot(catalog_map)
+    on_ee = np.concatenate([robot.ee_pose.position, robot.ee_pose.orientation])
+    assert close_target(state, robot, on_ee[None], SIM_CFG) == 0
+    for col in (0, 3):
+        row = on_ee.copy()
+        row[col] = np.nan
+        assert close_target(state, robot, row[None], SIM_CFG) is None
+        assert close_target(state, robot, np.stack([row, on_ee]), SIM_CFG) == 1
 
 
 def test_empty_bank_projects_to_no_rows_and_aligns_nothing(catalog_map):
@@ -424,7 +437,7 @@ def test_empty_bank_projects_to_no_rows_and_aligns_nothing(catalog_map):
     _, state, robot, _ = _scene_and_aligned_robot(catalog_map)
     empty = build_memory([], 30, object_id="none")
     assert _world_vec6(empty, state.object_pose).shape == (0, 6)
-    assert find_aligned_candidate(empty, state, robot.ee_pose, SIM_CFG) is None
+    assert close_target(state, robot, _world_vec6(empty, state.object_pose), SIM_CFG) is None
 
 
 def test_aligned_close_attaches(catalog_map):

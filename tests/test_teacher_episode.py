@@ -27,7 +27,7 @@ from graspsim.gfm import alignment_gfm_weights, build_memory, generate_candidate
 from graspsim.metrics import summaries_to_jsonl
 from graspsim.nn import PROPRIO_DIM, STACK_SHAPE, kd_loss
 from graspsim.robot import WORKSPACE_CENTER, WORKSPACE_RADIUS, initial_robot
-from graspsim.scene import ObjectSpec, derive_seed, reset_episode
+from graspsim.scene import ObjectSpec, apply_gripper_close, derive_seed, reset_episode
 from graspsim.se3 import Pose6, compose, wrap_angle
 from graspsim.teacher import (REACH_MARGIN, YAW_CAP, _reach_limited_standoff, _steer,
                               cached_object_feature, teacher_step)
@@ -47,7 +47,9 @@ def _setup(catalog_map, object_id="rubiks_cube", seed=4):
     return scene, robot, bank
 
 
-def test_teacher_fixed_point_closes(catalog_map):
+def _parked_on_grasp(catalog_map):
+    """The base parked at standoff facing the object, the arm settled on the
+    fused grasp: (scene, robot, bank, weights, fused grasp)."""
     from graspsim.gfm import gfm_forward
     from graspsim.se3 import inverse
 
@@ -55,16 +57,61 @@ def test_teacher_fixed_point_closes(catalog_map):
     w = alignment_gfm_weights()
     fused, _ = gfm_forward(cached_object_feature(scene.object_spec),
                            scene.object_pose, bank, w)
-    # park the base at standoff facing the object, arm settled on the grasp
     obj = scene.object_pose.position
     base = Pose6(np.array([obj[0] - 0.6, obj[1], robot.base_pose.position[2]]),
                  np.zeros(3))
     g_base = compose(inverse(base), fused)
     robot = replace(robot, base_pose=base, ee_pose=fused, ee_target=g_base)
+    return scene, robot, bank, w, fused
+
+
+def test_teacher_fixed_point_closes(catalog_map):
+    scene, robot, bank, w, _ = _parked_on_grasp(catalog_map)
     action = teacher_step(scene, robot, bank, w, SimConfig())
     assert action.gripper_close
     assert np.linalg.norm(action.dp) < 1e-6
     assert np.max(np.abs(action.dr)) < 1e-6
+
+
+def test_aligned_close_refused_above_the_relative_speed_limit(catalog_map):
+    # one rule: on the aligned pose the teacher closes exactly when the close
+    # captures, and both read the object's speed relative to the base (0.2 m/s)
+    from graspsim.se3 import Twist
+
+    scene, robot, bank, w, _ = _parked_on_grasp(catalog_map)
+    cfg = SimConfig()
+    for object_vy, base_vy, allowed in ((0.3, 0.0, False), (0.1, 0.0, True),
+                                        (0.5, 0.5, True), (0.0, -0.25, False)):
+        moving = replace(scene, object_twist=Twist(np.array([0.0, object_vy, 0.0]),
+                                                   np.zeros(3)))
+        driven = replace(robot, base_twist=Twist(np.array([0.0, base_vy, 0.0]), np.zeros(3)))
+        assert teacher_step(moving, driven, bank, w, cfg).gripper_close == allowed
+        after, captured = apply_gripper_close(moving, driven, bank, cfg)
+        assert captured == allowed
+        assert (after.object_attached_to == "gripper") == allowed
+
+
+def test_teacher_close_matches_the_inline_gate(catalog_map, rng):
+    # the teacher's gripper bit is the gate written out on its fused grasp:
+    # the distance and angle to it, and the object's speed relative to the base
+    from graspsim.se3 import Twist, rotation_angle_between
+
+    scene, robot, bank, w, fused = _parked_on_grasp(catalog_map)
+    cfg = SimConfig()
+    seen = set()
+    for _ in range(300):
+        near = replace(robot, ee_pose=Pose6(fused.position + rng.normal(0.0, 0.015, 3),
+                                            fused.orientation + rng.normal(0.0, 0.15, 3)))
+        moving = replace(scene, object_twist=Twist(rng.normal(0.0, 0.12, 3), np.zeros(3)))
+        pos_err = float(np.linalg.norm(near.ee_pose.position - fused.position))
+        ori_err = rotation_angle_between(near.ee_pose.orientation, fused.orientation)
+        speed = float(np.linalg.norm(moving.object_twist.linear - near.base_twist.linear))
+        want = (pos_err <= cfg.teacher_align_pos_tol
+                and ori_err <= cfg.teacher_align_ori_tol
+                and speed <= cfg.teacher_max_rel_speed)
+        assert teacher_step(moving, near, bank, w, cfg).gripper_close == want
+        seen.add(want)
+    assert seen == {False, True}
 
 
 def test_teacher_drives_toward_distant_object(catalog_map):
