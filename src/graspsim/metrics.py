@@ -2,22 +2,24 @@
 
 OSSR uses all episodes as the denominator, which keeps OSSR <= GSR by
 construction; the alternate successes-only reading is reported as an extra
-CSV column (ossr_alt).  TSC is a mean over successful episodes only and is
-left blank when there are none.
+CSV column (ossr_alt).  TSC is the mean ``success_step`` of the successful
+episodes, blank when there are none: the 0-based index of the decision step
+in which success came, one less than the episode's ``n_steps``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
-from concurrent.futures import Future
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import SimConfig
-from .episode import EpisodeLog, run_episode
+from .episode import run_episode
 from .errors import InvalidArgumentError, check_integer
 from .scene import EpisodeConfig, catalog_by_id, check_level, derive_seed, load_catalog
 
@@ -55,8 +57,7 @@ def _tally(logs, category: str) -> MetricsRow:
     n = len(logs)
     successes = [s for s in logs if s.outcome == "success"]
     one_shot = [s for s in successes if s.first_close_success]
-    tsc = (float(np.mean([s.success_step for s in successes]))
-           if successes else None)
+    tsc = float(np.mean([s.success_step for s in successes])) if successes else None
     return MetricsRow(
         level=logs[0].level,
         split="",
@@ -92,10 +93,8 @@ def _fmt(x) -> str:
 def report_to_csv(report: MetricsReport, seed: int) -> str:
     lines = [CSV_HEADER]
     for r in report.rows:
-        lines.append(
-            f"{r.level},{r.split},{r.category},{r.n_episodes},"
-            f"{_fmt(r.gsr)},{_fmt(r.ossr)},{_fmt(r.ossr_alt)},{_fmt(r.tsc)},{seed}"
-        )
+        lines.append(f"{r.level},{r.split},{r.category},{r.n_episodes},"
+                     f"{_fmt(r.gsr)},{_fmt(r.ossr)},{_fmt(r.ossr_alt)},{_fmt(r.tsc)},{seed}")
     return "\n".join(lines) + "\n"
 
 
@@ -110,16 +109,16 @@ def episode_config(level: int, objs, seed: int, i: int, timeout_steps: int) -> E
                          timeout_steps)
 
 
-def _episode_task(args) -> EpisodeLog:
-    cfg, sim_cfg, use_gfm, lookup = args
-    return run_episode(cfg, sim_cfg=sim_cfg, use_gfm=use_gfm, catalog=lookup)
-
-
-def _run_now(fn, *args) -> Future:
-    """Serial stand-in for ``ProcessPoolExecutor.submit``: a finished future."""
-    fut = Future()
-    fut.set_result(fn(*args))
-    return fut
+def _in_order(fn, tasks, pool, depth: int):
+    """``fn(task)`` of each task, in task order: ``map``, or ``depth`` tasks in ``pool``
+    and the next one taken from ``tasks`` only once a result has been read."""
+    if pool is None:
+        yield from map(fn, tasks)
+        return
+    futures = deque(pool.submit(fn, task) for task in itertools.islice(tasks, depth))
+    while futures:
+        yield futures.popleft().result()
+        futures.extend(pool.submit(fn, task) for task in itertools.islice(tasks, 1))
 
 
 def run_benchmark(levels, episodes_per_level: int | None = None,
@@ -135,16 +134,15 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
 
     Episodes run per level either a fixed count or until the decision-step
     budget (default DEFAULT_STEP_BUDGET per level) is consumed, never both; the final
-    episode may overshoot the budget by at most its own length.  Serial and
-    pooled runs share one loop (serially each episode runs at submission); a
-    pool only parallelizes independent episodes and results are consumed in
-    submission order, so output bytes never depend on scheduling.  ``workers``
-    above ``os.cpu_count()`` is capped there: that many processes and episodes
-    in flight at most.  `derive_seed` masks ``seed`` to 31 bits, so 2**31 gives
-    seed 0's rows but for the seed column; only the CLI's ``--seed`` rejects
-    such seeds (perfbench's ``sweep`` passes 32-bit ones).
+    episode may overshoot the budget by at most its own length.  Episodes come in order
+    from one stream, level after level; a pool of ``workers`` (capped at the CPU count)
+    runs that many ahead, across levels, and its results are read in order, so output
+    bytes never depend on scheduling: past a level's budget up to ``workers - 1`` in
+    flight are thrown away.  `derive_seed` masks ``seed`` to 31 bits, so 2**31 gives
+    seed 0's rows but for the seed column; only the CLI's ``--seed`` rejects such
+    seeds (perfbench's ``sweep`` passes 32-bit ones).
     """
-    levels = sorted(set(levels))
+    levels = sorted({check_integer("level", level) for level in levels})
     if not levels:
         raise InvalidArgumentError("need at least one level")
     for level in levels:
@@ -169,37 +167,30 @@ def run_benchmark(levels, episodes_per_level: int | None = None,
         raise InvalidArgumentError(f"catalog has no object in split {split!r}")
     lookup = catalog_by_id(catalog)
 
-    # The pool starts all its workers on the first submit.  Past a step budget
-    # episodes in flight are thrown away, so more than one per CPU gains nothing
-    # there; with an episode count, 8 in flight took 3.47-3.74 s against
-    # 3.97-5.22 s at 2 (2 vCPUs; ROADMAP, "`bench --workers` keeps every worker busy").
+    # The pool starts all its workers on the first submit.  One episode in flight
+    # per CPU: past a step budget the rest are thrown away (a deeper queue is
+    # ROADMAP's "`bench --workers` keeps every worker busy").
     workers = min(workers, os.cpu_count() or 1)
-    all_logs: list[EpisodeLog] = []
+    budget = float("inf") if step_budget is None else step_budget
+    kept_steps = dict.fromkeys(levels, 0)   # decision steps of each level's kept episodes
+
+    def tasks():    # read lazily, so a level's tasks stop once its budget is spent
+        for level in levels:
+            for i in itertools.islice(itertools.count(), episodes_per_level):
+                if kept_steps[level] >= budget:
+                    break
+                yield episode_config(level, objs, seed, i, timeout_steps)
+
+    run = functools.partial(run_episode, sim_cfg=sim_cfg, use_gfm=use_gfm, catalog=lookup)
+    all_logs = []
     if workers > 1:     # imported here, so that `import graspsim` loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    submit, in_flight = (pool.submit, workers) if pool is not None else (_run_now, 1)
     try:
-        for level in levels:
-            tasks = ((episode_config(level, objs, seed, i, timeout_steps), sim_cfg, use_gfm,
-                      lookup) for i in itertools.islice(itertools.count(), episodes_per_level))
-            got: list[EpisodeLog] = []
-            steps_used = 0
-
-            def done() -> bool:
-                if episodes_per_level is not None:
-                    return len(got) >= episodes_per_level
-                return steps_used >= step_budget
-
-            pending = [submit(_episode_task, t) for t in itertools.islice(tasks, in_flight)]
-            while not done():
-                got.append(pending.pop(0).result())
-                steps_used += got[-1].n_steps
-                if not done() and (task := next(tasks, None)):   # a count's tasks run out
-                    pending.append(submit(_episode_task, task))
-            for fut in pending:
-                fut.cancel()
-            all_logs.extend(got)
+        for log in _in_order(run, tasks(), pool, workers):
+            if kept_steps[log.level] < budget:  # else thrown away: in flight past the budget
+                all_logs.append(log)
+                kept_steps[log.level] += log.n_steps
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)

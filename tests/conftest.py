@@ -1,6 +1,8 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 # Pin the BLAS / OpenMP pools to one thread before numpy loads, as
@@ -12,6 +14,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+import graspsim.metrics  # noqa: E402
 from graspsim.episode import run_episode  # noqa: E402
 from graspsim.scene import (  # noqa: E402
     EpisodeConfig,
@@ -81,6 +84,51 @@ def box_records():
                                          timeout_steps=40),
                              collect_observations=True)
     return records
+
+
+@dataclass
+class PoolRecord:
+    """What the stand-in pools of one test saw: each pool's ``max_workers``, and
+    each task submitted and each result read, in order, as ``("submit", task)``
+    and ``("result", task)``."""
+
+    max_workers: list = field(default_factory=list)
+    events: list = field(default_factory=list)
+
+    def submitted(self) -> list:
+        return [task for kind, task in self.events if kind == "submit"]
+
+
+@pytest.fixture
+def stand_in_pool(monkeypatch):
+    """``ProcessPoolExecutor`` swapped for an in-process stand-in, on a host of
+    2 CPUs as ``run_benchmark`` sees it; returns the PoolRecord.  The stand-in
+    runs each task at submission, so a sweep's pooled branch runs, traced,
+    without a process."""
+    record = PoolRecord()
+
+    class DoneFuture:
+        def __init__(self, task, value):
+            self.task, self.value = task, value
+
+        def result(self):
+            record.events.append(("result", self.task))
+            return self.value
+
+    class StandInPool:
+        def __init__(self, max_workers):
+            record.max_workers.append(max_workers)
+
+        def submit(self, fn, task):
+            record.events.append(("submit", task))
+            return DoneFuture(task, fn(task))
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StandInPool)
+    monkeypatch.setattr(graspsim.metrics.os, "cpu_count", lambda: 2)
+    return record
 
 
 @pytest.fixture

@@ -231,6 +231,12 @@ def test_benchmark_rejects_bad_args():
     _, csv_text, _ = run_benchmark([1], episodes_per_level=np.int64(1), seed=np.int64(2),
                                    timeout_steps=3)
     assert csv_text.splitlines()[1].endswith(",2")
+    # a level is an integer, checked before the levels are merged (True is not 1)
+    for levels in ([True, 2], [2.0], ["1"]):
+        with pytest.raises(InvalidArgumentError, match="level must be an integer"):
+            run_benchmark(levels, episodes_per_level=1, timeout_steps=3)
+    with pytest.raises(InvalidArgumentError, match="level must be one of"):
+        run_benchmark([1, 5], episodes_per_level=1, timeout_steps=3)
     # a count with a budget, as the CLI's exclusive --episodes and --steps
     with pytest.raises(InvalidArgumentError, match="episodes_per_level or step_budget"):
         run_benchmark([1], episodes_per_level=2, step_budget=5, timeout_steps=30)
@@ -273,33 +279,50 @@ def test_benchmark_rejects_empty_split_before_pool(catalog, monkeypatch):
                           workers=workers, catalog=seen_only)
 
 
-def test_benchmark_caps_workers_at_cpu_count(monkeypatch):
+def test_benchmark_caps_workers_at_cpu_count(monkeypatch, stand_in_pool):
     # --workers 64 on 2 CPUs asks for a 2-process pool and keeps 2 episodes in
     # flight; the stand-in pool runs each episode at submission, no process
-    requested, submitted = [], []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def submit(self, fn, *args):
-            submitted.append(args[0][0])
-            return metrics._run_now(fn, *args)
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
     _, csv_p, sums_p = run_benchmark([1], episodes_per_level=3, seed=5, timeout_steps=20,
                                      workers=64)
-    assert requested == [2]
-    assert len(submitted) == 3         # a count submits no episode it will not read
+    assert stand_in_pool.max_workers == [2]
+    assert len(stand_in_pool.submitted()) == 3      # a count submits no episode it will not read
     _, csv_s, sums_s = run_benchmark([1], episodes_per_level=3, seed=5, timeout_steps=20)
     assert (csv_p, summaries_to_jsonl(sums_p)) == (csv_s, summaries_to_jsonl(sums_s))
     monkeypatch.setattr(metrics.os, "cpu_count", lambda: None)
     run_benchmark([1], episodes_per_level=1, seed=5, timeout_steps=5, workers=8)
-    assert requested == [2]            # one CPU, or an unknown count: serial, no pool
+    assert stand_in_pool.max_workers == [2]         # one CPU, or an unknown count: serial, no pool
+
+
+def test_pooled_count_sweep_crosses_level_boundaries(stand_in_pool):
+    # level 2's episodes follow level 1's in one stream, so the pool starts
+    # level 2 before level 1's last result is read, with 2 episodes in flight
+    # at most
+    run_benchmark([1, 2], episodes_per_level=3, seed=5, timeout_steps=20, workers=2)
+    events = [(kind, cfg.level) for kind, cfg in stand_in_pool.events]
+    assert events.count(("submit", 1)) == events.count(("submit", 2)) == 3
+    last_level1_result = max(i for i, event in enumerate(events) if event == ("result", 1))
+    assert events.index(("submit", 2)) < last_level1_result
+    in_flight = np.cumsum([1 if kind == "submit" else -1 for kind, _ in events])
+    assert in_flight.max() == 2 and in_flight[-1] == 0
+
+
+BUDGET_SWEEP = {"step_budget": 20, "seed": 3, "timeout_steps": 8}
+
+
+def test_pooled_budget_sweep_throws_away_in_flight_episodes(stand_in_pool):
+    # at each level's end the episode still in flight is thrown away, and the
+    # episodes kept are the serial run's
+    _, csv_s, sums_s = run_benchmark([1, 2, 3, 4], **BUDGET_SWEEP)
+    _, csv_p, sums_p = run_benchmark([1, 2, 3, 4], workers=2, **BUDGET_SWEEP)
+    assert len(sums_p) < len(stand_in_pool.submitted()) <= len(sums_p) + 4
+    assert (csv_p, summaries_to_jsonl(sums_p)) == (csv_s, summaries_to_jsonl(sums_s))
+
+
+def test_pooled_budget_sweep_over_levels_equals_serial():
+    runs = [run_benchmark([1, 2, 3, 4], workers=workers, **BUDGET_SWEEP) for workers in (0, 2)]
+    (_, csv_s, sums_s), (_, csv_p, sums_p) = runs
+    assert {s.level for s in sums_s} == {1, 2, 3, 4}
+    assert (csv_p, summaries_to_jsonl(sums_p)) == (csv_s, summaries_to_jsonl(sums_s))
 
 
 def test_import_loads_no_process_pool():
